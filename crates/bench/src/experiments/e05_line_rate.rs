@@ -85,9 +85,11 @@ fn atm_to_fddi() -> (f64, u64, u64) {
     let n_frames = 1200usize; // ~0.4 s at 91 cells/frame
     let mut frames_out = 0u64;
     let mut t = SimTime::ZERO;
+    let mut out = Vec::new();
     for _ in 0..n_frames {
+        out.clear();
         for cell in &cells {
-            gw.atm_cell_in_tagged(t, cell);
+            gw.deliver_cells(t, std::slice::from_ref(cell), &mut out);
             t += SimTime::from_ns(cell_ns);
         }
         // Drain the transmit buffer as the SUPERNET would.

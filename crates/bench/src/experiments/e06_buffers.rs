@@ -122,11 +122,13 @@ fn run_one(
     let end = horizon + SimTime::from_ms(200);
     let mut idx = 0usize;
     let mut now = SimTime::ZERO;
+    let mut out = Vec::new();
     while now < end {
         let next_cell = cell_events.get(idx).map(|&(t, _)| t).unwrap_or(end);
         if next_cell <= next_visit && idx < cell_events.len() {
             now = next_cell;
-            gw.atm_cell_in_tagged(now, &cell_events[idx].1);
+            out.clear();
+            gw.deliver_cells(now, std::slice::from_ref(&cell_events[idx].1), &mut out);
             idx += 1;
         } else {
             now = next_visit;

@@ -50,7 +50,7 @@ fn drive(ports: usize, frames_per_port: usize) -> (f64, u64) {
         for (p, cells) in streams.iter().enumerate() {
             let mut t = SimTime::from_ns((f * cells.len()) as u64 * cell_ns);
             for cell in cells {
-                gw.atm_cell_in(p, t, cell);
+                gw.cell_in(p, t, cell);
                 t += SimTime::from_ns(cell_ns);
             }
             if t > t_end {

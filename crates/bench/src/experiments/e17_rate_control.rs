@@ -95,11 +95,13 @@ fn run_case(policed: bool) -> Outcome {
     let end = horizon + SimTime::from_ms(100);
     let mut idx = 0;
     let mut now = SimTime::ZERO;
+    let mut out = Vec::new();
     while now < end {
         let next_cell = events.get(idx).map(|&(t, _)| t).unwrap_or(end);
         if next_cell <= next_visit && idx < events.len() {
             now = next_cell;
-            gw.atm_cell_in_tagged(now, &events[idx].1);
+            out.clear();
+            gw.deliver_cells(now, std::slice::from_ref(&events[idx].1), &mut out);
             idx += 1;
         } else {
             now = next_visit;

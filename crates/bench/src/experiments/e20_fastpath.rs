@@ -4,17 +4,18 @@
 //! The pre-PR gateway resolved every cell through five `HashMap`
 //! lookups, heap-allocated each reassembly buffer and rebuilt frame,
 //! and `advance` collected-and-sorted every timer map per call. This
-//! experiment drives the same 1000-VC workload through both entry
-//! points (per-cell `atm_cell_in_tagged` and batched `deliver_cells`),
-//! counts heap allocations per steady-state cell, and writes
+//! experiment drives the same 1000-VC workload through `deliver_cells`
+//! both ways (one call per cell, one call per 10-cell frame), counts
+//! heap allocations per steady-state cell, and writes
 //! `BENCH_forwarding.json` so CI can archive the numbers and compare
 //! against the recorded baseline.
 //!
 //! Each variant is measured as the best of several interleaved passes
 //! over a persistent warm gateway, so a noisy scheduling window on a
 //! shared host degrades one pass rather than one variant; a
-//! `consistency` section records that batched stayed within tolerance
-//! of single-cell and CI asserts it.
+//! `consistency` section records that a batch of N stayed within
+//! tolerance of N batches of one (the per-call overhead) and CI asserts
+//! it.
 //!
 //! The baseline is *carried in the record itself*: each run reads the
 //! previous `BENCH_forwarding.json`, preserves its `baseline` object
@@ -24,7 +25,6 @@
 //! machine-specific constant.
 
 use gw_gateway::gateway::{Gateway, Output};
-use gw_gateway::shard::{ShardExecutor, ShardedGateway};
 use gw_gateway::GatewayConfig;
 use gw_mgmt::json::Json;
 use gw_sar::segment::segment_cells;
@@ -46,17 +46,11 @@ pub const SEED_BASELINE_CELLS_PER_SEC: f64 = 1_381_525.0;
 /// Runs retained in the record's `history` array.
 const HISTORY_CAP: usize = 20;
 
-/// The batched path must keep at least this fraction of the
-/// single-cell rate (it does strictly less per-cell entry work, so
+/// One call per frame must keep at least this fraction of the
+/// one-call-per-cell rate (it does strictly less per-cell entry work, so
 /// anything below this is a real regression, not noise — the
 /// interleaved best-of-pass measurement absorbs scheduler noise).
 const CONSISTENCY_MIN_RATIO: f64 = 0.8;
-
-/// On a host with >= 4 cores, 4 SAR shards must deliver at least this
-/// multiple of the 1-shard rate; below 4 cores the curve is recorded
-/// but the gate does not bind (one CPU timesharing classify + shards
-/// + merge cannot scale, only pay ring overhead).
-const SCALING_MIN_RATIO: f64 = 3.0;
 
 const VCS: u16 = 1000;
 const PAYLOAD_OCTETS: usize = 440; // 10 cells per frame
@@ -113,47 +107,17 @@ fn better(best: Option<Measurement>, next: Measurement) -> Option<Measurement> {
     }
 }
 
-/// Drive `frames` frames round-robin across the 1000 VCs through the
-/// per-cell entry point (the pre-PR calling convention, kept for
-/// comparison), with housekeeping and tx drain per frame exactly as
-/// the baseline harness did.
-fn run_single_cell(
+/// Drive `frames` frames round-robin across the 1000 VCs: each frame's
+/// cells through one `deliver_cells` call, or `per_cell` through one
+/// call per cell 40 ns apart, into a reused output scratch;
+/// `advance_into` for housekeeping, popped frames recycled to the
+/// staging pool.
+fn run_pass(
     gw: &mut Gateway,
     sets: &[Vec<[u8; CELL_SIZE]>],
     t: &mut SimTime,
     frames: usize,
-) -> Measurement {
-    let start = std::time::Instant::now();
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
-    let mut cells_done = 0u64;
-    for f in 0..frames {
-        let cells = &sets[f % sets.len()];
-        for c in cells {
-            std::hint::black_box(gw.atm_cell_in_tagged(*t, c));
-            *t += SimTime::from_ns(40);
-        }
-        gw.advance(*t);
-        while let Some((frame, _)) = gw.pop_fddi_tx(*t) {
-            gw.recycle_frame(frame);
-        }
-        cells_done += cells.len() as u64;
-        *t += SimTime::from_ns(400);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    Measurement {
-        cells_per_sec: cells_done as f64 / start.elapsed().as_secs_f64(),
-        allocs_per_cell: allocs as f64 / cells_done as f64,
-    }
-}
-
-/// The same workload through the batched entry point: one
-/// `deliver_cells` per frame into a reused output scratch, `advance_into`
-/// for housekeeping, popped frames recycled to the staging pool.
-fn run_batched(
-    gw: &mut Gateway,
-    sets: &[Vec<[u8; CELL_SIZE]>],
-    t: &mut SimTime,
-    frames: usize,
+    per_cell: bool,
 ) -> Measurement {
     let mut out: Vec<Output> = Vec::new();
     let start = std::time::Instant::now();
@@ -162,59 +126,15 @@ fn run_batched(
     for f in 0..frames {
         let cells = &sets[f % sets.len()];
         out.clear();
-        gw.deliver_cells(*t, cells, &mut out);
-        *t += SimTime::from_ns(40 * cells.len() as u64);
-        gw.advance_into(*t, &mut out);
-        while let Some((frame, _)) = gw.pop_fddi_tx(*t) {
-            gw.recycle_frame(frame);
+        if per_cell {
+            for c in cells {
+                gw.deliver_cells(*t, std::slice::from_ref(c), &mut out);
+                *t += SimTime::from_ns(40);
+            }
+        } else {
+            gw.deliver_cells(*t, cells, &mut out);
+            *t += SimTime::from_ns(40 * cells.len() as u64);
         }
-        std::hint::black_box(&out);
-        cells_done += cells.len() as u64;
-        *t += SimTime::from_ns(400);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    Measurement {
-        cells_per_sec: cells_done as f64 / start.elapsed().as_secs_f64(),
-        allocs_per_cell: allocs as f64 / cells_done as f64,
-    }
-}
-
-fn sharded_gateway(shards: usize) -> ShardedGateway {
-    let config = GatewayConfig {
-        vc_liveness_timeout: Some(SimTime::from_ms(50)),
-        ..GatewayConfig::default()
-    };
-    let mut gw = ShardedGateway::new(
-        config,
-        FddiAddr::station(0),
-        100_000_000,
-        shards,
-        ShardExecutor::Threads,
-    );
-    for i in 0..VCS {
-        gw.install_congram(Vci(1000 + i), Icn(i), Icn(i), FddiAddr::station(5), false);
-    }
-    gw
-}
-
-/// The batched workload through the sharded arrangement: classify on
-/// the driving thread, SAR on `shards` worker threads behind SPSC
-/// rings, merge back on the driving thread.
-fn run_sharded(
-    gw: &mut ShardedGateway,
-    sets: &[Vec<[u8; CELL_SIZE]>],
-    t: &mut SimTime,
-    frames: usize,
-) -> Measurement {
-    let mut out: Vec<Output> = Vec::new();
-    let start = std::time::Instant::now();
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
-    let mut cells_done = 0u64;
-    for f in 0..frames {
-        let cells = &sets[f % sets.len()];
-        out.clear();
-        gw.deliver_cells(*t, cells, &mut out);
-        *t += SimTime::from_ns(40 * cells.len() as u64);
         gw.advance_into(*t, &mut out);
         while let Some((frame, _)) = gw.pop_fddi_tx(*t) {
             gw.recycle_frame(frame);
@@ -261,7 +181,7 @@ fn carried_forward() -> (f64, String, Vec<Json>) {
     (cells_per_sec, source, history)
 }
 
-/// Run the experiment: measure both entry points, print the comparison
+/// Run the experiment: measure both call shapes, print the comparison
 /// table, and update `BENCH_forwarding.json` (baseline carried forward,
 /// this run appended to its history).
 pub fn run() {
@@ -282,43 +202,22 @@ pub fn run() {
     // alike instead of whichever variant ran last.
     let mut gw_single = gateway();
     let mut t_single = SimTime::ZERO;
-    run_single_cell(&mut gw_single, &sets, &mut t_single, warmup);
+    run_pass(&mut gw_single, &sets, &mut t_single, warmup, true);
     let mut gw_batched = gateway();
     let mut t_batched = SimTime::ZERO;
-    run_batched(&mut gw_batched, &sets, &mut t_batched, warmup);
+    run_pass(&mut gw_batched, &sets, &mut t_batched, warmup, false);
 
     let mut single_best: Option<Measurement> = None;
     let mut batched_best: Option<Measurement> = None;
     for _ in 0..passes {
-        let m = run_single_cell(&mut gw_single, &sets, &mut t_single, frames_per_pass);
+        let m = run_pass(&mut gw_single, &sets, &mut t_single, frames_per_pass, true);
         single_best = better(single_best, m);
-        let m = run_batched(&mut gw_batched, &sets, &mut t_batched, frames_per_pass);
+        let m = run_pass(&mut gw_batched, &sets, &mut t_batched, frames_per_pass, false);
         batched_best = better(batched_best, m);
     }
     let single = single_best.expect("at least one pass");
     let batched = batched_best.expect("at least one pass");
     let pool = gw_batched.spp_pool_stats();
-
-    // Sharded scaling curve: the same batched workload with SAR fanned
-    // out across worker threads behind the SPSC rings. On a host with
-    // one core the curve is flat-to-negative (classify, SAR shards,
-    // and merge all timeshare the one CPU and pay the ring traffic),
-    // so the scaling gate binds only when the host has cores to scale
-    // onto; the record always carries the honest measured curve plus
-    // the core count it was measured on.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut curve: Vec<(usize, Measurement)> = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let mut gw = sharded_gateway(shards);
-        let mut t = SimTime::ZERO;
-        run_sharded(&mut gw, &sets, &mut t, warmup);
-        let mut best: Option<Measurement> = None;
-        for _ in 0..passes {
-            let m = run_sharded(&mut gw, &sets, &mut t, frames_per_pass);
-            best = better(best, m);
-        }
-        curve.push((shards, best.expect("at least one pass")));
-    }
 
     let speedup_single = single.cells_per_sec / baseline_cps;
     let speedup_batched = batched.cells_per_sec / baseline_cps;
@@ -339,25 +238,17 @@ pub fn run() {
         }
     };
     table.row(&[
-        "single-cell, dense tables".into(),
+        "deliver_cells, one cell per call".into(),
         format!("{:.0}", single.cells_per_sec),
         alloc_cell(&single),
         format!("{speedup_single:.2}x"),
     ]);
     table.row(&[
-        "batched deliver_cells".into(),
+        "deliver_cells, one frame per call".into(),
         format!("{:.0}", batched.cells_per_sec),
         alloc_cell(&batched),
         format!("{speedup_batched:.2}x"),
     ]);
-    for (shards, m) in &curve {
-        table.row(&[
-            format!("sharded x{shards} (threads)"),
-            format!("{:.0}", m.cells_per_sec),
-            alloc_cell(m),
-            format!("{:.2}x", m.cells_per_sec / baseline_cps),
-        ]);
-    }
     table.print();
     println!(
         "\nreassembly pool over the batched run: {} hits, {} misses ({} returns)",
@@ -369,31 +260,14 @@ pub fn run() {
         best,
         if best >= 2.0 { "PASS" } else { "FAIL (debug build or contended machine?)" }
     );
-    // Batched delivery strictly subsumes the per-cell path (same work,
-    // fewer entry crossings), so with interleaved best-of passes it
-    // must never measure meaningfully slower; CI asserts this ratio.
+    // One call per frame does the same work with fewer entry
+    // crossings, so with interleaved best-of passes it must never
+    // measure meaningfully slower; CI asserts this ratio.
     let batched_over_single = batched.cells_per_sec / single.cells_per_sec;
     let consistent = batched_over_single >= CONSISTENCY_MIN_RATIO;
     println!(
         "consistency gate (batched >= {CONSISTENCY_MIN_RATIO:.2}x single, best of {passes} interleaved passes): {batched_over_single:.2}x -> {}",
         if consistent { "PASS" } else { "FAIL (batched path regressed?)" }
-    );
-
-    // The 4-shard-vs-1-shard ratio only means anything when the host
-    // can actually run the shards in parallel; with fewer than 4 cores
-    // the curve is recorded but the gate reports not-binding.
-    let scaling_ratio = curve[2].1.cells_per_sec / curve[0].1.cells_per_sec;
-    let scaling_binding = cores >= 4;
-    let scaling_ok = !scaling_binding || scaling_ratio >= SCALING_MIN_RATIO;
-    println!(
-        "scaling gate (4-shard >= {SCALING_MIN_RATIO:.2}x 1-shard, binding on >=4 cores; this host has {cores}): {scaling_ratio:.2}x -> {}",
-        if !scaling_binding {
-            "NOT BINDING (recorded for reference)"
-        } else if scaling_ok {
-            "PASS"
-        } else {
-            "FAIL (sharded path stopped scaling?)"
-        }
     );
 
     let round4 = |x: f64| (x * 1e4).round() / 1e4;
@@ -431,33 +305,12 @@ pub fn run() {
     baseline.set("cells_per_sec", Json::U64(baseline_cps.round() as u64));
     baseline.set("source", Json::Str(baseline_source));
 
-    let mut sharded = Json::obj();
-    sharded.set("executor", Json::Str("threads".into()));
-    sharded.set("host_cores", Json::U64(cores as u64));
-    let mut points = Vec::new();
-    for (shards, m) in &curve {
-        let mut p = Json::obj();
-        p.set("shards", Json::U64(*shards as u64));
-        p.set("cells_per_sec", Json::U64(m.cells_per_sec.round() as u64));
-        p.set("allocs_per_cell", Json::F64(round4(m.allocs_per_cell)));
-        p.set("vs_1_shard", Json::F64(round4(m.cells_per_sec / curve[0].1.cells_per_sec)));
-        points.push(p);
-    }
-    sharded.set("curve", Json::Arr(points));
-    let mut gate = Json::obj();
-    gate.set("required_ratio_4_vs_1", Json::F64(SCALING_MIN_RATIO));
-    gate.set("measured_ratio_4_vs_1", Json::F64(round4(scaling_ratio)));
-    gate.set("binding", Json::Bool(scaling_binding));
-    gate.set("ok", Json::Bool(scaling_ok));
-    sharded.set("scaling_gate", gate);
-
     let mut doc = Json::obj();
     doc.set("experiment", Json::Str("e20_fastpath".into()));
     doc.set("workload", workload);
     doc.set("baseline", baseline);
     doc.set("single_cell", measurement(&single, speedup_single));
     doc.set("batched", measurement(&batched, speedup_batched));
-    doc.set("sharded", sharded);
     doc.set("consistency", consistency);
     doc.set("alloc_counting_enabled", Json::Bool(counting));
     doc.set("meets_2x_speedup", Json::Bool(best >= 2.0));

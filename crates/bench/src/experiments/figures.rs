@@ -82,7 +82,9 @@ fn figure4_gateway() {
     t.print();
     assert_eq!(gw.aic().stats().cells_in, 0);
     assert_eq!(gw.mpp().table_octets(), GatewayConfig::default().max_congrams * 8);
-    assert!(gw.advance(SimTime::from_ms(1)).is_empty());
+    let mut out = Vec::new();
+    gw.advance_into(SimTime::from_ms(1), &mut out);
+    assert!(out.is_empty());
     println!();
 }
 

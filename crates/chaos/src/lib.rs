@@ -33,9 +33,6 @@ pub mod workload;
 
 pub use minimize::minimize;
 pub use report::{artifact, Coverage, RunReport, TransportCoverage};
-pub use runner::{
-    run_scenario, run_scenario_configured, run_scenario_with_phy, run_seed, run_seed_with_phy,
-    run_seed_with_shards,
-};
+pub use runner::{run_scenario, run_scenario_with_phy, run_seed, run_seed_with_phy};
 pub use scene::{emit_scene, minimize_scene, run_scene, run_scene_with_phy, scenario_to_scene};
 pub use workload::{Direction, FaultPlan, Scenario, Send};

@@ -6,10 +6,6 @@
 //! gw-chaos soak     --seeds N [--start S]     N consecutive seeds, artifacts on failure
 //! gw-chaos phy-soak --seeds N [--start S]     each seed on loopback AND the fault-injected
 //!                                             UDP phy, snapshots byte-compared
-//! gw-chaos shard-soak --seeds N [--start S] [--shards K]
-//!                                             each seed single-threaded AND with the SAR
-//!                                             stage on K shards (default 4), snapshots
-//!                                             byte-compared
 //! gw-chaos minimize --seed N                  shrink a failing seed's schedule
 //! gw-chaos run-scene FILE                     parse a .scene and run it under the
 //!                                             full chaos oracle set
@@ -24,7 +20,7 @@
 use gw_chaos::workload::Scenario;
 use gw_chaos::{
     artifact, emit_scene, minimize, minimize_scene, run_scenario, run_seed, run_seed_with_phy,
-    run_seed_with_shards, TransportCoverage,
+    TransportCoverage,
 };
 use gw_phy::{PhyMode, TransportFaultConfig};
 
@@ -36,8 +32,8 @@ fn real_main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!(
-            "usage: gw-chaos <run|replay|soak|phy-soak|shard-soak|minimize|run-scene|emit-scene> \
-             [--seed N] [--seeds N] [--start S] [--shards K] [--artifact-dir D] [--out FILE] [FILE]"
+            "usage: gw-chaos <run|replay|soak|phy-soak|minimize|run-scene|emit-scene> \
+             [--seed N] [--seeds N] [--start S] [--artifact-dir D] [--out FILE] [FILE]"
         );
         return 2;
     };
@@ -52,9 +48,6 @@ fn real_main() -> i32 {
         "replay" => replay(seed),
         "soak" => soak(start, seeds, &artifact_dir),
         "phy-soak" => phy_soak(start, seeds, &artifact_dir),
-        "shard-soak" => {
-            shard_soak(start, seeds, flag(&args, "--shards").unwrap_or(4) as usize, &artifact_dir)
-        }
         "minimize" => shrink(seed, &artifact_dir),
         "run-scene" => match positional(&args) {
             Some(path) => run_scene_file(&path, &artifact_dir),
@@ -299,68 +292,6 @@ fn phy_soak(start: u64, seeds: u64, artifact_dir: &str) -> i32 {
     } else {
         println!(
             "phy-soak: {}/{} seeds FAILED: {:?} — replay with `gw-chaos run --seed <N>`",
-            failures.len(),
-            seeds,
-            failures
-        );
-        1
-    }
-}
-
-/// Shard-blindness soak: every seed runs through the single-threaded
-/// gateway AND with the SAR stage partitioned across `shards` cores
-/// behind the SPSC rings — and the two `gw-snapshot/1` documents must
-/// be byte-identical, because VCI steering plus the control barrier
-/// plus canonical flush ordering owe the merge stage exactly the
-/// single-threaded event sequence. Both runs also face the full chaos
-/// oracle set (conservation C1–C7, zero residue, payload integrity),
-/// so the invariants hold per-arrangement, not just relative to each
-/// other.
-fn shard_soak(start: u64, seeds: u64, shards: usize, artifact_dir: &str) -> i32 {
-    let mut failures = Vec::new();
-    let mut coverage = gw_chaos::Coverage::default();
-    for seed in start..start.saturating_add(seeds) {
-        let single = run_seed(seed);
-        let sharded = run_seed_with_shards(seed, shards);
-        coverage.absorb(&sharded.coverage);
-        let identical = single.snapshot == sharded.snapshot && !single.snapshot.is_empty();
-        let ok = identical && single.passed() && sharded.passed();
-        println!(
-            "{}  {}",
-            sharded.summary(),
-            if identical { format!("{shards}-shard-identical") } else { "SHARDS DIVERGED".into() }
-        );
-        if !ok {
-            for v in single.violations.iter().chain(&sharded.violations) {
-                println!("  violation: {v}");
-            }
-            write_artifact(artifact_dir, &sharded);
-            failures.push(seed);
-        }
-    }
-    println!("{}", coverage.summary());
-    if failures.is_empty() {
-        // Byte-identity over runs that never drove the adversarial SAR
-        // paths (per-VC errors, timeouts, starvation) proves little —
-        // gate on the fault mix having fired through the shards.
-        let starved = coverage.shed + coverage.overflow;
-        let corrupted = coverage.hec_discards + coverage.crc_drops;
-        if seeds >= 32
-            && (coverage.seq_errors == 0
-                || corrupted == 0
-                || coverage.timeouts == 0
-                || starved == 0)
-        {
-            println!("shard-soak: {seeds} seeds identical but fault coverage is hollow — FAILING");
-            return 1;
-        }
-        println!(
-            "shard-soak: {seeds} seeds byte-identical at 1 and {shards} shards (start {start})"
-        );
-        0
-    } else {
-        println!(
-            "shard-soak: {}/{} seeds FAILED: {:?} — replay with `gw-chaos run --seed <N>`",
             failures.len(),
             seeds,
             failures

@@ -21,15 +21,6 @@ pub fn run_seed_with_phy(seed: u64, phy: PhyMode) -> RunReport {
     run_scenario_with_phy(&Scenario::generate(seed), phy)
 }
 
-/// [`run_seed`] with the SAR stage partitioned across `shards` cores —
-/// the shard-blindness probe: the same seed at 1 shard and at N shards
-/// must render byte-identical snapshots, because VCI steering, the
-/// control barrier, and the canonical flush ordering owe the merge
-/// stage exactly the single-threaded event sequence.
-pub fn run_seed_with_shards(seed: u64, shards: usize) -> RunReport {
-    run_scenario_configured(&Scenario::generate(seed), PhyMode::Loopback, shards)
-}
-
 /// Run a (possibly minimized) scenario: install the congrams, play the
 /// schedule, drain every queue and timer, then check conservation,
 /// residue, and delivered-payload integrity.
@@ -39,11 +30,6 @@ pub fn run_scenario(sc: &Scenario) -> RunReport {
 
 /// [`run_scenario`] with the port seams carried by `phy`.
 pub fn run_scenario_with_phy(sc: &Scenario, phy: PhyMode) -> RunReport {
-    run_scenario_configured(sc, phy, 1)
-}
-
-/// [`run_scenario`] with both the transport and the shard count chosen.
-pub fn run_scenario_configured(sc: &Scenario, phy: PhyMode, shards: usize) -> RunReport {
     // The fault injector gets its own stream; any injective function of
     // the seed keeps it disjoint from the scenario's generator forks.
     let faultable_phy = matches!(phy, PhyMode::Udp { .. });
@@ -51,7 +37,6 @@ pub fn run_scenario_configured(sc: &Scenario, phy: PhyMode, shards: usize) -> Ru
         seed: sc.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(7),
         atm_faults: sc.faults.to_config(),
         phy,
-        shards,
         ..Default::default()
     };
     cfg.gateway.management = Some(MgmtConfig::default());
@@ -244,9 +229,7 @@ pub(crate) fn audit(
     let trace_dump = if failed { Some(dump_trace(&tb)) } else { None };
 
     let cons = tb.gw.conservation();
-    // Overlay-aware: when the SAR stage runs on shards, the inner SPP's
-    // reassembler sees no cells and these counters live in the overlay.
-    let reasm = tb.gw.sar_reassembly_stats();
+    let reasm = tb.gw.spp().reassembly_stats();
     let aic = tb.gw.aic().stats();
     let coverage = Coverage {
         hec_discards: aic.hec_discards,

@@ -18,14 +18,14 @@
 //! The gateway is a passive component driven by a harness that owns the
 //! ATM network and FDDI ring simulations:
 //!
-//! * feed arriving ATM cells with [`Gateway::atm_cell_in`], arriving
+//! * feed arriving ATM cells with [`Gateway::deliver_cells`], arriving
 //!   FDDI frames with [`Gateway::fddi_frame_in`];
 //! * collect [`Output`]s: cells to inject into the ATM network, and
 //!   NPE-level notifications;
 //! * frames toward FDDI accumulate in the transmit buffer memory —
 //!   drain them with [`Gateway::pop_fddi_tx`] when the ring's station
 //!   queue has room (that is the RBC/SUPERNET hand-off);
-//! * call [`Gateway::advance`] periodically (or at
+//! * call [`Gateway::advance_into`] periodically (or at
 //!   [`Gateway::next_deadline`]) to run reassembly timers and NPE
 //!   housekeeping.
 
@@ -35,7 +35,7 @@ use crate::config::GatewayConfig;
 use crate::fifo::FrameFifo;
 use crate::mpp::{Mpp, MppDownOutput, MppUpOutput};
 use crate::npe::{Npe, NpeAction, NpeInput};
-use crate::spp::Spp;
+use crate::spp::{IngestResult, Spp};
 use gw_atm::policing::Gcra;
 use gw_mchip::congram::CongramId;
 use gw_mgmt::{
@@ -319,21 +319,6 @@ struct FrameOrigin {
     cells: u32,
 }
 
-/// A cell that survived the AIC, header parse, and policer — stage 1's
-/// output: everything the SAR stage needs (`vci`, `info`, the aligned
-/// arrival) plus the lineage handles the merge stage needs (`idx`,
-/// `cell_id`, `clp`). `Copy` and heap-free so the sharded path can
-/// queue it through an SPSC ring without allocation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ClassifiedCell {
-    pub(crate) idx: usize,
-    pub(crate) vci: Vci,
-    pub(crate) cell_id: CellId,
-    pub(crate) aligned: SimTime,
-    pub(crate) clp: bool,
-    pub(crate) info: [u8; 48],
-}
-
 /// The two-port gateway.
 #[derive(Debug)]
 pub struct Gateway {
@@ -354,7 +339,7 @@ pub struct Gateway {
     /// Per-VC slot table (see [`VcSlot`]).
     pub(crate) vc_slots: Vec<VcSlot>,
     /// Liveness deadlines for monitored VCs; polled by
-    /// [`Gateway::advance`] in O(expired) instead of scanning every VC.
+    /// [`Gateway::advance_into`] in O(expired) instead of scanning every VC.
     liveness: TimerWheel<Vci>,
     /// Scratch for liveness wheel polls (reused; no steady-state
     /// allocation).
@@ -373,17 +358,6 @@ pub struct Gateway {
     frame_seq: u64,
     /// NPE reestablishment count already mirrored into the registry.
     mirrored_reestablishments: u64,
-    /// Journal of SPP VC-table mutations (`open_vc`/`close_vc`),
-    /// recorded only when a sharded wrapper installed it (`None` on the
-    /// plain single-threaded path). The wrapper drains it after every
-    /// call that can touch VC state and forwards the operations to the
-    /// owning shards' reassemblers.
-    pub(crate) sar_ops: Option<Vec<crate::shard::SarOp>>,
-    /// Aggregated SAR-side state from a sharded wrapper, substituted
-    /// for the inner SPP's reassembler in conservation checks, residue
-    /// audits, deadlines, and snapshots. `None` on the single-threaded
-    /// path, where the inner reassembler is authoritative.
-    pub(crate) sar_overlay: Option<crate::shard::SarOverlay>,
 }
 
 impl Gateway {
@@ -433,8 +407,6 @@ impl Gateway {
             cell_seq: 0,
             frame_seq: 0,
             mirrored_reestablishments: 0,
-            sar_ops: None,
-            sar_overlay: None,
             npe,
             config,
         };
@@ -530,7 +502,7 @@ impl Gateway {
                 + r.cells_discarded
                 + r.cells_flushed
                 + r.cells_closed
-                + self.sar_occupancy_cells() as u64,
+                + self.spp.occupancy_cells() as u64,
         );
         // C5 — every frame the MPP saw (complete or timer-flushed) has
         // exactly one disposition.
@@ -576,18 +548,18 @@ impl Gateway {
     /// longer exists.
     // gw-lint: setup-path — audit pass; runs per soak check, never per cell
     pub fn residue(&self) -> Residue {
-        let spp_pool = self.sar_pool_stats();
+        let spp_pool = self.spp.pool_stats();
         let mpp_pool = self.mpp.pool_stats();
         let armed_slot_timers = self.vc_slots.iter().filter(|s| s.liveness_timer.is_some()).count();
         Residue {
-            reassembly_cells: self.sar_occupancy_cells(),
-            reassembly_timers_armed: self.sar_next_deadline().is_some(),
+            reassembly_cells: self.spp.occupancy_cells(),
+            reassembly_timers_armed: self.spp.next_deadline().is_some(),
             tx_frames_pending: self.fddi_tx_pending(),
             tx_octets: self.tx_buffer.used_octets(),
             rx_octets: self.rx_buffer.used_octets(),
             npe_fifo_depth: self.npe_fifo.len(),
             liveness_timer_skew: self.liveness.len() as i64 - armed_slot_timers as i64,
-            spp_pool_leak: spp_pool.outstanding() - self.sar_resident_buffers() as i64,
+            spp_pool_leak: spp_pool.outstanding() - self.spp.resident_buffers() as i64,
             mpp_pool_leak: mpp_pool.outstanding() - self.cons.mpp_staging_consumed as i64,
         }
     }
@@ -597,66 +569,9 @@ impl Gateway {
         &self.config
     }
 
-    /// Reassembly statistics of the SAR stage in force: the sharded
-    /// overlay when one is installed, the inner SPP otherwise. Harness
-    /// code auditing a gateway that may be sharded should read this,
-    /// not [`Gateway::spp`] (whose reassembler sees no cells when the
-    /// SAR stage runs on shards).
+    /// Reassembly-layer counters of the SPP.
     pub fn sar_reassembly_stats(&self) -> gw_sar::reassemble::ReassemblyStats {
-        match self.sar_overlay.as_ref() {
-            Some(o) => o.reassembly,
-            None => self.spp.reassembly_stats(),
-        }
-    }
-
-    /// Cells currently held in reassembly buffers (overlay-aware).
-    pub(crate) fn sar_occupancy_cells(&self) -> usize {
-        match self.sar_overlay.as_ref() {
-            Some(o) => o.occupancy_cells,
-            None => self.spp.occupancy_cells(),
-        }
-    }
-
-    /// Reassembly buffers resident in pools or slots (overlay-aware).
-    pub(crate) fn sar_resident_buffers(&self) -> usize {
-        match self.sar_overlay.as_ref() {
-            Some(o) => o.resident_buffers,
-            None => self.spp.resident_buffers(),
-        }
-    }
-
-    /// The earliest armed reassembly deadline (overlay-aware).
-    pub(crate) fn sar_next_deadline(&self) -> Option<SimTime> {
-        match self.sar_overlay.as_ref() {
-            Some(o) => o.next_deadline,
-            None => self.spp.next_deadline(),
-        }
-    }
-
-    /// Reassembly-buffer pool counters (overlay-aware).
-    pub(crate) fn sar_pool_stats(&self) -> gw_wire::pool::PoolStats {
-        match self.sar_overlay.as_ref() {
-            Some(o) => o.pool,
-            None => self.spp.pool_stats(),
-        }
-    }
-
-    /// Open a VC on the inner SPP and journal the operation for any
-    /// sharded SAR mirrors (the journal is `None` — and this is exactly
-    /// `Spp::open_vc` — on the single-threaded path).
-    fn sar_open_vc(&mut self, vci: Vci, timeout: SimTime) {
-        self.spp.open_vc(vci, timeout);
-        if let Some(ops) = self.sar_ops.as_mut() {
-            ops.push(crate::shard::SarOp::Open { vci, timeout });
-        }
-    }
-
-    /// Close a VC on the inner SPP, journaling as [`Gateway::sar_open_vc`].
-    fn sar_close_vc(&mut self, vci: Vci) {
-        self.spp.close_vc(vci);
-        if let Some(ops) = self.sar_ops.as_mut() {
-            ops.push(crate::shard::SarOp::Close { vci });
-        }
+        self.spp.reassembly_stats()
     }
 
     /// Directly install a bidirectional data congram — the state the
@@ -673,7 +588,7 @@ impl Gateway {
         fddi_dst: FddiAddr,
         synchronous: bool,
     ) {
-        self.sar_open_vc(atm_vci, self.config.reassembly_timeout);
+        self.spp.open_vc(atm_vci, self.config.reassembly_timeout);
         self.register_vc_liveness(SimTime::ZERO, atm_vci);
         self.note_vc_installed(SimTime::ZERO, atm_vci);
         self.mpp
@@ -758,7 +673,7 @@ impl Gateway {
     /// entries — control channels carrying signaling traffic (PICons
     /// carrying UCon setups, §2.4) need reassembly but no translation.
     pub fn open_control_vc(&mut self, vci: Vci) {
-        self.sar_open_vc(vci, self.config.reassembly_timeout);
+        self.spp.open_vc(vci, self.config.reassembly_timeout);
         self.note_vc_installed(SimTime::ZERO, vci);
     }
 
@@ -821,9 +736,7 @@ impl Gateway {
     // and port health can never disagree about what happened.
 
     /// Per-cell ingress accounting: assigns the cell's causal id and
-    /// bumps the AIC ingress counter. The single per-cell bookkeeping
-    /// site behind both [`Gateway::atm_cell_in`] and
-    /// [`Gateway::atm_cell_in_tagged`].
+    /// bumps the AIC ingress counter.
     fn note_cell_in(&mut self) -> CellId {
         self.cell_seq += 1;
         if let Some(m) = &mut self.mgmt {
@@ -1105,25 +1018,17 @@ impl Gateway {
         }
     }
 
-    /// Feed one cell arriving from the ATM network.
-    ///
-    /// Alias of [`Gateway::atm_cell_in_tagged`]: the VC is always read
-    /// from the (AIC-checked, possibly corrected) header so control
+    /// Feed the cells arriving from the ATM network at `now`, appending
+    /// outputs to `out` — the one cell ingest. The VC is always read
+    /// from the (AIC-checked, possibly corrected) header, so control
     /// frames bind to the congram of the VC they arrived on and per-VC
-    /// rate control applies uniformly.
-    pub fn atm_cell_in(&mut self, now: SimTime, cell: &[u8; CELL_SIZE]) -> Vec<Output> {
-        self.atm_cell_in_tagged(now, cell)
-    }
-
-    /// Feed a batch of cells arriving at `now`, appending outputs to
-    /// `out` — the line-rate entry point. The SPP pipeline serializes
-    /// the cells exactly as it would individual arrivals (`ingest_cell`
-    /// queues on `pipeline_free`), so timing is identical to calling
-    /// [`Gateway::atm_cell_in_tagged`] per cell; what batching removes
-    /// is the per-cell `Vec<Output>` and its allocation. Reuse `out`
-    /// across batches to keep the steady-state loop allocation-free,
-    /// and hand frames from [`Gateway::pop_fddi_tx`] back with
-    /// [`Gateway::recycle_frame`] so the staging pools stay warm.
+    /// rate control applies uniformly. The SPP pipeline serializes the
+    /// cells (`ingest_cell` queues on `pipeline_free`), so one call over
+    /// a batch and one call per cell at the same `now` are
+    /// indistinguishable. Reuse `out` across calls to keep the
+    /// steady-state loop allocation-free, and hand frames from
+    /// [`Gateway::pop_fddi_tx`] back with [`Gateway::recycle_frame`] so
+    /// the staging pools stay warm.
     pub fn deliver_cells(
         &mut self,
         now: SimTime,
@@ -1142,10 +1047,9 @@ impl Gateway {
         self.mpp.recycle(frame);
     }
 
-    /// Recycling statistics for the SPP's reassembly-buffer pool — the
-    /// aggregate over shard pools when a sharded wrapper is in force.
+    /// Recycling statistics for the SPP's reassembly-buffer pool.
     pub fn spp_pool_stats(&self) -> gw_wire::pool::PoolStats {
-        self.sar_pool_stats()
+        self.spp.pool_stats()
     }
 
     /// Recycling statistics for the MPP's frame-staging pool.
@@ -1233,49 +1137,18 @@ impl Gateway {
         }
     }
 
-    /// Feed one cell and remember its VC for control-frame binding —
-    /// the single-cell entry point. Allocates the returned `Vec`; the
-    /// line-rate path is [`Gateway::deliver_cells`].
-    // gw-lint: setup-path — single-cell convenience entry allocating its return buffer; the line-rate path is deliver_cells
-    pub fn atm_cell_in_tagged(&mut self, now: SimTime, cell: &[u8; CELL_SIZE]) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.cell_in(now, cell, &mut out);
-        out
-    }
-
-    /// The per-cell fast path: one dense slot lookup, no heap
-    /// allocation in the steady state (cells, frame completion, and
-    /// management bookkeeping included). Single-threaded composition of
-    /// the three stages the sharded arrangement distributes:
-    /// [`Gateway::classify_cell`] → SAR ingest → [`Gateway::merge_cell`].
+    /// The per-cell fast path — AIC (HEC check), header parse, policing,
+    /// SPP reassembly, and the frame-level consequences of the SAR
+    /// verdict: one dense slot lookup, no heap allocation in the steady
+    /// state (cells, frame completion, and management bookkeeping
+    /// included). Drops are counted and traced where they happen.
     fn cell_in(&mut self, now: SimTime, cell: &[u8; CELL_SIZE], out: &mut Vec<Output>) {
-        let Some(c) = self.classify_cell(now, cell) else { return };
-        let result = self.spp.ingest_cell(c.aligned, c.vci, &c.info);
-        if let Some(data) = self.merge_cell(&c, result.timing, result.event, false, out) {
-            // `sharded == false` recycles internally; this arm exists
-            // for the signature, not the data path.
-            self.spp.recycle(data);
-        }
-    }
-
-    /// Stage 1 of the cell path (AIC + classification): HEC check,
-    /// header parse, slot lookup, policing, and activity tracking.
-    /// Returns `None` when the cell was consumed by a drop (already
-    /// counted and traced); otherwise everything the SAR stage needs
-    /// (`vci`, `info`, aligned arrival) plus the lineage handles the
-    /// merge stage needs. Runs on the ingress thread in both the
-    /// single-threaded and sharded arrangements.
-    pub(crate) fn classify_cell(
-        &mut self,
-        now: SimTime,
-        cell: &[u8; CELL_SIZE],
-    ) -> Option<ClassifiedCell> {
         let mut cell = *cell;
         let cell_id = self.note_cell_in();
         let Some(aligned) = self.aic.receive(now, &mut cell) else {
             // The header is unreadable, so the VC is unknown (0).
             self.note_cell_drop(now, cell_id, Vci(0), CellDropReason::HecError);
-            return None;
+            return;
         };
         // Read the VCI after the AIC so a corrected header binds the
         // cell to the right connection.
@@ -1290,7 +1163,7 @@ impl Gateway {
                 // discarded by the sequence check (§5.2 semantics).
                 self.cons.policed_cells += 1;
                 self.note_cell_drop(aligned, cell_id, vci, CellDropReason::Policed);
-                return None;
+                return;
             }
         }
         let slot = &mut self.vc_slots[idx];
@@ -1299,34 +1172,7 @@ impl Gateway {
                 *last = aligned;
             }
         }
-        let mut info = [0u8; 48];
-        info.copy_from_slice(&cell[5..]);
-        Some(ClassifiedCell { idx, vci, cell_id, aligned, clp, info })
-    }
-
-    /// Advance the SPP ingest clock for one classified cell without
-    /// pushing it into the inner reassembler — the sharded path's
-    /// stage-2 stand-in, called in global arrival order so timing stays
-    /// bit-identical to [`Spp::ingest_cell`].
-    pub(crate) fn clock_sar_cell(&mut self, at: SimTime) -> crate::spp::IngestTiming {
-        self.spp.clock_cell(at)
-    }
-
-    /// Stage 3 of the cell path (merge): lineage bookkeeping and the
-    /// frame-level consequences of the SAR verdict, applied in global
-    /// cell order. When `sharded`, the VC's reassembly slot was already
-    /// released by the owning shard, and a completed frame's buffer is
-    /// returned to the caller (it belongs to that shard's pool) instead
-    /// of being recycled here.
-    pub(crate) fn merge_cell(
-        &mut self,
-        c: &ClassifiedCell,
-        timing: crate::spp::IngestTiming,
-        event: ReassemblyEvent,
-        sharded: bool,
-        out: &mut Vec<Output>,
-    ) -> Option<Vec<u8>> {
-        let ClassifiedCell { idx, vci, cell_id, aligned, clp, .. } = *c;
+        let IngestResult { timing, event } = self.spp.ingest_cell(aligned, vci, &cell[5..]);
         let slot = &mut self.vc_slots[idx];
         if slot.first_cell.is_none() {
             slot.first_cell = Some(aligned);
@@ -1370,14 +1216,7 @@ impl Gateway {
                 let started = slot.first_cell.take().unwrap_or(timing.start);
                 let discard_eligible = std::mem::take(&mut slot.clp);
                 let origin = slot.origin.take();
-                if sharded {
-                    // The owning shard's reassembler held (and already
-                    // released) the VC state; mirror the frame count the
-                    // inner SPP would have recorded.
-                    self.spp.count_frame_up();
-                } else {
-                    self.spp.release(vci);
-                }
+                self.spp.release(vci);
                 self.note_frame_reassembled(timing.write_done, vci, origin);
                 if control {
                     match self.mpp.from_spp(timing.write_done, &data, true, false) {
@@ -1449,10 +1288,6 @@ impl Gateway {
                         out,
                     );
                 }
-                if sharded {
-                    // The buffer belongs to the owning shard's pool.
-                    return Some(data);
-                }
                 // The reassembly buffer goes back to the pool either way.
                 self.spp.recycle(data);
             }
@@ -1514,7 +1349,6 @@ impl Gateway {
                 // timer) terminates it.
             }
         }
-        None
     }
 
     /// Feed one frame arriving from the FDDI ring.
@@ -1648,12 +1482,9 @@ impl Gateway {
                     // NPE-programmed data VCs come under the liveness
                     // monitor from the moment they are programmed.
                     if let Ok(entries) = crate::spp::decode_init(&payload) {
-                        for (vci, timeout) in entries {
+                        for (vci, _) in entries {
                             self.register_vc_liveness(at, vci);
                             self.note_vc_installed(at, vci);
-                            if let Some(ops) = self.sar_ops.as_mut() {
-                                ops.push(crate::shard::SarOp::Open { vci, timeout });
-                            }
                         }
                     }
                     let _ = self.spp.handle_init(&payload);
@@ -1733,7 +1564,7 @@ impl Gateway {
                         slot.clp = false;
                         slot.origin = None;
                     }
-                    self.sar_close_vc(vci);
+                    self.spp.close_vc(vci);
                     self.note_vc_retired(at, vci, false);
                     out.push(Output::AtmConnectionRelease { at, vci });
                 }
@@ -1763,66 +1594,35 @@ impl Gateway {
         }
     }
 
-    /// Run housekeeping up to `now`: reassembly timeouts (partial frames
-    /// flush to the MPP and are discarded, §5.2–§5.3), VC liveness
-    /// expiry, and NPE scans (keepalives, setup watchdogs, retries).
-    // gw-lint: setup-path — convenience wrapper allocating its return buffer; harnesses on the line-rate path use advance_into
-    pub fn advance(&mut self, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.advance_into(now, &mut out);
-        out
-    }
-
-    /// [`Gateway::advance`] appending to a caller-owned buffer. Both
-    /// reassembly and liveness deadlines live in timer wheels, so an
-    /// idle call is O(expired) = O(1) and allocation-free — harnesses
-    /// can call it every slice without scanning cost.
+    /// Run housekeeping up to `now`, appending to a caller-owned buffer:
+    /// reassembly timeouts (partial frames flush to the MPP and are
+    /// discarded, §5.2–§5.3), VC liveness expiry, and NPE scans
+    /// (keepalives, setup watchdogs, retries). Both reassembly and
+    /// liveness deadlines live in timer wheels, so an idle call is
+    /// O(expired) = O(1) and allocation-free — harnesses can call it
+    /// every slice without scanning cost.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<Output>) {
         for frame in self.spp.check_timeouts(now) {
-            self.merge_flush(now, frame, false, out);
+            // A timer-flushed partial: clear the VC's lineage and hand
+            // the fragment to the MPP (which discards it).
+            let idx = self.slot_index(frame.vci);
+            let slot = &mut self.vc_slots[idx];
+            slot.first_cell = None;
+            let de = std::mem::take(&mut slot.clp);
+            let origin = slot.origin.take();
+            self.frame_up(
+                now,
+                frame.started_at,
+                frame.vci,
+                origin,
+                frame.control,
+                true,
+                de,
+                &frame.data,
+                out,
+            );
+            self.spp.recycle(frame.data);
         }
-        self.advance_housekeeping(now, out);
-    }
-
-    /// Merge one timer-flushed partial frame: clear the VC's lineage
-    /// and hand the fragment to the MPP (which discards it, §5.2–§5.3).
-    /// When `sharded`, the frame came from a shard's reassembler and
-    /// its buffer is returned so the caller can recycle it into that
-    /// shard's pool; otherwise it goes straight back to the inner SPP.
-    pub(crate) fn merge_flush(
-        &mut self,
-        now: SimTime,
-        frame: ReassembledFrame,
-        sharded: bool,
-        out: &mut Vec<Output>,
-    ) -> Option<Vec<u8>> {
-        let idx = self.slot_index(frame.vci);
-        let slot = &mut self.vc_slots[idx];
-        slot.first_cell = None;
-        let de = std::mem::take(&mut slot.clp);
-        let origin = slot.origin.take();
-        self.frame_up(
-            now,
-            frame.started_at,
-            frame.vci,
-            origin,
-            frame.control,
-            true,
-            de,
-            &frame.data,
-            out,
-        );
-        if sharded {
-            return Some(frame.data);
-        }
-        self.spp.recycle(frame.data);
-        None
-    }
-
-    /// The non-SAR half of [`Gateway::advance_into`]: VC liveness
-    /// expiry, NPE scans, and management gauges. The sharded wrapper
-    /// calls this after flushing the shards' reassembly timers itself.
-    pub(crate) fn advance_housekeeping(&mut self, now: SimTime, out: &mut Vec<Output>) {
         if let Some(timeout) = self.config.vc_liveness_timeout {
             let mut fired = std::mem::take(&mut self.liveness_scratch);
             fired.clear();
@@ -1854,7 +1654,7 @@ impl Gateway {
                 self.note_vc_retired(now, vci, true);
                 // Free reassembly state so a half-received frame cannot
                 // leak or later surface torn.
-                self.sar_close_vc(vci);
+                self.spp.close_vc(vci);
                 let idx = self.vci_index[vci.0 as usize];
                 let slot = &mut self.vc_slots[idx as usize];
                 slot.first_cell = None;
@@ -1886,10 +1686,10 @@ impl Gateway {
         }
     }
 
-    /// The earliest time `advance` has work to do: reassembly timers,
+    /// The earliest time `advance_into` has work to do: reassembly timers,
     /// supervisor watchdogs/backoffs, and VC liveness deadlines.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let mut next = self.sar_next_deadline();
+        let mut next = self.spp.next_deadline();
         let mut merge = |candidate: Option<SimTime>| {
             next = match (next, candidate) {
                 (Some(a), Some(b)) => Some(a.min(b)),
@@ -1942,7 +1742,7 @@ impl Gateway {
         congram: CongramId,
         vci: Vci,
     ) -> Vec<Output> {
-        self.sar_open_vc(vci, self.config.reassembly_timeout);
+        self.spp.open_vc(vci, self.config.reassembly_timeout);
         self.register_vc_liveness(now, vci);
         self.note_vc_installed(now, vci);
         let actions = self.npe.atm_connection_ready(now, congram, vci);
@@ -1999,7 +1799,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut outputs = Vec::new();
         for c in &cells {
-            outputs.extend(gw.atm_cell_in_tagged(t, c));
+            gw.deliver_cells(t, std::slice::from_ref(c), &mut outputs);
             t += SimTime::from_us(3); // ~cell spacing at 155 Mb/s
         }
         assert_eq!(outputs.len(), 1);
@@ -2061,7 +1861,8 @@ mod tests {
         let mut gw = gateway();
         let mut cells = data_cells(b"x");
         cells[0][4] ^= 0xFF;
-        let out = gw.atm_cell_in_tagged(SimTime::ZERO, &cells[0]);
+        let mut out = Vec::new();
+        gw.deliver_cells(SimTime::ZERO, &cells[..1], &mut out);
         assert!(out.is_empty());
         assert_eq!(gw.aic().stats().hec_discards, 1);
     }
@@ -2093,7 +1894,7 @@ mod tests {
             if i == 1 {
                 continue; // lost in the ATM network
             }
-            outputs.extend(gw.atm_cell_in_tagged(SimTime::from_us(i as u64 * 3), c));
+            gw.deliver_cells(SimTime::from_us(i as u64 * 3), std::slice::from_ref(c), &mut outputs);
         }
         assert!(outputs.is_empty(), "errored frame must be discarded (§5.2)");
         assert_eq!(gw.spp().reassembly_stats().frames_discarded, 1);
@@ -2104,9 +1905,10 @@ mod tests {
         let mut gw = gateway();
         let cells = data_cells(&vec![1u8; 300]);
         // Only the first two cells arrive.
-        gw.atm_cell_in_tagged(SimTime::ZERO, &cells[0]);
-        gw.atm_cell_in_tagged(SimTime::from_us(3), &cells[1]);
-        let out = gw.advance(SimTime::from_ms(20));
+        let mut out = Vec::new();
+        gw.deliver_cells(SimTime::ZERO, &cells[..1], &mut out);
+        gw.deliver_cells(SimTime::from_us(3), &cells[1..2], &mut out);
+        gw.advance_into(SimTime::from_ms(20), &mut out);
         assert!(out.is_empty());
         assert_eq!(gw.stats().partial_discards, 1, "partial frame reached and was dropped at MPP");
     }
@@ -2130,7 +1932,8 @@ mod tests {
     fn measured_forward_latency_matches_paper_order() {
         let mut gw = gateway();
         let cells = data_cells(b"q");
-        let out = gw.atm_cell_in_tagged(SimTime::ZERO, &cells[0]);
+        let mut out = Vec::new();
+        gw.deliver_cells(SimTime::ZERO, &cells[..1], &mut out);
         let Output::FddiFrameQueued { at, .. } = out[0] else { panic!() };
         // Single-cell frame: 10 (decode) + 45 (write) cycles in the SPP,
         // 15 cycles in the MPP, then DMA. All well under 10 us.
@@ -2161,7 +1964,7 @@ mod tests {
         for c in cells {
             let mut b = [0u8; CELL_SIZE];
             b.copy_from_slice(c.as_bytes());
-            outputs.extend(gw2.atm_cell_in_tagged(SimTime::ZERO, &b));
+            gw2.deliver_cells(SimTime::ZERO, &[b], &mut outputs);
         }
         // The NPE answered with a SetupConfirm, segmented into cells out
         // the ATM side.
@@ -2180,14 +1983,15 @@ mod tests {
         // An AIC discard.
         let mut bad = data_cells(b"x");
         bad[0][4] ^= 0xFF;
-        gw.atm_cell_in_tagged(SimTime::ZERO, &bad[0]);
+        let mut out = Vec::new();
+        gw.deliver_cells(SimTime::ZERO, &bad[..1], &mut out);
         // A lost-cell frame discard.
         let cells = data_cells(&vec![7u8; 300]);
         for (i, c) in cells.iter().enumerate() {
             if i == 1 {
                 continue;
             }
-            gw.atm_cell_in_tagged(SimTime::from_us(3 * i as u64), c);
+            gw.deliver_cells(SimTime::from_us(3 * i as u64), std::slice::from_ref(c), &mut out);
         }
         let trace = gw.trace().expect("management plane up");
         assert!(trace.is_enabled());
@@ -2217,9 +2021,7 @@ mod tests {
         );
         gw.install_congram(ATM_VCI, ATM_ICN, FDDI_ICN, FddiAddr::station(7), false);
         let cells = data_cells(b"count me");
-        for c in &cells {
-            gw.atm_cell_in_tagged(SimTime::ZERO, c);
-        }
+        gw.deliver_cells(SimTime::ZERO, &cells, &mut Vec::new());
         let m = gw.mgmt().unwrap();
         let vci = ATM_VCI.0;
         assert_eq!(
@@ -2252,9 +2054,7 @@ mod tests {
         // Two frames; the second cannot fit in 100 octets.
         for i in 0..2 {
             let cells = data_cells(&[i as u8; 60]);
-            for c in &cells {
-                gw.atm_cell_in_tagged(SimTime::from_us(i as u64 * 100), c);
-            }
+            gw.deliver_cells(SimTime::from_us(i as u64 * 100), &cells, &mut Vec::new());
         }
         assert_eq!(gw.stats().tx_overflow_drops, 1);
         assert_eq!(gw.fddi_tx_pending(), 1);
@@ -2270,17 +2070,18 @@ mod tests {
         gw.install_congram(ATM_VCI, ATM_ICN, FDDI_ICN, FddiAddr::station(7), false);
         // Two cells of a larger frame arrive, then the VC goes silent.
         let cells = data_cells(&vec![9u8; 300]);
-        gw.atm_cell_in_tagged(SimTime::ZERO, &cells[0]);
-        gw.atm_cell_in_tagged(SimTime::from_us(3), &cells[1]);
+        let mut out = Vec::new();
+        gw.deliver_cells(SimTime::ZERO, &cells[..1], &mut out);
+        gw.deliver_cells(SimTime::from_us(3), &cells[1..2], &mut out);
         assert!(gw.spp().occupancy_cells() > 0, "partial frame held in reassembly");
         let deadline = gw.next_deadline().expect("liveness deadline pending");
         assert!(deadline <= SimTime::from_ms(5) + SimTime::from_us(3));
-        let out = gw.advance(SimTime::from_ms(6));
+        gw.advance_into(SimTime::from_ms(6), &mut out);
         assert!(out.is_empty(), "quarantine of a harness-installed congram is silent");
         assert_eq!(gw.stats().vcs_quarantined, 1);
         assert_eq!(gw.spp().occupancy_cells(), 0, "reassembly state freed, no leak");
         // A second idle period must not double-count the same VC.
-        gw.advance(SimTime::from_ms(20));
+        gw.advance_into(SimTime::from_ms(20), &mut out);
         assert_eq!(gw.stats().vcs_quarantined, 1);
     }
 
@@ -2293,11 +2094,10 @@ mod tests {
         );
         gw.install_congram(ATM_VCI, ATM_ICN, FDDI_ICN, FddiAddr::station(7), false);
         // A frame every 2 ms keeps the VC alive across 10 ms.
+        let mut out = Vec::new();
         for i in 0..5u64 {
-            for c in &data_cells(b"keepalive") {
-                gw.atm_cell_in_tagged(SimTime::from_ms(2 * i), c);
-            }
-            gw.advance(SimTime::from_ms(2 * i + 1));
+            gw.deliver_cells(SimTime::from_ms(2 * i), &data_cells(b"keepalive"), &mut out);
+            gw.advance_into(SimTime::from_ms(2 * i + 1), &mut out);
         }
         assert_eq!(gw.stats().vcs_quarantined, 0);
     }
@@ -2318,10 +2118,9 @@ mod tests {
         );
         gw.install_congram(ATM_VCI, ATM_ICN, FDDI_ICN, FddiAddr::station(7), false);
         // Six frames arrive with nothing draining the transmit buffer.
+        let mut out = Vec::new();
         for i in 0..6u64 {
-            for c in &data_cells(&[i as u8; 60]) {
-                gw.atm_cell_in_tagged(SimTime::from_us(i * 100), c);
-            }
+            gw.deliver_cells(SimTime::from_us(i * 100), &data_cells(&[i as u8; 60]), &mut out);
         }
         let s = gw.stats();
         assert!(s.frames_shed >= 1, "watermark must trip: {s:?}");
@@ -2359,20 +2158,15 @@ mod tests {
                 .collect()
         };
         // Two untagged frames raise occupancy past the low watermark.
+        let mut out = Vec::new();
         for i in 0..2u64 {
-            for c in &data_cells(&[1u8; 60]) {
-                gw.atm_cell_in_tagged(SimTime::from_us(i * 100), c);
-            }
+            gw.deliver_cells(SimTime::from_us(i * 100), &data_cells(&[1u8; 60]), &mut out);
         }
         assert_eq!(gw.stats().frames_shed, 0);
         // A CLP-tagged frame is now shed while an untagged one still fits.
-        for c in &clp_cells(&[2u8; 60]) {
-            gw.atm_cell_in_tagged(SimTime::from_us(300), c);
-        }
+        gw.deliver_cells(SimTime::from_us(300), &clp_cells(&[2u8; 60]), &mut out);
         assert_eq!(gw.stats().frames_shed, 1, "discard-eligible frame shed first");
-        for c in &data_cells(&[3u8; 60]) {
-            gw.atm_cell_in_tagged(SimTime::from_us(400), c);
-        }
+        gw.deliver_cells(SimTime::from_us(400), &data_cells(&[3u8; 60]), &mut out);
         assert_eq!(gw.stats().frames_shed, 1, "untagged frame still delivered");
         assert_eq!(gw.stats().tx_overflow_drops, 0);
     }
@@ -2383,9 +2177,7 @@ mod tests {
         gw.install_congram(ATM_VCI, ATM_ICN, FDDI_ICN, FddiAddr::station(7), true);
         let cells = data_cells(b"realtime");
         let mut outputs = Vec::new();
-        for c in &cells {
-            outputs.extend(gw.atm_cell_in_tagged(SimTime::ZERO, c));
-        }
+        gw.deliver_cells(SimTime::ZERO, &cells, &mut outputs);
         let Output::FddiFrameQueued { synchronous, .. } = outputs[0] else { panic!() };
         assert!(synchronous);
         let (frame, sync) = gw.pop_fddi_tx(SimTime::from_ms(1)).unwrap();

@@ -43,7 +43,6 @@ pub mod gateway;
 pub mod mpp;
 pub mod multiport;
 pub mod npe;
-pub mod shard;
 pub mod snapshot;
 pub mod spp;
 pub mod supervisor;
@@ -52,7 +51,6 @@ pub use config::GatewayConfig;
 pub use gateway::{Gateway, GatewayStats, Output};
 pub use mpp::{IcxtAEntry, IcxtFEntry, Mpp};
 pub use npe::Npe;
-pub use shard::{AnyGateway, ShardExecutor, ShardedGateway};
 pub use spp::Spp;
 pub use supervisor::{backoff_delay, ConnectionSupervisor, SupervisorConfig};
 

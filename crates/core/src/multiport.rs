@@ -119,7 +119,7 @@ impl MultiportGateway {
 
     /// Feed a cell into an ATM port. A completed frame is translated
     /// and lands in its egress FDDI port's transmit buffer.
-    pub fn atm_cell_in(&mut self, atm_port: usize, now: SimTime, cell: &[u8; CELL_SIZE]) {
+    pub fn cell_in(&mut self, atm_port: usize, now: SimTime, cell: &[u8; CELL_SIZE]) {
         let Ok(header) = AtmHeader::parse(cell) else { return };
         if !gw_wire::crc::hec_valid(&cell[..5]) {
             return;
@@ -253,7 +253,7 @@ mod tests {
         )
         .unwrap();
         for c in cells_for(Vci(1), Icn(1), b"hello") {
-            gw.atm_cell_in(0, SimTime::ZERO, &c);
+            gw.cell_in(0, SimTime::ZERO, &c);
         }
         assert!(gw.pop_fddi_tx(0, SimTime::from_ms(1)).is_none(), "port 0 empty");
         let frame = gw.pop_fddi_tx(1, SimTime::from_ms(1)).expect("routed to port 1");
@@ -286,7 +286,7 @@ mod tests {
             for i in 0..frames {
                 let p = i % ports;
                 for c in cells_for(Vci(p as u16 + 1), Icn(p as u16 + 1), &vec![0u8; 450]) {
-                    gw.atm_cell_in(p, SimTime::ZERO, &c);
+                    gw.cell_in(p, SimTime::ZERO, &c);
                 }
                 // Pipeline-free time of that port's SPP approximates the
                 // port's completion; track the max via the tx count.
@@ -311,7 +311,7 @@ mod tests {
         .unwrap();
         for _ in 0..8 {
             for c in cells_for(Vci(1), Icn(1), &vec![0u8; 450]) {
-                gw1.atm_cell_in(0, SimTime::ZERO, &c);
+                gw1.cell_in(0, SimTime::ZERO, &c);
             }
         }
         assert_eq!(gw1.fddi_port_stats(0).frames_out, 8);
@@ -379,7 +379,7 @@ mod tests {
             )
             .unwrap();
             for c in cells_for(Vci(1), Icn(p as u16), b"abc") {
-                gw.atm_cell_in(p, SimTime::ZERO, &c);
+                gw.cell_in(p, SimTime::ZERO, &c);
             }
         }
         assert!(gw.total_fddi_octets_out() > 0);

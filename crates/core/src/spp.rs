@@ -127,34 +127,16 @@ impl Spp {
 
     /// Offer one cell's information field to the reassembly pipeline.
     pub fn ingest_cell(&mut self, now: SimTime, vci: Vci, info: &[u8]) -> IngestResult {
-        let timing = self.clock_cell(now);
-        let event = self.reassembler.push(timing.decode_done, vci, info);
-        if matches!(event, ReassemblyEvent::Complete(_)) {
-            self.stats.frames_up += 1;
-        }
-        IngestResult { timing, event }
-    }
-
-    /// Advance the reassembly pipeline clock for one arriving cell and
-    /// count it, without touching the reassembler. The sharded data
-    /// path runs this part at classify time — the pipeline is one
-    /// physical Header Decoder regardless of how many shards fan out
-    /// behind it, so cell timing stays globally serialized — and hands
-    /// `decode_done` to the owning shard's reassembler.
-    pub fn clock_cell(&mut self, now: SimTime) -> IngestTiming {
         let start = if now > self.pipeline_free { now } else { self.pipeline_free }.ceil_to_cycle();
         let decode_done = start + SimTime::from_cycles(SPP_DECODE_CYCLES);
         let write_done = decode_done + SimTime::from_cycles(SPP_WRITE_CYCLES);
         self.pipeline_free = write_done;
         self.stats.cells_in += 1;
-        IngestTiming { start, decode_done, write_done }
-    }
-
-    /// Count one frame completed toward the MPP. The sharded path calls
-    /// this at merge time, when a shard reports `Complete` — pairing
-    /// the `frames_up` increment [`Spp::ingest_cell`] does inline.
-    pub(crate) fn count_frame_up(&mut self) {
-        self.stats.frames_up += 1;
+        let event = self.reassembler.push(decode_done, vci, info);
+        if matches!(event, ReassemblyEvent::Complete(_)) {
+            self.stats.frames_up += 1;
+        }
+        IngestResult { timing: IngestTiming { start, decode_done, write_done }, event }
     }
 
     /// The MPP finished reading a reassembled frame out of the buffer:

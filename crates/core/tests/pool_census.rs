@@ -55,10 +55,9 @@ fn tx_starvation_sheds_and_overflows_with_balanced_census() {
     // Three frames completing at the same instant: the first is
     // stored, the rest meet a starved buffer.
     let t = SimTime::from_us(100);
+    let mut out = Vec::new();
     for k in 0..3u16 {
-        for cell in cells_for(Vci(100 + k), Icn(1 + k), &[0x5A; 1800]) {
-            let _ = gw.atm_cell_in(t, &cell);
-        }
+        gw.deliver_cells(t, &cells_for(Vci(100 + k), Icn(1 + k), &[0x5A; 1800]), &mut out);
     }
     let cons = gw.conservation();
     assert_eq!(cons.atm_frames_forwarded, 1, "one frame fits the starved memory");
@@ -96,11 +95,10 @@ fn reassembly_timer_expiry_mid_burst_returns_buffers() {
     // First half of a frame on each VC, then silence: both
     // reassemblies stall mid-burst with their timers armed.
     let t = SimTime::from_us(50);
+    let mut out = Vec::new();
     for k in 0..2u16 {
         let cells = cells_for(Vci(100 + k), Icn(1 + k), &[0xC3; 900]);
-        for cell in &cells[..cells.len() / 2] {
-            let _ = gw.atm_cell_in(t, cell);
-        }
+        gw.deliver_cells(t, &cells[..cells.len() / 2], &mut out);
     }
     let mid = gw.residue();
     assert!(mid.reassembly_cells > 0, "stalled cells must be held: {mid:?}");
@@ -108,7 +106,7 @@ fn reassembly_timer_expiry_mid_burst_returns_buffers() {
     assert_eq!(mid.spp_pool_leak, 0, "held buffers are resident, not leaked");
 
     // Past the timeout: both frames flushed, everything released.
-    let _ = gw.advance(SimTime::from_ms(20));
+    gw.advance_into(SimTime::from_ms(20), &mut out);
     let reasm = gw.spp().reassembly_stats();
     assert_eq!(reasm.timeouts, 2, "both stalled reassemblies must time out");
     let after = gw.residue();

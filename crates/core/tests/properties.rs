@@ -48,11 +48,12 @@ proptest! {
         gap_us in 3u64..40,
     ) {
         let mut gw = gateway(1);
+        let mut out = Vec::new();
         let mut t = SimTime::ZERO;
         for (i, &size) in sizes.iter().enumerate() {
             let payload: Vec<u8> = (0..size).map(|b| (b ^ i) as u8).collect();
             for cell in cells_for(Vci(100), Icn(1), &payload) {
-                gw.atm_cell_in_tagged(t, &cell);
+                gw.deliver_cells(t, &[cell], &mut out);
                 t += SimTime::from_ns(gap_us * 1000);
             }
         }
@@ -86,19 +87,20 @@ proptest! {
             .map(|k| cells_for(Vci(100 + k as u16), Icn(1 + k as u16), &vec![k as u8; 450]))
             .collect();
         let mut cursors = vec![0usize; nvcs];
+        let mut out = Vec::new();
         let mut t = SimTime::ZERO;
         // Interleave by the random schedule, then drain remainders.
         for &pick in &order {
             let k = pick % nvcs;
             if cursors[k] < streams[k].len() {
-                gw.atm_cell_in_tagged(t, &streams[k][cursors[k]]);
+                gw.deliver_cells(t, std::slice::from_ref(&streams[k][cursors[k]]), &mut out);
                 cursors[k] += 1;
                 t += SimTime::from_us(3);
             }
         }
         for k in 0..nvcs {
             while cursors[k] < streams[k].len() {
-                gw.atm_cell_in_tagged(t, &streams[k][cursors[k]]);
+                gw.deliver_cells(t, std::slice::from_ref(&streams[k][cursors[k]]), &mut out);
                 cursors[k] += 1;
                 t += SimTime::from_us(3);
             }

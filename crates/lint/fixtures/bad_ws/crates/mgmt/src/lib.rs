@@ -1,6 +1,5 @@
-//! Fixture management crate: hygienic source and off the critical
-//! path, so every finding it causes comes from its manifest (a product
-//! dependency on the gw-model verification scaffolding).
+//! Fixture management crate: hygienic and off the critical path, so it
+//! contributes no findings of its own.
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 

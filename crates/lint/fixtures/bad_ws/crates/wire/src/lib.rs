@@ -3,6 +3,7 @@
 //  - marker: a designated critical-path file without its marker
 //  - hot-path: unwrap / HashMap / Vec::new / clone in critical code
 //  - no-lock: Mutex and .lock( in critical code
+//  - safety: an unsafe block and an unsafe impl without SAFETY arguments
 //  - exhaustive: wildcard arm over a wire-format enum
 // The #[cfg(test)] module and the string/comment decoys below must NOT
 // produce findings.
@@ -42,10 +43,17 @@ pub fn serialized(m: &std::sync::Mutex<u8>) -> u8 {
     }
 }
 
+pub fn peek(v: &[u8]) -> u8 {
+    unsafe { *v.as_ptr() }
+}
+
+pub struct Token(pub *const u8);
+unsafe impl Send for Token {}
+
 pub fn decoys() -> &'static str {
-    // .unwrap() inside a comment is not a finding, and neither is the
-    // string below.
-    "call .expect( and panic! and match _ => nothing"
+    // .unwrap() or unsafe inside a comment is not a finding, and neither
+    // is the string below.
+    "call .expect( and panic! and unsafe and match _ => nothing"
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The checked-in exception list, `gw-lint.allow`.
 //!
-//! Every surviving violation of the `hot-path`, `exhaustive`, or
-//! `atomics` rules must be listed here with a one-line justification —
+//! Every surviving violation of the `hot-path` or `exhaustive` rules
+//! must be listed here with a one-line justification —
 //! the lint's equivalent of the paper putting an exception on the
 //! non-critical path deliberately, with a reason. The file is audited
 //! on every run:
@@ -34,10 +34,8 @@ use std::path::Path;
 /// The allowlist file name, resolved against the workspace root.
 pub const FILE: &str = "gw-lint.allow";
 
-/// Rules whose findings may be excused. `atomics` is here for exactly
-/// one shape of entry: a justified `SeqCst` (a documented global-order
-/// requirement the acquire/release protocol cannot express).
-const ALLOWLISTABLE: &[&str] = &["hot-path", "exhaustive", "atomics"];
+/// Rules whose findings may be excused.
+const ALLOWLISTABLE: &[&str] = &["hot-path", "exhaustive"];
 
 /// Crate prefixes that admit no entries.
 const NO_EXCEPTIONS: &[&str] = &["crates/wire/", "crates/sar/"];
@@ -180,11 +178,19 @@ mod tests {
         Diagnostic { file: file.into(), line, rule, message: message.into() }
     }
 
+    /// Load `text` as an allowlist through a directory of this call's
+    /// own (tests run in parallel inside one process), removed again
+    /// once loaded.
     fn parse(text: &str) -> Allowlist {
-        let dir = std::env::temp_dir().join(format!("gw-lint-allow-{}", std::process::id()));
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("gw-lint-allow-{}-{call}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(FILE), text).unwrap();
-        Allowlist::load(&dir)
+        let list = Allowlist::load(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        list
     }
 
     #[test]

@@ -14,23 +14,17 @@
 //!    allocation inside the designated critical-path modules;
 //! 2. **layering** — the crate dependency DAG matches the paper's
 //!    architecture (wire formats at the bottom, management never
-//!    reachable from the cell path, the `gw-model` interleaving
-//!    checker reachable from tests only);
+//!    reachable from the cell path);
 //! 3. **hygiene** — every crate root keeps `#![forbid(unsafe_code)]`
 //!    and `#![deny(missing_docs)]`;
 //! 4. **safety** — every `unsafe` token (block or impl) carries its
 //!    `// SAFETY:` soundness argument directly on it;
-//! 5. **atomics** — orderings in the ring and core crates are named at
-//!    the call site, `SeqCst` must be justified in the allowlist, and
-//!    `Relaxed` publication stores exist only under a policed
-//!    `model-checked` marker;
-//! 6. **exhaustive** — no wildcard `_ =>` arms in `match`es over the
+//! 5. **exhaustive** — no wildcard `_ =>` arms in `match`es over the
 //!    wire-format enums, so a new protocol variant is a build break,
 //!    not a silent drop;
-//! 7. **no-lock** — no `Mutex`/`RwLock`/`.lock()`/library channels in
-//!    critical-path or shard code: the sharded cell path synchronises
-//!    on `gw-ring` SPSC indices and nothing else, and this family
-//!    admits no allowlist entries at all.
+//! 6. **no-lock** — no `Mutex`/`RwLock`/`.lock()`/library channels in
+//!    critical-path code: every engine owns its state outright, and
+//!    this family admits no allowlist entries at all.
 //!
 //! The analyzer is deliberately token-level and dependency-free: it
 //! strips comments and string literals (preserving line numbers), blanks
@@ -59,8 +53,8 @@ pub struct Diagnostic {
     /// 1-based line number; 0 when the finding is file- or crate-level.
     pub line: usize,
     /// Rule family — one of [`rules::FAMILIES`]: `hot-path`, `no-lock`,
-    /// `layering`, `hygiene`, `safety`, `atomics`, `exhaustive`,
-    /// `marker`, or `allowlist`.
+    /// `layering`, `hygiene`, `safety`, `exhaustive`, `marker`, or
+    /// `allowlist`.
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,

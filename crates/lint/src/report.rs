@@ -117,17 +117,17 @@ mod tests {
             diagnostics: vec![Diagnostic {
                 file: "a.rs".into(),
                 line: 3,
-                rule: "atomics",
-                message: "`SeqCst` ordering".into(),
+                rule: "exhaustive",
+                message: "wildcard arm".into(),
             }],
             suppressed: vec![(
                 Diagnostic {
                     file: "b.rs".into(),
                     line: 9,
-                    rule: "atomics",
-                    message: "`SeqCst` ordering".into(),
+                    rule: "exhaustive",
+                    message: "wildcard arm".into(),
                 },
-                "documented global-order requirement".into(),
+                "closed by the caller's own check".into(),
             )],
             files_scanned: 2,
             crates: vec![],
@@ -136,7 +136,7 @@ mod tests {
         for family in FAMILIES {
             assert!(json.contains(&format!("\"{family}\": {{\"diagnostics\": ")), "{family}");
         }
-        assert!(json.contains("\"atomics\": {\"diagnostics\": 1, \"suppressed\": 1}"));
+        assert!(json.contains("\"exhaustive\": {\"diagnostics\": 1, \"suppressed\": 1}"));
         assert!(json.contains("\"safety\": {\"diagnostics\": 0, \"suppressed\": 0}"));
         // Every diagnostic's rule is a listed family — a new rule
         // string must be added to FAMILIES or it vanishes from the

@@ -6,14 +6,11 @@
 //! (wire formats below everything, management off the cell path),
 //! `hygiene` keeps the crate roots' compiler-enforced guarantees,
 //! `safety` keeps every `unsafe` token's soundness argument attached to
-//! it, `atomics` keeps every memory ordering on the cell path explicit
-//! and tied to the model-checked protocol, `exhaustive` models the
-//! MCHIP type field's closed code space — an unknown frame type is a
-//! hardware fault, never a silent drop — and `no-lock` models the
-//! FIFO-only engine interconnect: the sharded cell path synchronises on
-//! SPSC ring indices, never on a lock.
+//! it, `exhaustive` models the MCHIP type field's closed code space —
+//! an unknown frame type is a hardware fault, never a silent drop — and
+//! `no-lock` models the FIFO-only engine interconnect: each engine owns
+//! its tables outright, so the cell path never arbitrates on a lock.
 
-pub mod atomics;
 pub mod exhaustive;
 pub mod hotpath;
 pub mod hygiene;
@@ -28,17 +25,8 @@ use crate::Diagnostic;
 /// report breaks its counts down by these, so a family added without
 /// being listed here would vanish from the audit trail — the report
 /// module asserts against that.
-pub const FAMILIES: &[&str] = &[
-    "hot-path",
-    "no-lock",
-    "layering",
-    "hygiene",
-    "safety",
-    "atomics",
-    "exhaustive",
-    "marker",
-    "allowlist",
-];
+pub const FAMILIES: &[&str] =
+    &["hot-path", "no-lock", "layering", "hygiene", "safety", "exhaustive", "marker", "allowlist"];
 
 /// Files the paper's critical path maps onto, as whole-directory
 /// prefixes. Every `.rs` file under these is critical-path code.
@@ -54,7 +42,6 @@ pub const CRITICAL_FILES: &[&str] = &[
     "crates/core/src/spp.rs",
     "crates/core/src/buffers.rs",
     "crates/core/src/fifo.rs",
-    "crates/core/src/shard.rs",
 ];
 
 /// Wire-format enums whose `match`es must stay exhaustive: the MCHIP
@@ -104,14 +91,9 @@ pub fn scan_file(rel: &str, text: &str) -> Vec<Diagnostic> {
     }
     if listed || marked {
         diags.extend(hotpath::check(rel, text, &prepared));
-    }
-    if nolock::applies(rel, listed, marked) {
         diags.extend(nolock::check(rel, &prepared));
     }
     diags.extend(exhaustive::check(rel, &prepared));
     diags.extend(safety::check_unsafe(rel, text, &prepared));
-    if atomics::applies(rel) {
-        diags.extend(atomics::check(rel, text, &prepared));
-    }
     diags
 }

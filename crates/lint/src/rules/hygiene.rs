@@ -7,14 +7,6 @@
 //! fast. `#![deny(missing_docs)]` keeps the paper-section cross-
 //! references on every public item, which is how this reproduction
 //! stays auditable against the design it models.
-//!
-//! One crate is exempt from the `forbid`: the SPSC ring ([`UNSAFE_EXEMPT`])
-//! exists precisely to move cell ownership between threads, which safe
-//! Rust cannot express without a lock. The exemption swaps the rail,
-//! it does not remove it: the crate root must carry
-//! `#![deny(unsafe_op_in_unsafe_fn)]` instead, and every `unsafe` token
-//! must carry a `// SAFETY:` argument — that per-token discipline is
-//! the [`crate::rules::safety`] rule.
 
 use crate::manifest::Crate;
 use crate::strip::strip;
@@ -23,20 +15,6 @@ use std::path::Path;
 
 /// Root-attribute lines every crate root must carry.
 pub const REQUIRED_ATTRS: &[&str] = &["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"];
-
-/// Crates allowed to contain `unsafe`, as `(name, dir prefix, why)`.
-/// Their roots must trade `#![forbid(unsafe_code)]` for
-/// `#![deny(unsafe_op_in_unsafe_fn)]` — every unsafe operation stays
-/// visibly fenced even inside `unsafe fn` bodies.
-pub const UNSAFE_EXEMPT: &[(&str, &str, &str)] = &[(
-    "gw-ring",
-    "crates/ring/",
-    "the SPSC ring's slot hand-off moves cell ownership between threads, which safe Rust \
-     cannot express without a lock",
-)];
-
-/// Root-attribute lines an unsafe-exempt crate root must carry.
-pub const EXEMPT_ATTRS: &[&str] = &["#![deny(unsafe_op_in_unsafe_fn)]", "#![deny(missing_docs)]"];
 
 /// Check one member crate's root module for the required attributes.
 pub fn check_crate(root: &Path, krate: &Crate) -> Vec<Diagnostic> {
@@ -58,12 +36,7 @@ pub fn check_crate(root: &Path, krate: &Crate) -> Vec<Diagnostic> {
         }];
     };
     let stripped = strip(&text);
-    let required: &[&str] = if UNSAFE_EXEMPT.iter().any(|(name, _, _)| *name == krate.name) {
-        EXEMPT_ATTRS
-    } else {
-        REQUIRED_ATTRS
-    };
-    required
+    REQUIRED_ATTRS
         .iter()
         .filter(|attr| !stripped.lines().any(|l| l.trim() == **attr))
         .map(|attr| Diagnostic {

@@ -18,13 +18,6 @@
 //! chaos, bench, `gwd`) may consume — the board never interprets
 //! scenario files.
 //!
-//! The interleaving checker (`gw-model`) is verification scaffolding:
-//! tests reach it through dev-dependencies, but no product
-//! `[dependencies]` edge may touch it (shipping code must never link
-//! the model), and the model itself may depend only on `gw-ring` — the
-//! one crate whose protocol it compiles against. Anything more and the
-//! "dependency-free checker" starts absorbing the system under test.
-//!
 //! Only `[dependencies]` edges count — dev-dependencies are test
 //! scaffolding, not product linkage.
 
@@ -91,20 +84,11 @@ pub const LEAF_ONLY: &[(&str, &str)] = &[
     ("gw-wire", "wire formats are the bottom of the stack; they depend on nothing internal"),
     ("gw-lint", "the lint must never be able to break, or be broken by, the code it checks"),
     (
-        "gw-ring",
-        "the SPSC primitive sits at the bottom of the stack like the wire formats; a ring \
-         that pulled in gateway types could smuggle policy into the interconnect",
-    ),
-    (
         "gw-scene",
         "the scenario language is pure vocabulary: harnesses depend on it, it depends on \
          nothing, so one `.scene` file means the same thing in every harness",
     ),
 ];
-
-/// The only internal `[dependencies]` the interleaving checker may
-/// carry: the protocol seam it compiles against.
-pub const MODEL_ALLOWED_DEPS: &[&str] = &["gw-ring"];
 
 /// Run every layering check over the discovered workspace.
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
@@ -140,24 +124,6 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         }
     }
 
-    // The interleaving checker stays inside its verification sandbox:
-    // only gw-ring below it, only dev-dependencies above it.
-    if let Some(model) = ws.get("gw-model") {
-        for dep in &model.internal_deps {
-            if !MODEL_ALLOWED_DEPS.contains(&dep.as_str()) {
-                diags.push(Diagnostic {
-                    file: manifest_of("gw-model"),
-                    line: 0,
-                    rule: "layering",
-                    message: format!(
-                        "`gw-model` must not depend on `{dep}`: the checker compiles only the \
-                         gw-ring protocol seam, anything more absorbs the system under test"
-                    ),
-                });
-            }
-        }
-    }
-
     // Nothing may depend on the lint, and the DAG must stay acyclic.
     for krate in &ws.crates {
         if krate.internal_deps.iter().any(|d| d == "gw-lint") {
@@ -167,18 +133,6 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
                 rule: "layering",
                 message: format!(
                     "`{}` depends on `gw-lint`: the lint is a tool, not a library layer",
-                    krate.name
-                ),
-            });
-        }
-        if krate.name != "gw-model" && krate.internal_deps.iter().any(|d| d == "gw-model") {
-            diags.push(Diagnostic {
-                file: manifest_of(&krate.name),
-                line: 0,
-                rule: "layering",
-                message: format!(
-                    "`{}` depends on `gw-model`: the interleaving checker is verification \
-                     scaffolding, reachable from tests via dev-dependencies only",
                     krate.name
                 ),
             });

@@ -1,21 +1,20 @@
-//! No-lock discipline: the sharded cell path synchronises on SPSC ring
-//! indices and nothing else.
+//! No-lock discipline: the cell path owns its state and never
+//! arbitrates for it.
 //!
 //! The paper's gateway gets its concurrency from structure — each
 //! engine owns its tables outright and hands work to the next through a
-//! dedicated FIFO — never from arbitration. The software shards copy
-//! that: a shard exclusively owns its slot tables, buffer pools, and
-//! timer wheel, and the only cross-thread traffic is the `gw-ring`
-//! SPSC pair wiring it to the classify/merge stage. A `Mutex` appearing
-//! in that code means ownership got shared, which is the design error
-//! this rule makes un-mergeable. Library channels are banned for the
-//! same reason: they hide an allocation and a lock (or a futex wait)
-//! inside every hand-off the ring does with two cache-line writes.
+//! dedicated FIFO — never from arbitration. The software cell path
+//! copies that: the gateway exclusively owns its slot tables, buffer
+//! pools, and timer wheels. A `Mutex` appearing in that code means
+//! ownership got shared, which is the design error this rule makes
+//! un-mergeable. Library channels are banned for the same reason: they
+//! hide an allocation and a lock (or a futex wait) inside every
+//! hand-off.
 //!
-//! The rule covers every critical-path file (designated or marked) plus
-//! the ring crate itself, and — unlike `hot-path` — admits no
-//! allowlist entries and no setup-path exemptions: locks are not a
-//! per-connection convenience, they change the concurrency model.
+//! The rule covers every critical-path file (designated or marked),
+//! and — unlike `hot-path` — admits no allowlist entries and no
+//! setup-path exemptions: locks are not a per-connection convenience,
+//! they change the concurrency model.
 
 use crate::rules::hotpath::find_bounded;
 use crate::strip;
@@ -24,25 +23,16 @@ use crate::Diagnostic;
 /// Banned synchronisation constructs: `(needle, why)`, matched with
 /// identifier boundaries against stripped, test-blanked source.
 pub const BANNED: &[(&str, &str)] = &[
-    ("Mutex", "blocking lock; shards own their tables outright and never arbitrate"),
-    ("RwLock", "blocking lock; shards own their tables outright and never arbitrate"),
-    ("Condvar", "blocking rendezvous; stages drain rings, they never sleep on a lock"),
-    (".lock(", "lock acquisition; the sharded path synchronises on ring indices only"),
-    ("mpsc", "library channel; cross-stage traffic rides the gw-ring SPSC type"),
-    ("crossbeam", "external queue; cross-stage traffic rides the gw-ring SPSC type"),
+    ("Mutex", "blocking lock; the cell path owns its tables outright and never arbitrates"),
+    ("RwLock", "blocking lock; the cell path owns its tables outright and never arbitrates"),
+    ("Condvar", "blocking rendezvous; stages drain FIFOs, they never sleep on a lock"),
+    (".lock(", "lock acquisition; the cell path shares no state to lock"),
+    ("mpsc", "library channel; hides an allocation and a lock inside every hand-off"),
+    ("crossbeam", "external queue; hides an allocation and a lock inside every hand-off"),
 ];
 
-/// Files the rule covers beyond the critical-path set: the ring crate
-/// must itself stay lock-free, or the "lock-free ring" is a fiction.
-pub const EXTRA_PREFIXES: &[&str] = &["crates/ring/"];
-
-/// Does the no-lock rule cover `rel`? (`listed`/`marked` are the
-/// critical-path determinations already made by the dispatcher.)
-pub fn applies(rel: &str, listed: bool, marked: bool) -> bool {
-    listed || marked || EXTRA_PREFIXES.iter().any(|p| rel.starts_with(p))
-}
-
-/// Scan one covered file. `prepared` is stripped, test-blanked source.
+/// Scan one critical-path file. `prepared` is stripped, test-blanked
+/// source.
 pub fn check(rel: &str, prepared: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for &(needle, why) in BANNED {
@@ -52,7 +42,7 @@ pub fn check(rel: &str, prepared: &str) -> Vec<Diagnostic> {
                 file: rel.to_string(),
                 line: strip::line_of(prepared, pos),
                 rule: "no-lock",
-                message: format!("`{needle}` in shard/hot-path code: {why}"),
+                message: format!("`{needle}` in hot-path code: {why}"),
             });
             from = pos + needle.len();
         }
@@ -88,13 +78,5 @@ mod tests {
             "// a Mutex in a comment\nlet s = \"RwLock\";\nstruct MutexStats; fn unlock2(x: MutexStats) {}\n#[cfg(test)]\nmod tests { use std::sync::Mutex; }\n",
         );
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn coverage_is_critical_plus_ring() {
-        assert!(applies("crates/core/src/shard.rs", true, false));
-        assert!(applies("crates/ring/src/lib.rs", false, false));
-        assert!(applies("crates/mgmt/src/marked.rs", false, true));
-        assert!(!applies("crates/mgmt/src/registry.rs", false, false));
     }
 }

@@ -1,16 +1,15 @@
 //! Safety discipline: every `unsafe` token carries its soundness
 //! argument.
 //!
-//! The one crate allowed to contain `unsafe` at all (the SPSC ring, see
-//! [`crate::rules::hygiene::UNSAFE_EXEMPT`]) earns the exemption by
-//! keeping the argument for each operation physically attached to it:
-//! a `// SAFETY:` comment in the contiguous comment block directly
-//! above the `unsafe` line, or trailing on the line itself. The same
-//! holds anywhere else an `unsafe` token appears — harness binaries
-//! included — so a `git grep 'SAFETY:'` enumerates every soundness
-//! obligation in the workspace. `unsafe impl` counts like `unsafe`
-//! blocks do: a `Send`/`Sync` assertion is exactly the kind of claim
-//! whose justification must survive next to the code.
+//! Every crate root forbids `unsafe`, so the token survives only in
+//! harness binaries and test targets (a signal handler, a counting
+//! allocator). Wherever it appears, the argument for the operation
+//! stays physically attached to it: a `// SAFETY:` comment in the
+//! contiguous comment block directly above the `unsafe` line, or
+//! trailing on the line itself — so a `git grep 'SAFETY:'` enumerates
+//! every soundness obligation in the workspace. `unsafe impl` counts
+//! like `unsafe` blocks do: a `Send`/`Sync` assertion is exactly the
+//! kind of claim whose justification must survive next to the code.
 //!
 //! These findings are fixed, never allowlisted: an unjustified unsafe
 //! is missing its proof, and a proof belongs in the source, not in an

@@ -77,71 +77,15 @@ fn no_lock_rule_fires_on_locks_in_critical_code() {
 }
 
 #[test]
-fn unsafe_exemption_swaps_the_rail_instead_of_removing_it() {
+fn safety_rule_fires_on_unjustified_unsafe() {
     let out = fixture_outcome();
-    // The exempt ring crate is never asked for `forbid(unsafe_code)`…
-    assert!(
-        !out.diagnostics
-            .iter()
-            .any(|d| d.file.contains("crates/ring/") && d.message.contains("forbid(unsafe_code)")),
-        "{out:#?}"
-    );
-    // …but its root must carry the replacement rail…
-    assert!(has(&out, "hygiene", "unsafe_op_in_unsafe_fn"), "{out:#?}");
-    // …and every unsafe operation must carry its SAFETY argument,
-    // `unsafe impl` included — those findings are the `safety` family.
-    assert!(has(&out, "safety", "SAFETY:"), "{out:#?}");
-    // The comment/string decoys in the fixture ring stayed dark:
-    // exactly two un-justified unsafe tokens exist there (the pointer
+    // Every unsafe operation must carry its SAFETY argument, `unsafe
+    // impl` included. The comment/string decoys stayed dark: exactly
+    // two un-justified unsafe tokens exist in the fixture (the pointer
     // read and the `unsafe impl Send`).
-    let safety_findings = out
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "safety" && d.file.contains("crates/ring/"))
-        .count();
+    assert!(has(&out, "safety", "SAFETY:"), "{out:#?}");
+    let safety_findings = out.diagnostics.iter().filter(|d| d.rule == "safety").count();
     assert_eq!(safety_findings, 2, "{out:#?}");
-    // Leaf position is enforced for the ring like the wire formats.
-    assert!(has(&out, "layering", "`gw-ring` must not depend"), "{out:#?}");
-}
-
-#[test]
-fn atomics_rule_fires_on_each_ordering_sin() {
-    let out = fixture_outcome();
-    // Unmarked Relaxed publication store.
-    assert!(has(&out, "atomics", "model coverage"), "{out:#?}");
-    // Computed (variable) ordering argument.
-    assert!(has(&out, "atomics", "not named at the call site"), "{out:#?}");
-    // Bare marker: covered store, but the marker lacks a justification.
-    assert!(has(&out, "atomics", "justification"), "{out:#?}");
-    // Marker covering no Relaxed store at all.
-    assert!(has(&out, "atomics", "dangling"), "{out:#?}");
-    // The SeqCst load is excused by the fixture allowlist entry — it
-    // lands in `suppressed`, not `diagnostics`, with the justification
-    // attached.
-    assert!(
-        out.suppressed.iter().any(|(d, why)| d.rule == "atomics"
-            && d.message.contains("SeqCst")
-            && why.contains("global-order")),
-        "{out:#?}"
-    );
-    assert!(!has(&out, "atomics", "SeqCst"), "justified SeqCst must not survive: {out:#?}");
-    // The properly-marked store contributed nothing.
-    assert!(
-        !out.diagnostics.iter().any(|d| d.rule == "atomics" && d.message.contains("imaginary")),
-        "{out:#?}"
-    );
-}
-
-#[test]
-fn layering_rule_fires_on_model_leaving_its_sandbox() {
-    let out = fixture_outcome();
-    // Product code depending on the checker…
-    assert!(has(&out, "layering", "depends on `gw-model`"), "{out:#?}");
-    // …and the checker depending on anything beyond gw-ring.
-    assert!(has(&out, "layering", "`gw-model` must not depend on `gw-wire`"), "{out:#?}");
-    // The fixture model crate's source is hygienic: all its findings
-    // are manifest-level.
-    assert!(!out.diagnostics.iter().any(|d| d.file.contains("crates/model/src")), "{out:#?}");
 }
 
 #[test]
@@ -209,17 +153,11 @@ fn json_report_round_trips_the_outcome() {
     assert!(json.contains("\"format\": \"gw-lint/1\""));
     assert!(json.contains("\"ok\": false"));
     assert!(json.contains("hot-path"));
-    // The per-rule breakdown carries the two concurrency families with
-    // live counts: the fixture has safety and atomics findings, and the
-    // allowlisted SeqCst shows up in the atomics suppressed column.
+    // The per-rule breakdown carries live counts.
     assert!(json.contains("\"rules\": {"), "{json}");
     let safety = out.diagnostics.iter().filter(|d| d.rule == "safety").count();
-    let atomics = out.diagnostics.iter().filter(|d| d.rule == "atomics").count();
-    assert!(safety >= 2 && atomics >= 3, "{out:#?}");
+    assert!(safety >= 2, "{out:#?}");
     assert!(json.contains(&format!("\"safety\": {{\"diagnostics\": {safety}, \"suppressed\": 0}}")));
-    assert!(
-        json.contains(&format!("\"atomics\": {{\"diagnostics\": {atomics}, \"suppressed\": 1}}"))
-    );
 }
 
 #[test]

@@ -23,7 +23,7 @@
 use crate::supervisor::{TransportEvent, TransportSupervisor};
 use crate::{CellPhy, FramePhy, PhyStats};
 use gw_gateway::gateway::{Output, Residue};
-use gw_gateway::{AnyGateway, GatewayConfig, ShardExecutor};
+use gw_gateway::{Gateway, GatewayConfig};
 use gw_mgmt::Port;
 use gw_sim::time::SimTime;
 use gw_wire::atm::{Vci, CELL_SIZE};
@@ -126,7 +126,7 @@ impl DrainReport {
 
 /// The gateway plus its two supervised ports.
 pub struct Appliance {
-    gw: AnyGateway,
+    gw: Gateway,
     cell: Box<dyn CellPhy>,
     frame: Box<dyn FramePhy>,
     atm_sup: TransportSupervisor,
@@ -144,35 +144,16 @@ impl Appliance {
     /// unobservable — and both port supervisors share the gateway's
     /// configured backoff policy.
     pub fn new(
-        config: GatewayConfig,
-        fddi_capacity_bps: u64,
-        cell: Box<dyn CellPhy>,
-        frame: Box<dyn FramePhy>,
-    ) -> Appliance {
-        Appliance::new_sharded(config, fddi_capacity_bps, cell, frame, 1)
-    }
-
-    /// [`Appliance::new`] with the SAR stage partitioned across
-    /// `shards` cores behind SPSC rings (`shards <= 1` is the classic
-    /// single-threaded gateway, bit for bit).
-    pub fn new_sharded(
         mut config: GatewayConfig,
         fddi_capacity_bps: u64,
         cell: Box<dyn CellPhy>,
         frame: Box<dyn FramePhy>,
-        shards: usize,
     ) -> Appliance {
         if config.management.is_none() {
             config.management = Some(gw_mgmt::MgmtConfig::default());
         }
         let policy = config.supervisor;
-        let gw = AnyGateway::build(
-            config,
-            FddiAddr::station(0),
-            fddi_capacity_bps,
-            shards,
-            ShardExecutor::Threads,
-        );
+        let gw = Gateway::new(config, FddiAddr::station(0), fddi_capacity_bps);
         Appliance {
             gw,
             cell,
@@ -187,16 +168,13 @@ impl Appliance {
         }
     }
 
-    /// The gateway under the hood (snapshots, stats, residue). Derefs
-    /// to [`gw_gateway::Gateway`] for every read accessor.
-    pub fn gateway(&self) -> &AnyGateway {
+    /// The gateway under the hood (snapshots, stats, residue).
+    pub fn gateway(&self) -> &Gateway {
         &self.gw
     }
 
-    /// Mutable gateway access (snapshots take `&mut`). Snapshots go
-    /// through [`AnyGateway::snapshot`], which aggregates per-shard
-    /// counters when the arrangement is sharded.
-    pub fn gateway_mut(&mut self) -> &mut AnyGateway {
+    /// Mutable gateway access (snapshots take `&mut`).
+    pub fn gateway_mut(&mut self) -> &mut Gateway {
         &mut self.gw
     }
 

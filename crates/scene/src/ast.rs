@@ -220,11 +220,6 @@ pub struct Scene {
     pub seed: Option<u64>,
     /// FDDI stations including the gateway (`stations <n>`, ≥ 2).
     pub stations: Option<u32>,
-    /// SAR shards in the gateway's cell path (`shards <n>`, 1..=16).
-    /// 1 (the default) is the single-threaded gateway; more partitions
-    /// reassembly across that many cores behind SPSC rings, which must
-    /// be invisible in every snapshot and expectation.
-    pub shards: Option<u32>,
     /// Co-simulation slice, microseconds.
     pub slice_us: Option<u64>,
     /// Per-VC reassembly timeout, microseconds.
@@ -265,12 +260,6 @@ impl Scene {
     /// The resolved station count ([`DEFAULT_STATIONS`] when absent).
     pub fn stations_or_default(&self) -> u32 {
         self.stations.unwrap_or(DEFAULT_STATIONS)
-    }
-
-    /// The resolved SAR shard count (1, the single-threaded gateway,
-    /// when absent).
-    pub fn shards_or_default(&self) -> u32 {
-        self.shards.unwrap_or(1)
     }
 
     /// The resolved co-simulation slice in nanoseconds.

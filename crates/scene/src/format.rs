@@ -27,9 +27,6 @@ pub fn format_scene(scene: &Scene) -> String {
     if let Some(stations) = scene.stations {
         let _ = writeln!(out, "stations {stations}");
     }
-    if let Some(shards) = scene.shards {
-        let _ = writeln!(out, "shards {shards}");
-    }
     if let Some(slice) = scene.slice_us {
         let _ = writeln!(out, "slice_us {slice}");
     }

@@ -15,7 +15,6 @@
 //! scene <name>                          # mandatory first directive
 //! seed <u64>
 //! stations <2..=32>
-//! shards <1..=16>
 //! slice_us <u64>
 //! reassembly_timeout_us <u64>
 //! liveness_us <u64>
@@ -44,10 +43,6 @@ pub const MAX_SEND_OCTETS: u32 = 4000;
 
 /// Largest FDDI ring the co-simulation topology supports.
 pub const MAX_STATIONS: u32 = 32;
-
-/// Largest SAR shard count a scene may request (matches the widest
-/// arrangement the bench scaling curve measures, with headroom).
-pub const MAX_SHARDS: u32 = 16;
 
 /// One source token with its byte-exact anchor.
 #[derive(Debug, Clone, Copy)]
@@ -344,7 +339,7 @@ fn parse_line(p: &mut Parser, raw: &str, line_start: usize, line_no: u32) {
 
     match head.text {
         "scene" => parse_header(p, head, &mut c),
-        "seed" | "stations" | "shards" | "slice_us" | "reassembly_timeout_us" | "liveness_us" => {
+        "seed" | "stations" | "slice_us" | "reassembly_timeout_us" | "liveness_us" => {
             parse_scalar(p, head, &mut c)
         }
         "starve" => parse_starve(p, head, &mut c),
@@ -378,7 +373,6 @@ fn parse_scalar(p: &mut Parser, head: Tok<'_>, c: &mut Cursor<'_>) {
     let kw: &'static str = match head.text {
         "seed" => "seed",
         "stations" => "stations",
-        "shards" => "shards",
         "slice_us" => "slice_us",
         "reassembly_timeout_us" => "reassembly_timeout_us",
         _ => "liveness_us",
@@ -403,17 +397,6 @@ fn parse_scalar(p: &mut Parser, head: Tok<'_>, c: &mut Cursor<'_>) {
                 return;
             }
             p.scene.stations = Some(v as u32);
-        }
-        "shards" => {
-            if !(1..=u64::from(MAX_SHARDS)).contains(&v) {
-                c.err_at(
-                    diag::E_OUT_OF_RANGE,
-                    vt,
-                    format!("shards must be in 1..={MAX_SHARDS}, found {v}"),
-                );
-                return;
-            }
-            p.scene.shards = Some(v as u32);
         }
         _ => {
             if v == 0 {

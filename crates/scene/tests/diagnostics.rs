@@ -37,6 +37,10 @@ fn prelude_is_clean() {
 #[test]
 fn e001_unknown_directive() {
     one_diag(&format!("{OK}frobnicate 3\n"), diag::E_UNKNOWN_DIRECTIVE, "frobnicate");
+    // A removed directive gets no deprecation shim: it is simply unknown.
+    let removed = format!("{OK}shards 4\n");
+    one_diag(&removed, diag::E_UNKNOWN_DIRECTIVE, "shards");
+    assert_eq!(parse(&removed).1[0].len, "shards".len(), "spans the directive keyword");
 }
 
 #[test]

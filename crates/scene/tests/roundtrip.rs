@@ -24,9 +24,6 @@ fn arb_scene(rng: &mut TestRng) -> Scene {
     if rng.below(2) == 0 {
         scene.stations = Some(2 + rng.below(31) as u32);
     }
-    if rng.below(3) == 0 {
-        scene.shards = Some(1 + rng.below(16) as u32);
-    }
     if rng.below(4) == 0 {
         scene.slice_us = Some(1 + rng.below(100));
     }

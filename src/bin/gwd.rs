@@ -108,8 +108,8 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: gwd run --atm-bind A --atm-peer B --fddi-bind C --fddi-peer D \
-                 [--config FILE] [--snapshot FILE] [--duration-ms N] [--shards K]\n\
-                 \x20      gwd smoke [--frames N] [--snapshot FILE] [--scene FILE] [--shards K]"
+                 [--config FILE] [--snapshot FILE] [--duration-ms N]\n\
+                 \x20      gwd smoke [--frames N] [--snapshot FILE] [--scene FILE]"
             );
             2
         }
@@ -177,13 +177,8 @@ fn run_daemon(args: &[String]) -> i32 {
             }
         };
 
-    let mut app = Appliance::new_sharded(
-        GatewayConfig::default(),
-        100_000_000,
-        Box::new(cell),
-        Box::new(frame),
-        parse_flag(args, "--shards", 1),
-    );
+    let mut app =
+        Appliance::new(GatewayConfig::default(), 100_000_000, Box::new(cell), Box::new(frame));
     if let Some(path) = &config_path {
         match load_config(path) {
             Some(cfg) => {
@@ -291,12 +286,11 @@ fn smoke(args: &[String]) -> i32 {
         }
     };
 
-    let mut app = Appliance::new_sharded(
+    let mut app = Appliance::new(
         GatewayConfig::default(),
         100_000_000,
         Box::new(cell_gw),
         Box::new(frame_gw),
-        parse_flag(args, "--shards", 1),
     );
     let cfg = ApplianceConfig::parse(
         "# smoke congrams\n\
@@ -539,16 +533,7 @@ fn smoke_scene(path: &str, snapshot_path: Option<&str>) -> i32 {
     if scene.shedding {
         gw_cfg.overload_shedding = Some(Default::default());
     }
-    // The scene's `shards` directive selects the arrangement here too,
-    // so one file denotes one gateway configuration on the real
-    // appliance as well.
-    let mut app = Appliance::new_sharded(
-        gw_cfg,
-        100_000_000,
-        Box::new(cell_gw),
-        Box::new(frame_gw),
-        scene.shards_or_default() as usize,
-    );
+    let mut app = Appliance::new(gw_cfg, 100_000_000, Box::new(cell_gw), Box::new(frame_gw));
 
     let mut cfg_text = String::from("# scene congrams\n");
     for (i, c) in scene.congrams.iter().enumerate() {

@@ -104,11 +104,13 @@ fn throughput(ms: u64) {
     let cell_gap = SimTime::from_ns(3600);
     let mut t = SimTime::ZERO;
     let mut up_frames = 0u64;
+    let mut out = Vec::new();
     while t < horizon {
         for c in &cells {
-            gw.atm_cell_in_tagged(t, c);
+            gw.deliver_cells(t, std::slice::from_ref(c), &mut out);
             t += cell_gap;
         }
+        out.clear();
         while gw.pop_fddi_tx(t).is_some() {
             up_frames += 1;
         }

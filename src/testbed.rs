@@ -29,8 +29,8 @@
 use gw_atm::network::{AtmNetwork, EndpointEvent, EndpointId, LinkParams};
 use gw_atm::signaling::{SignalIndication, TrafficContract};
 use gw_fddi::ring::{Ring, RingConfig};
-use gw_gateway::gateway::Output;
-use gw_gateway::{AnyGateway, GatewayConfig, ShardExecutor};
+use gw_gateway::gateway::{Gateway, Output};
+use gw_gateway::GatewayConfig;
 use gw_mchip::congram::CongramId;
 use gw_mchip::messages::ControlPayload;
 use gw_phy::{
@@ -73,13 +73,6 @@ pub struct TestbedConfig {
     /// must be — and is, see the chaos phy-soak — invisible above the
     /// phy layer.
     pub phy: PhyMode,
-    /// SAR shards in the gateway's cell path. 1 (the default) drives
-    /// the classic single-threaded gateway; more partitions reassembly
-    /// across that many cores behind SPSC rings, which must be — and
-    /// is, see the chaos shard-soak — invisible in every snapshot.
-    pub shards: usize,
-    /// How the shards execute (ignored at `shards <= 1`).
-    pub shard_executor: ShardExecutor,
 }
 
 impl Default for TestbedConfig {
@@ -94,8 +87,6 @@ impl Default for TestbedConfig {
             fddi_capacity_bps: 80_000_000,
             gateway_sync_alloc: SimTime::from_us(500),
             phy: PhyMode::Loopback,
-            shards: 1,
-            shard_executor: ShardExecutor::Threads,
         }
     }
 }
@@ -119,12 +110,8 @@ pub struct Testbed {
     pub atm: AtmNetwork,
     /// The FDDI ring.
     pub ring: Ring,
-    /// The gateway under test. [`AnyGateway`] derefs to
-    /// [`Gateway`](gw_gateway::gateway::Gateway)
-    /// for every read accessor and setup call; the testbed's own data
-    /// path enters through the inherent `AnyGateway` methods so a
-    /// sharded arrangement actually runs its shards.
-    pub gw: AnyGateway,
+    /// The gateway under test.
+    pub gw: Gateway,
     /// The host endpoint on the ATM side.
     pub atm_host: EndpointId,
     gw_ep: EndpointId,
@@ -213,13 +200,8 @@ impl Testbed {
         ring_cfg.stations[0].async_queue_frames = 4096;
         let ring = Ring::new(ring_cfg);
 
-        let gw = AnyGateway::build(
-            config.gateway.clone(),
-            FddiAddr::station(0),
-            config.fddi_capacity_bps,
-            config.shards,
-            config.shard_executor,
-        );
+        let gw =
+            Gateway::new(config.gateway.clone(), FddiAddr::station(0), config.fddi_capacity_bps);
 
         let host_reasm = Reassembler::new(ReassemblyConfig::default());
         let fault = FaultInjector::new(config.atm_faults, SimRng::new(config.seed));
@@ -337,7 +319,6 @@ impl Testbed {
         }
         let config = TestbedConfig {
             fddi_stations: scene.stations_or_default() as usize,
-            shards: scene.shards_or_default() as usize,
             gateway,
             slice: SimTime::from_ns(scene.slice_ns()),
             atm_faults: crate::scene_run::fault_config(&scene.faults),

@@ -221,6 +221,7 @@ impl TransitTestbed {
 
     /// Advance the whole internet to `until`.
     pub fn run_until(&mut self, until: SimTime) {
+        let mut out = Vec::new();
         while self.now < until {
             let next = SimTime::from_ns((self.now + self.slice).as_ns().min(until.as_ns()));
 
@@ -245,7 +246,8 @@ impl TransitTestbed {
             // Cells at the gateways' ATM endpoints -> AIC/SPP/MPP.
             for ev in self.atm_a.poll(self.gw_a_ep) {
                 if let EndpointEvent::CellRx { time, cell } = ev {
-                    for o in self.gw_a.atm_cell_in_tagged(time, &cell) {
+                    self.gw_a.deliver_cells(time, std::slice::from_ref(&cell), &mut out);
+                    for o in out.drain(..) {
                         if let Output::AtmCell { at, cell } = o {
                             self.outbox_a.push((at, self.gw_a_ep, cell));
                         }
@@ -254,7 +256,8 @@ impl TransitTestbed {
             }
             for ev in self.atm_b.poll(self.gw_b_ep) {
                 if let EndpointEvent::CellRx { time, cell } = ev {
-                    for o in self.gw_b.atm_cell_in_tagged(time, &cell) {
+                    self.gw_b.deliver_cells(time, std::slice::from_ref(&cell), &mut out);
+                    for o in out.drain(..) {
                         if let Output::AtmCell { at, cell } = o {
                             self.outbox_b.push((at, self.gw_b_ep, cell));
                         }
@@ -275,8 +278,9 @@ impl TransitTestbed {
             }
 
             // Housekeeping.
-            self.gw_a.advance(next);
-            self.gw_b.advance(next);
+            self.gw_a.advance_into(next, &mut out);
+            self.gw_b.advance_into(next, &mut out);
+            out.clear();
 
             // Gateways' transmit buffers -> their ring stations.
             for (gw, station) in [(&mut self.gw_a, 0usize), (&mut self.gw_b, 1)] {

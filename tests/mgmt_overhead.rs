@@ -1,5 +1,6 @@
 //! Allocation guard for the management plane (separate test binary: it
-//! installs a counting global allocator).
+//! installs a counting global allocator). The count is per thread, so
+//! each test sees only its own allocations however many run at once.
 //!
 //! The tentpole's performance contract: instrumentation must keep the
 //! per-cell critical path allocation-free. Mid-frame cells — the 25 MHz
@@ -10,24 +11,44 @@
 //! heap traffic).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialised and without
+    /// a destructor, so touching it from inside the allocator never
+    /// allocates or registers anything itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Count one allocation against the calling thread (a no-op during
+/// thread teardown, when the slot is already gone).
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: pure pass-through to the `System` allocator — every method
+// forwards its arguments unchanged, so `System`'s own contract is what
+// the caller gets; the counter touches no allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: delegates to `System::alloc` with the caller's layout.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
+        // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
+    // SAFETY: delegates to `System::dealloc` with the caller's block.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr`/`layout` came from the matching alloc above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
+    // SAFETY: delegates to `System::realloc` with the caller's block.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
+        // SAFETY: `ptr`/`layout`/`new_size` pass through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -35,10 +56,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations the calling thread made while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.get();
     let r = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, r)
+    (ALLOCS.get() - before, r)
 }
 
 use atm_fddi_gateway::gateway::{Gateway, GatewayConfig};
@@ -81,11 +103,12 @@ fn frame_cells(payload_octets: usize) -> Vec<[u8; CELL_SIZE]> {
 fn hot_loop_allocations(gw: &mut Gateway, cells: &[[u8; CELL_SIZE]], frames: usize) -> u64 {
     let mut t = SimTime::ZERO;
     let mut total = 0;
+    let mut out = Vec::new();
     for _ in 0..frames {
         let (mid, last) = cells.split_at(cells.len() - 1);
         let (allocs, _) = allocations_during(|| {
             for c in mid {
-                let out = gw.atm_cell_in_tagged(t, c);
+                gw.deliver_cells(t, std::slice::from_ref(c), &mut out);
                 assert!(out.is_empty(), "mid-frame cells produce no output");
                 t += SimTime::from_ns(40);
             }
@@ -93,7 +116,8 @@ fn hot_loop_allocations(gw: &mut Gateway, cells: &[[u8; CELL_SIZE]], frames: usi
         total += allocs;
         // Frame completion (allocates: frame assembly, buffer store) is
         // deliberately outside the measured window.
-        let _ = gw.atm_cell_in_tagged(t, &last[0]);
+        gw.deliver_cells(t, last, &mut out);
+        out.clear();
         t += SimTime::from_ns(40);
         while gw.pop_fddi_tx(t).is_some() {}
     }
@@ -101,8 +125,8 @@ fn hot_loop_allocations(gw: &mut Gateway, cells: &[[u8; CELL_SIZE]], frames: usi
 }
 
 /// Run `frames` full frames — completion cell, transmit-buffer drain,
-/// and frame-buffer recycle all INSIDE the measured window — through the
-/// batched [`Gateway::deliver_cells`] entry point. With the dense slot
+/// and frame-buffer recycle all INSIDE the measured window — one
+/// [`Gateway::deliver_cells`] call per frame. With the dense slot
 /// tables and buffer pools this entire cycle must be allocation-free:
 /// reassembly buffers come from the SPP pool, rebuilt FDDI frames from
 /// the MPP pool, and both are returned before the next frame starts.
