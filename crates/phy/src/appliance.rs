@@ -5,8 +5,9 @@
 //!
 //! * [`Appliance::step`] is one tick — pump both transports (entering
 //!   backoff/reconnect through the [`TransportSupervisor`]s on I/O
-//!   errors), admit arrived traffic, run the gateway's timers, and
-//!   drain the transmit buffer toward the frame port;
+//!   errors), admit arrived traffic, run the gateway's timers, drain
+//!   the transmit buffer toward the frame port, and flush the cell
+//!   port so everything the tick emitted has left when it returns;
 //! * [`Appliance::apply_config`] installs congrams *additively* — a
 //!   live reload never tears down an existing congram, so in-flight
 //!   frames (partial reassemblies, staged transmissions) survive;
@@ -112,7 +113,8 @@ pub struct DrainReport {
     pub residue: Residue,
     /// Conservation-equation violations (empty on success).
     pub violations: Vec<String>,
-    /// Cells/frames still unacknowledged on the transports.
+    /// Transmissions still unacknowledged (or held back unsent) on the
+    /// two transports.
     pub in_flight: usize,
 }
 
@@ -134,6 +136,7 @@ pub struct Appliance {
     installed: Vec<CongramSpec>,
     draining: bool,
     cell_buf: Vec<(SimTime, [u8; CELL_SIZE])>,
+    cells: Vec<[u8; CELL_SIZE]>,
     frame_buf: Vec<(SimTime, Vec<u8>, bool)>,
     out: Vec<Output>,
 }
@@ -163,6 +166,7 @@ impl Appliance {
             installed: Vec::new(),
             draining: false,
             cell_buf: Vec::new(),
+            cells: Vec::new(),
             frame_buf: Vec::new(),
             out: Vec::new(),
         }
@@ -296,14 +300,12 @@ impl Appliance {
                     self.atm_sup.error(now);
                     self.gw.note_transport_down(now, Port::Atm);
                 }
-                let cells = std::mem::take(&mut self.cell_buf);
-                for (_, cell) in &cells {
-                    let mut out = std::mem::take(&mut self.out);
-                    self.gw.deliver_cells(now, std::slice::from_ref(cell), &mut out);
-                    self.out = out;
-                    self.route_outputs(now);
-                }
-                self.cell_buf = cells;
+                // Whatever line time they were stamped with, they all
+                // enter the gateway at this tick: one batch.
+                self.cells.clear();
+                self.cells.extend(self.cell_buf.iter().map(|(_, cell)| *cell));
+                self.gw.deliver_cells(now, &self.cells, &mut self.out);
+                self.route_outputs(now);
             }
             if self.fddi_sup.is_up() {
                 self.frame_buf.clear();
@@ -342,6 +344,13 @@ impl Appliance {
                     break;
                 }
             }
+        }
+
+        // What this tick emitted toward the ATM port leaves with it, not
+        // with the next tick's pump.
+        if self.atm_sup.is_up() && self.cell.flush().is_err() {
+            self.atm_sup.error(now);
+            self.gw.note_transport_down(now, Port::Atm);
         }
     }
 

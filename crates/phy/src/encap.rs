@@ -1,7 +1,8 @@
 //! The GWP1 datagram encapsulation.
 //!
-//! One gateway payload (a 53-octet cell, an FDDI frame, or a bare
-//! acknowledgement) per UDP datagram, behind a fixed 24-octet header:
+//! One gateway payload (a run of 53-octet cells, an FDDI frame, or a
+//! bare acknowledgement) per UDP datagram, behind a fixed 24-octet
+//! header:
 //!
 //! ```text
 //!  0      4     5      6      8              16             24
@@ -18,15 +19,34 @@
 //! byte-identical across transports. `len` is the payload length; a
 //! datagram whose wire size disagrees with `len` was truncated in
 //! flight and is discarded (the ARQ retransmits it).
+//!
+//! A cell datagram carries one cell or more. The first travels as the
+//! bare payload, stamped by the header's `at_ns`; every further cell is
+//! a 61-octet record, its own `at_ns` then its 53 octets, so each cell
+//! keeps the time it was emitted at:
+//!
+//! ```text
+//!  24         77                138               199
+//!  +----------+--------+--------+--------+--------+---
+//!  | cell 0   | at_ns 1| cell 1 | at_ns 2| cell 2 | ..
+//!  +----------+--------+--------+--------+--------+---
+//!  payload = cell[53] (at_ns[8] cell[53])*      len = 53 + 61 k
+//! ```
+//!
+//! The datagram of one cell is the case k = 0. A sender stops at
+//! [`MAX_CELLS`] so the datagram fits one Ethernet frame; a receiver
+//! takes any whole number of records `len` can describe
+//! ([`cells`]).
 
 use crate::PhyError;
 use gw_sim::time::SimTime;
+use gw_wire::atm::CELL_SIZE;
 
 /// Leading magic: "GWP1".
 pub const MAGIC: [u8; 4] = *b"GWP1";
 /// Fixed header length in octets.
 pub const HEADER_LEN: usize = 24;
-/// `kind`: the payload is one ATM cell.
+/// `kind`: the payload is one ATM cell, then zero or more cell records.
 pub const KIND_CELL: u8 = 0;
 /// `kind`: the payload is one FDDI frame.
 pub const KIND_FRAME: u8 = 1;
@@ -38,6 +58,15 @@ pub const FLAG_SYNC: u8 = 0x01;
 /// 4500 octets ([`gw_wire::fddi::MAX_FRAME_SIZE`]); the limit leaves
 /// headroom without approaching the 64 KiB UDP ceiling.
 pub const MAX_PAYLOAD: usize = 8192;
+/// One cell after a datagram's first: `at_ns` (u64 LE), then the cell.
+pub const CELL_RECORD_LEN: usize = 8 + CELL_SIZE;
+/// Cells a sender packs into one datagram: 24 + 53 + 22 × 61 = 1 419
+/// octets, which with the IP and UDP headers (28) stays inside a
+/// 1 500-octet MTU — no fragment to lose, one syscall for 23 cells.
+pub const MAX_CELLS: usize = 23;
+/// Wire length of a cell datagram carrying [`MAX_CELLS`].
+pub const FULL_CELL_DATAGRAM_LEN: usize =
+    HEADER_LEN + CELL_SIZE + (MAX_CELLS - 1) * CELL_RECORD_LEN;
 
 /// A decoded datagram, borrowing its payload from the receive buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,6 +117,39 @@ pub fn encode(
     out.extend_from_slice(&at.as_ns().to_le_bytes());
     out.extend_from_slice(payload);
     Ok(())
+}
+
+/// Append one more cell to `datagram`, which [`encode`] began as a
+/// [`KIND_CELL`] datagram holding its first cell (and nothing else).
+pub fn append_cell(
+    datagram: &mut Vec<u8>,
+    at: SimTime,
+    cell: &[u8; CELL_SIZE],
+) -> Result<(), PhyError> {
+    let len = datagram.len() - HEADER_LEN + CELL_RECORD_LEN;
+    if len > MAX_PAYLOAD {
+        return Err(PhyError::TooLarge(len));
+    }
+    datagram[6..8].copy_from_slice(&(len as u16).to_le_bytes());
+    datagram.extend_from_slice(&at.as_ns().to_le_bytes());
+    datagram.extend_from_slice(cell);
+    Ok(())
+}
+
+/// The cells of a decoded datagram, each with its own stamp, in send
+/// order. `None` when this is not a cell datagram or its payload is not
+/// one cell plus a whole number of records — a malformed sender, since
+/// truncation in flight never gets past [`decode`].
+pub fn cells<'a>(d: &Datagram<'a>) -> Option<impl Iterator<Item = (SimTime, &'a [u8; CELL_SIZE])>> {
+    let (first, records) = d.payload.split_first_chunk::<CELL_SIZE>()?;
+    if d.kind != KIND_CELL || !records.len().is_multiple_of(CELL_RECORD_LEN) {
+        return None;
+    }
+    let rest = records.chunks_exact(CELL_RECORD_LEN).map(|record| {
+        let (at_ns, cell) = record.split_first_chunk::<8>().expect("a whole record");
+        (SimTime::from_ns(u64::from_le_bytes(*at_ns)), cell.try_into().expect("a whole record"))
+    });
+    Some(std::iter::once((d.at, first)).chain(rest))
 }
 
 /// Decode one datagram from a received buffer.

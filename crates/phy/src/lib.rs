@@ -10,9 +10,10 @@
 //!   network models through the [`loopback`] pair),
 //! * the [`loopback`] pair on its own (unit and appliance tests), and
 //! * a real OS transport — the [`udp`] encapsulation, which carries
-//!   timestamped cells and frames in UDP datagrams with a tiny
-//!   lockstep-reliable ARQ so datagram loss, duplication, and
-//!   truncation at the transport never reach the gateway core.
+//!   timestamped cells (up to 23 to a datagram) and frames in UDP
+//!   datagrams with a tiny lockstep-reliable ARQ so datagram loss,
+//!   duplication, and truncation at the transport never reach the
+//!   gateway core.
 //!
 //! On top sit the appliance pieces: a [`clock::WallClock`] mapping real
 //! time onto the 40 ns cycle clock, a per-port
@@ -85,8 +86,12 @@ pub struct PhyStats {
     /// Duplicate datagrams discarded by the sequence check.
     pub dup_drops: u64,
     /// Datagrams discarded as undecodable (runt, bad magic, length
-    /// mismatch from truncation).
+    /// mismatch from truncation), and in-sequence ones whose payload the
+    /// port cannot use (wrong kind, a ragged run of cell records).
     pub decode_drops: u64,
+    /// Datagrams discarded for a sequence number too far ahead of the
+    /// next expected one to be held for reordering.
+    pub window_drops: u64,
     /// Fault injector: transmissions dropped at the seam.
     pub faults_dropped: u64,
     /// Fault injector: transmissions duplicated at the seam.
@@ -104,6 +109,7 @@ impl PhyStats {
         self.retransmits += other.retransmits;
         self.dup_drops += other.dup_drops;
         self.decode_drops += other.decode_drops;
+        self.window_drops += other.window_drops;
         self.faults_dropped += other.faults_dropped;
         self.faults_duplicated += other.faults_duplicated;
         self.faults_truncated += other.faults_truncated;
@@ -124,26 +130,40 @@ impl PhyStats {
 /// cycle-accurate core (the testbed byte-compares snapshots across
 /// transports to prove it).
 pub trait CellPhy {
-    /// Queue one 53-octet cell stamped `at` toward the peer.
+    /// Queue one 53-octet cell stamped `at` toward the peer. A transport
+    /// may hold it back to share a datagram with the cells that follow;
+    /// it leaves no later than the next [`CellPhy::flush`] or
+    /// [`CellPhy::pump`].
     fn send_cell(&mut self, at: SimTime, cell: &[u8; CELL_SIZE]) -> Result<(), PhyError>;
 
     /// Append every cell that has arrived in order, oldest first.
     fn poll_cells(&mut self, out: &mut Vec<(SimTime, [u8; CELL_SIZE])>) -> Result<(), PhyError>;
 
-    /// Move the transport: receive pending datagrams, send acks, and
-    /// retransmit unacknowledged data. Call until [`CellPhy::in_flight`]
-    /// reaches zero to flush synchronously (lockstep mode), or once per
-    /// tick in wall-clock mode.
+    /// Move the transport: receive pending datagrams, send acks,
+    /// retransmit unacknowledged data, and send what `send_cell` held
+    /// back. Call until [`CellPhy::in_flight`] reaches zero to flush
+    /// synchronously (lockstep mode), or once per tick in wall-clock
+    /// mode.
     fn pump(&mut self, now: SimTime) -> Result<(), PhyError>;
 
+    /// Send what `send_cell` held back, now, and do nothing else — for
+    /// a caller that has finished emitting and will not pump again for
+    /// a while. Default: nothing is ever held back.
+    fn flush(&mut self) -> Result<(), PhyError> {
+        Ok(())
+    }
+
     /// Re-establish the transport after an I/O error (rebind/reconnect).
-    /// Queued unacknowledged cells survive and retransmit after the
+    /// Cells held back or unacknowledged survive and go out after the
     /// reconnect. Default: nothing to re-establish.
     fn reconnect(&mut self) -> Result<(), PhyError> {
         Ok(())
     }
 
-    /// Cells sent but not yet acknowledged by the peer.
+    /// Transmissions the peer has not acknowledged yet, counted in the
+    /// transport's own units (for UDP, datagrams of up to 23 cells, one
+    /// still being filled included) — zero exactly when every cell sent
+    /// has been acknowledged.
     fn in_flight(&self) -> usize {
         0
     }

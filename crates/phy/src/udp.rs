@@ -15,15 +15,25 @@
 //! is exactly what the chaos phy-soak proves by byte-comparing
 //! snapshots against the loopback run.
 //!
+//! A syscall per 53-octet cell would cost fifteen times what the
+//! gateway core spends on the cell, so the cell port pays per datagram
+//! instead: `send_cell` appends to one staged datagram of up to 23
+//! cells (each with its own stamp — see [`crate::encap`]), which leaves
+//! when it is full, on the next `pump`, or on [`CellPhy::flush`]. The
+//! ARQ's unit is the datagram, whatever it carries. Datagram buffers
+//! cycle from the acknowledged queue back to the next send, so a warm
+//! link allocates nothing.
+//!
 //! Socket errors (e.g. ICMP port-unreachable surfacing as
 //! `ConnectionRefused` on a connected UDP socket) are *not* masked:
 //! they bubble out of [`CellPhy::pump`]/[`FramePhy::pump`] so the port
-//! supervisor can start its backoff/reconnect cycle. Unacknowledged
-//! datagrams survive a [`CellPhy::reconnect`] and retransmit once the
-//! transport is back — a flap loses no traffic, only time.
+//! supervisor can start its backoff/reconnect cycle. Staged and
+//! unacknowledged datagrams survive a [`CellPhy::reconnect`] and go out
+//! once the transport is back — a flap loses no traffic, only time.
 
 use crate::encap::{
-    self, DecodeError, FLAG_SYNC, HEADER_LEN, KIND_ACK, KIND_CELL, KIND_FRAME, MAX_PAYLOAD,
+    self, Datagram, DecodeError, FLAG_SYNC, FULL_CELL_DATAGRAM_LEN, HEADER_LEN, KIND_ACK,
+    KIND_CELL, KIND_FRAME, MAX_PAYLOAD,
 };
 use crate::{CellPhy, FramePhy, PhyError, PhyStats};
 use gw_sim::rng::SimRng;
@@ -92,43 +102,53 @@ impl FaultHook {
     }
 }
 
-/// A received, decoded, in-order datagram awaiting pickup.
-#[derive(Debug)]
-struct Held {
-    kind: u8,
-    flags: u8,
-    at: SimTime,
-    payload: Vec<u8>,
+/// Out-of-order datagrams are held only this far ahead of the next
+/// expected sequence number; anything further is dropped (the ARQ
+/// retransmits it). Bounds the hold against a pathological peer, and
+/// keeps far-future forgeries from taking the room genuine reordering
+/// needs.
+const MAX_HOLD: u64 = 4096;
+
+/// Buffers of acknowledged datagrams kept for the next sends. A frame's
+/// worth of cell datagrams is four; the bound keeps a burst from
+/// becoming resident.
+const MAX_FREE: usize = 16;
+
+/// The sequence number in an encoded datagram's header.
+fn seq_of(datagram: &[u8]) -> u64 {
+    u64::from_le_bytes(datagram[8..16].try_into().expect("an encoded header"))
 }
 
-#[derive(Debug)]
-struct Pending {
-    seq: u64,
-    bytes: Vec<u8>,
-}
-
-/// Out-of-order datagrams held beyond this count are dropped (the ARQ
-/// retransmits them); bounds memory against a pathological peer.
-const MAX_HOLD: usize = 4096;
-
-/// The per-direction-pair ARQ over one connected UDP socket.
+/// The per-direction-pair ARQ over one connected UDP socket. A link
+/// carries one kind of payload (cells or frames), so sequence numbers
+/// reach the wire in the order they were taken.
 #[derive(Debug)]
 struct UdpLink {
     sock: Option<UdpSocket>,
     local: SocketAddr,
     peer: SocketAddr,
     next_seq: u64,
-    unacked: VecDeque<Pending>,
+    /// The cell datagram being filled: sequence number taken, not yet on
+    /// the wire. Empty when there is none.
+    staged: Vec<u8>,
+    /// Encoded datagrams sent and not yet acknowledged, oldest first.
+    unacked: VecDeque<Vec<u8>>,
+    free: Vec<Vec<u8>>,
     rx_next: u64,
-    rx_hold: BTreeMap<u64, Held>,
-    inbox: VecDeque<Held>,
+    /// Whole datagrams that arrived ahead of `rx_next`, by sequence
+    /// number; each decoded cleanly before it was parked.
+    rx_hold: BTreeMap<u64, Vec<u8>>,
     ack_due: bool,
+    ack_buf: Vec<u8>,
     faults: Option<FaultHook>,
     /// Lockstep (co-sim) mode retransmits every pump; wall-clock mode
     /// waits out `rto` between retransmission rounds.
     lockstep: bool,
     rto: SimTime,
-    next_retx: SimTime,
+    /// When the next retransmission round is due. `None` from the moment
+    /// data goes out on an idle link until the first `pump` after it,
+    /// which knows the time and starts the timer.
+    next_retx: Option<SimTime>,
     stats: PhyStats,
     recv_buf: Box<[u8]>,
 }
@@ -138,6 +158,25 @@ fn bind_nonblocking(local: SocketAddr, peer: SocketAddr) -> io::Result<UdpSocket
     sock.set_nonblocking(true)?;
     sock.connect(peer)?;
     Ok(sock)
+}
+
+/// Keep a spent datagram's buffer for a later send.
+fn recycle(free: &mut Vec<Vec<u8>>, mut bytes: Vec<u8>) {
+    if free.len() < MAX_FREE {
+        bytes.clear();
+        free.push(bytes);
+    }
+}
+
+/// Hand one in-sequence datagram to the port above the link.
+fn deliver(stats: &mut PhyStats, accept: &mut impl FnMut(&Datagram<'_>) -> bool, d: &Datagram<'_>) {
+    stats.datagrams_rx += 1;
+    // It took its place in the sequence and is acknowledged: a payload
+    // the port cannot use is the sender's fault, and retransmitting
+    // would bring the same octets again.
+    if !accept(d) {
+        stats.decode_drops += 1;
+    }
 }
 
 impl UdpLink {
@@ -166,15 +205,17 @@ impl UdpLink {
             local,
             peer,
             next_seq: 0,
+            staged: Vec::new(),
             unacked: VecDeque::new(),
+            free: Vec::with_capacity(MAX_FREE),
             rx_next: 0,
             rx_hold: BTreeMap::new(),
-            inbox: VecDeque::new(),
             ack_due: false,
+            ack_buf: Vec::with_capacity(HEADER_LEN),
             faults,
             lockstep,
             rto,
-            next_retx: SimTime::ZERO,
+            next_retx: None,
             stats: PhyStats::default(),
             recv_buf: vec![0u8; HEADER_LEN + MAX_PAYLOAD + 64].into_boxed_slice(),
         })
@@ -213,20 +254,71 @@ impl UdpLink {
         }
     }
 
-    fn send(&mut self, kind: u8, flags: u8, at: SimTime, payload: &[u8]) -> Result<(), PhyError> {
-        let seq = self.next_seq;
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        encap::encode(kind, flags, seq, at, payload, &mut bytes)?;
+    /// Start a data datagram in a recycled buffer under the next
+    /// sequence number.
+    fn begin(
+        &mut self,
+        kind: u8,
+        flags: u8,
+        at: SimTime,
+        payload: &[u8],
+    ) -> Result<Vec<u8>, PhyError> {
+        let mut bytes = self.free.pop().unwrap_or_default();
+        if let Err(e) = encap::encode(kind, flags, self.next_seq, at, payload, &mut bytes) {
+            recycle(&mut self.free, bytes);
+            return Err(e);
+        }
         self.next_seq += 1;
+        Ok(bytes)
+    }
+
+    /// A datagram's first transmission.
+    fn launch(&mut self, bytes: Vec<u8>) -> Result<(), PhyError> {
         self.stats.datagrams_tx += 1;
         let res = self.transmit(&bytes);
+        if self.unacked.is_empty() {
+            self.next_retx = None;
+        }
         // Queued even when the transmission failed: it retransmits once
         // the supervisor brings the transport back.
-        self.unacked.push_back(Pending { seq, bytes });
+        self.unacked.push_back(bytes);
         res
     }
 
-    fn handle_datagram(&mut self, len: usize) {
+    fn send(&mut self, kind: u8, flags: u8, at: SimTime, payload: &[u8]) -> Result<(), PhyError> {
+        let bytes = self.begin(kind, flags, at, payload)?;
+        self.launch(bytes)
+    }
+
+    /// Add one cell to the staged datagram; a full one leaves at once.
+    fn stage_cell(&mut self, at: SimTime, cell: &[u8; CELL_SIZE]) -> Result<(), PhyError> {
+        if self.staged.is_empty() {
+            self.staged = self.begin(KIND_CELL, 0, at, cell)?;
+            // Room for a full one at once: a recycled buffer never grows
+            // again, whichever fill it carried last.
+            self.staged.reserve(FULL_CELL_DATAGRAM_LEN - self.staged.len());
+        } else {
+            encap::append_cell(&mut self.staged, at, cell)?;
+        }
+        if self.staged.len() >= FULL_CELL_DATAGRAM_LEN {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Put the staged datagram, if any, on the wire.
+    fn flush(&mut self) -> Result<(), PhyError> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let bytes = std::mem::take(&mut self.staged);
+        self.launch(bytes)
+    }
+
+    fn handle_datagram(&mut self, len: usize, accept: &mut impl FnMut(&Datagram<'_>) -> bool) {
+        // `d` borrows the receive buffer, so only fields are touched
+        // below while it lives.
         let d = match encap::decode(&self.recv_buf[..len]) {
             Ok(d) => d,
             Err(
@@ -240,43 +332,48 @@ impl UdpLink {
             }
         };
         if d.kind == KIND_ACK {
-            while self.unacked.front().is_some_and(|p| p.seq <= d.seq) {
-                self.unacked.pop_front();
+            while self.unacked.front().is_some_and(|b| seq_of(b) <= d.seq) {
+                let bytes = self.unacked.pop_front().expect("front checked above");
+                recycle(&mut self.free, bytes);
             }
             return;
         }
-        let held = Held { kind: d.kind, flags: d.flags, at: d.at, payload: d.payload.to_vec() };
+        // Every data datagram is answered: a duplicate so the peer stops
+        // retransmitting it, anything ahead so the peer learns the gap.
+        self.ack_due = true;
         if d.seq < self.rx_next {
             self.stats.dup_drops += 1;
-            // Re-ack so the peer stops retransmitting this datagram.
-            self.ack_due = true;
         } else if d.seq == self.rx_next {
-            self.stats.datagrams_rx += 1;
-            self.inbox.push_back(held);
+            deliver(&mut self.stats, accept, &d);
             self.rx_next += 1;
-            while let Some(next) = self.rx_hold.remove(&self.rx_next) {
-                self.stats.datagrams_rx += 1;
-                self.inbox.push_back(next);
+            while let Some(held) = self.rx_hold.remove(&self.rx_next) {
+                let d = encap::decode(&held).expect("decoded before it was parked");
+                deliver(&mut self.stats, accept, &d);
                 self.rx_next += 1;
+                recycle(&mut self.free, held);
             }
-            self.ack_due = true;
+        } else if d.seq - self.rx_next >= MAX_HOLD {
+            self.stats.window_drops += 1;
+        } else if self.rx_hold.contains_key(&d.seq) {
+            self.stats.dup_drops += 1;
         } else {
             // Out of order: park it until the gap fills.
-            if self.rx_hold.contains_key(&d.seq) {
-                self.stats.dup_drops += 1;
-            } else if self.rx_hold.len() < MAX_HOLD {
-                self.rx_hold.insert(d.seq, held);
-            }
-            self.ack_due = true;
+            let mut held = self.free.pop().unwrap_or_default();
+            held.extend_from_slice(&self.recv_buf[..len]);
+            self.rx_hold.insert(d.seq, held);
         }
     }
 
-    fn pump(&mut self, now: SimTime) -> Result<(), PhyError> {
+    fn pump(
+        &mut self,
+        now: SimTime,
+        accept: &mut impl FnMut(&Datagram<'_>) -> bool,
+    ) -> Result<(), PhyError> {
         // Drain every pending datagram off the socket.
         loop {
             let sock = self.sock.as_ref().ok_or(PhyError::Io(io::ErrorKind::NotConnected))?;
             match sock.recv(&mut self.recv_buf) {
-                Ok(n) => self.handle_datagram(n),
+                Ok(n) => self.handle_datagram(n, accept),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e.into()),
             }
@@ -286,23 +383,32 @@ impl UdpLink {
         if self.ack_due {
             self.ack_due = false;
             if self.rx_next > 0 {
-                let mut ack = Vec::with_capacity(HEADER_LEN);
+                let mut ack = std::mem::take(&mut self.ack_buf);
+                ack.clear();
                 encap::encode(KIND_ACK, 0, self.rx_next - 1, now, &[], &mut ack)?;
-                self.transmit(&ack)?;
-            }
-        }
-        // Retransmit the unacknowledged tail.
-        if !self.unacked.is_empty() && (self.lockstep || now >= self.next_retx) {
-            for i in 0..self.unacked.len() {
-                let bytes = std::mem::take(&mut self.unacked[i].bytes);
-                self.stats.retransmits += 1;
-                let res = self.transmit(&bytes);
-                self.unacked[i].bytes = bytes;
+                let res = self.transmit(&ack);
+                self.ack_buf = ack;
                 res?;
             }
-            self.next_retx = now + self.rto;
         }
-        Ok(())
+        // Retransmit the unacknowledged tail, then send what is staged —
+        // in that order, so no datagram goes out twice in one pump.
+        let retransmit = !self.unacked.is_empty()
+            && (self.lockstep || self.next_retx.is_some_and(|due| now >= due));
+        if retransmit {
+            for i in 0..self.unacked.len() {
+                let bytes = std::mem::take(&mut self.unacked[i]);
+                self.stats.retransmits += 1;
+                let res = self.transmit(&bytes);
+                self.unacked[i] = bytes;
+                res?;
+            }
+        }
+        let res = self.flush();
+        if retransmit || self.next_retx.is_none() {
+            self.next_retx = Some(now + self.rto);
+        }
+        res
     }
 
     fn reconnect(&mut self) -> Result<(), PhyError> {
@@ -313,12 +419,8 @@ impl UdpLink {
         Ok(())
     }
 
-    fn pop(&mut self) -> Option<Held> {
-        self.inbox.pop_front()
-    }
-
     fn in_flight(&self) -> usize {
-        self.unacked.len()
+        self.unacked.len() + usize::from(!self.staged.is_empty())
     }
 }
 
@@ -326,6 +428,7 @@ impl UdpLink {
 #[derive(Debug)]
 pub struct UdpCellPhy {
     link: UdpLink,
+    inbox: VecDeque<(SimTime, [u8; CELL_SIZE])>,
 }
 
 impl UdpCellPhy {
@@ -339,7 +442,11 @@ impl UdpCellPhy {
         lockstep: bool,
         rto: SimTime,
     ) -> io::Result<UdpCellPhy> {
-        Ok(UdpCellPhy { link: UdpLink::open(local, peer, faults, lockstep, rto)? })
+        Ok(UdpCellPhy::over(UdpLink::open(local, peer, faults, lockstep, rto)?))
+    }
+
+    fn over(link: UdpLink) -> UdpCellPhy {
+        UdpCellPhy { link, inbox: VecDeque::new() }
     }
 
     /// The bound local address (useful after binding port 0).
@@ -350,24 +457,27 @@ impl UdpCellPhy {
 
 impl CellPhy for UdpCellPhy {
     fn send_cell(&mut self, at: SimTime, cell: &[u8; CELL_SIZE]) -> Result<(), PhyError> {
-        self.link.send(KIND_CELL, 0, at, cell)
+        self.link.stage_cell(at, cell)
     }
 
     fn poll_cells(&mut self, out: &mut Vec<(SimTime, [u8; CELL_SIZE])>) -> Result<(), PhyError> {
-        while let Some(h) = self.link.pop() {
-            if h.kind == KIND_CELL && h.payload.len() == CELL_SIZE {
-                let mut cell = [0u8; CELL_SIZE];
-                cell.copy_from_slice(&h.payload);
-                out.push((h.at, cell));
-            } else {
-                self.link.stats.decode_drops += 1;
-            }
-        }
+        out.extend(self.inbox.drain(..));
         Ok(())
     }
 
     fn pump(&mut self, now: SimTime) -> Result<(), PhyError> {
-        self.link.pump(now)
+        let inbox = &mut self.inbox;
+        self.link.pump(now, &mut |d| match encap::cells(d) {
+            Some(cells) => {
+                inbox.extend(cells.map(|(at, cell)| (at, *cell)));
+                true
+            }
+            None => false,
+        })
+    }
+
+    fn flush(&mut self) -> Result<(), PhyError> {
+        self.link.flush()
     }
 
     fn reconnect(&mut self) -> Result<(), PhyError> {
@@ -387,6 +497,7 @@ impl CellPhy for UdpCellPhy {
 #[derive(Debug)]
 pub struct UdpFramePhy {
     link: UdpLink,
+    inbox: VecDeque<(SimTime, Vec<u8>, bool)>,
 }
 
 impl UdpFramePhy {
@@ -398,7 +509,11 @@ impl UdpFramePhy {
         lockstep: bool,
         rto: SimTime,
     ) -> io::Result<UdpFramePhy> {
-        Ok(UdpFramePhy { link: UdpLink::open(local, peer, faults, lockstep, rto)? })
+        Ok(UdpFramePhy::over(UdpLink::open(local, peer, faults, lockstep, rto)?))
+    }
+
+    fn over(link: UdpLink) -> UdpFramePhy {
+        UdpFramePhy { link, inbox: VecDeque::new() }
     }
 
     /// The bound local address.
@@ -422,18 +537,18 @@ impl FramePhy for UdpFramePhy {
     }
 
     fn poll_frames(&mut self, out: &mut Vec<(SimTime, Vec<u8>, bool)>) -> Result<(), PhyError> {
-        while let Some(h) = self.link.pop() {
-            if h.kind == KIND_FRAME {
-                out.push((h.at, h.payload, h.flags & FLAG_SYNC != 0));
-            } else {
-                self.link.stats.decode_drops += 1;
-            }
-        }
+        out.extend(self.inbox.drain(..));
         Ok(())
     }
 
     fn pump(&mut self, now: SimTime) -> Result<(), PhyError> {
-        self.link.pump(now)
+        let inbox = &mut self.inbox;
+        self.link.pump(now, &mut |d| {
+            if d.kind == KIND_FRAME {
+                inbox.push_back((d.at, d.payload.to_vec(), d.flags & FLAG_SYNC != 0));
+            }
+            d.kind == KIND_FRAME
+        })
     }
 
     fn reconnect(&mut self) -> Result<(), PhyError> {
@@ -453,10 +568,14 @@ fn any_local() -> SocketAddr {
     "127.0.0.1:0".parse().expect("literal address")
 }
 
-/// An in-process pair of connected [`UdpCellPhy`] endpoints on
-/// localhost, in lockstep mode, each direction with its own forked
-/// fault stream.
-pub fn udp_cell_pair(faults: &TransportFaultConfig) -> io::Result<(UdpCellPhy, UdpCellPhy)> {
+/// Two links over a pair of connected localhost sockets, each direction
+/// with its own fault stream forked from `faults.seed + fork`.
+fn link_pair(
+    faults: &TransportFaultConfig,
+    fork: u64,
+    lockstep: bool,
+    rto: SimTime,
+) -> io::Result<(UdpLink, UdpLink)> {
     let a = UdpSocket::bind(any_local())?;
     let b = UdpSocket::bind(any_local())?;
     let (aa, ba) = (a.local_addr()?, b.local_addr()?);
@@ -464,34 +583,33 @@ pub fn udp_cell_pair(faults: &TransportFaultConfig) -> io::Result<(UdpCellPhy, U
     b.set_nonblocking(true)?;
     a.connect(ba)?;
     b.connect(aa)?;
-    let fa = TransportFaultConfig { seed: faults.seed.wrapping_add(0x0C11_0001), ..*faults };
-    let fb = TransportFaultConfig { seed: faults.seed.wrapping_add(0x0C11_0002), ..*faults };
-    let a = UdpCellPhy { link: UdpLink::from_socket(a, ba, fa, true, SimTime::ZERO)? };
-    let b = UdpCellPhy { link: UdpLink::from_socket(b, aa, fb, true, SimTime::ZERO)? };
+    let fa = TransportFaultConfig { seed: faults.seed.wrapping_add(fork + 1), ..*faults };
+    let fb = TransportFaultConfig { seed: faults.seed.wrapping_add(fork + 2), ..*faults };
+    let a = UdpLink::from_socket(a, ba, fa, lockstep, rto)?;
+    let b = UdpLink::from_socket(b, aa, fb, lockstep, rto)?;
     Ok((a, b))
+}
+
+/// An in-process pair of connected [`UdpCellPhy`] endpoints on
+/// localhost, in lockstep mode, each direction with its own forked
+/// fault stream.
+pub fn udp_cell_pair(faults: &TransportFaultConfig) -> io::Result<(UdpCellPhy, UdpCellPhy)> {
+    let (a, b) = link_pair(faults, 0x0C11_0000, true, SimTime::ZERO)?;
+    Ok((UdpCellPhy::over(a), UdpCellPhy::over(b)))
 }
 
 /// An in-process pair of connected [`UdpFramePhy`] endpoints on
 /// localhost, in lockstep mode, each direction with its own forked
 /// fault stream.
 pub fn udp_frame_pair(faults: &TransportFaultConfig) -> io::Result<(UdpFramePhy, UdpFramePhy)> {
-    let a = UdpSocket::bind(any_local())?;
-    let b = UdpSocket::bind(any_local())?;
-    let (aa, ba) = (a.local_addr()?, b.local_addr()?);
-    a.set_nonblocking(true)?;
-    b.set_nonblocking(true)?;
-    a.connect(ba)?;
-    b.connect(aa)?;
-    let fa = TransportFaultConfig { seed: faults.seed.wrapping_add(0x0F1A_0001), ..*faults };
-    let fb = TransportFaultConfig { seed: faults.seed.wrapping_add(0x0F1A_0002), ..*faults };
-    let a = UdpFramePhy { link: UdpLink::from_socket(a, ba, fa, true, SimTime::ZERO)? };
-    let b = UdpFramePhy { link: UdpLink::from_socket(b, aa, fb, true, SimTime::ZERO)? };
-    Ok((a, b))
+    let (a, b) = link_pair(faults, 0x0F1A_0000, true, SimTime::ZERO)?;
+    Ok((UdpFramePhy::over(a), UdpFramePhy::over(b)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encap::MAX_CELLS;
 
     fn flush(a: &mut impl CellPhy, b: &mut impl CellPhy, now: SimTime) {
         for _ in 0..256 {
@@ -504,20 +622,86 @@ mod tests {
         panic!("cell pair failed to quiesce");
     }
 
-    #[test]
-    fn cells_cross_the_socket_in_order() {
-        let (mut a, mut b) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
-        for i in 0..10u8 {
-            a.send_cell(SimTime::from_ns(i as u64 * 40), &[i; CELL_SIZE]).unwrap();
-        }
-        flush(&mut a, &mut b, SimTime::from_us(1));
+    /// Distinct stamps that are neither ordered nor evenly spaced, so a
+    /// receiver that reused a neighbour's stamp would be caught.
+    fn stamp(i: usize) -> SimTime {
+        SimTime::from_ns((i as u64 * 7919) % 1000 * 40 + i as u64)
+    }
+
+    fn cell(i: usize) -> [u8; CELL_SIZE] {
+        let mut c = [i as u8; CELL_SIZE];
+        c[1] = (i >> 8) as u8;
+        c
+    }
+
+    fn polled(phy: &mut impl CellPhy) -> Vec<(SimTime, [u8; CELL_SIZE])> {
         let mut got = Vec::new();
-        b.poll_cells(&mut got).unwrap();
-        assert_eq!(got.len(), 10);
-        for (i, (at, cell)) in got.iter().enumerate() {
-            assert_eq!(*at, SimTime::from_ns(i as u64 * 40));
-            assert_eq!(*cell, [i as u8; CELL_SIZE]);
+        phy.poll_cells(&mut got).unwrap();
+        got
+    }
+
+    /// A bare socket speaking GWP1 to a gateway-side cell port.
+    fn raw_peer() -> (UdpCellPhy, UdpSocket) {
+        let raw = UdpSocket::bind(any_local()).unwrap();
+        raw.set_nonblocking(true).unwrap();
+        let phy = UdpCellPhy::bind(
+            any_local(),
+            raw.local_addr().unwrap(),
+            TransportFaultConfig::none(),
+            true,
+            SimTime::ZERO,
+        )
+        .unwrap();
+        raw.connect(phy.local_addr()).unwrap();
+        (phy, raw)
+    }
+
+    fn raw_send(raw: &UdpSocket, seq: u64, at: SimTime, payload: &[u8]) {
+        let mut wire = Vec::new();
+        encap::encode(KIND_CELL, 0, seq, at, payload, &mut wire).unwrap();
+        raw.send(&wire).unwrap();
+    }
+
+    #[test]
+    fn cells_cross_the_socket_in_order_at_every_batch_boundary() {
+        for n in [1, 10, MAX_CELLS - 1, MAX_CELLS, MAX_CELLS + 1, 2 * MAX_CELLS, 2 * MAX_CELLS + 1]
+        {
+            let (mut a, mut b) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
+            for i in 0..n {
+                a.send_cell(stamp(i), &cell(i)).unwrap();
+            }
+            assert_eq!(
+                a.stats().datagrams_tx as usize,
+                n / MAX_CELLS,
+                "{n} cells: only full datagrams leave before the pump"
+            );
+            assert_eq!(a.in_flight(), n.div_ceil(MAX_CELLS), "a staged datagram is in flight");
+            // The receiver first, so every full datagram is acknowledged
+            // by the time the sender pumps: two rounds see it all across.
+            for _ in 0..2 {
+                b.pump(SimTime::from_us(1)).unwrap();
+                a.pump(SimTime::from_us(1)).unwrap();
+            }
+            assert_eq!(a.in_flight(), 0);
+            assert_eq!(a.stats().datagrams_tx as usize, n.div_ceil(MAX_CELLS));
+            assert_eq!(a.stats().retransmits, 0, "a flush is not retransmitted by its own pump");
+            let want: Vec<_> = (0..n).map(|i| (stamp(i), cell(i))).collect();
+            assert_eq!(polled(&mut b), want, "{n} cells: order and every stamp exact");
         }
+    }
+
+    #[test]
+    fn flush_sends_the_staged_cells_without_a_pump() {
+        let (mut a, mut b) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
+        a.send_cell(stamp(0), &cell(0)).unwrap();
+        a.send_cell(stamp(1), &cell(1)).unwrap();
+        b.pump(SimTime::ZERO).unwrap();
+        assert!(polled(&mut b).is_empty(), "two cells do not fill a datagram");
+        a.flush().unwrap();
+        a.flush().unwrap();
+        assert_eq!(a.stats().datagrams_tx, 1, "nothing staged, nothing sent");
+        b.pump(SimTime::ZERO).unwrap();
+        assert_eq!(polled(&mut b), vec![(stamp(0), cell(0)), (stamp(1), cell(1))]);
     }
 
     #[test]
@@ -552,17 +736,157 @@ mod tests {
     }
 
     #[test]
-    fn reconnect_retransmits_the_unacked_tail() {
+    fn heavy_faults_are_invisible_above_the_arq_for_cells_too() {
+        let faults =
+            TransportFaultConfig { drop: 0.3, duplicate: 0.3, truncate: 0.2, seed: 0xCE11 };
+        let (mut a, mut b) = udp_cell_pair(&faults).unwrap();
+        // Uneven bursts, a pump between them: datagrams of every fill
+        // from one cell to a full one, many in flight at once.
+        let mut sent = 0;
+        for burst in (1..=40).chain([2 * MAX_CELLS + 5]) {
+            for _ in 0..burst {
+                a.send_cell(stamp(sent), &cell(sent)).unwrap();
+                sent += 1;
+            }
+            a.pump(SimTime::ZERO).unwrap();
+            b.pump(SimTime::ZERO).unwrap();
+        }
+        for _ in 0..4096 {
+            a.pump(SimTime::ZERO).unwrap();
+            b.pump(SimTime::ZERO).unwrap();
+            if a.in_flight() == 0 {
+                break;
+            }
+        }
+        assert_eq!(a.in_flight(), 0, "ARQ must deliver through heavy faults");
+        let want: Vec<_> = (0..sent).map(|i| (stamp(i), cell(i))).collect();
+        assert_eq!(polled(&mut b), want);
+        assert!(a.stats().faults_exercised());
+        assert!(b.stats().dup_drops > 0 && b.stats().decode_drops > 0);
+    }
+
+    #[test]
+    fn staged_and_unacked_cells_survive_a_reconnect() {
         let (mut a, mut b) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
-        a.send_cell(SimTime::from_ns(40), &[1; CELL_SIZE]).unwrap();
-        // Sever a's transport, then bring it back: the queued cell must
-        // still arrive.
+        // Sever a's transport with one full datagram unacknowledged and
+        // one cell staged behind it, then bring it back: all must still
+        // arrive.
         a.link.sock = None;
+        for i in 0..=MAX_CELLS {
+            let sent = a.send_cell(stamp(i), &cell(i));
+            assert_eq!(sent.is_err(), i == MAX_CELLS - 1, "only the full datagram meets the wire");
+        }
+        assert_eq!(a.in_flight(), 2);
         assert!(matches!(a.pump(SimTime::ZERO), Err(PhyError::Io(_))));
+        assert_eq!(a.in_flight(), 2);
         a.reconnect().unwrap();
         flush(&mut a, &mut b, SimTime::from_us(1));
-        let mut got = Vec::new();
-        b.poll_cells(&mut got).unwrap();
-        assert_eq!(got, vec![(SimTime::from_ns(40), [1; CELL_SIZE])]);
+        let want: Vec<_> = (0..=MAX_CELLS).map(|i| (stamp(i), cell(i))).collect();
+        assert_eq!(polled(&mut b), want);
+    }
+
+    #[test]
+    fn wall_clock_mode_waits_out_rto_before_the_first_retransmission() {
+        let rto = SimTime::from_ms(20);
+        let (a, b) = link_pair(&TransportFaultConfig::none(), 0, false, rto).unwrap();
+        let (mut a, mut b) = (UdpCellPhy::over(a), UdpCellPhy::over(b));
+        let ms = SimTime::from_ms;
+        // An idle link, pumped now and then, long past `rto`.
+        a.pump(ms(0)).unwrap();
+        a.pump(ms(50)).unwrap();
+        // A full datagram goes out from `send_cell` itself, a short one
+        // from the pump: neither may be repeated before `rto` has run.
+        for i in 0..MAX_CELLS + 1 {
+            a.send_cell(ms(100), &cell(i)).unwrap();
+        }
+        a.pump(ms(101)).unwrap();
+        assert_eq!(a.stats().datagrams_tx, 2);
+        a.pump(ms(120)).unwrap();
+        assert_eq!(a.stats().retransmits, 0, "rto has not run since the data went out");
+        a.pump(ms(121)).unwrap();
+        assert_eq!(a.stats().retransmits, 2, "rto ran out unacknowledged");
+        a.pump(ms(140)).unwrap();
+        assert_eq!(a.stats().retransmits, 2, "one round per rto");
+        b.pump(ms(140)).unwrap();
+        a.pump(ms(141)).unwrap();
+        assert_eq!(a.in_flight(), 0);
+        assert_eq!(b.stats().dup_drops, 2, "exactly the one retransmission round");
+        assert_eq!(polled(&mut b).len(), MAX_CELLS + 1);
+        // Idle again, then one more cell: the timer starts afresh.
+        a.pump(ms(500)).unwrap();
+        a.send_cell(ms(600), &cell(0)).unwrap();
+        a.pump(ms(601)).unwrap();
+        a.pump(ms(620)).unwrap();
+        assert_eq!(a.stats().retransmits, 2);
+    }
+
+    #[test]
+    fn parent_format_single_cell_datagrams_are_served_unchanged() {
+        let (mut phy, raw) = raw_peer();
+        // What a sender that knows nothing of records puts on the wire:
+        // one 53-octet payload per datagram, stamp in the header.
+        for i in 0..5 {
+            raw_send(&raw, i as u64, stamp(i), &cell(i));
+        }
+        phy.pump(SimTime::ZERO).unwrap();
+        let want: Vec<_> = (0..5).map(|i| (stamp(i), cell(i))).collect();
+        assert_eq!(polled(&mut phy), want);
+        assert_eq!(phy.stats().datagrams_rx, 5);
+        // And the acknowledgement is the bare cumulative header it expects.
+        let mut buf = [0u8; 64];
+        let n = raw.recv(&mut buf).unwrap();
+        let ack = encap::decode(&buf[..n]).unwrap();
+        assert_eq!((ack.kind, ack.seq, ack.payload.len()), (KIND_ACK, 4, 0));
+    }
+
+    #[test]
+    fn a_ragged_cell_payload_is_counted_and_delivers_nothing() {
+        let (mut phy, raw) = raw_peer();
+        let mut seq = 0;
+        for len in [0, 1, CELL_SIZE - 1, CELL_SIZE + 1, CELL_SIZE + 60, CELL_SIZE + 62, 4000] {
+            raw_send(&raw, seq, SimTime::ZERO, &vec![0xEE; len]);
+            seq += 1;
+        }
+        // A frame on the cell port is no better.
+        let mut wire = Vec::new();
+        encap::encode(KIND_FRAME, 0, seq, SimTime::ZERO, &[0xEE; CELL_SIZE], &mut wire).unwrap();
+        raw.send(&wire).unwrap();
+        phy.pump(SimTime::ZERO).unwrap();
+        assert!(polled(&mut phy).is_empty());
+        assert_eq!(phy.stats().decode_drops, seq + 1);
+        // Each took its sequence number, so the well-formed one behind
+        // them is in order.
+        raw_send(&raw, seq + 1, stamp(1), &cell(1));
+        phy.pump(SimTime::ZERO).unwrap();
+        assert_eq!(polled(&mut phy), vec![(stamp(1), cell(1))]);
+    }
+
+    #[test]
+    fn far_future_sequence_numbers_cannot_squat_in_the_reorder_hold() {
+        let (mut phy, raw) = raw_peer();
+        // As many forgeries as the hold has room for, none within its
+        // reach of the next expected sequence number.
+        for i in 0..MAX_HOLD {
+            raw_send(&raw, MAX_HOLD + i, SimTime::ZERO, &cell(0));
+            if i % 32 == 31 {
+                phy.pump(SimTime::ZERO).unwrap();
+            }
+        }
+        assert_eq!(phy.stats().window_drops, MAX_HOLD);
+        assert!(phy.link.rx_hold.is_empty());
+        // Genuine reordering — the far edge of the window first — is
+        // still parked, and released in order when the gap fills.
+        for seq in [MAX_HOLD - 1, 2, 1, 2] {
+            raw_send(&raw, seq, stamp(seq as usize), &cell(seq as usize));
+        }
+        phy.pump(SimTime::ZERO).unwrap();
+        assert!(polled(&mut phy).is_empty());
+        assert_eq!(phy.link.rx_hold.len(), 3);
+        assert_eq!(phy.stats().dup_drops, 1, "the second copy of 2");
+        raw_send(&raw, 0, stamp(0), &cell(0));
+        phy.pump(SimTime::ZERO).unwrap();
+        let want: Vec<_> = (0..3).map(|i| (stamp(i), cell(i))).collect();
+        assert_eq!(polled(&mut phy), want);
+        assert_eq!(phy.link.rx_hold.len(), 1, "the far edge waits for its turn");
     }
 }

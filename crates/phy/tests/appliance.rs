@@ -10,10 +10,10 @@ use gw_phy::{
     loopback_cell_pair, loopback_frame_pair, udp_cell_pair, Appliance, ApplianceConfig, CellPhy,
     CongramSpec, FramePhy, TransportFaultConfig, UdpFramePhy,
 };
-use gw_sar::segment::segment_cells;
+use gw_sar::segment::{cells_for_len, segment_cells};
 use gw_sim::time::SimTime;
 use gw_wire::atm::{AtmHeader, Vci, CELL_SIZE};
-use gw_wire::fddi::{self, Frame};
+use gw_wire::fddi::{self, FddiAddr, Frame, FrameControl, FrameRepr};
 use gw_wire::mchip::{build_data_frame, parse_frame, Icn, MchipType};
 use std::net::UdpSocket;
 
@@ -208,6 +208,50 @@ fn live_reload_adds_congrams_without_disturbing_in_flight_frames() {
 
     let report = app.drain(now, SimTime::from_ms(200));
     assert!(report.clean(), "reload left the books balanced: {report:?}");
+}
+
+#[test]
+fn what_a_step_emits_toward_the_atm_port_has_left_when_it_returns() {
+    let (cell_gw, mut cell_line) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
+    let (frame_gw, mut frame_line) = loopback_frame_pair();
+    let mut app = Appliance::new(
+        GatewayConfig::default(),
+        100_000_000,
+        Box::new(cell_gw),
+        Box::new(frame_gw),
+    );
+    assert_eq!(app.apply_config(&ApplianceConfig::parse("congram 64 1 2 1 async").unwrap()), 1);
+
+    // One FDDI→ATM frame of fewer cells than a datagram holds: nothing
+    // fills, so only the step's closing flush can put them on the wire.
+    let mchip = build_data_frame(Icn(2), &[0x3C; 400]).unwrap();
+    let want = cells_for_len(mchip.len());
+    assert!(want > 1 && want < encap::MAX_CELLS);
+    let mut info = fddi::llc_snap_header().to_vec();
+    info.extend_from_slice(&mchip);
+    let frame = FrameRepr {
+        fc: FrameControl::LlcAsync { priority: 0 },
+        dst: FddiAddr::station(0),
+        src: FddiAddr::station(1),
+        info,
+    }
+    .emit()
+    .unwrap();
+    let now = SimTime::from_us(100);
+    frame_line.send_frame(now, frame, false).unwrap();
+    app.step(now);
+    assert!(!app.is_quiescent(), "the cells are on the wire, unacknowledged");
+
+    // No second step: the line side alone sees the whole frame.
+    cell_line.pump(now).unwrap();
+    let mut got = Vec::new();
+    cell_line.poll_cells(&mut got).unwrap();
+    assert_eq!(got.len(), want);
+    assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "each cell keeps its own emission time");
+
+    app.step(now + SimTime::from_us(10));
+    let report = app.drain(now + SimTime::from_us(20), SimTime::from_ms(200));
+    assert!(report.clean(), "{report:?}");
 }
 
 /// A stateful line-side FDDI peer driven through raw sockets and the

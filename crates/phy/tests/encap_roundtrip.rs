@@ -1,5 +1,6 @@
 //! Property tests for the transport seam: the GWP1 encapsulation
-//! round-trips byte-exact, and both transport pairs (in-process
+//! round-trips byte-exact — a cell datagram of any fill with every
+//! cell's own stamp — and both transport pairs (in-process
 //! loopback and real UDP sockets) deliver the sender's
 //! `(timestamp, payload)` sequence unchanged — including the maximum
 //! FDDI frame (4500 octets) and the zero-payload edges. This is the
@@ -8,7 +9,8 @@
 //! transports apart.
 
 use gw_phy::encap::{
-    self, DecodeError, FLAG_SYNC, HEADER_LEN, KIND_ACK, KIND_CELL, KIND_FRAME, MAX_PAYLOAD,
+    self, DecodeError, CELL_RECORD_LEN, FLAG_SYNC, HEADER_LEN, KIND_ACK, KIND_CELL, KIND_FRAME,
+    MAX_CELLS, MAX_PAYLOAD,
 };
 use gw_phy::{
     loopback_cell_pair, loopback_frame_pair, udp_cell_pair, udp_frame_pair, CellPhy, FramePhy,
@@ -41,6 +43,21 @@ fn flush_frames(a: &mut impl FramePhy, b: &mut impl FramePhy) {
         }
     }
     panic!("frame pair failed to quiesce");
+}
+
+/// Cells with arbitrary stamps made distinct by construction: the low
+/// six bits carry the index (more than a datagram holds, and enough for
+/// the longest run drawn below).
+fn stamped_cells(raw: &[(u64, Vec<u8>)]) -> Vec<(SimTime, [u8; CELL_SIZE])> {
+    assert!(raw.len() <= 64);
+    raw.iter()
+        .enumerate()
+        .map(|(i, (at_ns, bytes))| {
+            let mut cell = [0u8; CELL_SIZE];
+            cell.copy_from_slice(bytes);
+            (SimTime::from_ns((at_ns & !0x3F) | i as u64), cell)
+        })
+        .collect()
 }
 
 /// Drive one batch of frames through a pair and assert the receiver
@@ -108,6 +125,56 @@ proptest! {
         prop_assert!(encap::decode(&wire).is_ok());
     }
 
+    /// A cell datagram of every fill a sender produces round-trips with
+    /// each cell's own stamp, is exactly as long as the layout says, and
+    /// decodes from no strict prefix of itself.
+    #[test]
+    fn cell_datagrams_round_trip_every_cell_and_stamp(
+        raw in proptest::collection::vec(
+            (any::<u64>(), proptest::collection::vec(any::<u8>(), CELL_SIZE)), 1..=MAX_CELLS),
+        seq: u64,
+    ) {
+        let cells = stamped_cells(&raw);
+        let mut wire = Vec::new();
+        encap::encode(KIND_CELL, 0, seq, cells[0].0, &cells[0].1, &mut wire).unwrap();
+        for (at, cell) in &cells[1..] {
+            encap::append_cell(&mut wire, *at, cell).unwrap();
+        }
+        prop_assert_eq!(
+            wire.len(),
+            HEADER_LEN + CELL_SIZE + (cells.len() - 1) * CELL_RECORD_LEN
+        );
+        let d = encap::decode(&wire).unwrap();
+        prop_assert_eq!((d.kind, d.seq), (KIND_CELL, seq));
+        let got: Vec<_> = encap::cells(&d).expect("whole records").map(|(at, c)| (at, *c)).collect();
+        prop_assert_eq!(got, cells);
+        for keep in 0..wire.len() {
+            let err = encap::decode(&wire[..keep]).unwrap_err();
+            prop_assert!(
+                matches!(err, DecodeError::Runt | DecodeError::Truncated),
+                "prefix of {} octets gave {:?}", keep, err
+            );
+        }
+    }
+
+    /// A payload is a run of cells exactly when it is 53 + 61 k octets
+    /// of a cell datagram; anything else yields nothing, without a panic.
+    #[test]
+    fn only_whole_cell_records_unpack(
+        payload in proptest::collection::vec(any::<u8>(), 0..400),
+        kind in 0u8..3,
+    ) {
+        let mut wire = Vec::new();
+        encap::encode(kind, 0, 0, SimTime::ZERO, &payload, &mut wire).unwrap();
+        let d = encap::decode(&wire).unwrap();
+        let whole = kind == KIND_CELL
+            && payload.len() >= CELL_SIZE
+            && (payload.len() - CELL_SIZE).is_multiple_of(CELL_RECORD_LEN);
+        let unpacked = encap::cells(&d).map(Iterator::count);
+        let want = whole.then(|| 1 + (payload.len() - CELL_SIZE) / CELL_RECORD_LEN);
+        prop_assert_eq!(unpacked, want, "{} octets of kind {}", payload.len(), kind);
+    }
+
     /// Arbitrary cells cross the loopback pair byte-exact and in order
     /// with their timestamps.
     #[test]
@@ -132,29 +199,25 @@ proptest! {
     }
 
     /// The same property over real UDP sockets with injected datagram
-    /// faults: the ARQ presents the identical byte-exact in-order
-    /// sequence above the seam.
+    /// faults, for runs that fill no datagram, one, or two and a part,
+    /// under arbitrary stamps: the ARQ presents the identical byte-exact
+    /// in-order sequence above the seam.
     #[test]
     fn udp_cells_cross_byte_exact(
-        cells in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), CELL_SIZE), 1..12),
+        raw in proptest::collection::vec(
+            (any::<u64>(), proptest::collection::vec(any::<u8>(), CELL_SIZE)), 1..=60),
         seed: u64,
     ) {
+        let cells = stamped_cells(&raw);
         let faults = TransportFaultConfig { drop: 0.1, duplicate: 0.1, truncate: 0.05, seed };
         let (mut a, mut b) = udp_cell_pair(&faults).expect("bind");
-        for (i, bytes) in cells.iter().enumerate() {
-            let mut cell = [0u8; CELL_SIZE];
-            cell.copy_from_slice(bytes);
-            a.send_cell(SimTime::from_ns(i as u64 * 40), &cell).unwrap();
+        for (at, cell) in &cells {
+            a.send_cell(*at, cell).unwrap();
         }
         flush_cells(&mut a, &mut b);
         let mut got = Vec::new();
         b.poll_cells(&mut got).unwrap();
-        prop_assert_eq!(got.len(), cells.len());
-        for (i, ((at, cell), sent)) in got.iter().zip(&cells).enumerate() {
-            prop_assert_eq!(*at, SimTime::from_ns(i as u64 * 40));
-            prop_assert_eq!(&cell[..], &sent[..]);
-        }
+        prop_assert_eq!(got, cells);
     }
 
     /// Arbitrary frames — lengths drawn across the whole legal range,

@@ -8,7 +8,8 @@
 //! allocator watches; the management-disabled path must make zero
 //! allocations, and the management-enabled path must match it exactly
 //! (pre-resolved handles and a pre-reserved trace ring, no per-cell
-//! heap traffic).
+//! heap traffic). The UDP cell port in front of the gateway is held to
+//! the same rule here, because this is the binary with the allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -235,4 +236,35 @@ fn idle_advance_is_allocation_free() {
         }
     });
     assert_eq!(allocs, 0, "idle advance must not allocate (was: Vec collect + sort per call)");
+}
+
+#[test]
+fn udp_cell_port_steady_state_is_allocation_free() {
+    use atm_fddi_gateway::phy::{udp_cell_pair, CellPhy, TransportFaultConfig};
+
+    // A frame's worth of cells out, both ends pumped until everything is
+    // across and acknowledged, picked up, next frame — what the
+    // appliance's ATM port does all day. 87 cells: three full datagrams
+    // and a part, so the staged flush, the free list and the
+    // acknowledgement are all on the path.
+    let (mut tx, mut rx) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
+    let cells = frame_cells(3_900);
+    assert_eq!(cells.len(), 87);
+    let at = SimTime::from_us(100);
+    let mut got = Vec::new();
+    let mut frame_across = || {
+        for c in &cells {
+            tx.send_cell(at, c).unwrap();
+        }
+        got.clear();
+        while got.len() < cells.len() || tx.in_flight() > 0 {
+            rx.pump(at).unwrap();
+            tx.pump(at).unwrap();
+            rx.poll_cells(&mut got).unwrap();
+        }
+    };
+    frame_across(); // buffers, queues and `got` reach their working size
+    let (allocs, ()) = allocations_during(|| (0..32).for_each(|_| frame_across()));
+    assert_eq!(allocs, 0, "send_cell, pump and poll_cells must not allocate once warm");
+    assert_eq!(tx.stats().retransmits, 0);
 }
