@@ -15,21 +15,7 @@ use gw_scene::Scene;
 /// Run one `.scene` workload; false when the file does not parse or
 /// the run violates a declared expectation.
 pub fn run_file(path: &str) -> bool {
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("scene workload {path}: {e}");
-            return false;
-        }
-    };
-    let (scene, diags) = gw_scene::parse(&src);
-    for d in &diags {
-        eprintln!("{path}:{}", d.render());
-    }
-    let Some(scene) = scene else {
-        return false;
-    };
-    run_scene_workload(path, &scene)
+    scene_run::load(path).is_some_and(|scene| run_scene_workload(path, &scene))
 }
 
 fn run_scene_workload(path: &str, scene: &Scene) -> bool {

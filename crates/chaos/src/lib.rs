@@ -1,12 +1,13 @@
 //! Deterministic chaos soak harness for the ATM-FDDI gateway.
 //!
-//! A chaos run materializes a **scenario** from a single `u64` seed —
-//! a randomized-but-fully-seeded traffic schedule plus an adversarial
-//! fault mix (cell loss, corruption, duplication bursts, adjacent-swap
-//! reordering, misinsertion onto live foreign VCs, delay skew, buffer
-//! starvation) — drives it through the co-simulation testbed, drains
-//! every queue and timer, and then checks two global invariants the
-//! paper's hardware implicitly promises:
+//! A chaos run materializes a **scene** (`gw-scene/1`) from a single
+//! `u64` seed — a randomized-but-fully-seeded traffic schedule plus an
+//! adversarial fault mix (cell loss, corruption, duplication bursts,
+//! adjacent-swap reordering, misinsertion onto live foreign VCs, delay
+//! skew, buffer starvation) — drives it through the co-simulation
+//! testbed by the lowering every harness shares, drains every queue
+//! and timer, and then checks two global invariants the paper's
+//! hardware implicitly promises:
 //!
 //! * **Conservation** — every cell and frame that entered the gateway
 //!   is accounted for as delivered or dropped under a named reason
@@ -25,14 +26,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod minimize;
 pub mod report;
 pub mod runner;
-pub mod scene;
 pub mod workload;
 
-pub use minimize::minimize;
 pub use report::{artifact, Coverage, RunReport, TransportCoverage};
-pub use runner::{run_scenario, run_scenario_with_phy, run_seed, run_seed_with_phy};
-pub use scene::{emit_scene, minimize_scene, run_scene, run_scene_with_phy, scenario_to_scene};
-pub use workload::{Direction, FaultPlan, Scenario, Send};
+pub use runner::{minimize_scene, run_scene, run_scene_with_phy, run_seed, run_seed_with_phy};
+pub use workload::{emit_scene, generate};

@@ -1,12 +1,12 @@
 //! `gw-chaos` — deterministic chaos soak runner.
 //!
 //! ```text
-//! gw-chaos run      --seed N                  one scenario, full report
+//! gw-chaos run      --seed N                  the seed's scene, full report
 //! gw-chaos replay   --seed N                  run twice, byte-compare snapshots
 //! gw-chaos soak     --seeds N [--start S]     N consecutive seeds, artifacts on failure
 //! gw-chaos phy-soak --seeds N [--start S]     each seed on loopback AND the fault-injected
 //!                                             UDP phy, snapshots byte-compared
-//! gw-chaos minimize --seed N                  shrink a failing seed's schedule
+//! gw-chaos minimize --seed N                  shrink a failing seed's scene and print it
 //! gw-chaos run-scene FILE                     parse a .scene and run it under the
 //!                                             full chaos oracle set
 //! gw-chaos emit-scene --seed N [--out FILE]   a seed's canonical .scene text
@@ -14,15 +14,17 @@
 //!
 //! Exit status is non-zero whenever any invariant (conservation, zero
 //! residue, payload integrity, replay determinism) does not hold.
-//! A failing `run-scene` writes the `gw-chaos-artifact/2` JSON **and**
-//! a minimized `.scene` repro next to it.
+//! A seed is run as the scene it denotes (`emit-scene` prints it), so
+//! `run` and `run-scene` are one code path: a failing run writes the
+//! `gw-chaos-artifact/2` JSON **and** a minimized `.scene` repro next
+//! to it.
 
-use gw_chaos::workload::Scenario;
 use gw_chaos::{
-    artifact, emit_scene, minimize, minimize_scene, run_scenario, run_seed, run_seed_with_phy,
+    artifact, emit_scene, generate, minimize_scene, run_seed, run_seed_with_phy, RunReport,
     TransportCoverage,
 };
 use gw_phy::{PhyMode, TransportFaultConfig};
+use gw_scene::Scene;
 
 fn main() {
     std::process::exit(real_main());
@@ -44,13 +46,16 @@ fn real_main() -> i32 {
         flag_str(&args, "--artifact-dir").unwrap_or_else(|| String::from("chaos-artifacts"));
 
     match cmd.as_str() {
-        "run" => run_one(seed, &artifact_dir),
+        "run" => report_one(&generate(seed), &artifact_dir),
         "replay" => replay(seed),
         "soak" => soak(start, seeds, &artifact_dir),
         "phy-soak" => phy_soak(start, seeds, &artifact_dir),
         "minimize" => shrink(seed, &artifact_dir),
         "run-scene" => match positional(&args) {
-            Some(path) => run_scene_file(&path, &artifact_dir),
+            Some(path) => match atm_fddi_gateway::scene_run::load(&path) {
+                Some(scene) => report_one(&scene, &artifact_dir),
+                None => 2,
+            },
             None => {
                 eprintln!("gw-chaos run-scene: missing scene file");
                 2
@@ -110,24 +115,11 @@ fn positional(args: &[String]) -> Option<String> {
     None
 }
 
-/// Parse, diagnose, and run a `.scene` under the chaos oracles. A
-/// failing run writes the JSON artifact plus a minimized `.scene`.
-fn run_scene_file(path: &str, artifact_dir: &str) -> i32 {
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("gw-chaos run-scene: {path}: {e}");
-            return 2;
-        }
-    };
-    let (scene, diags) = gw_scene::parse(&src);
-    for d in &diags {
-        eprintln!("{path}:{}", d.render());
-    }
-    let Some(scene) = scene else {
-        return 2;
-    };
-    let report = gw_chaos::run_scene(&scene);
+/// Run one scene and print the full report. A failing run writes the
+/// JSON artifact plus a minimized `.scene` any harness (or any human
+/// editor) can replay directly.
+fn report_one(scene: &Scene, artifact_dir: &str) -> i32 {
+    let report = gw_chaos::run_scene(scene);
     println!("{}", report.summary());
     println!("  {}", report.coverage.summary());
     for v in &report.violations {
@@ -140,40 +132,24 @@ fn run_scene_file(path: &str, artifact_dir: &str) -> i32 {
         println!("{trace}");
     }
     if report.passed() {
-        0
-    } else {
-        write_artifact(artifact_dir, &report);
-        let small = minimize_scene(&scene);
-        let min_path = format!("{artifact_dir}/{}.min.scene", scene.name);
-        match std::fs::write(&min_path, gw_scene::format_scene(&small)) {
-            Ok(()) => {
-                eprintln!("  minimized scene: {min_path} ({} traffic lines)", small.traffic.len())
-            }
-            Err(e) => eprintln!("  minimized scene write failed: {e}"),
-        }
-        1
+        return 0;
     }
+    write_artifact(artifact_dir, &report);
+    write_minimized(scene, artifact_dir);
+    1
 }
 
-fn run_one(seed: u64, artifact_dir: &str) -> i32 {
-    let report = run_seed(seed);
-    println!("{}", report.summary());
-    println!("  {}", report.coverage.summary());
-    for v in &report.violations {
-        println!("  violation: {v}");
+/// Shrink a failing scene and write it next to the artifact.
+fn write_minimized(scene: &Scene, artifact_dir: &str) -> Scene {
+    let small = minimize_scene(scene);
+    let path = format!("{artifact_dir}/{}.min.scene", scene.name);
+    let written = std::fs::create_dir_all(artifact_dir)
+        .and_then(|()| std::fs::write(&path, gw_scene::format_scene(&small)));
+    match written {
+        Ok(()) => eprintln!("  minimized scene: {path} ({} traffic lines)", small.traffic.len()),
+        Err(e) => eprintln!("  minimized scene write failed: {e}"),
     }
-    if !report.residue.is_clean() {
-        println!("  residue: {:?}", report.residue);
-    }
-    if let Some(trace) = &report.trace_dump {
-        println!("{trace}");
-    }
-    if report.passed() {
-        0
-    } else {
-        write_artifact(artifact_dir, &report);
-        1
-    }
+    small
 }
 
 fn replay(seed: u64) -> i32 {
@@ -301,46 +277,25 @@ fn phy_soak(start: u64, seeds: u64, artifact_dir: &str) -> i32 {
 }
 
 fn shrink(seed: u64, artifact_dir: &str) -> i32 {
-    let full = Scenario::generate(seed);
-    let report = run_scenario(&full);
-    if report.passed() {
+    let full = generate(seed);
+    if gw_chaos::run_scene(&full).passed() {
         println!("seed {seed}: passes; nothing to minimize");
         return 0;
     }
-    let small = minimize(&full);
-    // The minimized repro escapes the seed encoding as a .scene any
-    // harness (or any human editor) can replay directly.
-    if std::fs::create_dir_all(artifact_dir).is_ok() {
-        let path = format!("{artifact_dir}/seed-{seed}.min.scene");
-        let text = gw_scene::format_scene(&gw_chaos::scenario_to_scene(&small));
-        match std::fs::write(&path, text) {
-            Ok(()) => eprintln!("  minimized scene: {path}"),
-            Err(e) => eprintln!("  minimized scene write failed: {e}"),
-        }
-    }
+    let small = write_minimized(&full, artifact_dir);
     println!(
         "seed {seed}: minimized schedule {} -> {} sends; still failing:",
-        full.sends.len(),
-        small.sends.len()
+        full.traffic.len(),
+        small.traffic.len()
     );
-    for s in &small.sends {
-        println!(
-            "  {:>8} ns  vc {}  {:?}  {} octets  fill {:#04x}",
-            s.at.as_ns(),
-            s.vc,
-            s.direction,
-            s.len,
-            s.fill
-        );
-    }
-    let rerun = run_scenario(&small);
-    for v in &rerun.violations {
+    print!("{}", gw_scene::format_scene(&small));
+    for v in &gw_chaos::run_scene(&small).violations {
         println!("  violation: {v}");
     }
     1
 }
 
-fn write_artifact(dir: &str, report: &gw_chaos::RunReport) {
+fn write_artifact(dir: &str, report: &RunReport) {
     let doc = artifact(report);
     if std::fs::create_dir_all(dir).is_ok() {
         let path = format!("{dir}/seed-{}.json", report.seed);

@@ -149,7 +149,7 @@ impl TransportCoverage {
 /// Everything one chaos run produced.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// The seed that denotes the scenario.
+    /// The seed the scene declares (a chaos seed's scene declares it).
     pub seed: u64,
     /// Scheduled frame injections (post-minimization this shrinks).
     pub sends: usize,
@@ -171,10 +171,9 @@ pub struct RunReport {
     /// Transport-seam counters, when the run rode a faultable phy
     /// (`None` on the default loopback transport).
     pub transport: Option<TransportCoverage>,
-    /// Canonical `gw-scene/1` text of the run — a seed run embeds its
-    /// translation, a scene run embeds the scene itself — so every
-    /// artifact carries a replayable, human-editable repro.
-    pub scene: Option<String>,
+    /// Canonical `gw-scene/1` text of the run, so every artifact
+    /// carries a replayable, human-editable repro.
+    pub scene: String,
     /// Simulation time at audit.
     pub end: SimTime,
 }
@@ -231,9 +230,7 @@ pub fn artifact(report: &RunReport) -> Json {
     if let Some(trace) = &report.trace_dump {
         doc.set("trace", Json::Str(trace.clone()));
     }
-    if let Some(scene) = &report.scene {
-        doc.set("scene", Json::Str(scene.clone()));
-    }
+    doc.set("scene", Json::Str(report.scene.clone()));
     match Json::parse(&report.snapshot) {
         Ok(snap) => doc.set("snapshot", snap),
         Err(_) => doc.set("snapshot", Json::Null),

@@ -1,140 +1,87 @@
-//! Drive one scenario through the co-simulation and audit the result.
+//! Drive one scene through the co-simulation and audit the result.
+//!
+//! There is one way to run anything here: lower the [`Scene`] through
+//! [`atm_fddi_gateway::scene_run`] (the lowering every harness shares),
+//! then audit. A seed is run by running the scene it denotes
+//! ([`crate::workload::generate`]); `tests/replay.rs` pins the
+//! snapshots that path renders to the digests the former direct
+//! seed→testbed lowering produced.
 
-use atm_fddi_gateway::atm::policing::{Gcra, GcraParams, PolicingAction};
-use atm_fddi_gateway::testbed::{Testbed, TestbedConfig};
-use gw_mgmt::MgmtConfig;
+use atm_fddi_gateway::scene_run;
+use atm_fddi_gateway::testbed::Testbed;
 use gw_phy::PhyMode;
-use gw_sim::time::SimTime;
+use gw_scene::Scene;
 
 use crate::report::{Coverage, RunReport, TransportCoverage};
-use crate::workload::{Direction, Scenario};
+use crate::workload::generate;
 
-/// Materialize and run the scenario a seed denotes.
+/// Materialize and run the scene a seed denotes.
 pub fn run_seed(seed: u64) -> RunReport {
-    run_scenario(&Scenario::generate(seed))
+    run_scene(&generate(seed))
 }
 
 /// [`run_seed`] on a chosen port transport — the transport-blindness
 /// probe: the same seed on loopback and on the fault-injected UDP phy
 /// must render byte-identical snapshots.
 pub fn run_seed_with_phy(seed: u64, phy: PhyMode) -> RunReport {
-    run_scenario_with_phy(&Scenario::generate(seed), phy)
+    run_scene_with_phy(&generate(seed), phy)
 }
 
-/// Run a (possibly minimized) scenario: install the congrams, play the
-/// schedule, drain every queue and timer, then check conservation,
-/// residue, and delivered-payload integrity.
-pub fn run_scenario(sc: &Scenario) -> RunReport {
-    run_scenario_with_phy(sc, PhyMode::Loopback)
+/// Run a scene under the full chaos oracle set: conservation, zero
+/// residue, and payload integrity are always checked (they are the
+/// harness's own invariants, declared or not), and the scene's
+/// `delivered_*` / `max_lost_frames` expects are evaluated on top.
+pub fn run_scene(scene: &Scene) -> RunReport {
+    run_scene_with_phy(scene, PhyMode::Loopback)
 }
 
-/// [`run_scenario`] with the port seams carried by `phy`.
-pub fn run_scenario_with_phy(sc: &Scenario, phy: PhyMode) -> RunReport {
-    // The fault injector gets its own stream; any injective function of
-    // the seed keeps it disjoint from the scenario's generator forks.
+/// [`run_scene`] with the port seams carried by `phy`.
+pub fn run_scene_with_phy(scene: &Scene, phy: PhyMode) -> RunReport {
     let faultable_phy = matches!(phy, PhyMode::Udp { .. });
-    let mut cfg = TestbedConfig {
-        seed: sc.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(7),
-        atm_faults: sc.faults.to_config(),
-        phy,
-        ..Default::default()
-    };
-    cfg.gateway.management = Some(MgmtConfig::default());
-    cfg.gateway.reassembly_timeout = sc.reassembly_timeout;
-    if sc.liveness {
-        cfg.gateway.vc_liveness_timeout = Some(SimTime::from_ms(8));
-    }
-    if sc.starve_buffers {
-        // Starve the SUPERNET buffer memories. Transmit: barely over
-        // one max-size frame, with the shedding watermark (85% = 1740)
-        // *below* one 1800-octet frame — one stored frame is enough to
-        // enter the shedding state, so both the shed and the
-        // hard-overflow arms run when a synchronized wave lands.
-        // Receive: below one max-size frame outright, because the RBC
-        // store-then-drain runs per frame and only a single oversized
-        // frame can ever overflow the receive memory.
-        cfg.gateway.tx_buffer_octets = 2048;
-        cfg.gateway.rx_buffer_octets = 1024;
-    }
-    if sc.shedding {
-        cfg.gateway.overload_shedding = Some(Default::default());
-    }
-    let stations = cfg.fddi_stations;
-    let mut tb = Testbed::build(cfg);
-    let congrams: Vec<_> =
-        (0..sc.vcs).map(|i| tb.install_data_congram(1 + i % (stations - 1))).collect();
-    if sc.police {
-        // A tight contract on the first congram so GCRA non-conformance
-        // (and its conservation arm) gets exercised.
-        tb.gw.install_rate_control(
-            congrams[0].vci,
-            Gcra::new(
-                GcraParams::for_sar_payload_bps(2_000_000, SimTime::from_us(20)),
-                PolicingAction::Drop,
-            ),
-        );
-    }
-
-    for s in &sc.sends {
-        if s.at > tb.now() {
-            tb.run_until(s.at);
-        }
-        let payload = vec![s.fill; s.len];
-        match s.direction {
-            Direction::AtmToFddi => tb.send_from_atm_host_at(s.at, congrams[s.vc], payload),
-            Direction::FddiToAtm => {
-                tb.send_from_fddi_station(congrams[s.vc].station, congrams[s.vc], payload)
-            }
-        }
-    }
-
-    // Drain: run well past the last send and the longest timeout, then
-    // keep stepping while anything is still in flight (ring queues,
-    // reassembly timers, staged frames). The bounded loop turns a
-    // genuine leak into a stable, reportable residue, not a hang.
-    let mut t = tb.now() + SimTime::from_ms(60);
-    tb.run_until(t);
-    for _ in 0..40 {
-        if tb.gw.residue().is_clean() && tb.gw.fddi_tx_pending() == 0 {
-            break;
-        }
-        t += SimTime::from_ms(10);
-        tb.run_until(t);
-    }
-
+    let (mut tb, handles) = Testbed::from_scene(scene, phy);
+    let scheduled = scene_run::play_schedule(&mut tb, &handles, scene);
+    scene_run::drain(&mut tb);
     let transport = faultable_phy.then(|| TransportCoverage::from_stats(&tb.transport_stats()));
-    let frames: Vec<(usize, u8)> = sc.sends.iter().map(|s| (s.len, s.fill)).collect();
-    let inputs = AuditInputs {
-        seed: sc.seed,
-        frames: &frames,
-        misinsertion_armed: sc.faults.misinsertion > 0.0,
-        scene: Some(gw_scene::format_scene(&crate::scene::scenario_to_scene(sc))),
-    };
-    audit(inputs, tb, transport)
+
+    let mut report = audit(scene, tb, transport);
+    // The audit has already booked conservation and residue, declared
+    // or not; `judge` is told they held so it rules on the rest.
+    report.violations.extend(scene_run::judge(scene, scheduled, report.delivered, &[], true));
+    report
 }
 
-/// What the audit needs to know about the run it is judging — the
-/// schedule's `(len, fill)` pairs and whether misinsertion was armed.
-/// Both the seed path and the scene path build one of these, so the
-/// oracle (and therefore the verdict) is shared, not duplicated.
-pub(crate) struct AuditInputs<'a> {
-    /// The seed (or scene-declared seed) the run was driven by.
-    pub seed: u64,
-    /// Every scheduled frame's `(len, fill)`.
-    pub frames: &'a [(usize, u8)],
-    /// Misinsertion armed with nonzero probability (the chunk-swap
-    /// carve-out keys on this).
-    pub misinsertion_armed: bool,
-    /// Canonical `.scene` text of the run, embedded in artifacts.
-    pub scene: Option<String>,
+/// Shrink a failing scene's traffic by halving: keep whichever half
+/// still fails, re-running the whole scene each time. O(log n) runs, no
+/// oracle beyond "does it still fail", and the fault streams stay
+/// driven by the scene's seed, so the minimized scene replays exactly.
+/// Returns the input itself if it passes or nothing smaller fails.
+pub fn minimize_scene(scene: &Scene) -> Scene {
+    let mut best = scene.clone();
+    if run_scene(&best).passed() {
+        return best;
+    }
+    while best.traffic.len() > 1 {
+        let half = best.traffic.len() / 2;
+        let front = Scene { traffic: best.traffic[..half].to_vec(), ..best.clone() };
+        if !run_scene(&front).passed() {
+            best = front;
+            continue;
+        }
+        let back = Scene { traffic: best.traffic[half..].to_vec(), ..best.clone() };
+        if !run_scene(&back).passed() {
+            best = back;
+            continue;
+        }
+        break;
+    }
+    best
 }
 
-/// Check the invariants and assemble the report.
-pub(crate) fn audit(
-    inputs: AuditInputs,
-    mut tb: Testbed,
-    transport: Option<TransportCoverage>,
-) -> RunReport {
+/// Check the harness's own invariants and assemble the report.
+fn audit(scene: &Scene, mut tb: Testbed, transport: Option<TransportCoverage>) -> RunReport {
+    // Every scheduled frame's `(len, fill)`.
+    let frames: Vec<(usize, u8)> =
+        scene.schedule().iter().map(|s| (s.len as usize, s.fill)).collect();
     let mut violations = tb.gw.check_conservation();
     let residue = tb.gw.residue();
 
@@ -152,8 +99,7 @@ pub(crate) fn audit(
     // while misinsertion is armed. Anything else is a violation.
     let mut delivered = 0usize;
     let mut chunk_swaps = 0u64;
-    let misinsertion_armed = inputs.misinsertion_armed;
-    let frames = inputs.frames;
+    let misinsertion_armed = scene.faults.misinsertion_armed();
     let mut check_payload = |payload: &[u8], violations: &mut Vec<String>| {
         let mut counts = [0u32; 256];
         for &b in payload {
@@ -244,7 +190,7 @@ pub(crate) fn audit(
     };
 
     RunReport {
-        seed: inputs.seed,
+        seed: scene.seed_or_default(),
         sends: frames.len(),
         delivered,
         violations,
@@ -253,7 +199,7 @@ pub(crate) fn audit(
         trace_dump,
         coverage,
         transport,
-        scene: inputs.scene,
+        scene: gw_scene::format_scene(scene),
         end: now,
     }
 }

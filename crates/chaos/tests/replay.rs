@@ -4,12 +4,18 @@
 //! a complete, stable bug report (bit-for-bit replay), and every seed
 //! that ever exposed a bug keeps passing after the fix.
 
-use gw_chaos::workload::Scenario;
-use gw_chaos::{
-    emit_scene, minimize, minimize_scene, run_scenario, run_scene, run_seed, run_seed_with_phy,
-    scenario_to_scene,
-};
+use gw_chaos::{emit_scene, generate, minimize_scene, run_scene, run_seed, run_seed_with_phy};
 use gw_phy::{PhyMode, TransportFaultConfig};
+
+/// Seeds in `regression_seeds.txt`, in file order.
+fn regression_seeds() -> Vec<u64> {
+    include_str!("../regression_seeds.txt")
+        .lines()
+        .map(|line| line.split('#').next().unwrap_or("").trim())
+        .filter(|line| !line.is_empty())
+        .map(|line| line.parse().unwrap_or_else(|_| panic!("bad corpus line {line:?}")))
+        .collect()
+}
 
 /// Same seed, two runs, byte-identical snapshot documents — the
 /// property that makes a failing soak seed reproducible forever.
@@ -50,32 +56,20 @@ fn udp_phy_replay_matches_loopback_bit_for_bit() {
     }
 }
 
-/// Scenario materialization is a pure function of the seed.
+/// Scene materialization is a pure function of the seed.
 #[test]
-fn scenario_generation_is_stable() {
-    let a = Scenario::generate(42);
-    let b = Scenario::generate(42);
-    assert_eq!(a.sends.len(), b.sends.len());
-    assert_eq!(a.vcs, b.vcs);
-    for (x, y) in a.sends.iter().zip(&b.sends) {
-        assert_eq!(x.at, y.at);
-        assert_eq!(x.len, y.len);
-        assert_eq!(x.fill, y.fill);
-    }
+fn scene_generation_is_stable() {
+    assert_eq!(generate(42), generate(42));
+    assert_ne!(generate(42).traffic, generate(43).traffic);
 }
 
 /// Every seed that ever exposed a bug, replayed against the fixed
 /// gateway: conservation holds, residue is zero, payloads are intact.
 #[test]
 fn regression_corpus_replays_clean() {
-    let corpus = include_str!("../regression_seeds.txt");
-    let mut checked = 0;
-    for line in corpus.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let seed: u64 = line.parse().unwrap_or_else(|_| panic!("bad corpus line {line:?}"));
+    let seeds = regression_seeds();
+    assert!(seeds.len() >= 4, "corpus unexpectedly small ({} seeds)", seeds.len());
+    for seed in seeds {
         let report = run_seed(seed);
         assert!(
             report.passed(),
@@ -83,36 +77,46 @@ fn regression_corpus_replays_clean() {
             report.violations,
             report.residue
         );
-        checked += 1;
     }
-    assert!(checked >= 4, "corpus unexpectedly small ({checked} seeds)");
 }
 
-/// The shrinker never "fixes" a passing scenario and always returns a
+/// The shrinker never "fixes" a passing scene and always returns a
 /// schedule no larger than its input.
 #[test]
-fn minimizer_is_sound_on_passing_scenarios() {
-    let sc = Scenario::generate(3);
-    let small = minimize(&sc);
-    assert_eq!(small.sends.len(), sc.sends.len(), "passing scenario must not shrink");
-    assert!(run_scenario(&small).passed());
+fn minimizer_is_sound_on_passing_scenes() {
+    let scene = generate(3);
+    let small = minimize_scene(&scene);
+    assert_eq!(small.traffic.len(), scene.traffic.len(), "passing scene must not shrink");
+    assert!(run_scene(&small).passed());
 }
 
-/// The seed → `.scene` translation is lossless: running the emitted
-/// scene text (through the real parser, not just the AST) renders the
-/// byte-identical snapshot the seed run does.
+/// A seed is run by running the scene it denotes. Until that was the
+/// only path, seeds were lowered straight onto the testbed
+/// configuration; these are the `(length, FNV-1a 64)` of the
+/// `gw-snapshot/1` documents that direct path rendered (recorded at
+/// b85e223), and the scene path must render the same bytes.
 #[test]
-fn scene_emission_is_bit_faithful() {
-    for seed in [3, 17] {
-        let direct = run_seed(seed);
-        let text = emit_scene(seed);
-        let (scene, diags) = gw_scene::parse(&text);
-        assert!(diags.is_empty(), "seed {seed} emitted a diagnosed scene: {diags:?}");
-        let via_scene = run_scene(&scene.unwrap());
-        assert!(!direct.snapshot.is_empty(), "seed {seed} rendered no snapshot");
-        assert_eq!(direct.snapshot, via_scene.snapshot, "seed {seed} diverged through .scene");
-        assert_eq!(direct.delivered, via_scene.delivered);
-        assert_eq!(direct.violations, via_scene.violations);
+fn scene_path_renders_the_snapshots_the_direct_seed_path_did() {
+    const RECORDED: &[(u64, usize, u64)] = &[
+        (3, 6076, 0x1c79_32c3_eb68_8990),
+        (17, 5104, 0x3518_671b_e630_70c7),
+        (1, 5122, 0xf12f_462b_a767_124c),
+        (4, 6052, 0xdf13_8582_ec4e_a187),
+        (5, 5588, 0x2b0e_2a56_8264_fede),
+        (8, 5585, 0x1d33_8e27_fb8a_2d30),
+        (12, 6119, 0x1c67_a50a_836e_7aa4),
+        (13, 5610, 0xd9ab_a23d_4e4c_63a5),
+        (42, 6038, 0x901a_9b69_88f8_fa3c),
+    ];
+    for seed in regression_seeds() {
+        assert!(RECORDED.iter().any(|r| r.0 == seed), "no recorded digest for seed {seed}");
+    }
+    for &(seed, len, digest) in RECORDED {
+        let snapshot = run_seed(seed).snapshot;
+        let fnv = snapshot.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((snapshot.len(), fnv), (len, digest), "seed {seed} snapshot changed");
     }
 }
 
@@ -188,19 +192,4 @@ expect delivered_all
     assert_eq!(errors, 0, "minimized scene text drew errors: {diags:?}\n{text}");
     let report = run_scene(&reparsed.unwrap());
     assert!(!report.passed(), "minimized scene no longer reproduces:\n{text}");
-}
-
-/// Scenario → scene translation preserves the schedule exactly.
-#[test]
-fn scenario_translation_preserves_schedule() {
-    let sc = Scenario::generate(42);
-    let scene = scenario_to_scene(&sc);
-    let plan = scene.schedule();
-    assert_eq!(plan.len(), sc.sends.len());
-    for (p, s) in plan.iter().zip(&sc.sends) {
-        assert_eq!(p.at_ns, s.at.as_ns());
-        assert_eq!(p.len as usize, s.len);
-        assert_eq!(p.fill, s.fill);
-        assert_eq!(p.congram, s.vc);
-    }
 }

@@ -32,6 +32,11 @@
 //! expect conservation | residue_clean | delivered_all
 //!        | delivered_at_least <n> | max_lost_frames <n>
 //! ```
+//!
+//! A scene is hostile input to every runner, so what parses must be
+//! safe to run: every `*_us` value is at most [`MAX_TIME_US`], the
+//! schedule expands to at most [`MAX_SCENE_FRAMES`] frames, and every
+//! congram's station is on the declared ring — `E010` otherwise.
 
 use crate::ast::*;
 use crate::diag::{self, Diag, Severity};
@@ -43,6 +48,17 @@ pub const MAX_SEND_OCTETS: u32 = 4000;
 
 /// Largest FDDI ring the co-simulation topology supports.
 pub const MAX_STATIONS: u32 = 32;
+
+/// Latest instant, and longest interval, a scene may name: one
+/// simulated hour, in microseconds. Consumers turn every `*_us` value
+/// into nanoseconds and add drain time on top; under this horizon that
+/// arithmetic cannot overflow `u64`.
+pub const MAX_TIME_US: u64 = 3_600_000_000;
+
+/// Most frames one scene's schedule may expand to (`send`s plus every
+/// `burst` train), so a one-line burst cannot make
+/// [`Scene::schedule`] allocate without bound.
+pub const MAX_SCENE_FRAMES: u64 = 1 << 20;
 
 /// One source token with its byte-exact anchor.
 #[derive(Debug, Clone, Copy)]
@@ -148,6 +164,20 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// An integer microsecond value within [`MAX_TIME_US`].
+    fn time_us(&mut self, what: &str) -> Option<(u64, Tok<'a>)> {
+        let (v, t) = self.int(what)?;
+        if v > MAX_TIME_US {
+            self.err_at(
+                diag::E_OUT_OF_RANGE,
+                t,
+                format!("{what} must be at most {MAX_TIME_US} us (one simulated hour), found {v}"),
+            );
+            return None;
+        }
+        Some((v, t))
+    }
+
     fn probability(&mut self, what: &str) -> Option<(f64, Tok<'a>)> {
         let t = self.next(what)?;
         match t.text.parse::<f64>() {
@@ -199,6 +229,8 @@ struct Parser {
     seen_once: Vec<&'static str>,
     /// Fault kinds already armed, by keyword.
     seen_faults: Vec<String>,
+    /// Frames the traffic directives accepted so far expand to.
+    frames: u64,
     /// Congrams actually referenced by traffic, by index.
     used_congrams: Vec<bool>,
     /// `(offset, len, line, col)` of each congram's name token, for
@@ -219,6 +251,7 @@ pub fn parse(src: &str) -> (Option<Scene>, Vec<Diag>) {
         saw_header: false,
         seen_once: Vec::new(),
         seen_faults: Vec::new(),
+        frames: 0,
         used_congrams: Vec::new(),
         congram_spans: Vec::new(),
     };
@@ -239,23 +272,29 @@ pub fn parse(src: &str) -> (Option<Scene>, Vec<Diag>) {
     (if has_error { None } else { Some(p.scene) }, p.diags)
 }
 
-/// Post-parse lints: unused congrams, empty schedules, missing
+/// Post-parse checks that need the whole file: every congram's station
+/// is on the ring (`stations` may come before or after the congram),
+/// then the lints — unused congrams, empty schedules, missing
 /// expectations.
 fn finish(p: &mut Parser, src: &str) {
+    let stations = p.scene.stations_or_default();
     for (i, used) in p.used_congrams.iter().enumerate() {
+        let (offset, len, line, col) = p.congram_spans[i];
+        let at_name =
+            |code, severity, message| Diag { code, severity, offset, len, line, col, message };
+        let decl = &p.scene.congrams[i];
+        if decl.station >= stations {
+            let message = format!(
+                "congram `{}` names station {} but the ring has stations 0..={}",
+                decl.name,
+                decl.station,
+                stations - 1
+            );
+            p.diags.push(at_name(diag::E_OUT_OF_RANGE, Severity::Error, message));
+        }
         if !used {
-            let (offset, len, line, col) = p.congram_spans[i];
-            let message =
-                format!("congram `{}` is declared but never sent on", p.scene.congrams[i].name);
-            p.diags.push(Diag {
-                code: diag::W_UNUSED_CONGRAM,
-                severity: Severity::Warning,
-                offset,
-                len,
-                line,
-                col,
-                message,
-            });
+            let message = format!("congram `{}` is declared but never sent on", decl.name);
+            p.diags.push(at_name(diag::W_UNUSED_CONGRAM, Severity::Warning, message));
         }
     }
     if p.saw_header {
@@ -381,7 +420,8 @@ fn parse_scalar(p: &mut Parser, head: Tok<'_>, c: &mut Cursor<'_>) {
         c.err_at(diag::E_DUPLICATE_DIRECTIVE, head, format!("duplicate `{kw}` directive"));
         return;
     }
-    let Some((v, vt)) = c.int(kw) else { return };
+    let is_time = !matches!(kw, "seed" | "stations");
+    let Some((v, vt)) = (if is_time { c.time_us(kw) } else { c.int(kw) }) else { return };
     if c.finish().is_none() {
         return;
     }
@@ -476,7 +516,7 @@ fn parse_congram(p: &mut Parser, c: &mut Cursor<'_>) {
             let Some(()) = c.keyword("pcr_bps") else { return };
             let Some((pcr, pt)) = c.int("pcr_bps") else { return };
             let Some(()) = c.keyword("tolerance_us") else { return };
-            let Some((tol, _)) = c.int("tolerance_us") else { return };
+            let Some((tol, _)) = c.time_us("tolerance_us") else { return };
             let Some(()) = c.keyword("action") else { return };
             let Some(action) = c.next("action (drop|tag)") else { return };
             let action = match action.text {
@@ -590,20 +630,43 @@ fn traffic_tail(p: &mut Parser, c: &mut Cursor<'_>) -> Option<(usize, Dir, u32, 
     Some((congram, dir, len as u32, fill as u8, clp_tok.is_some()))
 }
 
+/// Count a traffic directive's `n` frames against
+/// [`MAX_SCENE_FRAMES`] — arithmetically, never by expanding — and
+/// reject the directive that takes the scene over.
+fn admit_frames(p: &mut Parser, c: &mut Cursor<'_>, n: u64) -> bool {
+    if p.frames + n > MAX_SCENE_FRAMES {
+        let head = c.toks[0];
+        c.err_at(
+            diag::E_OUT_OF_RANGE,
+            head,
+            format!(
+                "this directive's {n} frames take the scene past {MAX_SCENE_FRAMES} scheduled \
+                 frames"
+            ),
+        );
+        return false;
+    }
+    p.frames += n;
+    true
+}
+
 fn parse_send(p: &mut Parser, c: &mut Cursor<'_>) {
     let Some(()) = c.keyword("at_us") else { return };
-    let Some((at, _)) = c.int("at_us") else { return };
+    let Some((at, _)) = c.time_us("at_us") else { return };
     let Some((congram, dir, len, fill, clp)) = traffic_tail(p, c) else { return };
+    if !admit_frames(p, c, 1) {
+        return;
+    }
     p.scene.traffic.push(Traffic::Send(SendDecl { at_us: at, congram, dir, len, fill, clp }));
 }
 
 fn parse_burst(p: &mut Parser, c: &mut Cursor<'_>) {
     let Some(()) = c.keyword("from_us") else { return };
-    let Some((from, _)) = c.int("from_us") else { return };
+    let Some((from, _)) = c.time_us("from_us") else { return };
     let Some(()) = c.keyword("to_us") else { return };
-    let Some((to, tt)) = c.int("to_us") else { return };
+    let Some((to, tt)) = c.time_us("to_us") else { return };
     let Some(()) = c.keyword("every_us") else { return };
-    let Some((every, et)) = c.int("every_us") else { return };
+    let Some((every, et)) = c.time_us("every_us") else { return };
     let Some((congram, dir, len, fill, clp)) = traffic_tail(p, c) else { return };
     if every == 0 {
         c.err_at(diag::E_EMPTY_BURST, et, "every_us must be nonzero".to_string());
@@ -615,6 +678,9 @@ fn parse_burst(p: &mut Parser, c: &mut Cursor<'_>) {
             tt,
             format!("burst window is empty (to_us {to} <= from_us {from})"),
         );
+        return;
+    }
+    if !admit_frames(p, c, (to - from).div_ceil(every)) {
         return;
     }
     p.scene.traffic.push(Traffic::Burst(BurstDecl {
@@ -674,9 +740,9 @@ fn parse_fault(p: &mut Parser, c: &mut Cursor<'_>) {
         }
         "delay_skew" => {
             let Some(()) = c.keyword("period_us") else { return };
-            let Some((period, pt)) = c.int("period_us") else { return };
+            let Some((period, pt)) = c.time_us("period_us") else { return };
             let Some(()) = c.keyword("magnitude_us") else { return };
-            let Some((mag, _)) = c.int("magnitude_us") else { return };
+            let Some((mag, _)) = c.time_us("magnitude_us") else { return };
             if c.finish().is_none() {
                 return;
             }
@@ -701,9 +767,9 @@ fn parse_fault(p: &mut Parser, c: &mut Cursor<'_>) {
         }
         "flap" => {
             let Some(()) = c.keyword("down_us") else { return };
-            let Some((down, _)) = c.int("down_us") else { return };
+            let Some((down, _)) = c.time_us("down_us") else { return };
             let Some(()) = c.keyword("up_us") else { return };
-            let Some((up, ut)) = c.int("up_us") else { return };
+            let Some((up, ut)) = c.time_us("up_us") else { return };
             if c.finish().is_none() {
                 return;
             }

@@ -125,6 +125,73 @@ fn e010_out_of_range() {
     one_diag(&format!("{OK}fault duplication 0.5 copies 17\n"), diag::E_OUT_OF_RANGE, "17");
 }
 
+/// Scenes are hostile input: what `check` accepts, every runner must
+/// survive. Times past the horizon (their ns form would overflow),
+/// schedules that expand without bound, and congrams on stations the
+/// ring does not have were all accepted once, and panicked the runners.
+#[test]
+fn e010_scenes_that_would_panic_a_runner() {
+    let send = |at: &str| format!("{OK}send at_us {at} vc a dir atm len 64 fill 1\n");
+    one_diag(&send("18446744073709551615"), diag::E_OUT_OF_RANGE, "18446744073709551615");
+    one_diag(&send("3600000001"), diag::E_OUT_OF_RANGE, "3600000001");
+    assert!(parse(&send("3600000000")).1.is_empty(), "the horizon itself is legal");
+
+    let burst = |from: &str, to: &str, every: &str| {
+        format!("{OK}burst from_us {from} to_us {to} every_us {every} vc a dir atm len 64 fill 1\n")
+    };
+    one_diag(
+        &burst("18446744073709551614", "9", "1"),
+        diag::E_OUT_OF_RANGE,
+        "18446744073709551614",
+    );
+    one_diag(
+        &burst("0", "18446744073709551615", "1"),
+        diag::E_OUT_OF_RANGE,
+        "18446744073709551615",
+    );
+    one_diag(
+        &burst("5", "9", "18446744073709551615"),
+        diag::E_OUT_OF_RANGE,
+        "18446744073709551615",
+    );
+    // A wide burst: one line, 3.6e9 frames. Anchored on the directive.
+    one_diag(&burst("0", "3600000000", "1"), diag::E_OUT_OF_RANGE, "burst");
+    // The cap counts the whole scene: 1 send + 2^20 - 1 burst frames
+    // fit, one more send does not.
+    let full = burst("0", "1048575", "1");
+    assert!(parse(&full).1.is_empty(), "{:?}", parse(&full).1);
+    assert_eq!(parse(&full).0.unwrap().schedule().len(), 1 << 20);
+    let over = format!("{full}send at_us 7 vc a dir fddi len 9 fill 2\n");
+    let (_, diags) = parse(&over);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(
+        (diags[0].code, diags[0].offset),
+        (diag::E_OUT_OF_RANGE, over.rfind("send").unwrap())
+    );
+
+    for kw in ["slice_us", "reassembly_timeout_us", "liveness_us"] {
+        one_diag(&format!("{OK}{kw} 3600000001\n"), diag::E_OUT_OF_RANGE, "3600000001");
+    }
+    one_diag(
+        &format!("{OK}fault flap down_us 1 up_us 18446744073709551615\n"),
+        diag::E_OUT_OF_RANGE,
+        "18446744073709551615",
+    );
+
+    // Station off the ring, with `stations` on either side of the
+    // congram and with the default ring; anchored on the congram name.
+    let tail = "send at_us 0 vc far dir atm len 64 fill 1\nexpect conservation\n";
+    for src in [
+        format!("scene t\nstations 4\ncongram far station 9 class async\n{tail}"),
+        format!("scene t\ncongram far station 9 class async\nstations 4\n{tail}"),
+        format!("scene t\ncongram far station 4 class async\n{tail}"),
+    ] {
+        one_diag(&src, diag::E_OUT_OF_RANGE, "far");
+    }
+    let fits = format!("scene t\nstations 10\ncongram far station 9 class async\n{tail}");
+    assert!(parse(&fits).1.is_empty(), "{:?}", parse(&fits).1);
+}
+
 #[test]
 fn e011_expected_keyword() {
     one_diag(&format!("{OK}starve ty 64 rx 64\n"), diag::E_EXPECTED_KEYWORD, "ty");

@@ -2,14 +2,31 @@
 //!
 //! The parser must never panic: every byte sequence — truncated
 //! directives, binary garbage, pathological whitespace, huge numbers —
-//! yields diagnostics, not a crash. Each named case here started life
-//! as a "what if" against the scanner; the fuzz-ish sweep at the end
-//! mutates a valid scene at every byte position.
+//! yields diagnostics, not a crash — and whatever parses clean must
+//! expand ([`gw_scene::Scene::schedule`]) and format without panicking
+//! too, because that is the first thing every runner does with it.
+//! Each named case here started life as a "what if" against the
+//! scanner; the fuzz-ish sweep at the end mutates a valid scene at
+//! every byte position.
 
 use gw_scene::{format_scene, parse, Severity};
 
 /// Hand-written nasties: each must parse without panicking, and the
 /// invalid ones must be rejected with at least one error.
+/// Parse, render every diagnostic, and do to an accepted scene what
+/// every runner does first. None of it may panic.
+fn exercise(src: &str) -> (Option<gw_scene::Scene>, Vec<gw_scene::Diag>) {
+    let (scene, diags) = parse(src);
+    for d in &diags {
+        let _ = d.render();
+    }
+    if let Some(scene) = &scene {
+        assert_eq!(scene.schedule().len(), scene.scheduled_frames());
+        let _ = format_scene(scene);
+    }
+    (scene, diags)
+}
+
 const NASTY: &[&str] = &[
     "",
     "\n",
@@ -55,16 +72,24 @@ const NASTY: &[&str] = &[
     "scene x # trailing comment\nsend at_us 0 vc a dir atm len 1 fill 0 # another",
     "scene x\n   \t  congram a station 1 class async   \t",
     "scene x\r\ncongram a station 1 class async\r\n",
+    "scene x\ncongram a station 1 class async\nsend at_us 18446744073709551615 vc a dir atm len 1 fill 0",
+    "scene x\ncongram a station 1 class async\nsend at_us 3600000000 vc a dir atm len 1 fill 0",
+    "scene x\ncongram a station 1 class async\n\
+     burst from_us 0 to_us 18446744073709551615 every_us 1 vc a dir atm len 1 fill 0",
+    "scene x\ncongram a station 1 class async\n\
+     burst from_us 18446744073709551614 to_us 18446744073709551615 every_us 1 vc a dir atm len 1 fill 0",
+    "scene x\ncongram a station 1 class async\n\
+     burst from_us 5 to_us 9 every_us 18446744073709551615 vc a dir atm len 1 fill 0",
+    "scene x\ncongram a station 1 class async\n\
+     burst from_us 0 to_us 3600000000 every_us 3 vc a dir atm len 1 fill 0",
+    "scene x\nstations 4\ncongram a station 9 class async\nsend at_us 0 vc a dir atm len 1 fill 0",
+    "scene x\nslice_us 18446744073709551615\nreassembly_timeout_us 18446744073709551615",
 ];
 
 #[test]
 fn nasty_corpus_never_panics() {
     for src in NASTY {
-        let (_, diags) = parse(src);
-        // Rendering must not panic either.
-        for d in &diags {
-            let _ = d.render();
-        }
+        exercise(src);
     }
 }
 
@@ -82,10 +107,7 @@ fn truncations_of_a_valid_scene_never_panic() {
     // Every prefix, at byte granularity (valid UTF-8 boundaries only —
     // the source is ASCII so every boundary is valid).
     for end in 0..=src.len() {
-        let (_, diags) = parse(&src[..end]);
-        for d in &diags {
-            let _ = d.render();
-        }
+        exercise(&src[..end]);
     }
 }
 
@@ -101,14 +123,7 @@ fn single_byte_mutations_never_panic() {
             // Skip mutations that break UTF-8 (source is ASCII, these
             // replacement bytes are too, so this never trips).
             let Ok(mutated) = String::from_utf8(bytes) else { continue };
-            let (scene, diags) = parse(&mutated);
-            for d in &diags {
-                let _ = d.render();
-            }
-            // Whatever still parses must also survive the formatter.
-            if let Some(scene) = scene {
-                let _ = format_scene(&scene);
-            }
+            exercise(&mutated);
         }
     }
 }

@@ -11,25 +11,28 @@
 //!     if the residue audit is clean (3 otherwise).
 //!
 //! gwd smoke [--frames N] [--snapshot FILE] [--scene FILE]
-//!     Deterministic self-exercise on real loopback sockets: scripted
-//!     traffic both directions through a fault-injected transport,
-//!     graceful drain, conservation audit. Exit 0 only when every
-//!     frame arrived and the drain was clean — the CI daemon gate.
-//!     With --scene, the congram table and the traffic schedule come
-//!     from a `.scene` file (same wire-ID assignment as every other
-//!     harness; see `gw-scene`) and the scene's delivery expects are
-//!     enforced. Scene `fault` directives describe the simulated ATM
-//!     seam and do not apply to the appliance's datagram transport,
-//!     which always runs under the smoke fault mix + ARQ.
+//!     Deterministic self-exercise on real loopback sockets: a
+//!     `.scene`'s congram table, gateway knobs and traffic schedule
+//!     through a fault-injected transport, graceful drain, audit.
+//!     Without --scene it runs (and prints) the built-in scene: N
+//!     frames each direction, every one of them owed. Exit 0 only when
+//!     the scene's expects held, every delivery was in order and
+//!     byte-exact, the books balanced and the drain was clean (declared
+//!     or not) — the CI daemon gate. Scene `fault` directives describe
+//!     the simulated ATM seam and do not apply to the appliance's
+//!     datagram transport, which always runs under the smoke fault mix
+//!     + ARQ.
 //! ```
 
 use atm_fddi_gateway::gateway::GatewayConfig;
 use atm_fddi_gateway::phy::{
-    udp_cell_pair, udp_frame_pair, Appliance, ApplianceConfig, CellPhy, FramePhy,
-    TransportFaultConfig, UdpCellPhy, UdpFramePhy, WallClock,
+    udp_cell_pair, udp_frame_pair, Appliance, ApplianceConfig, CellPhy, CongramSpec, DrainReport,
+    FramePhy, TransportFaultConfig, UdpCellPhy, UdpFramePhy, WallClock,
 };
 use atm_fddi_gateway::sar::reassemble::{Reassembler, ReassemblyConfig, ReassemblyEvent};
 use atm_fddi_gateway::sar::segment::segment_cells;
+use atm_fddi_gateway::scene::{wire_ids, Dir, Scene, ScheduledSend};
+use atm_fddi_gateway::scene_run;
 use atm_fddi_gateway::sim::SimTime;
 use atm_fddi_gateway::wire::atm::{AtmHeader, Cell, Vci, CELL_SIZE};
 use atm_fddi_gateway::wire::fddi::{self, FddiAddr, Frame, FrameControl, FrameRepr};
@@ -258,14 +261,56 @@ fn run_daemon(args: &[String]) -> i32 {
 
 // ---------------------------------------------------------------------
 // Smoke mode: the whole appliance exercised on real loopback sockets,
-// deterministically (the clock is scripted, not read).
+// deterministically (the clock is scripted, not read). What runs is a
+// `.scene`: the file `--scene` names, or the built-in one `--frames`
+// sizes. Wire identifiers follow `gw_scene::wire_ids` and the knobs
+// lower through `scene_run` — the same as the testbed, chaos, and bench
+// harnesses — so one scene denotes one connection table and one
+// gateway configuration on the real appliance too.
+
+/// The scene plain `gwd smoke --frames N` runs, as `gw-scene/1` text:
+/// N 600-octet frames ATM→FDDI then N 900-octet frames FDDI→ATM on the
+/// first of two congrams (the second is installed and idle), every
+/// frame a distinct fill (wrapping past 256 frames), and every one of
+/// them owed.
+fn builtin_scene(frames: usize) -> String {
+    let mut text = String::from(
+        "# gw-scene/1\nscene smoke\n\
+         congram a station 1 class async\ncongram b station 2 class sync\n",
+    );
+    for (dir, len, first_fill) in [("atm", 600, 0x40u8), ("fddi", 900, 0xA0)] {
+        for i in 0..frames {
+            let fill = first_fill.wrapping_add(i as u8);
+            text.push_str(&format!("send at_us 0 vc a dir {dir} len {len} fill 0x{fill:02x}\n"));
+        }
+    }
+    text.push_str("expect conservation\nexpect residue_clean\nexpect delivered_all\n");
+    text
+}
 
 fn smoke(args: &[String]) -> i32 {
-    if let Some(path) = arg_value(args, "--scene") {
-        return smoke_scene(&path, arg_value(args, "--snapshot").as_deref());
-    }
-    let frames: usize = parse_flag(args, "--frames", 8);
     let snapshot_path = arg_value(args, "--snapshot");
+    let scene = match arg_value(args, "--scene") {
+        Some(path) => match scene_run::load(&path) {
+            Some(scene) => scene,
+            None => return 2,
+        },
+        None => {
+            let text = builtin_scene(parse_flag(args, "--frames", 8));
+            eprint!("{text}");
+            // The one warning it draws (congram `b` is idle) is by
+            // design; only a scene too large to parse is an error.
+            match atm_fddi_gateway::scene::parse(&text) {
+                (Some(scene), _) => scene,
+                (None, diags) => {
+                    for d in &diags {
+                        eprintln!("gwd smoke: --frames: {}", d.render());
+                    }
+                    return 2;
+                }
+            }
+        }
+    };
 
     // Harsh datagram faults prove the ARQ is doing the work even in a
     // smoke run; the traffic must still arrive exactly once, in order.
@@ -285,291 +330,29 @@ fn smoke(args: &[String]) -> i32 {
             return 2;
         }
     };
-
     let mut app = Appliance::new(
-        GatewayConfig::default(),
+        scene_run::gateway_config(&scene),
         100_000_000,
         Box::new(cell_gw),
         Box::new(frame_gw),
     );
-    let cfg = ApplianceConfig::parse(
-        "# smoke congrams\n\
-         congram 64 1 2 1 async\n\
-         congram 65 3 4 2 sync\n",
-    )
-    .expect("smoke config parses");
-    assert_eq!(app.apply_config(&cfg), 2);
 
-    let mut now = SimTime::ZERO;
-    let slice = SimTime::from_us(10);
-    let mut cells_from_gw: Vec<(SimTime, [u8; CELL_SIZE])> = Vec::new();
-    let mut frames_from_gw: Vec<(SimTime, Vec<u8>, bool)> = Vec::new();
-    fn step(
-        app: &mut Appliance,
-        now: SimTime,
-        cell_line: &mut UdpCellPhy,
-        frame_line: &mut UdpFramePhy,
-        cells_out: &mut Vec<(SimTime, [u8; CELL_SIZE])>,
-        frames_out: &mut Vec<(SimTime, Vec<u8>, bool)>,
-    ) {
-        app.step(now);
-        cell_line.pump(now).expect("line cell pump");
-        frame_line.pump(now).expect("line frame pump");
-        cell_line.poll_cells(cells_out).expect("line cell poll");
-        frame_line.poll_frames(frames_out).expect("line frame poll");
-    }
-
-    // ATM -> FDDI: segmented MCHIP data frames on VCI 64.
-    let atm_payload = |i: usize| vec![0x40 + i as u8; 600];
-    for i in 0..frames {
-        let mchip = build_data_frame(Icn(1), &atm_payload(i)).expect("payload fits");
-        let header = AtmHeader::data(Default::default(), Vci(64));
-        for cell in segment_cells(&header, &mchip, false).expect("frame fits") {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(cell.as_bytes());
-            cell_line.send_cell(now, &b).expect("line cell send");
-            now += SimTime::from_us(2);
-            step(
-                &mut app,
-                now,
-                &mut cell_line,
-                &mut frame_line,
-                &mut cells_from_gw,
-                &mut frames_from_gw,
-            );
-        }
-    }
-
-    // FDDI -> ATM: LLC/SNAP MCHIP frames toward the gateway station.
-    let fddi_payload = |i: usize| vec![0xA0 + i as u8; 900];
-    for i in 0..frames {
-        let mchip = build_data_frame(Icn(2), &fddi_payload(i)).expect("payload fits");
-        let mut info = fddi::llc_snap_header().to_vec();
-        info.extend_from_slice(&mchip);
-        let frame = FrameRepr {
-            fc: FrameControl::LlcAsync { priority: 0 },
-            dst: FddiAddr::station(0),
-            src: FddiAddr::station(1),
-            info,
-        }
-        .emit()
-        .expect("fits FDDI");
-        frame_line.send_frame(now, frame, false).expect("line frame send");
-        now += slice;
-        step(
-            &mut app,
-            now,
-            &mut cell_line,
-            &mut frame_line,
-            &mut cells_from_gw,
-            &mut frames_from_gw,
-        );
-    }
-
-    // Let timers and the ARQ settle, pumping both sides.
-    for _ in 0..2000 {
-        now += slice;
-        step(
-            &mut app,
-            now,
-            &mut cell_line,
-            &mut frame_line,
-            &mut cells_from_gw,
-            &mut frames_from_gw,
-        );
-        if app.is_quiescent() && cell_line.in_flight() == 0 && frame_line.in_flight() == 0 {
-            break;
-        }
-    }
-
-    // Graceful drain (the line side keeps acking while it runs).
-    app.begin_drain();
-    for _ in 0..2000 {
-        now += slice;
-        step(
-            &mut app,
-            now,
-            &mut cell_line,
-            &mut frame_line,
-            &mut cells_from_gw,
-            &mut frames_from_gw,
-        );
-        if app.is_quiescent() && cell_line.in_flight() == 0 && frame_line.in_flight() == 0 {
-            break;
-        }
-    }
-    let report = app.drain(now, SimTime::from_ms(1));
-    let end = report.end;
-
-    // Audit the deliveries.
-    let mut failures = 0;
-    let mut fddi_delivered = 0;
-    for (_, bytes, _) in &frames_from_gw {
-        let frame = Frame::new_unchecked(bytes);
-        let Ok(encap) = fddi::strip_llc_snap(frame.info()) else { continue };
-        let Ok((header, payload)) = parse_frame(encap) else { continue };
-        if header.mtype == MchipType::Data {
-            if payload != atm_payload(fddi_delivered) {
-                eprintln!("gwd smoke: FDDI delivery {fddi_delivered} corrupt");
-                failures += 1;
-            }
-            fddi_delivered += 1;
-        }
-    }
-    let mut reasm = Reassembler::new(ReassemblyConfig::default());
-    reasm.open_vc(Vci(64));
-    let mut atm_delivered = 0;
-    for (t, cell) in &cells_from_gw {
-        let Ok(view) = Cell::new_checked(&cell[..]) else { continue };
-        if let ReassemblyEvent::Complete(frame) = reasm.push(*t, view.header().vci, view.payload())
-        {
-            reasm.release(view.header().vci);
-            let Ok((header, payload)) = parse_frame(&frame.data) else { continue };
-            if header.mtype == MchipType::Data {
-                if payload != fddi_payload(atm_delivered) {
-                    eprintln!("gwd smoke: ATM delivery {atm_delivered} corrupt");
-                    failures += 1;
-                }
-                atm_delivered += 1;
-            }
-        }
-    }
-    if fddi_delivered != frames {
-        eprintln!("gwd smoke: {fddi_delivered}/{frames} frames reached the FDDI side");
-        failures += 1;
-    }
-    if atm_delivered != frames {
-        eprintln!("gwd smoke: {atm_delivered}/{frames} frames reached the ATM side");
-        failures += 1;
-    }
-    if !report.clean() {
-        eprintln!(
-            "gwd smoke: drain DIRTY: residue {:?}, {} violations, {} in flight",
-            report.residue,
-            report.violations.len(),
-            report.in_flight
-        );
-        for v in &report.violations {
-            eprintln!("gwd smoke:   violation: {v}");
-        }
-        failures += 1;
-    }
-
-    let t = app.transport_stats();
-    eprintln!(
-        "gwd smoke: {frames}+{frames} frames both directions, drain {}, transport tx {} rx {} \
-         retx {} (injected drop {} dup {} trunc {})",
-        if report.clean() { "clean" } else { "DIRTY" },
-        t.datagrams_tx,
-        t.datagrams_rx,
-        t.retransmits,
-        t.faults_dropped,
-        t.faults_duplicated,
-        t.faults_truncated
-    );
-    write_snapshot(&mut app, end, snapshot_path.as_deref());
-    if failures == 0 {
-        0
-    } else {
-        1
-    }
-}
-
-// ---------------------------------------------------------------------
-// Scene-driven smoke: the congram table, gateway knobs, and traffic
-// schedule come from a `.scene` file. Wire identifiers follow
-// `gw_scene::wire_ids` — the same assignment the testbed, chaos, and
-// bench harnesses use — so one scene denotes one connection table on
-// the real appliance too.
-
-fn smoke_scene(path: &str, snapshot_path: Option<&str>) -> i32 {
-    use atm_fddi_gateway::atm::policing::{Gcra, GcraParams, PolicingAction};
-    use atm_fddi_gateway::scene::{Dir, Expect, PoliceAction};
-
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("gwd smoke: {path}: {e}");
-            return 2;
-        }
+    let table = ApplianceConfig {
+        congrams: (scene.congrams.iter().enumerate())
+            .map(|(i, c)| {
+                let (vci, atm_icn, fddi_icn) = wire_ids(i);
+                CongramSpec { vci, atm_icn, fddi_icn, station: c.station, synchronous: c.sync }
+            })
+            .collect(),
     };
-    let (scene, diags) = atm_fddi_gateway::scene::parse(&src);
-    for d in &diags {
-        eprintln!("{path}:{}", d.render());
-    }
-    let Some(scene) = scene else {
-        return 2;
-    };
-
-    let faults =
-        TransportFaultConfig { drop: 0.10, duplicate: 0.10, truncate: 0.05, seed: 0x51301 };
-    let (cell_gw, mut cell_line) = match udp_cell_pair(&faults) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("gwd smoke: UDP cell pair bind failed: {e}");
-            return 2;
-        }
-    };
-    let (frame_gw, mut frame_line) = match udp_frame_pair(&faults) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("gwd smoke: UDP frame pair bind failed: {e}");
-            return 2;
-        }
-    };
-
-    // The same gateway-knob lowering `Testbed::from_scene` applies.
-    let mut gw_cfg = GatewayConfig {
-        reassembly_timeout: SimTime::from_ns(scene.reassembly_timeout_ns()),
-        ..GatewayConfig::default()
-    };
-    if let Some(us) = scene.liveness_us {
-        gw_cfg.vc_liveness_timeout = Some(SimTime::from_us(us));
-    }
-    if let Some(starve) = scene.starve {
-        gw_cfg.tx_buffer_octets = starve.tx_octets as usize;
-        gw_cfg.rx_buffer_octets = starve.rx_octets as usize;
-    }
-    if scene.shedding {
-        gw_cfg.overload_shedding = Some(Default::default());
-    }
-    let mut app = Appliance::new(gw_cfg, 100_000_000, Box::new(cell_gw), Box::new(frame_gw));
-
-    let mut cfg_text = String::from("# scene congrams\n");
-    for (i, c) in scene.congrams.iter().enumerate() {
-        let (vci, atm_icn, fddi_icn) = atm_fddi_gateway::scene::wire_ids(i);
-        cfg_text.push_str(&format!(
-            "congram {vci} {atm_icn} {fddi_icn} {} {}\n",
-            c.station,
-            if c.sync { "sync" } else { "async" }
-        ));
-    }
-    let cfg = match ApplianceConfig::parse(&cfg_text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("gwd smoke: scene congram table rejected: {e}");
-            return 2;
-        }
-    };
-    let installed = app.apply_config(&cfg);
+    let installed = app.apply_config(&table);
     if installed != scene.congrams.len() {
         eprintln!("gwd smoke: installed {installed}/{} scene congrams", scene.congrams.len());
         return 2;
     }
     for (i, c) in scene.congrams.iter().enumerate() {
-        if let Some(p) = c.police {
-            let (vci, _, _) = atm_fddi_gateway::scene::wire_ids(i);
-            let action = match p.action {
-                PoliceAction::Drop => PolicingAction::Drop,
-                PoliceAction::Tag => PolicingAction::Tag,
-            };
-            app.gateway_mut().install_rate_control(
-                Vci(vci),
-                Gcra::new(
-                    GcraParams::for_sar_payload_bps(p.pcr_bps, SimTime::from_us(p.tolerance_us)),
-                    action,
-                ),
-            );
+        if let Some(p) = &c.police {
+            app.gateway_mut().install_rate_control(Vci(wire_ids(i).0), scene_run::policer(p));
         }
     }
 
@@ -591,15 +374,13 @@ fn smoke_scene(path: &str, snapshot_path: Option<&str>) -> i32 {
     // Play the schedule, keeping the appliance and the ARQ pumping
     // between injections.
     let plan = scene.schedule();
-    let scheduled = plan.len();
     for s in &plan {
         let at = SimTime::from_ns(s.at_ns);
         while now < at {
             now += slice;
             step(&mut app, now, &mut cell_line, &mut frame_line);
         }
-        let handle = &scene.congrams[s.congram];
-        let (vci, atm_icn, fddi_icn) = atm_fddi_gateway::scene::wire_ids(s.congram);
+        let (vci, atm_icn, fddi_icn) = wire_ids(s.congram);
         let payload = vec![s.fill; s.len as usize];
         match s.dir {
             Dir::Atm => {
@@ -621,7 +402,7 @@ fn smoke_scene(path: &str, snapshot_path: Option<&str>) -> i32 {
                 let frame = FrameRepr {
                     fc: FrameControl::LlcAsync { priority: 0 },
                     dst: FddiAddr::station(0),
-                    src: FddiAddr::station(handle.station),
+                    src: FddiAddr::station(scene.congrams[s.congram].station),
                     info,
                 }
                 .emit()
@@ -633,56 +414,36 @@ fn smoke_scene(path: &str, snapshot_path: Option<&str>) -> i32 {
         }
     }
 
-    // Settle, then drain gracefully — same discipline as plain smoke.
-    for _ in 0..4000 {
-        now += slice;
-        step(&mut app, now, &mut cell_line, &mut frame_line);
-        if app.is_quiescent() && cell_line.in_flight() == 0 && frame_line.in_flight() == 0 {
-            break;
+    // Let timers and the ARQ settle, then drain gracefully (the line
+    // side keeps pumping and acking throughout).
+    for draining in [false, true] {
+        if draining {
+            app.begin_drain();
         }
-    }
-    app.begin_drain();
-    for _ in 0..4000 {
-        now += slice;
-        step(&mut app, now, &mut cell_line, &mut frame_line);
-        if app.is_quiescent() && cell_line.in_flight() == 0 && frame_line.in_flight() == 0 {
-            break;
+        for _ in 0..4000 {
+            now += slice;
+            step(&mut app, now, &mut cell_line, &mut frame_line);
+            if app.is_quiescent() && cell_line.in_flight() == 0 && frame_line.in_flight() == 0 {
+                break;
+            }
         }
     }
     let report = app.drain(now, SimTime::from_ms(1));
-    let end = report.end;
 
-    // Audit deliveries against the schedule: a delivered frame must be
-    // a uniform fill matching some scheduled (len, fill) pair.
-    let frames_pairs: Vec<(usize, u8)> = plan.iter().map(|s| (s.len as usize, s.fill)).collect();
-    let mut failures = 0;
-    let mut delivered = 0usize;
-    let check = |payload: &[u8], side: &str, failures: &mut i32| {
-        let ok = !payload.is_empty()
-            && payload.iter().all(|&b| b == payload[0])
-            && frames_pairs.iter().any(|&(len, f)| len == payload.len() && f == payload[0]);
-        if !ok {
-            eprintln!(
-                "gwd smoke: corrupt {side} delivery: {} octets, first byte {:#04x}",
-                payload.len(),
-                payload.first().copied().unwrap_or(0)
-            );
-            *failures += 1;
-        }
-    };
+    // What reached each far side, as MCHIP data payloads.
+    let mut to_fddi: Vec<Vec<u8>> = Vec::new();
     for (_, bytes, _) in &frames_from_gw {
         let frame = Frame::new_unchecked(bytes);
         let Ok(encap) = fddi::strip_llc_snap(frame.info()) else { continue };
         let Ok((header, payload)) = parse_frame(encap) else { continue };
         if header.mtype == MchipType::Data {
-            check(payload, "FDDI", &mut failures);
-            delivered += 1;
+            to_fddi.push(payload.to_vec());
         }
     }
+    let mut to_atm: Vec<Vec<u8>> = Vec::new();
     let mut reasm = Reassembler::new(ReassemblyConfig::default());
     for i in 0..scene.congrams.len() {
-        let (vci, _, _) = atm_fddi_gateway::scene::wire_ids(i);
-        reasm.open_vc(Vci(vci));
+        reasm.open_vc(Vci(wire_ids(i).0));
     }
     for (t, cell) in &cells_from_gw {
         let Ok(view) = Cell::new_checked(&cell[..]) else { continue };
@@ -691,59 +452,22 @@ fn smoke_scene(path: &str, snapshot_path: Option<&str>) -> i32 {
             reasm.release(view.header().vci);
             let Ok((header, payload)) = parse_frame(&frame.data) else { continue };
             if header.mtype == MchipType::Data {
-                check(payload, "ATM", &mut failures);
-                delivered += 1;
+                to_atm.push(payload.to_vec());
             }
         }
     }
 
-    // The scene's expects: conservation and residue map onto the drain
-    // audit; the delivery expects are judged on the counts above.
-    for e in &scene.expects {
-        match e {
-            Expect::Conservation | Expect::ResidueClean => {
-                if !report.clean() {
-                    failures += 1;
-                }
-            }
-            Expect::DeliveredAll => {
-                if delivered != scheduled {
-                    eprintln!("gwd smoke: expect delivered_all: {delivered}/{scheduled} arrived");
-                    failures += 1;
-                }
-            }
-            Expect::DeliveredAtLeast(n) => {
-                if (delivered as u64) < *n {
-                    eprintln!("gwd smoke: expect delivered_at_least {n}: only {delivered}");
-                    failures += 1;
-                }
-            }
-            Expect::MaxLostFrames(n) => {
-                let lost = scheduled.saturating_sub(delivered) as u64;
-                if lost > *n {
-                    eprintln!("gwd smoke: expect max_lost_frames {n}: lost {lost}");
-                    failures += 1;
-                }
-            }
-        }
+    let failures = verdict(&scene, &plan, &to_fddi, &to_atm, &report);
+    for f in &failures {
+        eprintln!("gwd smoke: FAIL: {f}");
     }
-    if !report.clean() {
-        eprintln!(
-            "gwd smoke: drain DIRTY: residue {:?}, {} violations, {} in flight",
-            report.residue,
-            report.violations.len(),
-            report.in_flight
-        );
-        for v in &report.violations {
-            eprintln!("gwd smoke:   violation: {v}");
-        }
-    }
-
     let t = app.transport_stats();
     eprintln!(
-        "gwd smoke: scene `{}`: {delivered}/{scheduled} frames delivered, drain {}, transport \
-         tx {} rx {} retx {} (injected drop {} dup {} trunc {})",
+        "gwd smoke: scene `{}`: {}/{} frames delivered, drain {}, transport tx {} rx {} retx {} \
+         (injected drop {} dup {} trunc {})",
         scene.name,
+        to_fddi.len() + to_atm.len(),
+        plan.len(),
         if report.clean() { "clean" } else { "DIRTY" },
         t.datagrams_tx,
         t.datagrams_rx,
@@ -752,10 +476,83 @@ fn smoke_scene(path: &str, snapshot_path: Option<&str>) -> i32 {
         t.faults_duplicated,
         t.faults_truncated
     );
-    write_snapshot(&mut app, end, snapshot_path);
-    if failures == 0 {
+    write_snapshot(&mut app, report.end, snapshot_path.as_deref());
+    if failures.is_empty() {
         0
     } else {
         1
+    }
+}
+
+/// Everything that fails a smoke run. Conservation and a clean drain
+/// are the harness's own gate, failed whether or not the scene declares
+/// them — so `judge` is told they held and rules on the delivery
+/// expects only. The ARQ owes exactly-once in-order delivery, so each
+/// direction is held to the in-order byte-exact oracle.
+fn verdict(
+    scene: &Scene,
+    plan: &[ScheduledSend],
+    to_fddi: &[Vec<u8>],
+    to_atm: &[Vec<u8>],
+    drain: &DrainReport,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    failures.extend(scene_run::audit_in_order(plan, Dir::Atm, to_fddi.iter().map(Vec::as_slice)));
+    failures.extend(scene_run::audit_in_order(plan, Dir::Fddi, to_atm.iter().map(Vec::as_slice)));
+    failures.extend(scene_run::judge(scene, plan.len(), to_fddi.len() + to_atm.len(), &[], true));
+    if !drain.clean() {
+        failures.push(format!(
+            "drain DIRTY: residue {:?}, {} in flight",
+            drain.residue, drain.in_flight
+        ));
+        failures.extend(drain.violations.iter().cloned());
+    }
+    failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(frames: usize) -> Scene {
+        let text = builtin_scene(frames);
+        let scene = atm_fddi_gateway::scene::parse(&text).0.expect("built-in scene parses");
+        assert_eq!(atm_fddi_gateway::scene::format_scene(&scene), text, "printed canonically");
+        scene
+    }
+
+    fn clean_drain() -> DrainReport {
+        DrainReport {
+            end: SimTime::ZERO,
+            residue: Default::default(),
+            violations: Vec::new(),
+            in_flight: 0,
+        }
+    }
+
+    /// A dirty drain fails the run even when the scene declares neither
+    /// `expect conservation` nor `expect residue_clean`.
+    #[test]
+    fn dirty_drain_fails_a_scene_that_declares_no_expects() {
+        let scene = Scene { expects: Vec::new(), ..parsed(1) };
+        let plan = scene.schedule();
+        let (to_fddi, to_atm) = (vec![vec![0x40; 600]], vec![vec![0xA0; 900]]);
+        let mut drain = clean_drain();
+        assert_eq!(verdict(&scene, &plan, &to_fddi, &to_atm, &drain), Vec::<String>::new());
+        drain.in_flight = 1;
+        assert_eq!(verdict(&scene, &plan, &to_fddi, &to_atm, &drain).len(), 1);
+        drain.violations.push("C1 unbalanced".to_string());
+        assert_eq!(verdict(&scene, &plan, &to_fddi, &to_atm, &drain).len(), 2);
+    }
+
+    #[test]
+    fn builtin_scene_wraps_its_fills_and_owes_every_frame() {
+        let plan = parsed(300).schedule();
+        assert_eq!(plan.len(), 600);
+        assert_eq!((plan[0].fill, plan[191].fill, plan[192].fill), (0x40, 0xff, 0x00));
+        assert_eq!((plan[300].fill, plan[300 + 96].fill), (0xA0, 0x00));
+        let one = parsed(1);
+        let lost = verdict(&one, &one.schedule(), &[vec![0x40; 600]], &[], &clean_drain());
+        assert_eq!(lost.len(), 1, "delivered_all: {lost:?}");
     }
 }

@@ -298,33 +298,14 @@ impl Testbed {
     /// congram handles in declaration order; the traffic schedule is
     /// played separately (see [`crate::scene_run`]).
     pub fn from_scene(scene: &gw_scene::Scene, phy: PhyMode) -> (Testbed, Vec<CongramHandle>) {
-        // The management plane is always on under scene control: scene
-        // invariants (conservation, residue) read its counters, and the
-        // chaos harness runs the same way — part of keeping one scene
-        // bit-identical across harnesses.
-        let mut gateway = GatewayConfig {
-            management: Some(gw_mgmt::MgmtConfig::default()),
-            reassembly_timeout: SimTime::from_ns(scene.reassembly_timeout_ns()),
-            ..GatewayConfig::default()
-        };
-        if let Some(us) = scene.liveness_us {
-            gateway.vc_liveness_timeout = Some(SimTime::from_us(us));
-        }
-        if let Some(starve) = scene.starve {
-            gateway.tx_buffer_octets = starve.tx_octets as usize;
-            gateway.rx_buffer_octets = starve.rx_octets as usize;
-        }
-        if scene.shedding {
-            gateway.overload_shedding = Some(Default::default());
-        }
         let config = TestbedConfig {
             fddi_stations: scene.stations_or_default() as usize,
-            gateway,
+            gateway: crate::scene_run::gateway_config(scene),
             slice: SimTime::from_ns(scene.slice_ns()),
             atm_faults: crate::scene_run::fault_config(&scene.faults),
-            // Scene seed → testbed seed through the same injective map
-            // the chaos harness uses, so a chaos-emitted scene replays
-            // its seed's fault history bit for bit.
+            // The fault injector gets its own stream: an injective map
+            // of the scene seed keeps it apart from the forks `gw-chaos`
+            // draws a seed's scene from.
             seed: scene.seed_or_default().wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(7),
             phy,
             ..Default::default()
@@ -342,21 +323,8 @@ impl Testbed {
                 gw_scene::wire_ids(i),
                 "congram wire-id assignment drifted from the scene contract"
             );
-            if let Some(p) = decl.police {
-                let action = match p.action {
-                    gw_scene::PoliceAction::Drop => gw_atm::policing::PolicingAction::Drop,
-                    gw_scene::PoliceAction::Tag => gw_atm::policing::PolicingAction::Tag,
-                };
-                tb.gw.install_rate_control(
-                    handle.vci,
-                    gw_atm::policing::Gcra::new(
-                        gw_atm::policing::GcraParams::for_sar_payload_bps(
-                            p.pcr_bps,
-                            SimTime::from_us(p.tolerance_us),
-                        ),
-                        action,
-                    ),
-                );
+            if let Some(p) = &decl.police {
+                tb.gw.install_rate_control(handle.vci, crate::scene_run::policer(p));
             }
             handles.push(handle);
         }
