@@ -12,11 +12,36 @@
 //! Endpoints attach to switch ports; the gateway is such an endpoint
 //! (through its AIC). Injected cells must carry a valid HEC — the
 //! network's interfaces check it exactly as the AIC does.
+//!
+//! # What a cell hop costs the host
+//!
+//! The model is driven cell by cell from co-simulations, so a hop is
+//! budgeted like a stage of the gateway itself (DESIGN.md, "The network
+//! model's event budget"):
+//!
+//! * **Cells live in a slab** owned by the network; the event queue and
+//!   the port queues carry a 4-byte slot, never the 53 octets. A slot
+//!   has exactly one owner at a time — an event, a port queue, or the
+//!   handler that just popped it — and every exit (delivery, any drop)
+//!   hands it back: [`AtmNetwork::cells_in_flight`] is zero whenever
+//!   the network is idle.
+//! * **One table read per hop.** A switch keeps one map keyed by the
+//!   packed `(port << 16 | vci)`; its entry holds the fan-out *and* the
+//!   optional ingress policer and is borrowed in place.
+//! * **One header parse, one header write per output.** CLP tagging
+//!   edits the parsed header; each output stamps its VCI and the HEC
+//!   once.
+//! * **No self-addressed wake-up.** When a cell reaches an idle port
+//!   the port would be woken at `now`; when that wake-up would
+//!   provably be the very next event popped, the port transmits at once
+//!   instead (see `offer`). Simulated behaviour — every time, drop,
+//!   counter and tie-break — is identical either way.
 
 use gw_sim::event::EventQueue;
 use gw_sim::time::{tx_time, SimTime};
-use gw_wire::atm::{AtmHeader, Cell, Vci, CELL_SIZE};
+use gw_wire::atm::{AtmHeader, Cell, Vci, CELL_SIZE, HEADER_SIZE};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Default link rate: 155.52 Mb/s (SONET STS-3c, within the paper's
 /// 100–600 Mb/s ATM range).
@@ -88,19 +113,67 @@ pub enum EndpointEvent {
     },
 }
 
+/// A cell in flight: an index into the network's [`CellSlab`].
+type Slot = u32;
+
+/// Every cell inside the network, from injection to delivery or drop.
+/// Events and port queues hold [`Slot`]s; a freed slot is the next one
+/// reused, so the slab never grows past the peak number in flight.
+#[derive(Debug, Default)]
+struct CellSlab {
+    cells: Vec<[u8; CELL_SIZE]>,
+    free: Vec<Slot>,
+}
+
+impl CellSlab {
+    fn insert(&mut self, cell: [u8; CELL_SIZE]) -> Slot {
+        if let Some(slot) = self.free.pop() {
+            self.cells[slot as usize] = cell;
+            return slot;
+        }
+        let slot = index32(self.cells.len());
+        self.cells.push(cell);
+        slot
+    }
+
+    /// Hand a slot back. The caller was its only owner.
+    fn release(&mut self, slot: Slot) {
+        self.free.push(slot);
+    }
+
+    /// Copy a cell out and hand its slot back.
+    fn take(&mut self, slot: Slot) -> [u8; CELL_SIZE] {
+        let cell = self.cells[slot as usize];
+        self.release(slot);
+        cell
+    }
+
+    fn in_flight(&self) -> usize {
+        self.cells.len() - self.free.len()
+    }
+}
+
+/// Switch, port, endpoint and slot numbers ride in events as 32 bits.
+fn index32(i: usize) -> u32 {
+    u32::try_from(i).expect("network index fits in 32 bits")
+}
+
 /// Where a port leads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PortPeer {
     Unconnected,
-    Switch { switch: usize, port: usize },
-    Endpoint { endpoint: usize },
+    Switch { switch: u32, port: u32 },
+    Endpoint { endpoint: u32 },
 }
 
 #[derive(Debug)]
 struct OutPort {
+    /// The port's own address, for the wake-ups it schedules itself.
+    switch: u32,
+    port: u32,
     peer: PortPeer,
     params: LinkParams,
-    queue: VecDeque<[u8; CELL_SIZE]>,
+    queue: VecDeque<Slot>,
     busy_until: SimTime,
     /// A PortReady wake-up is already in the event queue.
     ready_pending: bool,
@@ -109,18 +182,54 @@ struct OutPort {
     stats: LinkStats,
 }
 
+/// One translation-table entry: where cells of `(input port, VCI)` go
+/// and the contract they are held to on the way in.
+#[derive(Debug, Default)]
+struct VcEntry {
+    /// Fan-out of `(output port, VCI)`; `None` while only a policer is
+    /// installed (such cells are policed, then counted unroutable).
+    outputs: Option<Vec<(usize, Vci)>>,
+    /// Ingress policer (usage parameter control enforcing the
+    /// connection's traffic contract).
+    policer: Option<crate::policing::Gcra>,
+}
+
+/// `(input port, VCI)` packed into one word: `port << 16 | vci`.
+fn vc_key(in_port: usize, vci: Vci) -> u64 {
+    (in_port as u64) << 16 | u64::from(vci.0)
+}
+
+/// Hasher for [`vc_key`] words: one multiply, high half folded onto the
+/// low half so the port number reaches the bucket index. The keys come
+/// from the simulation's own configuration, never from outside the
+/// program, so collision resistance buys nothing here.
+#[derive(Debug, Default)]
+struct VcKeyHasher(u64);
+
+impl Hasher for VcKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 #[derive(Debug)]
-pub(crate) struct Switch {
+struct Switch {
     ports: Vec<OutPort>,
-    /// `(input port, VCI)` → fan-out of `(output port, VCI)`.
-    pub(crate) vc_table: HashMap<(usize, Vci), Vec<(usize, Vci)>>,
-    /// Ingress policers: `(input port, VCI)` → GCRA (usage parameter
-    /// control enforcing the connection's traffic contract).
-    policers: HashMap<(usize, Vci), crate::policing::Gcra>,
+    table: HashMap<u64, VcEntry, BuildHasherDefault<VcKeyHasher>>,
     /// Cells that matched no table entry.
-    pub(crate) unroutable: u64,
+    unroutable: u64,
     /// Cells discarded by ingress policing.
-    pub(crate) policed_drops: u64,
+    policed_drops: u64,
 }
 
 #[derive(Debug)]
@@ -133,22 +242,27 @@ struct Endpoint {
 #[derive(Debug)]
 enum NetEvent {
     /// A cell finishes arriving at a switch input port.
-    CellAtSwitch { switch: usize, port: usize, cell: [u8; CELL_SIZE] },
+    CellAtSwitch { switch: u32, port: u32, slot: Slot },
     /// A cell finishes arriving at an endpoint.
-    CellAtEndpoint { endpoint: usize, cell: [u8; CELL_SIZE] },
+    CellAtEndpoint { endpoint: u32, slot: Slot },
     /// An output port becomes free; send the next queued cell.
-    PortReady { switch: usize, port: usize },
+    PortReady { switch: u32, port: u32 },
     /// A signaling-layer timer/message (handled in `signaling.rs`).
     Signaling(crate::signaling::SignalingEvent),
 }
 
-/// The ATM network: switches, links, endpoints, event queue, and the
-/// signaling layer's state.
+// The event queue sifts a time, a sequence number and one of these on
+// every push and pop; cells ride in the slab so that this stays small.
+const _: () = assert!(std::mem::size_of::<NetEvent>() <= 16);
+
+/// The ATM network: switches, links, endpoints, event queue, the cells
+/// in flight, and the signaling layer's state.
 #[derive(Debug)]
 pub struct AtmNetwork {
-    pub(crate) switches: Vec<Switch>,
+    switches: Vec<Switch>,
     endpoints: Vec<Endpoint>,
     events: EventQueue<NetEvent>,
+    cells: CellSlab,
     pub(crate) signaling: crate::signaling::SignalingState,
 }
 
@@ -165,15 +279,19 @@ impl AtmNetwork {
             switches: Vec::new(),
             endpoints: Vec::new(),
             events: EventQueue::new(),
+            cells: CellSlab::default(),
             signaling: crate::signaling::SignalingState::default(),
         }
     }
 
     /// Add a switch with `ports` ports; returns its id.
     pub fn add_switch(&mut self, ports: usize) -> SwitchId {
+        let switch = index32(self.switches.len());
         self.switches.push(Switch {
             ports: (0..ports)
-                .map(|_| OutPort {
+                .map(|port| OutPort {
+                    switch,
+                    port: index32(port),
                     peer: PortPeer::Unconnected,
                     params: LinkParams::default(),
                     queue: VecDeque::new(),
@@ -183,8 +301,7 @@ impl AtmNetwork {
                     stats: LinkStats::default(),
                 })
                 .collect(),
-            vc_table: HashMap::new(),
-            policers: HashMap::new(),
+            table: HashMap::default(),
             unroutable: 0,
             policed_drops: 0,
         });
@@ -204,9 +321,11 @@ impl AtmNetwork {
             matches!(self.switches[b.0].ports[bp].peer, PortPeer::Unconnected),
             "port already connected"
         );
-        self.switches[a.0].ports[ap].peer = PortPeer::Switch { switch: b.0, port: bp };
+        self.switches[a.0].ports[ap].peer =
+            PortPeer::Switch { switch: index32(b.0), port: index32(bp) };
         self.switches[a.0].ports[ap].params = params;
-        self.switches[b.0].ports[bp].peer = PortPeer::Switch { switch: a.0, port: ap };
+        self.switches[b.0].ports[bp].peer =
+            PortPeer::Switch { switch: index32(a.0), port: index32(ap) };
         self.switches[b.0].ports[bp].params = params;
     }
 
@@ -220,7 +339,7 @@ impl AtmNetwork {
             "port already connected"
         );
         let id = self.endpoints.len();
-        self.switches[switch.0].ports[port].peer = PortPeer::Endpoint { endpoint: id };
+        self.switches[switch.0].ports[port].peer = PortPeer::Endpoint { endpoint: index32(id) };
         self.endpoints.push(Endpoint { switch: switch.0, port, rx: VecDeque::new() });
         EndpointId(id)
     }
@@ -247,13 +366,13 @@ impl AtmNetwork {
         in_vci: Vci,
         outputs: Vec<(usize, Vci)>,
     ) {
-        self.switches[switch.0].vc_table.entry((in_port, in_vci)).or_default().extend(outputs);
+        let entry = self.switches[switch.0].table.entry(vc_key(in_port, in_vci)).or_default();
+        entry.outputs.get_or_insert_with(Vec::new).extend(outputs);
     }
 
-    /// Remove a VC table entry.
+    /// Remove a VC table entry (and the policer installed on it).
     pub fn remove_vc(&mut self, switch: SwitchId, in_port: usize, in_vci: Vci) {
-        self.switches[switch.0].vc_table.remove(&(in_port, in_vci));
-        self.switches[switch.0].policers.remove(&(in_port, in_vci));
+        self.switches[switch.0].table.remove(&vc_key(in_port, in_vci));
     }
 
     /// Install an ingress policer on `(in_port, in_vci)`: cells outside
@@ -267,7 +386,8 @@ impl AtmNetwork {
         in_vci: Vci,
         policer: crate::policing::Gcra,
     ) {
-        self.switches[switch.0].policers.insert((in_port, in_vci), policer);
+        let entry = self.switches[switch.0].table.entry(vc_key(in_port, in_vci)).or_default();
+        entry.policer = Some(policer);
     }
 
     /// `(conforming, non-conforming)` counts of an installed policer.
@@ -277,7 +397,8 @@ impl AtmNetwork {
         in_port: usize,
         in_vci: Vci,
     ) -> Option<(u64, u64)> {
-        self.switches[switch.0].policers.get(&(in_port, in_vci)).map(|g| g.counts())
+        let entry = self.switches[switch.0].table.get(&vc_key(in_port, in_vci))?;
+        entry.policer.as_ref().map(|g| g.counts())
     }
 
     /// Cells an ingress policer discarded at a switch.
@@ -289,17 +410,18 @@ impl AtmNetwork {
     /// down). Cells already serialized keep propagating; everything
     /// subsequently transmitted into the cut is lost and counted.
     pub fn fail_link(&mut self, a: SwitchId, ap: usize) {
-        self.switches[a.0].ports[ap].up = false;
-        if let PortPeer::Switch { switch, port } = self.switches[a.0].ports[ap].peer {
-            self.switches[switch].ports[port].up = false;
-        }
+        self.set_link_up(a, ap, false);
     }
 
     /// Restore a previously failed link (both directions).
     pub fn restore_link(&mut self, a: SwitchId, ap: usize) {
-        self.switches[a.0].ports[ap].up = true;
+        self.set_link_up(a, ap, true);
+    }
+
+    fn set_link_up(&mut self, a: SwitchId, ap: usize, up: bool) {
+        self.switches[a.0].ports[ap].up = up;
         if let PortPeer::Switch { switch, port } = self.switches[a.0].ports[ap].peer {
-            self.switches[switch].ports[port].up = true;
+            self.switches[switch as usize].ports[port as usize].up = up;
         }
     }
 
@@ -330,7 +452,11 @@ impl AtmNetwork {
         let params = self.switches[sw].ports[port].params;
         let start = if at > self.events.now() { at } else { self.events.now() };
         let arrival = start + tx_time(CELL_SIZE, params.rate_bps) + params.propagation;
-        self.events.push(arrival, NetEvent::CellAtSwitch { switch: sw, port, cell });
+        let slot = self.cells.insert(cell);
+        self.events.push(
+            arrival,
+            NetEvent::CellAtSwitch { switch: index32(sw), port: index32(port), slot },
+        );
         true
     }
 
@@ -354,9 +480,28 @@ impl AtmNetwork {
         self.inject_at(from, at, bytes)
     }
 
+    /// Take an endpoint's oldest pending notification, if any. Draining
+    /// with `while let Some(ev) = net.next_event(ep)` allocates nothing.
+    pub fn next_event(&mut self, ep: EndpointId) -> Option<EndpointEvent> {
+        self.endpoints[ep.0].rx.pop_front()
+    }
+
     /// Drain notifications for an endpoint.
     pub fn poll(&mut self, ep: EndpointId) -> Vec<EndpointEvent> {
         self.endpoints[ep.0].rx.drain(..).collect()
+    }
+
+    /// Cells currently inside the network: injected and neither
+    /// delivered to an endpoint's queue nor dropped. Zero whenever the
+    /// network is idle — every way out hands its slab slot back.
+    pub fn cells_in_flight(&self) -> usize {
+        self.cells.in_flight()
+    }
+
+    /// Slots the cell slab has grown to: the most cells that were ever
+    /// in flight at once.
+    pub fn cell_slots(&self) -> usize {
+        self.cells.cells.len()
     }
 
     pub(crate) fn deliver_signal(
@@ -380,7 +525,9 @@ impl AtmNetwork {
             .iter()
             .enumerate()
             .filter_map(|(p, out)| match (out.up, out.peer) {
-                (true, PortPeer::Switch { switch, port }) => Some((p, switch, port)),
+                (true, PortPeer::Switch { switch, port }) => {
+                    Some((p, switch as usize, port as usize))
+                }
                 _ => None,
             })
             .collect()
@@ -401,111 +548,62 @@ impl AtmNetwork {
         self.switches[switch.0].unroutable
     }
 
-    fn enqueue_output(&mut self, now: SimTime, sw: usize, port: usize, cell: [u8; CELL_SIZE]) {
-        let p = &mut self.switches[sw].ports[port];
-        let clp = cell[3] & 1 != 0;
-        if p.queue.len() >= p.params.queue_cells {
-            p.stats.full_drops += 1;
+    /// A cell has finished arriving at a switch input port: police it,
+    /// translate it, and offer a copy to every output of its fan-out.
+    /// The arriving slot travels on with the last output; earlier
+    /// outputs get slots of their own, and only once admitted.
+    fn cell_at_switch(&mut self, now: SimTime, sw: u32, in_port: u32, slot: Slot) {
+        use crate::policing::{Conformance, PolicingAction};
+        let AtmNetwork { switches, events, cells, .. } = self;
+        let Switch { ports, table, unroutable, policed_drops } = &mut switches[sw as usize];
+        let mut header =
+            AtmHeader::parse(&cells.cells[slot as usize]).expect("cell carries a header");
+        let Some(entry) = table.get_mut(&vc_key(in_port as usize, header.vci)) else {
+            *unroutable += 1;
+            cells.release(slot);
             return;
-        }
-        if clp && p.queue.len() >= p.params.clp_threshold {
-            p.stats.clp_drops += 1;
-            return;
-        }
-        p.queue.push_back(cell);
-        p.stats.peak_queue = p.stats.peak_queue.max(p.queue.len());
-        // Wake the port when it can next transmit (immediately if idle,
-        // at the end of the in-flight cell otherwise).
-        let at = if p.busy_until > now { p.busy_until } else { now };
-        self.schedule_ready(at, sw, port);
-    }
-
-    /// Schedule a PortReady wake-up, deduplicated per port.
-    fn schedule_ready(&mut self, at: SimTime, sw: usize, port: usize) {
-        let p = &mut self.switches[sw].ports[port];
-        if !p.ready_pending {
-            p.ready_pending = true;
-            self.events.push(at, NetEvent::PortReady { switch: sw, port });
-        }
-    }
-
-    fn handle_cell_at_switch(
-        &mut self,
-        now: SimTime,
-        sw: usize,
-        in_port: usize,
-        cell: [u8; CELL_SIZE],
-    ) {
-        let header = AtmHeader::parse(&cell).expect("cell carries a header");
-        let mut cell = cell;
+        };
         // Usage parameter control at the ingress (GCRA).
-        if let Some(policer) = self.switches[sw].policers.get_mut(&(in_port, header.vci)) {
-            if policer.offer(now) == crate::policing::Conformance::NonConforming {
+        if let Some(policer) = &mut entry.policer {
+            if policer.offer(now) == Conformance::NonConforming {
                 match policer.action() {
-                    crate::policing::PolicingAction::Drop => {
-                        self.switches[sw].policed_drops += 1;
+                    PolicingAction::Drop => {
+                        *policed_drops += 1;
+                        cells.release(slot);
                         return;
                     }
-                    crate::policing::PolicingAction::Tag => {
-                        // Set CLP and restamp the HEC.
-                        let tagged = AtmHeader { clp: true, ..header };
-                        tagged.emit(&mut cell).expect("53-octet buffer");
-                    }
+                    // The header written below carries the tag (and
+                    // the HEC restamped over it).
+                    PolicingAction::Tag => header.clp = true,
                 }
             }
         }
-        let header = AtmHeader::parse(&cell).expect("cell carries a header");
-        let Some(outputs) = self.switches[sw].vc_table.get(&(in_port, header.vci)).cloned() else {
-            self.switches[sw].unroutable += 1;
+        let Some(outputs) = &entry.outputs else {
+            *unroutable += 1;
+            cells.release(slot);
             return;
         };
-        for (out_port, out_vci) in outputs {
-            let mut out = cell;
-            let new_header = AtmHeader { vci: out_vci, ..header };
-            new_header.emit(&mut out).expect("53-octet buffer");
-            self.enqueue_output(now, sw, out_port, out);
-        }
-    }
-
-    fn handle_port_ready(&mut self, now: SimTime, sw: usize, port: usize) {
-        let p = &mut self.switches[sw].ports[port];
-        p.ready_pending = false;
-        if p.busy_until > now {
-            // Woken while a cell is still serializing: try again when
-            // it finishes.
-            let at = p.busy_until;
-            self.schedule_ready(at, sw, port);
+        let Some((&(last_port, last_vci), earlier)) = outputs.split_last() else {
+            cells.release(slot); // an empty fan-out leads nowhere
             return;
-        }
-        let p = &mut self.switches[sw].ports[port];
-        let Some(cell) = p.queue.pop_front() else { return };
-        if !p.up {
-            // The fibre is cut: the cell is lost in the failure.
-            p.stats.down_drops += 1;
-            if !p.queue.is_empty() {
-                let at = now;
-                self.schedule_ready(at, sw, port);
+        };
+        for &(out_port, out_vci) in earlier {
+            let p = &mut ports[out_port];
+            if p.admits(header.clp) {
+                let mut copy = cells.cells[slot as usize];
+                copy[..HEADER_SIZE]
+                    .copy_from_slice(&AtmHeader { vci: out_vci, ..header }.to_bytes());
+                let copy = cells.insert(copy);
+                p.offer(events, cells, now, copy, false);
             }
-            return;
         }
-        let ser = tx_time(CELL_SIZE, p.params.rate_bps);
-        let done = now + ser;
-        let arrival = done + p.params.propagation;
-        p.busy_until = done;
-        p.stats.cells_tx += 1;
-        let peer = p.peer;
-        let more = !p.queue.is_empty();
-        match peer {
-            PortPeer::Switch { switch, port: rport } => {
-                self.events.push(arrival, NetEvent::CellAtSwitch { switch, port: rport, cell });
-            }
-            PortPeer::Endpoint { endpoint } => {
-                self.events.push(arrival, NetEvent::CellAtEndpoint { endpoint, cell });
-            }
-            PortPeer::Unconnected => {} // cell falls off the edge
-        }
-        if more {
-            self.schedule_ready(done, sw, port);
+        let p = &mut ports[last_port];
+        if p.admits(header.clp) {
+            cells.cells[slot as usize][..HEADER_SIZE]
+                .copy_from_slice(&AtmHeader { vci: last_vci, ..header }.to_bytes());
+            p.offer(events, cells, now, slot, earlier.is_empty());
+        } else {
+            cells.release(slot);
         }
     }
 
@@ -513,13 +611,20 @@ impl AtmNetwork {
     pub fn step(&mut self) -> Option<SimTime> {
         let (now, event) = self.events.pop()?;
         match event {
-            NetEvent::CellAtSwitch { switch, port, cell } => {
-                self.handle_cell_at_switch(now, switch, port, cell)
+            NetEvent::CellAtSwitch { switch, port, slot } => {
+                self.cell_at_switch(now, switch, port, slot)
             }
-            NetEvent::CellAtEndpoint { endpoint, cell } => {
-                self.endpoints[endpoint].rx.push_back(EndpointEvent::CellRx { time: now, cell });
+            NetEvent::CellAtEndpoint { endpoint, slot } => {
+                let cell = self.cells.take(slot);
+                self.endpoints[endpoint as usize]
+                    .rx
+                    .push_back(EndpointEvent::CellRx { time: now, cell });
             }
-            NetEvent::PortReady { switch, port } => self.handle_port_ready(now, switch, port),
+            NetEvent::PortReady { switch, port } => {
+                let p = &mut self.switches[switch as usize].ports[port as usize];
+                p.ready_pending = false;
+                p.transmit(&mut self.events, &mut self.cells, now);
+            }
             NetEvent::Signaling(ev) => crate::signaling::handle_event(self, now, ev),
         }
         Some(now)
@@ -538,6 +643,98 @@ impl AtmNetwork {
     /// Run until no events remain.
     pub fn run_to_idle(&mut self) {
         while self.step().is_some() {}
+    }
+}
+
+impl OutPort {
+    /// The queueing discipline's verdict on one more cell: refused (and
+    /// counted) at a full queue, and above the discard threshold when
+    /// the cell carries CLP.
+    fn admits(&mut self, clp: bool) -> bool {
+        if self.queue.len() >= self.params.queue_cells {
+            self.stats.full_drops += 1;
+            return false;
+        }
+        if clp && self.queue.len() >= self.params.clp_threshold {
+            self.stats.clp_drops += 1;
+            return false;
+        }
+        true
+    }
+
+    /// Queue an admitted cell and see that the port gets to send it.
+    ///
+    /// The port is owed a wake-up when it can next transmit: at the end
+    /// of the cell in flight, or — when it is idle — at `now`, as the
+    /// last event pushed at `now`. Events of one timestamp pop in push
+    /// order, so if nothing else is pending at `now` and the caller
+    /// pushes nothing more (`sole_output`), that wake-up would be the
+    /// very next event popped: transmitting here and now is the same
+    /// run of the model, one heap round-trip shorter. In every other
+    /// case — other events at `now` must run first, or a later output
+    /// of the same fan-out still has events to push — the wake-up goes
+    /// through the queue and keeps its place in the order.
+    fn offer(
+        &mut self,
+        events: &mut EventQueue<NetEvent>,
+        cells: &mut CellSlab,
+        now: SimTime,
+        slot: Slot,
+        sole_output: bool,
+    ) {
+        self.queue.push_back(slot);
+        self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
+        if self.ready_pending {
+            return;
+        }
+        if self.busy_until > now {
+            self.wake_at(events, self.busy_until);
+        } else if sole_output && events.peek_time() != Some(now) {
+            self.transmit(events, cells, now);
+        } else {
+            self.wake_at(events, now);
+        }
+    }
+
+    fn wake_at(&mut self, events: &mut EventQueue<NetEvent>, at: SimTime) {
+        self.ready_pending = true;
+        events.push(at, NetEvent::PortReady { switch: self.switch, port: self.port });
+    }
+
+    /// The port's turn to send: put the head of its queue on the link.
+    fn transmit(&mut self, events: &mut EventQueue<NetEvent>, cells: &mut CellSlab, now: SimTime) {
+        if self.busy_until > now {
+            // Woken while a cell is still serializing: try again when
+            // it finishes.
+            self.wake_at(events, self.busy_until);
+            return;
+        }
+        let Some(slot) = self.queue.pop_front() else { return };
+        if !self.up {
+            // The fibre is cut: the cell is lost in the failure.
+            self.stats.down_drops += 1;
+            cells.release(slot);
+            if !self.queue.is_empty() {
+                self.wake_at(events, now);
+            }
+            return;
+        }
+        let done = now + tx_time(CELL_SIZE, self.params.rate_bps);
+        let arrival = done + self.params.propagation;
+        self.busy_until = done;
+        self.stats.cells_tx += 1;
+        match self.peer {
+            PortPeer::Switch { switch, port } => {
+                events.push(arrival, NetEvent::CellAtSwitch { switch, port, slot });
+            }
+            PortPeer::Endpoint { endpoint } => {
+                events.push(arrival, NetEvent::CellAtEndpoint { endpoint, slot });
+            }
+            PortPeer::Unconnected => cells.release(slot), // falls off the edge
+        }
+        if !self.queue.is_empty() {
+            self.wake_at(events, done);
+        }
     }
 }
 
@@ -823,6 +1020,200 @@ mod tests {
         assert_eq!(net.reserved_bps(s0, 0), 0);
         assert_eq!(net.reserved_bps(s0, 1), 1_000_000);
         assert_eq!(net.reserved_bps(s2, 1), 1_000_000);
+    }
+
+    /// Two parallel links s0 -> s1 (ports 0 and 1), sources on s0
+    /// ports 2 and 3, one sink on s1 port 2. VCI 10 rides link 0,
+    /// VCI 20 rides link 1, VCI 30 fans out over both.
+    fn parallel_links_net() -> (AtmNetwork, EndpointId, EndpointId, EndpointId) {
+        let mut net = AtmNetwork::new();
+        let s0 = net.add_switch(4);
+        let s1 = net.add_switch(4);
+        net.link(s0, 0, s1, 0, LinkParams::default());
+        net.link(s0, 1, s1, 1, LinkParams::default());
+        let a = net.attach_endpoint(s0, 2);
+        let b = net.attach_endpoint(s0, 3);
+        let sink = net.attach_endpoint(s1, 2);
+        net.install_vc(s0, 2, Vci(10), vec![(0, Vci(10))]);
+        net.install_vc(s1, 0, Vci(10), vec![(2, Vci(10))]);
+        net.install_vc(s0, 3, Vci(20), vec![(1, Vci(20))]);
+        net.install_vc(s1, 1, Vci(20), vec![(2, Vci(20))]);
+        net.install_vc(s0, 2, Vci(30), vec![(0, Vci(10)), (1, Vci(20))]);
+        (net, a, b, sink)
+    }
+
+    fn first_payload_octets(events: Vec<EndpointEvent>) -> Vec<u8> {
+        events
+            .into_iter()
+            .map(|e| match e {
+                EndpointEvent::CellRx { cell, .. } => cell[HEADER_SIZE],
+                other => panic!("{other:?}"),
+            })
+            .collect()
+    }
+
+    /// The tie rule, in words: events bearing the same timestamp run in
+    /// the order they were pushed. A cell reaching an idle port owes
+    /// that port a wake-up at `now`, pushed last; the port may transmit
+    /// on the spot only when that wake-up would be the next event
+    /// popped anyway.
+    #[test]
+    fn same_timestamp_means_push_order_and_inline_transmit_keeps_it() {
+        let ser = tx_time(CELL_SIZE, DEFAULT_LINK_RATE);
+
+        // Alone at its instant, bound for one idle port: sent at once.
+        let (mut net, a, _, sink) = parallel_links_net();
+        net.inject_on_vci(a, Vci(10), &[1; 48]);
+        let now = net.step().unwrap();
+        assert_eq!(net.link_stats(SwitchId(0), 0).cells_tx, 1, "transmitted in the arrival's step");
+        assert_eq!(net.events.len(), 1, "only the arrival at s1 is pending");
+        assert!(net.events.peek_time() > Some(now), "no wake-up was queued at `now`");
+        net.run_to_idle();
+        assert_eq!(first_payload_octets(net.poll(sink)), [1]);
+
+        // Fan-out of two: the first output's wake-up would not be the
+        // last push at `now`, so both ports are woken through the queue.
+        let (mut net, a, _, sink) = parallel_links_net();
+        net.inject_on_vci(a, Vci(30), &[2; 48]);
+        let now = net.step().unwrap();
+        assert_eq!(net.link_stats(SwitchId(0), 0).cells_tx, 0);
+        assert_eq!(net.link_stats(SwitchId(0), 1).cells_tx, 0);
+        assert_eq!((net.events.len(), net.events.peek_time()), (2, Some(now)), "two wake-ups");
+        net.run_to_idle();
+        assert_eq!(first_payload_octets(net.poll(sink)), [2, 2], "one copy over each link");
+
+        // Another event pending at `now`: it was pushed first, so it
+        // runs first. Y1 and Y2 reach s0 together; port 1 sends Y1 and
+        // is woken for Y2 at t = arrival + one cell time. X is timed to
+        // reach s0 at exactly t, and was injected before that wake-up
+        // was pushed, so at t the order is: X arrives, port 1 wakes.
+        // X's own wake-up (port 0) is pushed after port 1's, so Y2 goes
+        // on its wire before X does; equal links deliver them to s1 in
+        // the same nanosecond in that order, and the shared egress
+        // queue keeps it. Transmitting X on arrival would put it ahead.
+        let (mut net, a, b, sink) = parallel_links_net();
+        net.inject_on_vci_at(b, SimTime::ZERO, Vci(20), &[11; 48]); // Y1
+        net.inject_on_vci_at(b, SimTime::ZERO, Vci(20), &[12; 48]); // Y2
+        net.inject_on_vci_at(a, ser, Vci(10), &[3; 48]); // X
+        net.run_to_idle();
+        assert_eq!(first_payload_octets(net.poll(sink)), [11, 12, 3], "push order at the tie");
+
+        // And push order is all there is to it: swap which arrival is
+        // pushed first and the tie resolves the other way.
+        for (first, second) in [((a, 10, 7u8), (b, 20, 8u8)), ((b, 20, 8), (a, 10, 7))] {
+            let (mut net, ..) = parallel_links_net();
+            for (ep, vci, tag) in [first, second] {
+                net.inject_on_vci_at(ep, SimTime::ZERO, Vci(vci), &[tag; 48]);
+            }
+            let now = net.step().unwrap();
+            assert_eq!(net.events.peek_time(), Some(now), "the other arrival is still due");
+            assert_eq!(net.link_stats(SwitchId(0), 0).cells_tx, 0, "so nothing is sent yet");
+            assert_eq!(net.link_stats(SwitchId(0), 1).cells_tx, 0, "so nothing is sent yet");
+            net.run_to_idle();
+            assert_eq!(first_payload_octets(net.poll(sink)), [first.2, second.2]);
+        }
+    }
+
+    /// Every way out of the network hands the cell's slab slot back.
+    #[test]
+    fn every_exit_returns_its_slab_slot() {
+        use crate::policing::{Gcra, GcraParams, PolicingAction};
+        let strict = GcraParams { increment: SimTime::from_ms(1), tolerance: SimTime::ZERO };
+        let clp_cell = |vci| {
+            let header = AtmHeader { clp: true, ..AtmHeader::data(Default::default(), vci) };
+            let mut cell = [0u8; CELL_SIZE];
+            cell[..HEADER_SIZE].copy_from_slice(&header.to_bytes());
+            cell
+        };
+
+        // Delivery to an endpoint.
+        let (mut net, e0, e1) = two_switch_net();
+        net.inject_on_vci(e0, Vci(100), &[0; 48]);
+        assert_eq!(net.cells_in_flight(), 1, "held from injection");
+        net.run_to_idle();
+        assert_eq!((net.cells_in_flight(), net.poll(e1).len()), (0, 1), "handed over on delivery");
+
+        // CLP drop and full-queue drop: 40 tagged then 40 plain cells
+        // at once into a 4-deep queue that sheds CLP above 2.
+        let (mut net, e0, e1) = two_switch_net();
+        net.switches[0].ports[0].params.queue_cells = 4;
+        net.switches[0].ports[0].params.clp_threshold = 2;
+        for _ in 0..40 {
+            net.inject(e0, clp_cell(Vci(100)));
+        }
+        for _ in 0..40 {
+            net.inject_on_vci(e0, Vci(100), &[0; 48]);
+        }
+        assert_eq!(net.cells_in_flight(), 80);
+        net.run_to_idle();
+        let stats = net.link_stats(SwitchId(0), 0);
+        assert!(stats.full_drops > 0 && stats.clp_drops > 0, "{stats:?}");
+        assert_eq!(net.poll(e1).len() as u64 + stats.full_drops + stats.clp_drops, 80);
+        assert_eq!(net.cells_in_flight(), 0);
+
+        // Down-link drop, with cells queued behind the one that dies.
+        let (mut net, e0, _) = two_switch_net();
+        net.fail_link(SwitchId(0), 0);
+        for _ in 0..5 {
+            net.inject_on_vci(e0, Vci(100), &[0; 48]);
+        }
+        net.run_to_idle();
+        assert_eq!(net.link_stats(SwitchId(0), 0).down_drops, 5);
+        assert_eq!(net.cells_in_flight(), 0);
+
+        // Policed drop; unroutable with no entry at all; unroutable
+        // behind a policer that has no route installed.
+        let (mut net, e0, _) = two_switch_net();
+        net.install_policer(SwitchId(0), 1, Vci(100), Gcra::new(strict, PolicingAction::Drop));
+        net.install_policer(SwitchId(0), 1, Vci(7), Gcra::new(strict, PolicingAction::Tag));
+        for vci in [100, 100, 999, 7, 7] {
+            net.inject_on_vci(e0, Vci(vci), &[0; 48]);
+        }
+        net.run_to_idle();
+        assert_eq!(net.policed_drops(SwitchId(0)), 1);
+        assert_eq!(net.unroutable_cells(SwitchId(0)), 3);
+        assert_eq!(net.policer_counts(SwitchId(0), 1, Vci(7)), Some((1, 1)));
+        assert_eq!(net.cells_in_flight(), 0);
+
+        // A route into a port nothing is plugged into, and an empty
+        // fan-out.
+        let (mut net, e0, _) = two_switch_net();
+        net.install_vc(SwitchId(0), 1, Vci(50), vec![(3, Vci(50))]);
+        net.install_vc(SwitchId(0), 1, Vci(51), vec![]);
+        net.inject_on_vci(e0, Vci(50), &[0; 48]);
+        net.inject_on_vci(e0, Vci(51), &[0; 48]);
+        net.run_to_idle();
+        assert_eq!(net.link_stats(SwitchId(0), 3).cells_tx, 1, "sent off the edge");
+        assert_eq!(net.unroutable_cells(SwitchId(0)), 0, "an empty fan-out is a route");
+        assert_eq!(net.cells_in_flight(), 0);
+
+        // Multipoint: each admitted copy takes a slot of its own, a
+        // refused earlier copy (port 1) takes none, a refused last
+        // copy (port 2) frees the arriving cell's.
+        for refused in [None, Some(1usize), Some(2)] {
+            let mut net = AtmNetwork::new();
+            let s0 = net.add_switch(3);
+            let [e0, e1, e2] = [0, 1, 2].map(|p| net.attach_endpoint(s0, p));
+            net.install_vc(s0, 0, Vci(50), vec![(1, Vci(60)), (2, Vci(70))]);
+            if let Some(port) = refused {
+                net.switches[0].ports[port].params.queue_cells = 0;
+            }
+            net.inject_on_vci(e0, Vci(50), &[7; 48]);
+            net.step();
+            let (in_flight, slots) = match refused {
+                None => (2, 2),
+                Some(1) => (1, 1),
+                _ => (1, 2),
+            };
+            assert_eq!(
+                (net.cells_in_flight(), net.cell_slots()),
+                (in_flight, slots),
+                "{refused:?}"
+            );
+            net.run_to_idle();
+            assert_eq!(net.poll(e1).len() + net.poll(e2).len(), in_flight);
+            assert_eq!(net.cells_in_flight(), 0);
+        }
     }
 
     #[test]

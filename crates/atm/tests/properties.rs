@@ -4,16 +4,24 @@
 use gw_atm::network::{AtmNetwork, EndpointEvent, LinkParams, SwitchId};
 use gw_atm::signaling::TrafficContract;
 use gw_sim::time::SimTime;
-use gw_wire::atm::Vci;
+use gw_wire::atm::{AtmHeader, Vci, CELL_SIZE, HEADER_SIZE};
 use proptest::prelude::*;
 
 /// A chain of `n` switches with one endpoint at each end and a VC
 /// threaded through.
 fn chain(n: usize) -> (AtmNetwork, gw_atm::network::EndpointId, gw_atm::network::EndpointId) {
+    chain_with(n, LinkParams::default())
+}
+
+/// [`chain`] with the inter-switch links' parameters chosen.
+fn chain_with(
+    n: usize,
+    params: LinkParams,
+) -> (AtmNetwork, gw_atm::network::EndpointId, gw_atm::network::EndpointId) {
     let mut net = AtmNetwork::new();
     let switches: Vec<_> = (0..n).map(|_| net.add_switch(4)).collect();
     for w in switches.windows(2) {
-        net.link(w[0], 1, w[1], 0, LinkParams::default());
+        net.link(w[0], 1, w[1], 0, params);
     }
     let e0 = net.attach_endpoint(switches[0], 2);
     let e1 = net.attach_endpoint(switches[n - 1], 2);
@@ -70,6 +78,67 @@ proptest! {
         for w in received.windows(2) {
             prop_assert!(w[0] < w[1], "reordering: {:?}", received);
         }
+    }
+
+    /// Slab conservation: whatever mix of deliveries, overflow drops,
+    /// CLP drops, cut-link drops and unroutable cells a run produces,
+    /// an idle network holds no cell, and the slab never grew past the
+    /// most cells that were in flight at once (a leaked or needlessly
+    /// fresh slot is unbounded memory in a long co-simulation).
+    #[test]
+    fn slab_drains_and_never_outgrows_the_peak_in_flight(
+        hops in 2usize..6,
+        batches in proptest::collection::vec((1usize..40, 0u64..4_000, 0usize..60), 1..8),
+        queue_cells in 1usize..10,
+        cut_at_batch in 0usize..16, // 8 and up: the link is never cut
+    ) {
+        let narrow = LinkParams {
+            queue_cells,
+            clp_threshold: queue_cells / 2,
+            ..LinkParams::default()
+        };
+        let (mut net, e0, e1) = chain_with(hops, narrow);
+        let (mut sent, mut peak) = (0u64, 0usize);
+        for (b, &(cells, gap_ns, steps)) in batches.iter().enumerate() {
+            if b == cut_at_batch {
+                net.fail_link(SwitchId(0), 1);
+            } else if b == cut_at_batch + 2 {
+                net.restore_link(SwitchId(0), 1);
+            }
+            for i in 0..cells {
+                // Every fifth cell carries CLP, every seventh a VCI
+                // nobody routes.
+                let vci = if sent % 7 == 6 { Vci(999) } else { Vci(100) };
+                let header = AtmHeader { clp: sent % 5 == 4, ..AtmHeader::data(Default::default(), vci) };
+                let mut cell = [0u8; CELL_SIZE];
+                cell[..HEADER_SIZE].copy_from_slice(&header.to_bytes());
+                let at = net.now() + SimTime::from_ns(i as u64 * gap_ns);
+                prop_assert!(net.inject_at(e0, at, cell));
+                sent += 1;
+                peak = peak.max(net.cells_in_flight());
+            }
+            // On a chain a step never adds a cell, so sampling after
+            // every injection sees the true peak.
+            for _ in 0..steps {
+                let before = net.cells_in_flight();
+                net.step();
+                prop_assert!(net.cells_in_flight() <= before);
+            }
+        }
+        net.run_to_idle();
+        let delivered = net.poll(e1).len() as u64;
+        prop_assert!(net.poll(e0).is_empty());
+        let (mut dropped, mut unroutable) = (0u64, 0u64);
+        for s in 0..hops {
+            unroutable += net.unroutable_cells(SwitchId(s));
+            for p in 0..4 {
+                let st = net.link_stats(SwitchId(s), p);
+                dropped += st.full_drops + st.clp_drops + st.down_drops;
+            }
+        }
+        prop_assert_eq!(delivered + dropped + unroutable, sent);
+        prop_assert_eq!(net.cells_in_flight(), 0);
+        prop_assert!(net.cell_slots() <= peak, "slab {} > peak {}", net.cell_slots(), peak);
     }
 
     /// CAC safety: however many connections are requested, the sum of

@@ -688,7 +688,7 @@ impl Testbed {
             self.atm.run_until(next);
 
             // 3. Deliver cells/signals that reached the gateway endpoint.
-            for ev in self.atm.poll(self.gw_ep) {
+            while let Some(ev) = self.atm.next_event(self.gw_ep) {
                 match ev {
                     EndpointEvent::CellRx { time, mut cell } => {
                         match self.fault.apply(time, &mut cell) {
@@ -740,7 +740,7 @@ impl Testbed {
             }
 
             // 4. Deliver cells that reached the ATM host.
-            for ev in self.atm.poll(self.atm_host) {
+            while let Some(ev) = self.atm.next_event(self.atm_host) {
                 if let EndpointEvent::CellRx { time, cell } = ev {
                     self.deliver_cell_to_atm_host(time, cell);
                 }

@@ -8,8 +8,9 @@
 //! allocator watches; the management-disabled path must make zero
 //! allocations, and the management-enabled path must match it exactly
 //! (pre-resolved handles and a pre-reserved trace ring, no per-cell
-//! heap traffic). The UDP cell port in front of the gateway is held to
-//! the same rule here, because this is the binary with the allocator.
+//! heap traffic). The UDP cell port in front of the gateway and the ATM
+//! network model behind it are held to the same rule here, because
+//! this is the binary with the allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -267,4 +268,63 @@ fn udp_cell_port_steady_state_is_allocation_free() {
     let (allocs, ()) = allocations_during(|| (0..32).for_each(|_| frame_across()));
     assert_eq!(allocs, 0, "send_cell, pump and poll_cells must not allocate once warm");
     assert_eq!(tx.stats().retransmits, 0);
+}
+
+#[test]
+fn atm_network_cell_hops_are_allocation_free_plain_and_policed() {
+    use atm_fddi_gateway::atm::{AtmNetwork, EndpointEvent, Gcra, GcraParams, LinkParams};
+    use atm_fddi_gateway::atm::{PolicingAction, SwitchId};
+
+    // The testbed's ATM side: host — s0 — s1 — gateway, one VC each
+    // way, driven the way `Testbed::run_until` drives it: inject what
+    // is due, advance one 10 µs slice, drain both endpoints. Once the
+    // slab, the event heap and the queues have reached their working
+    // size a cell costs no allocation on any hop — with and without a
+    // `Tag` policer rewriting headers at the ingress.
+    for policed in [false, true] {
+        let mut net = AtmNetwork::new();
+        let (s0, s1) = (net.add_switch(4), net.add_switch(4));
+        net.link(s0, 0, s1, 0, LinkParams::default());
+        let host = net.attach_endpoint(s0, 1);
+        let gw = net.attach_endpoint(s1, 1);
+        net.install_vc(s0, 1, VCI, vec![(0, VCI)]);
+        net.install_vc(s1, 0, VCI, vec![(1, VCI)]);
+        net.install_vc(s1, 1, VCI, vec![(0, VCI)]);
+        net.install_vc(s0, 0, VCI, vec![(1, VCI)]);
+        if policed {
+            let contract =
+                GcraParams { increment: SimTime::from_us(5), tolerance: SimTime::from_us(1) };
+            net.install_policer(s0, 1, VCI, Gcra::new(contract, PolicingAction::Tag));
+        }
+        let cell = frame_cells(40)[0];
+
+        let (mut t, mut cells_rx, mut tagged_rx) = (SimTime::ZERO, 0u64, 0u64);
+        let mut slices = |net: &mut AtmNetwork, n: u64| {
+            for _ in 0..n {
+                // Three cells toward the gateway (≈ 127 of the link's
+                // 155 Mb/s) and one back, per slice.
+                for k in 0..3 {
+                    net.inject_at(host, t + SimTime::from_ns(k * 3_000), cell);
+                }
+                net.inject_at(gw, t, cell);
+                t += SimTime::from_us(10);
+                net.run_until(t);
+                for ep in [gw, host] {
+                    while let Some(ev) = net.next_event(ep) {
+                        let EndpointEvent::CellRx { cell, .. } = ev else { panic!("{ev:?}") };
+                        cells_rx += 1;
+                        tagged_rx += u64::from(cell[3] & 1);
+                    }
+                }
+            }
+        };
+        slices(&mut net, 200); // slab, heap and queues reach their working size
+        let (allocs, ()) = allocations_during(|| slices(&mut net, 2_500));
+        assert_eq!(allocs, 0, "policed {policed}: 10 000 cells, four hops' worth of events each");
+        net.run_to_idle();
+        assert_eq!(net.cells_in_flight(), 0);
+        assert!(cells_rx >= 10_000, "the cells did cross: {cells_rx}");
+        assert_eq!(tagged_rx > 0, policed, "the policer did tag: {tagged_rx}");
+        assert_eq!(net.unroutable_cells(SwitchId(0)) + net.unroutable_cells(SwitchId(1)), 0);
+    }
 }

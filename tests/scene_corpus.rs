@@ -100,10 +100,11 @@ const RECORDED: &[(&str, usize, u64, usize, usize)] = &[
 #[test]
 fn corpus_snapshots_match_the_recorded_digests() {
     let dir = corpus_dir();
-    let files = scene_files(&dir).into_iter().chain(scene_files(&dir.join("regressions")));
+    let mut files = scene_files(&dir);
+    files.extend(scene_files(&dir.join("regressions")));
     let mut rows = Vec::new();
-    for path in files {
-        let scene = parse_clean(&path);
+    for path in &files {
+        let scene = parse_clean(path);
         let (mut tb, handles) = Testbed::from_scene(&scene, PhyMode::Loopback);
         scene_run::play_schedule(&mut tb, &handles, &scene);
         scene_run::drain(&mut tb);
@@ -113,13 +114,12 @@ fn corpus_snapshots_match_the_recorded_digests() {
         let fnv = snapshot.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        let name = path.strip_prefix(&dir).unwrap().to_str().unwrap().to_string();
+        let name = path.strip_prefix(&dir).unwrap().to_str().unwrap();
         rows.push((name, snapshot.len(), fnv, to_fddi, to_atm));
     }
-    let now: Vec<_> = rows.iter().map(|(n, l, f, a, b)| (n.as_str(), *l, *f, *a, *b)).collect();
-    let table: String = now
+    let table: String = rows
         .iter()
         .map(|(n, l, f, a, b)| format!("    ({n:?}, {l}, {f:#018x}, {a}, {b}),\n"))
         .collect();
-    assert!(now == RECORDED, "corpus snapshots moved; the table as it is now:\n{table}");
+    assert!(rows == RECORDED, "corpus snapshots moved; the table as it is now:\n{table}");
 }
