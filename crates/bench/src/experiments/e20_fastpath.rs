@@ -250,8 +250,12 @@ pub fn run() {
         format!("{speedup_batched:.2}x"),
     ]);
     table.print();
+    // A rate is a statement about a machine: which checksum kernel the
+    // CPU selected moves it by a factor of two.
+    let kernel = gw_wire::crc::kernel();
+    println!("\nchecksum kernel: {kernel}");
     println!(
-        "\nreassembly pool over the batched run: {} hits, {} misses ({} returns)",
+        "reassembly pool over the batched run: {} hits, {} misses ({} returns)",
         pool.hits, pool.misses, pool.returns
     );
     let best = speedup_single.max(speedup_batched);
@@ -285,6 +289,7 @@ pub fn run() {
     this_run.set("single_cell_cells_per_sec", Json::U64(single.cells_per_sec.round() as u64));
     this_run.set("batched_cells_per_sec", Json::U64(batched.cells_per_sec.round() as u64));
     this_run.set("meets_2x_speedup", Json::Bool(best >= 2.0));
+    this_run.set("checksum_kernel", Json::Str(kernel.into()));
     history.push(this_run);
     if history.len() > HISTORY_CAP {
         let excess = history.len() - HISTORY_CAP;
@@ -305,8 +310,12 @@ pub fn run() {
     baseline.set("cells_per_sec", Json::U64(baseline_cps.round() as u64));
     baseline.set("source", Json::Str(baseline_source));
 
+    let mut host = Json::obj();
+    host.set("checksum_kernel", Json::Str(kernel.into()));
+
     let mut doc = Json::obj();
     doc.set("experiment", Json::Str("e20_fastpath".into()));
+    doc.set("host", host);
     doc.set("workload", workload);
     doc.set("baseline", baseline);
     doc.set("single_cell", measurement(&single, speedup_single));

@@ -1,5 +1,7 @@
 // Fixture crate root. Violations on purpose:
-//  - hygiene: missing #![forbid(unsafe_code)] and #![deny(missing_docs)]
+//  - hygiene: missing #![forbid(unsafe_code)] (or the #![deny(unsafe_code)]
+//    this one crate may carry instead) and #![deny(missing_docs)]; `unsafe`
+//    outside the one kernel file, here and re-allowed in fast.rs
 //  - marker: a designated critical-path file without its marker
 //  - hot-path: unwrap / HashMap / Vec::new / clone in critical code
 //  - no-lock: Mutex and .lock( in critical code

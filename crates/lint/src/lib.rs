@@ -16,7 +16,8 @@
 //!    architecture (wire formats at the bottom, management never
 //!    reachable from the cell path);
 //! 3. **hygiene** — every crate root keeps `#![forbid(unsafe_code)]`
-//!    and `#![deny(missing_docs)]`;
+//!    and `#![deny(missing_docs)]`; the one exemption (`gw-wire`'s
+//!    checksum kernels) is held to one listed file;
 //! 4. **safety** — every `unsafe` token (block or impl) carries its
 //!    `// SAFETY:` soundness argument directly on it;
 //! 5. **exhaustive** — no wildcard `_ =>` arms in `match`es over the

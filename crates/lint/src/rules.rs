@@ -93,6 +93,7 @@ pub fn scan_file(rel: &str, text: &str) -> Vec<Diagnostic> {
         diags.extend(hotpath::check(rel, text, &prepared));
         diags.extend(nolock::check(rel, &prepared));
     }
+    diags.extend(hygiene::check_file(rel, &stripped));
     diags.extend(exhaustive::check(rel, &prepared));
     diags.extend(safety::check_unsafe(rel, text, &prepared));
     diags

@@ -7,7 +7,17 @@
 //! fast. `#![deny(missing_docs)]` keeps the paper-section cross-
 //! references on every public item, which is how this reproduction
 //! stays auditable against the design it models.
+//!
+//! One exemption, and the lint proves it is one file: `gw-wire`'s
+//! checksum kernels call `#[target_feature]` functions (DESIGN.md §15),
+//! which is an `unsafe` call however safe the callee. So that crate's
+//! root may carry `#![deny(unsafe_code)]` instead, [`KERNEL_FILE`]
+//! alone may re-allow it — for at most [`KERNEL_UNSAFE_BUDGET`]
+//! `unsafe` blocks — and an `unsafe` token or `allow(unsafe_code)`
+//! anywhere else under the crate's `src/` is a finding. Like every
+//! hygiene finding, none of these can be allowlisted.
 
+use super::safety::has_unsafe_token;
 use crate::manifest::Crate;
 use crate::strip::strip;
 use crate::Diagnostic;
@@ -15,6 +25,18 @@ use std::path::Path;
 
 /// Root-attribute lines every crate root must carry.
 pub const REQUIRED_ATTRS: &[&str] = &["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"];
+
+/// The crate whose root may carry [`EXEMPT_ROOT_ATTR`] in place of
+/// `#![forbid(unsafe_code)]`.
+pub const EXEMPT_CRATE_DIR: &str = "crates/wire";
+/// What the exempted root carries instead.
+pub const EXEMPT_ROOT_ATTR: &str = "#![deny(unsafe_code)]";
+/// The one file of that crate that may contain `allow(unsafe_code)` and
+/// `unsafe`.
+pub const KERNEL_FILE: &str = "crates/wire/src/crc/clmul.rs";
+/// How many lines of [`KERNEL_FILE`] may carry an `unsafe` token: one
+/// call per kernel.
+pub const KERNEL_UNSAFE_BUDGET: usize = 2;
 
 /// Check one member crate's root module for the required attributes.
 pub fn check_crate(root: &Path, krate: &Crate) -> Vec<Diagnostic> {
@@ -36,9 +58,13 @@ pub fn check_crate(root: &Path, krate: &Crate) -> Vec<Diagnostic> {
         }];
     };
     let stripped = strip(&text);
+    let has = |attr: &str| stripped.lines().any(|l| l.trim() == attr);
     REQUIRED_ATTRS
         .iter()
-        .filter(|attr| !stripped.lines().any(|l| l.trim() == **attr))
+        .filter(|attr| {
+            let exempt = **attr == REQUIRED_ATTRS[0] && krate.dir == EXEMPT_CRATE_DIR;
+            !(has(attr) || exempt && has(EXEMPT_ROOT_ATTR))
+        })
         .map(|attr| Diagnostic {
             file: rel.clone(),
             line: 0,
@@ -46,6 +72,48 @@ pub fn check_crate(root: &Path, krate: &Crate) -> Vec<Diagnostic> {
             message: format!("crate root is missing `{attr}`"),
         })
         .collect()
+}
+
+/// Hold the `unsafe` exemption to its one file. `stripped` is the
+/// comment- and string-stripped source, test code included: the
+/// compiler's `deny` covers test modules too, and so does this.
+pub fn check_file(rel: &str, stripped: &str) -> Vec<Diagnostic> {
+    if !rel.strip_prefix(EXEMPT_CRATE_DIR).is_some_and(|rest| rest.starts_with("/src/")) {
+        return Vec::new();
+    }
+    let finding = |line: usize, message: String| Diagnostic {
+        file: rel.to_string(),
+        line,
+        rule: "hygiene",
+        message,
+    };
+    let in_kernel_file = rel == KERNEL_FILE;
+    let mut diags = Vec::new();
+    let mut unsafe_lines = 0;
+    for (idx, line) in stripped.lines().enumerate() {
+        if has_unsafe_token(line) {
+            unsafe_lines += 1;
+            if !in_kernel_file {
+                diags
+                    .push(finding(idx + 1, format!("`unsafe` in gw-wire outside `{KERNEL_FILE}`")));
+            } else if unsafe_lines > KERNEL_UNSAFE_BUDGET {
+                diags.push(finding(
+                    idx + 1,
+                    format!(
+                        "more than {KERNEL_UNSAFE_BUDGET} `unsafe` blocks in the kernel file: \
+                         the exemption buys one call per kernel, nothing else"
+                    ),
+                ));
+            }
+        }
+        if !in_kernel_file && line.contains("allow(unsafe_code)") {
+            diags.push(finding(
+                idx + 1,
+                format!("`allow(unsafe_code)` in gw-wire outside `{KERNEL_FILE}`"),
+            ));
+        }
+    }
+    diags
 }
 
 fn join_rel(dir: &str, file: &str) -> String {
@@ -67,5 +135,25 @@ mod tests {
         let stripped = strip("// #![forbid(unsafe_code)]\n#![deny(missing_docs)]\n");
         assert!(!stripped.lines().any(|l| l.trim() == REQUIRED_ATTRS[0]));
         assert!(stripped.lines().any(|l| l.trim() == REQUIRED_ATTRS[1]));
+    }
+
+    #[test]
+    fn the_exemption_is_one_file_and_two_blocks() {
+        let src = "#![allow(unsafe_code)]\nfn f() { unsafe { g() } }\n";
+        // In the kernel file: within budget, nothing to say.
+        assert!(check_file(KERNEL_FILE, src).is_empty());
+        // A third `unsafe` line there is over budget.
+        let three = "unsafe { a() }\nunsafe { b() }\nunsafe { c() }\n";
+        let diags = check_file(KERNEL_FILE, three);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].line, 3);
+        // Anywhere else in gw-wire both the attribute and the token are
+        // findings; outside gw-wire this rule is silent (those roots
+        // `forbid`, so the compiler already refuses both).
+        let diags = check_file("crates/wire/src/sar.rs", src);
+        assert_eq!(diags.len(), 2, "{diags:?}");
+        assert!(diags.iter().all(|d| d.rule == "hygiene"));
+        assert!(check_file("crates/wirex/src/lib.rs", src).is_empty());
+        assert!(check_file("src/bin/gwd.rs", src).is_empty());
     }
 }

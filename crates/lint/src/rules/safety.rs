@@ -1,13 +1,15 @@
 //! Safety discipline: every `unsafe` token carries its soundness
 //! argument.
 //!
-//! Every crate root forbids `unsafe`, so the token survives only in
-//! harness binaries and test targets (a signal handler, a counting
-//! allocator). Wherever it appears, the argument for the operation
-//! stays physically attached to it: a `// SAFETY:` comment in the
-//! contiguous comment block directly above the `unsafe` line, or
-//! trailing on the line itself — so a `git grep 'SAFETY:'` enumerates
-//! every soundness obligation in the workspace. `unsafe impl` counts
+//! Every crate root but one forbids `unsafe`, so the token survives
+//! only in harness binaries and test targets (a signal handler, a
+//! counting allocator) and in `gw-wire`'s one kernel file (see
+//! [`hygiene`](super::hygiene)). Wherever it appears, the argument for
+//! the operation stays physically attached to it: a `// SAFETY:`
+//! comment in the contiguous comment block directly above the `unsafe`
+//! line, or trailing on the line itself — so a `git grep 'SAFETY:'`
+//! enumerates every soundness obligation in the workspace. `unsafe
+//! impl` counts
 //! like `unsafe` blocks do: a `Send`/`Sync` assertion is exactly the
 //! kind of claim whose justification must survive next to the code.
 //!
@@ -58,7 +60,7 @@ pub fn check_unsafe(rel: &str, original: &str, prepared: &str) -> Vec<Diagnostic
 /// Identifier-bounded occurrence of the `unsafe` keyword in a stripped
 /// source line (so `unsafe_op_in_unsafe_fn` and `forbid(unsafe_code)`
 /// never match).
-fn has_unsafe_token(line: &str) -> bool {
+pub(crate) fn has_unsafe_token(line: &str) -> bool {
     let b = line.as_bytes();
     let mut from = 0usize;
     while let Some(pos) = line[from..].find("unsafe").map(|p| p + from) {

@@ -70,6 +70,28 @@ fn hygiene_rule_fires_on_missing_root_attributes() {
 }
 
 #[test]
+fn hygiene_rule_holds_the_unsafe_exemption_to_one_file() {
+    let out = fixture_outcome();
+    let fires = |file: &str, needle: &str| {
+        out.diagnostics
+            .iter()
+            .any(|d| d.rule == "hygiene" && d.file == file && d.message.contains(needle))
+    };
+    // A second `allow(unsafe_code)` in gw-wire, in a file that is not
+    // the listed kernel file.
+    assert!(
+        fires("crates/wire/src/fast.rs", "`allow(unsafe_code)` in gw-wire outside"),
+        "{out:#?}"
+    );
+    // `unsafe` itself anywhere else in gw-wire, justified or not.
+    assert!(fires("crates/wire/src/lib.rs", "`unsafe` in gw-wire outside"), "{out:#?}");
+    // A `deny` root in a crate the exemption does not list is a root
+    // without `forbid`.
+    assert!(fires("crates/fddi/src/lib.rs", "forbid(unsafe_code)"), "{out:#?}");
+    assert!(!fires("crates/fddi/src/lib.rs", "deny(missing_docs)"), "{out:#?}");
+}
+
+#[test]
 fn no_lock_rule_fires_on_locks_in_critical_code() {
     let out = fixture_outcome();
     assert!(has(&out, "no-lock", "`Mutex`"), "{out:#?}");

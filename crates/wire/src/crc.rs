@@ -16,10 +16,20 @@
 //!   (identical to Ethernet's, reflected, `0x04C11DB7`), appended by the
 //!   MAC layer.
 //!
-//! All three are table-driven; the tables are computed at compile time so
-//! the per-byte cost is a single lookup and shift, matching the
-//! "generated on the fly" behaviour the paper requires of the hardware
-//! (§5.4).
+//! In the paper neither CRC-10 nor the FCS is a pause: each is a stage
+//! of dedicated logic beside the data path, "generated on the fly"
+//! (§5.4). Here every checksum has a table-driven form whose tables are
+//! computed at compile time — the HEC's only one (four octets), and the
+//! portable path of the other two. Where the CPU has a carry-less
+//! multiplier, [`crc32`] over 64 octets or more and [`crc10`] over one
+//! 48-octet information field run on it instead ([`kernel`] says which;
+//! DESIGN.md §15). Which path runs is decided by the CPU at the call,
+//! never by the caller: there is one function per checksum.
+
+#[cfg(target_arch = "x86_64")]
+mod clmul;
+
+use crate::atm::PAYLOAD_SIZE;
 
 /// Generator polynomial for the ATM HEC, `x^8 + x^2 + x + 1`.
 pub const HEC_POLY: u8 = 0x07;
@@ -181,12 +191,61 @@ pub fn hec_valid(header5: &[u8]) -> bool {
     header5.len() == 5 && hec(&header5[..4]) == header5[4]
 }
 
+/// Which kernel [`crc32`] and [`crc10`] run on this CPU: `"pclmulqdq"`
+/// or `"table"`. A host-speed figure means nothing without it; nothing
+/// simulated depends on it.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if clmul::available() {
+        return "pclmulqdq";
+    }
+    "table"
+}
+
 /// Compute the 10-bit SAR CRC over `data`.
 ///
 /// The SPP computes this over the entire 48-octet ATM information field
 /// with the 10-bit CRC field itself zeroed (§5.2, Figure 5). The caller
 /// is responsible for zeroing that field before calling.
 pub fn crc10(data: &[u8]) -> u16 {
+    match <&[u8; PAYLOAD_SIZE]>::try_from(data) {
+        Ok(field) => crc10_field(field_words(field)),
+        Err(_) => crc10_table(data),
+    }
+}
+
+/// An information field as six big-endian words, the form the SAR layer
+/// checks and builds cells in.
+#[inline]
+pub(crate) fn field_words(field: &[u8; PAYLOAD_SIZE]) -> [u64; 6] {
+    let (words, _) = field.as_chunks::<8>();
+    core::array::from_fn(|i| u64::from_be_bytes(words[i]))
+}
+
+/// The octets of six big-endian words.
+#[inline]
+pub(crate) fn field_octets(words: [u64; 6]) -> [u8; PAYLOAD_SIZE] {
+    let mut field = [0u8; PAYLOAD_SIZE];
+    let (chunks, _) = field.as_chunks_mut::<8>();
+    for (chunk, w) in chunks.iter_mut().zip(words) {
+        *chunk = w.to_be_bytes();
+    }
+    field
+}
+
+/// [`crc10`] of an information field held as six big-endian words (CRC
+/// field zeroed by the caller, as for [`crc10`]).
+#[inline]
+pub(crate) fn crc10_field(words: [u64; 6]) -> u16 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = clmul::crc10_field(words) {
+        return crc;
+    }
+    crc10_table(&field_octets(words))
+}
+
+/// The portable CRC-10: any length, any CPU.
+fn crc10_table(data: &[u8]) -> u16 {
     // Slice-by-4 over the 10-bit register. CRC update is linear over
     // GF(2), so a 4-byte block splits into the register advanced by
     // four zero bytes (`CRC10_ADV4`) XOR one independent lookup per
@@ -214,6 +273,15 @@ pub fn crc10(data: &[u8]) -> u16 {
 /// The result is the value transmitted in the 4-octet FCS field
 /// (complemented, reflected convention — identical to Ethernet).
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(fcs) = clmul::crc32(data) {
+        return fcs;
+    }
+    crc32_table(data)
+}
+
+/// The portable FCS: any length, any CPU.
+fn crc32_table(data: &[u8]) -> u32 {
     // Slice-by-8: fold the register into the first word of each 8-byte
     // block, then combine eight independent table lookups. This runs
     // once over every rebuilt FDDI frame (the MPP's FCS "generated on
@@ -374,25 +442,154 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tables_consistent_with_bitwise_crc10() {
-        fn crc10_bitwise(data: &[u8]) -> u16 {
-            let mut crc = 0u16;
-            for &b in data {
-                for bit in (0..8).rev() {
-                    let inbit = ((b >> bit) & 1) as u16;
-                    let top = (crc >> 9) & 1;
-                    crc = (crc << 1) & 0x3FF;
-                    if top ^ inbit != 0 {
-                        crc ^= CRC10_POLY & 0x3FF;
-                    }
+    /// CRC-10 by bit-serial division: the reference both kernels answer to.
+    fn crc10_bitwise(data: &[u8]) -> u16 {
+        let mut crc = 0u16;
+        for &b in data {
+            for bit in (0..8).rev() {
+                let inbit = ((b >> bit) & 1) as u16;
+                let top = (crc >> 9) & 1;
+                crc = (crc << 1) & 0x3FF;
+                if top ^ inbit != 0 {
+                    crc ^= CRC10_POLY & 0x3FF;
                 }
             }
-            crc & 0x3FF
         }
+        crc & 0x3FF
+    }
+
+    /// The (uncomplemented, reflected) FCS register shifted one bit on.
+    fn crc32_bitwise_shift(crc: u32) -> u32 {
+        if crc & 1 != 0 {
+            (crc >> 1) ^ CRC32_POLY.reverse_bits()
+        } else {
+            crc >> 1
+        }
+    }
+
+    /// One octet into the FCS register, bit-serially.
+    fn crc32_bitwise_step(crc: u32, b: u8) -> u32 {
+        (0..8).fold(crc ^ b as u32, |crc, _| crc32_bitwise_shift(crc))
+    }
+
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        !data.iter().fold(!0, |crc, &b| crc32_bitwise_step(crc, b))
+    }
+
+    /// splitmix64: enough of a generator for test buffers.
+    fn random_octets(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Every way to a CRC-10 of one information field: the dispatching
+    /// entry points (the multiplier kernel where the CPU has one), the
+    /// table and the bit-serial reference.
+    fn assert_crc10_paths_agree(field: &[u8; 48]) {
+        let want = crc10_bitwise(field);
+        assert_eq!(crc10_table(field), want, "table, field {field:02x?}");
+        assert_eq!(crc10(field), want, "crc10, field {field:02x?}");
+        assert_eq!(crc10_field(field_words(field)), want, "crc10_field, field {field:02x?}");
+    }
+
+    #[test]
+    fn tables_consistent_with_bitwise_crc10() {
         for seed in 0..32u32 {
             let d: Vec<u8> = (0..48).map(|i| (i as u32 * seed % 251) as u8).collect();
-            assert_eq!(crc10(&d), crc10_bitwise(&d), "seed {seed}");
+            assert_eq!(crc10_table(&d), crc10_bitwise(&d), "seed {seed}");
+        }
+        // Lengths the fixed-size kernel never sees.
+        let d = random_octets(10, 100);
+        for len in 0..=d.len() {
+            assert_eq!(crc10(&d[..len]), crc10_bitwise(&d[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn crc10_paths_agree_on_every_field() {
+        // Zero preset, no final XOR: CRC-10 is linear over GF(2), so
+        // agreement on the zero field and on a basis — the 384
+        // single-bit fields — is agreement on every field.
+        assert_crc10_paths_agree(&[0; 48]);
+        for bit in 0..384 {
+            let mut field = [0u8; 48];
+            field[bit / 8] = 0x80 >> (bit % 8);
+            assert_crc10_paths_agree(&field);
+        }
+        // And sampled anyway, against a slip in that argument.
+        let octets = random_octets(1991, 48 * 10_000);
+        let (fields, _) = octets.as_chunks::<48>();
+        fields.iter().for_each(assert_crc10_paths_agree);
+    }
+
+    #[test]
+    fn field_words_and_octets_are_inverse() {
+        let octets = random_octets(6, 48);
+        let field: &[u8; 48] = octets[..].try_into().unwrap();
+        let words = field_words(field);
+        assert_eq!(words[0] >> 56, field[0] as u64, "big-endian: octet 0 on top");
+        assert_eq!(&field_octets(words), field);
+    }
+
+    #[test]
+    fn tables_consistent_with_bitwise_crc32() {
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_table(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_table(&[]), 0);
+    }
+
+    #[test]
+    fn crc32_paths_agree_at_every_length_and_alignment() {
+        // The FCS is affine per length, so each length is its own
+        // function: every one a maximum FDDI frame can have, at every
+        // alignment of its first octet against the 16-octet lanes.
+        const MAX_LEN: usize = 4600;
+        let buf = random_octets(32, MAX_LEN + 16);
+        for start in 0..16 {
+            let mut state = !0u32;
+            for len in 0..=MAX_LEN {
+                let data = &buf[start..start + len];
+                let want = !state;
+                assert_eq!(crc32_table(data), want, "table, start {start} len {len}");
+                assert_eq!(crc32(data), want, "crc32, start {start} len {len}");
+                state = crc32_bitwise_step(state, buf[start + len]);
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_paths_agree_on_every_single_bit_message() {
+        // Around each seam of the fold: one short of a block, exactly
+        // one, one over; a lane and a bit; two blocks; a full-size frame
+        // with a ragged tail.
+        for len in [63usize, 64, 65, 79, 80, 127, 128, 4491] {
+            let mut msg = vec![0u8; len];
+            let zero = crc32_bitwise(&msg);
+            // The FCS is affine: a one-bit message's is the zero
+            // message's plus x^(bits after it + 32) mod P — one more
+            // bit-serial shift for each step back from the last bit
+            // sent (octets go out low bit first). The direct reference
+            // confirms that on the lengths where it is cheap.
+            let mut rem = CRC32_POLY.reverse_bits();
+            for sent in (0..len * 8).rev() {
+                msg[sent / 8] = 1 << (sent % 8);
+                let want = zero ^ rem;
+                assert_eq!(crc32_table(&msg), want, "table, len {len} bit {sent}");
+                assert_eq!(crc32(&msg), want, "crc32, len {len} bit {sent}");
+                if len <= 128 {
+                    assert_eq!(crc32_bitwise(&msg), want, "bitwise, len {len} bit {sent}");
+                }
+                msg[sent / 8] = 0;
+                rem = crc32_bitwise_shift(rem);
+            }
         }
     }
 }

@@ -34,6 +34,9 @@ pub const SAR_HEADER_SIZE: usize = 3;
 pub const SAR_PAYLOAD_SIZE: usize = PAYLOAD_SIZE - SAR_HEADER_SIZE;
 /// Maximum sequence number (10 bits).
 pub const MAX_SEQ: u16 = 0x3FF;
+/// Where the 24-bit SAR header's low bit — the CRC field's — sits in the
+/// first big-endian 64-bit word of an information field.
+const CRC_SHIFT: u32 = 40;
 
 /// Parsed representation of the 3-octet SAR header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -65,6 +68,14 @@ impl SarHeader {
         })
     }
 
+    /// The header as its 24-bit word; fields are taken as they are.
+    fn word(&self) -> u32 {
+        ((self.seq as u32) << 14)
+            | ((self.final_cell as u32) << 11)
+            | ((self.control as u32) << 10)
+            | self.crc10 as u32
+    }
+
     /// Emit the three header octets.
     pub fn emit(&self, bytes: &mut [u8]) -> Result<()> {
         if bytes.len() < SAR_HEADER_SIZE {
@@ -73,10 +84,7 @@ impl SarHeader {
         if self.seq > MAX_SEQ || self.crc10 > 0x3FF {
             return Err(Error::Malformed);
         }
-        let word: u32 = ((self.seq as u32) << 14)
-            | ((self.final_cell as u32) << 11)
-            | ((self.control as u32) << 10)
-            | self.crc10 as u32;
+        let word = self.word();
         bytes[0] = (word >> 16) as u8;
         bytes[1] = (word >> 8) as u8;
         bytes[2] = word as u8;
@@ -130,16 +138,16 @@ impl<T: AsRef<[u8]>> SarCell<T> {
     /// Verify the CRC-10 over the whole information field (header CRC
     /// bits zeroed during computation).
     pub fn check_crc(&self) -> bool {
-        let data = self.buffer.as_ref();
-        if data.len() != PAYLOAD_SIZE {
+        let Ok(field) = <&[u8; PAYLOAD_SIZE]>::try_from(self.buffer.as_ref()) else {
             return false;
-        }
-        let mut copy = [0u8; PAYLOAD_SIZE];
-        copy.copy_from_slice(data);
-        let stored = self.header().crc10;
-        copy[1] &= !0x03; // clear crc10 high bits
-        copy[2] = 0; //      and low byte
-        crc::crc10(&copy) == stored
+        };
+        // Six words read straight from the cell, the CRC field masked
+        // out of the first: nothing is copied, so the checksum stage has
+        // no store to wait on.
+        let mut words = crc::field_words(field);
+        let stored = (words[0] >> CRC_SHIFT) as u16 & 0x3FF;
+        words[0] &= !(0x3FF << CRC_SHIFT);
+        crc::crc10_field(words) == stored
     }
 
     /// The whole 48-octet field.
@@ -168,14 +176,27 @@ impl OwnedSarCell {
         if seq > MAX_SEQ {
             return Err(Error::Malformed);
         }
-        let mut buf = [0u8; PAYLOAD_SIZE];
-        let header = SarHeader { seq, final_cell, control, crc10: 0 };
-        header.emit(&mut buf)?;
-        buf[SAR_HEADER_SIZE..SAR_HEADER_SIZE + payload.len()].copy_from_slice(payload);
-        let c = crc::crc10(&buf);
-        let header = SarHeader { crc10: c, ..header };
-        header.emit(&mut buf)?;
-        Ok(SarCell::new_unchecked(buf))
+        let mut padded = [0u8; SAR_PAYLOAD_SIZE];
+        let src: &[u8; SAR_PAYLOAD_SIZE] = match payload.try_into() {
+            Ok(full) => full,
+            Err(_) => {
+                padded[..payload.len()].copy_from_slice(payload);
+                &padded
+            }
+        };
+        // Copy and CRC in one pass: the six words of the field are
+        // assembled from the header bits and the *source* payload, the
+        // CRC taken over them in registers, and each word stored once.
+        let header = SarHeader { seq, final_cell, control, crc10: 0 }.word() as u64;
+        let [p0, p1, p2, p3, p4, ..] = *src;
+        let mut words = [0u64; 6];
+        words[0] = header << CRC_SHIFT | u64::from_be_bytes([0, 0, 0, p0, p1, p2, p3, p4]);
+        let (rest, _) = src[5..].as_chunks::<8>();
+        for (w, octets) in words[1..].iter_mut().zip(rest) {
+            *w = u64::from_be_bytes(*octets);
+        }
+        words[0] |= (crc::crc10_field(words) as u64) << CRC_SHIFT;
+        Ok(SarCell::new_unchecked(crc::field_octets(words)))
     }
 }
 
@@ -261,9 +282,11 @@ mod tests {
 
     #[test]
     fn corruption_anywhere_fails_crc() {
+        // All 384 bits: payload, sequence number, flags, the CRC field
+        // itself and the two unused header bits.
         let cell = OwnedSarCell::build(5, false, true, &[0x5A; 45]).unwrap();
         for pos in 0..PAYLOAD_SIZE {
-            for bit in [0, 3, 7] {
+            for bit in 0..8 {
                 let mut buf = cell.clone().into_inner();
                 buf[pos] ^= 1 << bit;
                 let corrupted = SarCell::new_unchecked(buf);
@@ -272,6 +295,36 @@ mod tests {
                     SarCell::new_checked(corrupted.into_inner()).err(),
                     Some(Error::Checksum)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn build_equals_emit_copy_crc_emit() {
+        // The construction `build` replaced: header with a zero CRC,
+        // payload copied in behind it, CRC over the 48 octets, header
+        // emitted again. Every payload length (so every padding), the
+        // sequence-number corners, both flags.
+        fn by_emit(seq: u16, final_cell: bool, control: bool, payload: &[u8]) -> [u8; 48] {
+            let mut buf = [0u8; PAYLOAD_SIZE];
+            let header = SarHeader { seq, final_cell, control, crc10: 0 };
+            header.emit(&mut buf).unwrap();
+            buf[SAR_HEADER_SIZE..SAR_HEADER_SIZE + payload.len()].copy_from_slice(payload);
+            let header = SarHeader { crc10: crc::crc10(&buf), ..header };
+            header.emit(&mut buf).unwrap();
+            buf
+        }
+        let octets: Vec<u8> = (0..45u8).map(|i| i.wrapping_mul(151).wrapping_add(29)).collect();
+        for len in 0..=SAR_PAYLOAD_SIZE {
+            for seq in [0, 1, 511, MAX_SEQ] {
+                for (f, c) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let cell = OwnedSarCell::build(seq, f, c, &octets[..len]).unwrap();
+                    let want = by_emit(seq, f, c, &octets[..len]);
+                    assert_eq!(cell.as_bytes(), &want, "len {len} seq {seq} F {f} C {c}");
+                    let checked = SarCell::new_checked(cell.into_inner()).unwrap();
+                    let header = SarHeader { seq, final_cell: f, control: c, ..checked.header() };
+                    assert_eq!(checked.header(), header);
+                }
             }
         }
     }

@@ -35,6 +35,7 @@ use atm_fddi_gateway::scene::{wire_ids, Dir, Scene, ScheduledSend};
 use atm_fddi_gateway::scene_run;
 use atm_fddi_gateway::sim::SimTime;
 use atm_fddi_gateway::wire::atm::{AtmHeader, Cell, Vci, CELL_SIZE};
+use atm_fddi_gateway::wire::crc;
 use atm_fddi_gateway::wire::fddi::{self, FddiAddr, Frame, FrameControl, FrameRepr};
 use atm_fddi_gateway::wire::mchip::{build_data_frame, parse_frame, Icn, MchipType};
 use std::net::SocketAddr;
@@ -195,6 +196,7 @@ fn run_daemon(args: &[String]) -> i32 {
     install_signal_handlers();
     let clock = WallClock::start();
     let deadline = (duration_ms > 0).then(|| clock.now() + SimTime::from_ms(duration_ms));
+    eprintln!("gwd: checksum kernel {}", crc::kernel());
     eprintln!("gwd: serving atm {atm_bind} <-> {atm_peer}, fddi {fddi_bind} <-> {fddi_peer}");
 
     loop {
@@ -289,6 +291,7 @@ fn builtin_scene(frames: usize) -> String {
 }
 
 fn smoke(args: &[String]) -> i32 {
+    eprintln!("gwd smoke: checksum kernel {}", crc::kernel());
     let snapshot_path = arg_value(args, "--snapshot");
     let scene = match arg_value(args, "--scene") {
         Some(path) => match scene_run::load(&path) {
