@@ -84,6 +84,14 @@ impl Aic {
         self.stats.cells_out += 1;
     }
 
+    /// An outbound frame's cells all carry the same five header octets:
+    /// stamp the HEC on them once, before the Fragmentation Logic copies
+    /// them onto each of the frame's `cells` cells, and count those.
+    pub fn transmit_frame(&mut self, header: &mut [u8; HEADER_SIZE], cells: usize) {
+        header[4] = crc::hec(&header[..4]);
+        self.stats.cells_out += cells as u64;
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> AicStats {
         self.stats
@@ -178,6 +186,21 @@ mod tests {
         aic.transmit(&mut cell);
         assert!(crc::hec_valid(&cell[..5]));
         assert_eq!(aic.stats().cells_out, 1);
+    }
+
+    #[test]
+    fn frame_stamp_equals_per_cell_stamps() {
+        let (mut per_cell, mut per_frame) = (Aic::new(), Aic::new());
+        let mut cell = good_cell();
+        cell[4] = 0;
+        let mut header = [0u8; HEADER_SIZE];
+        header.copy_from_slice(&cell[..HEADER_SIZE]);
+        for _ in 0..7 {
+            per_cell.transmit(&mut cell);
+        }
+        per_frame.transmit_frame(&mut header, 7);
+        assert_eq!(header, cell[..HEADER_SIZE]);
+        assert_eq!(per_frame.stats(), per_cell.stats());
     }
 
     #[test]

@@ -1351,32 +1351,44 @@ impl Gateway {
         }
     }
 
-    /// Feed one frame arriving from the FDDI ring.
-    // gw-lint: setup-path — per-frame entry allocating its return buffer; bounded by ring frame rate, not cell rate
+    /// Feed one frame arriving from the FDDI ring. The returned `Vec` is
+    /// the frame's one allocation, sized exactly to its cells.
+    // gw-lint: setup-path — thin wrapper that owns the frame's one allocation (the returned Vec); the frame path itself is `frame_in`, which carries no waiver
     pub fn fddi_frame_in(&mut self, now: SimTime, frame_bytes: &[u8]) -> Vec<Output> {
         let mut out = Vec::new();
+        self.frame_in(now, frame_bytes, &mut out);
+        out
+    }
+
+    /// The per-frame path from the ring — FCS and frame-control check,
+    /// receive buffer (SUPERNET RBC), MPP translation, then the
+    /// Fragmentation Logic and the AIC writing the frame's cells
+    /// straight into `out`. No heap allocation in the steady state
+    /// beyond what `out` itself needs; drops are counted and traced
+    /// where they happen.
+    fn frame_in(&mut self, now: SimTime, frame_bytes: &[u8], out: &mut Vec<Output>) {
         self.cons.fddi_frames_in += 1;
         let Ok(frame) = Frame::new_checked(frame_bytes) else {
             self.stats.fddi_fcs_drops += 1;
             self.note_fddi_frame_drop(now, false, frame_bytes.len(), FrameDropReason::FcsError);
-            return out;
+            return;
         };
         let Ok(fc) = frame.frame_control() else {
             self.stats.malformed_drops += 1;
             self.cons.fddi_malformed_fc += 1;
             self.note_fddi_frame_drop(now, false, frame_bytes.len(), FrameDropReason::Malformed);
-            return out;
+            return;
         };
         match fc {
             FrameControl::Smt | FrameControl::MacBeacon | FrameControl::MacClaim => {
                 self.cons.fddi_smt += 1;
                 self.note_npe_control();
                 let _ = self.npe.handle(now, NpeInput::Smt);
-                return out;
+                return;
             }
             FrameControl::Token => {
                 self.cons.fddi_tokens += 1;
-                return out;
+                return;
             }
             FrameControl::LlcAsync { .. } | FrameControl::LlcSync => {}
         }
@@ -1400,13 +1412,13 @@ impl Gateway {
                     None,
                     None,
                 );
-                return out;
+                return;
             }
             crate::buffers::StoreOutcome::Overflow(staged) => {
                 self.rx_pool.put(staged);
                 self.cons.fddi_rx_overflow += 1;
                 self.note_buffer_drop(stored_at, false, true, false, frame_bytes.len(), None, None);
-                return out;
+                return;
             }
         }
         let src = frame.src();
@@ -1415,23 +1427,15 @@ impl Gateway {
             // accounting is inconsistent — count it instead of panicking.
             self.stats.malformed_drops += 1;
             self.cons.fddi_rx_inconsistent += 1;
-            return out;
+            return;
         };
         match self.mpp.from_fddi(stored_at, &stored) {
             MppDownOutput::DataToSpp { ready, atm_header, frame: mchip } => {
                 self.touch_vc(ready, atm_header.vci);
-                match self.spp.fragment(ready, &atm_header, &mchip, false) {
-                    Ok(frag) => {
-                        let last = frag.done;
-                        let n_cells = frag.cells.len();
-                        for (at, cell) in frag.cells {
-                            let mut bytes = [0u8; CELL_SIZE];
-                            bytes.copy_from_slice(cell.as_bytes());
-                            self.aic.transmit(&mut bytes);
-                            out.push(Output::AtmCell { at, cell: bytes });
-                        }
+                match self.fragment_out(ready, &atm_header, &mchip, false, out) {
+                    Ok((last, n_cells)) => {
                         self.stats.fddi_to_atm_ns.record((last - now).as_ns());
-                        self.stats.forward_path_ns.record((frag.done - stored_at).as_ns());
+                        self.stats.forward_path_ns.record((last - stored_at).as_ns());
                         self.cons.fddi_fragmented += 1;
                         self.note_frame_down(last, now, atm_header.vci, n_cells, mchip.len());
                     }
@@ -1457,7 +1461,7 @@ impl Gateway {
                 self.cons.mpp_staging_consumed += 1;
                 self.note_npe_control();
                 let actions = self.npe.handle(ready, NpeInput::ControlFromFddi { frame: cf, src });
-                self.apply_npe_actions(actions, &mut out);
+                self.apply_npe_actions(actions, out);
             }
             MppDownOutput::Dropped { .. } => {
                 // Previously silent: unroutable FDDI frames (bad
@@ -1468,7 +1472,33 @@ impl Gateway {
             }
         }
         self.rx_pool.put(stored);
-        out
+    }
+
+    /// One frame through the Fragmentation Logic and the AIC: room for
+    /// exactly its cells is reserved in `out` and each finished cell is
+    /// written there once, under the header octets the AIC stamped once
+    /// for the frame. Returns when the last cell leaves and how many
+    /// there were; a frame the segmenter refuses leaves `out` as it was.
+    fn fragment_out(
+        &mut self,
+        now: SimTime,
+        header: &AtmHeader,
+        frame: &[u8],
+        control: bool,
+        out: &mut Vec<Output>,
+    ) -> gw_wire::Result<(SimTime, usize)> {
+        let mut cells = self.spp.fragment_cells(now, header, frame, control)?;
+        let (n, done) = (cells.remaining(), cells.done());
+        self.aic.transmit_frame(cells.header_mut(), n);
+        let first = out.len();
+        out.reserve_exact(n);
+        out.resize(first + n, Output::AtmCell { at: done, cell: [0u8; CELL_SIZE] });
+        for slot in &mut out[first..] {
+            if let Output::AtmCell { at, cell } = slot {
+                *at = cells.next_into(cell);
+            }
+        }
+        Ok((done, n))
     }
 
     // gw-lint: setup-path — NPE control actions (congram setup/teardown, control frames) are the paper's non-critical path
@@ -1491,21 +1521,11 @@ impl Gateway {
                 }
                 NpeAction::SendControlToAtm { at, vci, frame } => {
                     let header = AtmHeader::data(Default::default(), vci);
-                    match self.spp.fragment(at, &header, &frame, true) {
-                        Ok(frag) => {
-                            for (t, cell) in frag.cells {
-                                let mut bytes = [0u8; CELL_SIZE];
-                                bytes.copy_from_slice(cell.as_bytes());
-                                self.aic.transmit(&mut bytes);
-                                out.push(Output::AtmCell { at: t, cell: bytes });
-                            }
-                        }
-                        Err(_) => {
-                            // Previously silent: an oversized NPE control
-                            // payload the segmenter refuses now counts.
-                            self.stats.malformed_drops += 1;
-                            self.note_frame_discarded(at, vci, None, FrameDropReason::Malformed);
-                        }
+                    if self.fragment_out(at, &header, &frame, true, out).is_err() {
+                        // Previously silent: an oversized NPE control
+                        // payload the segmenter refuses now counts.
+                        self.stats.malformed_drops += 1;
+                        self.note_frame_discarded(at, vci, None, FrameDropReason::Malformed);
                     }
                 }
                 NpeAction::SendControlToFddi { at, dst, frame } => {
@@ -1815,22 +1835,25 @@ mod tests {
         assert_eq!(gw.stats().atm_to_fddi_ns.count(), 1);
     }
 
-    #[test]
-    fn fddi_to_atm_data_path_end_to_end() {
-        let mut gw = gateway();
-        let payload = b"reverse direction".to_vec();
-        let mchip = build_data_frame(FDDI_ICN, &payload).unwrap();
+    /// An LLC frame from station 7 carrying an MCHIP data frame on `icn`.
+    fn llc_data_frame(icn: Icn, payload: &[u8]) -> Vec<u8> {
         let mut info = fddi::llc_snap_header().to_vec();
-        info.extend_from_slice(&mchip);
-        let frame = FrameRepr {
+        info.extend_from_slice(&build_data_frame(icn, payload).unwrap());
+        FrameRepr {
             fc: FrameControl::LlcAsync { priority: 0 },
             dst: FddiAddr::station(0),
             src: FddiAddr::station(7),
             info,
         }
         .emit()
-        .unwrap();
-        let outputs = gw.fddi_frame_in(SimTime::ZERO, &frame);
+        .unwrap()
+    }
+
+    #[test]
+    fn fddi_to_atm_data_path_end_to_end() {
+        let mut gw = gateway();
+        let payload = b"reverse direction".to_vec();
+        let outputs = gw.fddi_frame_in(SimTime::ZERO, &llc_data_frame(FDDI_ICN, &payload));
         let cells: Vec<_> = outputs
             .iter()
             .filter_map(|o| match o {
@@ -1854,6 +1877,64 @@ mod tests {
         assert_eq!(h.icn, ATM_ICN, "ICN translated back");
         assert_eq!(p, &payload[..]);
         assert_eq!(gw.stats().fddi_to_atm_ns.count(), 1);
+    }
+
+    #[test]
+    fn frame_cells_land_in_one_exactly_sized_buffer_after_what_was_there() {
+        let mut gw = gateway();
+        let out = gw.fddi_frame_in(SimTime::ZERO, &llc_data_frame(FDDI_ICN, &[5; 461]));
+        assert_eq!((out.len(), out.capacity()), (11, 11), "469 octets of MCHIP frame: 11 cells");
+        // Through the same path into a buffer that already holds
+        // something: appended, nothing before it disturbed.
+        let mut held = vec![Output::FddiFrameQueued { at: SimTime::ZERO, synchronous: true }];
+        gw.frame_in(SimTime::from_us(400), &llc_data_frame(FDDI_ICN, &[5; 461]), &mut held);
+        assert_eq!(held.len(), 12);
+        assert!(matches!(held[0], Output::FddiFrameQueued { .. }));
+        let moved = |o: &Output| match o {
+            Output::AtmCell { cell, .. } => *cell,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            held[1..].iter().map(moved).collect::<Vec<_>>(),
+            out.iter().map(moved).collect::<Vec<_>>()
+        );
+        assert_eq!(gw.aic().stats().cells_out, 22);
+        assert_eq!(gw.spp().stats().cells_out, 22);
+    }
+
+    #[test]
+    fn refused_segmentation_emits_nothing_and_books_as_before() {
+        let mut gw = gateway();
+        // An ICXT-A entry whose header no cell can carry (PTI is three
+        // bits): the MPP translates the frame, the segmenter refuses it.
+        gw.mpp
+            .program_a(
+                Icn(21),
+                crate::mpp::IcxtAEntry {
+                    out_icn: Icn(11),
+                    atm_header: AtmHeader {
+                        pti: 8,
+                        ..AtmHeader::data(Default::default(), ATM_VCI)
+                    },
+                },
+            )
+            .unwrap();
+        let held = vec![Output::FddiFrameQueued { at: SimTime::ZERO, synchronous: false }];
+        let mut out = held.clone();
+        gw.frame_in(SimTime::ZERO, &llc_data_frame(Icn(21), &[9; 300]), &mut out);
+        assert_eq!(out, held, "refused before the first cell");
+        assert_eq!((gw.cons.fddi_fragment_errors, gw.stats.malformed_drops), (1, 1));
+        // The NPE's way out toward ATM, with a control payload beyond
+        // the 1024-cell sequence space.
+        let oversized = vec![0u8; gw_sar::MAX_FRAME_CELLS * 45 + 1];
+        gw.apply_npe_actions(
+            vec![NpeAction::SendControlToAtm { at: SimTime::ZERO, vci: ATM_VCI, frame: oversized }],
+            &mut out,
+        );
+        assert_eq!(out, held, "refused before the first cell");
+        assert_eq!((gw.cons.fddi_fragment_errors, gw.stats.malformed_drops), (1, 2));
+        assert_eq!((gw.aic.stats().cells_out, gw.spp.stats().cells_out), (0, 0));
+        assert!(gw.check_conservation().is_empty());
     }
 
     #[test]

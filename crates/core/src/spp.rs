@@ -23,8 +23,9 @@
 
 use crate::{SPP_DECODE_CYCLES, SPP_WRITE_CYCLES};
 use gw_sar::reassemble::{ReassembledFrame, Reassembler, ReassemblyConfig, ReassemblyEvent};
+use gw_sar::segment::{sar_fields, SarFields};
 use gw_sim::time::SimTime;
-use gw_wire::atm::{AtmHeader, OwnedCell, Vci};
+use gw_wire::atm::{AtmHeader, Cell, OwnedCell, Vci, CELL_SIZE, HEADER_SIZE};
 use gw_wire::{Error, Result};
 
 /// Cycles to forward one 48-octet information field through the
@@ -62,6 +63,50 @@ pub struct FragmentResult {
     pub cells: Vec<(SimTime, OwnedCell)>,
     /// When the pipeline becomes free again.
     pub done: SimTime,
+}
+
+/// One frame inside the Fragmentation Logic, leaving cell by cell into
+/// storage the caller supplies ([`Fragments::next_into`]), so a finished
+/// cell is written once, where it is going. The five header octets were
+/// read once, when the frame entered ([`Spp::fragment_cells`]); every
+/// cell carries them as they stand when it is written, which is where
+/// the AIC stamps its HEC once per frame ([`Fragments::header_mut`]).
+#[derive(Debug)]
+pub struct Fragments<'a> {
+    fields: SarFields<'a>,
+    header: [u8; HEADER_SIZE],
+    at: SimTime,
+}
+
+impl Fragments<'_> {
+    /// Cells still to be written.
+    pub fn remaining(&self) -> usize {
+        self.fields.len()
+    }
+
+    /// When the last cell has left and the pipeline is free again.
+    pub fn done(&self) -> SimTime {
+        self.at + SimTime::from_cycles(FRAG_FORWARD_CYCLES * self.fields.len() as u64)
+    }
+
+    /// The header octets the cells still to come will carry.
+    pub fn header_mut(&mut self) -> &mut [u8; HEADER_SIZE] {
+        &mut self.header
+    }
+
+    /// Write the frame's next cell into `cell` — the header octets, then
+    /// the information field, cut on the spot — and return when it has
+    /// left toward the AIC. Past the last cell nothing is written and
+    /// the time stays at [`Fragments::done`].
+    #[inline]
+    pub fn next_into(&mut self, cell: &mut [u8; CELL_SIZE]) -> SimTime {
+        if let Some(field) = self.fields.next() {
+            cell[..HEADER_SIZE].copy_from_slice(&self.header);
+            cell[HEADER_SIZE..].copy_from_slice(field.as_bytes());
+            self.at += SimTime::from_cycles(FRAG_FORWARD_CYCLES);
+        }
+        self.at
+    }
 }
 
 /// SPP counters.
@@ -168,9 +213,42 @@ impl Spp {
         self.reassembler.next_deadline()
     }
 
-    /// Fragment a frame (already carrying its MPP-chosen ATM header)
-    /// into cells, with on-the-fly timing.
-    // gw-lint: setup-path — per-frame staging sized from the cell count, modeling the Fragmentation Logic's bounded staging memory
+    /// Take a frame (with its MPP-chosen ATM header) into the
+    /// Fragmentation Logic and hand back its cells with their on-the-fly
+    /// timing (§5.5): the pipeline starts at the next clock edge it is
+    /// free, reads the five header octets once, then forwards one
+    /// 48-octet information field every 48 cycles — cell `i` is complete
+    /// `5 + 48·(i+1)` cycles after the start. A frame too long for the
+    /// sequence space or a header field out of range is refused before
+    /// the first cell, leaving the pipeline and its counters untouched.
+    /// The frame is accounted for (pipeline busy until
+    /// [`Fragments::done`], counters) when this returns; the cells are
+    /// cut as the caller has them written.
+    pub fn fragment_cells<'a>(
+        &mut self,
+        now: SimTime,
+        header: &AtmHeader,
+        frame: &'a [u8],
+        control: bool,
+    ) -> Result<Fragments<'a>> {
+        let fields = sar_fields(frame, control)?;
+        let mut octets = [0u8; HEADER_SIZE];
+        header.emit(&mut octets)?;
+        let start = if now > self.frag_free { now } else { self.frag_free }.ceil_to_cycle();
+        let fragments = Fragments {
+            fields,
+            header: octets,
+            at: start + SimTime::from_cycles(FRAG_HEADER_CYCLES),
+        };
+        self.frag_free = fragments.done();
+        self.stats.frames_down += 1;
+        self.stats.cells_out += fragments.remaining() as u64;
+        Ok(fragments)
+    }
+
+    /// Fragment a frame into cells, collected; see
+    /// [`Spp::fragment_cells`].
+    // gw-lint: setup-path — collector over `fragment_cells` for hosts and tests: one exact-capacity Vec per frame; the gateway has the cells written straight into its output
     pub fn fragment(
         &mut self,
         now: SimTime,
@@ -178,18 +256,15 @@ impl Spp {
         frame: &[u8],
         control: bool,
     ) -> Result<FragmentResult> {
-        let cells = gw_sar::segment::segment_cells(header, frame, control)?;
-        let start = if now > self.frag_free { now } else { self.frag_free }.ceil_to_cycle();
-        let mut out = Vec::with_capacity(cells.len());
-        let mut t = start + SimTime::from_cycles(FRAG_HEADER_CYCLES);
-        for cell in cells {
-            t += SimTime::from_cycles(FRAG_FORWARD_CYCLES);
-            out.push((t, cell));
+        let mut fragments = self.fragment_cells(now, header, frame, control)?;
+        let done = fragments.done();
+        let mut cells = Vec::with_capacity(fragments.remaining());
+        let mut cell = [0u8; CELL_SIZE];
+        while fragments.remaining() > 0 {
+            let at = fragments.next_into(&mut cell);
+            cells.push((at, Cell::new_unchecked(cell)));
         }
-        self.frag_free = t;
-        self.stats.frames_down += 1;
-        self.stats.cells_out += out.len() as u64;
-        Ok(FragmentResult { cells: out, done: t })
+        Ok(FragmentResult { cells, done })
     }
 
     /// Handle an initialization frame payload: program per-VC reassembly
@@ -378,6 +453,96 @@ mod tests {
             let sar = gw_wire::sar::SarCell::new_checked(info).expect("CRC-10 valid");
             assert!(sar.header().control);
         }
+    }
+
+    #[test]
+    fn cells_written_in_place_equal_the_staged_construction_for_every_length() {
+        use crate::aic::Aic;
+        use gw_wire::sar::OwnedSarCell;
+        let hdr = AtmHeader { gfc: 3, vpi: Vpi(0xAB), vci: Vci(0x1234), pti: 2, clp: true };
+        let octets: Vec<u8> =
+            (0..4600u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        let (mut s, mut aic, mut reference_aic) = (spp(), Aic::new(), Aic::new());
+        let (mut frames, mut cells) = (0u64, 0u64);
+        for len in 0..=octets.len() {
+            for control in [false, true] {
+                let frame = &octets[..len];
+                // Unaligned arrivals, sometimes while the pipeline is
+                // still busy with the previous frame.
+                let now = SimTime::from_ns(len as u64 * 997 + control as u64 * 13);
+                let busy_until = s.frag_free;
+                let start = if now > busy_until { now } else { busy_until }.ceil_to_cycle();
+                let mut fragments = s.fragment_cells(now, &hdr, frame, control).unwrap();
+                let n = fragments.remaining();
+                assert_eq!(n, gw_sar::segment::cells_for_len(len));
+                let done = fragments.done();
+                assert_eq!(done, start + SimTime::from_cycles(5 + 48 * n as u64));
+                aic.transmit_frame(fragments.header_mut(), n);
+                for i in 0..n {
+                    let mut cell = [0xEEu8; CELL_SIZE];
+                    let at = fragments.next_into(&mut cell);
+                    assert_eq!(at, start + SimTime::from_cycles(5 + 48 * (i as u64 + 1)));
+                    // The staged path: SAR field, then cell, then the
+                    // AIC's per-cell stamp.
+                    let slice = &frame[i * 45..len.min((i + 1) * 45)];
+                    let field = OwnedSarCell::build(i as u16, i == n - 1, control, slice).unwrap();
+                    let mut want = [0u8; CELL_SIZE];
+                    want.copy_from_slice(
+                        OwnedCell::build(&hdr, field.as_bytes()).unwrap().as_bytes(),
+                    );
+                    reference_aic.transmit(&mut want);
+                    assert_eq!(cell, want, "len {len} control {control} cell {i}");
+                    let sar = gw_wire::sar::SarHeader::parse(&cell[HEADER_SIZE..]).unwrap();
+                    assert_eq!((sar.final_cell, sar.control), (i == n - 1, control));
+                    assert_eq!(fragments.remaining(), n - i - 1);
+                }
+                // Exhausted: nothing more is written, the time stays.
+                let mut untouched = [0xEEu8; CELL_SIZE];
+                assert_eq!(fragments.next_into(&mut untouched), done);
+                assert_eq!(untouched, [0xEEu8; CELL_SIZE]);
+                assert_eq!(s.frag_free, done);
+                frames += 1;
+                cells += n as u64;
+            }
+        }
+        assert_eq!((s.stats().frames_down, s.stats().cells_out), (frames, cells));
+        assert_eq!(aic.stats(), reference_aic.stats());
+    }
+
+    #[test]
+    fn refused_frames_leave_pipeline_and_counters_untouched() {
+        let mut s = spp();
+        let hdr = AtmHeader::data(Vpi(0), Vci(9));
+        s.fragment(SimTime::ZERO, &hdr, &[1u8; 100], false).unwrap();
+        let (free, stats) = (s.frag_free, s.stats());
+        let too_long = vec![0u8; gw_sar::MAX_FRAME_CELLS * 45 + 1];
+        assert_eq!(s.fragment_cells(free, &hdr, &too_long, false).err(), Some(Error::TooLong));
+        for bad in [AtmHeader { gfc: 0x10, ..hdr }, AtmHeader { pti: 8, ..hdr }] {
+            assert_eq!(
+                s.fragment_cells(free, &bad, &[1, 2, 3], true).err(),
+                Some(Error::Malformed)
+            );
+            assert_eq!(s.fragment(free, &bad, &[1, 2, 3], true).err(), Some(Error::Malformed));
+        }
+        assert_eq!((s.frag_free, s.stats()), (free, stats));
+    }
+
+    #[test]
+    fn collected_fragments_are_the_cells_written_in_place() {
+        let hdr = AtmHeader::data(Vpi(2), Vci(77));
+        let frame: Vec<u8> = (0..255u8).cycle().take(1500).collect();
+        let (mut a, mut b) = (spp(), spp());
+        let r = a.fragment(SimTime::from_ns(101), &hdr, &frame, false).unwrap();
+        let mut fragments = b.fragment_cells(SimTime::from_ns(101), &hdr, &frame, false).unwrap();
+        assert_eq!((r.cells.len(), r.cells.capacity()), (34, 34), "one exact allocation");
+        assert_eq!(r.done, fragments.done());
+        for (at, cell) in &r.cells {
+            let mut want = [0u8; CELL_SIZE];
+            assert_eq!(*at, fragments.next_into(&mut want));
+            assert_eq!(cell.as_bytes(), want);
+        }
+        assert_eq!(fragments.remaining(), 0);
+        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

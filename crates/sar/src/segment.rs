@@ -7,8 +7,12 @@
 //! 10-bit sequence number, marks the final cell's F bit from the frame
 //! descriptor, and lets the CRC Generator append the CRC-10 — all on
 //! the fly, with no per-cell stall (§5.5).
+//!
+//! One walk, [`sar_fields`], is where a frame is cut; the SPP drives it
+//! cell by cell into the gateway's output, and [`segment`] and
+//! [`segment_cells`] collect it for everyone else.
 
-use gw_wire::atm::{AtmHeader, OwnedCell, CELL_SIZE};
+use gw_wire::atm::{AtmHeader, Cell, OwnedCell, CELL_SIZE};
 use gw_wire::sar::{OwnedSarCell, SAR_PAYLOAD_SIZE};
 use gw_wire::{Error, Result};
 
@@ -16,60 +20,108 @@ use gw_wire::{Error, Result};
 /// 10-bit sequence number space.
 pub const MAX_FRAME_CELLS: usize = 1 << 10;
 
-/// Segment a frame into SAR information fields (48 octets each).
-///
-/// `control` sets the C bit on every cell of the frame (§5.2). An empty
-/// frame still produces one (all-padding) cell so the F bit has a
-/// carrier. Frames longer than `MAX_FRAME_CELLS × 45` octets exceed the
-/// sequence space and are rejected.
-// gw-lint: setup-path — per-frame staging sized once from the frame length, modeling the Fragmentation Logic's bounded staging memory
-pub fn segment(frame: &[u8], control: bool) -> Result<Vec<OwnedSarCell>> {
-    let ncells = frame.len().div_ceil(SAR_PAYLOAD_SIZE).max(1);
-    if ncells > MAX_FRAME_CELLS {
-        return Err(Error::TooLong);
-    }
-    let mut cells = Vec::with_capacity(ncells);
-    for i in 0..ncells {
-        let start = i * SAR_PAYLOAD_SIZE;
-        let end = (start + SAR_PAYLOAD_SIZE).min(frame.len());
-        let last = i == ncells - 1;
-        cells.push(OwnedSarCell::build(i as u16, last, control, &frame[start..end])?);
-    }
-    Ok(cells)
-}
-
-/// Segment a frame into complete 53-octet ATM cells under `header`
-/// (the header the MPP fetched from the ICXT-A, §6.2).
-pub fn segment_cells(header: &AtmHeader, frame: &[u8], control: bool) -> Result<Vec<OwnedCell>> {
-    segment(frame, control)?
-        .into_iter()
-        .map(|sar| OwnedCell::build(header, sar.as_bytes()))
-        .collect()
-}
-
 /// Number of cells a frame of `len` octets segments into.
 pub fn cells_for_len(len: usize) -> usize {
     len.div_ceil(SAR_PAYLOAD_SIZE).max(1)
 }
 
+/// The one place a frame is cut: a walk over `frame` that yields its
+/// finished 48-octet SAR information fields in order — 45-octet slices
+/// under increasing sequence numbers, F on the last, C on all of them,
+/// CRC-10 appended — without staging anything. Its length is known
+/// before the first field ([`ExactSizeIterator::len`]), so a caller can
+/// size its output once.
+#[derive(Debug)]
+pub struct SarFields<'a> {
+    rest: &'a [u8],
+    control: bool,
+    seq: usize,
+    total: usize,
+}
+
+/// Start the walk over `frame`.
+///
+/// `control` sets the C bit on every cell of the frame (§5.2). An empty
+/// frame still produces one (all-padding) cell so the F bit has a
+/// carrier. Frames longer than `MAX_FRAME_CELLS × 45` octets exceed the
+/// sequence space and are rejected here, before the first field.
+pub fn sar_fields(frame: &[u8], control: bool) -> Result<SarFields<'_>> {
+    let total = cells_for_len(frame.len());
+    if total > MAX_FRAME_CELLS {
+        return Err(Error::TooLong);
+    }
+    Ok(SarFields { rest: frame, control, seq: 0, total })
+}
+
+impl Iterator for SarFields<'_> {
+    type Item = OwnedSarCell;
+
+    #[inline]
+    fn next(&mut self) -> Option<OwnedSarCell> {
+        if self.seq == self.total {
+            return None;
+        }
+        let (slice, rest) = self.rest.split_at(self.rest.len().min(SAR_PAYLOAD_SIZE));
+        let seq = self.seq;
+        self.rest = rest;
+        self.seq += 1;
+        // `sar_fields` bounded the sequence space and the slice is at
+        // most 45 octets, so `build` has nothing left to refuse.
+        OwnedSarCell::build(seq as u16, self.seq == self.total, self.control, slice).ok()
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.total - self.seq;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for SarFields<'_> {}
+
+/// Segment a frame into SAR information fields (48 octets each),
+/// collected; see [`sar_fields`] for the rules.
+// gw-lint: setup-path — collector over `sar_fields` for hosts and tests: one exact-capacity Vec per frame; the gateway drives the walk itself
+pub fn segment(frame: &[u8], control: bool) -> Result<Vec<OwnedSarCell>> {
+    let fields = sar_fields(frame, control)?;
+    let mut cells = Vec::with_capacity(fields.len());
+    cells.extend(fields);
+    Ok(cells)
+}
+
+/// Segment a frame into complete 53-octet ATM cells under `header`
+/// (the header the MPP fetched from the ICXT-A, §6.2), collected. The
+/// header is range-checked and its five octets (HEC included) emitted
+/// once for the whole frame; each information field is then written
+/// into its cell in place.
+// gw-lint: setup-path — collector over `sar_fields` for hosts and tests: one exact-capacity Vec per frame; the gateway drives the walk itself
+pub fn segment_cells(header: &AtmHeader, frame: &[u8], control: bool) -> Result<Vec<OwnedCell>> {
+    let fields = sar_fields(frame, control)?;
+    let mut blank = [0u8; CELL_SIZE];
+    header.emit(&mut blank)?;
+    let mut cells = vec![Cell::new_unchecked(blank); fields.len()];
+    for (cell, field) in cells.iter_mut().zip(fields) {
+        cell.payload_mut().copy_from_slice(field.as_bytes());
+    }
+    Ok(cells)
+}
+
 /// Octets put on the ATM wire for a frame of `len` octets.
-pub fn wire_octets_for_len(len: usize) -> usize {
+#[cfg(test)]
+fn wire_octets_for_len(len: usize) -> usize {
     cells_for_len(len) * CELL_SIZE
 }
 
 /// Reconstruct frame bytes (multiple of 45, zero-padded) from an ordered
-/// run of SAR cells — a test/oracle helper, not the hardware path.
-// gw-lint: setup-path — test/oracle helper, not the hardware path
-pub fn reassemble_oracle(cells: &[OwnedSarCell]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(cells.len() * SAR_PAYLOAD_SIZE);
-    for c in cells {
-        out.extend_from_slice(c.payload());
-    }
-    out
+/// run of SAR cells — the tests' oracle, not the hardware path.
+#[cfg(test)]
+fn reassemble_oracle(cells: &[OwnedSarCell]) -> Vec<u8> {
+    cells.iter().flat_map(|c| c.payload().iter().copied()).collect()
 }
 
 /// Wrap SAR information fields from existing ATM cells for inspection.
-pub fn sar_views(cells: &[OwnedCell]) -> Vec<OwnedSarCell> {
+#[cfg(test)]
+fn sar_views(cells: &[OwnedCell]) -> Vec<OwnedSarCell> {
     cells
         .iter()
         .map(|c| {
@@ -177,6 +229,77 @@ mod tests {
         // Payload content survives the trip through full cells.
         let views = sar_views(&cells);
         assert_eq!(&reassemble_oracle(&views)[..120], &frame[..]);
+    }
+
+    /// The cut, written out longhand: what the walk must reproduce.
+    fn reference(frame: &[u8], control: bool) -> Vec<OwnedSarCell> {
+        let n = cells_for_len(frame.len());
+        (0..n)
+            .map(|i| {
+                let slice = &frame[i * 45..frame.len().min((i + 1) * 45)];
+                OwnedSarCell::build(i as u16, i == n - 1, control, slice).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn walk_knows_its_length_up_front_and_cuts_every_frame_like_the_reference() {
+        let octets: Vec<u8> =
+            (0..4600u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        for len in 0..=octets.len() {
+            for control in [false, true] {
+                let frame = &octets[..len];
+                let mut walk = sar_fields(frame, control).unwrap();
+                assert_eq!(walk.len(), cells_for_len(len), "len {len}");
+                let want = reference(frame, control);
+                for (i, cell) in want.iter().enumerate() {
+                    assert_eq!(walk.next().as_ref(), Some(cell), "len {len} cell {i}");
+                    assert_eq!(walk.len(), want.len() - i - 1);
+                    assert_eq!(cell.header().final_cell, i == want.len() - 1);
+                }
+                assert_eq!(walk.next(), None);
+                assert_eq!(walk.next(), None, "and stays finished");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_frame_walks_to_one_all_padding_final_cell() {
+        let mut walk = sar_fields(&[], true).unwrap();
+        assert_eq!(walk.len(), 1);
+        let cell = walk.next().unwrap();
+        let h = cell.header();
+        assert_eq!((h.seq, h.final_cell, h.control), (0, true, true));
+        assert_eq!(cell.payload(), &[0u8; 45]);
+        assert!(cell.check_crc());
+        assert_eq!(walk.next(), None);
+    }
+
+    #[test]
+    fn refusals_come_before_the_first_field() {
+        let too_long = vec![0u8; MAX_FRAME_CELLS * SAR_PAYLOAD_SIZE + 1];
+        assert_eq!(sar_fields(&too_long, false).err(), Some(Error::TooLong));
+        let hdr = AtmHeader::data(Vpi(1), Vci(99));
+        assert_eq!(segment_cells(&hdr, &too_long, false).err(), Some(Error::TooLong));
+        for bad in [AtmHeader { gfc: 0x10, ..hdr }, AtmHeader { pti: 8, ..hdr }] {
+            assert_eq!(segment_cells(&bad, &[1, 2, 3], false).err(), Some(Error::Malformed));
+        }
+    }
+
+    #[test]
+    fn collected_cells_are_the_reference_fields_under_one_header() {
+        let hdr = AtmHeader { gfc: 3, vpi: Vpi(0xAB), vci: Vci(0x1234), pti: 2, clp: true };
+        for len in [0usize, 1, 44, 45, 46, 90, 461, 1500, 4000] {
+            let frame: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+            let want: Vec<OwnedCell> = reference(&frame, true)
+                .iter()
+                .map(|f| OwnedCell::build(&hdr, f.as_bytes()).unwrap())
+                .collect();
+            let got = segment_cells(&hdr, &frame, true).unwrap();
+            assert_eq!(got, want, "len {len}");
+            assert_eq!(got.capacity(), got.len(), "one exact allocation");
+            assert_eq!(segment(&frame, true).unwrap(), reference(&frame, true));
+        }
     }
 
     #[test]

@@ -217,6 +217,71 @@ fn full_frame_cycle_is_allocation_free_with_and_without_management() {
 }
 
 #[test]
+fn fddi_to_atm_frame_costs_exactly_one_allocation() {
+    use atm_fddi_gateway::sar::segment::cells_for_len;
+    use atm_fddi_gateway::wire::fddi::{llc_snap_header, FrameControl, FrameRepr};
+    use atm_fddi_gateway::wire::mchip::MCHIP_HEADER_SIZE;
+
+    // Frames as the ring delivers them: LLC/SNAP around an MCHIP data
+    // frame on `icn` (6 is the congram's FDDI-side ICN).
+    let frame = |icn: u16, payload_octets: usize| {
+        let mut info = llc_snap_header().to_vec();
+        info.extend_from_slice(&build_data_frame(Icn(icn), &vec![0xA7; payload_octets]).unwrap());
+        FrameRepr {
+            fc: FrameControl::LlcAsync { priority: 0 },
+            dst: FddiAddr::station(0),
+            src: FddiAddr::station(3),
+            info,
+        }
+        .emit()
+        .unwrap()
+    };
+    const PAYLOADS: [usize; 4] = [64, 461, 1_500, 4_000];
+    let good: Vec<Vec<u8>> = PAYLOADS.iter().map(|&n| frame(6, n)).collect();
+    let mut bad_fcs = frame(6, 461);
+    *bad_fcs.last_mut().unwrap() ^= 1;
+    let unknown_icn = frame(900, 461);
+
+    for managed in [false, true] {
+        let mut gw = gateway(managed);
+        let mut housekeeping = Vec::new();
+        let mut t = SimTime::from_us(100);
+        // One frame in, its wire time, housekeeping: what a harness does
+        // per frame. Returns the allocations of the cycle and the cells.
+        let mut cycle = |gw: &mut Gateway, bytes: &[u8]| {
+            allocations_during(|| {
+                let out = gw.fddi_frame_in(t, bytes);
+                t += SimTime::from_ns(bytes.len() as u64 * 80);
+                housekeeping.clear();
+                gw.advance_into(t, &mut housekeeping);
+                out
+            })
+        };
+        // Warm-up: the receive-staging and MPP pools reach the largest
+        // frame's size, the trace ring and histograms their working set.
+        for bytes in good.iter().chain([&bad_fcs, &unknown_icn]) {
+            cycle(&mut gw, bytes);
+        }
+        for _ in 0..8 {
+            for (bytes, &octets) in good.iter().zip(&PAYLOADS) {
+                let (allocs, out) = cycle(&mut gw, bytes);
+                let cells = cells_for_len(MCHIP_HEADER_SIZE + octets);
+                assert_eq!(allocs, 1, "managed {managed}, {octets} octets: the returned Vec");
+                assert_eq!((out.len(), out.capacity()), (cells, cells), "sized once, exactly");
+            }
+            for (bytes, why) in [(&bad_fcs, "bad FCS"), (&unknown_icn, "unknown ICN")] {
+                let (allocs, out) = cycle(&mut gw, bytes);
+                assert_eq!(allocs, 0, "managed {managed}: a frame dropped for {why}");
+                assert_eq!(out.capacity(), 0);
+            }
+        }
+        let cons = gw.conservation();
+        assert_eq!((cons.fddi_fragmented, cons.fddi_mpp_drops), (36, 9));
+        assert_eq!(gw.stats().fddi_fcs_drops, 9);
+    }
+}
+
+#[test]
 fn idle_advance_is_allocation_free() {
     // Regression test: `advance` used to collect-and-sort an `expired`
     // Vec from every timer map on every call. With the timer wheel an
