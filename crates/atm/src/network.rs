@@ -475,9 +475,7 @@ impl AtmNetwork {
     ) -> bool {
         let header = AtmHeader::data(Default::default(), vci);
         let cell = gw_wire::atm::OwnedCell::build(&header, payload).expect("valid payload size");
-        let mut bytes = [0u8; CELL_SIZE];
-        bytes.copy_from_slice(cell.as_bytes());
-        self.inject_at(from, at, bytes)
+        self.inject_at(from, at, cell.into_inner())
     }
 
     /// Take an endpoint's oldest pending notification, if any. Draining
@@ -863,9 +861,7 @@ mod tests {
             let header =
                 AtmHeader { clp: i % 2 == 0, ..AtmHeader::data(Default::default(), Vci(10)) };
             let cell = gw_wire::atm::OwnedCell::build(&header, &[0; 48]).unwrap();
-            let mut bytes = [0u8; CELL_SIZE];
-            bytes.copy_from_slice(cell.as_bytes());
-            net.inject(e0, bytes);
+            net.inject(e0, cell.into_inner());
         }
         net.run_to_idle();
         let stats = net.link_stats(s0, 1);

@@ -58,10 +58,7 @@ fn cell(vci: Vci, clp: bool, tag: u64) -> [u8; CELL_SIZE] {
     let header = AtmHeader { clp, ..AtmHeader::data(Default::default(), vci) };
     let mut payload = [0u8; 48];
     payload[..8].copy_from_slice(&tag.to_le_bytes());
-    let built = OwnedCell::build(&header, &payload).unwrap();
-    let mut bytes = [0u8; CELL_SIZE];
-    bytes.copy_from_slice(built.as_bytes());
-    bytes
+    OwnedCell::build(&header, &payload).unwrap().into_inner()
 }
 
 /// What the scenario saw, beside the digest: proof that it visited the

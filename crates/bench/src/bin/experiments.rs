@@ -7,45 +7,8 @@
 //!   experiments list            — list experiments
 //!   experiments all             — run everything
 //!   experiments e5 e12 …        — run specific experiments
-//!   experiments scene FILE…     — run .scene files as workloads
 
 use gw_bench::experiments;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::Ordering;
-
-/// Counting allocator so e20 can report heap allocations per cell.
-/// Counting is a relaxed fetch_add — negligible next to the allocation
-/// itself, and identical overhead for every measured variant.
-struct CountingAllocator;
-
-// SAFETY: pure pass-through to the `System` allocator — every method
-// forwards its arguments unchanged, so `System`'s own contract (valid
-// layouts in, valid blocks out) is what the caller actually gets; the
-// counter update touches no allocator state.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: delegates to `System::alloc` with the caller's layout.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        experiments::e20_fastpath::ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: delegates to `System::dealloc` with the caller's block.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` came from the matching alloc above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: delegates to `System::realloc` with the caller's block.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        experiments::e20_fastpath::ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout`/`new_size` pass through unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,22 +17,8 @@ fn main() {
         for (id, desc, _) in experiments::registry() {
             println!("  {id:<8} {desc}");
         }
-        println!(
-            "\nrun with: experiments all  |  experiments <id> [<id>...]  |  \
-             experiments scene <file.scene>..."
-        );
+        println!("\nrun with: experiments all  |  experiments <id> [<id>...]");
         return;
-    }
-    if args[0] == "scene" {
-        if args.len() < 2 {
-            eprintln!("experiments scene: missing .scene file");
-            std::process::exit(2);
-        }
-        let mut ok = true;
-        for path in &args[1..] {
-            ok &= gw_bench::scene_workload::run_file(path);
-        }
-        std::process::exit(if ok { 0 } else { 1 });
     }
     let mut failed = false;
     for id in &args {

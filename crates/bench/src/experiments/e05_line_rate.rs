@@ -73,11 +73,7 @@ fn atm_to_fddi() -> (f64, u64, u64) {
         segment_cells(&AtmHeader::data(Default::default(), VCI), &mchip, false)
             .unwrap()
             .into_iter()
-            .map(|c| {
-                let mut b = [0u8; CELL_SIZE];
-                b.copy_from_slice(c.as_bytes());
-                b
-            })
+            .map(|c| c.into_inner())
             .collect();
     // Cell arrivals such that SAR payload throughput = 100 Mb/s:
     // 45 octets per cell -> one cell per 3.6 us.

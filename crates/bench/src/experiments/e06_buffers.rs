@@ -105,9 +105,7 @@ fn run_one(
             let header = AtmHeader::data(Default::default(), Vci(100 + i as u16));
             let mut t = if a.at > free { a.at } else { free };
             for cell in segment_cells(&header, &mchip, false).unwrap() {
-                let mut b = [0u8; CELL_SIZE];
-                b.copy_from_slice(cell.as_bytes());
-                cell_events.push((t, b));
+                cell_events.push((t, cell.into_inner()));
                 t += cell_gap;
             }
             free = t;

@@ -48,5 +48,11 @@ pub fn run() {
     println!("\npaper §6.1: \"The size of the ICXT-F table is N x 8\"; §6.2 likewise for");
     println!("ICXT-A; §6.3's 13-cycle read is an SRAM access, independent of N — all");
     println!("reproduced by construction and measured above.");
-    println!("(wall-clock lookup cost is benchmarked in benches/mpp_lookup.rs)");
+    let default = gw_gateway::GatewayConfig::default();
+    println!(
+        "default GatewayConfig: N = {} -> ICXT {} octets per direction",
+        default.max_congrams,
+        default.icxt_octets()
+    );
+    println!("(wall-clock lookup cost: gw-benchmark, core.mpp.from_spp_ns_per_frame)");
 }

@@ -5,11 +5,18 @@
 //! compared with the analytic expectation 1−(1−p)^cells.
 
 use crate::report::Table;
+use atm_fddi_gateway::sar::reassemble::ReassemblyStats;
 use atm_fddi_gateway::sim::fault::FaultConfig;
 use atm_fddi_gateway::sim::SimTime;
 use atm_fddi_gateway::testbed::{Testbed, TestbedConfig};
 
-fn run_policy(p: f64, forward_errored: bool, frames: usize, payload: usize) -> (usize, u64, u64) {
+/// Frames delivered, and the SPP's reassembly registers after the run.
+fn run_policy(
+    p: f64,
+    forward_errored: bool,
+    frames: usize,
+    payload: usize,
+) -> (usize, ReassemblyStats) {
     let mut cfg =
         TestbedConfig { atm_faults: FaultConfig::drops(p), seed: 0xE10, ..Default::default() };
     cfg.gateway.forward_errored_frames = forward_errored;
@@ -24,8 +31,7 @@ fn run_policy(p: f64, forward_errored: bool, frames: usize, payload: usize) -> (
     }
     tb.run_until(SimTime::from_us(frames as u64 * 400) + SimTime::from_ms(100));
     let delivered = tb.fddi_rx(1).len();
-    let stats = tb.gw.spp().reassembly_stats();
-    (delivered, stats.frames_discarded, stats.timeouts)
+    (delivered, tb.gw.spp().reassembly_stats())
 }
 
 /// Run E10.
@@ -37,18 +43,20 @@ pub fn run() {
         "cell loss p",
         "analytic frame loss",
         "measured (discard policy)",
+        "seq errors",
         "discarded",
         "timer flushes",
     ]);
     for &p in &[0.0001f64, 0.001, 0.005, 0.02, 0.05] {
-        let (delivered, discarded, timeouts) = run_policy(p, false, frames, payload);
+        let (delivered, stats) = run_policy(p, false, frames, payload);
         let analytic = 1.0 - (1.0 - p).powi(cells_per_frame as i32);
         t.row(&[
             format!("{p}"),
             format!("{:.3}%", analytic * 100.0),
             format!("{:.3}%", (frames - delivered) as f64 / frames as f64 * 100.0),
-            discarded.to_string(),
-            timeouts.to_string(),
+            stats.seq_errors.to_string(),
+            stats.frames_discarded.to_string(),
+            stats.timeouts.to_string(),
         ]);
     }
     t.print();
@@ -61,8 +69,8 @@ pub fn run() {
         "frames reaching FDDI (any)",
     ]);
     let p = 0.02;
-    let (d_strict, _, _) = run_policy(p, false, frames, payload);
-    let (d_forward, _, _) = run_policy(p, true, frames, payload);
+    let (d_strict, _) = run_policy(p, false, frames, payload);
+    let (d_forward, _) = run_policy(p, true, frames, payload);
     t.row(&[
         "discard errored frames (current design)".into(),
         format!("{p}"),

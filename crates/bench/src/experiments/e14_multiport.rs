@@ -35,11 +35,7 @@ fn drive(ports: usize, frames_per_port: usize) -> (f64, u64) {
             segment_cells(&AtmHeader::data(Default::default(), Vci(1)), &mchip, false)
                 .unwrap()
                 .into_iter()
-                .map(|c| {
-                    let mut b = [0u8; CELL_SIZE];
-                    b.copy_from_slice(c.as_bytes());
-                    b
-                })
+                .map(|c| c.into_inner())
                 .collect()
         })
         .collect();

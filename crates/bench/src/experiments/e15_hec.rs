@@ -13,11 +13,11 @@ use gw_wire::atm::{AtmHeader, OwnedCell, Vci, Vpi, CELL_SIZE};
 
 fn corrupted_stream(error_prob: f64, n: usize, seed: u64) -> Vec<[u8; CELL_SIZE]> {
     let mut rng = SimRng::new(seed);
-    let base = OwnedCell::build(&AtmHeader::data(Vpi(1), Vci(77)), &[0x33; 48]).unwrap();
+    let base =
+        OwnedCell::build(&AtmHeader::data(Vpi(1), Vci(77)), &[0x33; 48]).unwrap().into_inner();
     (0..n)
         .map(|_| {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(base.as_bytes());
+            let mut b = base;
             if rng.chance(error_prob) {
                 // Isolated single-bit header error (the dominant fibre
                 // error mode the correction mode is designed for).

@@ -75,9 +75,7 @@ fn run_case(policed: bool) -> Outcome {
             for cell in
                 segment_cells(&AtmHeader::data(Default::default(), *vci), &mchip, false).unwrap()
             {
-                let mut b = [0u8; CELL_SIZE];
-                b.copy_from_slice(cell.as_bytes());
-                events.push((ct, b));
+                events.push((ct, cell.into_inner()));
                 ct += cell_gap;
             }
             offered[k] += 1;

@@ -18,8 +18,6 @@ pub mod e15_hec;
 pub mod e16_survivability;
 pub mod e17_rate_control;
 pub mod e18_npe_fifo;
-pub mod e19_telemetry;
-pub mod e20_fastpath;
 pub mod figures;
 
 /// The experiment registry: id, one-line description, runner.
@@ -87,12 +85,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, fn())> {
             e17_rate_control::run,
         ),
         ("e18", "§6.1: NPE FIFO capacity vs processing latency", e18_npe_fifo::run),
-        ("e19", "§6 management plane: telemetry cost and registry fidelity", e19_telemetry::run),
-        (
-            "e20",
-            "fast path: dense tables + pools + batching at 1000 VCs (BENCH_forwarding.json)",
-            e20_fastpath::run,
-        ),
         (
             "figures",
             "Figures 1/3/4/6/7: structural self-check of the component graph",

@@ -10,6 +10,5 @@
 
 pub mod experiments;
 pub mod report;
-pub mod scene_workload;
 
 pub use report::Table;

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment reports.
 
 /// A simple left-aligned table printed in GitHub-markdown style so the
-//  output can be pasted into EXPERIMENTS.md verbatim.
+/// output can be pasted into EXPERIMENTS.md verbatim.
 #[derive(Debug, Default)]
 pub struct Table {
     header: Vec<String>,

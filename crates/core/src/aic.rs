@@ -104,10 +104,7 @@ mod tests {
     use gw_wire::atm::{AtmHeader, OwnedCell, Vci, Vpi};
 
     fn good_cell() -> [u8; CELL_SIZE] {
-        let c = OwnedCell::build(&AtmHeader::data(Vpi(0), Vci(7)), &[1; 48]).unwrap();
-        let mut b = [0u8; CELL_SIZE];
-        b.copy_from_slice(c.as_bytes());
-        b
+        OwnedCell::build(&AtmHeader::data(Vpi(0), Vci(7)), &[1; 48]).unwrap().into_inner()
     }
 
     #[test]

@@ -1803,11 +1803,7 @@ mod tests {
         segment_cells(&AtmHeader::data(Default::default(), ATM_VCI), &mchip, false)
             .unwrap()
             .into_iter()
-            .map(|c| {
-                let mut b = [0u8; CELL_SIZE];
-                b.copy_from_slice(c.as_bytes());
-                b
-            })
+            .map(|c| c.into_inner())
             .collect()
     }
 
@@ -2043,9 +2039,7 @@ mod tests {
         gw2.install_congram(vci, Icn(63), Icn(62), FddiAddr::station(1), false); // opens the VC
         let mut outputs = Vec::new();
         for c in cells {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(c.as_bytes());
-            gw2.deliver_cells(SimTime::ZERO, &[b], &mut outputs);
+            gw2.deliver_cells(SimTime::ZERO, &[c.into_inner()], &mut outputs);
         }
         // The NPE answered with a SetupConfirm, segmented into cells out
         // the ATM side.
@@ -2228,15 +2222,7 @@ mod tests {
             let mchip = build_data_frame(ATM_ICN, payload).unwrap();
             let mut h = AtmHeader::data(Default::default(), ATM_VCI);
             h.clp = true;
-            segment_cells(&h, &mchip, false)
-                .unwrap()
-                .into_iter()
-                .map(|c| {
-                    let mut b = [0u8; CELL_SIZE];
-                    b.copy_from_slice(c.as_bytes());
-                    b
-                })
-                .collect()
+            segment_cells(&h, &mchip, false).unwrap().into_iter().map(|c| c.into_inner()).collect()
         };
         // Two untagged frames raise occupancy past the low watermark.
         let mut out = Vec::new();

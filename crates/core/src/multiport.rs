@@ -187,14 +187,7 @@ impl MultiportGateway {
             return Vec::new();
         };
         self.atm_stats[route.egress_port].frames_out += 1;
-        frag.cells
-            .into_iter()
-            .map(|(t, c)| {
-                let mut b = [0u8; CELL_SIZE];
-                b.copy_from_slice(c.as_bytes());
-                (route.egress_port, t, b)
-            })
-            .collect()
+        frag.cells.into_iter().map(|(t, c)| (route.egress_port, t, c.into_inner())).collect()
     }
 
     /// Drain one frame from an FDDI port's transmit buffer.
@@ -229,11 +222,7 @@ mod tests {
         segment_cells(&AtmHeader::data(Default::default(), vci), &mchip, false)
             .unwrap()
             .into_iter()
-            .map(|c| {
-                let mut b = [0u8; CELL_SIZE];
-                b.copy_from_slice(c.as_bytes());
-                b
-            })
+            .map(|c| c.into_inner())
             .collect()
     }
 

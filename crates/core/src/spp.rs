@@ -486,10 +486,7 @@ mod tests {
                     // AIC's per-cell stamp.
                     let slice = &frame[i * 45..len.min((i + 1) * 45)];
                     let field = OwnedSarCell::build(i as u16, i == n - 1, control, slice).unwrap();
-                    let mut want = [0u8; CELL_SIZE];
-                    want.copy_from_slice(
-                        OwnedCell::build(&hdr, field.as_bytes()).unwrap().as_bytes(),
-                    );
+                    let mut want = OwnedCell::build(&hdr, field.as_bytes()).unwrap().into_inner();
                     reference_aic.transmit(&mut want);
                     assert_eq!(cell, want, "len {len} control {control} cell {i}");
                     let sar = gw_wire::sar::SarHeader::parse(&cell[HEADER_SIZE..]).unwrap();

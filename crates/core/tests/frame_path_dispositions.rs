@@ -180,8 +180,8 @@ fn main_run(managed: bool) -> (Vec<Output>, Vec<Vec<u8>>, String) {
     let cells: Vec<[u8; CELL_SIZE]> =
         segment_cells(&AtmHeader::data(Default::default(), CONTROL_VCI), &setup, true)
             .unwrap()
-            .iter()
-            .map(|c| c.as_bytes().try_into().unwrap())
+            .into_iter()
+            .map(|c| c.into_inner())
             .collect();
     run.gw.deliver_cells(run.t, &cells, &mut run.outputs);
     assert!(matches!(run.outputs.last(), Some(Output::AtmCell { .. })), "SetupConfirm toward ATM");

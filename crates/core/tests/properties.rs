@@ -29,11 +29,7 @@ fn cells_for(vci: Vci, icn: Icn, payload: &[u8]) -> Vec<[u8; CELL_SIZE]> {
     segment_cells(&AtmHeader::data(Default::default(), vci), &mchip, false)
         .unwrap()
         .into_iter()
-        .map(|c| {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(c.as_bytes());
-            b
-        })
+        .map(|c| c.into_inner())
         .collect()
 }
 

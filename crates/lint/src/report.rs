@@ -1,8 +1,8 @@
 //! The machine-readable report (`gw-lint-report.json`, format
 //! `gw-lint/1`), hand-serialized so the lint stays dependency-free.
 //!
-//! CI uploads this next to `BENCH_forwarding.json`; the schema is
-//! stable: `diagnostics` is empty exactly when the run passed, and
+//! CI uploads this as an artifact; the schema is stable:
+//! `diagnostics` is empty exactly when the run passed, and
 //! `suppressed` records every allowlisted exception with its
 //! justification so the audit trail survives outside the repo too.
 //! The `rules` object breaks both lists down per family (every family

@@ -15,8 +15,8 @@
 //! transport, fails the lint before it fails review. The scenario
 //! language (`gw-scene`) sits outside the board on the other side:
 //! a dependency-free leaf that only the harness layer (testbed,
-//! chaos, bench, `gwd`) may consume — the board never interprets
-//! scenario files.
+//! chaos, `gwd`) may consume — the board never interprets scenario
+//! files.
 //!
 //! Only `[dependencies]` edges count — dev-dependencies are test
 //! scaffolding, not product linkage.
@@ -74,8 +74,8 @@ pub const FORBIDDEN: &[(&str, &str, &str)] = &[
     (
         "gw-gateway",
         "gw-scene",
-        "the gateway core forwards cells and frames; only harnesses (testbed, chaos, bench, \
-         gwd) interpret scenario files",
+        "the gateway core forwards cells and frames; only harnesses (testbed, chaos, gwd) \
+         interpret scenario files",
     ),
 ];
 

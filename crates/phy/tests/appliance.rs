@@ -25,11 +25,7 @@ fn cells_for(vci: u16, icn: u16, payload: &[u8]) -> Vec<[u8; CELL_SIZE]> {
     segment_cells(&header, &mchip, false)
         .expect("frame fits the SAR")
         .into_iter()
-        .map(|cell| {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(cell.as_bytes());
-            b
-        })
+        .map(|cell| cell.into_inner())
         .collect()
 }
 

@@ -4,8 +4,7 @@
 //! traffic schedule, fault plan, and the invariants the run must
 //! uphold — and every harness in the repo consumes it: the co-sim
 //! testbed (`Testbed::from_scene`), the chaos harness (`gw-chaos
-//! run-scene`), the bench runner (`experiments scene`), and the real
-//! appliance daemon (`gwd smoke --scene`). The crate is deliberately
+//! run-scene`), and the real appliance daemon (`gwd smoke --scene`). The crate is deliberately
 //! dependency-free (a leaf below every consumer, like `gw-lint`):
 //! consumers lower the [`Scene`] AST into their own configuration
 //! types; the parser never reaches up into them.

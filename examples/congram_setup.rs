@@ -48,10 +48,12 @@ fn main() {
         .expect("SETUP must be confirmed");
     println!("    confirmed: data frames must carry {assigned} on {vci}");
     println!(
-        "    resource manager: {} b/s committed, {} active congram(s)",
+        "    resource manager: {} b/s committed of {} capacity, {} active congram(s)",
         tb.gw.npe().resource_manager().committed_bps(),
+        tb.gw.npe().resource_manager().capacity_bps(),
         tb.gw.npe().resource_manager().active()
     );
+    println!("    ICXT entries installed (F, A): {:?}", tb.gw.mpp().installed());
 
     // Phase 2: data transfer on the assigned ICN over the same VC.
     // (The NPE bound the congram to its arrival VC and programmed the

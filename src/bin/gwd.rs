@@ -76,7 +76,7 @@ fn install_signal_handlers() {
 }
 
 // ---------------------------------------------------------------------
-// CLI plumbing (same idiom as gwsim).
+// CLI plumbing.
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
@@ -391,9 +391,7 @@ fn smoke(args: &[String]) -> i32 {
                 let mut header = AtmHeader::data(Default::default(), Vci(vci));
                 header.clp = s.clp;
                 for cell in segment_cells(&header, &mchip, false).expect("frame fits") {
-                    let mut b = [0u8; CELL_SIZE];
-                    b.copy_from_slice(cell.as_bytes());
-                    cell_line.send_cell(now, &b).expect("line cell send");
+                    cell_line.send_cell(now, &cell.into_inner()).expect("line cell send");
                     now += SimTime::from_us(2);
                     step(&mut app, now, &mut cell_line, &mut frame_line);
                 }

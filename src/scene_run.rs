@@ -220,8 +220,6 @@ pub struct SceneOutcome {
     pub violations: Vec<String>,
     /// The post-drain residue audit came back clean.
     pub residue_clean: bool,
-    /// Simulated time at the end of the drain.
-    pub end: SimTime,
 }
 
 impl SceneOutcome {
@@ -248,7 +246,7 @@ pub fn run_scene(scene: &Scene, phy: PhyMode) -> SceneOutcome {
 
     let residue_clean = tb.gw.residue().is_clean();
     let violations = judge(scene, scheduled, delivered, &tb.gw.check_conservation(), residue_clean);
-    SceneOutcome { scheduled, delivered, violations, residue_clean, end: tb.now() }
+    SceneOutcome { scheduled, delivered, violations, residue_clean }
 }
 
 #[cfg(test)]

@@ -392,9 +392,7 @@ impl Testbed {
         let start = if at > *free { at } else { *free };
         let mut t = start;
         for cell in segment_cells(&header, &mchip, false).expect("frame fits sequence space") {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(cell.as_bytes());
-            self.atm_outbox.push_back((t, self.atm_host, b));
+            self.atm_outbox.push_back((t, self.atm_host, cell.into_inner()));
             self.outbox_dirty = true;
             t += cell_time;
         }
@@ -439,9 +437,7 @@ impl Testbed {
         let frame = payload.to_frame(Icn(0));
         let header = AtmHeader::data(Default::default(), vci);
         for cell in segment_cells(&header, &frame, true).expect("control frame fits") {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(cell.as_bytes());
-            self.atm_outbox.push_back((self.now, self.atm_host, b));
+            self.atm_outbox.push_back((self.now, self.atm_host, cell.into_inner()));
             self.outbox_dirty = true;
         }
         vci

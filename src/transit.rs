@@ -176,9 +176,7 @@ impl TransitTestbed {
         let header = AtmHeader::data(Default::default(), congram.vci_a);
         let mut t = self.now;
         for cell in segment_cells(&header, &mchip, false).expect("fits") {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(cell.as_bytes());
-            self.outbox_a.push((t, self.host_a, b));
+            self.outbox_a.push((t, self.host_a, cell.into_inner()));
             t += SimTime::from_us(3);
         }
     }
@@ -191,9 +189,7 @@ impl TransitTestbed {
         let header = AtmHeader::data(Default::default(), congram.vci_b);
         let mut t = self.now;
         for cell in segment_cells(&header, &mchip, false).expect("fits") {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(cell.as_bytes());
-            self.outbox_b.push((t, self.host_b, b));
+            self.outbox_b.push((t, self.host_b, cell.into_inner()));
             t += SimTime::from_us(3);
         }
     }

@@ -9,9 +9,9 @@ use atm_fddi_gateway::sim::SimTime;
 use atm_fddi_gateway::testbed::{Testbed, TestbedConfig};
 use gw_mgmt::{FrameDropReason, GwEvent, Json, MgmtConfig, PortState};
 
-fn managed_config() -> TestbedConfig {
+fn managed_config(management: MgmtConfig) -> TestbedConfig {
     let mut cfg = TestbedConfig::default();
-    cfg.gateway.management = Some(MgmtConfig::default());
+    cfg.gateway.management = Some(management);
     cfg
 }
 
@@ -21,10 +21,22 @@ fn u(doc: &Json, path: &[&str]) -> u64 {
 
 /// The acceptance scenario: traffic on two VCs (one rate-controlled),
 /// the JSON snapshot deserialized back, and its numbers cross-checked
-/// against `GatewayStats` and the component registers.
+/// against `GatewayStats` and the component registers — however the
+/// management plane is configured: defaults, trace ring off, every
+/// histogram sample kept.
 #[test]
 fn snapshot_json_cross_checks_against_gateway_stats() {
-    let mut tb = Testbed::build(managed_config());
+    for management in [
+        MgmtConfig::default(),
+        MgmtConfig { trace_events: 0, ..MgmtConfig::default() },
+        MgmtConfig { histogram_sample: 1, ..MgmtConfig::default() },
+    ] {
+        snapshot_cross_checks(management);
+    }
+}
+
+fn snapshot_cross_checks(management: MgmtConfig) {
+    let mut tb = Testbed::build(managed_config(management));
     let c1 = tb.install_data_congram(1);
     let c2 = tb.install_data_congram(2);
     tb.gw.install_rate_control(
@@ -84,6 +96,11 @@ fn snapshot_json_cross_checks_against_gateway_stats() {
     assert_eq!(u(&doc, &["metrics", "counters", "gw.aic.cells_in", "count"]), aic.cells_in);
     assert_eq!(u(&doc, &["metrics", "counters", "gw.mpp.frames_forwarded", "count"]), mpp.data_up);
     assert_eq!(u(&doc, &["metrics", "counters", "gw.gcra.policed_cells", "count"]), nonconf);
+    let registry = &tb.gw.mgmt().expect("management enabled").registry;
+    let reassembled = |vci: u16| {
+        registry.counter_by_name(&format!("gw.spp.vc.{vci}.reassembled_frames")).expect("VC row")
+    };
+    assert_eq!(reassembled(c1.vci.0) + reassembled(c2.vci.0), spp.frames_up);
 
     // Buffer occupancy and drop/shed totals line up with GatewayStats.
     let gs = tb.gw.stats();
@@ -116,7 +133,7 @@ fn snapshot_json_cross_checks_against_gateway_stats() {
 /// cell that opened its reassembly and the VC it rode in on.
 #[test]
 fn causal_trace_attributes_discards_to_cell_and_vc_under_faults() {
-    let mut cfg = managed_config();
+    let mut cfg = managed_config(MgmtConfig::default());
     cfg.gateway.vc_liveness_timeout = Some(SimTime::from_ms(8));
     cfg.atm_faults = FaultConfig::builder()
         .burst(GilbertElliott::bursty(0.05, 0.3))

@@ -90,11 +90,7 @@ fn frame_cells(payload_octets: usize) -> Vec<[u8; CELL_SIZE]> {
     segment_cells(&AtmHeader::data(Default::default(), VCI), &mchip, false)
         .unwrap()
         .into_iter()
-        .map(|c| {
-            let mut b = [0u8; CELL_SIZE];
-            b.copy_from_slice(c.as_bytes());
-            b
-        })
+        .map(|c| c.into_inner())
         .collect()
 }
 
