@@ -19,7 +19,9 @@ use gw_gateway::GatewayConfig;
 use gw_sar::segment::segment_cells;
 use gw_sim::rng::SimRng;
 use gw_sim::time::SimTime;
-use gw_traffic::{arrivals_until, CbrSource, ImagingSource, OnOffSource, PoissonSource, Source};
+use gw_sim::traffic::{
+    arrivals_until, CbrSource, ImagingSource, OnOffSource, PoissonSource, Source,
+};
 use gw_wire::atm::{AtmHeader, Vci, CELL_SIZE};
 use gw_wire::fddi::FddiAddr;
 use gw_wire::mchip::{build_data_frame, Icn};

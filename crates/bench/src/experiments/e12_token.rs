@@ -68,7 +68,7 @@ pub fn run() {
         "async carried (aggregate)",
         "sync guarantee held",
     ]);
-    for &(overload, name) in &[(false, "light async"), (true, "saturating async")] {
+    for &(overload, name) in &[(false, "no async"), (true, "saturating async")] {
         let n = 8usize;
         let mut cfg = RingConfig::uniform(n, 20);
         for s in &mut cfg.stations {

@@ -13,7 +13,6 @@ pub mod e10_loss;
 pub mod e11_admission;
 pub mod e12_token;
 pub mod e13_paths;
-pub mod e14_multiport;
 pub mod e15_hec;
 pub mod e16_survivability;
 pub mod e17_rate_control;
@@ -68,11 +67,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, fn())> {
             e12_token::run,
         ),
         ("e13", "§4.2: critical (hardware) vs non-critical (software) path costs", e13_paths::run),
-        (
-            "e14",
-            "§7: multi-port scaling (work in progress in the paper, built here)",
-            e14_multiport::run,
-        ),
         ("e15", "extension: I.432 HEC correction mode at the AIC (ablation)", e15_hec::run),
         (
             "e16",

@@ -349,8 +349,8 @@ pub struct Gateway {
     quarantine_scratch: Vec<Vci>,
     /// Recycled staging buffers for the FDDI receive path.
     rx_pool: BufPool,
-    /// The management plane (`None` unless configured or
-    /// [`Gateway::enable_trace`] is called).
+    /// The management plane (`None` unless
+    /// [`GatewayConfig::management`] configures one).
     pub(crate) mgmt: Option<MgmtPlane>,
     /// Monotone cell id source; meaningful only under management.
     cell_seq: u64,
@@ -564,11 +564,6 @@ impl Gateway {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
     /// Reassembly-layer counters of the SPP.
     pub fn sar_reassembly_stats(&self) -> gw_sar::reassemble::ReassemblyStats {
         self.spp.reassembly_stats()
@@ -638,16 +633,6 @@ impl Gateway {
     /// `(conforming, non-conforming)` counts of a VC's rate controller.
     pub fn rate_control_counts(&self, vci: Vci) -> Option<(u64, u64)> {
         self.vc_slot(vci).and_then(|s| s.policer.as_ref()).map(|g| g.counts())
-    }
-
-    /// Enable the bounded causal event trace, retaining the most recent
-    /// `capacity` structured events (discards, drops, lifecycle,
-    /// lineage). Brings up a default-configured management plane when
-    /// none was configured.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        let plane =
-            self.mgmt.get_or_insert_with(|| MgmtPlane::new(&gw_mgmt::MgmtConfig::default()));
-        plane.trace = CausalTrace::bounded(capacity);
     }
 
     /// The causal event trace, when the management plane is up.
@@ -1793,7 +1778,11 @@ mod tests {
     const FDDI_ICN: Icn = Icn(20);
 
     fn gateway() -> Gateway {
-        let mut gw = Gateway::new(GatewayConfig::default(), FddiAddr::station(0), 80_000_000);
+        gateway_with(GatewayConfig::default())
+    }
+
+    fn gateway_with(config: GatewayConfig) -> Gateway {
+        let mut gw = Gateway::new(config, FddiAddr::station(0), 80_000_000);
         gw.install_congram(ATM_VCI, ATM_ICN, FDDI_ICN, FddiAddr::station(7), false);
         gw
     }
@@ -1873,6 +1862,92 @@ mod tests {
         assert_eq!(h.icn, ATM_ICN, "ICN translated back");
         assert_eq!(p, &payload[..]);
         assert_eq!(gw.stats().fddi_to_atm_ns.count(), 1);
+    }
+
+    /// One hop of Figure 1's internet: `payload` enters `from` as cells
+    /// on `vci` carrying `icn`, leaves it as a ring frame addressed to
+    /// `to_station`, and that frame enters `to`. Returns the ring frame's
+    /// ICN, then the VCI, ICN and payload of the cells `to` emits.
+    fn across_the_ring(
+        from: &mut Gateway,
+        to: &mut Gateway,
+        to_station: FddiAddr,
+        now: SimTime,
+        (vci, icn): (Vci, Icn),
+        payload: &[u8],
+    ) -> (Icn, Vci, Icn, Vec<u8>) {
+        let mchip = build_data_frame(icn, payload).unwrap();
+        let cells =
+            segment_cells(&AtmHeader::data(Default::default(), vci), &mchip, false).unwrap();
+        let mut out = Vec::new();
+        for (i, c) in cells.into_iter().enumerate() {
+            from.deliver_cells(now + SimTime::from_us(3 * i as u64), &[c.into_inner()], &mut out);
+        }
+        let [Output::FddiFrameQueued { at, .. }] = out[..] else { panic!("{out:?}") };
+        let (frame, _) = from.pop_fddi_tx(at).expect("frame in tx buffer");
+        let f = Frame::new_checked(&frame[..]).expect("valid FDDI frame");
+        assert_eq!(f.dst(), to_station);
+        let (ring, _) =
+            gw_wire::mchip::parse_frame(fddi::strip_llc_snap(f.info()).unwrap()).unwrap();
+
+        let mut out_vci = None;
+        let mut sar = Vec::new();
+        for o in to.fddi_frame_in(at, &frame) {
+            let Output::AtmCell { cell, .. } = o else { continue };
+            let cell = gw_wire::atm::Cell::new_checked(&cell[..]).expect("HEC valid");
+            let vci = cell.header().vci;
+            assert_eq!(*out_vci.get_or_insert(vci), vci, "one frame, one VC");
+            let mut info = [0u8; 48];
+            info.copy_from_slice(cell.payload());
+            sar.extend_from_slice(
+                gw_wire::sar::SarCell::new_checked(info).expect("CRC valid").payload(),
+            );
+        }
+        let (h, p) = gw_wire::mchip::parse_frame(&sar).unwrap();
+        (ring.icn, out_vci.expect("cells out"), h.icn, p.to_vec())
+    }
+
+    /// Figure 1: two ATM networks joined through two gateways on one
+    /// ring. "At each hop the input ICN is mapped to an output ICN"
+    /// (§6.1): GW-A maps `icn_a` ⇄ `icn_ring`, GW-B maps `icn_ring` ⇄
+    /// `icn_b`, so neither ATM side sees the other's identifier space.
+    #[test]
+    fn two_gateways_chain_icns_across_the_ring() {
+        let (station_a, station_b) = (FddiAddr::station(0), FddiAddr::station(1));
+        let mut gw_a = Gateway::new(GatewayConfig::default(), station_a, 80_000_000);
+        let mut gw_b = Gateway::new(GatewayConfig::default(), station_b, 80_000_000);
+        // Per congram: (vci_a, icn_a, icn_ring, vci_b, icn_b).
+        let congrams = [
+            (Vci(64), Icn(1), Icn(2), Vci(65), Icn(3)),
+            (Vci(66), Icn(4), Icn(5), Vci(67), Icn(6)),
+        ];
+        for (vci_a, icn_a, icn_ring, vci_b, icn_b) in congrams {
+            gw_a.install_congram(vci_a, icn_a, icn_ring, station_b, false);
+            gw_b.install_congram(vci_b, icn_b, icn_ring, station_a, false);
+        }
+
+        let mut now = SimTime::ZERO;
+        for round in 0..3u8 {
+            for (k, (vci_a, icn_a, icn_ring, vci_b, icn_b)) in congrams.into_iter().enumerate() {
+                let a_to_b = vec![round * 2 + k as u8; 400];
+                assert_eq!(
+                    across_the_ring(&mut gw_a, &mut gw_b, station_b, now, (vci_a, icn_a), &a_to_b),
+                    (icn_ring, vci_b, icn_b, a_to_b),
+                    "A→B, congram {k}"
+                );
+                now += SimTime::from_ms(1);
+                let b_to_a = vec![!(round * 2 + k as u8); 300];
+                assert_eq!(
+                    across_the_ring(&mut gw_b, &mut gw_a, station_a, now, (vci_b, icn_b), &b_to_a),
+                    (icn_ring, vci_a, icn_a, b_to_a),
+                    "B→A, congram {k}"
+                );
+                now += SimTime::from_ms(1);
+            }
+        }
+        for gw in [&gw_a, &gw_b] {
+            assert_eq!((gw.mpp().stats().data_up, gw.mpp().stats().data_down), (6, 6));
+        }
     }
 
     #[test]
@@ -2053,8 +2128,10 @@ mod tests {
 
     #[test]
     fn trace_records_exceptional_events() {
-        let mut gw = gateway();
-        gw.enable_trace(64);
+        let mut gw = gateway_with(GatewayConfig {
+            management: Some(gw_mgmt::MgmtConfig { trace_events: 64, ..Default::default() }),
+            ..Default::default()
+        });
         // An AIC discard.
         let mut bad = data_cells(b"x");
         bad[0][4] ^= 0xFF;

@@ -28,8 +28,6 @@
 //!   sets of Figure 4.
 //! * [`gateway`] — the assembled two-port gateway with measured
 //!   per-stage latencies (the quantities §5.5 and §6.3 estimate).
-//! * [`multiport`] — the multi-port scaling the conclusion (§7) lists
-//!   as work in progress.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -41,7 +39,6 @@ pub mod config;
 pub mod fifo;
 pub mod gateway;
 pub mod mpp;
-pub mod multiport;
 pub mod npe;
 pub mod snapshot;
 pub mod spp;

@@ -22,6 +22,9 @@
 //!   the figure self-checks.
 //! * [`fault`] — fault injection (drop / corrupt / delay) used by the
 //!   loss experiments (E10).
+//! * [`traffic`] — application workload generators (CBR voice, on-off
+//!   video, Poisson datagrams, bulk transfer, imaging bursts) for the
+//!   buffer-sizing study (E6) and the examples.
 //!
 //! No wall-clock time, no global state, no threads: simulations are pure
 //! functions of their configuration and seed.
@@ -37,6 +40,7 @@ pub mod stats;
 pub mod time;
 pub mod timer;
 pub mod trace;
+pub mod traffic;
 
 pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultConfigBuilder, FaultInjector, FaultOutcome, GilbertElliott};

@@ -4,7 +4,7 @@
 //! application traffic patterns"; §1 and §3 name the applications both
 //! networks target: "digitized voice, full motion video, and
 //! interactive imaging for scientific and business applications", plus
-//! classical datagram traffic. This crate provides those patterns as
+//! classical datagram traffic. This module provides those patterns as
 //! deterministic arrival-process generators:
 //!
 //! * [`CbrSource`] — constant bit rate (64 kb/s voice, or any CBR).
@@ -20,12 +20,8 @@
 //! time-ordered arrival list. All randomness flows from the caller's
 //! [`SimRng`], so workloads are reproducible.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_docs)]
-
-use gw_sim::rng::SimRng;
-use gw_sim::time::SimTime;
+use crate::rng::SimRng;
+use crate::time::SimTime;
 
 /// One frame arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

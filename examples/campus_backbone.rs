@@ -14,11 +14,11 @@
 use atm_fddi_gateway::mchip::congram::FlowSpec;
 use atm_fddi_gateway::mchip::resman::{AdmitDecision, ResourceManager};
 use atm_fddi_gateway::sim::rng::SimRng;
-use atm_fddi_gateway::sim::SimTime;
-use atm_fddi_gateway::testbed::{CongramHandle, Testbed, TestbedConfig};
-use atm_fddi_gateway::traffic::{
+use atm_fddi_gateway::sim::traffic::{
     arrivals_until, BulkSource, CbrSource, OnOffSource, PoissonSource, Source,
 };
+use atm_fddi_gateway::sim::SimTime;
+use atm_fddi_gateway::testbed::{CongramHandle, Testbed, TestbedConfig};
 
 struct App {
     name: &'static str,

@@ -14,9 +14,9 @@
 
 use atm_fddi_gateway::fddi::ring::RingConfig;
 use atm_fddi_gateway::sim::rng::SimRng;
+use atm_fddi_gateway::sim::traffic::{OnOffSource, Source};
 use atm_fddi_gateway::sim::SimTime;
 use atm_fddi_gateway::testbed::{Testbed, TestbedConfig};
-use atm_fddi_gateway::traffic::{OnOffSource, Source};
 use atm_fddi_gateway::wire::fddi::FddiAddr;
 
 fn main() {

@@ -20,14 +20,13 @@
 //! | Module (re-export) | Crate | Contents |
 //! |---|---|---|
 //! | [`wire`] | `gw-wire` | ATM cell, SAR header, FDDI frame, MCHIP frame formats and CRCs |
-//! | [`sim`] | `gw-sim` | Deterministic discrete-event engine, RNG, statistics, fault injection |
+//! | [`sim`] | `gw-sim` | Deterministic discrete-event engine, RNG, statistics, fault injection, workload generators |
 //! | [`sar`] | `gw-sar` | Segmentation and per-VC reassembly engines |
 //! | [`fddi`] | `gw-fddi` | Timed-token ring MAC (claim, TRT/THT, sync/async classes) |
 //! | [`atm`] | `gw-atm` | BPN: output-queued cell switches, multipoint VCs, signaling with CAC |
 //! | [`mchip`] | `gw-mchip` | Congram lifecycles, resource manager, route server, control codecs |
 //! | [`gateway`] | `gw-gateway` | **The paper's contribution**: AIC + SPP + MPP + NPE + buffers |
 //! | [`phy`] | `gw-phy` | Port transports: loopback and UDP-encapsulation phys, appliance driver |
-//! | [`traffic`] | `gw-traffic` | Voice/video/datagram/bulk/imaging workload generators |
 //! | [`testbed`] | (here) | Co-simulation harness: ATM network ⇄ gateway ⇄ FDDI ring |
 //!
 //! ## Quickstart
@@ -62,7 +61,6 @@ pub use gw_mgmt as mgmt;
 pub use gw_phy as phy;
 pub use gw_sar as sar;
 pub use gw_scene as scene;
-pub use gw_traffic as traffic;
 pub use gw_wire as wire;
 
 /// Re-exports of the simulation engine with its common types at the top.
@@ -73,4 +71,3 @@ pub mod sim {
 
 pub mod scene_run;
 pub mod testbed;
-pub mod transit;
