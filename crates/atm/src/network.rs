@@ -28,9 +28,10 @@
 //! * **One table read per hop.** A switch keeps one map keyed by the
 //!   packed `(port << 16 | vci)`; its entry holds the fan-out *and* the
 //!   optional ingress policer and is borrowed in place.
-//! * **One header parse, one header write per output.** CLP tagging
-//!   edits the parsed header; each output stamps its VCI and the HEC
-//!   once.
+//! * **One header parse, at most one header write per output.** CLP
+//!   tagging edits the parsed header; an output whose VCI or tag changes
+//!   the header stamps it and the HEC once, and one that changes nothing
+//!   leaves the octets the cell arrived with.
 //! * **No self-addressed wake-up.** When a cell reaches an idle port
 //!   the port would be woken at `now`; when that wake-up would
 //!   provably be the very next event popped, the port transmits at once
@@ -192,6 +193,17 @@ struct VcEntry {
     /// Ingress policer (usage parameter control enforcing the
     /// connection's traffic contract).
     policer: Option<crate::policing::Gcra>,
+}
+
+/// Write the header a cell `leaves` a switch with, unless it is the one
+/// it `arrived` with. A cell in the slab always carries a valid HEC —
+/// [`AtmNetwork::inject_at`] checks it and every write here restamps it —
+/// and the parsed fields cover all 32 bits before the HEC, so an
+/// unchanged header's octets are already the ones `to_bytes` would give.
+fn restamp(cell: &mut [u8; CELL_SIZE], arrived: &AtmHeader, leaves: AtmHeader) {
+    if leaves != *arrived {
+        cell[..HEADER_SIZE].copy_from_slice(&leaves.to_bytes());
+    }
 }
 
 /// `(input port, VCI)` packed into one word: `port << 16 | vci`.
@@ -554,8 +566,8 @@ impl AtmNetwork {
         use crate::policing::{Conformance, PolicingAction};
         let AtmNetwork { switches, events, cells, .. } = self;
         let Switch { ports, table, unroutable, policed_drops } = &mut switches[sw as usize];
-        let mut header =
-            AtmHeader::parse(&cells.cells[slot as usize]).expect("cell carries a header");
+        let arrived = AtmHeader::parse(&cells.cells[slot as usize]).expect("cell carries a header");
+        let mut header = arrived;
         let Some(entry) = table.get_mut(&vc_key(in_port as usize, header.vci)) else {
             *unroutable += 1;
             cells.release(slot);
@@ -589,16 +601,18 @@ impl AtmNetwork {
             let p = &mut ports[out_port];
             if p.admits(header.clp) {
                 let mut copy = cells.cells[slot as usize];
-                copy[..HEADER_SIZE]
-                    .copy_from_slice(&AtmHeader { vci: out_vci, ..header }.to_bytes());
+                restamp(&mut copy, &arrived, AtmHeader { vci: out_vci, ..header });
                 let copy = cells.insert(copy);
                 p.offer(events, cells, now, copy, false);
             }
         }
         let p = &mut ports[last_port];
         if p.admits(header.clp) {
-            cells.cells[slot as usize][..HEADER_SIZE]
-                .copy_from_slice(&AtmHeader { vci: last_vci, ..header }.to_bytes());
+            restamp(
+                &mut cells.cells[slot as usize],
+                &arrived,
+                AtmHeader { vci: last_vci, ..header },
+            );
             p.offer(events, cells, now, slot, earlier.is_empty());
         } else {
             cells.release(slot);
@@ -933,6 +947,53 @@ mod tests {
         let (ok, bad) = net.policer_counts(SwitchId(0), 1, Vci(100)).unwrap();
         assert_eq!(ok as usize, delivered);
         assert_eq!(ok + bad, 100);
+    }
+
+    #[test]
+    fn a_header_is_rewritten_only_where_it_changes() {
+        use crate::policing::{Gcra, GcraParams, PolicingAction};
+        let mut net = AtmNetwork::new();
+        let s0 = net.add_switch(4);
+        let e0 = net.attach_endpoint(s0, 0);
+        let outs: Vec<_> = (1..4).map(|port| net.attach_endpoint(s0, port)).collect();
+        // Same VCI out on ports 1 and 3 (3 is the last output, which
+        // forwards the cell itself), a new one on port 2.
+        net.install_vc(s0, 0, Vci(50), vec![(1, Vci(50)), (2, Vci(70)), (3, Vci(50))]);
+        // Every cell after the first is over contract and gets tagged.
+        let gcra = GcraParams { increment: SimTime::from_secs(1), tolerance: SimTime::ZERO };
+        net.install_policer(s0, 0, Vci(50), Gcra::new(gcra, PolicingAction::Tag));
+        let mut sent = [0u8; CELL_SIZE];
+        AtmHeader { gfc: 5, pti: 2, ..AtmHeader::data(Default::default(), Vci(50)) }
+            .emit(&mut sent)
+            .unwrap();
+        sent[HEADER_SIZE..].fill(0x3C);
+        for _ in 0..2 {
+            assert!(net.inject(e0, sent));
+            net.run_to_idle();
+        }
+        for (out, vci) in outs.into_iter().zip([50, 70, 50]) {
+            let got: Vec<_> = net
+                .poll(out)
+                .into_iter()
+                .filter_map(|e| match e {
+                    EndpointEvent::CellRx { cell, .. } => Some(cell),
+                    _ => None,
+                })
+                .collect();
+            let [untagged, tagged] = got[..] else { panic!("two cells on vci {vci}: {got:?}") };
+            let header = Cell::new_unchecked(sent).header();
+            for (cell, clp) in [(untagged, false), (tagged, true)] {
+                let mut want = [0u8; CELL_SIZE];
+                Cell::new_unchecked(&mut want[..])
+                    .set_header(&AtmHeader { vci: Vci(vci), clp, ..header })
+                    .unwrap();
+                want[HEADER_SIZE..].fill(0x3C);
+                assert_eq!(cell, want, "vci {vci} clp {clp}");
+            }
+            if vci == 50 {
+                assert_eq!(untagged, sent, "unchanged: the octets it arrived with");
+            }
+        }
     }
 
     #[test]

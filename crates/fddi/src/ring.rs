@@ -476,20 +476,24 @@ impl Ring {
         let view = Frame::new_unchecked(&frame[..]);
         let dst = view.dst();
         let n = self.stations.len();
+        let len = frame.len();
         // Walk downstream from src; the frame is stripped at src, so it
-        // passes each other station exactly once.
-        let mut deliveries = Vec::new();
+        // passes each other station exactly once. Each listener is
+        // scheduled when the next one is found, with a copy; the last
+        // gets the frame itself.
+        let mut pending = None;
         for hop in 1..n {
             let idx = (src + hop) % n;
             if !self.stations[idx].bypassed && self.stations[idx].listens_to(dst) {
                 let arrival = start + SimTime::from_ns(self.hop_latency.as_ns() * hop as u64) + dur;
-                deliveries.push((arrival, idx));
+                if let Some((at, to)) = pending.replace((arrival, idx)) {
+                    let frame = frame.clone();
+                    self.events.push(at, RingEvent::Deliver { to, from: src, frame });
+                }
             }
         }
-        let len = frame.len();
-        for (arrival, idx) in deliveries {
-            self.events
-                .push(arrival, RingEvent::Deliver { to: idx, from: src, frame: frame.clone() });
+        if let Some((at, to)) = pending {
+            self.events.push(at, RingEvent::Deliver { to, from: src, frame });
         }
         let s = &mut self.stations[src];
         s.stats.octets_tx += len as u64;
@@ -649,10 +653,19 @@ mod tests {
     #[test]
     fn broadcast_reaches_everyone_but_source() {
         let mut ring = small_ring(5);
-        ring.push_async(1, data_frame(1, FddiAddr::BROADCAST, 50, false)).unwrap();
+        let frame = data_frame(1, FddiAddr::BROADCAST, 50, false);
+        ring.push_async(1, frame.clone()).unwrap();
         ring.run_until(SimTime::from_ms(5));
-        for i in [0usize, 2, 3, 4] {
-            assert_eq!(ring.take_rx(i).len(), 1, "station {i}");
+        // Downstream order: each station one hop later than the last,
+        // every one with the frame as sent (the last gets the original,
+        // the others copies).
+        let mut last = SimTime::ZERO;
+        for i in [2usize, 3, 4, 0] {
+            let rx = ring.take_rx(i);
+            assert_eq!(rx.len(), 1, "station {i}");
+            assert_eq!((rx[0].from, &rx[0].frame), (1, &frame), "station {i}");
+            assert!(rx[0].time > last, "station {i} hears it after the one upstream");
+            last = rx[0].time;
         }
         assert!(ring.take_rx(1).is_empty(), "source strips its own frame");
     }

@@ -75,6 +75,7 @@ impl AtmHeader {
 
     /// Parse the first four octets (the HEC is *not* consulted here; use
     /// [`Cell::check_hec`] or [`crate::crc::hec_valid`] for that).
+    #[inline]
     pub fn parse(bytes: &[u8]) -> Result<Self> {
         if bytes.len() < 4 {
             return Err(Error::Truncated);
@@ -90,6 +91,7 @@ impl AtmHeader {
     }
 
     /// Emit the full 5-octet header, computing the HEC, into `bytes`.
+    #[inline]
     pub fn emit(&self, bytes: &mut [u8]) -> Result<()> {
         if bytes.len() < HEADER_SIZE {
             return Err(Error::Truncated);
@@ -105,6 +107,7 @@ impl AtmHeader {
     /// masked to their on-wire sizes (GFC 4 bits, PTI 3 bits), so
     /// packing cannot fail; [`AtmHeader::emit`] is the variant that
     /// reports out-of-range fields instead of truncating them.
+    #[inline]
     pub fn to_bytes(&self) -> [u8; HEADER_SIZE] {
         let mut b = [0u8; HEADER_SIZE];
         b[0] = ((self.gfc & 0x0F) << 4) | (self.vpi.0 >> 4);

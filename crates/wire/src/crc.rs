@@ -177,6 +177,7 @@ static CRC32_SLICES: [[u32; 256]; 8] = build_crc32_slices();
 /// // CRC-8 of all-zero input is zero; the coset alone remains.
 /// assert_eq!(hec(&header4), 0x55);
 /// ```
+#[inline]
 pub fn hec(header4: &[u8]) -> u8 {
     debug_assert_eq!(header4.len(), 4, "HEC covers exactly four octets");
     let mut crc = 0u8;
@@ -187,6 +188,7 @@ pub fn hec(header4: &[u8]) -> u8 {
 }
 
 /// Verify that a 5-octet ATM header's HEC octet matches its first four.
+#[inline]
 pub fn hec_valid(header5: &[u8]) -> bool {
     header5.len() == 5 && hec(&header5[..4]) == header5[4]
 }
@@ -272,6 +274,7 @@ fn crc10_table(data: &[u8]) -> u16 {
 ///
 /// The result is the value transmitted in the 4-octet FCS field
 /// (complemented, reflected convention — identical to Ethernet).
+#[inline]
 pub fn crc32(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if let Some(fcs) = clmul::crc32(data) {

@@ -69,6 +69,7 @@ impl SarHeader {
     }
 
     /// The header as its 24-bit word; fields are taken as they are.
+    #[inline]
     fn word(&self) -> u32 {
         ((self.seq as u32) << 14)
             | ((self.final_cell as u32) << 11)
@@ -164,6 +165,7 @@ impl OwnedSarCell {
     ///
     /// `payload` shorter than 45 octets is zero-padded on the right, as
     /// the Fragmentation Logic does for a frame's final partial cell.
+    #[inline]
     pub fn build(
         seq: u16,
         final_cell: bool,
