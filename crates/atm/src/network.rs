@@ -28,7 +28,8 @@
 //! * **One table read per hop.** A switch keeps one map keyed by the
 //!   packed `(port << 16 | vci)`; its entry holds the fan-out *and* the
 //!   optional ingress policer and is borrowed in place.
-//! * **One header parse, at most one header write per output.** CLP
+//! * **One header decode, from one word; at most one header write per
+//!   output.** CLP
 //!   tagging edits the parsed header; an output whose VCI or tag changes
 //!   the header stamps it and the HEC once, and one that changes nothing
 //!   leaves the octets the cell arrived with.
@@ -566,7 +567,11 @@ impl AtmNetwork {
         use crate::policing::{Conformance, PolicingAction};
         let AtmNetwork { switches, events, cells, .. } = self;
         let Switch { ports, table, unroutable, policed_drops } = &mut switches[sw as usize];
-        let arrived = AtmHeader::parse(&cells.cells[slot as usize]).expect("cell carries a header");
+        // From the header word, not through `AtmHeader::parse`'s
+        // `Result`, whose narrow stack stores `restamp`'s compare would
+        // reload wider (DESIGN.md §15).
+        let [b0, b1, b2, b3, ..] = cells.cells[slot as usize];
+        let arrived = AtmHeader::from_word(u32::from_be_bytes([b0, b1, b2, b3]));
         let mut header = arrived;
         let Some(entry) = table.get_mut(&vc_key(in_port as usize, header.vci)) else {
             *unroutable += 1;

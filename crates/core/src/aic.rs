@@ -56,6 +56,7 @@ impl Aic {
     /// Synchronize an arriving cell to the internal 40 ns packet cycle
     /// and check (and possibly repair, in place) its header. Returns
     /// the aligned presentation time, or `None` when discarded.
+    #[inline]
     pub fn receive(&mut self, now: SimTime, cell: &mut [u8; CELL_SIZE]) -> Option<SimTime> {
         match &mut self.receiver {
             None => {

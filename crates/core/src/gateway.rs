@@ -46,7 +46,7 @@ use gw_sar::reassemble::{ReassembledFrame, ReassemblyConfig, ReassemblyEvent};
 use gw_sim::stats::Histogram;
 use gw_sim::time::SimTime;
 use gw_sim::timer::{TimerId, TimerWheel};
-use gw_wire::atm::{AtmHeader, Vci, CELL_SIZE};
+use gw_wire::atm::{AtmHeader, Vci, CELL_SIZE, HEADER_SIZE};
 use gw_wire::fddi::{self, FddiAddr, Frame, FrameControl};
 use gw_wire::mchip::Icn;
 use gw_wire::pool::BufPool;
@@ -1127,8 +1127,14 @@ impl Gateway {
     /// verdict: one dense slot lookup, no heap allocation in the steady
     /// state (cells, frame completion, and management bookkeeping
     /// included). Drops are counted and traced where they happen.
-    fn cell_in(&mut self, now: SimTime, cell: &[u8; CELL_SIZE], out: &mut Vec<Output>) {
-        let mut cell = *cell;
+    ///
+    /// Header fields are shifts of one word and the information field
+    /// is read where the caller put it, so no load straddles a store
+    /// made here (DESIGN.md §15, "Words travel in registers").
+    fn cell_in(&mut self, now: SimTime, input: &[u8; CELL_SIZE], out: &mut Vec<Output>) {
+        // The AIC corrects at most one header bit, in this copy; the
+        // information field is taken from `input`.
+        let mut cell = *input;
         let cell_id = self.note_cell_in();
         let Some(aligned) = self.aic.receive(now, &mut cell) else {
             // The header is unreadable, so the VC is unknown (0).
@@ -1137,9 +1143,8 @@ impl Gateway {
         };
         // Read the VCI after the AIC so a corrected header binds the
         // cell to the right connection.
-        let header = AtmHeader::parse(&cell);
-        let vci = header.as_ref().map(|h| h.vci).unwrap_or_default();
-        let clp = header.map(|h| h.clp).unwrap_or(false);
+        let [b0, b1, b2, b3, ..] = cell;
+        let AtmHeader { vci, clp, .. } = AtmHeader::from_word(u32::from_be_bytes([b0, b1, b2, b3]));
         let idx = self.slot_index(vci);
         if let Some(policer) = self.vc_slots[idx].policer.as_mut() {
             if policer.offer(aligned) == gw_atm::policing::Conformance::NonConforming {
@@ -1157,7 +1162,8 @@ impl Gateway {
                 *last = aligned;
             }
         }
-        let IngestResult { timing, event } = self.spp.ingest_cell(aligned, vci, &cell[5..]);
+        let IngestResult { timing, event } =
+            self.spp.ingest_cell(aligned, vci, &input[HEADER_SIZE..]);
         let slot = &mut self.vc_slots[idx];
         if slot.first_cell.is_none() {
             slot.first_cell = Some(aligned);
@@ -2017,6 +2023,61 @@ mod tests {
         gw.deliver_cells(SimTime::ZERO, &cells[..1], &mut out);
         assert!(out.is_empty());
         assert_eq!(gw.aic().stats().hec_discards, 1);
+    }
+
+    #[test]
+    fn corrected_vci_bit_binds_to_its_vc_and_uncorrected_is_booked_as_loss() {
+        // One bit of VCI 100 flipped in the second cell's header: read
+        // uncorrected it is VCI 356, which nobody programmed. The header
+        // comes from the AIC's corrected copy, the payload from the
+        // caller's cell.
+        let payload: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        let clean = data_cells(&payload);
+        let mut hit = clean.clone();
+        hit[1][2] ^= 0x10;
+        let run = |hec_correction: bool, cells: &[[u8; CELL_SIZE]]| {
+            let mut gw = gateway_with(GatewayConfig {
+                hec_correction,
+                management: Some(gw_mgmt::MgmtConfig { trace_events: 64, ..Default::default() }),
+                ..Default::default()
+            });
+            let mut out = Vec::new();
+            for (i, c) in cells.iter().enumerate() {
+                gw.deliver_cells(SimTime::from_us(3 * i as u64), std::slice::from_ref(c), &mut out);
+            }
+            let end = SimTime::from_ms(1);
+            let frames: Vec<_> =
+                std::iter::from_fn(|| gw.pop_fddi_tx(end).map(|(f, _)| f)).collect();
+            let snapshot = gw.snapshot(end);
+            let corrections = snapshot.get_path(&["components", "aic", "hec_corrections"]);
+            let corrections = corrections.and_then(gw_mgmt::Json::as_u64);
+            (gw, frames, corrections)
+        };
+        let (_, want, _) = run(false, &clean);
+        assert_eq!(want.len(), 1);
+
+        let (gw, frames, corrections) = run(true, &hit);
+        assert_eq!(frames, want, "the frame reassembles byte-identical");
+        assert_eq!(corrections, Some(1));
+        assert_eq!(gw.aic().stats().hec_discards, 0);
+
+        let (gw, frames, corrections) = run(false, &hit);
+        assert!(frames.is_empty());
+        assert_eq!((corrections, gw.aic().stats().hec_discards), (Some(0), 1));
+        let trace = gw.trace().expect("management plane up");
+        let drops: Vec<_> = trace.by_component("aic").collect();
+        assert!(
+            matches!(drops[..], [GwEvent::CellDropped { reason: CellDropReason::HecError, .. }]),
+            "{drops:?}"
+        );
+        let reasons: Vec<_> = trace
+            .discards()
+            .map(|e| match e {
+                GwEvent::FrameDiscarded { reason, .. } => *reason,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(reasons, [FrameDropReason::LostCell]);
     }
 
     #[test]

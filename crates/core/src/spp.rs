@@ -171,6 +171,7 @@ impl Spp {
     }
 
     /// Offer one cell's information field to the reassembly pipeline.
+    #[inline]
     pub fn ingest_cell(&mut self, now: SimTime, vci: Vci, info: &[u8]) -> IngestResult {
         let start = if now > self.pipeline_free { now } else { self.pipeline_free }.ceil_to_cycle();
         let decode_done = start + SimTime::from_cycles(SPP_DECODE_CYCLES);

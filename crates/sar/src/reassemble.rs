@@ -401,6 +401,7 @@ impl Reassembler {
 
     /// Offer one cell's 48-octet information field, as it emerges from
     /// the Header Decoder and CRC Logic.
+    #[inline]
     pub fn push(&mut self, now: SimTime, vci: Vci, info: &[u8]) -> ReassemblyEvent {
         let slot = self.vci_index[vci.0 as usize];
         if slot == NO_SLOT {

@@ -77,17 +77,25 @@ impl AtmHeader {
     /// [`Cell::check_hec`] or [`crate::crc::hec_valid`] for that).
     #[inline]
     pub fn parse(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 4 {
-            return Err(Error::Truncated);
+        match bytes.first_chunk::<4>() {
+            Some(&octets) => Ok(AtmHeader::from_word(u32::from_be_bytes(octets))),
+            None => Err(Error::Truncated),
         }
-        let gfc = bytes[0] >> 4;
-        let vpi = Vpi(((bytes[0] & 0x0F) << 4) | (bytes[1] >> 4));
-        let vci = Vci((((bytes[1] & 0x0F) as u16) << 12)
-            | ((bytes[2] as u16) << 4)
-            | ((bytes[3] >> 4) as u16));
-        let pti = (bytes[3] >> 1) & 0x07;
-        let clp = bytes[3] & 1 != 0;
-        Ok(AtmHeader { gfc, vpi, vci, pti, clp })
+    }
+
+    /// Decode the header's first four octets held as one big-endian
+    /// word — the form a per-cell path reads them in, so the fields are
+    /// shifts of a register rather than reloads of a parsed struct
+    /// (DESIGN.md §15).
+    #[inline]
+    pub fn from_word(word: u32) -> Self {
+        AtmHeader {
+            gfc: (word >> 28) as u8,
+            vpi: Vpi((word >> 20) as u8),
+            vci: Vci((word >> 4) as u16),
+            pti: (word >> 1) as u8 & 0x07,
+            clp: word & 1 != 0,
+        }
     }
 
     /// Emit the full 5-octet header, computing the HEC, into `bytes`.
@@ -253,6 +261,22 @@ mod tests {
     #[test]
     fn emit_rejects_short_buffer() {
         assert_eq!(sample_header().emit(&mut [0u8; 4]), Err(Error::Truncated));
+    }
+
+    #[test]
+    fn word_decode_places_every_field() {
+        // Each field alone at all ones, then all fields at once.
+        for h in [
+            AtmHeader { gfc: 0xF, ..Default::default() },
+            AtmHeader { vpi: Vpi(0xFF), ..Default::default() },
+            AtmHeader { vci: Vci(0xFFFF), ..Default::default() },
+            AtmHeader { pti: 0x7, ..Default::default() },
+            AtmHeader { clp: true, ..Default::default() },
+            sample_header(),
+        ] {
+            let [a, b, c, d, _] = h.to_bytes();
+            assert_eq!(AtmHeader::from_word(u32::from_be_bytes([a, b, c, d])), h);
+        }
     }
 
     #[test]

@@ -56,16 +56,22 @@ impl SarHeader {
     /// verification needs the full information field; see
     /// [`SarCell::check_crc`]).
     pub fn parse(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < SAR_HEADER_SIZE {
-            return Err(Error::Truncated);
+        match bytes.first_chunk::<SAR_HEADER_SIZE>() {
+            Some(&[a, b, c]) => Ok(SarHeader::from_word(u32::from_be_bytes([0, a, b, c]))),
+            None => Err(Error::Truncated),
         }
-        let word = ((bytes[0] as u32) << 16) | ((bytes[1] as u32) << 8) | bytes[2] as u32;
-        Ok(SarHeader {
+    }
+
+    /// The one decoder: the header from its 24-bit word. The two unused
+    /// bits are ignored.
+    #[inline]
+    fn from_word(word: u32) -> SarHeader {
+        SarHeader {
             seq: ((word >> 14) & 0x3FF) as u16,
             final_cell: (word >> 11) & 1 != 0,
             control: (word >> 10) & 1 != 0,
             crc10: (word & 0x3FF) as u16,
-        })
+        }
     }
 
     /// The header as its 24-bit word; fields are taken as they are.
@@ -107,6 +113,7 @@ impl<T: AsRef<[u8]>> SarCell<T> {
 
     /// Wrap an information field, verifying its length and CRC-10 — what
     /// the SPP's CRC Logic does per cell (§5.3).
+    #[inline]
     pub fn new_checked(buffer: T) -> Result<SarCell<T>> {
         let cell = SarCell::new_unchecked(buffer);
         if cell.buffer.as_ref().len() != PAYLOAD_SIZE {
@@ -127,17 +134,23 @@ impl<T: AsRef<[u8]>> SarCell<T> {
     /// reachable through [`SarCell::new_unchecked`]; it reads as the
     /// all-zero header (sequence 0, flags clear), whose CRC then fails
     /// verification downstream — drop-and-count, never a panic.
+    #[inline]
     pub fn header(&self) -> SarHeader {
-        SarHeader::parse(self.buffer.as_ref()).unwrap_or_default()
+        match self.buffer.as_ref().first_chunk::<SAR_HEADER_SIZE>() {
+            Some(&[a, b, c]) => SarHeader::from_word(u32::from_be_bytes([0, a, b, c])),
+            None => SarHeader::default(),
+        }
     }
 
     /// The 45-octet SAR payload.
+    #[inline]
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[SAR_HEADER_SIZE..PAYLOAD_SIZE]
     }
 
     /// Verify the CRC-10 over the whole information field (header CRC
     /// bits zeroed during computation).
+    #[inline]
     pub fn check_crc(&self) -> bool {
         let Ok(field) = <&[u8; PAYLOAD_SIZE]>::try_from(self.buffer.as_ref()) else {
             return false;
@@ -244,6 +257,26 @@ mod tests {
         assert_eq!(h.emit(&mut [0u8; 3]), Err(Error::Malformed));
         let h = SarHeader { crc10: 0x400, ..Default::default() };
         assert_eq!(h.emit(&mut [0u8; 3]), Err(Error::Malformed));
+    }
+
+    #[test]
+    fn cell_header_and_parse_decode_alike() {
+        // Every sequence number and flag pair, both unused bits set or
+        // clear, and CRC fields at zero, alternating and all ones.
+        let mut field = [0x5Au8; PAYLOAD_SIZE];
+        for seq in 0..=MAX_SEQ as u32 {
+            for flags in 0..16u32 {
+                for crc in [0, 0x155, 0x3FF] {
+                    let word = seq << 14 | flags << 10 | crc;
+                    field[..SAR_HEADER_SIZE].copy_from_slice(&word.to_be_bytes()[1..]);
+                    let parsed = SarHeader::parse(&field).unwrap();
+                    assert_eq!(SarCell::new_unchecked(field).header(), parsed, "{word:06x}");
+                    let want = (seq as u16, flags & 2 != 0, flags & 1 != 0, crc as u16);
+                    assert_eq!((parsed.seq, parsed.final_cell, parsed.control, parsed.crc10), want);
+                }
+            }
+        }
+        assert_eq!(SarCell::new_unchecked([0xFFu8; 2]).header(), SarHeader::default());
     }
 
     #[test]
