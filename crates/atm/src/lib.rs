@@ -21,7 +21,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod network;
 pub mod policing;

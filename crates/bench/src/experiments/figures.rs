@@ -81,7 +81,7 @@ fn figure4_gateway() {
     check(&mut t, "SUPERNET (FDDI MAC)", "gw-fddi::ring", "E12");
     t.print();
     assert_eq!(gw.aic().stats().cells_in, 0);
-    assert_eq!(gw.mpp().table_octets(), GatewayConfig::default().max_congrams * 8);
+    assert_eq!(gw.mpp().table_octets(), gw_gateway::config::ICXT_OCTETS);
     let mut out = Vec::new();
     gw.advance_into(SimTime::from_ms(1), &mut out);
     assert!(out.is_empty());

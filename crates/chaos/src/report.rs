@@ -1,8 +1,8 @@
 //! Run reports and the machine-readable failure artifact.
 
 use gw_gateway::gateway::Residue;
-use gw_mgmt::Json;
 use gw_phy::PhyStats;
+use gw_sim::json::Json;
 use gw_sim::time::SimTime;
 
 /// Which adversarial paths a run actually exercised — aggregated over

@@ -31,11 +31,12 @@
 
 use crate::aic::Aic;
 use crate::buffers::{BufferMemory, Class};
-use crate::config::GatewayConfig;
+use crate::config::{GatewayConfig, MAX_CONGRAMS, NPE_CONTROL_LATENCY, NPE_FIFO_FRAMES};
 use crate::fifo::FrameFifo;
 use crate::mpp::{Mpp, MppDownOutput, MppUpOutput};
 use crate::npe::{Npe, NpeAction, NpeInput};
 use crate::spp::{IngestResult, Spp};
+use crate::supervisor::SupervisorConfig;
 use gw_atm::policing::Gcra;
 use gw_mchip::congram::CongramId;
 use gw_mgmt::{
@@ -366,13 +367,12 @@ impl Gateway {
     // gw-lint: setup-path — power-up construction; sizes the dense VCI table and pools once
     pub fn new(config: GatewayConfig, fddi_addr: FddiAddr, fddi_capacity_bps: u64) -> Gateway {
         let reasm = ReassemblyConfig {
-            buffer_cells: config.reassembly_buffer_cells,
-            buffers_per_vc: config.reassembly_buffers_per_vc,
             timeout: config.reassembly_timeout,
             forward_errored_frames: config.forward_errored_frames,
+            ..ReassemblyConfig::default()
         };
-        let mut npe = Npe::new(fddi_addr, fddi_capacity_bps, config.npe_control_latency);
-        npe.set_supervisor_config(config.supervisor);
+        let mut npe = Npe::new(fddi_addr, fddi_capacity_bps, NPE_CONTROL_LATENCY);
+        npe.set_supervisor_config(SupervisorConfig::default());
         let aic = if config.hec_correction { Aic::with_correction() } else { Aic::new() };
         let mut tx_buffer = BufferMemory::new(config.tx_buffer_octets);
         let mut rx_buffer = BufferMemory::new(config.rx_buffer_octets);
@@ -390,10 +390,10 @@ impl Gateway {
         let mut gw = Gateway {
             aic,
             spp: Spp::new(reasm),
-            mpp: Mpp::new(config.max_congrams),
+            mpp: Mpp::new(MAX_CONGRAMS),
             tx_buffer,
             rx_buffer,
-            npe_fifo: FrameFifo::new("mpp-npe", config.npe_fifo_frames),
+            npe_fifo: FrameFifo::new("mpp-npe", NPE_FIFO_FRAMES),
             npe_fifo_depth_peak: 0,
             stats: GatewayStats::new(),
             cons: ConservationCounters::default(),
@@ -403,7 +403,7 @@ impl Gateway {
             liveness_scratch: Vec::new(),
             quarantine_scratch: Vec::new(),
             rx_pool: BufPool::new(64, 0),
-            mgmt: config.management.as_ref().map(MgmtPlane::new),
+            mgmt: config.management.map(|_| MgmtPlane::default()),
             cell_seq: 0,
             frame_seq: 0,
             mirrored_reestablishments: 0,
@@ -2038,7 +2038,7 @@ mod tests {
         let run = |hec_correction: bool, cells: &[[u8; CELL_SIZE]]| {
             let mut gw = gateway_with(GatewayConfig {
                 hec_correction,
-                management: Some(gw_mgmt::MgmtConfig { trace_events: 64, ..Default::default() }),
+                management: Some(gw_mgmt::MgmtConfig),
                 ..Default::default()
             });
             let mut out = Vec::new();
@@ -2050,7 +2050,7 @@ mod tests {
                 std::iter::from_fn(|| gw.pop_fddi_tx(end).map(|(f, _)| f)).collect();
             let snapshot = gw.snapshot(end);
             let corrections = snapshot.get_path(&["components", "aic", "hec_corrections"]);
-            let corrections = corrections.and_then(gw_mgmt::Json::as_u64);
+            let corrections = corrections.and_then(gw_sim::json::Json::as_u64);
             (gw, frames, corrections)
         };
         let (_, want, _) = run(false, &clean);
@@ -2190,7 +2190,7 @@ mod tests {
     #[test]
     fn trace_records_exceptional_events() {
         let mut gw = gateway_with(GatewayConfig {
-            management: Some(gw_mgmt::MgmtConfig { trace_events: 64, ..Default::default() }),
+            management: Some(gw_mgmt::MgmtConfig),
             ..Default::default()
         });
         // An AIC discard.
@@ -2225,10 +2225,7 @@ mod tests {
     #[test]
     fn management_plane_counts_vc_rows_and_forwards() {
         let mut gw = Gateway::new(
-            GatewayConfig {
-                management: Some(gw_mgmt::MgmtConfig { histogram_sample: 1, ..Default::default() }),
-                ..Default::default()
-            },
+            GatewayConfig { management: Some(gw_mgmt::MgmtConfig), ..Default::default() },
             FddiAddr::station(0),
             100_000_000,
         );

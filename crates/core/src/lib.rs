@@ -31,7 +31,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod aic;
 pub mod buffers;

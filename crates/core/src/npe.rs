@@ -36,6 +36,10 @@ use gw_wire::fddi::{FddiAddr, FrameControl};
 use gw_wire::mchip::Icn;
 use std::collections::HashMap;
 
+/// Reassembly timeout the NPE programs for the VCs of the congrams it
+/// sets up (§5.3).
+const REASSEMBLY_TIMEOUT: SimTime = SimTime::from_ms(10);
+
 /// Inputs the NPE processes.
 #[derive(Debug, Clone)]
 pub enum NpeInput {
@@ -179,7 +183,6 @@ pub struct Npe {
     by_peer_id: HashMap<u32, CongramId>,
     latency: SimTime,
     gateway_fddi_addr: FddiAddr,
-    reassembly_timeout: SimTime,
     stats: NpeStats,
     supervisor: ConnectionSupervisor,
 }
@@ -196,7 +199,6 @@ impl Npe {
             by_peer_id: HashMap::new(),
             latency,
             gateway_fddi_addr,
-            reassembly_timeout: SimTime::from_ms(10),
             stats: NpeStats::default(),
             supervisor: ConnectionSupervisor::new(SupervisorConfig::disabled()),
         }
@@ -223,11 +225,6 @@ impl Npe {
     /// Disable FDDI-side admission control (the E11 baseline).
     pub fn set_admission_bypass(&mut self, bypass: bool) {
         self.resman.bypass = bypass;
-    }
-
-    /// Set the reassembly timeout programmed for new congrams' VCs.
-    pub fn set_reassembly_timeout(&mut self, t: SimTime) {
-        self.reassembly_timeout = t;
     }
 
     /// The actions that initialize the gateway hardware at power-up:
@@ -361,7 +358,7 @@ impl Npe {
                 vec![
                     NpeAction::ProgramSpp {
                         at,
-                        payload: spp::encode_init(&[(arrival_vci, self.reassembly_timeout)]),
+                        payload: spp::encode_init(&[(arrival_vci, REASSEMBLY_TIMEOUT)]),
                     },
                     NpeAction::ProgramMpp {
                         at,
@@ -521,10 +518,7 @@ impl Npe {
         let Some(binding) = self.bindings.get(&congram) else { return Vec::new() };
         let (in_icn, out_icn, dst) = (binding.in_icn, binding.out_icn, binding.fddi_dst);
         vec![
-            NpeAction::ProgramSpp {
-                at,
-                payload: spp::encode_init(&[(vci, self.reassembly_timeout)]),
-            },
+            NpeAction::ProgramSpp { at, payload: spp::encode_init(&[(vci, REASSEMBLY_TIMEOUT)]) },
             NpeAction::ProgramMpp {
                 at,
                 payload: mpp::encode_mpp_init(&[
@@ -754,20 +748,6 @@ impl Npe {
     /// The FDDI-side resource manager (inspection).
     pub fn resource_manager(&self) -> &ResourceManager {
         &self.resman
-    }
-
-    /// Flow specifications of the congrams currently bound through this
-    /// gateway, keyed by local congram id.
-    pub fn active_flows(&self) -> Vec<(CongramId, FlowSpec)> {
-        let mut v: Vec<(CongramId, FlowSpec)> =
-            self.bindings.iter().map(|(&id, b)| (id, b.flow)).collect();
-        v.sort_by_key(|&(id, _)| id);
-        v
-    }
-
-    /// The congram manager (inspection).
-    pub fn congram_manager(&self) -> &CongramManager {
-        &self.congrams
     }
 
     /// Counter snapshot.

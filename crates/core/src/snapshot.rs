@@ -9,7 +9,8 @@
 
 use crate::buffers::BufferMemory;
 use crate::gateway::Gateway;
-use gw_mgmt::{Json, Port};
+use gw_mgmt::Port;
+use gw_sim::json::Json;
 use gw_sim::{Counter, Histogram, SimTime, TimeWeighted};
 
 /// Format tag carried in every snapshot (`"format"` key); bump on any
@@ -498,10 +499,8 @@ mod tests {
     use gw_wire::fddi::FddiAddr;
 
     fn managed_gateway() -> Gateway {
-        let config = GatewayConfig {
-            management: Some(gw_mgmt::MgmtConfig::default()),
-            ..GatewayConfig::default()
-        };
+        let config =
+            GatewayConfig { management: Some(gw_mgmt::MgmtConfig), ..GatewayConfig::default() };
         Gateway::new(config, FddiAddr([0x10; 6]), 100_000_000)
     }
 

@@ -102,10 +102,8 @@ struct Observed {
 fn drive(batch: usize, per_cell: bool) -> Observed {
     // Management on so the snapshot carries registry rows, lineage
     // counters, and trace totals — all of which must also match.
-    let config = GatewayConfig {
-        management: Some(gw_mgmt::MgmtConfig::default()),
-        ..GatewayConfig::default()
-    };
+    let config =
+        GatewayConfig { management: Some(gw_mgmt::MgmtConfig), ..GatewayConfig::default() };
     let mut gw = Gateway::new(config, FddiAddr::station(0), 80_000_000);
     for v in 0..VCS {
         let vci = Vci(BASE_VCI + v);

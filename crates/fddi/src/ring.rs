@@ -344,11 +344,6 @@ impl Ring {
         self.stations[station].rx.drain(..).collect()
     }
 
-    /// Frames waiting in a station's receive queue.
-    pub fn rx_depth(&self, station: usize) -> usize {
-        self.stations[station].rx.len()
-    }
-
     /// Statistics registers of one station.
     pub fn station_stats(&self, station: usize) -> StationStats {
         self.stations[station].stats

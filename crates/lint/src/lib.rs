@@ -24,21 +24,19 @@
 //!    wire-format enums, so a new protocol variant is a build break,
 //!    not a silent drop;
 //! 6. **no-lock** — no `Mutex`/`RwLock`/`.lock()`/library channels in
-//!    critical-path code: every engine owns its state outright, and
-//!    this family admits no allowlist entries at all.
+//!    critical-path code: every engine owns its state outright.
 //!
-//! The analyzer is deliberately token-level and dependency-free: it
-//! strips comments and string literals (preserving line numbers), blanks
-//! `#[cfg(test)]` items, and then scans for banned constructs. Surviving
-//! exceptions live in the checked-in [`allowlist`] (`gw-lint.allow`),
-//! where every entry carries a one-line justification; stale or
-//! unjustified entries fail the lint, and the hardware-model crates
-//! (`crates/wire`, `crates/sar`) admit no entries at all.
+//! The analyzer is deliberately token-level: it strips comments and
+//! string literals (preserving line numbers), blanks `#[cfg(test)]`
+//! items, and then scans for banned constructs. Its one dependency is
+//! `gw-sim`'s JSON writer, a leaf crate. There is no exception file: a
+//! finding is fixed, or — for a per-connection function living in a
+//! critical-path file — carries a justified
+//! `// gw-lint: setup-path — <why>` marker in the source.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod allowlist;
 pub mod manifest;
 pub mod report;
 pub mod rules;
@@ -54,8 +52,7 @@ pub struct Diagnostic {
     /// 1-based line number; 0 when the finding is file- or crate-level.
     pub line: usize,
     /// Rule family — one of [`rules::FAMILIES`]: `hot-path`, `no-lock`,
-    /// `layering`, `hygiene`, `safety`, `exhaustive`, `marker`, or
-    /// `allowlist`.
+    /// `layering`, `hygiene`, `safety`, `exhaustive`, or `marker`.
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -72,16 +69,13 @@ impl Diagnostic {
     }
 }
 
-/// Outcome of a full workspace pass: surviving diagnostics plus the
-/// bookkeeping the JSON report and the allowlist-drift check need.
+/// Outcome of a full workspace pass: the diagnostics plus the
+/// bookkeeping the JSON report needs.
 #[derive(Debug, Default)]
 pub struct Outcome {
-    /// Diagnostics that survived allowlist filtering, sorted by file
-    /// and line. Any entry here fails the lint.
+    /// Every finding, sorted by file and line. Any entry here fails
+    /// the lint.
     pub diagnostics: Vec<Diagnostic>,
-    /// Diagnostics suppressed by an allowlist entry, with the entry's
-    /// justification attached (kept for the report's audit trail).
-    pub suppressed: Vec<(Diagnostic, String)>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Workspace crates discovered from the manifests.
@@ -113,9 +107,8 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 
 /// Run the full pass over the workspace rooted at `root`.
 ///
-/// Reads every member crate's manifest and `src/**/*.rs`, applies all
-/// rule families, then filters through `gw-lint.allow` (allowlist drift
-/// itself producing diagnostics).
+/// Reads every member crate's manifest and `src/**/*.rs` and applies
+/// all rule families.
 pub fn run(root: &Path) -> std::io::Result<Outcome> {
     let workspace = manifest::Workspace::discover(root)?;
     let mut outcome = Outcome {
@@ -123,25 +116,17 @@ pub fn run(root: &Path) -> std::io::Result<Outcome> {
         ..Outcome::default()
     };
 
-    let mut raw = Vec::new();
-    raw.extend(rules::layering::check(&workspace));
+    outcome.diagnostics.extend(rules::layering::check(&workspace));
     for krate in &workspace.crates {
-        raw.extend(rules::hygiene::check_crate(root, krate));
+        outcome.diagnostics.extend(rules::hygiene::check_crate(root, krate));
     }
 
     let sources = workspace.source_files(root)?;
     outcome.files_scanned = sources.len();
     for file in &sources {
         let text = std::fs::read_to_string(root.join(file))?;
-        raw.extend(rules::scan_file(file, &text));
+        outcome.diagnostics.extend(rules::scan_file(file, &text));
     }
-
-    let allow = allowlist::Allowlist::load(root);
-    let (kept, suppressed, drift) =
-        allow.apply(raw, |rel| std::fs::read_to_string(root.join(rel)).ok());
-    outcome.diagnostics = kept;
-    outcome.suppressed = suppressed;
-    outcome.diagnostics.extend(drift);
     outcome.diagnostics.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(outcome)
 }

@@ -33,7 +33,7 @@ fn main() -> ExitCode {
     for diag in &outcome.diagnostics {
         println!("{}", diag.render());
     }
-    let report = gw_lint::report::to_json(&outcome);
+    let report = gw_lint::report::to_json(&outcome).pretty();
     let report_path = root.join("gw-lint-report.json");
     if let Err(e) = std::fs::write(&report_path, report) {
         eprintln!("gw-lint: cannot write {}: {e}", report_path.display());
@@ -41,11 +41,10 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "gw-lint: {} file(s), {} crate(s): {} finding(s), {} allowlisted",
+        "gw-lint: {} file(s), {} crate(s): {} finding(s)",
         outcome.files_scanned,
         outcome.crates.len(),
         outcome.diagnostics.len(),
-        outcome.suppressed.len(),
     );
     if outcome.ok() {
         println!("gw-lint: critical-path / non-critical-path split holds");

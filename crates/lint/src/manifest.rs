@@ -2,8 +2,8 @@
 //!
 //! `gw-lint` derives the crate dependency DAG the same way `cargo
 //! metadata` does — from the manifests — but parses the small TOML
-//! subset this workspace uses directly, so the lint stays dependency-
-//! free and runs in offline CI without invoking cargo. Only `[package]
+//! subset this workspace uses directly, so the lint needs no TOML
+//! library and runs in offline CI without invoking cargo. Only `[package]
 //! name` and the `[dependencies]` section matter; `[dev-dependencies]`
 //! are deliberately ignored because test conveniences do not create
 //! product linkage (e.g. `gw-wire` uses `gw-fddi` builders in its

@@ -1,90 +1,46 @@
 //! The machine-readable report (`gw-lint-report.json`, format
-//! `gw-lint/1`), hand-serialized so the lint stays dependency-free.
+//! `gw-lint/2`), written with `gw-sim`'s JSON document model.
 //!
 //! CI uploads this as an artifact; the schema is stable:
-//! `diagnostics` is empty exactly when the run passed, and
-//! `suppressed` records every allowlisted exception with its
-//! justification so the audit trail survives outside the repo too.
-//! The `rules` object breaks both lists down per family (every family
-//! in [`crate::rules::FAMILIES`] appears, zero or not), so a dashboard
-//! can watch one family's count without parsing messages — additive,
-//! still format `gw-lint/1`.
+//! `diagnostics` is empty exactly when the run passed, and the `rules`
+//! object counts them per family (every family in
+//! [`crate::rules::FAMILIES`] appears, zero or not), so a dashboard can
+//! watch one family's count without parsing messages.
 
 use crate::rules::FAMILIES;
 use crate::Outcome;
+use gw_sim::json::Json;
 
-/// Serialize `outcome` as the `gw-lint/1` JSON document.
-pub fn to_json(outcome: &Outcome) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"format\": \"gw-lint/1\",\n");
-    s.push_str(&format!("  \"ok\": {},\n", outcome.ok()));
-    s.push_str(&format!("  \"files_scanned\": {},\n", outcome.files_scanned));
-    s.push_str("  \"crates\": [");
-    for (i, name) in outcome.crates.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&quote(name));
-    }
-    s.push_str("],\n");
-    s.push_str("  \"rules\": {\n");
-    for (i, family) in FAMILIES.iter().enumerate() {
-        let diags = outcome.diagnostics.iter().filter(|d| d.rule == *family).count();
-        let supp = outcome.suppressed.iter().filter(|(d, _)| d.rule == *family).count();
-        s.push_str(&format!(
-            "    {}: {{\"diagnostics\": {diags}, \"suppressed\": {supp}}}{}\n",
-            quote(family),
-            if i + 1 < FAMILIES.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  },\n");
-    s.push_str("  \"diagnostics\": [");
-    for (i, d) in outcome.diagnostics.iter().enumerate() {
-        s.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        s.push_str(&format!(
-            "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-            quote(&d.file),
-            d.line,
-            quote(d.rule),
-            quote(&d.message)
-        ));
-    }
-    s.push_str(if outcome.diagnostics.is_empty() { "],\n" } else { "\n  ],\n" });
-    s.push_str("  \"suppressed\": [");
-    for (i, (d, why)) in outcome.suppressed.iter().enumerate() {
-        s.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        s.push_str(&format!(
-            "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"justification\": {}}}",
-            quote(&d.file),
-            d.line,
-            quote(d.rule),
-            quote(&d.message),
-            quote(why)
-        ));
-    }
-    s.push_str(if outcome.suppressed.is_empty() { "]\n" } else { "\n  ]\n" });
-    s.push_str("}\n");
-    s
-}
+/// Format tag carried in every report (`"format"` key).
+pub const REPORT_FORMAT: &str = "gw-lint/2";
 
-/// JSON string escaping (quotes, backslashes, control characters).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Build the `gw-lint/2` JSON document for `outcome`.
+pub fn to_json(outcome: &Outcome) -> Json {
+    let mut rules = Json::obj();
+    for family in FAMILIES {
+        let n = outcome.diagnostics.iter().filter(|d| d.rule == *family).count();
+        rules.set(family, Json::U64(n as u64));
     }
-    out.push('"');
-    out
+    let diagnostics = outcome
+        .diagnostics
+        .iter()
+        .map(|d| {
+            let mut o = Json::obj();
+            o.set("file", Json::Str(d.file.clone()))
+                .set("line", Json::U64(d.line as u64))
+                .set("rule", Json::Str(d.rule.to_string()))
+                .set("message", Json::Str(d.message.clone()));
+            o
+        })
+        .collect();
+    let mut doc = Json::obj();
+    doc.set("format", Json::Str(REPORT_FORMAT.to_string()))
+        .set("ok", Json::Bool(outcome.ok()))
+        .set("files_scanned", Json::U64(outcome.files_scanned as u64))
+        .set("crates", Json::Arr(outcome.crates.iter().cloned().map(Json::Str).collect()))
+        .set("rules", rules)
+        .set("diagnostics", Json::Arr(diagnostics));
+    doc
 }
 
 #[cfg(test)]
@@ -101,14 +57,16 @@ mod tests {
                 rule: "hot-path",
                 message: "`.unwrap(` \"quoted\"".into(),
             }],
-            suppressed: vec![],
             files_scanned: 1,
             crates: vec!["gw-wire".into()],
         };
-        let json = to_json(&outcome);
-        assert!(json.contains("\"format\": \"gw-lint/1\""));
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"ok\": false"));
+        let text = to_json(&outcome).pretty();
+        assert!(text.contains("\"format\": \"gw-lint/2\""));
+        assert!(text.contains("\\\"quoted\\\""));
+        let doc = Json::parse(&text).expect("the report parses back");
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
+        let message = doc.get("diagnostics").and_then(Json::as_arr).map(|d| d[0].get("message"));
+        assert_eq!(message.flatten().and_then(Json::as_str), Some("`.unwrap(` \"quoted\""));
     }
 
     #[test]
@@ -120,28 +78,19 @@ mod tests {
                 rule: "exhaustive",
                 message: "wildcard arm".into(),
             }],
-            suppressed: vec![(
-                Diagnostic {
-                    file: "b.rs".into(),
-                    line: 9,
-                    rule: "exhaustive",
-                    message: "wildcard arm".into(),
-                },
-                "closed by the caller's own check".into(),
-            )],
             files_scanned: 2,
             crates: vec![],
         };
-        let json = to_json(&outcome);
+        let doc = to_json(&outcome);
         for family in FAMILIES {
-            assert!(json.contains(&format!("\"{family}\": {{\"diagnostics\": ")), "{family}");
+            assert!(doc.get_path(&["rules", family]).is_some(), "{family}");
         }
-        assert!(json.contains("\"exhaustive\": {\"diagnostics\": 1, \"suppressed\": 1}"));
-        assert!(json.contains("\"safety\": {\"diagnostics\": 0, \"suppressed\": 0}"));
+        assert_eq!(doc.get_path(&["rules", "exhaustive"]).and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get_path(&["rules", "safety"]).and_then(Json::as_u64), Some(0));
         // Every diagnostic's rule is a listed family — a new rule
         // string must be added to FAMILIES or it vanishes from the
         // breakdown.
-        for d in outcome.diagnostics.iter().chain(outcome.suppressed.iter().map(|(d, _)| d)) {
+        for d in &outcome.diagnostics {
             assert!(FAMILIES.contains(&d.rule), "unlisted family {}", d.rule);
         }
     }

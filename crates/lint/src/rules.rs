@@ -26,7 +26,7 @@ use crate::Diagnostic;
 /// being listed here would vanish from the audit trail — the report
 /// module asserts against that.
 pub const FAMILIES: &[&str] =
-    &["hot-path", "no-lock", "layering", "hygiene", "safety", "exhaustive", "marker", "allowlist"];
+    &["hot-path", "no-lock", "layering", "hygiene", "safety", "exhaustive", "marker"];
 
 /// Files the paper's critical path maps onto, as whole-directory
 /// prefixes. Every `.rs` file under these is critical-path code.

@@ -8,14 +8,18 @@
 //! references on every public item, which is how this reproduction
 //! stays auditable against the design it models.
 //!
+//! Carrying the attribute is not enough: a later `#![warn(missing_docs)]`
+//! wins over an earlier `deny`, and the crate then only warns. So a
+//! root that names `missing_docs` or `unsafe_code` again at a weaker
+//! level than it requires is a finding too.
+//!
 //! One exemption, and the lint proves it is one file: `gw-wire`'s
 //! checksum kernels call `#[target_feature]` functions (DESIGN.md §15),
 //! which is an `unsafe` call however safe the callee. So that crate's
 //! root may carry `#![deny(unsafe_code)]` instead, [`KERNEL_FILE`]
 //! alone may re-allow it — for at most [`KERNEL_UNSAFE_BUDGET`]
 //! `unsafe` blocks — and an `unsafe` token or `allow(unsafe_code)`
-//! anywhere else under the crate's `src/` is a finding. Like every
-//! hygiene finding, none of these can be allowlisted.
+//! anywhere else under the crate's `src/` is a finding.
 
 use super::safety::has_unsafe_token;
 use crate::manifest::Crate;
@@ -59,19 +63,58 @@ pub fn check_crate(root: &Path, krate: &Crate) -> Vec<Diagnostic> {
     };
     let stripped = strip(&text);
     let has = |attr: &str| stripped.lines().any(|l| l.trim() == attr);
-    REQUIRED_ATTRS
-        .iter()
-        .filter(|attr| {
-            let exempt = **attr == REQUIRED_ATTRS[0] && krate.dir == EXEMPT_CRATE_DIR;
-            !(has(attr) || exempt && has(EXEMPT_ROOT_ATTR))
-        })
-        .map(|attr| Diagnostic {
-            file: rel.clone(),
-            line: 0,
-            rule: "hygiene",
-            message: format!("crate root is missing `{attr}`"),
-        })
-        .collect()
+    let exempt = krate.dir == EXEMPT_CRATE_DIR && has(EXEMPT_ROOT_ATTR);
+    let mut diags = Vec::new();
+    for (attr, lint, level) in [
+        (REQUIRED_ATTRS[0], "unsafe_code", if exempt { "deny" } else { "forbid" }),
+        (REQUIRED_ATTRS[1], "missing_docs", "deny"),
+    ] {
+        if !(has(attr) || exempt && lint == "unsafe_code") {
+            diags.push(Diagnostic {
+                file: rel.clone(),
+                line: 0,
+                rule: "hygiene",
+                message: format!("crate root is missing `{attr}`"),
+            });
+            continue;
+        }
+        for (idx, line) in stripped.lines().enumerate() {
+            let Some((weaker, names)) = lint_attr(line) else { continue };
+            if names.contains(&lint) && rank(weaker) < rank(level) {
+                diags.push(Diagnostic {
+                    file: rel.clone(),
+                    line: idx + 1,
+                    rule: "hygiene",
+                    message: format!(
+                        "`{}` lowers `{lint}` below the root's `{level}` \
+                         (whichever comes later wins); delete it",
+                        line.trim()
+                    ),
+                });
+            }
+        }
+    }
+    diags
+}
+
+/// Split an inner lint attribute such as `#![warn(missing_docs, unused)]`
+/// into its level and the lints it names.
+fn lint_attr(line: &str) -> Option<(&str, Vec<&str>)> {
+    let inner = line.trim().strip_prefix("#![")?.strip_suffix(")]")?;
+    let (level, names) = inner.split_once('(')?;
+    rank(level)?;
+    Some((level, names.split(',').map(str::trim).collect()))
+}
+
+/// Strength of a lint level; `None` for anything that is not one.
+fn rank(level: &str) -> Option<u8> {
+    match level {
+        "allow" | "expect" => Some(0),
+        "warn" => Some(1),
+        "deny" => Some(2),
+        "forbid" => Some(3),
+        _ => None,
+    }
 }
 
 /// Hold the `unsafe` exemption to its one file. `stripped` is the
@@ -135,6 +178,18 @@ mod tests {
         let stripped = strip("// #![forbid(unsafe_code)]\n#![deny(missing_docs)]\n");
         assert!(!stripped.lines().any(|l| l.trim() == REQUIRED_ATTRS[0]));
         assert!(stripped.lines().any(|l| l.trim() == REQUIRED_ATTRS[1]));
+    }
+
+    #[test]
+    fn lint_attributes_parse_into_level_and_names() {
+        assert_eq!(lint_attr("#![warn(missing_docs)]"), Some(("warn", vec!["missing_docs"])));
+        assert_eq!(
+            lint_attr("  #![allow(unused, unsafe_code)]"),
+            Some(("allow", vec!["unused", "unsafe_code"]))
+        );
+        assert_eq!(lint_attr("#![cfg_attr(test, allow(missing_docs))]"), None);
+        assert_eq!(lint_attr("#[warn(missing_docs)]"), None, "outer attributes are not roots'");
+        assert!(rank("warn") < rank("deny") && rank("deny") < rank("forbid"));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! hand-off.
 //!
 //! The rule covers every critical-path file (designated or marked),
-//! and — unlike `hot-path` — admits no allowlist entries and no
-//! setup-path exemptions: locks are not a per-connection convenience,
-//! they change the concurrency model.
+//! and — unlike `hot-path` — admits no setup-path exemptions: locks
+//! are not a per-connection convenience, they change the concurrency
+//! model.
 
 use crate::rules::hotpath::find_bounded;
 use crate::strip;

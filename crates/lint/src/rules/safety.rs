@@ -13,9 +13,8 @@
 //! like `unsafe` blocks do: a `Send`/`Sync` assertion is exactly the
 //! kind of claim whose justification must survive next to the code.
 //!
-//! These findings are fixed, never allowlisted: an unjustified unsafe
-//! is missing its proof, and a proof belongs in the source, not in an
-//! exception file.
+//! An unjustified unsafe is missing its proof, and the proof belongs
+//! in the source: the finding is fixed by writing it.
 
 use crate::Diagnostic;
 

@@ -1,9 +1,9 @@
 //! Structured trace events with causal lineage.
 //!
-//! The old `gw_sim::TraceEvent` carried a free-form `String` detail:
-//! good for eyeballs, useless for attribution. These events are a typed
-//! enum carrying causal ids — every cell entering the gateway gets a
-//! [`CellId`], every reassembly in progress a [`FrameId`], and frame
+//! A free-form `String` detail is good for eyeballs and useless for
+//! attribution. These events are a typed enum carrying causal ids —
+//! every cell entering the gateway gets a [`CellId`], every
+//! reassembly in progress a [`FrameId`], and frame
 //! events carry the id of the *first cell* that opened the frame — so a
 //! dropped frame can be traced back to the exact cell and VC that
 //! caused it, and a forwarded frame to the cells it came from.
@@ -376,11 +376,6 @@ pub struct CausalTrace {
 }
 
 impl CausalTrace {
-    /// A disabled trace.
-    pub fn disabled() -> CausalTrace {
-        CausalTrace { ring: EventRing::disabled() }
-    }
-
     /// An enabled trace retaining the most recent `capacity` events.
     pub fn bounded(capacity: usize) -> CausalTrace {
         CausalTrace { ring: EventRing::bounded(capacity) }

@@ -75,29 +75,14 @@ impl std::fmt::Display for PortState {
     }
 }
 
-/// Thresholds and hysteresis for the health state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Evaluation window length.
-    pub window: SimTime,
-    /// Errors in one window that degrade an Up port.
-    pub degrade_threshold: u64,
-    /// Errors in one window that isolate a port.
-    pub isolate_threshold: u64,
-    /// Consecutive clean windows needed to step down one level.
-    pub recovery_windows: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig {
-            window: SimTime::from_ms(1),
-            degrade_threshold: 8,
-            isolate_threshold: 64,
-            recovery_windows: 3,
-        }
-    }
-}
+/// Length of one evaluation window.
+pub const WINDOW: SimTime = SimTime::from_ms(1);
+/// Errors in one window that degrade an Up port.
+pub const DEGRADE_THRESHOLD: u64 = 8;
+/// Errors in one window that isolate a port.
+pub const ISOLATE_THRESHOLD: u64 = 64;
+/// Consecutive clean windows needed to step down one level.
+pub const RECOVERY_WINDOWS: u32 = 3;
 
 /// Health bookkeeping for one port.
 #[derive(Debug, Clone, Copy)]
@@ -148,23 +133,23 @@ pub struct HealthTransition {
 /// The per-port health state machines.
 #[derive(Debug, Clone)]
 pub struct HealthReporter {
-    config: HealthConfig,
     atm: PortHealth,
     fddi: PortHealth,
     window_start: SimTime,
 }
 
-impl HealthReporter {
+impl Default for HealthReporter {
     /// Both ports Up, first window opening at time zero.
-    pub fn new(config: HealthConfig) -> HealthReporter {
+    fn default() -> HealthReporter {
         HealthReporter {
-            config,
             atm: PortHealth::new(),
             fddi: PortHealth::new(),
             window_start: SimTime::ZERO,
         }
     }
+}
 
+impl HealthReporter {
     fn port_mut(&mut self, port: Port) -> &mut PortHealth {
         match port {
             Port::Atm => &mut self.atm,
@@ -185,9 +170,8 @@ impl HealthReporter {
     /// collapse into the final verdict).
     pub fn advance(&mut self, now: SimTime) -> [Option<HealthTransition>; 2] {
         let before = [self.atm.state, self.fddi.state];
-        while now >= self.window_start + self.config.window {
-            self.window_start += self.config.window;
-            let cfg = self.config;
+        while now >= self.window_start + WINDOW {
+            self.window_start += WINDOW;
             for port in [Port::Atm, Port::Fddi] {
                 let p = self.port_mut(port);
                 let errors = p.window_errors;
@@ -199,16 +183,16 @@ impl HealthReporter {
                     p.clean_windows = 0;
                     continue;
                 }
-                let next = if errors >= cfg.isolate_threshold {
+                let next = if errors >= ISOLATE_THRESHOLD {
                     p.clean_windows = 0;
                     PortState::Isolated
-                } else if errors >= cfg.degrade_threshold {
+                } else if errors >= DEGRADE_THRESHOLD {
                     p.clean_windows = 0;
                     // A noisy window holds an Isolated port down.
                     p.state.max(PortState::Degraded)
                 } else {
                     p.clean_windows += 1;
-                    if p.clean_windows >= cfg.recovery_windows && p.state != PortState::Up {
+                    if p.clean_windows >= RECOVERY_WINDOWS && p.state != PortState::Up {
                         p.clean_windows = 0;
                         match p.state {
                             PortState::Isolated => PortState::Degraded,
@@ -280,11 +264,6 @@ impl HealthReporter {
             Port::Fddi => &self.fddi,
         }
     }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
-    }
 }
 
 /// A point-in-time health summary for `Gateway::health()`.
@@ -300,30 +279,30 @@ pub struct GatewayHealth {
 mod tests {
     use super::*;
 
-    fn cfg() -> HealthConfig {
-        HealthConfig {
-            window: SimTime::from_us(100),
-            degrade_threshold: 4,
-            isolate_threshold: 16,
-            recovery_windows: 2,
+    /// The end of evaluation window `n` (window 1 closes at [`WINDOW`]).
+    fn window(n: u64) -> SimTime {
+        SimTime::from_ns(WINDOW.as_ns() * n)
+    }
+
+    fn errors(h: &mut HealthReporter, port: Port, n: u64) {
+        for _ in 0..n {
+            h.note_error(port);
         }
     }
 
     #[test]
     fn quiet_port_stays_up() {
-        let mut h = HealthReporter::new(cfg());
-        let t = h.advance(SimTime::from_ms(1));
+        let mut h = HealthReporter::default();
+        let t = h.advance(window(10));
         assert_eq!(t, [None, None]);
         assert_eq!(h.port(Port::Atm).state, PortState::Up);
     }
 
     #[test]
     fn degrade_then_isolate() {
-        let mut h = HealthReporter::new(cfg());
-        for _ in 0..5 {
-            h.note_error(Port::Atm);
-        }
-        let t = h.advance(SimTime::from_us(100));
+        let mut h = HealthReporter::default();
+        errors(&mut h, Port::Atm, DEGRADE_THRESHOLD + 1);
+        let t = h.advance(window(1));
         assert_eq!(
             t[0],
             Some(HealthTransition {
@@ -333,57 +312,57 @@ mod tests {
             })
         );
         assert_eq!(h.port(Port::Fddi).state, PortState::Up);
-        for _ in 0..20 {
-            h.note_error(Port::Atm);
-        }
-        let t = h.advance(SimTime::from_us(200));
+        errors(&mut h, Port::Atm, ISOLATE_THRESHOLD + 4);
+        let t = h.advance(window(2));
         assert_eq!(t[0].unwrap().to, PortState::Isolated);
-        assert_eq!(h.port(Port::Atm).errors_total, 25);
+        assert_eq!(h.port(Port::Atm).errors_total, DEGRADE_THRESHOLD + ISOLATE_THRESHOLD + 5);
     }
 
     #[test]
     fn recovery_needs_consecutive_clean_windows_and_steps_down() {
-        let mut h = HealthReporter::new(cfg());
-        for _ in 0..20 {
-            h.note_error(Port::Fddi);
+        let r = u64::from(RECOVERY_WINDOWS);
+        let mut h = HealthReporter::default();
+        errors(&mut h, Port::Fddi, ISOLATE_THRESHOLD);
+        h.advance(window(1));
+        assert_eq!(h.port(Port::Fddi).state, PortState::Isolated);
+        // Fewer clean windows than the hysteresis asks for are not enough.
+        for w in 2..1 + r {
+            h.advance(window(w));
+            assert_eq!(h.port(Port::Fddi).state, PortState::Isolated);
         }
-        h.advance(SimTime::from_us(100));
-        assert_eq!(h.port(Port::Fddi).state, PortState::Isolated);
-        // One clean window is not enough.
-        h.advance(SimTime::from_us(200));
-        assert_eq!(h.port(Port::Fddi).state, PortState::Isolated);
-        // Second clean window: Isolated -> Degraded (one step, not to Up).
-        let t = h.advance(SimTime::from_us(300));
+        // The last one steps Isolated -> Degraded (one step, not to Up).
+        let t = h.advance(window(1 + r));
         assert_eq!(t[1].unwrap().to, PortState::Degraded);
-        // Two more clean windows: Degraded -> Up.
-        h.advance(SimTime::from_us(400));
-        let t = h.advance(SimTime::from_us(500));
+        // As many clean windows again: Degraded -> Up.
+        for w in 2 + r..1 + 2 * r {
+            h.advance(window(w));
+        }
+        let t = h.advance(window(1 + 2 * r));
         assert_eq!(t[1].unwrap().to, PortState::Up);
     }
 
     #[test]
     fn noisy_window_resets_recovery_hysteresis() {
-        let mut h = HealthReporter::new(cfg());
-        for _ in 0..5 {
-            h.note_error(Port::Atm);
-        }
-        h.advance(SimTime::from_us(100));
+        let r = u64::from(RECOVERY_WINDOWS);
+        let mut h = HealthReporter::default();
+        errors(&mut h, Port::Atm, DEGRADE_THRESHOLD + 1);
+        h.advance(window(1));
         assert_eq!(h.port(Port::Atm).state, PortState::Degraded);
-        // clean, noisy, clean, clean: the noisy window restarts the count.
-        h.advance(SimTime::from_us(200));
-        for _ in 0..5 {
-            h.note_error(Port::Atm);
+        // clean, noisy, then clean windows: the noisy one restarts the count.
+        h.advance(window(2));
+        errors(&mut h, Port::Atm, DEGRADE_THRESHOLD + 1);
+        h.advance(window(3));
+        for w in 4..3 + r {
+            h.advance(window(w));
+            assert_eq!(h.port(Port::Atm).state, PortState::Degraded, "too few clean after noise");
         }
-        h.advance(SimTime::from_us(300));
-        h.advance(SimTime::from_us(400));
-        assert_eq!(h.port(Port::Atm).state, PortState::Degraded, "one clean window after noise");
-        h.advance(SimTime::from_us(500));
+        h.advance(window(3 + r));
         assert_eq!(h.port(Port::Atm).state, PortState::Up);
     }
 
     #[test]
     fn transport_down_enters_reconnecting_and_freezes_windows() {
-        let mut h = HealthReporter::new(cfg());
+        let mut h = HealthReporter::default();
         let t = h.note_transport_down(Port::Atm).unwrap();
         assert_eq!(t.from, PortState::Up);
         assert_eq!(t.to, PortState::Reconnecting);
@@ -391,17 +370,15 @@ mod tests {
         assert_eq!(h.port(Port::Atm).errors_total, 2, "each down event still tallied");
         // Window evaluation is suspended: neither noise nor quiet moves
         // the state while the transport is down.
-        for _ in 0..100 {
-            h.note_error(Port::Atm);
-        }
-        assert_eq!(h.advance(SimTime::from_ms(10)), [None, None]);
+        errors(&mut h, Port::Atm, 2 * ISOLATE_THRESHOLD);
+        assert_eq!(h.advance(window(10)), [None, None]);
         assert_eq!(h.port(Port::Atm).state, PortState::Reconnecting);
         assert_eq!(h.port(Port::Atm).clean_windows, 0);
     }
 
     #[test]
     fn transport_up_reenters_degraded_and_counts_reconnects() {
-        let mut h = HealthReporter::new(cfg());
+        let mut h = HealthReporter::default();
         h.note_transport_down(Port::Fddi);
         h.note_backoff_retry(Port::Fddi);
         h.note_backoff_retry(Port::Fddi);
@@ -412,8 +389,11 @@ mod tests {
         assert_eq!(h.port(Port::Fddi).backoff_retries, 2);
         assert!(h.note_transport_up(Port::Fddi).is_none(), "already up");
         // Clean windows recover Degraded -> Up as usual.
-        h.advance(SimTime::from_us(100));
-        let t = h.advance(SimTime::from_us(200));
+        let r = u64::from(RECOVERY_WINDOWS);
+        for w in 1..r {
+            h.advance(window(w));
+        }
+        let t = h.advance(window(r));
         assert_eq!(t[1].unwrap().to, PortState::Up);
     }
 
@@ -427,13 +407,11 @@ mod tests {
 
     #[test]
     fn multiple_elapsed_windows_collapse_to_one_transition() {
-        let mut h = HealthReporter::new(cfg());
-        for _ in 0..20 {
-            h.note_error(Port::Atm);
-        }
+        let mut h = HealthReporter::default();
+        errors(&mut h, Port::Atm, ISOLATE_THRESHOLD);
         // Jump far ahead: window 1 isolates, the following clean windows
         // recover all the way back to Up; net transition is None.
-        let t = h.advance(SimTime::from_ms(10));
+        let t = h.advance(window(2 + 2 * u64::from(RECOVERY_WINDOWS)));
         assert_eq!(t, [None, None]);
         assert_eq!(h.port(Port::Atm).state, PortState::Up);
         assert!(h.port(Port::Atm).transitions >= 2, "intermediate transitions still counted");

@@ -1,27 +1,21 @@
-//! The assembled management plane: configuration, pre-resolved global
-//! metric handles, and the bundle the gateway owns.
+//! The assembled management plane: pre-resolved global metric
+//! handles, and the bundle the gateway owns.
 
 use crate::events::CausalTrace;
-use crate::health::{HealthConfig, HealthReporter};
+use crate::health::HealthReporter;
 use crate::registry::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 
-/// Management-plane configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MgmtConfig {
-    /// Causal trace retention (most recent events); 0 disables tracing
-    /// while keeping metrics.
-    pub trace_events: usize,
-    /// Histograms record 1 sample in this many offered (≥ 1).
-    pub histogram_sample: u32,
-    /// Health state-machine thresholds.
-    pub health: HealthConfig,
-}
+/// Causal trace retention: the most recent events kept.
+pub const TRACE_EVENTS: usize = 1024;
+/// Histograms record 1 sample in this many offered.
+pub const HISTOGRAM_SAMPLE: u32 = 8;
 
-impl Default for MgmtConfig {
-    fn default() -> MgmtConfig {
-        MgmtConfig { trace_events: 1024, histogram_sample: 8, health: HealthConfig::default() }
-    }
-}
+/// Switches the management plane on. It has nothing to set: trace
+/// retention ([`TRACE_EVENTS`]), histogram sampling
+/// ([`HISTOGRAM_SAMPLE`]) and the health thresholds
+/// ([`crate::health::WINDOW`] and its neighbours) are constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MgmtConfig;
 
 /// Pre-resolved handles for the gateway's global (non-VC) metrics.
 ///
@@ -128,18 +122,14 @@ pub struct MgmtPlane {
     pub handles: GwHandles,
 }
 
-impl MgmtPlane {
-    /// Build a plane from configuration: registry populated with the
-    /// global names, trace sized per config, health at Up/Up.
-    pub fn new(config: &MgmtConfig) -> MgmtPlane {
-        let mut registry = MetricsRegistry::new(config.histogram_sample);
+impl Default for MgmtPlane {
+    /// A plane with the global names registered, a [`TRACE_EVENTS`]
+    /// trace, and both ports Up.
+    fn default() -> MgmtPlane {
+        let mut registry = MetricsRegistry::new(HISTOGRAM_SAMPLE);
         let handles = GwHandles::resolve(&mut registry);
-        let trace = if config.trace_events == 0 {
-            CausalTrace::disabled()
-        } else {
-            CausalTrace::bounded(config.trace_events)
-        };
-        MgmtPlane { registry, trace, health: HealthReporter::new(config.health), handles }
+        let trace = CausalTrace::bounded(TRACE_EVENTS);
+        MgmtPlane { registry, trace, health: HealthReporter::default(), handles }
     }
 }
 
@@ -149,7 +139,7 @@ mod tests {
 
     #[test]
     fn plane_builds_with_global_names_registered() {
-        let plane = MgmtPlane::new(&MgmtConfig::default());
+        let plane = MgmtPlane::default();
         assert!(plane.registry.counter_by_name("gw.supernet.tx.shed_async").is_some());
         assert!(plane.registry.counter_by_name("gw.aic.cells_in").is_some());
         assert!(plane.trace.is_enabled());
@@ -157,16 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_trace_capacity_disables_tracing_only() {
-        let cfg = MgmtConfig { trace_events: 0, ..MgmtConfig::default() };
-        let plane = MgmtPlane::new(&cfg);
-        assert!(!plane.trace.is_enabled());
-        assert!(plane.registry.counter_by_name("gw.mpp.drops").is_some());
-    }
-
-    #[test]
     fn handles_hit_the_named_counters() {
-        let mut plane = MgmtPlane::new(&MgmtConfig::default());
+        let mut plane = MgmtPlane::default();
         let h = plane.handles;
         plane.registry.inc(h.tx_shed_async);
         plane.registry.add(h.aic_cells_in, 53);

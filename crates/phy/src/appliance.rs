@@ -24,7 +24,7 @@
 use crate::supervisor::{TransportEvent, TransportSupervisor};
 use crate::{CellPhy, FramePhy, PhyStats};
 use gw_gateway::gateway::{Output, Residue};
-use gw_gateway::{Gateway, GatewayConfig};
+use gw_gateway::{Gateway, GatewayConfig, SupervisorConfig};
 use gw_mgmt::Port;
 use gw_sim::time::SimTime;
 use gw_wire::atm::{Vci, CELL_SIZE};
@@ -144,8 +144,8 @@ pub struct Appliance {
 impl Appliance {
     /// Assemble the appliance. The management plane is forced on —
     /// appliance mode without port health and counters would be
-    /// unobservable — and both port supervisors share the gateway's
-    /// configured backoff policy.
+    /// unobservable — and both port supervisors use the gateway's
+    /// setup backoff policy, [`SupervisorConfig::default`].
     pub fn new(
         mut config: GatewayConfig,
         fddi_capacity_bps: u64,
@@ -153,9 +153,9 @@ impl Appliance {
         frame: Box<dyn FramePhy>,
     ) -> Appliance {
         if config.management.is_none() {
-            config.management = Some(gw_mgmt::MgmtConfig::default());
+            config.management = Some(gw_mgmt::MgmtConfig);
         }
-        let policy = config.supervisor;
+        let policy = SupervisorConfig::default();
         let gw = Gateway::new(config, FddiAddr::station(0), fddi_capacity_bps);
         Appliance {
             gw,

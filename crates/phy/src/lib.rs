@@ -28,7 +28,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod appliance;
 pub mod clock;

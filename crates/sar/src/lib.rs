@@ -25,7 +25,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod reassemble;
 pub mod segment;

@@ -39,10 +39,10 @@ use gw_wire::atm::Vci;
 use gw_wire::pool::{BufPool, PoolStats};
 use gw_wire::sar::{SarCell, SAR_PAYLOAD_SIZE};
 
-/// Default reassembly-buffer capacity in cells: a maximum internet frame
+/// Reassembly-buffer capacity in cells: a maximum internet frame
 /// (4096-octet FDDI data segment less the 8-octet LLC/SNAP header)
 /// occupies 91 cells (§5.3).
-pub const DEFAULT_BUFFER_CELLS: usize = 91;
+pub const BUFFER_CELLS: usize = 91;
 
 /// Sentinel in the VCI→slot index: connection not open.
 const NO_SLOT: u32 = u32::MAX;
@@ -51,8 +51,6 @@ const NO_SLOT: u32 = u32::MAX;
 /// initialization frames (§5.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReassemblyConfig {
-    /// Capacity of one reassembly buffer, in cells.
-    pub buffer_cells: usize,
     /// Reassembly buffers per connection (the paper's design uses 2).
     pub buffers_per_vc: usize,
     /// Reassembly timeout measured from a frame's first cell.
@@ -65,7 +63,6 @@ pub struct ReassemblyConfig {
 impl Default for ReassemblyConfig {
     fn default() -> Self {
         ReassemblyConfig {
-            buffer_cells: DEFAULT_BUFFER_CELLS,
             buffers_per_vc: 2,
             timeout: SimTime::from_ms(10),
             forward_errored_frames: false,
@@ -296,8 +293,7 @@ impl Reassembler {
     // gw-lint: setup-path — sizes the dense VCI table, slab, and buffer pool once at construction
     pub fn new(config: ReassemblyConfig) -> Reassembler {
         assert!(config.buffers_per_vc >= 1, "at least one buffer per VC");
-        assert!(config.buffer_cells >= 1, "buffers must hold at least one cell");
-        let capacity = config.buffer_cells * SAR_PAYLOAD_SIZE;
+        let capacity = BUFFER_CELLS * SAR_PAYLOAD_SIZE;
         Reassembler {
             config,
             vci_index: vec![NO_SLOT; 1 << 16].into_boxed_slice(),
@@ -484,7 +480,7 @@ impl Reassembler {
         }
         buf.expected_seq = hdr.seq.wrapping_add(1) & 0x3FF;
 
-        if buf.cells() as usize >= self.config.buffer_cells {
+        if buf.cells() as usize >= BUFFER_CELLS {
             // Write would run past the buffer's end address.
             buf.errored = true;
             self.stats.overflow_drops += 1;
@@ -992,17 +988,17 @@ mod tests {
 
     #[test]
     fn overflow_detected() {
-        let mut r = Reassembler::new(ReassemblyConfig { buffer_cells: 2, ..Default::default() });
-        r.open_vc(VC);
-        let cells = segment(&[1u8; 45 * 4], false).unwrap();
+        // Two cells more than the 91-cell buffer holds (§5.3).
+        let mut r = reassembler();
+        let cells = segment(&[1u8; 45 * (BUFFER_CELLS + 2)], false).unwrap();
         let mut events = Vec::new();
         for c in &cells {
             events.push(r.push(SimTime::ZERO, VC, c.as_bytes()));
         }
-        assert!(events.contains(&ReassemblyEvent::Overflow));
+        assert_eq!(events[BUFFER_CELLS], ReassemblyEvent::Overflow);
         // Frame terminates errored on F.
         assert!(matches!(events.last().unwrap(), ReassemblyEvent::DiscardedErrored { .. }));
-        assert!(r.stats().overflow_drops >= 1);
+        assert_eq!(r.stats().overflow_drops, 2);
     }
 
     #[test]

@@ -220,8 +220,6 @@ pub struct Scene {
     pub seed: Option<u64>,
     /// FDDI stations including the gateway (`stations <n>`, ≥ 2).
     pub stations: Option<u32>,
-    /// Co-simulation slice, microseconds.
-    pub slice_us: Option<u64>,
     /// Per-VC reassembly timeout, microseconds.
     pub reassembly_timeout_us: Option<u64>,
     /// VC liveness-quarantine timeout, microseconds (absent = monitor
@@ -243,8 +241,6 @@ pub struct Scene {
 
 /// Default FDDI station count when `stations` is absent.
 pub const DEFAULT_STATIONS: u32 = 4;
-/// Default co-simulation slice (µs) when `slice_us` is absent.
-pub const DEFAULT_SLICE_US: u64 = 10;
 /// Default reassembly timeout (µs) when `reassembly_timeout_us` is
 /// absent — the gateway's NPE-programmed default (§5.3).
 pub const DEFAULT_REASSEMBLY_TIMEOUT_US: u64 = 10_000;
@@ -260,11 +256,6 @@ impl Scene {
     /// The resolved station count ([`DEFAULT_STATIONS`] when absent).
     pub fn stations_or_default(&self) -> u32 {
         self.stations.unwrap_or(DEFAULT_STATIONS)
-    }
-
-    /// The resolved co-simulation slice in nanoseconds.
-    pub fn slice_ns(&self) -> u64 {
-        self.slice_us.unwrap_or(DEFAULT_SLICE_US) * 1_000
     }
 
     /// The resolved reassembly timeout in nanoseconds.

@@ -27,9 +27,6 @@ pub fn format_scene(scene: &Scene) -> String {
     if let Some(stations) = scene.stations {
         let _ = writeln!(out, "stations {stations}");
     }
-    if let Some(slice) = scene.slice_us {
-        let _ = writeln!(out, "slice_us {slice}");
-    }
     if let Some(t) = scene.reassembly_timeout_us {
         let _ = writeln!(out, "reassembly_timeout_us {t}");
     }

@@ -15,7 +15,6 @@
 //! scene <name>                          # mandatory first directive
 //! seed <u64>
 //! stations <2..=32>
-//! slice_us <u64>
 //! reassembly_timeout_us <u64>
 //! liveness_us <u64>
 //! starve tx <octets> rx <octets>
@@ -378,7 +377,7 @@ fn parse_line(p: &mut Parser, raw: &str, line_start: usize, line_no: u32) {
 
     match head.text {
         "scene" => parse_header(p, head, &mut c),
-        "seed" | "stations" | "slice_us" | "reassembly_timeout_us" | "liveness_us" => {
+        "seed" | "stations" | "reassembly_timeout_us" | "liveness_us" => {
             parse_scalar(p, head, &mut c)
         }
         "starve" => parse_starve(p, head, &mut c),
@@ -412,7 +411,6 @@ fn parse_scalar(p: &mut Parser, head: Tok<'_>, c: &mut Cursor<'_>) {
     let kw: &'static str = match head.text {
         "seed" => "seed",
         "stations" => "stations",
-        "slice_us" => "slice_us",
         "reassembly_timeout_us" => "reassembly_timeout_us",
         _ => "liveness_us",
     };
@@ -444,7 +442,6 @@ fn parse_scalar(p: &mut Parser, head: Tok<'_>, c: &mut Cursor<'_>) {
                 return;
             }
             match kw {
-                "slice_us" => p.scene.slice_us = Some(v),
                 "reassembly_timeout_us" => p.scene.reassembly_timeout_us = Some(v),
                 _ => p.scene.liveness_us = Some(v),
             }

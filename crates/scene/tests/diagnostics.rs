@@ -38,9 +38,11 @@ fn prelude_is_clean() {
 fn e001_unknown_directive() {
     one_diag(&format!("{OK}frobnicate 3\n"), diag::E_UNKNOWN_DIRECTIVE, "frobnicate");
     // A removed directive gets no deprecation shim: it is simply unknown.
-    let removed = format!("{OK}shards 4\n");
-    one_diag(&removed, diag::E_UNKNOWN_DIRECTIVE, "shards");
-    assert_eq!(parse(&removed).1[0].len, "shards".len(), "spans the directive keyword");
+    for kw in ["shards", "slice_us"] {
+        let removed = format!("{OK}{kw} 4\n");
+        one_diag(&removed, diag::E_UNKNOWN_DIRECTIVE, kw);
+        assert_eq!(parse(&removed).1[0].len, kw.len(), "spans the directive keyword");
+    }
 }
 
 #[test]
@@ -169,7 +171,7 @@ fn e010_scenes_that_would_panic_a_runner() {
         (diag::E_OUT_OF_RANGE, over.rfind("send").unwrap())
     );
 
-    for kw in ["slice_us", "reassembly_timeout_us", "liveness_us"] {
+    for kw in ["reassembly_timeout_us", "liveness_us"] {
         one_diag(&format!("{OK}{kw} 3600000001\n"), diag::E_OUT_OF_RANGE, "3600000001");
     }
     one_diag(

@@ -83,7 +83,7 @@ const NASTY: &[&str] = &[
     "scene x\ncongram a station 1 class async\n\
      burst from_us 0 to_us 3600000000 every_us 3 vc a dir atm len 1 fill 0",
     "scene x\nstations 4\ncongram a station 9 class async\nsend at_us 0 vc a dir atm len 1 fill 0",
-    "scene x\nslice_us 18446744073709551615\nreassembly_timeout_us 18446744073709551615",
+    "scene x\nliveness_us 18446744073709551615\nreassembly_timeout_us 18446744073709551615",
 ];
 
 #[test]

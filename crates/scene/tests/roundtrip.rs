@@ -24,9 +24,6 @@ fn arb_scene(rng: &mut TestRng) -> Scene {
     if rng.below(2) == 0 {
         scene.stations = Some(2 + rng.below(31) as u32);
     }
-    if rng.below(4) == 0 {
-        scene.slice_us = Some(1 + rng.below(100));
-    }
     if rng.below(2) == 0 {
         scene.reassembly_timeout_us = Some(1 + rng.below(20_000));
     }

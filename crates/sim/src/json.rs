@@ -1,11 +1,12 @@
 //! A minimal JSON document model with a stable renderer and a strict
 //! recursive-descent parser.
 //!
-//! The snapshot export (`Gateway::snapshot`) must produce a *stable*
-//! document — same gateway state, byte-identical output — so object
-//! members are kept in insertion order rather than hashed. The parser
-//! exists so tests (and downstream tools in this offline workspace,
-//! which has no serde) can read snapshots back and cross-check totals.
+//! The gateway snapshot must be a *stable* document — same gateway
+//! state, byte-identical output — so object members are kept in
+//! insertion order rather than hashed. The parser exists so tests (and
+//! downstream tools in this offline workspace, which has no serde) can
+//! read snapshots back and cross-check totals. The chaos report and
+//! the gw-lint report are written with it too.
 
 use std::fmt::Write as _;
 

@@ -18,23 +18,26 @@
 //! * [`timer`] — a hierarchical timer wheel so deadline-heavy components
 //!   (reassembly timeouts, VC liveness) pay O(expired) per advance, not
 //!   O(armed).
-//! * [`trace`] — an optional bounded event trace for debugging and for
-//!   the figure self-checks.
+//! * [`trace`] — a bounded ring of typed events (the management
+//!   plane's causal trace is one).
 //! * [`fault`] — fault injection (drop / corrupt / delay) used by the
 //!   loss experiments (E10).
 //! * [`traffic`] — application workload generators (CBR voice, on-off
 //!   video, Poisson datagrams, bulk transfer, imaging bursts) for the
 //!   buffer-sizing study (E6) and the examples.
+//! * [`json`] — a serde-free JSON document model (stable rendering plus
+//!   a strict parser): the one writer behind the gateway snapshot, the
+//!   chaos report and the gw-lint report.
 //!
 //! No wall-clock time, no global state, no threads: simulations are pure
 //! functions of their configuration and seed.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod event;
 pub mod fault;
+pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -48,4 +51,4 @@ pub use rng::SimRng;
 pub use stats::{Counter, Histogram, TimeWeighted};
 pub use time::{SimTime, CYCLE_NS, NS_PER_SEC};
 pub use timer::{TimerId, TimerWheel};
-pub use trace::{EventRing, Trace, TraceEvent};
+pub use trace::EventRing;

@@ -1,15 +1,9 @@
-//! A bounded, optional event trace.
+//! A bounded, optional event ring.
 //!
-//! Component models emit [`TraceEvent`]s describing interesting moments
-//! (cell discarded, timer expired, token captured…). The trace is a ring
-//! buffer: cheap when enabled, free when disabled, and never grows
-//! without bound. Tests and the figure self-checks read it back.
-//!
-//! [`EventRing`] is the typed generalization: the same bounded-ring
-//! semantics over any event type, used by the management plane for
-//! structured (non-`String`) trace events.
-
-use crate::time::SimTime;
+//! Component models record interesting moments (cell discarded, timer
+//! expired, token captured…) into an [`EventRing`]: cheap when enabled,
+//! free when disabled, and never growing without bound. The management
+//! plane's causal trace is one, over structured (non-`String`) events.
 
 /// A bounded ring of typed events: retains the most recent `capacity`
 /// entries, counts evictions exactly, and records nothing when disabled.
@@ -89,120 +83,28 @@ impl<E> EventRing<E> {
     }
 }
 
-/// One traced moment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub time: SimTime,
-    /// Which component reported it (static names like `"spp"`, `"mpp"`).
-    pub component: &'static str,
-    /// Human-readable description.
-    pub detail: String,
-}
-
-/// A bounded trace buffer.
-#[derive(Debug)]
-pub struct Trace {
-    enabled: bool,
-    capacity: usize,
-    events: std::collections::VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl Trace {
-    /// A disabled trace (records nothing).
-    pub fn disabled() -> Trace {
-        Trace { enabled: false, capacity: 0, events: Default::default(), dropped: 0 }
-    }
-
-    /// An enabled trace retaining the most recent `capacity` events.
-    pub fn bounded(capacity: usize) -> Trace {
-        Trace { enabled: true, capacity, events: Default::default(), dropped: 0 }
-    }
-
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record an event (no-op when disabled).
-    pub fn emit(&mut self, time: SimTime, component: &'static str, detail: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TraceEvent { time, component, detail: detail.into() });
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Events from one component, oldest first.
-    pub fn by_component<'a>(&'a self, component: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.component == component)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_records_nothing() {
-        let mut t = Trace::disabled();
-        t.emit(SimTime::from_ns(1), "spp", "cell");
+        let mut t: EventRing<&str> = EventRing::disabled();
+        t.push("cell");
         assert!(t.is_empty());
         assert!(!t.is_enabled());
     }
 
     #[test]
     fn bounded_keeps_most_recent() {
-        let mut t = Trace::bounded(3);
+        let mut t = EventRing::bounded(3);
         for i in 0..5u64 {
-            t.emit(SimTime::from_ns(i), "mpp", format!("e{i}"));
+            t.push(format!("e{i}"));
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
-        let details: Vec<&str> = t.events().map(|e| e.detail.as_str()).collect();
+        let details: Vec<&str> = t.events().map(String::as_str).collect();
         assert_eq!(details, ["e2", "e3", "e4"]);
-    }
-
-    #[test]
-    fn by_component_filters() {
-        let mut t = Trace::bounded(10);
-        t.emit(SimTime::ZERO, "spp", "a");
-        t.emit(SimTime::ZERO, "mpp", "b");
-        t.emit(SimTime::ZERO, "spp", "c");
-        assert_eq!(t.by_component("spp").count(), 2);
-        assert_eq!(t.by_component("mpp").count(), 1);
-        assert_eq!(t.by_component("npe").count(), 0);
-    }
-
-    #[test]
-    fn events_carry_time() {
-        let mut t = Trace::bounded(2);
-        t.emit(SimTime::from_us(5), "aic", "x");
-        assert_eq!(t.events().next().unwrap().time, SimTime::from_us(5));
     }
 
     #[test]
@@ -212,28 +114,27 @@ mod tests {
         // recent `capacity` events in order.
         let capacity = 7;
         let total = 1000u64;
-        let mut t = Trace::bounded(capacity);
+        let mut t = EventRing::bounded(capacity);
         for i in 0..total {
-            t.emit(SimTime::from_ns(i), "spp", format!("e{i}"));
+            t.push(i);
         }
         assert_eq!(t.len(), capacity);
         assert_eq!(t.dropped(), total - capacity as u64);
-        let details: Vec<String> = t.events().map(|e| e.detail.clone()).collect();
-        let expected: Vec<String> =
-            (total - capacity as u64..total).map(|i| format!("e{i}")).collect();
-        assert_eq!(details, expected, "retained window is the most recent {capacity} events");
+        let retained: Vec<u64> = t.events().copied().collect();
+        let expected: Vec<u64> = (total - capacity as u64..total).collect();
+        assert_eq!(retained, expected, "retained window is the most recent {capacity} events");
     }
 
     #[test]
     fn overflow_window_slides_one_event_at_a_time() {
-        let mut t = Trace::bounded(3);
+        let mut t = EventRing::bounded(3);
         for i in 0..3u64 {
-            t.emit(SimTime::from_ns(i), "mpp", format!("e{i}"));
+            t.push(i);
         }
         assert_eq!(t.dropped(), 0, "no drop until the first eviction");
         for i in 3..6u64 {
-            t.emit(SimTime::from_ns(i), "mpp", format!("e{i}"));
-            assert_eq!(t.dropped(), i - 2, "one eviction per overflowing emit");
+            t.push(i);
+            assert_eq!(t.dropped(), i - 2, "one eviction per overflowing push");
             assert_eq!(t.len(), 3, "length pinned at capacity");
         }
     }

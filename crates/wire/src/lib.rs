@@ -34,7 +34,6 @@
 // holds the exemption to that one file.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub mod atm;
 pub mod crc;

@@ -21,7 +21,7 @@ fn main() {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "json".to_string());
 
     let mut cfg = TestbedConfig::default();
-    cfg.gateway.management = Some(gw_mgmt::MgmtConfig::default());
+    cfg.gateway.management = Some(gw_mgmt::MgmtConfig);
     let mut tb = Testbed::build(cfg);
 
     // Two congrams; VC 2 carries a GCRA contract so the snapshot's

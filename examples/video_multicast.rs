@@ -12,22 +12,20 @@
 //!
 //! Run with: `cargo run --example video_multicast`
 
-use atm_fddi_gateway::fddi::ring::RingConfig;
 use atm_fddi_gateway::sim::rng::SimRng;
 use atm_fddi_gateway::sim::traffic::{OnOffSource, Source};
 use atm_fddi_gateway::sim::SimTime;
-use atm_fddi_gateway::testbed::{Testbed, TestbedConfig};
+use atm_fddi_gateway::testbed::{self, Testbed, TestbedConfig};
 use atm_fddi_gateway::wire::fddi::FddiAddr;
 
 fn main() {
     // Build a testbed whose stations 1..=3 joined group 7.
     let group = FddiAddr::group(7);
-    let config = TestbedConfig { fddi_stations: 5, ..TestbedConfig::default() };
+    let stations = 5;
+    let mut tb =
+        Testbed::build(TestbedConfig { fddi_stations: stations, ..TestbedConfig::default() });
     // Rebuild the ring with group memberships.
-    let mut tb = Testbed::build(config.clone());
-    let mut ring_cfg = RingConfig::uniform(config.fddi_stations, config.ring_km);
-    ring_cfg.stations[0].sync_alloc = config.gateway_sync_alloc;
-    ring_cfg.stations[0].async_queue_frames = 4096;
+    let mut ring_cfg = testbed::ring_config(stations);
     for s in 1..=3 {
         ring_cfg.stations[s].groups.push(group);
     }

@@ -360,7 +360,7 @@ fn smoke(args: &[String]) -> i32 {
     }
 
     let mut now = SimTime::ZERO;
-    let slice = SimTime::from_us(10);
+    let slice = atm_fddi_gateway::testbed::SLICE;
     let mut cells_from_gw: Vec<(SimTime, [u8; CELL_SIZE])> = Vec::new();
     let mut frames_from_gw: Vec<(SimTime, Vec<u8>, bool)> = Vec::new();
     let mut step = |app: &mut Appliance,

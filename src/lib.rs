@@ -51,7 +51,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
 
 pub use gw_atm as atm;
 pub use gw_fddi as fddi;

@@ -37,7 +37,7 @@ pub fn load(path: &str) -> Option<Scene> {
 /// (conservation, residue, the snapshot) are its counters.
 pub fn gateway_config(scene: &Scene) -> GatewayConfig {
     let mut gateway = GatewayConfig {
-        management: Some(gw_mgmt::MgmtConfig::default()),
+        management: Some(gw_mgmt::MgmtConfig),
         reassembly_timeout: SimTime::from_ns(scene.reassembly_timeout_ns()),
         vc_liveness_timeout: scene.liveness_us.map(SimTime::from_us),
         ..GatewayConfig::default()

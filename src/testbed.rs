@@ -14,7 +14,7 @@
 //!   buffer path.
 //!
 //! Cross-seam hand-offs are therefore quantized to the slice length
-//! (default 10 µs). Gateway-internal latencies (experiments E3/E4) are
+//! ([`SLICE`], 10 µs). Gateway-internal latencies (experiments E3/E4) are
 //! measured inside [`gw_gateway`] at full 40 ns resolution; the slice
 //! only quantizes network-to-network hand-off times.
 //!
@@ -47,25 +47,36 @@ use gw_wire::fddi::{self, FddiAddr, Frame, FrameControl, FrameRepr};
 use gw_wire::mchip::{build_data_frame, parse_frame, Icn, MchipType};
 use std::collections::HashMap;
 
+/// Co-simulation slice: the quantum of every cross-seam hand-off.
+pub const SLICE: SimTime = SimTime::from_us(10);
+/// Ring circumference, km.
+pub const RING_KM: u64 = 10;
+/// Synchronous allocation granted to the gateway's station.
+pub const GATEWAY_SYNC_ALLOC: SimTime = SimTime::from_us(500);
+
+/// The ring of `stations` stations as [`Testbed::build`] configures it:
+/// [`RING_KM`] of fibre, the gateway at station 0 with
+/// [`GATEWAY_SYNC_ALLOC`] and a deep asynchronous queue.
+pub fn ring_config(stations: usize) -> RingConfig {
+    let mut ring_cfg = RingConfig::uniform(stations, RING_KM);
+    ring_cfg.stations[0].sync_alloc = GATEWAY_SYNC_ALLOC;
+    ring_cfg.stations[0].async_queue_frames = 4096;
+    ring_cfg
+}
+
 /// Testbed configuration.
 #[derive(Debug, Clone)]
 pub struct TestbedConfig {
     /// FDDI stations including the gateway (which is station 0).
     pub fddi_stations: usize,
-    /// Ring circumference in km.
-    pub ring_km: u64,
     /// Gateway configuration.
     pub gateway: GatewayConfig,
-    /// Co-simulation slice.
-    pub slice: SimTime,
     /// Faults applied to cells on the ATM→gateway seam (E10).
     pub atm_faults: FaultConfig,
     /// RNG seed for fault injection.
     pub seed: u64,
     /// Ring capacity the gateway's resource manager guards.
     pub fddi_capacity_bps: u64,
-    /// Synchronous allocation granted to the gateway's station.
-    pub gateway_sync_alloc: SimTime,
     /// Transport carrying traffic across the two port seams. The
     /// default in-process loopback reproduces the original direct
     /// hand-off bit for bit; [`PhyMode::Udp`] routes every cell and
@@ -79,13 +90,10 @@ impl Default for TestbedConfig {
     fn default() -> Self {
         TestbedConfig {
             fddi_stations: 4,
-            ring_km: 10,
             gateway: GatewayConfig::default(),
-            slice: SimTime::from_us(10),
             atm_faults: FaultConfig::none(),
             seed: 1,
             fddi_capacity_bps: 80_000_000,
-            gateway_sync_alloc: SimTime::from_us(500),
             phy: PhyMode::Loopback,
         }
     }
@@ -116,7 +124,6 @@ pub struct Testbed {
     pub atm_host: EndpointId,
     gw_ep: EndpointId,
     now: SimTime,
-    slice: SimTime,
     fault: FaultInjector,
     next_vci: u16,
     next_icn: u16,
@@ -195,10 +202,7 @@ impl Testbed {
         let atm_host = atm.attach_endpoint(s0, 1);
         let gw_ep = atm.attach_endpoint(s1, 1);
 
-        let mut ring_cfg = RingConfig::uniform(config.fddi_stations, config.ring_km);
-        ring_cfg.stations[0].sync_alloc = config.gateway_sync_alloc;
-        ring_cfg.stations[0].async_queue_frames = 4096;
-        let ring = Ring::new(ring_cfg);
+        let ring = Ring::new(ring_config(config.fddi_stations));
 
         let gw =
             Gateway::new(config.gateway.clone(), FddiAddr::station(0), config.fddi_capacity_bps);
@@ -227,7 +231,6 @@ impl Testbed {
             atm_host,
             gw_ep,
             now: SimTime::ZERO,
-            slice: config.slice,
             fault,
             next_vci: 64,
             next_icn: 1,
@@ -301,7 +304,6 @@ impl Testbed {
         let config = TestbedConfig {
             fddi_stations: scene.stations_or_default() as usize,
             gateway: crate::scene_run::gateway_config(scene),
-            slice: SimTime::from_ns(scene.slice_ns()),
             atm_faults: crate::scene_run::fault_config(&scene.faults),
             // The fault injector gets its own stream: an injective map
             // of the scene seed keeps it apart from the forks `gw-chaos`
@@ -660,7 +662,7 @@ impl Testbed {
     /// Advance the co-simulation to `until`.
     pub fn run_until(&mut self, until: SimTime) {
         while self.now < until {
-            let next = SimTime::from_ns((self.now + self.slice).as_ns().min(until.as_ns()));
+            let next = SimTime::from_ns((self.now + SLICE).as_ns().min(until.as_ns()));
 
             // 1. Inject due scheduled cells into the ATM network. The
             //    outbox stays sorted; only new sends force a re-sort.

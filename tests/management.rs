@@ -5,13 +5,14 @@
 use atm_fddi_gateway::atm::policing::{Gcra, GcraParams, PolicingAction};
 use atm_fddi_gateway::gateway::snapshot::{render_text, SNAPSHOT_FORMAT};
 use atm_fddi_gateway::sim::fault::{FaultConfig, GilbertElliott};
+use atm_fddi_gateway::sim::json::Json;
 use atm_fddi_gateway::sim::SimTime;
 use atm_fddi_gateway::testbed::{Testbed, TestbedConfig};
-use gw_mgmt::{FrameDropReason, GwEvent, Json, MgmtConfig, PortState};
+use gw_mgmt::{FrameDropReason, GwEvent, MgmtConfig, PortState};
 
-fn managed_config(management: MgmtConfig) -> TestbedConfig {
+fn managed_config() -> TestbedConfig {
     let mut cfg = TestbedConfig::default();
-    cfg.gateway.management = Some(management);
+    cfg.gateway.management = Some(MgmtConfig);
     cfg
 }
 
@@ -21,22 +22,10 @@ fn u(doc: &Json, path: &[&str]) -> u64 {
 
 /// The acceptance scenario: traffic on two VCs (one rate-controlled),
 /// the JSON snapshot deserialized back, and its numbers cross-checked
-/// against `GatewayStats` and the component registers — however the
-/// management plane is configured: defaults, trace ring off, every
-/// histogram sample kept.
+/// against `GatewayStats` and the component registers.
 #[test]
 fn snapshot_json_cross_checks_against_gateway_stats() {
-    for management in [
-        MgmtConfig::default(),
-        MgmtConfig { trace_events: 0, ..MgmtConfig::default() },
-        MgmtConfig { histogram_sample: 1, ..MgmtConfig::default() },
-    ] {
-        snapshot_cross_checks(management);
-    }
-}
-
-fn snapshot_cross_checks(management: MgmtConfig) {
-    let mut tb = Testbed::build(managed_config(management));
+    let mut tb = Testbed::build(managed_config());
     let c1 = tb.install_data_congram(1);
     let c2 = tb.install_data_congram(2);
     tb.gw.install_rate_control(
@@ -133,7 +122,7 @@ fn snapshot_cross_checks(management: MgmtConfig) {
 /// cell that opened its reassembly and the VC it rode in on.
 #[test]
 fn causal_trace_attributes_discards_to_cell_and_vc_under_faults() {
-    let mut cfg = managed_config(MgmtConfig::default());
+    let mut cfg = managed_config();
     cfg.gateway.vc_liveness_timeout = Some(SimTime::from_ms(8));
     cfg.atm_faults = FaultConfig::builder()
         .burst(GilbertElliott::bursty(0.05, 0.3))

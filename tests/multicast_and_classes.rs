@@ -1,18 +1,15 @@
 //! Multipoint congrams and synchronous/asynchronous service classes
 //! across the gateway (§2.4, §3, §6.1).
 
-use atm_fddi_gateway::fddi::ring::{Ring, RingConfig};
+use atm_fddi_gateway::fddi::ring::Ring;
 use atm_fddi_gateway::sim::SimTime;
-use atm_fddi_gateway::testbed::{Testbed, TestbedConfig};
+use atm_fddi_gateway::testbed::{self, Testbed, TestbedConfig};
 use atm_fddi_gateway::wire::fddi::FddiAddr;
 
 fn testbed_with_group(members: &[usize], stations: usize) -> (Testbed, FddiAddr) {
     let group = FddiAddr::group(3);
-    let config = TestbedConfig { fddi_stations: stations, ..Default::default() };
-    let mut tb = Testbed::build(config.clone());
-    let mut ring_cfg = RingConfig::uniform(stations, config.ring_km);
-    ring_cfg.stations[0].sync_alloc = config.gateway_sync_alloc;
-    ring_cfg.stations[0].async_queue_frames = 4096;
+    let mut tb = Testbed::build(TestbedConfig { fddi_stations: stations, ..Default::default() });
+    let mut ring_cfg = testbed::ring_config(stations);
     for &m in members {
         ring_cfg.stations[m].groups.push(group);
     }
@@ -70,11 +67,8 @@ fn sync_class_beats_async_under_ring_congestion() {
     // Saturate the ring with async traffic from other stations, then
     // push one synchronous congram through the gateway: its frames keep
     // flowing within the gateway's synchronous allocation.
-    let config = TestbedConfig { fddi_stations: 4, ..Default::default() };
-    let mut tb = Testbed::build(config.clone());
-    let mut ring_cfg = RingConfig::uniform(4, config.ring_km);
-    ring_cfg.stations[0].sync_alloc = SimTime::from_us(500);
-    ring_cfg.stations[0].async_queue_frames = 4096;
+    let mut tb = Testbed::build(TestbedConfig { fddi_stations: 4, ..Default::default() });
+    let mut ring_cfg = testbed::ring_config(4);
     for s in 1..4 {
         ring_cfg.stations[s].async_queue_frames = 100_000;
         ring_cfg.stations[s].t_req = SimTime::from_ms(4);
