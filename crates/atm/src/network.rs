@@ -38,8 +38,14 @@
 //!   provably be the very next event popped, the port transmits at once
 //!   instead (see `offer`). Simulated behaviour — every time, drop,
 //!   counter and tie-break — is identical either way.
+//! * **Events skip the heap.** Three push sites schedule in time order
+//!   and name an event-queue lane (`gw_sim::event`): a port's arrivals at
+//!   `done + propagation`, its wake-ups, and each endpoint's injections.
+//!   On equal links nearly every cell event then joins a lane's tail and
+//!   pops from a lane's head; a push that would go backwards falls to the
+//!   heap. Pop order is the one heap's, so this too is invisible.
 
-use gw_sim::event::EventQueue;
+use gw_sim::event::{EventQueue, LANES};
 use gw_sim::time::{tx_time, SimTime};
 use gw_wire::atm::{AtmHeader, Cell, Vci, CELL_SIZE, HEADER_SIZE};
 use std::collections::{HashMap, VecDeque};
@@ -268,6 +274,22 @@ enum NetEvent {
 // every push and pop; cells ride in the slab so that this stays small.
 const _: () = assert!(std::mem::size_of::<NetEvent>() <= 16);
 
+/// Event-queue lane of every cell a port puts on its link: it arrives
+/// `tx + propagation` after the `now` it was sent at, and `now` never
+/// goes backwards, so on links of equal parameters these pushes come in
+/// time order.
+const ARRIVALS: usize = 0;
+/// Event-queue lane of every port wake-up: mostly at the end of the
+/// cell on the wire, `tx` after `now`.
+const WAKE_UPS: usize = 1;
+
+/// Event-queue lane of the cells an endpoint injects: each endpoint
+/// follows its own clock (the rest share a lane once there are more
+/// endpoints than lanes).
+fn injection_lane(endpoint: usize) -> usize {
+    WAKE_UPS + 1 + endpoint % (LANES - WAKE_UPS - 1)
+}
+
 /// The ATM network: switches, links, endpoints, event queue, the cells
 /// in flight, and the signaling layer's state.
 #[derive(Debug)]
@@ -466,7 +488,8 @@ impl AtmNetwork {
         let start = if at > self.events.now() { at } else { self.events.now() };
         let arrival = start + tx_time(CELL_SIZE, params.rate_bps) + params.propagation;
         let slot = self.cells.insert(cell);
-        self.events.push(
+        self.events.push_lane(
+            injection_lane(from.0),
             arrival,
             NetEvent::CellAtSwitch { switch: index32(sw), port: index32(port), slot },
         );
@@ -715,7 +738,11 @@ impl OutPort {
 
     fn wake_at(&mut self, events: &mut EventQueue<NetEvent>, at: SimTime) {
         self.ready_pending = true;
-        events.push(at, NetEvent::PortReady { switch: self.switch, port: self.port });
+        events.push_lane(
+            WAKE_UPS,
+            at,
+            NetEvent::PortReady { switch: self.switch, port: self.port },
+        );
     }
 
     /// The port's turn to send: put the head of its queue on the link.
@@ -742,10 +769,10 @@ impl OutPort {
         self.stats.cells_tx += 1;
         match self.peer {
             PortPeer::Switch { switch, port } => {
-                events.push(arrival, NetEvent::CellAtSwitch { switch, port, slot });
+                events.push_lane(ARRIVALS, arrival, NetEvent::CellAtSwitch { switch, port, slot });
             }
             PortPeer::Endpoint { endpoint } => {
-                events.push(arrival, NetEvent::CellAtEndpoint { endpoint, slot });
+                events.push_lane(ARRIVALS, arrival, NetEvent::CellAtEndpoint { endpoint, slot });
             }
             PortPeer::Unconnected => cells.release(slot), // falls off the edge
         }

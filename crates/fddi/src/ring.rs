@@ -341,7 +341,11 @@ impl Ring {
 
     /// Drain frames received at `station`.
     pub fn take_rx(&mut self, station: usize) -> Vec<Delivery> {
-        self.stations[station].rx.drain(..).collect()
+        let rx = &mut self.stations[station].rx;
+        if rx.is_empty() {
+            return Vec::new();
+        }
+        rx.drain(..).collect()
     }
 
     /// Statistics registers of one station.

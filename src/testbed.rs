@@ -18,6 +18,17 @@
 //! measured inside [`gw_gateway`] at full 40 ns resolution; the slice
 //! only quantizes network-to-network hand-off times.
 //!
+//! Within a slice the cell seam is flushed once per batch: every cell
+//! that reached the gateway's endpoint is sent across first, then one
+//! flush hands them to the AIC in arrival order, one `deliver_cells`
+//! call each, and injects what the gateway emitted. A signal is handled
+//! only after a flush, so the gateway sees it after every cell that
+//! arrived before it; a call that asks for an ATM connection has the
+//! earlier calls' cells injected first. The ATM network therefore sees
+//! the same pushes in the same order as with a flush after every cell,
+//! but for one corner no scene or seed reaches, a reordered cell's
+//! release (DESIGN.md §14, "One seam flush per batch of arrivals").
+//!
 //! The default topology:
 //!
 //! ```text
@@ -130,9 +141,11 @@ pub struct Testbed {
     /// Cells awaiting injection into the ATM network (scheduled host
     /// sends), time-tagged.
     atm_outbox: std::collections::VecDeque<(SimTime, EndpointId, [u8; CELL_SIZE])>,
-    /// A cell the fault injector reordered: held back until the next
-    /// cell on the seam is delivered (or the slice ends with no
-    /// successor, so nothing is ever silently swallowed).
+    /// A cell the fault injector reordered, held back until the next
+    /// cell that reaches the seam — or the next reordered one, which
+    /// releases it first — and sent right behind it. Nothing else
+    /// releases it: a hold still pending when the traffic stops never
+    /// reaches the gateway.
     reorder_hold: Option<(SimTime, [u8; CELL_SIZE])>,
     /// Data VCs installed across the testbed, in installation order.
     /// The misinsertion fault rewrites a cell's VCI onto the next live
@@ -475,23 +488,24 @@ impl Testbed {
     /// any cell the fault injector held back for reordering — the held
     /// cell lands directly behind its successor, which is exactly the
     /// adjacent-swap reordering the SAR sequence check must catch.
-    /// The seam is flushed to quiescence before returning, so the
-    /// gateway has absorbed the cell (and emitted its responses) by the
-    /// time the caller proceeds — regardless of the transport carrying
-    /// it.
+    /// Only sends: the slice loop flushes the seam once, after the
+    /// slice's last arrival or before a signal.
     fn line_send_cell(&mut self, time: SimTime, cell: [u8; CELL_SIZE]) {
         self.cell_line.send_cell(time, &cell).expect("cell seam send");
         if let Some((_, held)) = self.reorder_hold.take() {
             self.cell_line.send_cell(time, &held).expect("cell seam send");
         }
-        self.flush_cell_seam(time);
     }
 
     /// Pump the cell seam until both endpoints are quiescent: cells
     /// arriving gateway-side enter the AIC at their embedded line
-    /// timestamps; cells arriving line-side are injected into the ATM
-    /// network (unless the link-flap window eats them, exactly as it
-    /// would any other traffic on the severed link).
+    /// timestamps, one `deliver_cells` call each; cells arriving
+    /// line-side are injected into the ATM network.
+    ///
+    /// A call that asks for an ATM connection first has what earlier
+    /// calls emitted injected, so the network sees, call by call,
+    /// earlier cells, then the request, then this call's cells — the
+    /// order a flush after every cell gave.
     fn flush_cell_seam(&mut self, now: SimTime) {
         for _ in 0..256 {
             self.cell_gw.pump(now).expect("cell seam pump");
@@ -504,27 +518,54 @@ impl Testbed {
                 progress = true;
                 let mut out = std::mem::take(&mut self.gw_out);
                 self.gw.deliver_cells(t, std::slice::from_ref(&cell), &mut out);
-                self.handle_gateway_outputs(out);
-            }
-
-            self.cell_line.poll_cells(&mut buf).expect("cell seam poll");
-            for (at, cell) in buf.drain(..) {
-                progress = true;
-                // The link flap severs both directions: cells the
-                // gateway emits while the link is down are lost.
-                if self.fault.link_down(at) {
-                    continue;
+                if out.iter().any(|o| matches!(o, Output::AtmConnectionRequest { .. })) {
+                    self.drain_line_side(now);
                 }
-                // The event queue accepts future times directly.
-                self.atm.inject_at(self.gw_ep, at, cell);
+                self.handle_gateway_outputs(out);
             }
             self.cell_scratch = buf;
 
+            progress |= self.inject_line_cells();
             if !progress && self.cell_gw.in_flight() == 0 && self.cell_line.in_flight() == 0 {
                 return;
             }
         }
         panic!("cell seam failed to quiesce in 256 rounds");
+    }
+
+    /// Pump the cell seam until everything the gateway sent has reached
+    /// the line side and been injected. The gateway side is pumped but
+    /// not polled: cells still on their way to the AIC wait, in order,
+    /// for the flush that called this.
+    fn drain_line_side(&mut self, now: SimTime) {
+        for _ in 0..256 {
+            self.cell_gw.pump(now).expect("cell seam pump");
+            self.cell_line.pump(now).expect("cell seam pump");
+            if !self.inject_line_cells() && self.cell_gw.in_flight() == 0 {
+                return;
+            }
+        }
+        panic!("cell seam failed to drain in 256 rounds");
+    }
+
+    /// Inject every cell waiting on the line side into the ATM network
+    /// (unless the link-flap window eats it, exactly as it would any
+    /// other traffic on the severed link); true if there was any.
+    fn inject_line_cells(&mut self) -> bool {
+        let mut buf = std::mem::take(&mut self.cell_scratch);
+        self.cell_line.poll_cells(&mut buf).expect("cell seam poll");
+        let any = !buf.is_empty();
+        for (at, cell) in buf.drain(..) {
+            // The link flap severs both directions: cells the
+            // gateway emits while the link is down are lost.
+            if self.fault.link_down(at) {
+                continue;
+            }
+            // The event queue accepts future times directly.
+            self.atm.inject_at(self.gw_ep, at, cell);
+        }
+        self.cell_scratch = buf;
+        any
     }
 
     /// Pump the frame seam until both endpoints are quiescent: frames
@@ -686,9 +727,15 @@ impl Testbed {
             self.atm.run_until(next);
 
             // 3. Deliver cells/signals that reached the gateway endpoint.
+            //    Cells cross the seam in arrival order, and the seam is
+            //    flushed once: after the last of them, or before a
+            //    signal, which the gateway must see after every cell
+            //    that reached it first.
+            let mut arrivals = false;
             while let Some(ev) = self.atm.next_event(self.gw_ep) {
                 match ev {
                     EndpointEvent::CellRx { time, mut cell } => {
+                        arrivals = true;
                         match self.fault.apply(time, &mut cell) {
                             gw_sim::fault::FaultOutcome::Dropped => continue,
                             gw_sim::fault::FaultOutcome::Duplicated { copies, .. } => {
@@ -720,6 +767,7 @@ impl Testbed {
                     EndpointEvent::Signal { time, signal } => match signal {
                         SignalIndication::ConnectionUp { conn, tx_vci } => {
                             if let Some(congram) = self.pending_atm_conns.remove(&conn) {
+                                self.flush_cell_seam(time);
                                 let outputs = self.gw.atm_connection_ready(time, congram, tx_vci);
                                 self.handle_gateway_outputs(outputs);
                                 self.flush_cell_seam(time);
@@ -727,6 +775,7 @@ impl Testbed {
                         }
                         SignalIndication::Rejected { conn, .. } => {
                             if let Some(congram) = self.pending_atm_conns.remove(&conn) {
+                                self.flush_cell_seam(time);
                                 let outputs = self.gw.atm_connection_failed(time, congram);
                                 self.handle_gateway_outputs(outputs);
                                 self.flush_cell_seam(time);
@@ -735,6 +784,9 @@ impl Testbed {
                         _ => {}
                     },
                 }
+            }
+            if arrivals {
+                self.flush_cell_seam(next);
             }
 
             // 4. Deliver cells that reached the ATM host.
@@ -745,10 +797,15 @@ impl Testbed {
             }
 
             // 5. Gateway housekeeping (reassembly timers, NPE scans).
+            //    Most slices emit nothing, and with nothing in flight
+            //    either there is nothing to flush.
             let mut out = std::mem::take(&mut self.gw_out);
             self.gw.advance_into(next, &mut out);
+            let emitted = !out.is_empty();
             self.handle_gateway_outputs(out);
-            self.flush_cell_seam(next);
+            if emitted || self.cell_gw.in_flight() != 0 || self.cell_line.in_flight() != 0 {
+                self.flush_cell_seam(next);
+            }
 
             // 6. Drain the gateway's transmit buffer through the frame
             //    phy into its ring station queue (the SUPERNET
@@ -890,6 +947,31 @@ mod tests {
             .collect();
         assert_eq!(confirms.len(), 1, "{:?}", tb.atm_host_control_rx);
         assert_eq!(tb.gw.npe().stats().setups_confirmed, 1);
+    }
+
+    /// The reorder hold's whole rule: a held cell leaves only behind the
+    /// next cell that reaches the seam. With every cell reordered, each
+    /// one releases the one before it, and the last stays held however
+    /// long the run goes on.
+    #[test]
+    fn a_reordered_cell_leaves_only_behind_the_next_cell_on_the_seam() {
+        let faults = FaultConfig::builder().reordering(1.0).build();
+        let mut tb = Testbed::build(TestbedConfig { atm_faults: faults, ..Default::default() });
+        let c = tb.install_data_congram(2);
+        let cells_in = |tb: &Testbed| tb.gw.aic().stats().cells_in;
+
+        tb.send_from_atm_host(c, vec![7; 200]); // 5 cells
+        tb.run_until(SimTime::from_ms(10));
+        assert_eq!(cells_in(&tb), 4, "the last cell is still held");
+        assert!(tb.reorder_hold.is_some());
+        tb.run_until(SimTime::from_secs(1));
+        assert_eq!(cells_in(&tb), 4, "time alone releases nothing");
+        assert!(tb.fddi_rx(2).is_empty());
+
+        tb.send_from_atm_host(c, vec![8; 200]);
+        tb.run_until(SimTime::from_ms(1_010));
+        assert_eq!(cells_in(&tb), 9, "the next cell released it; the new last cell is held");
+        assert!(tb.reorder_hold.is_some());
     }
 
     #[test]

@@ -339,9 +339,10 @@ fn atm_network_cell_hops_are_allocation_free_plain_and_policed() {
     // The testbed's ATM side: host — s0 — s1 — gateway, one VC each
     // way, driven the way `Testbed::run_until` drives it: inject what
     // is due, advance one 10 µs slice, drain both endpoints. Once the
-    // slab, the event heap and the queues have reached their working
-    // size a cell costs no allocation on any hop — with and without a
-    // `Tag` policer rewriting headers at the ingress.
+    // slab, the event queue's heap and lanes, and the port queues have
+    // reached their working size a cell costs no allocation on any hop
+    // — with and without a `Tag` policer rewriting headers at the
+    // ingress.
     for policed in [false, true] {
         let mut net = AtmNetwork::new();
         let (s0, s1) = (net.add_switch(4), net.add_switch(4));
@@ -388,4 +389,28 @@ fn atm_network_cell_hops_are_allocation_free_plain_and_policed() {
         assert_eq!(tagged_rx > 0, policed, "the policer did tag: {tagged_rx}");
         assert_eq!(net.unroutable_cells(SwitchId(0)) + net.unroutable_cells(SwitchId(1)), 0);
     }
+}
+
+#[test]
+fn warm_idle_testbed_slice_is_allocation_free() {
+    use atm_fddi_gateway::testbed::{Testbed, TestbedConfig};
+
+    // A testbed that has carried frames both ways and drained them. A
+    // slice in which nothing arrives anywhere still runs every step of
+    // `run_until` — the outbox check, the network model, both endpoint
+    // drains, gateway housekeeping, the transmit-buffer drain, the
+    // ring's token rotation and every station's receive queue — and none of
+    // it may allocate.
+    let mut tb = Testbed::build(TestbedConfig::default());
+    let c = tb.install_data_congram(2);
+    for i in 0..8u8 {
+        tb.send_from_atm_host(c, vec![i; 500]);
+        tb.send_from_fddi_station(2, c, vec![i; 700]);
+    }
+    tb.run_until(SimTime::from_ms(50));
+    assert_eq!((tb.fddi_rx(2).len(), tb.atm_host_rx.len()), (8, 8), "the traffic did cross");
+    let until = tb.now() + SimTime::from_ms(5);
+    let (allocs, ()) = allocations_during(|| tb.run_until(until));
+    assert_eq!(allocs, 0, "500 idle slices");
+    assert_eq!(tb.atm.cells_in_flight(), 0);
 }
