@@ -1494,6 +1494,13 @@ impl Gateway {
 
     // gw-lint: setup-path — NPE control actions (congram setup/teardown, control frames) are the paper's non-critical path
     fn apply_npe_actions(&mut self, actions: Vec<NpeAction>, out: &mut Vec<Output>) {
+        // The counters `sync_npe_stats` mirrors move only in NPE calls
+        // that also return an action (bar one signaling give-up, which
+        // `atm_connection_failed` mirrors itself), so an empty list has
+        // nothing to apply or mirror.
+        if actions.is_empty() {
+            return;
+        }
         for action in actions {
             match action {
                 NpeAction::ProgramMpp { payload, .. } => {
@@ -1612,6 +1619,15 @@ impl Gateway {
     /// liveness deadlines live in timer wheels, so an idle call is
     /// O(expired) = O(1) and allocation-free — harnesses can call it
     /// every slice without scanning cost.
+    ///
+    /// When nothing is due each step returns at once: a poll of an empty
+    /// timer wheel only moves its cursor, the reassembler returns before
+    /// it builds and sorts a list of flushed frames, and an empty list
+    /// of NPE actions is not applied. The buffer-occupancy gauges and
+    /// the port health windows still update on every call: they
+    /// integrate over time in `f64`, and that integral is in the
+    /// snapshot, so an update skipped or merged into a later one would
+    /// change it.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<Output>) {
         for frame in self.spp.check_timeouts(now) {
             // A timer-flushed partial: clear the VC's lineage and hand
@@ -1768,6 +1784,9 @@ impl Gateway {
         let actions = self.npe.atm_connection_failed(now, congram);
         let mut out = Vec::new();
         self.apply_npe_actions(actions, &mut out);
+        // Giving up on a congram the ATM peer requested counts a failed
+        // setup and has no requester to reject to.
+        self.sync_npe_stats();
         out
     }
 }

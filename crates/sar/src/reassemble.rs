@@ -564,6 +564,10 @@ impl Reassembler {
         let mut expired = std::mem::take(&mut self.expired);
         expired.clear();
         self.timers.poll(now, &mut expired);
+        if expired.is_empty() {
+            self.expired = expired;
+            return Vec::new();
+        }
         let mut flushed = Vec::new();
         for &(deadline, key) in &expired {
             let Some(s) = self.slots.get_mut(key.slot as usize) else { continue };

@@ -15,12 +15,26 @@
 //! queue keeps [`LANES`] FIFO lanes. [`EventQueue::push_lane`] names
 //! one: the entry joins the lane's tail when that keeps the lane in
 //! time order, and goes to the heap otherwise, so a lane is always
-//! sorted by `(time, sequence number)`. `pop` and `peek_time` take the
-//! smallest `(time, sequence number)` over the lane heads and the heap
-//! top. Which structure holds an entry is therefore invisible: the pop
-//! order, [`EventQueue::now`] and every tie-break are exactly what one
-//! heap of all the entries gives. A lane is a hint about cost, never
-//! about order.
+//! sorted by `(time, sequence number)`. Which structure holds an entry
+//! is invisible: the pop order, [`EventQueue::now`] and every tie-break
+//! are exactly what one heap of all the entries gives. A lane is a hint
+//! about cost, never about order.
+//!
+//! # Head keys
+//!
+//! The queue keeps the `(time, sequence number)` key of each lane head
+//! and of the heap top packed into one `u128` each, in one array of
+//! `LANES + 1` words, with the index of the smallest. A sequence number
+//! is unique, so no two keys are equal and the smallest word is the
+//! entry one heap would pop next. [`EventQueue::peek_time`] and
+//! [`EventQueue::is_empty`] read that word. A push touches the array
+//! only when its entry becomes the head of its structure — the first
+//! entry of an empty lane, or a heap entry earlier than the heap top —
+//! and then compares it once more, with the smallest.
+//! [`EventQueue::pop`] takes from the structure the index names,
+//! reloads that structure's word and rescans the `LANES + 1` words for
+//! the smallest. An empty structure's word is `u128::MAX`, later than
+//! every real key.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -37,8 +51,8 @@ struct Entry<E> {
 }
 
 impl<E> Entry<E> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_ns()) << 64) | u128::from(self.seq)
     }
 }
 
@@ -60,9 +74,13 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Where the earliest pending entry sits: lane `i < LANES`, or the heap
-/// (`LANES`).
+/// Index of the heap top's key in the head array; lanes are
+/// `0..LANES`.
 const HEAP: usize = LANES;
+
+/// The head key of an empty structure: later than every real key,
+/// whose sequence number never reaches `u64::MAX`.
+const EMPTY: u128 = u128::MAX;
 
 /// A discrete-event queue over event type `E`.
 ///
@@ -81,6 +99,11 @@ const HEAP: usize = LANES;
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     lanes: [VecDeque<Entry<E>>; LANES],
+    /// The packed key of each lane's head, then of the heap top
+    /// ([`EMPTY`] for an empty structure).
+    heads: [u128; LANES + 1],
+    /// Index into `heads` of the smallest key.
+    min: usize,
     next_seq: u64,
     now: SimTime,
 }
@@ -97,6 +120,8 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             lanes: std::array::from_fn(|_| VecDeque::new()),
+            heads: [EMPTY; LANES + 1],
+            min: 0,
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -120,13 +145,29 @@ impl<E> EventQueue<E> {
         Entry { time, seq, event }
     }
 
+    /// Record `key` as the new head of structure `at`.
+    fn new_head(&mut self, at: usize, key: u128) {
+        self.heads[at] = key;
+        if key < self.heads[self.min] {
+            self.min = at;
+        }
+    }
+
     /// Schedule `event` at absolute time `time`.
     ///
     /// # Panics
     /// Panics if `time` is before the current simulation time.
     pub fn push(&mut self, time: SimTime, event: E) {
         let entry = self.entry(time, event);
+        self.push_heap(entry);
+    }
+
+    fn push_heap(&mut self, entry: Entry<E>) {
+        let key = entry.key();
         self.heap.push(entry);
+        if key < self.heads[HEAP] {
+            self.new_head(HEAP, key);
+        }
     }
 
     /// Schedule `event` at absolute time `time` through lane `lane`: a
@@ -141,30 +182,43 @@ impl<E> EventQueue<E> {
     pub fn push_lane(&mut self, lane: usize, time: SimTime, event: E) {
         let entry = self.entry(time, event);
         let fifo = &mut self.lanes[lane];
-        if fifo.back().is_none_or(|last| last.time <= time) {
-            fifo.push_back(entry);
-        } else {
-            self.heap.push(entry);
-        }
-    }
-
-    /// The structure holding the earliest pending entry, and its key.
-    fn earliest(&self) -> Option<(usize, (SimTime, u64))> {
-        let mut best = self.heap.peek().map(|e| (HEAP, e.key()));
-        for (lane, fifo) in self.lanes.iter().enumerate() {
-            if let Some(head) = fifo.front() {
-                if best.is_none_or(|(_, key)| head.key() < key) {
-                    best = Some((lane, head.key()));
-                }
+        match fifo.back() {
+            None => {
+                let key = entry.key();
+                fifo.push_back(entry);
+                self.new_head(lane, key);
             }
+            Some(last) if last.time <= time => fifo.push_back(entry),
+            Some(_) => self.push_heap(entry),
         }
-        best
     }
 
     /// Remove and return the earliest event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (from, _) = self.earliest()?;
-        let e = if from == HEAP { self.heap.pop() } else { self.lanes[from].pop_front() }?;
+        let from = self.min;
+        if self.heads[from] == EMPTY {
+            return None;
+        }
+        let e = if from == HEAP {
+            let e = self.heap.pop()?;
+            self.heads[HEAP] = self.heap.peek().map_or(EMPTY, Entry::key);
+            e
+        } else {
+            let fifo = &mut self.lanes[from];
+            let e = fifo.pop_front()?;
+            self.heads[from] = fifo.front().map_or(EMPTY, Entry::key);
+            e
+        };
+        // The running smallest key stays in registers, so no load waits
+        // on the comparison before it.
+        let (mut min, mut best) = (0, self.heads[0]);
+        for at in 1..=LANES {
+            let key = self.heads[at];
+            if key < best {
+                (min, best) = (at, key);
+            }
+        }
+        self.min = min;
         debug_assert!(e.time >= self.now);
         self.now = e.time;
         Some((e.time, e.event))
@@ -172,7 +226,8 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.earliest().map(|(_, (time, _))| time)
+        let key = self.heads[self.min];
+        (key != EMPTY).then(|| SimTime::from_ns((key >> 64) as u64))
     }
 
     /// The current simulation time (timestamp of the last popped event).
@@ -187,7 +242,7 @@ impl<E> EventQueue<E> {
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
+        self.heads[self.min] == EMPTY
     }
 }
 

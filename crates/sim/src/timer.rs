@@ -11,6 +11,10 @@
 //! nodes so `cancel` is O(1) without allocation, and [`TimerWheel::poll`]
 //! touches only slots that actually expired. Deadlines beyond the wheel's
 //! span park in an overflow list and migrate inward as time advances.
+//! A poll of an empty wheel — a reassembly wheel with no frame in
+//! progress, polled by every housekeeping call — walks nothing: it moves
+//! the cursor to `now`'s tick, which is the state the walk would have
+//! left.
 //!
 //! Entries carry their exact [`SimTime`] deadline: expiry fires an entry
 //! only once `now >= deadline` (never early, even mid-tick), and
@@ -184,9 +188,15 @@ impl<T> TimerWheel<T> {
     /// is `<= now` to `expired` as `(deadline, item)` pairs, in no
     /// particular order. Cost is proportional to the number of expired
     /// entries plus the slots they occupied — independent of how many
-    /// timers remain armed.
+    /// timers remain armed. On an empty wheel it only moves the cursor.
     pub fn poll(&mut self, now: SimTime, expired: &mut Vec<(SimTime, T)>) {
         let target = tick_of(now).max(self.current_tick);
+        if self.len == 0 {
+            // No slot or overflow entry to visit: the walk below would
+            // only move the cursor.
+            self.current_tick = target;
+            return;
+        }
         while let Some((level, slot, start)) = self.earliest_slot() {
             if start > target {
                 break;

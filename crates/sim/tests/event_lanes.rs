@@ -39,26 +39,88 @@ impl Reference {
     }
 }
 
-/// Counts of the cases a run must reach to mean anything.
+/// Counts of the cases a run must reach to mean anything. The last
+/// four are the cases in which a head key the queue failed to keep up
+/// to date would give a wrong answer.
 #[derive(Default)]
 struct Coverage {
     ties: u64,
     backwards_lane_pushes: u64,
     far_future: u64,
     refills: u64,
+    heap_push_ahead_of_lane_head: u64,
+    empty_lane_push_ahead_of_heap_top: u64,
+    pop_empties_head_structure: u64,
+    ties_across_structures: u64,
 }
 
 /// One op: `kind` 0–1 heap push, 2–4 lane push, 5–7 pop; `scale` picks
 /// the delay — 0 a tie at `now`, 1 a few ns, 2 a few µs, 3 far ahead.
 type Op = (u8, usize, u64, u8);
 
+/// Where the documented rule puts each pending entry (join the lane's
+/// tail if that keeps time order, else the heap): for coverage only.
+#[derive(Default)]
+struct Placement {
+    lanes: [Vec<(SimTime, u64)>; LANES],
+    heap: Vec<(SimTime, u64)>,
+    /// Lanes a pop emptied that have not taken an entry since.
+    drained: [bool; LANES],
+}
+
+impl Placement {
+    fn heap_top(&self) -> Option<(SimTime, u64)> {
+        self.heap.iter().min().copied()
+    }
+
+    /// Place a push of `key` through `lane` (`None`: the heap).
+    fn push(&mut self, lane: Option<usize>, key: (SimTime, u64), cov: &mut Coverage) {
+        let lane = lane.filter(|&i| self.lanes[i].last().is_none_or(|&tail| tail.0 <= key.0));
+        let Some(i) = lane else {
+            let mut lane_heads = self.lanes.iter().filter_map(|fifo| fifo.first());
+            cov.heap_push_ahead_of_lane_head += u64::from(lane_heads.any(|&head| key < head));
+            self.heap.push(key);
+            return;
+        };
+        if self.lanes[i].is_empty() {
+            cov.refills += u64::from(std::mem::take(&mut self.drained[i]));
+            cov.empty_lane_push_ahead_of_heap_top +=
+                u64::from(self.heap_top().is_some_and(|top| key < top));
+        }
+        self.lanes[i].push(key);
+    }
+
+    /// Remove the popped entry `key`, counting a tie with another
+    /// structure's head and a pop that empties its structure while
+    /// entries remain elsewhere.
+    fn pop(&mut self, key: (SimTime, u64), cov: &mut Coverage) {
+        let lane = self.lanes.iter().position(|fifo| fifo.first() == Some(&key));
+        let mut other_heads = (0..LANES)
+            .filter(|&i| Some(i) != lane)
+            .filter_map(|i| self.lanes[i].first().copied())
+            .chain(lane.and_then(|_| self.heap_top()));
+        cov.ties_across_structures += u64::from(other_heads.any(|(t, _)| t == key.0));
+        let emptied = match lane {
+            Some(i) => {
+                self.lanes[i].remove(0);
+                self.drained[i] = self.lanes[i].is_empty();
+                self.drained[i]
+            }
+            None => {
+                let i = self.heap.iter().position(|&e| e == key).expect("popped from the heap");
+                self.heap.swap_remove(i);
+                self.heap.is_empty()
+            }
+        };
+        let pending = self.heap.len() + self.lanes.iter().map(Vec::len).sum::<usize>();
+        cov.pop_empties_head_structure += u64::from(emptied && pending > 0);
+    }
+}
+
 fn run(ops: &[Op], cov: &mut Coverage) {
     let mut q = EventQueue::new();
     let mut r = Reference::default();
-    // What each lane holds under the documented rule (join the tail if
-    // that keeps time order, else the heap): for coverage only.
-    let mut lanes: [Vec<(SimTime, u64)>; LANES] = Default::default();
-    let mut drained = [false; LANES];
+    let mut placed = Placement::default();
     for &(kind, lane, small, scale) in ops {
         let delay = match scale {
             0 => 0,
@@ -73,18 +135,12 @@ fn run(ops: &[Op], cov: &mut Coverage) {
                 cov.far_future += u64::from(scale == 3);
                 let id = r.push(time);
                 if kind <= 1 {
+                    placed.push(None, (time, id), cov);
                     q.push(time, id);
                 } else {
-                    match lanes[lane].last() {
-                        Some(&(tail, _)) if time < tail => cov.backwards_lane_pushes += 1,
-                        _ => {
-                            if lanes[lane].is_empty() && drained[lane] {
-                                cov.refills += 1;
-                                drained[lane] = false;
-                            }
-                            lanes[lane].push((time, id));
-                        }
-                    }
+                    let heap_before = placed.heap.len();
+                    placed.push(Some(lane), (time, id), cov);
+                    cov.backwards_lane_pushes += (placed.heap.len() - heap_before) as u64;
                     q.push_lane(lane, time, id);
                 }
             }
@@ -93,12 +149,7 @@ fn run(ops: &[Op], cov: &mut Coverage) {
                 assert_eq!(got, r.pop());
                 if let Some((t, id)) = got {
                     assert_eq!(q.now(), t, "the clock is the last popped time");
-                    for (fifo, drained) in lanes.iter_mut().zip(&mut drained) {
-                        if fifo.first().is_some_and(|&(_, head)| head == id) {
-                            fifo.remove(0);
-                            *drained = fifo.is_empty();
-                        }
-                    }
+                    placed.pop((t, id), cov);
                 }
             }
         }
@@ -108,6 +159,7 @@ fn run(ops: &[Op], cov: &mut Coverage) {
     }
     while let Some(expected) = r.pop() {
         assert_eq!(q.pop(), Some(expected));
+        assert_eq!(q.peek_time(), r.peek_time());
         assert_eq!(q.len(), r.pending.len());
     }
     assert_eq!(q.pop(), None);
@@ -126,9 +178,13 @@ proptest! {
 }
 
 /// The same property over many short seeded runs, asserting that they
-/// really reach ties, backwards lane pushes, far-future times and lanes
-/// that drain and refill — a reference check that never met them would
-/// prove nothing about them.
+/// really reach ties, backwards lane pushes, far-future times, lanes
+/// that drain and refill, and each case a stale head key would get
+/// wrong: a heap push ahead of a lane head, a push into an empty lane
+/// ahead of the heap top, a pop that empties the structure holding the
+/// head, and a tie across structures that the sequence number decides —
+/// a reference check that never met them would prove nothing about
+/// them.
 #[test]
 fn the_reference_check_reaches_every_case() {
     let mut state = 0x1991_u64;
@@ -148,4 +204,13 @@ fn the_reference_check_reaches_every_case() {
     assert!(cov.backwards_lane_pushes > 100, "backwards {}", cov.backwards_lane_pushes);
     assert!(cov.far_future > 100, "far future {}", cov.far_future);
     assert!(cov.refills > 100, "refills {}", cov.refills);
+    let stale_head_cases = [
+        ("heap push ahead of a lane head", cov.heap_push_ahead_of_lane_head),
+        ("empty-lane push ahead of the heap top", cov.empty_lane_push_ahead_of_heap_top),
+        ("pop that empties the head's structure", cov.pop_empties_head_structure),
+        ("tie across structures", cov.ties_across_structures),
+    ];
+    for (case, count) in stale_head_cases {
+        assert!(count > 100, "{case}: {count}");
+    }
 }

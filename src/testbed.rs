@@ -165,9 +165,7 @@ pub struct Testbed {
     fddi_control_rx: Vec<Vec<ControlPayload>>,
     /// ATM connections the gateway requested, keyed by signaling conn.
     pending_atm_conns: HashMap<gw_atm::signaling::ConnId, CongramId>,
-    /// Delivery latency samples for data frames reaching FDDI stations
-    /// (send-time tracking is the sender's job; this collects count +
-    /// octets).
+    /// Octets of data frames delivered to the FDDI stations.
     pub fddi_rx_octets: u64,
     /// Octets delivered to the ATM host.
     pub atm_rx_octets: u64,
@@ -710,9 +708,7 @@ impl Testbed {
             if self.outbox_dirty {
                 // Stable sort preserves per-frame cell order among
                 // same-timestamp cells (sequenced delivery, §5.2).
-                let mut v: Vec<_> = std::mem::take(&mut self.atm_outbox).into();
-                v.sort_by_key(|&(t, _, _)| t);
-                self.atm_outbox = v.into();
+                self.atm_outbox.make_contiguous().sort_by_key(|&(t, _, _)| t);
                 self.outbox_dirty = false;
             }
             while let Some(&(t, ep, cell)) = self.atm_outbox.front() {
