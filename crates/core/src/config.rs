@@ -103,7 +103,8 @@ mod tests {
     use super::*;
     use crate::gateway::Gateway;
     use crate::mpp::Mpp;
-    use gw_sar::reassemble::{Reassembler, ReassemblyConfig, BUFFER_CELLS};
+    use gw_sar::reassemble::{Reassembler, ReassemblyConfig, ReassemblyEvent, BUFFER_CELLS};
+    use gw_sar::segment::segment;
     use gw_wire::atm::Vci;
     use gw_wire::fddi::FddiAddr;
     use gw_wire::sar::SAR_PAYLOAD_SIZE;
@@ -133,17 +134,55 @@ mod tests {
         assert_eq!(Mpp::new(MAX_CONGRAMS).table_octets(), ICXT_OCTETS);
     }
 
+    /// §5.3's reassembly memory is a bound of the model, not a host
+    /// allocation: each VC is limited by two buffers of 91 cells
+    /// through their states, and the host holds memory only for frames
+    /// in progress.
     #[test]
     fn reassembly_memory_scales() {
+        let t = SimTime::ZERO;
         let mut r = Reassembler::new(ReassemblyConfig::default());
-        let octets = |r: &Reassembler| r.resident_buffers() * BUFFER_CELLS * SAR_PAYLOAD_SIZE;
-        // One VC: 2 buffers of 91 cells of 45 octets.
-        r.open_vc(Vci(1));
-        assert_eq!(octets(&r), 2 * 91 * 45);
-        for vci in 2..=10 {
+        // The modelled capacity: 2 buffers of 91 cells of 45 octets.
+        assert_eq!(r.config().buffers_per_vc * BUFFER_CELLS * SAR_PAYLOAD_SIZE, 2 * 91 * 45);
+        let vc = Vci(1);
+        r.open_vc(vc);
+        let one = segment(&[1; SAR_PAYLOAD_SIZE], false).unwrap();
+        for _ in 0..2 {
+            let ReassemblyEvent::Complete(f) = r.push(t, vc, one[0].as_bytes()) else {
+                panic!("two frames fit");
+            };
+            r.recycle(f.data);
+        }
+        assert_eq!(r.push(t, vc, one[0].as_bytes()), ReassemblyEvent::NoBuffer, "a third frame");
+        r.release(vc);
+        let long = segment(&vec![2; (BUFFER_CELLS + 2) * SAR_PAYLOAD_SIZE], false).unwrap();
+        for c in &long[..BUFFER_CELLS] {
+            assert_eq!(r.push(t, vc, c.as_bytes()), ReassemblyEvent::Stored);
+        }
+        assert_eq!(r.push(t, vc, long[BUFFER_CELLS].as_bytes()), ReassemblyEvent::Overflow);
+        r.close_vc(vc);
+
+        // Host residency follows the frames in progress.
+        let mut r = Reassembler::new(ReassemblyConfig::default());
+        for vci in 1..=10 {
             r.open_vc(Vci(vci));
         }
-        assert_eq!(octets(&r), 10 * 2 * 91 * 45);
+        assert_eq!(r.resident_buffers(), 0, "open, idle VCs hold no buffer memory");
+        let frame = segment(&[3; 3 * SAR_PAYLOAD_SIZE], false).unwrap();
+        for k in 1..=4 {
+            r.push(t, Vci(k), frame[0].as_bytes());
+            assert_eq!(r.resident_buffers(), usize::from(k), "one buffer per frame in progress");
+        }
+        for k in 1..=4 {
+            r.push(t, Vci(k), frame[1].as_bytes());
+            let ReassemblyEvent::Complete(f) = r.push(t, Vci(k), frame[2].as_bytes()) else {
+                panic!("frame on VC {k} completes");
+            };
+            r.recycle(f.data);
+            r.release(Vci(k));
+        }
+        assert_eq!(r.resident_buffers(), 0);
+        assert_eq!(r.pool_stats().outstanding(), 0, "the pool census balances");
     }
 
     #[test]

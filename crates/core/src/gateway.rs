@@ -44,6 +44,7 @@ use gw_mgmt::{
     MgmtPlane, Port,
 };
 use gw_sar::reassemble::{ReassembledFrame, ReassemblyConfig, ReassemblyEvent};
+use gw_sim::index::SlotIndex;
 use gw_sim::stats::Histogram;
 use gw_sim::time::SimTime;
 use gw_sim::timer::{TimerId, TimerWheel};
@@ -213,7 +214,7 @@ pub struct Residue {
     /// Armed liveness-wheel timers minus VC slots claiming one
     /// (nonzero either way is an orphaned or lost timer).
     pub liveness_timer_skew: i64,
-    /// SPP pool buffers drawn beyond those resident in reassembly slots.
+    /// SPP pool buffers drawn beyond those held by frames in progress.
     pub spp_pool_leak: i64,
     /// MPP pool buffers drawn beyond those consumed by the control
     /// plane (negative: something returned buffers it never drew).
@@ -259,9 +260,6 @@ impl GatewayStats {
         }
     }
 }
-
-/// Sentinel in [`Gateway::vci_index`] for a VCI with no slot yet.
-const NO_SLOT: u32 = u32::MAX;
 
 /// Dense per-VC state, direct-indexed by VCI through
 /// [`Gateway::vci_index`] — one table lookup replaces the four hash
@@ -334,9 +332,9 @@ pub struct Gateway {
     npe_fifo: FrameFifo<Vec<u8>>,
     stats: GatewayStats,
     cons: ConservationCounters,
-    /// Direct VCI→slot index, 65536 entries ([`NO_SLOT`] when the VCI
-    /// has never been touched).
-    vci_index: Box<[u32]>,
+    /// Direct VCI→slot index, grown to the largest VCI touched (no
+    /// entry when the VCI has never been touched).
+    vci_index: SlotIndex,
     /// Per-VC slot table (see [`VcSlot`]).
     pub(crate) vc_slots: Vec<VcSlot>,
     /// Liveness deadlines for monitored VCs; polled by
@@ -364,7 +362,7 @@ pub struct Gateway {
 impl Gateway {
     /// Build a gateway with its FDDI station address and the ring
     /// capacity its resource manager guards.
-    // gw-lint: setup-path — power-up construction; sizes the dense VCI table and pools once
+    // gw-lint: setup-path — power-up construction; sizes the pools once (the VCI index starts empty)
     pub fn new(config: GatewayConfig, fddi_addr: FddiAddr, fddi_capacity_bps: u64) -> Gateway {
         let reasm = ReassemblyConfig {
             timeout: config.reassembly_timeout,
@@ -397,7 +395,7 @@ impl Gateway {
             npe_fifo_depth_peak: 0,
             stats: GatewayStats::new(),
             cons: ConservationCounters::default(),
-            vci_index: vec![NO_SLOT; 1 << 16].into_boxed_slice(),
+            vci_index: SlotIndex::default(),
             vc_slots: Vec::new(),
             liveness: TimerWheel::new(),
             liveness_scratch: Vec::new(),
@@ -603,22 +601,23 @@ impl Gateway {
 
     /// The VC's slot index, allocating one on first touch.
     fn slot_index(&mut self, vci: Vci) -> usize {
-        let idx = &mut self.vci_index[vci.0 as usize];
-        if *idx == NO_SLOT {
-            *idx = self.vc_slots.len() as u32;
-            self.vc_slots.push(VcSlot::new(vci));
+        if let Some(idx) = self.vci_index.get(vci.0) {
+            return idx as usize;
         }
-        *idx as usize
+        let idx = self.vc_slots.len();
+        self.vci_index.insert(vci.0, idx as u32);
+        self.vc_slots.push(VcSlot::new(vci));
+        idx
     }
 
     /// The VC's slot, if the VCI has ever been touched.
     fn vc_slot(&self, vci: Vci) -> Option<&VcSlot> {
-        let idx = self.vci_index[vci.0 as usize];
-        if idx == NO_SLOT {
-            None
-        } else {
-            Some(&self.vc_slots[idx as usize])
-        }
+        self.vci_index.get(vci.0).map(|idx| &self.vc_slots[idx as usize])
+    }
+
+    /// The VC's slot, mutably, if the VCI has ever been touched.
+    fn vc_slot_mut(&mut self, vci: Vci) -> Option<&mut VcSlot> {
+        self.vci_index.get(vci.0).map(|idx| &mut self.vc_slots[idx as usize])
     }
 
     /// Install ingress rate control on a congram's VC: cells beyond the
@@ -690,11 +689,8 @@ impl Gateway {
     /// Record data activity on a monitored VC. The armed wheel deadline
     /// is left alone — it re-arms from `activity` when it fires.
     fn touch_vc(&mut self, now: SimTime, vci: Vci) {
-        let idx = self.vci_index[vci.0 as usize];
-        if idx == NO_SLOT {
-            return;
-        }
-        if let Some(last) = self.vc_slots[idx as usize].activity.as_mut() {
+        let Some(slot) = self.vc_slot_mut(vci) else { return };
+        if let Some(last) = slot.activity.as_mut() {
             if *last < now {
                 *last = now;
             }
@@ -703,11 +699,7 @@ impl Gateway {
 
     /// Take a VC off the liveness monitor and disarm its wheel entry.
     fn unmonitor_vc(&mut self, vci: Vci) {
-        let idx = self.vci_index[vci.0 as usize];
-        if idx == NO_SLOT {
-            return;
-        }
-        let slot = &mut self.vc_slots[idx as usize];
+        let Some(slot) = self.vc_slot_mut(vci) else { return };
         slot.activity = None;
         if let Some(id) = slot.liveness_timer.take() {
             self.liveness.cancel(id);
@@ -960,9 +952,8 @@ impl Gateway {
 
     /// A VC went away — normal release or liveness quarantine.
     fn note_vc_retired(&mut self, at: SimTime, vci: Vci, quarantined: bool) {
-        let idx = self.vci_index[vci.0 as usize];
-        if idx != NO_SLOT {
-            self.vc_slots[idx as usize].origin = None;
+        if let Some(slot) = self.vc_slot_mut(vci) {
+            slot.origin = None;
         }
         if let Some(m) = &mut self.mgmt {
             m.registry.retire_vc(vci.0);
@@ -1575,9 +1566,7 @@ impl Gateway {
                     // The VC is gone: stop monitoring it and free any
                     // reassembly state it still holds.
                     self.unmonitor_vc(vci);
-                    let idx = self.vci_index[vci.0 as usize];
-                    if idx != NO_SLOT {
-                        let slot = &mut self.vc_slots[idx as usize];
+                    if let Some(slot) = self.vc_slot_mut(vci) {
                         slot.first_cell = None;
                         slot.clp = false;
                         slot.origin = None;
@@ -1657,10 +1646,7 @@ impl Gateway {
             let mut expired = std::mem::take(&mut self.quarantine_scratch);
             expired.clear();
             for &(_, vci) in &fired {
-                let idx = self.vci_index[vci.0 as usize];
-                if idx == NO_SLOT {
-                    continue;
-                }
+                let Some(idx) = self.vci_index.get(vci.0) else { continue };
                 let slot = &mut self.vc_slots[idx as usize];
                 let Some(last) = slot.activity else {
                     slot.liveness_timer = None;
@@ -1682,8 +1668,8 @@ impl Gateway {
                 // Free reassembly state so a half-received frame cannot
                 // leak or later surface torn.
                 self.spp.close_vc(vci);
-                let idx = self.vci_index[vci.0 as usize];
-                let slot = &mut self.vc_slots[idx as usize];
+                let idx = self.slot_index(vci);
+                let slot = &mut self.vc_slots[idx];
                 slot.first_cell = None;
                 slot.clp = false;
                 slot.origin = None;

@@ -286,8 +286,9 @@ impl Spp {
         self.reassembler.occupancy_cells()
     }
 
-    /// Buffers legitimately resident in per-VC reassembly slots — the
-    /// figure the pool census compares outstanding draws against.
+    /// Reassembly buffers holding pool memory, one per frame in
+    /// progress — the figure the pool census compares outstanding draws
+    /// against.
     pub fn resident_buffers(&self) -> usize {
         self.reassembler.resident_buffers()
     }

@@ -13,7 +13,7 @@
 //! values so a snapshot taken after teardown still accounts for every
 //! cell.
 
-use gw_sim::{Counter, Histogram, SimTime, TimeWeighted};
+use gw_sim::{Counter, Histogram, SimTime, SlotIndex, TimeWeighted};
 use std::collections::HashMap;
 
 /// Pre-resolved handle to a registry counter.
@@ -56,9 +56,6 @@ struct VcRow {
     active: bool,
 }
 
-/// Sentinel in [`MetricsRegistry::vc_index`] for a VCI with no row.
-const NO_ROW: u32 = u32::MAX;
-
 /// The management plane's metric store.
 ///
 /// All mutation goes through index handles; name lookup happens only at
@@ -70,9 +67,10 @@ pub struct MetricsRegistry {
     gauges: Vec<(String, TimeWeighted)>,
     histograms: Vec<(String, Histogram, u32)>,
     names: HashMap<String, usize>,
-    /// Direct-indexed VCI → row-slot map (grown on demand), so the
-    /// per-cell lineage path resolves a VC's handles without hashing.
-    vc_index: Vec<u32>,
+    /// Direct-indexed VCI → row-slot map (grown to the largest VCI
+    /// with a row), so the per-cell lineage path resolves a VC's
+    /// handles without hashing.
+    vc_index: SlotIndex,
     vc_rows: Vec<VcRow>,
     sample_every: u32,
     vcs_created: u64,
@@ -88,7 +86,7 @@ impl MetricsRegistry {
             gauges: Vec::new(),
             histograms: Vec::new(),
             names: HashMap::new(),
-            vc_index: Vec::new(),
+            vc_index: SlotIndex::default(),
             vc_rows: Vec::new(),
             sample_every: sample_every.max(1),
             vcs_created: 0,
@@ -168,10 +166,7 @@ impl MetricsRegistry {
     }
 
     fn vc_slot(&self, vci: u16) -> Option<usize> {
-        match self.vc_index.get(vci as usize) {
-            Some(&slot) if slot != NO_ROW => Some(slot as usize),
-            _ => None,
-        }
+        self.vc_index.get(vci).map(|slot| slot as usize)
     }
 
     /// Create (or reactivate) the per-VC metric row for `vci`.
@@ -196,11 +191,7 @@ impl MetricsRegistry {
             cells_out: self.counter(&format!("gw.spp.vc.{vci}.cells_out")),
             policed: self.counter(&format!("gw.npe.vc.{vci}.policed_cells")),
         };
-        let slot = self.vc_rows.len() as u32;
-        if self.vc_index.len() <= vci as usize {
-            self.vc_index.resize(vci as usize + 1, NO_ROW);
-        }
-        self.vc_index[vci as usize] = slot;
+        self.vc_index.insert(vci, self.vc_rows.len() as u32);
         self.vc_rows.push(VcRow { vci, metrics, active: true });
         self.vcs_created += 1;
         metrics

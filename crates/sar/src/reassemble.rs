@@ -10,14 +10,26 @@
 //!
 //! Like the hardware's table memory — the SPP indexes connection state
 //! directly by VCI, it does not search for it — the software table here
-//! is dense: a 65536-entry VCI→slot index points into a compact slab of
-//! per-connection slots, so the per-cell lookup is two array reads with
-//! no hashing. Slots are generation-tagged so a VCI retired and reused
-//! (congram teardown, then a new connection on the same VCI) can never
-//! be confused with its predecessor by in-flight timer entries. Frame
-//! buffers are drawn from and recycled to a [`BufPool`], and reassembly
-//! deadlines live in a [`TimerWheel`], making
-//! [`Reassembler::check_timeouts`] O(expired) instead of O(open VCs).
+//! is dense: a VCI→slot [`SlotIndex`], grown to the largest VCI opened,
+//! points into a compact slab of per-connection slots, so the per-cell
+//! lookup is two array reads with no hashing. Slots are generation-tagged
+//! so a VCI retired and reused (congram teardown, then a new connection
+//! on the same VCI) can never be confused with its predecessor by
+//! in-flight timer entries. Reassembly deadlines live in a
+//! [`TimerWheel`], making [`Reassembler::check_timeouts`] O(expired)
+//! instead of O(open VCs).
+//!
+//! The §5.3 buffers are modelled by state, not by memory: each VC has
+//! [`ReassemblyConfig::buffers_per_vc`] buffers of [`BUFFER_CELLS`]
+//! cells, and that bounds it exactly as the hardware's would (a frame
+//! with no idle buffer gets [`ReassemblyEvent::NoBuffer`], a 92nd cell
+//! [`ReassemblyEvent::Overflow`]). A buffer holds host memory only while
+//! a frame is assembled in it: it draws an allocation from the
+//! reassembler's [`BufPool`] when it leaves idle for a new frame, and
+//! gives it up with the frame — to the [`ReassembledFrame`] on
+//! completion or timeout, back to the pool on an errored discard or
+//! [`Reassembler::close_vc`]. An open VC with no frame in progress holds
+//! no buffer memory.
 //!
 //! Failure handling follows the paper exactly:
 //!
@@ -33,6 +45,7 @@
 //!   times out and the last fragment has not arrived, the partially
 //!   reassembled frame is forwarded to the MPP" (§5.3).
 
+use gw_sim::index::SlotIndex;
 use gw_sim::time::SimTime;
 use gw_sim::timer::{TimerId, TimerWheel};
 use gw_wire::atm::Vci;
@@ -43,9 +56,6 @@ use gw_wire::sar::{SarCell, SAR_PAYLOAD_SIZE};
 /// (4096-octet FDDI data segment less the 8-octet LLC/SNAP header)
 /// occupies 91 cells (§5.3).
 pub const BUFFER_CELLS: usize = 91;
-
-/// Sentinel in the VCI→slot index: connection not open.
-const NO_SLOT: u32 = u32::MAX;
 
 /// Per-reassembler configuration, programmed by the NPE through
 /// initialization frames (§5.4).
@@ -174,6 +184,8 @@ enum BufState {
 #[derive(Debug)]
 struct Buffer {
     state: BufState,
+    /// Pool memory while `state == Assembling`; empty (no allocation)
+    /// otherwise.
     data: Vec<u8>,
     expected_seq: u16,
     control: bool,
@@ -192,9 +204,9 @@ struct Buffer {
 }
 
 impl Buffer {
-    /// A buffer backed by pool memory — the hardware's fixed reassembly
-    /// memory (§5.3). The per-cell write path never grows the
-    /// allocation.
+    /// An idle buffer. `data` is its memory: none until a frame starts,
+    /// then a pool buffer of [`BUFFER_CELLS`] cells, which the per-cell
+    /// write path never grows.
     fn new(data: Vec<u8>) -> Buffer {
         Buffer {
             state: BufState::Idle,
@@ -271,9 +283,10 @@ struct TimerKey {
 #[derive(Debug)]
 pub struct Reassembler {
     config: ReassemblyConfig,
-    /// Direct VCI→slot index, 65536 entries ([`NO_SLOT`] when closed) —
-    /// the software shape of the hardware's VCI-indexed table memory.
-    vci_index: Box<[u32]>,
+    /// Direct VCI→slot index of the open connections, grown to the
+    /// largest VCI opened — the software shape of the hardware's
+    /// VCI-indexed table memory.
+    vci_index: SlotIndex,
     slots: Vec<VcSlot>,
     free_slots: Vec<u32>,
     open: usize,
@@ -283,20 +296,21 @@ pub struct Reassembler {
     timers: TimerWheel<TimerKey>,
     /// Scratch for [`TimerWheel::poll`], reused across calls.
     expired: Vec<(SimTime, TimerKey)>,
-    /// Recycled frame-data buffers.
+    /// Frame-data buffers: drawn when a frame starts, recycled when
+    /// its data has been consumed.
     pool: BufPool,
     stats: ReassemblyStats,
 }
 
 impl Reassembler {
     /// Create with the given configuration.
-    // gw-lint: setup-path — sizes the dense VCI table, slab, and buffer pool once at construction
+    // gw-lint: setup-path — builds the empty VCI index and slab and sizes the buffer pool once at construction
     pub fn new(config: ReassemblyConfig) -> Reassembler {
         assert!(config.buffers_per_vc >= 1, "at least one buffer per VC");
         let capacity = BUFFER_CELLS * SAR_PAYLOAD_SIZE;
         Reassembler {
             config,
-            vci_index: vec![NO_SLOT; 1 << 16].into_boxed_slice(),
+            vci_index: SlotIndex::default(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             open: 0,
@@ -315,9 +329,11 @@ impl Reassembler {
 
     /// Open a connection with a per-connection timeout (the NPE
     /// initializes timers per active connection, §5.3). A no-op when the
-    /// connection is already open.
+    /// connection is already open. The connection's buffers start idle
+    /// and hold no memory.
+    // gw-lint: setup-path — runs once per congram, not per cell: builds the slot's idle buffers
     pub fn open_vc_with_timeout(&mut self, vci: Vci, timeout: SimTime) {
-        if self.vci_index[vci.0 as usize] != NO_SLOT {
+        if self.vci_index.get(vci.0).is_some() {
             return;
         }
         let per_vc = self.config.buffers_per_vc;
@@ -333,7 +349,7 @@ impl Reassembler {
             }
             None => {
                 let slot = self.slots.len() as u32;
-                let buffers = (0..per_vc).map(|_| Buffer::new(self.pool.get())).collect();
+                let buffers = (0..per_vc).map(|_| Buffer::new(Vec::new())).collect();
                 self.slots.push(VcSlot {
                     vci,
                     generation: 0,
@@ -345,19 +361,16 @@ impl Reassembler {
                 slot
             }
         };
-        self.vci_index[vci.0 as usize] = slot;
+        self.vci_index.insert(vci.0, slot);
         self.open += 1;
     }
 
-    /// Close a connection, dropping any partial state. The slot is
-    /// retired — its generation is bumped, so timer entries or handles
-    /// from this tenancy go stale — and recycled for future opens.
+    /// Close a connection, dropping any partial state; a partial
+    /// frame's memory goes back to the pool. The slot is retired — its
+    /// generation is bumped, so timer entries or handles from this
+    /// tenancy go stale — and recycled for future opens.
     pub fn close_vc(&mut self, vci: Vci) {
-        let slot = self.vci_index[vci.0 as usize];
-        if slot == NO_SLOT {
-            return;
-        }
-        self.vci_index[vci.0 as usize] = NO_SLOT;
+        let Some(slot) = self.vci_index.remove(vci.0) else { return };
         let s = &mut self.slots[slot as usize];
         for buf in &mut s.buffers {
             if let Some(id) = buf.timer.take() {
@@ -365,6 +378,9 @@ impl Reassembler {
             }
             self.occupancy -= buf.cells() as usize;
             self.stats.cells_closed += u64::from(buf.cells());
+            if buf.data.capacity() != 0 {
+                self.pool.put(std::mem::take(&mut buf.data));
+            }
             buf.reset();
         }
         s.open = false;
@@ -376,7 +392,7 @@ impl Reassembler {
 
     /// True when the connection is open.
     pub fn is_open(&self, vci: Vci) -> bool {
-        self.vci_index[vci.0 as usize] != NO_SLOT
+        self.vci_index.get(vci.0).is_some()
     }
 
     /// Number of open connections.
@@ -399,11 +415,10 @@ impl Reassembler {
     /// the Header Decoder and CRC Logic.
     #[inline]
     pub fn push(&mut self, now: SimTime, vci: Vci, info: &[u8]) -> ReassemblyEvent {
-        let slot = self.vci_index[vci.0 as usize];
-        if slot == NO_SLOT {
+        let Some(slot) = self.vci_index.get(vci.0) else {
             self.stats.unknown_vc_drops += 1;
             return ReassemblyEvent::UnknownVc;
-        }
+        };
 
         // CRC Logic: an errored cell is dropped and its slot overwritten.
         let Ok(cell) = SarCell::new_checked(info) else {
@@ -416,13 +431,15 @@ impl Reassembler {
         let vc = &mut self.slots[slot as usize];
 
         // Bind to a buffer: continue the current frame, or claim an
-        // idle buffer for a new one.
+        // idle buffer, and memory from the pool, for a new one.
         let idx = match vc.current {
             Some(i) => i,
             None => match vc.buffers.iter().position(|b| b.state == BufState::Idle) {
                 Some(i) => {
                     let deadline = now + vc.timeout;
                     let b = &mut vc.buffers[i];
+                    debug_assert_eq!(b.data.capacity(), 0, "an idle buffer holds no memory");
+                    b.data = self.pool.get();
                     b.state = BufState::Assembling;
                     b.started_at = now;
                     b.deadline = deadline;
@@ -511,14 +528,15 @@ impl Reassembler {
             let misinserted = buf.misinserted;
             self.occupancy -= cells as usize;
             self.stats.cells_discarded += u64::from(cells);
+            self.pool.put(std::mem::take(&mut buf.data));
             buf.reset();
             vc.current = None;
             self.stats.frames_discarded += 1;
             return ReassemblyEvent::DiscardedErrored { cells, misinserted };
         }
-        // Hand the frame out and re-arm the buffer from the pool (no
-        // allocation once the pool is warm).
-        let data = std::mem::replace(&mut buf.data, self.pool.get());
+        // The frame takes the buffer's memory with it; the buffer stays
+        // queued, holding none, until released.
+        let data = std::mem::take(&mut buf.data);
         let cells = (data.len() / SAR_PAYLOAD_SIZE) as u16;
         self.occupancy -= cells as usize;
         self.stats.cells_completed += u64::from(cells);
@@ -545,10 +563,7 @@ impl Reassembler {
     /// Release one queued buffer on `vci` — the MPP has read the frame
     /// out of the reassembly buffer, freeing it for the next frame.
     pub fn release(&mut self, vci: Vci) {
-        let slot = self.vci_index[vci.0 as usize];
-        if slot == NO_SLOT {
-            return;
-        }
+        let Some(slot) = self.vci_index.get(vci.0) else { return };
         let vc = &mut self.slots[slot as usize];
         if let Some(b) = vc.buffers.iter_mut().find(|b| b.state == BufState::Queued) {
             self.occupancy -= b.cells() as usize;
@@ -582,7 +597,7 @@ impl Reassembler {
                 continue;
             }
             buf.timer = None;
-            let data = std::mem::replace(&mut buf.data, self.pool.get());
+            let data = std::mem::take(&mut buf.data);
             let cells = (data.len() / SAR_PAYLOAD_SIZE) as u16;
             self.occupancy -= cells as usize;
             self.stats.cells_flushed += u64::from(cells);
@@ -616,13 +631,13 @@ impl Reassembler {
         self.occupancy
     }
 
-    /// Buffers permanently resident in slot tables (open and retired
-    /// slots alike keep their buffers). The pool census invariant: pool
-    /// gets − puts == residents + frames handed out and not yet
-    /// recycled, so after a full drain the outstanding count equals
-    /// exactly this.
+    /// Buffers holding pool memory: those with a frame in progress. An
+    /// idle, queued or retired buffer holds none. The pool census
+    /// invariant: pool gets − puts == residents + frames handed out and
+    /// not yet recycled, so after a full drain the outstanding count
+    /// equals exactly this.
     pub fn resident_buffers(&self) -> usize {
-        self.slots.len() * self.config.buffers_per_vc
+        self.slots.iter().flat_map(|s| &s.buffers).filter(|b| b.data.capacity() != 0).count()
     }
 
     /// Counter snapshot.

@@ -15,6 +15,8 @@
 //!   need. Same seed ⇒ identical traces, byte for byte.
 //! * [`stats`] — counters, time-weighted gauges (for buffer-occupancy
 //!   integrals), and histograms with quantile summaries.
+//! * [`index`] — a direct-indexed key → slot table (VCI → per-VC
+//!   state) that grows to the largest key inserted.
 //! * [`timer`] — a hierarchical timer wheel so deadline-heavy components
 //!   (reassembly timeouts, VC liveness) pay O(expired) per advance, not
 //!   O(armed).
@@ -37,6 +39,7 @@
 
 pub mod event;
 pub mod fault;
+pub mod index;
 pub mod json;
 pub mod rng;
 pub mod stats;
@@ -47,6 +50,7 @@ pub mod traffic;
 
 pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultConfigBuilder, FaultInjector, FaultOutcome, GilbertElliott};
+pub use index::SlotIndex;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, TimeWeighted};
 pub use time::{SimTime, CYCLE_NS, NS_PER_SEC};

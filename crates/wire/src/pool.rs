@@ -3,12 +3,15 @@
 //!
 //! The paper's SPP owns two dedicated 91-cell reassembly buffers per VC
 //! and the MPP stages frames in fixed table memory (§5.2, §6) — nothing
-//! on the cell path asks an allocator for memory. [`BufPool`] gives the
-//! software reproduction the same shape: components draw `Vec<u8>`
-//! staging/frame buffers from a free list with [`BufPool::get`] and hand
-//! them back with [`BufPool::put`] once the payload has left the
-//! component, so a warmed-up forwarding loop recycles the same backing
-//! stores indefinitely instead of allocating per frame.
+//! on the cell path asks an allocator for memory. The software does not
+//! dedicate memory per VC: the reassembler models its two buffers by
+//! state and backs one with host memory only while a frame is assembled
+//! in it. [`BufPool`] keeps that memory off the allocator: components
+//! draw `Vec<u8>` staging/frame buffers from a free list with
+//! [`BufPool::get`] and hand them back with [`BufPool::put`] once the
+//! payload has left the component, so a warmed-up forwarding loop
+//! recycles the same backing stores indefinitely instead of allocating
+//! per frame.
 //!
 //! The pool is deliberately simple: a bounded LIFO free list (LIFO keeps
 //! the hottest buffer in cache), buffers retain whatever capacity they

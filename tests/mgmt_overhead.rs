@@ -11,6 +11,11 @@
 //! heap traffic). The UDP cell port in front of the gateway and the ATM
 //! network model behind it are held to the same rule here, because
 //! this is the binary with the allocator.
+//!
+//! The allocator also keeps a live-byte count, which guards memory per
+//! system: an idle gateway or reassembler holds per-VC memory only for
+//! the VCIs in use and the frames in progress, not for the whole VCI
+//! space or for every buffer §5.3 models.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,12 +27,20 @@ thread_local! {
     /// a destructor, so touching it from inside the allocator never
     /// allocates or registers anything itself.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes this thread has allocated and not yet freed (freeing
+    /// another thread's block moves this thread's count).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Count one allocation against the calling thread (a no-op during
 /// thread teardown, when the slot is already gone).
 fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Move the calling thread's live-byte count by `delta`.
+fn count_live(delta: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
 }
 
 // SAFETY: pure pass-through to the `System` allocator — every method
@@ -37,12 +50,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: delegates to `System::alloc` with the caller's layout.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_live(layout.size() as i64);
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: delegates to `System::dealloc` with the caller's block.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-(layout.size() as i64));
         // SAFETY: `ptr`/`layout` came from the matching alloc above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -50,6 +65,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: delegates to `System::realloc` with the caller's block.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        count_live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr`/`layout`/`new_size` pass through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,6 +79,14 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.get();
     let r = f();
     (ALLOCS.get() - before, r)
+}
+
+/// Heap bytes the calling thread still holds of what `f` allocated —
+/// for a constructor, the memory of the value it returns.
+fn live_bytes_after<R>(f: impl FnOnce() -> R) -> (i64, R) {
+    let before = LIVE.get();
+    let r = f();
+    (LIVE.get() - before, r)
 }
 
 use atm_fddi_gateway::gateway::{Gateway, GatewayConfig};
@@ -413,4 +437,102 @@ fn warm_idle_testbed_slice_is_allocation_free() {
     let (allocs, ()) = allocations_during(|| tb.run_until(until));
     assert_eq!(allocs, 0, "500 idle slices");
     assert_eq!(tb.atm.cells_in_flight(), 0);
+}
+
+/// Memory per system: a gateway or a reassembler holds per-VC memory
+/// for the VCIs in use and the frames in progress only. A full-width
+/// VCI index (256 KiB each) or two 91-cell buffers pinned per open VC
+/// (8 KiB each) would break these bounds.
+#[test]
+fn per_vc_memory_follows_the_vcs_in_use() {
+    use atm_fddi_gateway::sar::reassemble::{Reassembler, ReassemblyConfig};
+    const BOUND: i64 = 256 * 1024;
+
+    let (gateway_bytes, gw) = live_bytes_after(|| {
+        let mut gw = Gateway::new(GatewayConfig::default(), FddiAddr::station(0), 80_000_000);
+        for k in 0..8u16 {
+            gw.install_congram(
+                Vci(100 + k),
+                Icn(1 + k),
+                Icn(200 + k),
+                FddiAddr::station(1 + u32::from(k)),
+                false,
+            );
+        }
+        gw
+    });
+    assert!(gateway_bytes < BOUND, "Gateway::new and 8 congrams hold {gateway_bytes} bytes");
+    drop(gw);
+
+    let (reassembler_bytes, r) = live_bytes_after(|| {
+        let mut r = Reassembler::new(ReassemblyConfig::default());
+        for vci in 1..=1_000 {
+            r.open_vc(Vci(vci));
+        }
+        r
+    });
+    assert!(reassembler_bytes < BOUND, "1 000 open, idle VCs hold {reassembler_bytes} bytes");
+    assert_eq!(r.resident_buffers(), 0);
+}
+
+/// A lookup of a VCI with no entry reads "no slot" and never grows the
+/// reassembler's or the registry's VCI index. An index cannot grow
+/// without allocating, so the lookups of all 65 536 VCIs allocate
+/// nothing and leave the live bytes where they were.
+#[test]
+fn lookups_of_unknown_vcis_do_not_grow_the_indexes() {
+    use atm_fddi_gateway::sar::reassemble::{Reassembler, ReassemblyConfig, ReassemblyEvent};
+    use gw_mgmt::MetricsRegistry;
+
+    let mut r = Reassembler::new(ReassemblyConfig::default());
+    let mut registry = MetricsRegistry::new(1);
+    for vci in 1..=8 {
+        r.open_vc(Vci(vci));
+        registry.create_vc(vci);
+    }
+    let cell = frame_cells(40)[0];
+    let info = &cell[5..];
+    let (live, (allocs, ())) = live_bytes_after(|| {
+        allocations_during(|| {
+            for vci in (0..=u16::MAX).filter(|v| !(1..=8).contains(v)) {
+                assert_eq!(r.push(SimTime::ZERO, Vci(vci), info), ReassemblyEvent::UnknownVc);
+                assert!(!r.is_open(Vci(vci)));
+                r.release(Vci(vci));
+                r.close_vc(Vci(vci));
+                assert!(registry.vc(vci).is_none());
+            }
+        })
+    });
+    assert_eq!((allocs, live), (0, 0), "a lookup past the index's end must not grow it");
+    assert_eq!(r.stats().unknown_vc_drops, (1 << 16) - 8);
+    assert_eq!(r.open_count(), 8);
+}
+
+/// VC churn leaves no buffer memory behind: 1 000 opens and closes,
+/// some with a frame in progress at the close, end with no resident
+/// buffer and a balanced pool census.
+#[test]
+fn vc_churn_leaves_no_resident_buffers() {
+    use atm_fddi_gateway::sar::reassemble::{Reassembler, ReassemblyConfig, ReassemblyEvent};
+    use atm_fddi_gateway::sar::segment::segment;
+
+    let mut r = Reassembler::new(ReassemblyConfig::default());
+    let cells = segment(&[0x3C; 3 * 45], false).unwrap();
+    for i in 0..1_000u16 {
+        let vci = Vci(1 + i % 300);
+        r.open_vc(vci);
+        // Every third VC closes mid-frame; the others complete a frame.
+        let upto = if i % 3 == 0 { 1 } else { cells.len() };
+        for c in &cells[..upto] {
+            if let ReassemblyEvent::Complete(f) = r.push(SimTime::ZERO, vci, c.as_bytes()) {
+                r.recycle(f.data);
+            }
+        }
+        assert!(r.resident_buffers() <= 1);
+        r.close_vc(vci);
+    }
+    assert_eq!(r.open_count(), 0);
+    assert_eq!(r.resident_buffers(), 0, "no closed VC keeps buffer memory");
+    assert_eq!(r.pool_stats().outstanding(), 0, "the pool census balances");
+    assert_eq!(r.stats().frames_complete, 666);
 }
