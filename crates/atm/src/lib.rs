@@ -13,9 +13,9 @@
 //!   queues with CLP-aware discard, and multipoint (tree) forwarding;
 //! * **signaling messages** — [`signaling`] implements connection
 //!   management: SETUP routed hop-by-hop with connection admission
-//!   control per link, CONNECT/REJECT responses, RELEASE, and
-//!   multipoint add-party, in the spirit of Haserodt & Turner's
-//!   connection-management architecture \[7\].
+//!   control per link, CONNECT/REJECT responses and RELEASE, in the
+//!   spirit of Haserodt & Turner's connection-management architecture
+//!   \[7\].
 //!
 //! Everything is deterministic and event-driven on [`gw_sim`]'s queue.
 

@@ -406,7 +406,7 @@ impl AtmNetwork {
     }
 
     /// Remove a VC table entry (and the policer installed on it).
-    pub fn remove_vc(&mut self, switch: SwitchId, in_port: usize, in_vci: Vci) {
+    pub(crate) fn remove_vc(&mut self, switch: SwitchId, in_port: usize, in_vci: Vci) {
         self.switches[switch.0].table.remove(&vc_key(in_port, in_vci));
     }
 
@@ -460,20 +460,11 @@ impl AtmNetwork {
         }
     }
 
-    /// True when the port's link carries traffic.
-    pub fn link_is_up(&self, a: SwitchId, ap: usize) -> bool {
-        self.switches[a.0].ports[ap].up
-    }
-
-    /// Inject a cell from an endpoint into the network. The cell's HEC
-    /// must verify (the network interface discards bad headers exactly
-    /// as the gateway's AIC does); returns `false` on a bad cell.
-    pub fn inject(&mut self, from: EndpointId, cell: [u8; CELL_SIZE]) -> bool {
-        self.inject_at(from, self.events.now(), cell)
-    }
-
-    /// Inject a cell whose transmission starts at `at` (clamped to the
-    /// network's current time — the past is immutable). Co-simulation
+    /// Inject a cell from an endpoint into the network, its
+    /// transmission starting at `at` (clamped to the network's current
+    /// time — the past is immutable). The cell's HEC must verify (the
+    /// network interface discards bad headers exactly as the gateway's
+    /// AIC does); returns `false` on a bad cell. Co-simulation
     /// harnesses use this so sender-side timestamps survive the seam
     /// even when the cell network has been idle.
     pub fn inject_at(&mut self, from: EndpointId, at: SimTime, cell: [u8; CELL_SIZE]) -> bool {
@@ -823,7 +814,7 @@ mod tests {
         let mut cell = [0u8; CELL_SIZE];
         AtmHeader::data(Default::default(), Vci(100)).emit(&mut cell).unwrap();
         cell[4] ^= 0xFF; // break HEC
-        assert!(!net.inject(e0, cell));
+        assert!(!net.inject_at(e0, SimTime::ZERO, cell));
     }
 
     #[test]
@@ -907,7 +898,7 @@ mod tests {
             let header =
                 AtmHeader { clp: i % 2 == 0, ..AtmHeader::data(Default::default(), Vci(10)) };
             let cell = gw_wire::atm::OwnedCell::build(&header, &[0; 48]).unwrap();
-            net.inject(e0, cell.into_inner());
+            net.inject_at(e0, SimTime::ZERO, cell.into_inner());
         }
         net.run_to_idle();
         let stats = net.link_stats(s0, 1);
@@ -1000,7 +991,7 @@ mod tests {
             .unwrap();
         sent[HEADER_SIZE..].fill(0x3C);
         for _ in 0..2 {
-            assert!(net.inject(e0, sent));
+            assert!(net.inject_at(e0, SimTime::ZERO, sent));
             net.run_to_idle();
         }
         for (out, vci) in outs.into_iter().zip([50, 70, 50]) {
@@ -1070,8 +1061,8 @@ mod tests {
         net.run_to_idle();
         assert_eq!(net.poll(e1).len(), 1);
         net.fail_link(SwitchId(0), 0);
-        assert!(!net.link_is_up(SwitchId(0), 0));
-        assert!(!net.link_is_up(SwitchId(1), 0), "both directions down");
+        assert!(!net.switches[0].ports[0].up);
+        assert!(!net.switches[1].ports[0].up, "both directions down");
         for _ in 0..5 {
             net.inject_on_vci(e0, Vci(100), &[2; 48]);
         }
@@ -1228,7 +1219,7 @@ mod tests {
         net.switches[0].ports[0].params.queue_cells = 4;
         net.switches[0].ports[0].params.clp_threshold = 2;
         for _ in 0..40 {
-            net.inject(e0, clp_cell(Vci(100)));
+            net.inject_at(e0, SimTime::ZERO, clp_cell(Vci(100)));
         }
         for _ in 0..40 {
             net.inject_on_vci(e0, Vci(100), &[0; 48]);

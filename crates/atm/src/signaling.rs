@@ -14,8 +14,6 @@
 //! * **CONNECT / REJECT** — delivered to the endpoints after the
 //!   setup's propagation-plus-processing latency.
 //! * **RELEASE** — frees reserved bandwidth and tears the entries down.
-//! * **ADD-PARTY** — grafts a new destination onto an existing
-//!   multipoint tree, reserving only the new branch.
 //!
 //! Admission decisions are made atomically when the request enters the
 //! network, then the outcome is delivered after the modeled signaling
@@ -153,8 +151,6 @@ pub enum SignalIndication {
 pub enum SignalingEvent {
     /// Deliver the (pre-computed) outcome of a setup.
     CompleteSetup(ConnId),
-    /// Deliver the outcome of an add-party.
-    CompleteAddParty(ConnId, EndpointId),
     /// Finish a release.
     CompleteRelease(ConnId),
 }
@@ -197,11 +193,6 @@ impl SignalingState {
 }
 
 impl AtmNetwork {
-    /// Set the signaling configuration (before any connections).
-    pub fn set_signaling_config(&mut self, config: SignalingConfig) {
-        self.signaling.config = config;
-    }
-
     /// Request a (possibly multipoint) connection from `from` to every
     /// endpoint in `to`. The outcome arrives later as a
     /// [`SignalIndication`] on each party's event stream.
@@ -236,16 +227,6 @@ impl AtmNetwork {
         self.signaling.conns.insert(id, conn);
         self.schedule_signaling(self.now() + delay, SignalingEvent::CompleteSetup(id));
         id
-    }
-
-    /// Graft another destination onto an established multipoint
-    /// connection. The outcome arrives as indications later.
-    pub fn add_party(&mut self, conn_id: ConnId, party: EndpointId) {
-        let delay = self.signaling.config.hop_processing;
-        self.schedule_signaling(
-            self.now() + delay,
-            SignalingEvent::CompleteAddParty(conn_id, party),
-        );
     }
 
     /// Release a connection; resources free after the signaling delay.
@@ -432,37 +413,6 @@ pub(crate) fn handle_event(net: &mut AtmNetwork, now: SimTime, ev: SignalingEven
             }
             net.signaling.conns.insert(id, conn);
         }
-        SignalingEvent::CompleteAddParty(id, party) => {
-            let Some(mut conn) = net.signaling.conns.remove(&id) else { return };
-            if conn.state == ConnState::Established {
-                match net.graft(&mut conn, party) {
-                    Ok(()) => {
-                        let (_, rx_vci) = *conn.rx_vcis.last().expect("graft pushed");
-                        net.deliver_signal(
-                            party,
-                            now,
-                            SignalIndication::IncomingConnection {
-                                conn: id,
-                                rx_vci,
-                                from: conn.src,
-                            },
-                        );
-                    }
-                    Err(reason) => {
-                        // Only the new branch failed; existing parties
-                        // are unaffected. (Partial branch reservations
-                        // remain accounted to the connection and release
-                        // with it — conservative but safe.)
-                        net.deliver_signal(
-                            conn.src,
-                            now,
-                            SignalIndication::Rejected { conn: id, reason },
-                        );
-                    }
-                }
-            }
-            net.signaling.conns.insert(id, conn);
-        }
         SignalingEvent::CompleteRelease(id) => {
             let Some(mut conn) = net.signaling.conns.remove(&id) else { return };
             if conn.state == ConnState::Established || conn.state == ConnState::SetupPending {
@@ -563,10 +513,8 @@ mod tests {
     #[test]
     fn mean_policy_multiplexes_more() {
         let (mut net, e0, e1, _) = mesh();
-        net.set_signaling_config(SignalingConfig {
-            policy: CacPolicy::Mean,
-            ..SignalingConfig::default()
-        });
+        net.signaling.config =
+            SignalingConfig { policy: CacPolicy::Mean, ..SignalingConfig::default() };
         // Peak 100M but mean 10M: under mean policy a dozen fit.
         let contract = TrafficContract { peak_bps: 100_000_000, mean_bps: 10_000_000 };
         let ids: Vec<_> = (0..12).map(|_| net.connect(e0, &[e1], contract)).collect();
@@ -620,29 +568,6 @@ mod tests {
         net.run_until(SimTime::from_ms(150));
         assert_eq!(net.poll(e1).len(), 1);
         assert_eq!(net.poll(e2).len(), 1);
-    }
-
-    #[test]
-    fn add_party_grafts_branch() {
-        let (mut net, e0, e1, e2) = mesh();
-        let c = net.connect(e0, &[e1], TrafficContract::cbr(5_000_000));
-        net.run_until(SimTime::from_ms(50));
-        let up = drain_signals(&mut net, e0);
-        let SignalIndication::ConnectionUp { tx_vci, .. } = up[0] else { panic!() };
-        net.add_party(c, e2);
-        net.run_until(SimTime::from_ms(100));
-        let inc = drain_signals(&mut net, e2);
-        assert!(
-            inc.iter().any(|s| matches!(s, SignalIndication::IncomingConnection { .. })),
-            "{inc:?}"
-        );
-        net.inject_on_vci(e0, tx_vci, &[4; 48]);
-        net.run_until(SimTime::from_ms(150));
-        let cells = |evs: Vec<EndpointEvent>| {
-            evs.into_iter().filter(|e| matches!(e, EndpointEvent::CellRx { .. })).count()
-        };
-        assert_eq!(cells(net.poll(e1)), 1, "original party still receives");
-        assert_eq!(cells(net.poll(e2)), 1, "grafted party receives");
     }
 
     #[test]

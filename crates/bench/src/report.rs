@@ -22,7 +22,7 @@ impl Table {
     }
 
     /// Convenience for &str cells.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
+    pub(crate) fn row_str(&mut self, cells: &[&str]) -> &mut Self {
         let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
         self.row(&owned)
     }
@@ -59,7 +59,7 @@ impl Table {
 }
 
 /// Format bits/second human-readably.
-pub fn fmt_bps(bps: f64) -> String {
+pub(crate) fn fmt_bps(bps: f64) -> String {
     if bps >= 1e9 {
         format!("{:.2} Gb/s", bps / 1e9)
     } else if bps >= 1e6 {

@@ -31,5 +31,5 @@ pub mod runner;
 pub mod workload;
 
 pub use report::{artifact, Coverage, RunReport, TransportCoverage};
-pub use runner::{minimize_scene, run_scene, run_scene_with_phy, run_seed, run_seed_with_phy};
+pub use runner::{minimize_scene, run_scene, run_seed, run_seed_with_phy};
 pub use workload::{emit_scene, generate};

@@ -66,82 +66,46 @@ impl Coverage {
 }
 
 /// Which *transport* fault paths a UDP-phy run exercised — the seam
-/// below the gateway, distinct from [`Coverage`]'s cell-level faults.
-/// Aggregated over a phy-soak so "all seeds byte-identical" can never
-/// silently mean "the datagram faults never fired".
+/// below the gateway, distinct from [`Coverage`]'s cell-level faults:
+/// the run's phy counters, summed over a phy-soak so "all seeds
+/// byte-identical" can never silently mean "the datagram faults never
+/// fired".
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TransportCoverage {
-    /// Datagrams handed to the sockets (including retransmits and
-    /// fault-injected duplicates).
-    pub datagrams_tx: u64,
-    /// Datagrams received and decoded.
-    pub datagrams_rx: u64,
-    /// ARQ retransmissions (a dropped or truncated datagram recovered).
-    pub retransmits: u64,
-    /// Duplicate datagrams discarded by the receive window.
-    pub dup_drops: u64,
-    /// Datagrams rejected by the GWP1 decoder (truncation landed here).
-    pub decode_drops: u64,
-    /// Datagrams the injector dropped at the transmit seam.
-    pub faults_dropped: u64,
-    /// Datagrams the injector duplicated.
-    pub faults_duplicated: u64,
-    /// Datagrams the injector truncated.
-    pub faults_truncated: u64,
-}
+pub struct TransportCoverage(pub PhyStats);
 
 impl TransportCoverage {
-    /// Capture a run's phy counters.
-    pub fn from_stats(s: &PhyStats) -> TransportCoverage {
-        TransportCoverage {
-            datagrams_tx: s.datagrams_tx,
-            datagrams_rx: s.datagrams_rx,
-            retransmits: s.retransmits,
-            dup_drops: s.dup_drops,
-            decode_drops: s.decode_drops,
-            faults_dropped: s.faults_dropped,
-            faults_duplicated: s.faults_duplicated,
-            faults_truncated: s.faults_truncated,
-        }
-    }
-
     /// Fold another run's transport coverage into this aggregate.
     pub fn absorb(&mut self, other: &TransportCoverage) {
-        self.datagrams_tx += other.datagrams_tx;
-        self.datagrams_rx += other.datagrams_rx;
-        self.retransmits += other.retransmits;
-        self.dup_drops += other.dup_drops;
-        self.decode_drops += other.decode_drops;
-        self.faults_dropped += other.faults_dropped;
-        self.faults_duplicated += other.faults_duplicated;
-        self.faults_truncated += other.faults_truncated;
+        self.0.merge(&other.0);
     }
 
     /// Did every injected datagram fault class actually fire (and get
     /// absorbed — drops retransmitted, dups discarded, truncations
     /// rejected by the decoder)?
     pub fn exercised(&self) -> bool {
-        self.faults_dropped > 0
-            && self.faults_duplicated > 0
-            && self.faults_truncated > 0
-            && self.retransmits > 0
-            && self.dup_drops > 0
-            && self.decode_drops > 0
+        let s = &self.0;
+        s.faults_dropped > 0
+            && s.faults_duplicated > 0
+            && s.faults_truncated > 0
+            && s.retransmits > 0
+            && s.dup_drops > 0
+            && s.decode_drops > 0
     }
 
     /// One-line soak-footer rendering.
     pub fn summary(&self) -> String {
+        let s = &self.0;
         format!(
             "transport: tx {} rx {} retx {} dup_drop {} decode_drop {} injected drop {} dup {} \
              trunc {}",
-            self.datagrams_tx,
-            self.datagrams_rx,
-            self.retransmits,
-            self.dup_drops,
-            self.decode_drops,
-            self.faults_dropped,
-            self.faults_duplicated,
-            self.faults_truncated
+            s.datagrams_tx,
+            s.datagrams_rx,
+            s.retransmits,
+            s.dup_drops,
+            s.decode_drops,
+            s.faults_dropped,
+            s.faults_duplicated,
+            s.faults_truncated
         )
     }
 }

@@ -36,12 +36,12 @@ pub fn run_scene(scene: &Scene) -> RunReport {
 }
 
 /// [`run_scene`] with the port seams carried by `phy`.
-pub fn run_scene_with_phy(scene: &Scene, phy: PhyMode) -> RunReport {
+fn run_scene_with_phy(scene: &Scene, phy: PhyMode) -> RunReport {
     let faultable_phy = matches!(phy, PhyMode::Udp { .. });
     let (mut tb, handles) = Testbed::from_scene(scene, phy);
     let scheduled = scene_run::play_schedule(&mut tb, &handles, scene);
     scene_run::drain(&mut tb);
-    let transport = faultable_phy.then(|| TransportCoverage::from_stats(&tb.transport_stats()));
+    let transport = faultable_phy.then(|| TransportCoverage(tb.transport_stats()));
 
     let mut report = audit(scene, tb, transport);
     // The audit has already booked conservation and residue, declared

@@ -52,7 +52,7 @@ fn udp_phy_replay_matches_loopback_bit_for_bit() {
         assert_eq!(sim.delivered, udp.delivered);
         assert_eq!(sim.violations, udp.violations);
         let t = udp.transport.expect("UDP run records transport coverage");
-        assert!(t.datagrams_tx > 0 && t.datagrams_rx > 0, "seed {seed} never hit the sockets");
+        assert!(t.0.datagrams_tx > 0 && t.0.datagrams_rx > 0, "seed {seed} never hit the sockets");
     }
 }
 

@@ -48,11 +48,6 @@ impl Aic {
         Aic { stats: AicStats::default(), receiver: Some(HecReceiver::new()) }
     }
 
-    /// True when single-bit correction is enabled.
-    pub fn corrects(&self) -> bool {
-        self.receiver.is_some()
-    }
-
     /// Synchronize an arriving cell to the internal 40 ns packet cycle
     /// and check (and possibly repair, in place) its header. Returns
     /// the aligned presentation time, or `None` when discarded.
@@ -88,7 +83,7 @@ impl Aic {
     /// An outbound frame's cells all carry the same five header octets:
     /// stamp the HEC on them once, before the Fragmentation Logic copies
     /// them onto each of the frame's `cells` cells, and count those.
-    pub fn transmit_frame(&mut self, header: &mut [u8; HEADER_SIZE], cells: usize) {
+    pub(crate) fn transmit_frame(&mut self, header: &mut [u8; HEADER_SIZE], cells: usize) {
         header[4] = crc::hec(&header[..4]);
         self.stats.cells_out += cells as u64;
     }
@@ -125,7 +120,7 @@ mod tests {
         assert_eq!(aic.receive(SimTime::ZERO, &mut cell), None);
         assert_eq!(aic.stats().hec_discards, 1);
         assert_eq!(aic.stats().cells_in, 0);
-        assert!(!aic.corrects());
+        assert!(aic.receiver.is_none());
     }
 
     #[test]

@@ -92,13 +92,13 @@ impl BufferMemory {
 
     /// Arm overload shedding with `low`/`high` watermarks in octets.
     /// `low` is clamped to at most `high`.
-    pub fn set_watermarks(&mut self, low: usize, high: usize) {
+    pub(crate) fn set_watermarks(&mut self, low: usize, high: usize) {
         self.watermarks = Some((low.min(high), high));
     }
 
     /// True while the memory is in the shedding state (occupancy
     /// crossed the high watermark and has not yet fallen back to low).
-    pub fn is_shedding(&self) -> bool {
+    pub(crate) fn is_shedding(&self) -> bool {
         self.shedding
     }
 
@@ -131,7 +131,7 @@ impl BufferMemory {
 
     /// Store a frame under the overload-shedding policy.
     ///
-    /// With watermarks armed (see [`BufferMemory::set_watermarks`]):
+    /// With watermarks armed (see `BufferMemory::set_watermarks`):
     ///
     /// * crossing the high watermark enters the shedding state, cleared
     ///   once occupancy falls back to the low watermark (hysteresis);
@@ -197,12 +197,12 @@ impl BufferMemory {
     }
 
     /// Octets currently stored.
-    pub fn used_octets(&self) -> usize {
+    pub(crate) fn used_octets(&self) -> usize {
         self.used_octets
     }
 
     /// The memory's capacity.
-    pub fn capacity_octets(&self) -> usize {
+    pub(crate) fn capacity_octets(&self) -> usize {
         self.capacity_octets
     }
 
@@ -212,7 +212,7 @@ impl BufferMemory {
     }
 
     /// Time-averaged occupancy in octets over `[start, t_end]`.
-    pub fn mean_occupancy(&self, t_end: SimTime) -> f64 {
+    pub(crate) fn mean_occupancy(&self, t_end: SimTime) -> f64 {
         self.occupancy.mean(t_end)
     }
 }

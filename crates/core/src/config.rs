@@ -26,11 +26,11 @@ pub const ICXT_OCTETS: usize = MAX_CONGRAMS * 8;
 
 /// MPP→NPE FIFO capacity, frames ("primarily depends on the NPE's
 /// processing latency", §6.1).
-pub const NPE_FIFO_FRAMES: usize = 64;
+pub(crate) const NPE_FIFO_FRAMES: usize = 64;
 
 /// NPE software processing time per control message (the
 /// non-critical path, §4.2).
-pub const NPE_CONTROL_LATENCY: SimTime = SimTime::from_us(200);
+pub(crate) const NPE_CONTROL_LATENCY: SimTime = SimTime::from_us(200);
 
 /// Overload-shedding watermarks as fractions of a buffer memory's
 /// capacity. Above `high` the buffer sheds all asynchronous frames;

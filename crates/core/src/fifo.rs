@@ -17,13 +17,12 @@ pub struct FrameFifo<T> {
     queue: VecDeque<T>,
     drops: u64,
     peak: usize,
-    total_in: u64,
 }
 
 impl<T> FrameFifo<T> {
     /// A FIFO holding at most `capacity` frames.
     pub fn new(name: &'static str, capacity: usize) -> FrameFifo<T> {
-        FrameFifo { name, capacity, queue: VecDeque::new(), drops: 0, peak: 0, total_in: 0 }
+        FrameFifo { name, capacity, queue: VecDeque::new(), drops: 0, peak: 0 }
     }
 
     /// The FIFO's name (for traces and reports).
@@ -38,7 +37,6 @@ impl<T> FrameFifo<T> {
             return Err(frame);
         }
         self.queue.push_back(frame);
-        self.total_in += 1;
         self.peak = self.peak.max(self.queue.len());
         Ok(())
     }
@@ -66,11 +64,6 @@ impl<T> FrameFifo<T> {
     /// Highest occupancy observed.
     pub fn peak(&self) -> usize {
         self.peak
-    }
-
-    /// Total frames accepted.
-    pub fn total_in(&self) -> u64 {
-        self.total_in
     }
 }
 
@@ -109,7 +102,6 @@ mod tests {
         f.pop();
         f.push(9).unwrap();
         assert_eq!(f.peak(), 3);
-        assert_eq!(f.total_in(), 4);
         assert_eq!(f.name(), "npe");
         assert!(!f.is_empty());
     }

@@ -116,17 +116,10 @@ pub struct GatewayStats {
     pub rx_overflow_drops: u64,
     /// Partial (timer-flushed) frames discarded at the MPP.
     pub partial_discards: u64,
-    /// Signaling attempts re-issued by the connection supervisor
-    /// (mirrors [`NpeStats::setup_retries`]).
-    ///
-    /// [`NpeStats::setup_retries`]: crate::npe::NpeStats::setup_retries
-    pub setup_retries: u64,
-    /// Setups abandoned after the retry budget was exhausted.
-    pub setups_failed: u64,
-    /// VCs quarantined by the liveness monitor.
+    /// VCs quarantined by the liveness monitor. (Setup retries,
+    /// failed setups and re-establishments are the NPE's own counters:
+    /// [`Npe::stats`].)
     pub vcs_quarantined: u64,
-    /// Quarantined congrams re-established on a fresh VC.
-    pub reestablishments: u64,
     /// Frames rejected by overload shedding at the SUPERNET buffers.
     pub frames_shed: u64,
     /// Cell-equivalents (45-octet payloads) in the shed frames.
@@ -250,10 +243,7 @@ impl GatewayStats {
             tx_overflow_drops: 0,
             rx_overflow_drops: 0,
             partial_discards: 0,
-            setup_retries: 0,
-            setups_failed: 0,
             vcs_quarantined: 0,
-            reestablishments: 0,
             frames_shed: 0,
             cells_shed: 0,
             malformed_drops: 0,
@@ -1485,10 +1475,9 @@ impl Gateway {
 
     // gw-lint: setup-path — NPE control actions (congram setup/teardown, control frames) are the paper's non-critical path
     fn apply_npe_actions(&mut self, actions: Vec<NpeAction>, out: &mut Vec<Output>) {
-        // The counters `sync_npe_stats` mirrors move only in NPE calls
-        // that also return an action (bar one signaling give-up, which
-        // `atm_connection_failed` mirrors itself), so an empty list has
-        // nothing to apply or mirror.
+        // The NPE counts a re-establishment only in a call that also
+        // returns an action, so an empty list has nothing to apply or
+        // mirror.
         if actions.is_empty() {
             return;
         }
@@ -1580,16 +1569,11 @@ impl Gateway {
         self.sync_npe_stats();
     }
 
-    /// Mirror the NPE's supervisor counters into the gateway stats so a
-    /// harness sees the whole robustness picture in one place
-    /// (`vcs_quarantined` is counted by the gateway itself — directly
-    /// installed congrams have no NPE binding).
+    /// Mirror the NPE's re-establishment count into the management
+    /// registry (`vcs_quarantined` is counted by the gateway itself —
+    /// directly installed congrams have no NPE binding).
     pub(crate) fn sync_npe_stats(&mut self) {
-        let n = self.npe.stats();
-        self.stats.setup_retries = n.setup_retries;
-        self.stats.setups_failed = n.setups_failed;
-        self.stats.reestablishments = n.reestablishments;
-        let reestablishments = n.reestablishments;
+        let reestablishments = self.npe.stats().reestablishments;
         if let Some(m) = &mut self.mgmt {
             // The NPE counts re-establishments internally; mirror the
             // delta into the registry so both stay monotone.
@@ -1770,9 +1754,6 @@ impl Gateway {
         let actions = self.npe.atm_connection_failed(now, congram);
         let mut out = Vec::new();
         self.apply_npe_actions(actions, &mut out);
-        // Giving up on a congram the ATM peer requested counts a failed
-        // setup and has no requester to reject to.
-        self.sync_npe_stats();
         out
     }
 }
@@ -2212,7 +2193,6 @@ mod tests {
             gw.deliver_cells(SimTime::from_us(3 * i as u64), std::slice::from_ref(c), &mut out);
         }
         let trace = gw.trace().expect("management plane up");
-        assert!(trace.is_enabled());
         assert_eq!(trace.by_component("aic").count(), 1);
         let discard = trace.discards().next().expect("a frame discard was traced");
         let gw_mgmt::GwEvent::FrameDiscarded { vci, first_cell, reason, .. } = *discard else {

@@ -50,20 +50,18 @@ pub use npe::Npe;
 pub use spp::Spp;
 pub use supervisor::{backoff_delay, ConnectionSupervisor, SupervisorConfig};
 
-/// Gateway clock rate: 25 MHz (§5.5, §6.3).
-pub const CLOCK_HZ: u64 = 25_000_000;
-/// One clock cycle: 40 ns.
+/// One cycle of the 25 MHz gateway clock (§5.5, §6.3): 40 ns.
 pub const CYCLE_NS: u64 = 40;
 
 /// Worst-case SPP reassembly pipeline latch+decode delay, in cycles:
 /// "It takes 10 clock cycles (400ns) to latch, decode the cell header,
 /// and start generating the write addresses" (§5.5).
-pub const SPP_DECODE_CYCLES: u64 = 10;
+pub(crate) const SPP_DECODE_CYCLES: u64 = 10;
 /// SPP payload write: "the 45-byte payload is written into the
 /// reassembly buffer in 45 cycles" (§5.5).
-pub const SPP_WRITE_CYCLES: u64 = 45;
+pub(crate) const SPP_WRITE_CYCLES: u64 = 45;
 /// MPP frame-type decode and routing decision: "2 clock cycles (80ns)"
 /// (§6.3).
-pub const MPP_DECODE_CYCLES: u64 = 2;
+pub(crate) const MPP_DECODE_CYCLES: u64 = 2;
 /// MPP ICXT read access: "approximately 13 clock cycles (520ns)" (§6.3).
-pub const MPP_ICXT_CYCLES: u64 = 13;
+pub(crate) const MPP_ICXT_CYCLES: u64 = 13;

@@ -89,14 +89,14 @@ pub enum NpeAction {
     ProgramMpp {
         /// When programming completes.
         at: SimTime,
-        /// `Init`-frame payload ([`mpp::encode_mpp_init`]).
+        /// `Init`-frame payload (`mpp::encode_mpp_init`).
         payload: Vec<u8>,
     },
     /// Program the SPP with an initialization payload.
     ProgramSpp {
         /// When programming completes.
         at: SimTime,
-        /// `Init`-frame payload ([`spp::encode_init`]).
+        /// `Init`-frame payload (`spp::encode_init`).
         payload: Vec<u8>,
     },
     /// Run ATM signaling to establish a VC for a congram heading into
@@ -150,11 +150,11 @@ pub struct NpeStats {
 /// defined; the companion spec would pin these).
 pub mod reject_codes {
     /// Destination not in the host table.
-    pub const UNKNOWN_DEST: u16 = 1;
+    pub(crate) const UNKNOWN_DEST: u16 = 1;
     /// Resource manager refused admission.
-    pub const ADMISSION: u16 = 2;
+    pub(crate) const ADMISSION: u16 = 2;
     /// ATM signaling failed.
-    pub const ATM_SIGNALING: u16 = 3;
+    pub(crate) const ATM_SIGNALING: u16 = 3;
 }
 
 #[derive(Debug, Clone)]
@@ -207,7 +207,7 @@ impl Npe {
     /// Install a connection-supervision policy (watchdog + retries for
     /// ATM-signaled setups). The default is [`SupervisorConfig::disabled`]:
     /// the first signaling failure rejects the setup.
-    pub fn set_supervisor_config(&mut self, config: SupervisorConfig) {
+    pub(crate) fn set_supervisor_config(&mut self, config: SupervisorConfig) {
         self.supervisor.set_config(config);
     }
 
@@ -229,7 +229,7 @@ impl Npe {
 
     /// The actions that initialize the gateway hardware at power-up:
     /// the MPP's fixed FDDI header register (§6.1).
-    pub fn init_actions(&self, now: SimTime) -> Vec<NpeAction> {
+    pub(crate) fn init_actions(&self, now: SimTime) -> Vec<NpeAction> {
         let at = now + self.latency;
         vec![NpeAction::ProgramMpp {
             at,
@@ -679,7 +679,7 @@ impl Npe {
     /// — begin a reconfiguration, release the dead VC, and request a
     /// fresh one under supervision) or tear it down and notify the ATM
     /// peer (the VC was the peer's).
-    pub fn vc_quarantined(&mut self, now: SimTime, vci: Vci) -> Vec<NpeAction> {
+    pub(crate) fn vc_quarantined(&mut self, now: SimTime, vci: Vci) -> Vec<NpeAction> {
         let at = now + self.latency;
         let Some((&id, binding)) =
             self.bindings.iter().find(|(_, b)| b.atm_vci == vci && b.atm_vci != Vci(0))

@@ -276,10 +276,10 @@ impl Gateway {
         totals.set("tx_overflow_drops", Json::U64(g.tx_overflow_drops));
         totals.set("rx_overflow_drops", Json::U64(g.rx_overflow_drops));
         totals.set("partial_discards", Json::U64(g.partial_discards));
-        totals.set("setup_retries", Json::U64(g.setup_retries));
-        totals.set("setups_failed", Json::U64(g.setups_failed));
+        totals.set("setup_retries", Json::U64(n.setup_retries));
+        totals.set("setups_failed", Json::U64(n.setups_failed));
         totals.set("vcs_quarantined", Json::U64(g.vcs_quarantined));
-        totals.set("reestablishments", Json::U64(g.reestablishments));
+        totals.set("reestablishments", Json::U64(n.reestablishments));
         totals.set("frames_shed", Json::U64(g.frames_shed));
         totals.set("cells_shed", Json::U64(g.cells_shed));
         totals.set("malformed_drops", Json::U64(g.malformed_drops));
@@ -324,7 +324,7 @@ impl Gateway {
             match &self.mgmt {
                 Some(m) => {
                     let mut t = Json::obj();
-                    t.set("enabled", Json::Bool(m.trace.is_enabled()));
+                    t.set("enabled", Json::Bool(true));
                     t.set("events_retained", Json::U64(m.trace.len() as u64));
                     t.set("events_dropped", Json::U64(m.trace.dropped()));
                     t

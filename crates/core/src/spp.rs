@@ -19,7 +19,7 @@
 //!
 //! The SPP also receives **initialization frames** carrying reassembly
 //! timeout values from the NPE (§5.4); their payload codec is
-//! [`encode_init`] / [`decode_init`].
+//! `encode_init` / `decode_init`.
 
 use crate::{SPP_DECODE_CYCLES, SPP_WRITE_CYCLES};
 use gw_sar::reassemble::{ReassembledFrame, Reassembler, ReassemblyConfig, ReassemblyEvent};
@@ -66,11 +66,11 @@ pub struct FragmentResult {
 }
 
 /// One frame inside the Fragmentation Logic, leaving cell by cell into
-/// storage the caller supplies ([`Fragments::next_into`]), so a finished
+/// storage the caller supplies (`Fragments::next_into`), so a finished
 /// cell is written once, where it is going. The five header octets were
-/// read once, when the frame entered ([`Spp::fragment_cells`]); every
+/// read once, when the frame entered (`Spp::fragment_cells`); every
 /// cell carries them as they stand when it is written, which is where
-/// the AIC stamps its HEC once per frame ([`Fragments::header_mut`]).
+/// the AIC stamps its HEC once per frame (`Fragments::header_mut`).
 #[derive(Debug)]
 pub struct Fragments<'a> {
     fields: SarFields<'a>,
@@ -90,7 +90,7 @@ impl Fragments<'_> {
     }
 
     /// The header octets the cells still to come will carry.
-    pub fn header_mut(&mut self) -> &mut [u8; HEADER_SIZE] {
+    pub(crate) fn header_mut(&mut self) -> &mut [u8; HEADER_SIZE] {
         &mut self.header
     }
 
@@ -99,7 +99,7 @@ impl Fragments<'_> {
     /// left toward the AIC. Past the last cell nothing is written and
     /// the time stays at [`Fragments::done`].
     #[inline]
-    pub fn next_into(&mut self, cell: &mut [u8; CELL_SIZE]) -> SimTime {
+    pub(crate) fn next_into(&mut self, cell: &mut [u8; CELL_SIZE]) -> SimTime {
         if let Some(field) = self.fields.next() {
             cell[..HEADER_SIZE].copy_from_slice(&self.header);
             cell[HEADER_SIZE..].copy_from_slice(field.as_bytes());
@@ -225,7 +225,7 @@ impl Spp {
     /// The frame is accounted for (pipeline busy until
     /// [`Fragments::done`], counters) when this returns; the cells are
     /// cut as the caller has them written.
-    pub fn fragment_cells<'a>(
+    pub(crate) fn fragment_cells<'a>(
         &mut self,
         now: SimTime,
         header: &AtmHeader,
@@ -248,7 +248,7 @@ impl Spp {
     }
 
     /// Fragment a frame into cells, collected; see
-    /// [`Spp::fragment_cells`].
+    /// `Spp::fragment_cells`.
     // gw-lint: setup-path — collector over `fragment_cells` for hosts and tests: one exact-capacity Vec per frame; the gateway has the cells written straight into its output
     pub fn fragment(
         &mut self,
@@ -271,7 +271,7 @@ impl Spp {
     /// Handle an initialization frame payload: program per-VC reassembly
     /// timeouts (§5.4 "An initialization frame containing reassembly
     /// timeout values is sent to the Reassembly Logic").
-    pub fn handle_init(&mut self, payload: &[u8]) -> Result<usize> {
+    pub(crate) fn handle_init(&mut self, payload: &[u8]) -> Result<usize> {
         let entries = decode_init(payload)?;
         let n = entries.len();
         for (vci, timeout) in entries {
@@ -306,7 +306,7 @@ impl Spp {
 
 /// Encode SPP initialization entries: `(VCI, reassembly timeout)` pairs.
 // gw-lint: setup-path — Init-frame codec; reassembly-timeout programming runs per connection, not per cell
-pub fn encode_init(entries: &[(Vci, SimTime)]) -> Vec<u8> {
+pub(crate) fn encode_init(entries: &[(Vci, SimTime)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.len() * 10);
     for (vci, timeout) in entries {
         out.extend_from_slice(&vci.0.to_be_bytes());
@@ -317,7 +317,7 @@ pub fn encode_init(entries: &[(Vci, SimTime)]) -> Vec<u8> {
 
 /// Decode SPP initialization entries.
 // gw-lint: setup-path — Init-frame codec; reassembly-timeout programming runs per connection, not per cell
-pub fn decode_init(payload: &[u8]) -> Result<Vec<(Vci, SimTime)>> {
+pub(crate) fn decode_init(payload: &[u8]) -> Result<Vec<(Vci, SimTime)>> {
     if !payload.len().is_multiple_of(10) {
         return Err(Error::Malformed);
     }

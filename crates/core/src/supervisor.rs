@@ -64,7 +64,7 @@ impl Default for SupervisorConfig {
 impl SupervisorConfig {
     /// The legacy no-retry policy: the first signaling failure rejects
     /// the setup immediately and no watchdog fires.
-    pub fn disabled() -> SupervisorConfig {
+    pub(crate) fn disabled() -> SupervisorConfig {
         SupervisorConfig { retry_budget: 0, ..Default::default() }
     }
 }
@@ -152,7 +152,7 @@ impl ConnectionSupervisor {
     }
 
     /// Replace the policy (only sensible before any entry exists).
-    pub fn set_config(&mut self, config: SupervisorConfig) {
+    pub(crate) fn set_config(&mut self, config: SupervisorConfig) {
         self.jitter = SimRng::new(config.jitter_seed);
         self.config = config;
     }
@@ -173,7 +173,7 @@ impl ConnectionSupervisor {
     /// Signaling succeeded. Returns false when the congram was not
     /// under supervision — a stale or duplicate indication the caller
     /// must ignore.
-    pub fn confirmed(&mut self, congram: CongramId) -> bool {
+    pub(crate) fn confirmed(&mut self, congram: CongramId) -> bool {
         self.entries.remove(&congram).is_some()
     }
 
@@ -263,16 +263,6 @@ impl ConnectionSupervisor {
             .min()
     }
 
-    /// Supervision state of a congram, if any.
-    pub fn supervision(&self, congram: CongramId) -> Option<Supervision> {
-        self.entries.get(&congram).copied()
-    }
-
-    /// Setups currently degraded (at least one failed attempt).
-    pub fn degraded(&self) -> usize {
-        self.entries.values().filter(|e| e.degraded).count()
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> SupervisorStats {
         self.stats
@@ -335,7 +325,7 @@ mod tests {
         s.begin(SimTime::ZERO, C);
         assert_eq!(s.fail(SimTime::from_ms(1), C), FailVerdict::GiveUp);
         assert_eq!(s.stats().failures, 1);
-        assert!(s.supervision(C).is_none());
+        assert!(!s.entries.contains_key(&C));
     }
 
     #[test]
@@ -369,7 +359,7 @@ mod tests {
         assert_eq!(retries, 2, "budget of 2 retries");
         assert!(gave_up);
         assert_eq!(s.stats().watchdog_fires, 3, "initial + both retries timed out");
-        assert!(s.supervision(C).is_none());
+        assert!(!s.entries.contains_key(&C));
     }
 
     #[test]
@@ -396,8 +386,8 @@ mod tests {
         // The retry fires once the backoff elapses.
         let evs = s.poll(until);
         assert_eq!(evs, vec![SupervisorEvent::Retry(C)]);
-        assert!(matches!(s.supervision(C).unwrap().phase, SetupPhase::Establishing { .. }));
-        assert!(s.supervision(C).unwrap().degraded);
+        assert!(matches!(s.entries[&C].phase, SetupPhase::Establishing { .. }));
+        assert!(s.entries[&C].degraded);
         // Second explicit failure exhausts the budget of 1.
         assert_eq!(s.fail(until + SimTime::from_ms(1), C), FailVerdict::GiveUp);
     }

@@ -6,7 +6,7 @@
 //! highest MAC address). The winner issues the first token, and every
 //! station operates with `TTRT = min(T_Req)`. The synchronous
 //! allocations must satisfy `Σ sync_alloc + ring_latency ≤ TTRT` for
-//! the timed-token guarantees to hold; [`claim_process`] checks this
+//! the timed-token guarantees to hold; `claim_process` checks this
 //! and reports the slack.
 
 use gw_sim::time::SimTime;
@@ -32,7 +32,7 @@ pub struct ClaimOutcome {
 /// sync_alloc)` with the given total ring latency.
 ///
 /// Returns `None` for an empty ring.
-pub fn claim_process(
+pub(crate) fn claim_process(
     stations: &[(FddiAddr, SimTime, SimTime)],
     ring_latency: SimTime,
 ) -> Option<ClaimOutcome> {

@@ -31,11 +31,9 @@ pub mod mac;
 pub mod ring;
 pub mod smt;
 
-pub use claim::{claim_process, ClaimOutcome};
+pub use claim::ClaimOutcome;
 pub use mac::{MacTimers, TokenDisposition};
-pub use ring::{
-    Delivery, Ring, RingConfig, RingHealthCounters, RingStats, StationConfig, StationStats,
-};
+pub use ring::{Delivery, Ring, RingConfig, RingStats, StationConfig, StationStats};
 pub use smt::{Nif, SmtMonitor};
 
 /// FDDI line rate (Figure 2): 100 Mb/s.
@@ -43,7 +41,7 @@ pub const FDDI_BIT_RATE: u64 = 100_000_000;
 /// Nanoseconds to transmit one octet at 100 Mb/s.
 pub const NS_PER_OCTET: u64 = 80;
 /// Token length in octet-times (preamble + SD + FC + ED ≈ 11 octets).
-pub const TOKEN_OCTETS: usize = 11;
+pub(crate) const TOKEN_OCTETS: usize = 11;
 /// Per-frame line overhead in octet-times (preamble, SD, ED/FS symbols).
 pub const FRAME_OVERHEAD_OCTETS: usize = 10;
 /// Maximum stations on a ring (Figure 2).
@@ -51,4 +49,4 @@ pub const MAX_STATIONS: usize = 1000;
 /// Maximum ring circumference in kilometres (Figure 2).
 pub const MAX_RING_KM: u64 = 200;
 /// Propagation delay per kilometre of fibre (≈ 5.085 µs/km; we use 5 µs).
-pub const NS_PER_KM: u64 = 5_000;
+pub(crate) const NS_PER_KM: u64 = 5_000;

@@ -22,7 +22,7 @@
 
 use gw_sim::time::SimTime;
 
-/// What a token visit permits (computed by [`MacTimers::token_arrival`]).
+/// What a token visit permits (computed by `MacTimers::token_arrival`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenDisposition {
     /// True when the token arrived before TRT expiry.
@@ -77,7 +77,7 @@ impl MacTimers {
 
     /// Process a token arriving at `now`; returns what this visit may
     /// transmit.
-    pub fn token_arrival(&mut self, now: SimTime) -> TokenDisposition {
+    pub(crate) fn token_arrival(&mut self, now: SimTime) -> TokenDisposition {
         // Account any TRT expirations since the last visit.
         while now >= self.trt_expiry {
             self.trt_expiry += self.ttrt;
@@ -104,23 +104,8 @@ impl MacTimers {
     }
 
     /// Inter-arrival time since the previous token visit, if any.
-    pub fn rotation_time(&self, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn rotation_time(&self, now: SimTime) -> Option<SimTime> {
         self.last_token_arrival.map(|t| now.saturating_sub(t))
-    }
-
-    /// Time of the most recent token arrival.
-    pub fn last_token_arrival(&self) -> Option<SimTime> {
-        self.last_token_arrival
-    }
-
-    /// Current late count (0 or transiently 1+ between visits).
-    pub fn late_count(&self) -> u32 {
-        self.late_count
-    }
-
-    /// Cumulative TRT expirations (SUPERNET-style diagnostic register).
-    pub fn total_late_events(&self) -> u64 {
-        self.total_late_events
     }
 }
 
@@ -157,8 +142,8 @@ mod tests {
         assert!(!d.early);
         assert_eq!(d.tht_budget, SimTime::ZERO);
         assert_eq!(d.sync_budget, t(7), "sync allocation survives lateness");
-        assert_eq!(m.late_count(), 0, "late count cleared by the arrival");
-        assert_eq!(m.total_late_events(), 1);
+        assert_eq!(m.late_count, 0, "late count cleared by the arrival");
+        assert_eq!(m.total_late_events, 1);
     }
 
     #[test]
@@ -189,8 +174,8 @@ mod tests {
     fn very_late_token_counts_multiple_expirations() {
         let mut m = MacTimers::new(SimTime::ZERO, t(100), SimTime::ZERO);
         m.token_arrival(t(350)); // expirations at 100, 200, 300
-        assert_eq!(m.total_late_events(), 3);
-        assert_eq!(m.late_count(), 0);
+        assert_eq!(m.total_late_events, 3);
+        assert_eq!(m.late_count, 0);
     }
 
     #[test]
@@ -202,7 +187,7 @@ mod tests {
         // rotation time this way).
         assert_eq!(m.rotation_time(t(55)), Some(t(45)));
         m.token_arrival(t(55));
-        assert_eq!(m.last_token_arrival(), Some(t(55)));
+        assert_eq!(m.last_token_arrival, Some(t(55)));
     }
 
     #[test]

@@ -127,25 +127,6 @@ pub struct RingStats {
     pub recoveries: u64,
 }
 
-/// Aggregated ring health, the SMT-style summary the gateway's
-/// management plane folds into its snapshot: one struct answering "is
-/// the ring healthy" without walking per-station registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingHealthCounters {
-    /// Negotiated TTRT, nanoseconds.
-    pub ttrt_ns: u64,
-    /// Completed token rotations observed at station 0.
-    pub rotations: u64,
-    /// Ring recoveries (re-claims after bypass or reinsertion).
-    pub recoveries: u64,
-    /// Stations currently held out by their optical bypass relay.
-    pub bypassed_stations: u64,
-    /// Stations participating in the ring right now.
-    pub active_stations: u64,
-    /// Frames dropped at enqueue across every station (full queue).
-    pub queue_drops: u64,
-}
-
 #[derive(Debug)]
 struct Station {
     addr: FddiAddr,
@@ -358,21 +339,8 @@ impl Ring {
         &self.stats
     }
 
-    /// Aggregated ring health counters (see [`RingHealthCounters`]).
-    pub fn health_counters(&self) -> RingHealthCounters {
-        let bypassed = self.stations.iter().filter(|s| s.bypassed).count() as u64;
-        RingHealthCounters {
-            ttrt_ns: self.stats.ttrt.as_ns(),
-            rotations: self.stats.rotations,
-            recoveries: self.stats.recoveries,
-            bypassed_stations: bypassed,
-            active_stations: self.stations.len() as u64 - bypassed,
-            queue_drops: self.stations.iter().map(|s| s.stats.queue_drops).sum(),
-        }
-    }
-
     /// The active station immediately upstream of `station` on the ring.
-    pub fn upstream_of(&self, station: usize) -> FddiAddr {
+    fn upstream_of(&self, station: usize) -> FddiAddr {
         let n = self.stations.len();
         let mut i = (station + n - 1) % n;
         while self.stations[i].bypassed {
@@ -730,13 +698,11 @@ mod tests {
         assert!(ring.push_async(0, f).is_err());
         ring.run_until(SimTime::from_ms(2));
         ring.bypass_station(2);
-        let h = ring.health_counters();
-        assert_eq!(h.ttrt_ns, ring.ttrt().as_ns());
-        assert!(h.rotations > 0, "token circulated");
-        assert_eq!(h.recoveries, 1, "bypass forced a re-claim");
-        assert_eq!(h.bypassed_stations, 1);
-        assert_eq!(h.active_stations, 2);
-        assert_eq!(h.queue_drops, 1, "station 0's enqueue drop is visible ring-wide");
+        assert!(ring.stats().rotations > 0, "token circulated");
+        assert_eq!(ring.stats().recoveries, 1, "bypass forced a re-claim");
+        assert_eq!((0..3).filter(|&i| !ring.is_active(i)).count(), 1);
+        let drops: u64 = (0..3).map(|i| ring.station_stats(i).queue_drops).sum();
+        assert_eq!(drops, 1, "station 0's enqueue drop is visible ring-wide");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use gw_wire::{Error, Result};
 use std::collections::HashMap;
 
 /// NIF payload size: station (6) + UNA (6) + flags (1).
-pub const NIF_SIZE: usize = 13;
+const NIF_SIZE: usize = 13;
 
 /// A neighbor-information announcement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,7 +24,14 @@
 //!    wire-format enums, so a new protocol variant is a build break,
 //!    not a silent drop;
 //! 6. **no-lock** — no `Mutex`/`RwLock`/`.lock()`/library channels in
-//!    critical-path code: every engine owns its state outright.
+//!    critical-path code: every engine owns its state outright;
+//! 7. **dead-pub** — every `pub fn`/`const`/`static` of a library crate
+//!    is named by a caller outside its own source tree: another crate,
+//!    a bin or example, any `tests/` directory (the crate's own too: an
+//!    integration test can only reach `pub`), or the frozen
+//!    `benchmark/src` harness. Unit tests are not callers. Types,
+//!    fields and modules are out of scope — they leak through
+//!    signatures a token scan cannot follow.
 //!
 //! The analyzer is deliberately token-level: it strips comments and
 //! string literals (preserving line numbers), blanks `#[cfg(test)]`
@@ -51,8 +58,9 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line number; 0 when the finding is file- or crate-level.
     pub line: usize,
-    /// Rule family — one of [`rules::FAMILIES`]: `hot-path`, `no-lock`,
-    /// `layering`, `hygiene`, `safety`, `exhaustive`, or `marker`.
+    /// Rule family — one of `rules::FAMILIES`: `hot-path`, `no-lock`,
+    /// `layering`, `hygiene`, `safety`, `exhaustive`, `marker`, or
+    /// `dead-pub`.
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -117,6 +125,7 @@ pub fn run(root: &Path) -> std::io::Result<Outcome> {
     };
 
     outcome.diagnostics.extend(rules::layering::check(&workspace));
+    outcome.diagnostics.extend(rules::deadpub::check(root, &workspace)?);
     for krate in &workspace.crates {
         outcome.diagnostics.extend(rules::hygiene::check_crate(root, krate));
     }

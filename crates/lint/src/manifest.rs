@@ -35,7 +35,7 @@ pub struct Workspace {
 impl Workspace {
     /// Read the root manifest, expand the `members` globs, and parse
     /// every member's `[package]` and `[dependencies]`.
-    pub fn discover(root: &Path) -> io::Result<Workspace> {
+    pub(crate) fn discover(root: &Path) -> io::Result<Workspace> {
         let root_manifest = std::fs::read_to_string(root.join("Cargo.toml"))?;
         let mut dirs: Vec<String> = Vec::new();
         for member in members_of(&root_manifest) {
@@ -83,7 +83,7 @@ impl Workspace {
     /// Every `.rs` file under each member's `src/`, workspace-relative,
     /// sorted. Fixture corpora and vendored shims are outside these
     /// trees by construction.
-    pub fn source_files(&self, root: &Path) -> io::Result<Vec<String>> {
+    pub(crate) fn source_files(&self, root: &Path) -> io::Result<Vec<String>> {
         let mut files = Vec::new();
         for krate in &self.crates {
             let src =
@@ -108,7 +108,7 @@ impl Workspace {
 
     /// True when `from` can reach `to` through internal `[dependencies]`
     /// edges (transitively).
-    pub fn reaches(&self, from: &str, to: &str) -> bool {
+    pub(crate) fn reaches(&self, from: &str, to: &str) -> bool {
         let mut stack: Vec<&str> = vec![from];
         let mut seen: Vec<&str> = Vec::new();
         while let Some(cur) = stack.pop() {
@@ -129,7 +129,7 @@ impl Workspace {
     }
 }
 
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+pub(crate) fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();

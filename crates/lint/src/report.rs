@@ -4,7 +4,7 @@
 //! CI uploads this as an artifact; the schema is stable:
 //! `diagnostics` is empty exactly when the run passed, and the `rules`
 //! object counts them per family (every family in
-//! [`crate::rules::FAMILIES`] appears, zero or not), so a dashboard can
+//! `crate::rules::FAMILIES` appears, zero or not), so a dashboard can
 //! watch one family's count without parsing messages.
 
 use crate::rules::FAMILIES;
@@ -12,7 +12,7 @@ use crate::Outcome;
 use gw_sim::json::Json;
 
 /// Format tag carried in every report (`"format"` key).
-pub const REPORT_FORMAT: &str = "gw-lint/2";
+const REPORT_FORMAT: &str = "gw-lint/2";
 
 /// Build the `gw-lint/2` JSON document for `outcome`.
 pub fn to_json(outcome: &Outcome) -> Json {

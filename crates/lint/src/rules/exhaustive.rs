@@ -17,7 +17,7 @@ use crate::strip::line_of;
 use crate::Diagnostic;
 
 /// Scan prepared (stripped, test-blanked) source for wildcard arms in
-/// matches whose patterns mention any of [`crate::rules::EXHAUSTIVE_ENUMS`].
+/// matches whose patterns mention any of `crate::rules::EXHAUSTIVE_ENUMS`.
 pub fn check(rel: &str, prepared: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let b = prepared.as_bytes();

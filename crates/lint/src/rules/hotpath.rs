@@ -28,7 +28,7 @@ use crate::Diagnostic;
 /// Banned constructs: `(needle, why)`. Needles are matched against
 /// comment- and string-stripped, test-blanked source, with identifier
 /// boundaries enforced on both ends.
-pub const BANNED: &[(&str, &str)] = &[
+pub(crate) const BANNED: &[(&str, &str)] = &[
     (".unwrap(", "panicking combinator; hardware drops-and-counts instead"),
     (".expect(", "panicking combinator; hardware drops-and-counts instead"),
     ("panic!", "explicit panic on the cell path"),
@@ -50,7 +50,7 @@ pub const BANNED: &[(&str, &str)] = &[
 ];
 
 /// The function-level opt-out marker.
-pub const SETUP_MARKER: &str = "gw-lint: setup-path";
+const SETUP_MARKER: &str = "gw-lint: setup-path";
 
 /// Scan one critical-path file. `original` is the raw source (markers
 /// live in comments); `prepared` is the stripped, test-blanked text

@@ -16,8 +16,8 @@
 //! One exemption, and the lint proves it is one file: `gw-wire`'s
 //! checksum kernels call `#[target_feature]` functions (DESIGN.md §15),
 //! which is an `unsafe` call however safe the callee. So that crate's
-//! root may carry `#![deny(unsafe_code)]` instead, [`KERNEL_FILE`]
-//! alone may re-allow it — for at most [`KERNEL_UNSAFE_BUDGET`]
+//! root may carry `#![deny(unsafe_code)]` instead, `KERNEL_FILE`
+//! alone may re-allow it — for at most `KERNEL_UNSAFE_BUDGET`
 //! `unsafe` blocks — and an `unsafe` token or `allow(unsafe_code)`
 //! anywhere else under the crate's `src/` is a finding.
 
@@ -28,22 +28,22 @@ use crate::Diagnostic;
 use std::path::Path;
 
 /// Root-attribute lines every crate root must carry.
-pub const REQUIRED_ATTRS: &[&str] = &["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"];
+const REQUIRED_ATTRS: &[&str] = &["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"];
 
 /// The crate whose root may carry [`EXEMPT_ROOT_ATTR`] in place of
 /// `#![forbid(unsafe_code)]`.
-pub const EXEMPT_CRATE_DIR: &str = "crates/wire";
+const EXEMPT_CRATE_DIR: &str = "crates/wire";
 /// What the exempted root carries instead.
-pub const EXEMPT_ROOT_ATTR: &str = "#![deny(unsafe_code)]";
+const EXEMPT_ROOT_ATTR: &str = "#![deny(unsafe_code)]";
 /// The one file of that crate that may contain `allow(unsafe_code)` and
 /// `unsafe`.
-pub const KERNEL_FILE: &str = "crates/wire/src/crc/clmul.rs";
+const KERNEL_FILE: &str = "crates/wire/src/crc/clmul.rs";
 /// How many lines of [`KERNEL_FILE`] may carry an `unsafe` token: one
 /// call per kernel.
-pub const KERNEL_UNSAFE_BUDGET: usize = 2;
+const KERNEL_UNSAFE_BUDGET: usize = 2;
 
 /// Check one member crate's root module for the required attributes.
-pub fn check_crate(root: &Path, krate: &Crate) -> Vec<Diagnostic> {
+pub(crate) fn check_crate(root: &Path, krate: &Crate) -> Vec<Diagnostic> {
     let dir = if krate.dir == "." { root.to_path_buf() } else { root.join(&krate.dir) };
     let (rel, path) = {
         let lib = dir.join("src/lib.rs");
@@ -120,7 +120,7 @@ fn rank(level: &str) -> Option<u8> {
 /// Hold the `unsafe` exemption to its one file. `stripped` is the
 /// comment- and string-stripped source, test code included: the
 /// compiler's `deny` covers test modules too, and so does this.
-pub fn check_file(rel: &str, stripped: &str) -> Vec<Diagnostic> {
+pub(crate) fn check_file(rel: &str, stripped: &str) -> Vec<Diagnostic> {
     if !rel.strip_prefix(EXEMPT_CRATE_DIR).is_some_and(|rest| rest.starts_with("/src/")) {
         return Vec::new();
     }

@@ -26,7 +26,7 @@ use crate::Diagnostic;
 
 /// Reachability bans: `(from, to, why)` — `from` must never reach `to`
 /// through the internal dependency DAG.
-pub const FORBIDDEN: &[(&str, &str, &str)] = &[
+const FORBIDDEN: &[(&str, &str, &str)] = &[
     (
         "gw-sar",
         "gw-gateway",
@@ -81,7 +81,7 @@ pub const FORBIDDEN: &[(&str, &str, &str)] = &[
 
 /// Crates held to a closed set of internal dependencies:
 /// `(crate, allowed, why)`. An empty set makes the crate a leaf.
-pub const ONLY_DEPS: &[(&str, &[&str], &str)] = &[
+const ONLY_DEPS: &[(&str, &[&str], &str)] = &[
     ("gw-wire", &[], "wire formats are the bottom of the stack; they depend on nothing internal"),
     (
         "gw-sim",

@@ -22,7 +22,7 @@ use crate::Diagnostic;
 
 /// Banned synchronisation constructs: `(needle, why)`, matched with
 /// identifier boundaries against stripped, test-blanked source.
-pub const BANNED: &[(&str, &str)] = &[
+pub(crate) const BANNED: &[(&str, &str)] = &[
     ("Mutex", "blocking lock; the cell path owns its tables outright and never arbitrates"),
     ("RwLock", "blocking lock; the cell path owns its tables outright and never arbitrates"),
     ("Condvar", "blocking rendezvous; stages drain FIFOs, they never sleep on a lock"),

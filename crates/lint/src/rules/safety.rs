@@ -23,7 +23,7 @@ use crate::Diagnostic;
 /// directly above the `unsafe` line (or trail on the line itself), so
 /// the soundness argument is physically attached to the operation it
 /// covers — the same locality the setup-path marker demands.
-pub fn check_unsafe(rel: &str, original: &str, prepared: &str) -> Vec<Diagnostic> {
+pub(crate) fn check_unsafe(rel: &str, original: &str, prepared: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let code_lines: Vec<&str> = prepared.lines().collect();
     let raw_lines: Vec<&str> = original.lines().collect();

@@ -2,7 +2,7 @@
 //! blanking, both preserving line structure so every later scan reports
 //! accurate `file:line` positions.
 //!
-//! This is the "token level" the analyzer works at: after [`strip`],
+//! This is the "token level" the analyzer works at: after `strip`,
 //! any substring match against the text is guaranteed to sit in real
 //! code — not in a doc comment, not in a string literal, not in a
 //! `#[cfg(test)]` module. That guarantee is what lets the rules stay
@@ -17,7 +17,7 @@
 /// and byte-raw strings, character literals (including escapes and
 /// multi-byte chars), and tells lifetimes (`'a`) apart from char
 /// literals.
-pub fn strip(src: &str) -> String {
+pub(crate) fn strip(src: &str) -> String {
     let b = src.as_bytes();
     let mut out: Vec<u8> = b.to_vec();
     let mut i = 0usize;
@@ -172,7 +172,7 @@ fn is_char_literal(b: &[u8], i: usize) -> bool {
 /// Blank every `#[cfg(test)]` item (module, function, or use) in
 /// already-stripped text, so test-only code never trips the hot-path or
 /// exhaustiveness rules. Line structure is preserved.
-pub fn blank_cfg_test(stripped: &str) -> String {
+pub(crate) fn blank_cfg_test(stripped: &str) -> String {
     let mut out = stripped.as_bytes().to_vec();
     let needle = b"#[cfg(test)]";
     let mut from = 0usize;
@@ -256,7 +256,7 @@ pub(crate) fn find(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
 }
 
 /// 1-based line number of byte offset `pos` in `text`.
-pub fn line_of(text: &str, pos: usize) -> usize {
+pub(crate) fn line_of(text: &str, pos: usize) -> usize {
     text.as_bytes()[..pos.min(text.len())].iter().filter(|&&c| c == b'\n').count() + 1
 }
 

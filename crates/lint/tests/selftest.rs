@@ -1,7 +1,8 @@
 //! Self-test: the deliberately-violating fixture workspace under
 //! `fixtures/bad_ws` must light up every rule class, the decoys
-//! (comments, strings, `#[cfg(test)]` code, setup-path exemptions)
-//! must stay dark — and the real workspace we ship must be clean.
+//! (comments, strings, `#[cfg(test)]` code, setup-path exemptions,
+//! callers the dead-pub rule must see) must stay dark — and the real
+//! workspace we ship must be clean.
 
 use std::path::{Path, PathBuf};
 
@@ -130,6 +131,28 @@ fn safety_rule_fires_on_unjustified_unsafe() {
 fn exhaustive_rule_fires_on_wildcard_over_wire_enum() {
     let out = fixture_outcome();
     assert!(has(&out, "exhaustive", "FrameControl"), "{out:#?}");
+}
+
+#[test]
+fn dead_pub_rule_fires_on_items_no_outside_caller_names() {
+    let out = fixture_outcome();
+    let dead: Vec<_> = out.diagnostics.iter().filter(|d| d.rule == "dead-pub").collect();
+    // Named only in its own source and unit test; named outside only in
+    // a comment and a string; a constant nothing outside reads.
+    for needle in
+        ["`pub fn only_self_tested`", "`pub fn only_mentioned`", "`pub const UNREAD_LIMIT`"]
+    {
+        assert!(dead.iter().any(|d| d.message.contains(needle)), "missing {needle}: {out:#?}");
+    }
+    // A sibling crate, the fixture's `benchmark/src` and the crate's own
+    // `tests/` are callers; every other fixture item has one of them.
+    assert_eq!(dead.len(), 3, "{out:#?}");
+    let src = std::fs::read_to_string(fixture_root().join("crates/sim/src/lib.rs")).unwrap();
+    let d = dead.iter().find(|d| d.message.contains("only_self_tested")).unwrap();
+    assert_eq!(
+        (d.file.as_str(), src.lines().nth(d.line - 1)),
+        ("crates/sim/src/lib.rs", Some("pub fn only_self_tested() -> u8 {"))
+    );
 }
 
 #[test]

@@ -358,31 +358,6 @@ impl CongramManager {
         self.rec(id)
     }
 
-    /// Resolve an inbound ICN to its congram.
-    pub fn by_in_icn(&self, icn: Icn) -> Option<&CongramRecord> {
-        let id = *self.by_in_icn.get(icn.0 as usize)?;
-        if id == NO_CONGRAM {
-            return None;
-        }
-        self.rec(CongramId(id))
-    }
-
-    /// The `(in ICN, out ICN)` translation pairs for every congram in
-    /// data-transfer phase — exactly what the NPE programs into the
-    /// MPP's ICXT tables (§6.2 "MPP initialization frames are used to
-    /// update the ICXT-F and ICXT-A").
-    pub fn active_translations(&self) -> Vec<(Icn, Icn)> {
-        let mut v: Vec<(Icn, Icn)> = self
-            .records
-            .iter()
-            .flatten()
-            .filter(|r| matches!(r.state, CongramState::Established | CongramState::Reconfiguring))
-            .map(|r| (r.in_icn, r.out_icn))
-            .collect();
-        v.sort();
-        v
-    }
-
     /// Congrams in any live state — a running counter, not a scan.
     pub fn open_count(&self) -> usize {
         self.open
@@ -434,19 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn translations_cover_established_only() {
-        let mut m = mgr();
-        let a = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
-        let b = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
-        m.confirm(a).unwrap();
-        // b still pending: not in the translation set.
-        let t = m.active_translations();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0], (m.get(a).unwrap().in_icn, m.get(a).unwrap().out_icn));
-        let _ = b;
-    }
-
-    #[test]
     fn distinct_congrams_distinct_icns() {
         let mut m = mgr();
         let ids: Vec<_> = (0..100)
@@ -465,11 +427,11 @@ mod tests {
         let mut m = mgr();
         let id = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
         let icn = m.get(id).unwrap().in_icn;
-        assert_eq!(m.by_in_icn(icn).unwrap().id, id);
+        assert_eq!(m.by_in_icn[icn.0 as usize], id.0);
         m.confirm(id).unwrap();
         m.begin_teardown(id).unwrap();
         m.complete_teardown(id).unwrap();
-        assert!(m.by_in_icn(icn).is_none());
+        assert_eq!(m.by_in_icn[icn.0 as usize], NO_CONGRAM);
     }
 
     #[test]
@@ -480,8 +442,6 @@ mod tests {
         let old_out = m.get(id).unwrap().out_icn;
         m.begin_reconfigure(id).unwrap();
         assert_eq!(m.get(id).unwrap().state, CongramState::Reconfiguring);
-        // Still translating during reconfiguration (plesio-reliability).
-        assert_eq!(m.active_translations().len(), 1);
         let (ev, new_out) = m.complete_reconfigure(id).unwrap();
         assert_eq!(ev, CongramEvent::Reconfigured(id));
         assert_ne!(new_out, old_out);

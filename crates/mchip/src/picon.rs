@@ -19,7 +19,7 @@ use gw_wire::{Error, Result};
 
 /// Size of the multiplexing sub-header: 4-octet subflow id + 2-octet
 /// length.
-pub const MUX_HEADER: usize = 6;
+const MUX_HEADER: usize = 6;
 
 /// A subflow identifier within a PICon (the UCon's end-to-end id).
 pub type SubflowId = CongramId;

@@ -33,8 +33,6 @@ pub struct ResourceManager {
     capacity_bps: u64,
     committed_bps: u64,
     reservations: HashMap<CongramId, u64>,
-    admitted: u64,
-    refused: u64,
     /// When true, every request is admitted regardless of capacity —
     /// the no-resource-management baseline for E11.
     pub bypass: bool,
@@ -47,8 +45,6 @@ impl ResourceManager {
             capacity_bps,
             committed_bps: 0,
             reservations: HashMap::new(),
-            admitted: 0,
-            refused: 0,
             bypass: false,
         }
     }
@@ -64,7 +60,7 @@ impl ResourceManager {
     }
 
     /// Available (uncommitted) bandwidth.
-    pub fn available_bps(&self) -> u64 {
+    pub(crate) fn available_bps(&self) -> u64 {
         self.capacity_bps.saturating_sub(self.committed_bps)
     }
 
@@ -78,19 +74,17 @@ impl ResourceManager {
     }
 
     /// Would this flow be admitted right now?
-    pub fn would_admit(&self, flow: &FlowSpec) -> bool {
+    fn would_admit(&self, flow: &FlowSpec) -> bool {
         self.bypass || self.committed_bps + flow.peak_bps <= self.capacity_bps
     }
 
     /// Request admission for a congram.
     pub fn admit(&mut self, id: CongramId, flow: &FlowSpec) -> AdmitDecision {
         if !self.would_admit(flow) {
-            self.refused += 1;
             return AdmitDecision::Refused { available_bps: self.available_bps() };
         }
         self.committed_bps += flow.peak_bps;
         self.reservations.insert(id, flow.peak_bps);
-        self.admitted += 1;
         AdmitDecision::Admitted
     }
 
@@ -105,11 +99,6 @@ impl ResourceManager {
     /// Number of active reservations.
     pub fn active(&self) -> usize {
         self.reservations.len()
-    }
-
-    /// `(admitted, refused)` totals.
-    pub fn decisions(&self) -> (u64, u64) {
-        (self.admitted, self.refused)
     }
 }
 
@@ -129,7 +118,6 @@ mod tests {
         }
         assert_eq!(rm.admit(CongramId(10), &flow(10)), AdmitDecision::Refused { available_bps: 0 });
         assert_eq!(rm.active(), 10);
-        assert_eq!(rm.decisions(), (10, 1));
         assert!((rm.utilization() - 1.0).abs() < 1e-9);
     }
 

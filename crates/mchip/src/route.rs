@@ -53,7 +53,6 @@ struct Edge {
 /// rs.add_edge(gw, wan, 50, 155_000_000);
 /// let path = rs.route(lan, wan, 10_000_000).unwrap();
 /// assert_eq!(path, vec![lan, gw, wan]);
-/// assert_eq!(rs.path_delay_us(&path), 60);
 /// ```
 #[derive(Debug, Default)]
 pub struct RouteServer {
@@ -150,19 +149,6 @@ impl RouteServer {
         Ok(path)
     }
 
-    /// Total delay along a path.
-    pub fn path_delay_us(&self, path: &[NodeId]) -> u64 {
-        path.windows(2)
-            .map(|w| {
-                self.adj[w[0].0]
-                    .iter()
-                    .find(|e| e.to == w[1].0)
-                    .map(|e| e.delay_us)
-                    .unwrap_or(u64::MAX)
-            })
-            .sum()
-    }
-
     /// A multicast tree from `src` to every destination: the union of
     /// bandwidth-feasible shortest paths. Returns the tree's directed
     /// edges `(parent, child)`.
@@ -214,7 +200,6 @@ mod tests {
         let (rs, n) = graph();
         let path = rs.route(n[0], n[4], 10_000_000).unwrap();
         assert_eq!(path, vec![n[0], n[1], n[2], n[3], n[4]]);
-        assert_eq!(rs.path_delay_us(&path), 40);
     }
 
     #[test]

@@ -289,7 +289,7 @@ impl GwEvent {
 
     /// The reporting component, mirroring the old string trace's
     /// component tags.
-    pub fn component(&self) -> &'static str {
+    fn component(&self) -> &'static str {
         match self {
             GwEvent::CellDropped { reason: CellDropReason::HecError, .. } => "aic",
             GwEvent::CellDropped { reason: CellDropReason::Policed, .. } => "gcra",
@@ -376,14 +376,9 @@ pub struct CausalTrace {
 }
 
 impl CausalTrace {
-    /// An enabled trace retaining the most recent `capacity` events.
+    /// A trace retaining the most recent `capacity` events.
     pub fn bounded(capacity: usize) -> CausalTrace {
         CausalTrace { ring: EventRing::bounded(capacity) }
-    }
-
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.ring.is_enabled()
     }
 
     /// Record an event.

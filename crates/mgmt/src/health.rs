@@ -76,13 +76,13 @@ impl std::fmt::Display for PortState {
 }
 
 /// Length of one evaluation window.
-pub const WINDOW: SimTime = SimTime::from_ms(1);
+const WINDOW: SimTime = SimTime::from_ms(1);
 /// Errors in one window that degrade an Up port.
-pub const DEGRADE_THRESHOLD: u64 = 8;
+const DEGRADE_THRESHOLD: u64 = 8;
 /// Errors in one window that isolate a port.
-pub const ISOLATE_THRESHOLD: u64 = 64;
+const ISOLATE_THRESHOLD: u64 = 64;
 /// Consecutive clean windows needed to step down one level.
-pub const RECOVERY_WINDOWS: u32 = 3;
+const RECOVERY_WINDOWS: u32 = 3;
 
 /// Health bookkeeping for one port.
 #[derive(Debug, Clone, Copy)]

@@ -6,14 +6,14 @@ use crate::health::HealthReporter;
 use crate::registry::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 
 /// Causal trace retention: the most recent events kept.
-pub const TRACE_EVENTS: usize = 1024;
+const TRACE_EVENTS: usize = 1024;
 /// Histograms record 1 sample in this many offered.
-pub const HISTOGRAM_SAMPLE: u32 = 8;
+const HISTOGRAM_SAMPLE: u32 = 8;
 
 /// Switches the management plane on. It has nothing to set: trace
-/// retention ([`TRACE_EVENTS`]), histogram sampling
-/// ([`HISTOGRAM_SAMPLE`]) and the health thresholds
-/// ([`crate::health::WINDOW`] and its neighbours) are constants.
+/// retention (`TRACE_EVENTS`), histogram sampling
+/// (`HISTOGRAM_SAMPLE`) and the health thresholds
+/// (`crate::health::WINDOW` and its neighbours) are constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MgmtConfig;
 
@@ -78,7 +78,7 @@ pub struct GwHandles {
 impl GwHandles {
     /// Register the gateway's global metric names and return their
     /// handles. Latency histograms use 40 ns bins (one 25 MHz cycle).
-    pub fn resolve(registry: &mut MetricsRegistry) -> GwHandles {
+    fn resolve(registry: &mut MetricsRegistry) -> GwHandles {
         GwHandles {
             aic_cells_in: registry.counter("gw.aic.cells_in"),
             aic_hec_discards: registry.counter("gw.aic.hec_discards"),
@@ -123,7 +123,7 @@ pub struct MgmtPlane {
 }
 
 impl Default for MgmtPlane {
-    /// A plane with the global names registered, a [`TRACE_EVENTS`]
+    /// A plane with the global names registered, a `TRACE_EVENTS`
     /// trace, and both ports Up.
     fn default() -> MgmtPlane {
         let mut registry = MetricsRegistry::new(HISTOGRAM_SAMPLE);
@@ -142,7 +142,6 @@ mod tests {
         let plane = MgmtPlane::default();
         assert!(plane.registry.counter_by_name("gw.supernet.tx.shed_async").is_some());
         assert!(plane.registry.counter_by_name("gw.aic.cells_in").is_some());
-        assert!(plane.trace.is_enabled());
         assert_eq!(plane.registry.sample_every(), 8);
     }
 

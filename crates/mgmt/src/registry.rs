@@ -106,7 +106,7 @@ impl MetricsRegistry {
     }
 
     /// Register (or re-resolve) a gauge by hierarchical name.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
+    pub(crate) fn gauge(&mut self, name: &str) -> GaugeId {
         let key = format!("g:{name}");
         if let Some(&idx) = self.names.get(&key) {
             return GaugeId(idx);
@@ -118,7 +118,7 @@ impl MetricsRegistry {
     }
 
     /// Register (or re-resolve) a histogram by hierarchical name.
-    pub fn histogram(&mut self, name: &str, bin_width: u64, bins: usize) -> HistogramId {
+    pub(crate) fn histogram(&mut self, name: &str, bin_width: u64, bins: usize) -> HistogramId {
         let key = format!("h:{name}");
         if let Some(&idx) = self.names.get(&key) {
             return HistogramId(idx);
@@ -227,11 +227,6 @@ impl MetricsRegistry {
         rows
     }
 
-    /// Lifetime row creations (re-activations included).
-    pub fn vcs_created(&self) -> u64 {
-        self.vcs_created
-    }
-
     /// Lifetime row retirements.
     pub fn vcs_retired(&self) -> u64 {
         self.vcs_retired
@@ -313,7 +308,7 @@ mod tests {
         let again = r.create_vc(100);
         assert_eq!(again, vc);
         assert!(r.vc_active(100));
-        assert_eq!(r.vcs_created(), 2);
+        assert_eq!(r.vcs_created, 2);
         assert_eq!(r.vcs_retired(), 1);
     }
 

@@ -23,6 +23,7 @@
 
 use crate::supervisor::{TransportEvent, TransportSupervisor};
 use crate::{CellPhy, FramePhy, PhyStats};
+use gw_gateway::config::MAX_CONGRAMS;
 use gw_gateway::gateway::{Output, Residue};
 use gw_gateway::{Gateway, GatewayConfig, SupervisorConfig};
 use gw_mgmt::Port;
@@ -56,7 +57,10 @@ pub struct ApplianceConfig {
 impl ApplianceConfig {
     /// Parse the `gwd` config format: one directive per line,
     /// `congram <vci> <atm_icn> <fddi_icn> <station> <sync|async>`,
-    /// with `#` comments and blank lines ignored.
+    /// with `#` comments and blank lines ignored. Each ICN indexes an
+    /// ICXT table of [`MAX_CONGRAMS`] entries (§6.1), so an ICN past
+    /// the table, or one an earlier line already holds in the same
+    /// table, is rejected.
     pub fn parse(text: &str) -> Result<ApplianceConfig, String> {
         let mut congrams = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
@@ -87,14 +91,24 @@ impl ApplianceConfig {
                     if parts.next().is_some() {
                         return Err(err("trailing tokens"));
                     }
-                    congrams.push(CongramSpec {
+                    let icn = |v: u64, name: &str| match u16::try_from(v) {
+                        Ok(icn) if usize::from(icn) < MAX_CONGRAMS => Ok(icn),
+                        _ => Err(err(&format!("{name} outside the {MAX_CONGRAMS}-entry ICXT"))),
+                    };
+                    let spec = CongramSpec {
                         vci: u16::try_from(vci).map_err(|_| err("vci out of range"))?,
-                        atm_icn: u16::try_from(atm_icn).map_err(|_| err("atm_icn out of range"))?,
-                        fddi_icn: u16::try_from(fddi_icn)
-                            .map_err(|_| err("fddi_icn out of range"))?,
+                        atm_icn: icn(atm_icn, "atm_icn")?,
+                        fddi_icn: icn(fddi_icn, "fddi_icn")?,
                         station: u32::try_from(station).map_err(|_| err("station out of range"))?,
                         synchronous,
-                    });
+                    };
+                    if congrams.iter().any(|c: &CongramSpec| c.atm_icn == spec.atm_icn) {
+                        return Err(err("atm_icn already held by an earlier congram"));
+                    }
+                    if congrams.iter().any(|c: &CongramSpec| c.fddi_icn == spec.fddi_icn) {
+                        return Err(err("fddi_icn already held by an earlier congram"));
+                    }
+                    congrams.push(spec);
                 }
                 Some(other) => return Err(err(&format!("unknown directive {other:?}"))),
                 None => {}
@@ -201,12 +215,16 @@ impl Appliance {
 
     /// Install every congram in `config` that is not already live.
     /// Additive by design: reload never tears down an existing congram,
-    /// so partial reassemblies and staged frames are untouched.
+    /// so partial reassemblies and staged frames are untouched. A spec
+    /// whose VCI, ATM ICN or FDDI ICN a live congram already holds is
+    /// skipped: installing it would overwrite that congram's ICXT entry.
     /// Returns how many congrams were newly installed.
     pub fn apply_config(&mut self, config: &ApplianceConfig) -> usize {
         let mut added = 0;
         for spec in &config.congrams {
-            if self.installed.iter().any(|s| s.vci == spec.vci) {
+            if self.installed.iter().any(|s| {
+                s.vci == spec.vci || s.atm_icn == spec.atm_icn || s.fddi_icn == spec.fddi_icn
+            }) {
                 continue;
             }
             self.gw.install_congram(

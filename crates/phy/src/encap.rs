@@ -43,7 +43,7 @@ use gw_sim::time::SimTime;
 use gw_wire::atm::CELL_SIZE;
 
 /// Leading magic: "GWP1".
-pub const MAGIC: [u8; 4] = *b"GWP1";
+const MAGIC: [u8; 4] = *b"GWP1";
 /// Fixed header length in octets.
 pub const HEADER_LEN: usize = 24;
 /// `kind`: the payload is one ATM cell, then zero or more cell records.
@@ -65,7 +65,7 @@ pub const CELL_RECORD_LEN: usize = 8 + CELL_SIZE;
 /// 1 500-octet MTU — no fragment to lose, one syscall for 23 cells.
 pub const MAX_CELLS: usize = 23;
 /// Wire length of a cell datagram carrying [`MAX_CELLS`].
-pub const FULL_CELL_DATAGRAM_LEN: usize =
+pub(crate) const FULL_CELL_DATAGRAM_LEN: usize =
     HEADER_LEN + CELL_SIZE + (MAX_CELLS - 1) * CELL_RECORD_LEN;
 
 /// A decoded datagram, borrowing its payload from the receive buffer.

@@ -113,12 +113,6 @@ impl PhyStats {
         self.faults_duplicated += other.faults_duplicated;
         self.faults_truncated += other.faults_truncated;
     }
-
-    /// True when the injected-fault counters show all three transport
-    /// fault classes actually fired (the phy-soak hollow-coverage gate).
-    pub fn faults_exercised(&self) -> bool {
-        self.faults_dropped > 0 && self.faults_duplicated > 0 && self.faults_truncated > 0
-    }
 }
 
 /// One endpoint of the gateway's ATM cell port (the AIC seam).

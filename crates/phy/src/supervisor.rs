@@ -73,7 +73,7 @@ impl TransportSupervisor {
     }
 
     /// True while the transport is believed healthy.
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.state == LinkState::Up
     }
 
@@ -94,7 +94,7 @@ impl TransportSupervisor {
 
     /// Fire due retries. On `Retry`, the caller attempts
     /// `reconnect()+pump()`; success is reported via
-    /// [`TransportSupervisor::recovered`], failure needs nothing — the
+    /// `TransportSupervisor::recovered`, failure needs nothing — the
     /// next attempt is already scheduled (exponent capped at
     /// `retry_budget + 1`, so the cadence settles at `backoff_max`).
     pub fn poll(&mut self, now: SimTime) -> Option<TransportEvent> {
@@ -112,7 +112,7 @@ impl TransportSupervisor {
     }
 
     /// The transport is confirmed working again.
-    pub fn recovered(&mut self) {
+    pub(crate) fn recovered(&mut self) {
         if !self.is_up() {
             self.stats.reconnects += 1;
             self.state = LinkState::Up;

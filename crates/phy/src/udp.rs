@@ -732,7 +732,6 @@ mod tests {
         }
         let s = a.stats();
         assert!(s.faults_dropped > 0 && s.faults_duplicated > 0 && s.faults_truncated > 0);
-        assert!(s.faults_exercised());
     }
 
     #[test]
@@ -761,7 +760,8 @@ mod tests {
         assert_eq!(a.in_flight(), 0, "ARQ must deliver through heavy faults");
         let want: Vec<_> = (0..sent).map(|i| (stamp(i), cell(i))).collect();
         assert_eq!(polled(&mut b), want);
-        assert!(a.stats().faults_exercised());
+        let s = a.stats();
+        assert!(s.faults_dropped > 0 && s.faults_duplicated > 0 && s.faults_truncated > 0);
         assert!(b.stats().dup_drops > 0 && b.stats().decode_drops > 0);
     }
 

@@ -127,6 +127,41 @@ fn graceful_drain_flushes_staged_tx_and_discards_partial_reassembly() {
 }
 
 #[test]
+fn config_rejects_icns_outside_or_repeated_within_an_icxt_table() {
+    // ICNs index the N = 1 024-entry ICXTs: 1 023 is the last entry.
+    assert!(ApplianceConfig::parse("congram 64 1023 1023 1 async").is_ok());
+    for (text, why) in [
+        ("congram 64 2000 2001 1 async", "atm_icn outside the 1024-entry ICXT"),
+        ("congram 64 1 1024 1 async", "fddi_icn outside the 1024-entry ICXT"),
+        ("congram 64 1 2 1 async\ncongram 80 1 6 3 sync", "atm_icn already held"),
+        ("congram 64 1 2 1 async\ncongram 80 5 2 3 sync", "fddi_icn already held"),
+    ] {
+        let err = ApplianceConfig::parse(text).expect_err(text);
+        assert!(err.contains(why), "{text:?}: {err}");
+    }
+}
+
+#[test]
+fn reload_skips_a_congram_whose_icn_a_live_congram_holds() {
+    let (cell_gw, _cell_line) = loopback_cell_pair();
+    let (frame_gw, _frame_line) = loopback_frame_pair();
+    let mut app = Appliance::new(
+        GatewayConfig::default(),
+        100_000_000,
+        Box::new(cell_gw),
+        Box::new(frame_gw),
+    );
+    assert_eq!(app.apply_config(&ApplianceConfig::parse("congram 64 1 2 1 async").unwrap()), 1);
+    // A new VCI on the live congram's ATM ICN, then on its FDDI ICN:
+    // installing either would overwrite that congram's ICXT entry.
+    for text in ["congram 80 1 6 3 sync", "congram 81 7 2 3 sync"] {
+        assert_eq!(app.apply_config(&ApplianceConfig::parse(text).unwrap()), 0, "{text}");
+    }
+    assert_eq!(app.congrams().len(), 1);
+    assert_eq!(app.apply_config(&ApplianceConfig::parse("congram 80 5 6 3 sync").unwrap()), 1);
+}
+
+#[test]
 fn live_reload_adds_congrams_without_disturbing_in_flight_frames() {
     let (cell_gw, mut cell_line) = loopback_cell_pair();
     let (frame_gw, mut frame_line) = loopback_frame_pair();

@@ -243,7 +243,7 @@ pub struct Scene {
 pub const DEFAULT_STATIONS: u32 = 4;
 /// Default reassembly timeout (µs) when `reassembly_timeout_us` is
 /// absent — the gateway's NPE-programmed default (§5.3).
-pub const DEFAULT_REASSEMBLY_TIMEOUT_US: u64 = 10_000;
+const DEFAULT_REASSEMBLY_TIMEOUT_US: u64 = 10_000;
 /// Default seed when `seed` is absent.
 pub const DEFAULT_SEED: u64 = 1;
 

@@ -66,6 +66,13 @@ pub use diag::{Diag, Severity};
 pub use format::format_scene;
 pub use parse::parse;
 
+/// Most congrams one scene may declare (`E010` past it). Congram `i`
+/// gets FDDI ICN `2 + 2i` from [`wire_ids`], and every ICN must index
+/// the gateway's N = 1 024-entry ICXT (§6.1), so `i` stops at 510. This
+/// crate is a leaf, so the bound is stated here; a root-crate test
+/// holds it to `gw_gateway::config::MAX_CONGRAMS`.
+pub const MAX_SCENE_CONGRAMS: usize = 511;
+
 /// Deterministic wire identifiers for congram `index` (declaration
 /// order): `(vci, atm_icn, fddi_icn)`. Every consumer uses this same
 /// assignment — VCI `64+i`, ICNs `1+2i` / `2+2i` — so one `.scene`

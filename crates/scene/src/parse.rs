@@ -33,9 +33,10 @@
 //! ```
 //!
 //! A scene is hostile input to every runner, so what parses must be
-//! safe to run: every `*_us` value is at most [`MAX_TIME_US`], the
-//! schedule expands to at most [`MAX_SCENE_FRAMES`] frames, and every
-//! congram's station is on the declared ring — `E010` otherwise.
+//! safe to run: every `*_us` value is at most `MAX_TIME_US`, the
+//! schedule expands to at most `MAX_SCENE_FRAMES` frames, every
+//! congram's station is on the declared ring, and there are at most
+//! [`crate::MAX_SCENE_CONGRAMS`] congrams — `E010` otherwise.
 
 use crate::ast::*;
 use crate::diag::{self, Diag, Severity};
@@ -43,7 +44,7 @@ use crate::diag::{self, Diag, Severity};
 /// Largest MCHIP payload a send may carry: the 91-cell reassembly
 /// buffer holds 37 + 90×45 payload octets minus the 8-octet MCHIP
 /// header.
-pub const MAX_SEND_OCTETS: u32 = 4000;
+const MAX_SEND_OCTETS: u32 = 4000;
 
 /// Largest FDDI ring the co-simulation topology supports.
 pub const MAX_STATIONS: u32 = 32;
@@ -52,12 +53,12 @@ pub const MAX_STATIONS: u32 = 32;
 /// simulated hour, in microseconds. Consumers turn every `*_us` value
 /// into nanoseconds and add drain time on top; under this horizon that
 /// arithmetic cannot overflow `u64`.
-pub const MAX_TIME_US: u64 = 3_600_000_000;
+const MAX_TIME_US: u64 = 3_600_000_000;
 
 /// Most frames one scene's schedule may expand to (`send`s plus every
 /// `burst` train), so a one-line burst cannot make
 /// [`Scene::schedule`] allocate without bound.
-pub const MAX_SCENE_FRAMES: u64 = 1 << 20;
+const MAX_SCENE_FRAMES: u64 = 1 << 20;
 
 /// One source token with its byte-exact anchor.
 #[derive(Debug, Clone, Copy)]
@@ -552,6 +553,17 @@ fn parse_congram(p: &mut Parser, c: &mut Cursor<'_>) {
             diag::E_DUPLICATE_CONGRAM,
             name,
             format!("congram `{}` is already declared", name.text),
+        );
+        return;
+    }
+    if p.scene.congrams.len() == crate::MAX_SCENE_CONGRAMS {
+        c.err_at(
+            diag::E_OUT_OF_RANGE,
+            name,
+            format!(
+                "a scene declares at most {} congrams (their ICNs must fit the gateway's ICXT)",
+                crate::MAX_SCENE_CONGRAMS
+            ),
         );
         return;
     }

@@ -6,7 +6,7 @@
 //! diagnostic one byte off fails here.
 
 use gw_scene::diag::{self, ERROR_CODES, WARNING_CODES};
-use gw_scene::{parse, Severity};
+use gw_scene::{parse, Severity, MAX_SCENE_CONGRAMS};
 
 /// Parse `src` and assert exactly one diagnostic `{code}` anchored at
 /// the first occurrence of `at` (a unique needle in the source).
@@ -192,6 +192,17 @@ fn e010_scenes_that_would_panic_a_runner() {
     }
     let fits = format!("scene t\nstations 10\ncongram far station 9 class async\n{tail}");
     assert!(parse(&fits).1.is_empty(), "{:?}", parse(&fits).1);
+
+    // One congram more than the ICXT has ICNs for; anchored on its name.
+    let mut src = String::from("scene t\n");
+    for i in 0..MAX_SCENE_CONGRAMS {
+        src += &format!("congram c{i} station 1 class async\n");
+        src += &format!("send at_us 0 vc c{i} dir atm len 64 fill 1\n");
+    }
+    src += "expect conservation\n";
+    assert!(parse(&src).1.is_empty(), "{:?}", parse(&src).1);
+    src += "congram overflow station 1 class async\n";
+    one_diag(&src, diag::E_OUT_OF_RANGE, "overflow");
 }
 
 #[test]

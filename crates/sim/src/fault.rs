@@ -173,12 +173,6 @@ impl FaultConfigBuilder {
         self
     }
 
-    /// Maximum uniform extra delay.
-    pub fn max_extra_delay(mut self, d: SimTime) -> Self {
-        self.config.max_extra_delay = d;
-        self
-    }
-
     /// Per-unit duplication probability.
     pub fn duplication(mut self, p: f64) -> Self {
         self.config.duplicate_probability = p;
@@ -371,35 +365,10 @@ impl FaultInjector {
         self.drops
     }
 
-    /// Units dropped by the burst (Gilbert–Elliott) channel so far.
-    pub fn burst_drops(&self) -> u64 {
-        self.burst_drops
-    }
-
-    /// Units dropped by the link flap so far.
-    pub fn flap_drops(&self) -> u64 {
-        self.flap_drops
-    }
-
-    /// Units corrupted so far.
-    pub fn corruptions(&self) -> u64 {
-        self.corruptions
-    }
-
     /// Extra copies produced by duplication so far (a burst of `c`
     /// copies counts `c − 1`).
     pub fn duplicates(&self) -> u64 {
         self.duplicates
-    }
-
-    /// Units marked for out-of-order delivery so far.
-    pub fn reorders(&self) -> u64 {
-        self.reorders
-    }
-
-    /// Units marked for misinsertion onto a foreign connection so far.
-    pub fn misinserts(&self) -> u64 {
-        self.misinserts
     }
 
     /// Units passed unmodified (and unduplicated) so far.
@@ -476,13 +445,15 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = || {
-            let config = FaultConfig::builder()
-                .drops(0.2)
-                .corruption(0.2)
-                .max_extra_delay(SimTime::from_ns(100))
-                .duplication(0.1)
-                .burst(GilbertElliott::bursty(0.05, 0.3))
-                .build();
+            let config = FaultConfig {
+                max_extra_delay: SimTime::from_ns(100),
+                ..FaultConfig::builder()
+                    .drops(0.2)
+                    .corruption(0.2)
+                    .duplication(0.1)
+                    .burst(GilbertElliott::bursty(0.05, 0.3))
+                    .build()
+            };
             let mut inj = FaultInjector::new(config, SimRng::new(77));
             let mut outcomes = Vec::new();
             for i in 0..500u32 {
@@ -519,7 +490,7 @@ mod tests {
                 assert!(matches!(outcome, FaultOutcome::Delivered { .. }));
             }
         }
-        assert_eq!(inj.flap_drops(), 10);
+        assert_eq!(inj.flap_drops, 10);
         assert_eq!(inj.drops(), 0, "flap drops are counted separately");
     }
 
@@ -546,7 +517,7 @@ mod tests {
                 }
             }
         }
-        let rate = inj.burst_drops() as f64 / n as f64;
+        let rate = inj.burst_drops as f64 / n as f64;
         assert!((rate - 0.167).abs() < 0.05, "overall loss near p_gb/(p_gb+p_bg): {rate}");
         // ≈ p_gb · P(sojourn ≥ 4) · n ≈ 0.05·0.42·83k ≈ 1.7k runs.
         assert!(long_runs > 500, "bursts of ≥4 consecutive losses: {long_runs}");
@@ -597,7 +568,7 @@ mod tests {
             }
             assert_eq!(unit, [3u8; 53], "reordering never mutates the unit");
         }
-        assert_eq!(u64::from(reordered), inj.reorders());
+        assert_eq!(u64::from(reordered), inj.reorders);
         assert!((400..600).contains(&reordered), "rate near 0.5: {reordered}");
     }
 
@@ -611,7 +582,7 @@ mod tests {
             FaultOutcome::Misinserted { extra_delay: SimTime::ZERO }
         );
         assert_eq!(unit, [9u8; 53], "the readdress is the caller's job");
-        assert_eq!(inj.misinserts(), 1);
+        assert_eq!(inj.misinserts, 1);
     }
 
     #[test]
@@ -637,24 +608,26 @@ mod tests {
     #[test]
     fn deterministic_with_extended_faults() {
         let run = || {
-            let config = FaultConfig::builder()
-                .drops(0.1)
-                .corruption(0.1)
-                .max_extra_delay(SimTime::from_ns(100))
-                .duplication(0.1)
-                .duplication_burst(4)
-                .reordering(0.1)
-                .misinsertion(0.05)
-                .delay_skew(SimTime::from_us(10), SimTime::from_ns(400))
-                .burst(GilbertElliott::bursty(0.05, 0.3))
-                .build();
+            let config = FaultConfig {
+                max_extra_delay: SimTime::from_ns(100),
+                ..FaultConfig::builder()
+                    .drops(0.1)
+                    .corruption(0.1)
+                    .duplication(0.1)
+                    .duplication_burst(4)
+                    .reordering(0.1)
+                    .misinsertion(0.05)
+                    .delay_skew(SimTime::from_us(10), SimTime::from_ns(400))
+                    .burst(GilbertElliott::bursty(0.05, 0.3))
+                    .build()
+            };
             let mut inj = FaultInjector::new(config, SimRng::new(99));
             let mut outcomes = Vec::new();
             for i in 0..500u32 {
                 let mut unit = i.to_le_bytes();
                 outcomes.push((inj.apply(SimTime::from_us(i as u64), &mut unit), unit));
             }
-            (outcomes, inj.reorders(), inj.misinserts(), inj.duplicates())
+            (outcomes, inj.reorders, inj.misinserts, inj.duplicates())
         };
         assert_eq!(run(), run());
     }
@@ -664,7 +637,6 @@ mod tests {
         let cfg = FaultConfig::builder()
             .drops(0.1)
             .corruption(0.2)
-            .max_extra_delay(SimTime::from_us(3))
             .duplication(0.3)
             .duplication_burst(4)
             .reordering(0.05)
@@ -675,7 +647,6 @@ mod tests {
             .build();
         assert_eq!(cfg.drop_probability, 0.1);
         assert_eq!(cfg.corrupt_probability, 0.2);
-        assert_eq!(cfg.max_extra_delay, SimTime::from_us(3));
         assert_eq!(cfg.duplicate_probability, 0.3);
         assert_eq!(cfg.duplicate_burst_max, 4);
         assert_eq!(cfg.reorder_probability, 0.05);

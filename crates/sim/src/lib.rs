@@ -53,6 +53,6 @@ pub use fault::{FaultConfig, FaultConfigBuilder, FaultInjector, FaultOutcome, Gi
 pub use index::SlotIndex;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, TimeWeighted};
-pub use time::{SimTime, CYCLE_NS, NS_PER_SEC};
+pub use time::{SimTime, CYCLE_NS};
 pub use timer::{TimerId, TimerWheel};
 pub use trace::EventRing;

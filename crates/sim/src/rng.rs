@@ -4,7 +4,7 @@
 //! entirely reproducible: a simulation's behaviour is a pure function of
 //! its seed. The distributions implemented are exactly those the
 //! traffic models need (uniform, exponential for Poisson processes,
-//! geometric on/off periods, Pareto for heavy-tailed bursts).
+//! geometric on/off periods).
 
 /// A deterministic PRNG (xoshiro256++).
 #[derive(Debug, Clone)]
@@ -85,7 +85,7 @@ impl SimRng {
 
     /// Exponential variate with the given mean (inter-arrival times of a
     /// Poisson process).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
+    pub(crate) fn exponential(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0);
         let u = loop {
             let u = self.uniform();
@@ -94,19 +94,6 @@ impl SimRng {
             }
         };
         -mean * u.ln()
-    }
-
-    /// Pareto variate with scale `xm` and shape `alpha` (heavy-tailed
-    /// burst lengths).
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        debug_assert!(xm > 0.0 && alpha > 0.0);
-        let u = loop {
-            let u = self.uniform();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        xm / u.powf(1.0 / alpha)
     }
 
     /// Fill a byte buffer with pseudo-random data (payload synthesis).
@@ -221,14 +208,6 @@ mod tests {
         let mut r = SimRng::new(14);
         for _ in 0..10_000 {
             assert!(r.exponential(1.0) > 0.0);
-        }
-    }
-
-    #[test]
-    fn pareto_at_least_scale() {
-        let mut r = SimRng::new(15);
-        for _ in 0..10_000 {
-            assert!(r.pareto(3.0, 1.5) >= 3.0);
         }
     }
 

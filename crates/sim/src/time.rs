@@ -13,7 +13,7 @@ use core::ops::{Add, AddAssign, Sub};
 /// Nanoseconds per gateway clock cycle (25 MHz, §5.5).
 pub const CYCLE_NS: u64 = 40;
 /// Nanoseconds per second.
-pub const NS_PER_SEC: u64 = 1_000_000_000;
+const NS_PER_SEC: u64 = 1_000_000_000;
 
 /// A point in simulated time, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -51,11 +51,6 @@ impl SimTime {
     /// Nanoseconds since simulation start.
     pub const fn as_ns(self) -> u64 {
         self.0
-    }
-
-    /// Whole gateway clock cycles elapsed.
-    pub const fn as_cycles(self) -> u64 {
-        self.0 / CYCLE_NS
     }
 
     /// Seconds as a float (for reporting only).
@@ -153,12 +148,6 @@ mod tests {
         assert_eq!(SimTime::from_ns(1).ceil_to_cycle().as_ns(), 40);
         assert_eq!(SimTime::from_ns(40).ceil_to_cycle().as_ns(), 40);
         assert_eq!(SimTime::from_ns(41).ceil_to_cycle().as_ns(), 80);
-    }
-
-    #[test]
-    fn as_cycles_floors() {
-        assert_eq!(SimTime::from_ns(79).as_cycles(), 1);
-        assert_eq!(SimTime::from_ns(80).as_cycles(), 2);
     }
 
     #[test]

@@ -1,55 +1,37 @@
-//! A bounded, optional event ring.
+//! A bounded event ring.
 //!
 //! Component models record interesting moments (cell discarded, timer
-//! expired, token captured…) into an [`EventRing`]: cheap when enabled,
-//! free when disabled, and never growing without bound. The management
-//! plane's causal trace is one, over structured (non-`String`) events.
+//! expired, token captured…) into an [`EventRing`]: cheap, and never
+//! growing without bound. The management plane's causal trace is one,
+//! over structured (non-`String`) events.
 
 /// A bounded ring of typed events: retains the most recent `capacity`
-/// entries, counts evictions exactly, and records nothing when disabled.
+/// entries and counts evictions exactly.
 ///
 /// Storage is reserved up front, so a ring at steady state (full and
 /// evicting) performs no allocation per event — a requirement for
 /// tracing on a critical path.
 #[derive(Debug, Clone)]
 pub struct EventRing<E> {
-    enabled: bool,
     capacity: usize,
     events: std::collections::VecDeque<E>,
     dropped: u64,
 }
 
 impl<E> EventRing<E> {
-    /// A disabled ring (records nothing, holds nothing).
-    pub fn disabled() -> EventRing<E> {
-        EventRing { enabled: false, capacity: 0, events: Default::default(), dropped: 0 }
-    }
-
-    /// An enabled ring retaining the most recent `capacity` events.
+    /// A ring retaining the most recent `capacity` events (at least
+    /// one).
     pub fn bounded(capacity: usize) -> EventRing<E> {
         EventRing {
-            enabled: true,
             capacity,
             events: std::collections::VecDeque::with_capacity(capacity),
             dropped: 0,
         }
     }
 
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record an event (no-op when disabled). When the ring is full the
-    /// oldest event is evicted and counted in [`EventRing::dropped`].
+    /// Record an event. When the ring is full the oldest event is
+    /// evicted and counted in [`EventRing::dropped`].
     pub fn push(&mut self, event: E) {
-        if !self.enabled {
-            return;
-        }
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -86,14 +68,6 @@ impl<E> EventRing<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_records_nothing() {
-        let mut t: EventRing<&str> = EventRing::disabled();
-        t.push("cell");
-        assert!(t.is_empty());
-        assert!(!t.is_enabled());
-    }
 
     #[test]
     fn bounded_keeps_most_recent() {
@@ -142,7 +116,6 @@ mod tests {
     #[test]
     fn event_ring_matches_trace_semantics() {
         let mut r: EventRing<u64> = EventRing::bounded(4);
-        assert!(r.is_enabled());
         assert!(r.is_empty());
         for i in 0..10u64 {
             r.push(i);
@@ -151,20 +124,5 @@ mod tests {
         assert_eq!(r.capacity(), 4);
         assert_eq!(r.dropped(), 6);
         assert_eq!(r.events().copied().collect::<Vec<_>>(), [6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn event_ring_disabled_and_zero_capacity() {
-        let mut d: EventRing<u8> = EventRing::disabled();
-        d.push(1);
-        assert!(d.is_empty());
-        assert_eq!(d.dropped(), 0);
-        // A zero-capacity enabled ring retains nothing but counts every
-        // event as dropped (it was offered and evicted immediately).
-        let mut z: EventRing<u8> = EventRing::bounded(0);
-        z.push(1);
-        z.push(2);
-        assert!(z.is_empty());
-        assert_eq!(z.dropped(), 2);
     }
 }

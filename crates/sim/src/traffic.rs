@@ -260,12 +260,6 @@ impl ImagingSource {
             left_in_image: 0,
         }
     }
-
-    /// A 1-megaoctet medical/scientific image every 2 seconds, in
-    /// 4-KiB frames back to back at ~80 Mb/s.
-    pub fn standard(start: SimTime) -> ImagingSource {
-        ImagingSource::new(start, 1_000_000, 4096, SimTime::from_secs(2), SimTime::from_us(400))
-    }
 }
 
 impl Source for ImagingSource {

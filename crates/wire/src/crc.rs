@@ -32,13 +32,13 @@ mod clmul;
 use crate::atm::PAYLOAD_SIZE;
 
 /// Generator polynomial for the ATM HEC, `x^8 + x^2 + x + 1`.
-pub const HEC_POLY: u8 = 0x07;
+const HEC_POLY: u8 = 0x07;
 /// Coset added to the HEC remainder, per ITU-T I.432.
-pub const HEC_COSET: u8 = 0x55;
+const HEC_COSET: u8 = 0x55;
 /// Generator polynomial for the SAR CRC-10, `x^10 + x^9 + x^5 + x^4 + x + 1`.
-pub const CRC10_POLY: u16 = 0x233;
+pub(crate) const CRC10_POLY: u16 = 0x233;
 /// Generator polynomial for the FDDI FCS (IEEE 802), non-reflected form.
-pub const CRC32_POLY: u32 = 0x04C1_1DB7;
+pub(crate) const CRC32_POLY: u32 = 0x04C1_1DB7;
 
 const fn build_hec_table() -> [u8; 256] {
     let mut table = [0u8; 256];

@@ -35,15 +35,12 @@ pub const MIN_FRAME_SIZE: usize = 64;
 /// Octets of fixed fields: FC + DA + SA + FCS.
 pub const FIXED_FIELDS: usize = 1 + 6 + 6 + 4;
 /// Maximum INFO field length.
-pub const MAX_INFO: usize = MAX_FRAME_SIZE - FIXED_FIELDS;
+const MAX_INFO: usize = MAX_FRAME_SIZE - FIXED_FIELDS;
 /// The LLC/SNAP encapsulation header the gateway prepends to MCHIP
 /// frames: `AA AA 03` (SNAP) + zero OUI + a 2-octet protocol id.
 pub const LLC_SNAP_SIZE: usize = 8;
 /// Protocol identifier used for MCHIP inside SNAP (locally assigned).
-pub const MCHIP_PROTO_ID: u16 = 0x88F1;
-/// Per RFC 1103 (paper §5.3, \[8\]), internet traffic on FDDI limits the
-/// data segment of the INFO field to 4096 octets.
-pub const MAX_INTERNET_DATA: usize = 4096;
+const MCHIP_PROTO_ID: u16 = 0x88F1;
 
 /// A 48-bit FDDI MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -131,16 +128,6 @@ impl FrameControl {
             b if b & 0xF8 == 0x50 => Ok(FrameControl::LlcAsync { priority: b & 0x07 }),
             _ => Err(Error::Malformed),
         }
-    }
-
-    /// True for LLC frames carrying upper-layer (MCHIP) data.
-    pub fn is_llc(self) -> bool {
-        matches!(self, FrameControl::LlcAsync { .. } | FrameControl::LlcSync)
-    }
-
-    /// True for synchronous-class transmission.
-    pub fn is_synchronous(self) -> bool {
-        matches!(self, FrameControl::LlcSync)
     }
 }
 
@@ -373,15 +360,6 @@ mod tests {
     fn frame_control_rejects_unknown() {
         assert_eq!(FrameControl::from_byte(0xFF), Err(Error::Malformed));
         assert_eq!(FrameControl::from_byte(0x00), Err(Error::Malformed));
-    }
-
-    #[test]
-    fn frame_control_classes() {
-        assert!(FrameControl::LlcSync.is_synchronous());
-        assert!(FrameControl::LlcSync.is_llc());
-        assert!(!FrameControl::LlcAsync { priority: 3 }.is_synchronous());
-        assert!(FrameControl::LlcAsync { priority: 3 }.is_llc());
-        assert!(!FrameControl::Smt.is_llc());
     }
 
     fn sample_repr(info_len: usize) -> FrameRepr {

@@ -26,7 +26,7 @@ use crate::{Error, Result};
 /// MCHIP header size in octets.
 pub const MCHIP_HEADER_SIZE: usize = 8;
 /// Protocol version implemented here.
-pub const MCHIP_VERSION: u8 = 1;
+const MCHIP_VERSION: u8 = 1;
 
 /// A 2-octet internet channel number: the hop-by-hop congram identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]

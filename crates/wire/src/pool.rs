@@ -68,18 +68,8 @@ impl BufPool {
         }
     }
 
-    /// Pre-populate the free list with `count` buffers so the first
-    /// `count` [`BufPool::get`] calls are allocation-free.
-    // gw-lint: setup-path — pre-populates the free list at power-up, before any cell flows
-    pub fn preload(&mut self, count: usize) {
-        let target = self.free.len().saturating_add(count).min(self.max_retained);
-        while self.free.len() < target {
-            self.free.push(Vec::with_capacity(self.default_capacity));
-        }
-    }
-
     /// An empty buffer, recycled when one is available.
-    // gw-lint: setup-path — the miss arm grows the pool toward steady state; a preloaded pool recycles and never allocates
+    // gw-lint: setup-path — the miss arm grows the pool toward steady state; a warm pool recycles and never allocates
     pub fn get(&mut self) -> Vec<u8> {
         match self.free.pop() {
             Some(buf) => {
@@ -104,11 +94,6 @@ impl BufPool {
         buf.clear();
         self.stats.returns += 1;
         self.free.push(buf);
-    }
-
-    /// Buffers currently on the free list.
-    pub fn available(&self) -> usize {
-        self.free.len()
     }
 
     /// Lifetime hit/miss counters.
@@ -141,7 +126,7 @@ mod tests {
         for _ in 0..4 {
             pool.put(Vec::with_capacity(16));
         }
-        assert_eq!(pool.available(), 2);
+        assert_eq!(pool.free.len(), 2);
         assert_eq!(pool.stats().discards, 2);
     }
 
@@ -149,18 +134,6 @@ mod tests {
     fn zero_capacity_buffers_are_not_retained() {
         let mut pool = BufPool::new(8, 16);
         pool.put(Vec::new());
-        assert_eq!(pool.available(), 0, "an unallocated Vec is useless to recycle");
-    }
-
-    #[test]
-    fn preload_primes_the_free_list() {
-        let mut pool = BufPool::new(4, 32);
-        pool.preload(10);
-        assert_eq!(pool.available(), 4, "preload respects the retention bound");
-        for _ in 0..4 {
-            assert!(pool.get().capacity() >= 32);
-        }
-        assert_eq!(pool.stats().misses, 0);
-        assert_eq!(pool.stats().hits, 4);
+        assert_eq!(pool.free.len(), 0, "an unallocated Vec is useless to recycle");
     }
 }

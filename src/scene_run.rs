@@ -2,7 +2,7 @@
 //!
 //! A `.scene` is the only description of a run, and this module is the
 //! only place that turns one into configuration or into a pass/fail:
-//! [`load`] reads the file, [`gateway_config`], [`fault_config`] and [`policer`] lower the
+//! [`load`] reads the file, [`gateway_config`], `fault_config` and [`policer`] lower the
 //! knobs, [`play_schedule`] injects the traffic, [`drain`] runs every
 //! queue and timer dry, [`judge`] rules on the `expect` directives.
 //! The testbed ([`Testbed::from_scene`]), the chaos harness (a chaos
@@ -67,7 +67,7 @@ pub fn policer(decl: &PoliceDecl) -> Gcra {
 /// Lower the scene's fault directives into the injector configuration.
 /// Only armed knobs are set, so an empty `Faults` lowers to
 /// [`FaultConfig::none`] and the run is fault-free.
-pub fn fault_config(faults: &Faults) -> FaultConfig {
+pub(crate) fn fault_config(faults: &Faults) -> FaultConfig {
     let mut b = FaultConfig::builder();
     if let Some(p) = faults.drops {
         b = b.drops(p);

@@ -61,13 +61,14 @@ use std::collections::HashMap;
 /// Co-simulation slice: the quantum of every cross-seam hand-off.
 pub const SLICE: SimTime = SimTime::from_us(10);
 /// Ring circumference, km.
-pub const RING_KM: u64 = 10;
+const RING_KM: u64 = 10;
 /// Synchronous allocation granted to the gateway's station.
-pub const GATEWAY_SYNC_ALLOC: SimTime = SimTime::from_us(500);
+const GATEWAY_SYNC_ALLOC: SimTime = SimTime::from_us(500);
 
 /// The ring of `stations` stations as [`Testbed::build`] configures it:
-/// [`RING_KM`] of fibre, the gateway at station 0 with
-/// [`GATEWAY_SYNC_ALLOC`] and a deep asynchronous queue.
+/// 10 km of fibre (`RING_KM`), the gateway at station 0 with 500 µs of
+/// synchronous allocation (`GATEWAY_SYNC_ALLOC`) and a deep asynchronous
+/// queue.
 pub fn ring_config(stations: usize) -> RingConfig {
     let mut ring_cfg = RingConfig::uniform(stations, RING_KM);
     ring_cfg.stations[0].sync_alloc = GATEWAY_SYNC_ALLOC;
@@ -387,7 +388,7 @@ impl Testbed {
     /// marking every cell CLP (discard-eligible — the first traffic the
     /// gateway sheds under overload, and what a `Tag`-action policer
     /// produces upstream).
-    pub fn send_from_atm_host_clp_at(
+    pub(crate) fn send_from_atm_host_clp_at(
         &mut self,
         at: SimTime,
         congram: CongramHandle,

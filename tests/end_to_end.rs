@@ -133,3 +133,30 @@ fn identical_seeds_identical_worlds() {
     };
     assert_eq!(run(9), run(9));
 }
+
+/// Scenes are outside input: a scene with one congram more than the
+/// ICXT has ICNs for is refused at parse (`E010`), and the largest
+/// legal one builds a testbed whose every ICN fits the table.
+#[test]
+fn scene_congram_bound_is_the_icxt_bound() {
+    use atm_fddi_gateway::gateway::config::MAX_CONGRAMS;
+    use atm_fddi_gateway::phy::PhyMode;
+    use atm_fddi_gateway::scene::{parse, wire_ids, MAX_SCENE_CONGRAMS};
+    let (_, _, last_fddi_icn) = wire_ids(MAX_SCENE_CONGRAMS - 1);
+    assert!(usize::from(last_fddi_icn) < MAX_CONGRAMS);
+    assert!(usize::from(wire_ids(MAX_SCENE_CONGRAMS).2) >= MAX_CONGRAMS, "the bound is tight");
+
+    let mut src = String::from("scene full\n");
+    for i in 0..MAX_SCENE_CONGRAMS {
+        src += &format!("congram c{i} station 1 class async\n");
+    }
+    let (scene, _) = parse(&src);
+    let (_, handles) = Testbed::from_scene(&scene.expect("511 congrams parse"), PhyMode::Loopback);
+    assert_eq!(handles.len(), MAX_SCENE_CONGRAMS);
+    assert!(handles.iter().all(|h| usize::from(h.fddi_icn.0.max(h.atm_icn.0)) < MAX_CONGRAMS));
+
+    src += "congram overflow station 1 class async\n";
+    let (scene, diags) = parse(&src);
+    assert!(scene.is_none());
+    assert!(diags.iter().any(|d| d.code == "E010"), "{diags:?}");
+}

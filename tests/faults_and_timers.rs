@@ -201,9 +201,10 @@ fn link_flap_quarantines_and_reestablishes_congram() {
     tb.run_until(SimTime::from_ms(40));
     let gs = tb.gw.stats();
     assert!(gs.vcs_quarantined >= 1, "idle VC must be quarantined during the flap: {gs:?}");
-    assert!(gs.setup_retries >= 1, "the request lost to the flap must be retried: {gs:?}");
-    assert_eq!(gs.setups_failed, 0, "recovery must fit the retry budget: {gs:?}");
-    assert!(gs.reestablishments >= 1, "the congram must come back on a fresh VC: {gs:?}");
+    let ns = tb.gw.npe().stats();
+    assert!(ns.setup_retries >= 1, "the request lost to the flap must be retried: {ns:?}");
+    assert_eq!(ns.setups_failed, 0, "recovery must fit the retry budget: {ns:?}");
+    assert!(ns.reestablishments >= 1, "the congram must come back on a fresh VC: {ns:?}");
 
     // Post-flap traffic flows again on the re-established congram: the
     // application-visible gap is bounded by the flap plus the recovery.
