@@ -14,9 +14,12 @@
 use crate::report::Table;
 use gw_atm::network::{AtmNetwork, EndpointEvent, EndpointId, LinkParams, SwitchId};
 use gw_atm::signaling::{ConnState, SignalIndication, TrafficContract};
-use gw_mchip::congram::{CongramKind, CongramManager, CongramState, FlowSpec};
+use gw_mchip::congram::{
+    CongramId, CongramKind, CongramManager, CongramState, FlowSpec, Requester,
+};
 use gw_sim::time::SimTime;
 use gw_wire::atm::Vci;
+use gw_wire::fddi::FddiAddr;
 
 struct Net {
     net: AtmNetwork,
@@ -58,12 +61,21 @@ fn establish(n: &mut Net) -> Vci {
 /// delivered, outage gap in ms).
 fn scenario(detection: SimTime) -> (usize, usize, f64) {
     let mut n = triangle();
-    let mut mchip = CongramManager::new();
+    let mut mchip = CongramManager::default();
+    // The entity behind e0 set the congram up, so it owns the VC.
+    let station = FddiAddr::station(1);
     let congram = mchip
-        .begin_setup(CongramKind::UCon, FlowSpec::cbr(5_000_000), false, SimTime::ZERO)
+        .begin_setup(
+            CongramKind::UCon,
+            FlowSpec::cbr(5_000_000),
+            Requester::Fddi(station),
+            CongramId(1),
+            station,
+            SimTime::ZERO,
+        )
         .unwrap();
     let mut vci = establish(&mut n);
-    mchip.confirm(congram).unwrap();
+    mchip.confirm(congram, vci).unwrap();
 
     // CBR frames every 1 ms (one cell each for simplicity).
     let horizon = SimTime::from_ms(400);
@@ -103,10 +115,7 @@ fn scenario(detection: SimTime) -> (usize, usize, f64) {
             {
                 if reconf_pending == Some(conn) {
                     vci = tx_vci;
-                    let (_, _new_icn) = {
-                        let (ev2, icn) = mchip.complete_reconfigure(congram).unwrap();
-                        (ev2, icn)
-                    };
+                    mchip.complete_reconfigure(congram, vci).unwrap();
                     reconfigured_at = Some(time);
                     reconf_pending = None;
                 }

@@ -712,6 +712,14 @@ impl Gateway {
         CellId(self.cell_seq)
     }
 
+    /// The AIC repaired a cell's header (its copy differs from the
+    /// caller's).
+    fn note_hec_corrected(&mut self) {
+        if let Some(m) = &mut self.mgmt {
+            m.registry.inc(m.handles.aic_hec_corrections);
+        }
+    }
+
     /// A cell died before reassembly (HEC, policing, CRC-10).
     fn note_cell_drop(&mut self, at: SimTime, cell: CellId, vci: Vci, reason: CellDropReason) {
         if let Some(m) = &mut self.mgmt {
@@ -1122,6 +1130,9 @@ impl Gateway {
             self.note_cell_drop(now, cell_id, Vci(0), CellDropReason::HecError);
             return;
         };
+        if cell[..HEADER_SIZE] != input[..HEADER_SIZE] {
+            self.note_hec_corrected();
+        }
         // Read the VCI after the AIC so a corrected header binds the
         // cell to the right connection.
         let [b0, b1, b2, b3, ..] = cell;
@@ -1571,7 +1582,7 @@ impl Gateway {
 
     /// Mirror the NPE's re-establishment count into the management
     /// registry (`vcs_quarantined` is counted by the gateway itself —
-    /// directly installed congrams have no NPE binding).
+    /// directly installed congrams have no NPE record).
     pub(crate) fn sync_npe_stats(&mut self) {
         let reestablishments = self.npe.stats().reestablishments;
         if let Some(m) = &mut self.mgmt {
@@ -2037,6 +2048,13 @@ mod tests {
             let snapshot = gw.snapshot(end);
             let corrections = snapshot.get_path(&["components", "aic", "hec_corrections"]);
             let corrections = corrections.and_then(gw_sim::json::Json::as_u64);
+            let counted =
+                snapshot.get_path(&["metrics", "counters", "gw.aic.hec_corrections", "count"]);
+            assert_eq!(
+                counted.and_then(gw_sim::json::Json::as_u64),
+                corrections,
+                "registry agrees"
+            );
             (gw, frames, corrections)
         };
         let (_, want, _) = run(false, &clean);

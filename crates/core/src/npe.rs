@@ -27,7 +27,9 @@
 use crate::mpp::{self, FixedHeader, IcxtAEntry, IcxtFEntry, MppInitOp};
 use crate::spp;
 use crate::supervisor::{ConnectionSupervisor, FailVerdict, SupervisorConfig, SupervisorEvent};
-use gw_mchip::congram::{CongramId, CongramManager, FlowSpec};
+use gw_mchip::congram::{
+    CongramEvent, CongramId, CongramManager, CongramRecord, CongramState, FlowSpec, Requester,
+};
 use gw_mchip::messages::ControlPayload;
 use gw_mchip::resman::{AdmitDecision, ResourceManager};
 use gw_sim::time::SimTime;
@@ -151,26 +153,11 @@ pub struct NpeStats {
 pub mod reject_codes {
     /// Destination not in the host table.
     pub(crate) const UNKNOWN_DEST: u16 = 1;
-    /// Resource manager refused admission.
+    /// Resource manager refused admission, or the congram could not be
+    /// recorded (no free ICN, or the requester's id is already live).
     pub(crate) const ADMISSION: u16 = 2;
     /// ATM signaling failed.
     pub(crate) const ATM_SIGNALING: u16 = 3;
-}
-
-#[derive(Debug, Clone)]
-struct CongramBinding {
-    in_icn: Icn,
-    out_icn: Icn,
-    atm_vci: Vci,
-    fddi_dst: FddiAddr,
-    flow: FlowSpec,
-    requester: Requester,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Requester {
-    Atm(Vci),
-    Fddi(FddiAddr),
 }
 
 /// The NPE.
@@ -179,12 +166,39 @@ pub struct Npe {
     congrams: CongramManager,
     resman: ResourceManager,
     host_table: HashMap<[u8; 8], FddiAddr>,
-    bindings: HashMap<CongramId, CongramBinding>,
-    by_peer_id: HashMap<u32, CongramId>,
     latency: SimTime,
     gateway_fddi_addr: FddiAddr,
     stats: NpeStats,
     supervisor: ConnectionSupervisor,
+}
+
+/// A control frame toward `to`.
+fn send(at: SimTime, to: Requester, frame: Vec<u8>) -> NpeAction {
+    match to {
+        Requester::Atm(vci) => NpeAction::SendControlToAtm { at, vci, frame },
+        Requester::Fddi(dst) => NpeAction::SendControlToFddi { at, dst, frame },
+    }
+}
+
+/// Clear the congram's two ICXT entries.
+fn clear(at: SimTime, r: &CongramRecord) -> NpeAction {
+    NpeAction::ProgramMpp {
+        at,
+        payload: mpp::encode_mpp_init(&[MppInitOp::Clear {
+            f_icn: Some(r.atm_icn),
+            a_icn: Some(r.fddi_icn),
+        }]),
+    }
+}
+
+/// Ask for an ATM VC for congram `id`.
+fn request_vc(at: SimTime, id: CongramId, flow: FlowSpec) -> NpeAction {
+    NpeAction::RequestAtmConnection {
+        at,
+        congram: id,
+        peak_bps: flow.peak_bps,
+        mean_bps: flow.mean_bps,
+    }
 }
 
 impl Npe {
@@ -192,11 +206,9 @@ impl Npe {
     /// given per-message software latency.
     pub fn new(gateway_fddi_addr: FddiAddr, fddi_capacity_bps: u64, latency: SimTime) -> Npe {
         Npe {
-            congrams: CongramManager::new(),
+            congrams: CongramManager::default(),
             resman: ResourceManager::new(fddi_capacity_bps),
             host_table: HashMap::new(),
-            bindings: HashMap::new(),
-            by_peer_id: HashMap::new(),
             latency,
             gateway_fddi_addr,
             stats: NpeStats::default(),
@@ -245,149 +257,59 @@ impl Npe {
     /// Process one input; returns the actions, all stamped at
     /// `now + latency`.
     pub fn handle(&mut self, now: SimTime, input: NpeInput) -> Vec<NpeAction> {
-        let at = now + self.latency;
-        match input {
+        let (frame, from) = match input {
             NpeInput::Smt => {
                 self.stats.smt_frames += 1;
-                Vec::new()
+                return Vec::new();
             }
-            NpeInput::ControlFromAtm { frame, arrival_vci } => {
-                self.stats.control_frames += 1;
-                let Ok((header, payload)) = gw_wire::mchip::parse_frame(&frame) else {
-                    return Vec::new();
-                };
-                let Ok(ctrl) = ControlPayload::decode(header.mtype, payload) else {
-                    return Vec::new();
-                };
-                self.handle_from_atm(at, now, arrival_vci, ctrl)
-            }
-            NpeInput::ControlFromFddi { frame, src } => {
-                self.stats.control_frames += 1;
-                let Ok((header, payload)) = gw_wire::mchip::parse_frame(&frame) else {
-                    return Vec::new();
-                };
-                let Ok(ctrl) = ControlPayload::decode(header.mtype, payload) else {
-                    return Vec::new();
-                };
-                self.handle_from_fddi(at, now, src, ctrl)
-            }
-        }
-    }
-
-    fn handle_from_atm(
-        &mut self,
-        at: SimTime,
-        now: SimTime,
-        arrival_vci: Vci,
-        ctrl: ControlPayload,
-    ) -> Vec<NpeAction> {
+            NpeInput::ControlFromAtm { frame, arrival_vci } => (frame, Requester::Atm(arrival_vci)),
+            NpeInput::ControlFromFddi { frame, src } => (frame, Requester::Fddi(src)),
+        };
+        self.stats.control_frames += 1;
+        let Ok((header, payload)) = gw_wire::mchip::parse_frame(&frame) else {
+            return Vec::new();
+        };
+        let Ok(ctrl) = ControlPayload::decode(header.mtype, payload) else {
+            return Vec::new();
+        };
+        let at = now + self.latency;
         match ctrl {
-            ControlPayload::SetupRequest { congram, kind, flow, dest } => {
-                // Destination must be a known FDDI host.
-                let Some(&fddi_dst) = self.host_table.get(&dest) else {
-                    self.stats.setups_rejected += 1;
-                    return vec![NpeAction::SendControlToAtm {
-                        at,
-                        vci: arrival_vci,
-                        frame: ControlPayload::SetupReject {
-                            congram,
-                            reason: reject_codes::UNKNOWN_DEST,
-                        }
-                        .to_frame(Icn(0)),
-                    }];
-                };
-                // Admission on the FDDI ring (designated resource
-                // manager, §2.3).
-                let local = match self.congrams.begin_setup(kind, flow, fddi_dst.is_group(), now) {
-                    Ok(id) => id,
-                    Err(_) => {
-                        self.stats.setups_rejected += 1;
-                        return vec![NpeAction::SendControlToAtm {
-                            at,
-                            vci: arrival_vci,
-                            frame: ControlPayload::SetupReject {
-                                congram,
-                                reason: reject_codes::ADMISSION,
-                            }
-                            .to_frame(Icn(0)),
-                        }];
+            ControlPayload::SetupRequest { congram, kind, flow, dest } => match from {
+                // The congram enters the ring, and the NPE is the ring's
+                // designated resource manager (§2.3): it admits locally.
+                // The VC the request arrived on carries the data.
+                Requester::Atm(vci) => {
+                    let Some(&fddi_dst) = self.host_table.get(&dest) else {
+                        return self.reject(at, from, congram, reject_codes::UNKNOWN_DEST);
+                    };
+                    let Ok(id) =
+                        self.congrams.begin_setup(kind, flow, from, congram, fddi_dst, now)
+                    else {
+                        return self.reject(at, from, congram, reject_codes::ADMISSION);
+                    };
+                    if self.resman.admit(id, &flow) != AdmitDecision::Admitted {
+                        let _ = self.congrams.reject(id);
+                        return self.reject(at, from, congram, reject_codes::ADMISSION);
                     }
-                };
-                if self.resman.admit(local, &flow) != AdmitDecision::Admitted {
-                    let _ = self.congrams.reject(local);
-                    self.stats.setups_rejected += 1;
-                    return vec![NpeAction::SendControlToAtm {
-                        at,
-                        vci: arrival_vci,
-                        frame: ControlPayload::SetupReject {
-                            congram,
-                            reason: reject_codes::ADMISSION,
-                        }
-                        .to_frame(Icn(0)),
-                    }];
+                    let _ = self.congrams.confirm(id, vci);
+                    self.stats.setups_confirmed += 1;
+                    self.install(at, id)
                 }
-                let Some(rec) = self.congrams.get(local) else {
-                    // Internal inconsistency (record vanished between
-                    // begin_setup and here): refuse rather than panic.
-                    self.stats.setups_rejected += 1;
-                    return vec![NpeAction::SendControlToAtm {
-                        at,
-                        vci: arrival_vci,
-                        frame: ControlPayload::SetupReject {
-                            congram,
-                            reason: reject_codes::ADMISSION,
-                        }
-                        .to_frame(Icn(0)),
-                    }];
-                };
-                let (in_icn, out_icn) = (rec.in_icn, rec.out_icn);
-                let _ = self.congrams.confirm(local);
-                let binding = CongramBinding {
-                    in_icn,
-                    out_icn,
-                    atm_vci: arrival_vci,
-                    fddi_dst,
-                    flow,
-                    requester: Requester::Atm(arrival_vci),
-                };
-                self.bindings.insert(local, binding);
-                self.by_peer_id.insert(congram.0, local);
-                self.stats.setups_confirmed += 1;
-                // Program both chips, then confirm to the requester with
-                // the ICN its data frames must carry.
-                vec![
-                    NpeAction::ProgramSpp {
-                        at,
-                        payload: spp::encode_init(&[(arrival_vci, REASSEMBLY_TIMEOUT)]),
-                    },
-                    NpeAction::ProgramMpp {
-                        at,
-                        payload: mpp::encode_mpp_init(&[
-                            MppInitOp::SetF { in_icn, entry: IcxtFEntry { out_icn, fddi_dst } },
-                            // Reverse traffic: frames from FDDI carrying
-                            // the out ICN translate back and head to the
-                            // ATM side on the same (full-duplex) VC.
-                            MppInitOp::SetA {
-                                in_icn: out_icn,
-                                entry: IcxtAEntry {
-                                    out_icn: in_icn,
-                                    atm_header: AtmHeader::data(Vpi(0), arrival_vci),
-                                },
-                            },
-                        ]),
-                    },
-                    NpeAction::SendControlToAtm {
-                        at,
-                        vci: arrival_vci,
-                        frame: ControlPayload::SetupConfirm { congram, assigned_icn: in_icn }
-                            .to_frame(in_icn),
-                    },
-                ]
-            }
-            ControlPayload::Teardown { congram } => self.teardown(at, congram),
+                // The congram heads into the ATM network: the NPE must
+                // run ATM signaling first.
+                Requester::Fddi(src) => {
+                    let Ok(id) = self.congrams.begin_setup(kind, flow, from, congram, src, now)
+                    else {
+                        return self.reject(at, from, congram, reject_codes::ADMISSION);
+                    };
+                    self.supervisor.begin(now, id);
+                    vec![request_vc(at, id, flow)]
+                }
+            },
+            ControlPayload::Teardown { congram } => self.teardown(at, from, congram),
             ControlPayload::Keepalive { congram } => {
-                if let Some(&local) = self.by_peer_id.get(&congram.0) {
-                    let _ = self.congrams.keepalive(local, now);
+                if let Some(id) = self.named(from, congram) {
+                    let _ = self.congrams.keepalive(id, now);
                 }
                 Vec::new()
             }
@@ -403,81 +325,74 @@ impl Npe {
         }
     }
 
-    fn handle_from_fddi(
+    /// The live congram a control frame from `from` names `peer`. A
+    /// requester names its own congrams: ATM-side ids share one
+    /// namespace and FDDI-side ids are scoped by station. A station may
+    /// also name a congram an ATM host set up into the ring, by the
+    /// host's id.
+    fn named(&self, from: Requester, peer: CongramId) -> Option<CongramId> {
+        self.congrams.by_peer(from, peer).or_else(|| match from {
+            Requester::Fddi(_) => self.congrams.by_peer(Requester::Atm(Vci(0)), peer),
+            Requester::Atm(_) => None,
+        })
+    }
+
+    /// Refuse a setup: count it and answer the requester.
+    fn reject(
         &mut self,
         at: SimTime,
-        now: SimTime,
-        src: FddiAddr,
-        ctrl: ControlPayload,
+        to: Requester,
+        peer: CongramId,
+        reason: u16,
     ) -> Vec<NpeAction> {
-        match ctrl {
-            ControlPayload::SetupRequest { congram, kind, flow, dest: _ } => {
-                // Congram heads into the ATM network: the NPE must run
-                // ATM signaling first.
-                let local = match self.congrams.begin_setup(kind, flow, false, now) {
-                    Ok(id) => id,
-                    Err(_) => {
-                        self.stats.setups_rejected += 1;
-                        return vec![NpeAction::SendControlToFddi {
-                            at,
-                            dst: src,
-                            frame: ControlPayload::SetupReject {
-                                congram,
-                                reason: reject_codes::ADMISSION,
-                            }
-                            .to_frame(Icn(0)),
-                        }];
-                    }
-                };
-                // A just-created congram always has a record; losing it
-                // is an internal inconsistency the setup cannot survive,
-                // but the gateway can (reject instead of panicking).
-                let Some(rec) = self.congrams.get(local) else {
-                    self.stats.setups_rejected += 1;
-                    return vec![NpeAction::SendControlToFddi {
-                        at,
-                        dst: src,
-                        frame: ControlPayload::SetupReject {
-                            congram,
-                            reason: reject_codes::ADMISSION,
-                        }
-                        .to_frame(Icn(0)),
-                    }];
-                };
-                let binding = CongramBinding {
-                    in_icn: rec.in_icn,
-                    out_icn: rec.out_icn,
-                    atm_vci: Vci(0), // assigned when signaling completes
-                    fddi_dst: src,
-                    flow,
-                    requester: Requester::Fddi(src),
-                };
-                self.bindings.insert(local, binding);
-                self.by_peer_id.insert(congram.0, local);
-                self.supervisor.begin(now, local);
-                vec![NpeAction::RequestAtmConnection {
-                    at,
-                    congram: local,
-                    peak_bps: flow.peak_bps,
-                    mean_bps: flow.mean_bps,
-                }]
-            }
-            ControlPayload::Teardown { congram } => self.teardown(at, congram),
-            ControlPayload::Keepalive { congram } => {
-                if let Some(&local) = self.by_peer_id.get(&congram.0) {
-                    let _ = self.congrams.keepalive(local, now);
-                }
-                Vec::new()
-            }
-            // Responder-side types (confirm/reject/ack land at the
-            // requesting host, not here) and advisory reports are
-            // ignored — named explicitly so a new control type is a
-            // build break, not a silent drop.
-            ControlPayload::SetupConfirm { .. }
-            | ControlPayload::SetupReject { .. }
-            | ControlPayload::TeardownAck { .. }
-            | ControlPayload::Reconfigure { .. }
-            | ControlPayload::ResourceReport { .. } => Vec::new(),
+        self.stats.setups_rejected += 1;
+        vec![send(at, to, ControlPayload::SetupReject { congram: peer, reason }.to_frame(Icn(0)))]
+    }
+
+    /// Program a congram's data path and confirm it to the requester
+    /// with the ICN its frames must carry: the VC's reassembly timer,
+    /// and the two ICXT entries (§6.1) — ICXT-F at the ATM-side ICN
+    /// toward the ring, ICXT-A at the FDDI-side ICN toward the VC.
+    fn install(&self, at: SimTime, id: CongramId) -> Vec<NpeAction> {
+        let Some(&r) = self.congrams.get(id) else { return Vec::new() };
+        let Some(vci) = r.vci else { return Vec::new() };
+        let icn = r.requester_icn();
+        vec![
+            NpeAction::ProgramSpp { at, payload: spp::encode_init(&[(vci, REASSEMBLY_TIMEOUT)]) },
+            NpeAction::ProgramMpp {
+                at,
+                payload: mpp::encode_mpp_init(&[
+                    MppInitOp::SetF {
+                        in_icn: r.atm_icn,
+                        entry: IcxtFEntry { out_icn: r.fddi_icn, fddi_dst: r.fddi_dst },
+                    },
+                    MppInitOp::SetA {
+                        in_icn: r.fddi_icn,
+                        entry: IcxtAEntry {
+                            out_icn: r.atm_icn,
+                            atm_header: AtmHeader::data(Vpi(0), vci),
+                        },
+                    },
+                ]),
+            },
+            send(
+                at,
+                r.requester,
+                ControlPayload::SetupConfirm { congram: r.peer_id, assigned_icn: icn }
+                    .to_frame(icn),
+            ),
+        ]
+    }
+
+    /// Release what a congram holds here: its record (a setup still
+    /// pending is rejected, a live congram torn down), its ring
+    /// reservation and its supervision.
+    fn release(&mut self, id: CongramId) {
+        self.supervisor.cancel(id);
+        self.resman.release(id);
+        if self.congrams.reject(id).is_err() {
+            let _ = self.congrams.begin_teardown(id);
+            let _ = self.congrams.complete_teardown(id);
         }
     }
 
@@ -489,7 +404,6 @@ impl Npe {
         congram: CongramId,
         vci: Vci,
     ) -> Vec<NpeAction> {
-        let at = now + self.latency;
         if !self.supervisor.confirmed(congram) {
             // A stale or duplicate indication — a superseded attempt's
             // answer arriving after the congram already completed (or
@@ -497,60 +411,15 @@ impl Npe {
             // chips.
             return Vec::new();
         }
-        let Some(binding) = self.bindings.get_mut(&congram) else { return Vec::new() };
-        binding.atm_vci = vci;
-        let peer = match binding.requester {
-            Requester::Fddi(addr) => addr,
-            Requester::Atm(_) => return Vec::new(),
-        };
         // A quarantined congram completes its reconfiguration (§2.4
-        // survivability — the new path gets a fresh outbound ICN); a
+        // survivability — the new path gets a fresh ATM-side ICN); a
         // fresh setup confirms.
-        if let Ok((_, new_out)) = self.congrams.complete_reconfigure(congram) {
-            if let Some(b) = self.bindings.get_mut(&congram) {
-                b.out_icn = new_out;
-            }
+        if self.congrams.complete_reconfigure(congram, vci).is_ok() {
             self.stats.reestablishments += 1;
-        } else {
-            let _ = self.congrams.confirm(congram);
+        } else if self.congrams.confirm(congram, vci).is_ok() {
             self.stats.setups_confirmed += 1;
         }
-        let Some(binding) = self.bindings.get(&congram) else { return Vec::new() };
-        let (in_icn, out_icn, dst) = (binding.in_icn, binding.out_icn, binding.fddi_dst);
-        vec![
-            NpeAction::ProgramSpp { at, payload: spp::encode_init(&[(vci, REASSEMBLY_TIMEOUT)]) },
-            NpeAction::ProgramMpp {
-                at,
-                payload: mpp::encode_mpp_init(&[
-                    // Frames from FDDI carrying in_icn go out on the VC.
-                    MppInitOp::SetA {
-                        in_icn,
-                        entry: IcxtAEntry { out_icn, atm_header: AtmHeader::data(Vpi(0), vci) },
-                    },
-                    // Reverse traffic from the ATM side translates back.
-                    MppInitOp::SetF {
-                        in_icn: out_icn,
-                        entry: IcxtFEntry { out_icn: in_icn, fddi_dst: dst },
-                    },
-                ]),
-            },
-            NpeAction::SendControlToFddi {
-                at,
-                dst: peer,
-                frame: ControlPayload::SetupConfirm {
-                    congram: CongramId(
-                        *self
-                            .by_peer_id
-                            .iter()
-                            .find(|(_, &l)| l == congram)
-                            .map(|(p, _)| p)
-                            .unwrap_or(&congram.0),
-                    ),
-                    assigned_icn: in_icn,
-                }
-                .to_frame(in_icn),
-            },
-        ]
+        self.install(now + self.latency, congram)
     }
 
     /// ATM signaling failed for the congram's current attempt. Under an
@@ -566,100 +435,47 @@ impl Npe {
     }
 
     /// The setup is dead: release its state and reject to the requester.
+    /// No ICXT entries to clear: a setup still being signaled never had
+    /// its data path programmed (a quarantined congram's entries were
+    /// already cleared by [`Npe::vc_quarantined`]).
     fn final_setup_failure(&mut self, now: SimTime, congram: CongramId) -> Vec<NpeAction> {
-        let at = now + self.latency;
-        let Some(binding) = self.bindings.remove(&congram) else { return Vec::new() };
-        if self.congrams.reject(congram).is_err() {
-            // A quarantined (Reconfiguring) congram cannot be rejected;
-            // close it through the teardown path instead.
-            let _ = self.congrams.begin_teardown(congram);
-            let _ = self.congrams.complete_teardown(congram);
+        let Some(&r) = self.congrams.get(congram) else { return Vec::new() };
+        // A superseded attempt's failure arriving after the congram came
+        // up (or closed) is stale.
+        if !matches!(r.state, CongramState::SetupPending | CongramState::Reconfiguring) {
+            return Vec::new();
         }
-        self.stats.setups_rejected += 1;
+        self.release(congram);
         self.stats.setups_failed += 1;
-        let peer_id = self
-            .by_peer_id
-            .iter()
-            .find(|(_, &l)| l == congram)
-            .map(|(p, _)| CongramId(*p))
-            .unwrap_or(congram);
-        self.by_peer_id.remove(&peer_id.0);
-        // No ICXT entries to clear: a setup still being signaled never
-        // had its data path programmed (a quarantined congram's entries
-        // were already cleared by [`Npe::vc_quarantined`]).
-        match binding.requester {
-            Requester::Fddi(addr) => vec![NpeAction::SendControlToFddi {
-                at,
-                dst: addr,
-                frame: ControlPayload::SetupReject {
-                    congram: peer_id,
-                    reason: reject_codes::ATM_SIGNALING,
-                }
-                .to_frame(Icn(0)),
-            }],
-            Requester::Atm(_) => Vec::new(),
-        }
+        self.reject(now + self.latency, r.requester, r.peer_id, reject_codes::ATM_SIGNALING)
     }
 
-    fn teardown(&mut self, at: SimTime, peer: CongramId) -> Vec<NpeAction> {
-        let Some(local) = self.by_peer_id.remove(&peer.0) else { return Vec::new() };
-        let Some(binding) = self.bindings.remove(&local) else { return Vec::new() };
-        self.supervisor.cancel(local);
-        let _ = self.congrams.begin_teardown(local);
-        let _ = self.congrams.complete_teardown(local);
-        self.resman.release(local);
+    fn teardown(&mut self, at: SimTime, from: Requester, peer: CongramId) -> Vec<NpeAction> {
+        let Some(id) = self.named(from, peer) else { return Vec::new() };
+        let Some(&r) = self.congrams.get(id) else { return Vec::new() };
+        self.release(id);
         self.stats.teardowns += 1;
-        let ack = ControlPayload::TeardownAck { congram: peer }.to_frame(binding.in_icn);
-        let mut actions = vec![NpeAction::ProgramMpp {
-            at,
-            payload: mpp::encode_mpp_init(&[MppInitOp::Clear {
-                f_icn: Some(match binding.requester {
-                    Requester::Atm(_) => binding.in_icn,
-                    Requester::Fddi(_) => binding.out_icn,
-                }),
-                a_icn: Some(match binding.requester {
-                    Requester::Atm(_) => binding.out_icn,
-                    Requester::Fddi(_) => binding.in_icn,
-                }),
-            }]),
-        }];
-        actions.push(match binding.requester {
-            Requester::Atm(vci) => NpeAction::SendControlToAtm { at, vci, frame: ack },
-            Requester::Fddi(addr) => NpeAction::SendControlToFddi { at, dst: addr, frame: ack },
-        });
-        actions
+        let ack = ControlPayload::TeardownAck { congram: peer }.to_frame(r.requester_icn());
+        vec![clear(at, &r), send(at, r.requester, ack)]
     }
 
     /// Periodic scan: PICon keepalive expiry releases resources, and
     /// the connection supervisor's watchdog/backoff timers run.
     pub fn scan(&mut self, now: SimTime) -> Vec<NpeAction> {
+        let at = now + self.latency;
         let mut actions = Vec::new();
         for ev in self.congrams.scan_keepalives(now) {
-            if let gw_mchip::congram::CongramEvent::KeepaliveExpired(id) = ev {
-                if let Some(binding) = self.bindings.remove(&id) {
-                    self.supervisor.cancel(id);
-                    self.resman.release(id);
-                    actions.push(NpeAction::ProgramMpp {
-                        at: now + self.latency,
-                        payload: mpp::encode_mpp_init(&[MppInitOp::Clear {
-                            f_icn: Some(binding.in_icn),
-                            a_icn: Some(binding.out_icn),
-                        }]),
-                    });
-                }
-            }
+            let CongramEvent::KeepaliveExpired(id) = ev else { continue };
+            let Some(&r) = self.congrams.get(id) else { continue };
+            self.release(id);
+            actions.push(clear(at, &r));
         }
         for ev in self.supervisor.poll(now) {
             match ev {
                 SupervisorEvent::Retry(id) => {
-                    let Some(binding) = self.bindings.get(&id) else { continue };
+                    let Some(r) = self.congrams.get(id) else { continue };
                     self.stats.setup_retries += 1;
-                    actions.push(NpeAction::RequestAtmConnection {
-                        at: now + self.latency,
-                        congram: id,
-                        peak_bps: binding.flow.peak_bps,
-                        mean_bps: binding.flow.mean_bps,
-                    });
+                    actions.push(request_vc(at, id, r.flow));
                 }
                 SupervisorEvent::GiveUp(id) => {
                     actions.extend(self.final_setup_failure(now, id));
@@ -674,72 +490,40 @@ impl Npe {
         self.supervisor.next_deadline()
     }
 
-    /// The liveness monitor quarantined `vci`: clear the congram's ICXT
-    /// entries and either re-establish it (this gateway signaled the VC
-    /// — begin a reconfiguration, release the dead VC, and request a
-    /// fresh one under supervision) or tear it down and notify the ATM
-    /// peer (the VC was the peer's).
+    /// The liveness monitor quarantined `vci`. Every congram bound to
+    /// it, in id order, has its ICXT entries cleared and is either
+    /// re-established (this gateway signaled the VC — begin a
+    /// reconfiguration, release the dead VC, and request a fresh one
+    /// under supervision) or torn down with the ATM peer notified (the
+    /// VC was the peer's).
     pub(crate) fn vc_quarantined(&mut self, now: SimTime, vci: Vci) -> Vec<NpeAction> {
         let at = now + self.latency;
-        let Some((&id, binding)) =
-            self.bindings.iter().find(|(_, b)| b.atm_vci == vci && b.atm_vci != Vci(0))
-        else {
-            return Vec::new();
-        };
-        let binding = binding.clone();
-        self.stats.vcs_quarantined += 1;
-        let mut actions = vec![NpeAction::ProgramMpp {
-            at,
-            payload: mpp::encode_mpp_init(&[MppInitOp::Clear {
-                f_icn: Some(match binding.requester {
-                    Requester::Atm(_) => binding.in_icn,
-                    Requester::Fddi(_) => binding.out_icn,
-                }),
-                a_icn: Some(match binding.requester {
-                    Requester::Atm(_) => binding.out_icn,
-                    Requester::Fddi(_) => binding.in_icn,
-                }),
-            }]),
-        }];
-        match binding.requester {
-            Requester::Fddi(_) => {
-                // This gateway owns the VC: release it and re-establish
-                // the congram on a fresh one. Data transfer pauses but
-                // the congram survives (plesio-reliability, §2.4).
-                let _ = self.congrams.begin_reconfigure(id);
-                if let Some(b) = self.bindings.get_mut(&id) {
-                    b.atm_vci = Vci(0);
+        let bound: Vec<CongramId> = self.congrams.on_vc(vci).collect();
+        let mut actions = Vec::new();
+        for id in bound {
+            let Some(&r) = self.congrams.get(id) else { continue };
+            self.stats.vcs_quarantined += 1;
+            actions.push(clear(at, &r));
+            match r.requester {
+                Requester::Fddi(_) => {
+                    // This gateway owns the VC: release it and
+                    // re-establish the congram on a fresh one. Data
+                    // transfer pauses but the congram survives
+                    // (plesio-reliability, §2.4).
+                    let _ = self.congrams.begin_reconfigure(id);
+                    self.supervisor.begin(now, id);
+                    actions.push(NpeAction::ReleaseAtmConnection { at, vci });
+                    actions.push(request_vc(at, id, r.flow));
                 }
-                self.supervisor.begin(now, id);
-                actions.push(NpeAction::ReleaseAtmConnection { at, vci });
-                actions.push(NpeAction::RequestAtmConnection {
-                    at,
-                    congram: id,
-                    peak_bps: binding.flow.peak_bps,
-                    mean_bps: binding.flow.mean_bps,
-                });
-            }
-            Requester::Atm(ctrl_vci) => {
-                // The peer owns the VC: the congram cannot be rebuilt
-                // from this side. Tear it down and tell the peer.
-                self.bindings.remove(&id);
-                self.supervisor.cancel(id);
-                let _ = self.congrams.begin_teardown(id);
-                let _ = self.congrams.complete_teardown(id);
-                self.resman.release(id);
-                self.stats.teardowns += 1;
-                let peer_id = self
-                    .by_peer_id
-                    .iter()
-                    .find(|(_, &l)| l == id)
-                    .map(|(p, _)| CongramId(*p))
-                    .unwrap_or(id);
-                self.by_peer_id.remove(&peer_id.0);
-                actions.push(NpeAction::SendControlToAtm {
-                    at,
-                    vci: ctrl_vci,
-                    frame: ControlPayload::Teardown { congram: peer_id }.to_frame(binding.in_icn),
-                });
+                Requester::Atm(ctrl_vci) => {
+                    // The peer owns the VC: the congram cannot be
+                    // rebuilt from this side. Tear it down and tell the
+                    // peer.
+                    self.release(id);
+                    self.stats.teardowns += 1;
+                    let frame = ControlPayload::Teardown { congram: r.peer_id }.to_frame(r.atm_icn);
+                    actions.push(NpeAction::SendControlToAtm { at, vci: ctrl_vci, frame });
+                }
             }
         }
         actions
@@ -1064,6 +848,21 @@ mod tests {
     }
 
     #[test]
+    fn stale_signaling_failure_leaves_an_established_congram_up() {
+        let mut n = supervised_npe(3);
+        let congram = begin_fddi_setup(&mut n);
+        n.atm_connection_ready(SimTime::from_ms(2), congram, Vci(77));
+        // An earlier attempt's rejection, arriving late.
+        assert!(n.atm_connection_failed(SimTime::from_ms(3), congram).is_empty());
+        assert_eq!(n.stats().setups_failed, 0);
+        let quarantine = n.vc_quarantined(SimTime::from_ms(10), Vci(77));
+        assert!(
+            matches!(quarantine[..], [_, _, NpeAction::RequestAtmConnection { .. }]),
+            "still bound to its VC: {quarantine:?}"
+        );
+    }
+
+    #[test]
     fn quarantined_congram_reestablishes_on_a_fresh_vc() {
         let mut n = supervised_npe(3);
         let congram = begin_fddi_setup(&mut n);
@@ -1109,5 +908,134 @@ mod tests {
         let mut n = npe();
         assert!(n.vc_quarantined(SimTime::from_ms(1), Vci(999)).is_empty());
         assert_eq!(n.stats().vcs_quarantined, 0);
+    }
+
+    /// The (ICXT-F, ICXT-A) indexes an action list sets or clears.
+    fn slots(actions: &[NpeAction]) -> (Option<Icn>, Option<Icn>) {
+        let mut slots = (None, None);
+        for action in actions {
+            let NpeAction::ProgramMpp { payload, .. } = action else { continue };
+            for op in mpp::decode_mpp_init(payload).unwrap() {
+                match op {
+                    MppInitOp::SetF { in_icn, .. } => slots.0 = Some(in_icn),
+                    MppInitOp::SetA { in_icn, .. } => slots.1 = Some(in_icn),
+                    MppInitOp::Clear { f_icn, a_icn } => slots = (f_icn, a_icn),
+                    MppInitOp::SetFixed { .. } => {}
+                }
+            }
+        }
+        slots
+    }
+
+    fn control(frame: &[u8]) -> ControlPayload {
+        let (h, p) = gw_wire::mchip::parse_frame(frame).unwrap();
+        ControlPayload::decode(h.mtype, p).unwrap()
+    }
+
+    /// An FDDI-side congram whose VC was quarantined and that came back
+    /// on a fresh one; returns the ICXT slots it was reprogrammed into.
+    fn reestablished(n: &mut Npe) -> (Option<Icn>, Option<Icn>) {
+        let congram = begin_fddi_setup(n);
+        n.atm_connection_ready(SimTime::from_ms(2), congram, Vci(77));
+        n.vc_quarantined(SimTime::from_ms(50), Vci(77));
+        slots(&n.atm_connection_ready(SimTime::from_ms(52), congram, Vci(91)))
+    }
+
+    #[test]
+    fn reestablished_congram_keeps_its_icxt_slots_from_a_later_setup() {
+        let mut n = supervised_npe(3);
+        let (xf, xa) = reestablished(&mut n);
+        let y = n.handle(
+            SimTime::from_ms(60),
+            NpeInput::ControlFromAtm { frame: setup_frame(3, 1), arrival_vci: Vci(42) },
+        );
+        let (yf, ya) = slots(&y);
+        assert!(yf.is_some() && ya.is_some(), "{y:?}");
+        assert_ne!(yf, xf, "ICXT-F slot shared");
+        assert_ne!(ya, xa, "ICXT-A slot shared");
+    }
+
+    #[test]
+    fn dead_picon_clears_only_its_own_icxt_entries() {
+        let mut n = supervised_npe(3);
+        let x = reestablished(&mut n);
+        let setup = ControlPayload::SetupRequest {
+            congram: CongramId(4),
+            kind: CongramKind::PICon,
+            flow: FlowSpec::cbr(1_000_000),
+            dest: DEST,
+        }
+        .to_frame(Icn(0));
+        let req = n.handle(
+            SimTime::from_ms(60),
+            NpeInput::ControlFromFddi { frame: setup, src: FddiAddr::station(6) },
+        );
+        let NpeAction::RequestAtmConnection { congram, .. } = req[0] else { panic!("{req:?}") };
+        let picon = slots(&n.atm_connection_ready(SimTime::from_ms(62), congram, Vci(93)));
+        // No keepalives for > 3 seconds: the PICon dies, the UCon stays.
+        let expiry = n.scan(SimTime::from_secs(4));
+        assert_eq!(expiry.len(), 1, "{expiry:?}");
+        assert_eq!(slots(&expiry), picon);
+        assert_ne!(slots(&expiry).0, x.0);
+        assert_ne!(slots(&expiry).1, x.1);
+    }
+
+    #[test]
+    fn same_congram_id_from_each_side_tears_down_independently() {
+        let mut n = supervised_npe(3);
+        let host = n.handle(
+            SimTime::ZERO,
+            NpeInput::ControlFromAtm { frame: setup_frame(9, 1), arrival_vci: Vci(42) },
+        );
+        // Station 8 numbers its congram 9 as well.
+        let station = begin_fddi_setup(&mut n);
+        n.atm_connection_ready(SimTime::from_ms(2), station, Vci(77));
+
+        // The host's teardown, on a fresh control VC.
+        let td = ControlPayload::Teardown { congram: CongramId(9) }.to_frame(Icn(0));
+        let acts = n.handle(
+            SimTime::from_ms(5),
+            NpeInput::ControlFromAtm { frame: td.clone(), arrival_vci: Vci(43) },
+        );
+        assert_eq!(slots(&acts), slots(&host), "the host's entries cleared");
+        let NpeAction::SendControlToAtm { vci, frame, .. } = &acts[1] else { panic!("{acts:?}") };
+        assert_eq!(*vci, Vci(42), "acked on the host's VC");
+        assert_eq!(control(frame), ControlPayload::TeardownAck { congram: CongramId(9) });
+        assert_eq!(n.resource_manager().active(), 0, "the host's reservation released");
+
+        // The station's congram is still up, and its own teardown reaches it.
+        let acts = n.handle(
+            SimTime::from_ms(6),
+            NpeInput::ControlFromFddi { frame: td, src: FddiAddr::station(8) },
+        );
+        let NpeAction::SendControlToFddi { dst, .. } = &acts[1] else { panic!("{acts:?}") };
+        assert_eq!(*dst, FddiAddr::station(8));
+        assert_eq!(n.stats().teardowns, 2);
+    }
+
+    #[test]
+    fn quarantine_takes_every_congram_on_the_vc_in_id_order() {
+        let mut n = npe();
+        for peer in [1, 2] {
+            n.handle(
+                SimTime::ZERO,
+                NpeInput::ControlFromAtm { frame: setup_frame(peer, 1), arrival_vci: Vci(42) },
+            );
+        }
+        assert_eq!(n.resource_manager().active(), 2);
+        let actions = n.vc_quarantined(SimTime::from_ms(10), Vci(42));
+        let torn_down: Vec<ControlPayload> = actions
+            .iter()
+            .filter_map(|a| match a {
+                NpeAction::SendControlToAtm { frame, .. } => Some(control(frame)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            torn_down,
+            [CongramId(1), CongramId(2)].map(|congram| ControlPayload::Teardown { congram })
+        );
+        assert_eq!(n.resource_manager().active(), 0);
+        assert_eq!((n.stats().vcs_quarantined, n.stats().teardowns), (2, 2));
     }
 }

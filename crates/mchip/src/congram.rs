@@ -4,13 +4,18 @@
 //! transfer, and congram termination" (§4.1), plus reconfiguration for
 //! survivability (§2.4). Each hop identifies the congram by a 2-octet
 //! internet channel number (ICN); "at each hop the input ICN is mapped
-//! to an output ICN" (§6.1). The [`CongramManager`] is the per-gateway
-//! software entity that allocates ICNs, drives the state machines, and
-//! produces the translation pairs the MPP's ICXT tables are programmed
-//! with.
+//! to an output ICN" (§6.1). The gateway's MPP indexes ICXT-F by the
+//! ICN frames from the ATM side carry and ICXT-A by the ICN frames
+//! from the FDDI side carry, so a congram's two ICNs are named by that
+//! interface and drawn from that interface's own allocator. The
+//! [`CongramManager`] is the per-gateway software entity that holds one
+//! record per congram, allocates its ICNs and drives its state machine.
 
 use gw_sim::time::SimTime;
+use gw_wire::atm::Vci;
+use gw_wire::fddi::FddiAddr;
 use gw_wire::mchip::Icn;
+use std::collections::HashMap;
 
 /// End-to-end congram identity (unique per originating MCHIP entity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,10 +92,35 @@ pub enum CongramError {
     BadState,
     /// The 16-bit ICN space on this interface is exhausted.
     IcnExhausted,
+    /// The requester already has a live congram under this id.
+    PeerIdInUse,
 }
 
-/// One established congram's bookkeeping.
-#[derive(Debug, Clone)]
+/// Who set a congram up, and where its control answers go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Requester {
+    /// An ATM host, answered on the VC its setup arrived on.
+    Atm(Vci),
+    /// An FDDI station.
+    Fddi(FddiAddr),
+}
+
+/// A requester's name for its congram. ATM-side ids share one
+/// namespace (each control message may arrive on a fresh VC);
+/// FDDI-side ids are scoped by station.
+type PeerKey = (Option<FddiAddr>, CongramId);
+
+impl Requester {
+    fn key(self, peer_id: CongramId) -> PeerKey {
+        match self {
+            Requester::Atm(_) => (None, peer_id),
+            Requester::Fddi(station) => (Some(station), peer_id),
+        }
+    }
+}
+
+/// Everything the gateway knows about one congram.
+#[derive(Debug, Clone, Copy)]
 pub struct CongramRecord {
     /// Identity.
     pub id: CongramId,
@@ -100,26 +130,43 @@ pub struct CongramRecord {
     pub flow: FlowSpec,
     /// Lifecycle state.
     pub state: CongramState,
-    /// ICN on the inbound interface (what arriving frames carry).
-    pub in_icn: Icn,
-    /// ICN on the outbound interface (what forwarded frames carry).
-    pub out_icn: Icn,
-    /// Multipoint flag.
-    pub multipoint: bool,
+    /// The ICN frames from the ATM side carry: the ICXT-F index.
+    pub atm_icn: Icn,
+    /// The ICN frames from the FDDI side carry: the ICXT-A index.
+    pub fddi_icn: Icn,
+    /// Who set the congram up.
+    pub requester: Requester,
+    /// The requester's own id for the congram.
+    pub peer_id: CongramId,
+    /// The ATM VC carrying the congram's data, while one is bound.
+    pub vci: Option<Vci>,
+    /// Where frames from the ATM side go on the ring.
+    pub fddi_dst: FddiAddr,
     /// Last keepalive seen (PICons only).
     pub last_keepalive: SimTime,
 }
 
-/// Allocates ICNs on one interface (one per direction per link).
+impl CongramRecord {
+    /// The ICN the requester's own frames carry (the one its confirm
+    /// assigns).
+    pub fn requester_icn(&self) -> Icn {
+        match self.requester {
+            Requester::Atm(_) => self.atm_icn,
+            Requester::Fddi(_) => self.fddi_icn,
+        }
+    }
+}
+
+/// Allocates ICNs on one interface.
 #[derive(Debug, Default)]
-pub struct IcnAllocator {
+struct IcnAllocator {
     next: u16,
     free: Vec<u16>,
 }
 
 impl IcnAllocator {
-    /// Allocate the lowest available ICN.
-    pub fn alloc(&mut self) -> Result<Icn, CongramError> {
+    /// Allocate the most recently released ICN, else the next unused.
+    fn alloc(&mut self) -> Result<Icn, CongramError> {
         if let Some(v) = self.free.pop() {
             return Ok(Icn(v));
         }
@@ -132,112 +179,94 @@ impl IcnAllocator {
     }
 
     /// Return an ICN to the pool.
-    pub fn release(&mut self, icn: Icn) {
+    fn release(&mut self, icn: Icn) {
         self.free.push(icn.0);
     }
 }
 
-/// Sentinel in [`CongramManager::by_in_icn`] for an unmapped ICN.
-const NO_CONGRAM: u32 = u32::MAX;
+/// PICon keepalive interval; a PICon is declared dead after missing
+/// three intervals (a conventional choice; the MCHIP companion spec
+/// would pin this).
+const KEEPALIVE_INTERVAL: SimTime = SimTime::from_secs(1);
 
 /// The per-gateway congram manager (runs on the NPE).
 ///
 /// Ids are allocated sequentially, so records live in a dense
-/// id-indexed table; the inbound-ICN map is likewise a direct-indexed
-/// table (ICNs are allocated lowest-first, keeping it compact). Both
-/// lookups on the control path are O(1) with no hashing.
+/// id-indexed table; the requester's id for a congram maps to the
+/// record through one hash lookup.
 #[derive(Debug, Default)]
 pub struct CongramManager {
-    records: Vec<Option<CongramRecord>>,
-    in_alloc: IcnAllocator,
-    out_alloc: IcnAllocator,
-    by_in_icn: Vec<u32>,
-    next_id: u32,
+    records: Vec<CongramRecord>,
+    atm_icns: IcnAllocator,
+    fddi_icns: IcnAllocator,
+    /// Live congrams by their requester's name for them.
+    by_peer: HashMap<PeerKey, CongramId>,
     /// Congrams in any live (non-`Closed`) state, maintained inline.
     open: usize,
     /// Live PICons, so the keepalive scan can skip entirely when none
     /// exist (the common case on a pure data-path gateway).
     picons: usize,
-    /// PICon keepalive interval; a PICon is declared dead after missing
-    /// three intervals (a conventional choice; the MCHIP companion spec
-    /// would pin this).
-    pub keepalive_interval: SimTime,
 }
 
 impl CongramManager {
-    /// A manager with the default 1-second keepalive interval.
-    pub fn new() -> CongramManager {
-        CongramManager { keepalive_interval: SimTime::from_secs(1), ..Default::default() }
-    }
-
-    fn rec(&self, id: CongramId) -> Option<&CongramRecord> {
-        self.records.get(id.0 as usize).and_then(|r| r.as_ref())
-    }
-
     fn rec_mut(&mut self, id: CongramId) -> Option<&mut CongramRecord> {
-        self.records.get_mut(id.0 as usize).and_then(|r| r.as_mut())
+        self.records.get_mut(id.0 as usize)
     }
 
-    fn map_in_icn(&mut self, icn: Icn, id: CongramId) {
-        let i = icn.0 as usize;
-        if self.by_in_icn.len() <= i {
-            self.by_in_icn.resize(i + 1, NO_CONGRAM);
-        }
-        self.by_in_icn[i] = id.0;
-    }
-
-    fn unmap_in_icn(&mut self, icn: Icn) {
-        if let Some(slot) = self.by_in_icn.get_mut(icn.0 as usize) {
-            *slot = NO_CONGRAM;
-        }
-    }
-
-    /// A congram left the live set: release its ICNs and drop it from
-    /// the running counters.
+    /// A congram left the live set: release its ICNs and its peer id,
+    /// and drop it from the running counters.
     fn close_record(&mut self, id: CongramId) {
         let r = self.rec_mut(id).expect("caller checked");
         r.state = CongramState::Closed;
-        let (i, o, kind) = (r.in_icn, r.out_icn, r.kind);
-        self.unmap_in_icn(i);
-        self.in_alloc.release(i);
-        self.out_alloc.release(o);
+        let r = *r;
+        self.atm_icns.release(r.atm_icn);
+        self.fddi_icns.release(r.fddi_icn);
+        self.by_peer.remove(&r.requester.key(r.peer_id));
         self.open -= 1;
-        if kind == CongramKind::PICon {
+        if r.kind == CongramKind::PICon {
             self.picons -= 1;
         }
     }
 
-    /// Begin setting up a congram through this gateway: allocates both
-    /// ICNs and enters `SetupPending`.
+    /// Begin setting up a congram through this gateway for `requester`,
+    /// which calls it `peer_id`: allocates an ICN on each interface and
+    /// enters `SetupPending`.
     pub fn begin_setup(
         &mut self,
         kind: CongramKind,
         flow: FlowSpec,
-        multipoint: bool,
+        requester: Requester,
+        peer_id: CongramId,
+        fddi_dst: FddiAddr,
         now: SimTime,
     ) -> Result<CongramId, CongramError> {
-        let in_icn = self.in_alloc.alloc()?;
-        let out_icn = match self.out_alloc.alloc() {
+        let key = requester.key(peer_id);
+        if self.by_peer.contains_key(&key) {
+            return Err(CongramError::PeerIdInUse);
+        }
+        let atm_icn = self.atm_icns.alloc()?;
+        let fddi_icn = match self.fddi_icns.alloc() {
             Ok(icn) => icn,
             Err(e) => {
-                self.in_alloc.release(in_icn);
+                self.atm_icns.release(atm_icn);
                 return Err(e);
             }
         };
-        let id = CongramId(self.next_id);
-        self.next_id += 1;
-        debug_assert_eq!(self.records.len() as u32, id.0);
-        self.records.push(Some(CongramRecord {
+        let id = CongramId(self.records.len() as u32);
+        self.records.push(CongramRecord {
             id,
             kind,
             flow,
             state: CongramState::SetupPending,
-            in_icn,
-            out_icn,
-            multipoint,
+            atm_icn,
+            fddi_icn,
+            requester,
+            peer_id,
+            vci: None,
+            fddi_dst,
             last_keepalive: now,
-        }));
-        self.map_in_icn(in_icn, id);
+        });
+        self.by_peer.insert(key, id);
         self.open += 1;
         if kind == CongramKind::PICon {
             self.picons += 1;
@@ -245,19 +274,21 @@ impl CongramManager {
         Ok(id)
     }
 
-    /// Setup confirmed end to end: data transfer may begin.
-    pub fn confirm(&mut self, id: CongramId) -> Result<CongramEvent, CongramError> {
+    /// Setup confirmed end to end on ATM VC `vci`: data transfer may
+    /// begin.
+    pub fn confirm(&mut self, id: CongramId, vci: Vci) -> Result<CongramEvent, CongramError> {
         let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
         if r.state != CongramState::SetupPending {
             return Err(CongramError::BadState);
         }
         r.state = CongramState::Established;
+        r.vci = Some(vci);
         Ok(CongramEvent::Established(id))
     }
 
     /// Setup rejected: release ICNs.
     pub fn reject(&mut self, id: CongramId) -> Result<CongramEvent, CongramError> {
-        let r = self.rec(id).ok_or(CongramError::Unknown)?;
+        let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
         if r.state != CongramState::SetupPending {
             return Err(CongramError::BadState);
         }
@@ -279,7 +310,7 @@ impl CongramManager {
 
     /// Teardown acknowledged: release ICNs.
     pub fn complete_teardown(&mut self, id: CongramId) -> Result<CongramEvent, CongramError> {
-        let r = self.rec(id).ok_or(CongramError::Unknown)?;
+        let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
         if r.state != CongramState::Closing {
             return Err(CongramError::BadState);
         }
@@ -287,35 +318,40 @@ impl CongramManager {
         Ok(CongramEvent::Closed(id))
     }
 
-    /// Begin a path reconfiguration (survivability, §2.4). Data transfer
-    /// continues — the congram is plesio-reliable, so frames in flight
-    /// on the old path may be lost without protocol violation.
+    /// Begin a path reconfiguration (survivability, §2.4): the old VC
+    /// is unbound. The congram stays — it is plesio-reliable, so frames
+    /// in flight on the old path may be lost without protocol
+    /// violation.
     pub fn begin_reconfigure(&mut self, id: CongramId) -> Result<(), CongramError> {
         let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
         if r.state != CongramState::Established {
             return Err(CongramError::BadState);
         }
         r.state = CongramState::Reconfiguring;
+        r.vci = None;
         Ok(())
     }
 
-    /// Complete a reconfiguration with a new outbound ICN (the new path
-    /// assigned a fresh hop-by-hop channel).
+    /// Complete a reconfiguration onto ATM VC `vci`. The path moved on
+    /// the ATM side, so the congram gets a fresh ATM-side ICN, which is
+    /// returned.
     pub fn complete_reconfigure(
         &mut self,
         id: CongramId,
+        vci: Vci,
     ) -> Result<(CongramEvent, Icn), CongramError> {
-        let new_out = self.out_alloc.alloc()?;
         let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
         if r.state != CongramState::Reconfiguring {
-            self.out_alloc.release(new_out);
             return Err(CongramError::BadState);
         }
-        let old = r.out_icn;
-        r.out_icn = new_out;
+        let old = r.atm_icn;
+        let icn = self.atm_icns.alloc()?;
+        self.atm_icns.release(old);
+        let r = self.rec_mut(id).expect("checked above");
+        r.atm_icn = icn;
+        r.vci = Some(vci);
         r.state = CongramState::Established;
-        self.out_alloc.release(old);
-        Ok((CongramEvent::Reconfigured(id), new_out))
+        Ok((CongramEvent::Reconfigured(id), icn))
     }
 
     /// Record a keepalive on a PICon.
@@ -332,12 +368,10 @@ impl CongramManager {
         if self.picons == 0 {
             return Vec::new();
         }
-        let deadline = SimTime::from_ns(self.keepalive_interval.as_ns() * 3);
-        let mut out = Vec::new();
+        let deadline = SimTime::from_ns(KEEPALIVE_INTERVAL.as_ns() * 3);
         let expired: Vec<CongramId> = self
             .records
             .iter()
-            .flatten()
             .filter(|r| {
                 r.kind == CongramKind::PICon
                     && r.state == CongramState::Established
@@ -345,17 +379,32 @@ impl CongramManager {
             })
             .map(|r| r.id)
             .collect();
-        for id in expired {
-            // A dead PICon closes immediately (there is no peer to ack).
-            self.close_record(id);
-            out.push(CongramEvent::KeepaliveExpired(id));
-        }
-        out
+        // A dead PICon closes immediately (there is no peer to ack).
+        expired
+            .into_iter()
+            .map(|id| {
+                self.close_record(id);
+                CongramEvent::KeepaliveExpired(id)
+            })
+            .collect()
     }
 
     /// Look up a congram record.
     pub fn get(&self, id: CongramId) -> Option<&CongramRecord> {
-        self.rec(id)
+        self.records.get(id.0 as usize)
+    }
+
+    /// The live congram `requester` calls `peer_id`.
+    pub fn by_peer(&self, requester: Requester, peer_id: CongramId) -> Option<CongramId> {
+        self.by_peer.get(&requester.key(peer_id)).copied()
+    }
+
+    /// The live congrams bound to ATM VC `vci`, in id order.
+    pub fn on_vc(&self, vci: Vci) -> impl Iterator<Item = CongramId> + '_ {
+        self.records
+            .iter()
+            .filter(move |r| r.vci == Some(vci) && r.state != CongramState::Closed)
+            .map(|r| r.id)
     }
 
     /// Congrams in any live state — a running counter, not a scan.
@@ -368,18 +417,26 @@ impl CongramManager {
 mod tests {
     use super::*;
 
+    const HOST: Requester = Requester::Atm(Vci(40));
+
     fn mgr() -> CongramManager {
-        CongramManager::new()
+        CongramManager::default()
+    }
+
+    /// A congram the ATM host calls `peer`.
+    fn setup(m: &mut CongramManager, kind: CongramKind, peer: u32) -> CongramId {
+        let dst = FddiAddr::station(2);
+        m.begin_setup(kind, FlowSpec::cbr(1), HOST, CongramId(peer), dst, SimTime::ZERO).unwrap()
     }
 
     #[test]
     fn ucon_full_lifecycle() {
         let mut m = mgr();
-        let id =
-            m.begin_setup(CongramKind::UCon, FlowSpec::cbr(64_000), false, SimTime::ZERO).unwrap();
+        let id = setup(&mut m, CongramKind::UCon, 1);
         assert_eq!(m.get(id).unwrap().state, CongramState::SetupPending);
-        assert_eq!(m.confirm(id).unwrap(), CongramEvent::Established(id));
+        assert_eq!(m.confirm(id, Vci(40)).unwrap(), CongramEvent::Established(id));
         assert_eq!(m.get(id).unwrap().state, CongramState::Established);
+        assert_eq!(m.get(id).unwrap().vci, Some(Vci(40)));
         m.begin_teardown(id).unwrap();
         assert_eq!(m.complete_teardown(id).unwrap(), CongramEvent::Closed(id));
         assert_eq!(m.get(id).unwrap().state, CongramState::Closed);
@@ -388,75 +445,109 @@ mod tests {
     #[test]
     fn rejected_setup_releases_icns() {
         let mut m = mgr();
-        let a = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
-        let a_icns = (m.get(a).unwrap().in_icn, m.get(a).unwrap().out_icn);
+        let a = setup(&mut m, CongramKind::UCon, 1);
+        let a_icns = (m.get(a).unwrap().atm_icn, m.get(a).unwrap().fddi_icn);
         m.reject(a).unwrap();
-        let b = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
+        let b = setup(&mut m, CongramKind::UCon, 2);
         // Freed ICNs are reused.
-        assert_eq!((m.get(b).unwrap().in_icn, m.get(b).unwrap().out_icn), a_icns);
+        assert_eq!((m.get(b).unwrap().atm_icn, m.get(b).unwrap().fddi_icn), a_icns);
     }
 
     #[test]
     fn bad_state_transitions_rejected() {
         let mut m = mgr();
-        let id = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
+        let id = setup(&mut m, CongramKind::UCon, 1);
         assert_eq!(m.begin_teardown(id), Err(CongramError::BadState));
-        m.confirm(id).unwrap();
-        assert_eq!(m.confirm(id), Err(CongramError::BadState));
+        m.confirm(id, Vci(40)).unwrap();
+        assert_eq!(m.confirm(id, Vci(40)), Err(CongramError::BadState));
         assert_eq!(m.reject(id), Err(CongramError::BadState));
         assert_eq!(m.complete_teardown(id), Err(CongramError::BadState));
-        assert_eq!(m.confirm(CongramId(999)), Err(CongramError::Unknown));
+        assert_eq!(m.confirm(CongramId(999), Vci(40)), Err(CongramError::Unknown));
     }
 
     #[test]
     fn distinct_congrams_distinct_icns() {
         let mut m = mgr();
-        let ids: Vec<_> = (0..100)
-            .map(|_| {
-                m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap()
-            })
-            .collect();
-        let mut in_icns: Vec<Icn> = ids.iter().map(|&id| m.get(id).unwrap().in_icn).collect();
-        in_icns.sort();
-        in_icns.dedup();
-        assert_eq!(in_icns.len(), 100);
+        let ids: Vec<_> = (0..100).map(|peer| setup(&mut m, CongramKind::UCon, peer)).collect();
+        let mut atm_icns: Vec<Icn> = ids.iter().map(|&id| m.get(id).unwrap().atm_icn).collect();
+        atm_icns.sort();
+        atm_icns.dedup();
+        assert_eq!(atm_icns.len(), 100);
     }
 
     #[test]
-    fn by_in_icn_resolves() {
+    fn peer_ids_are_scoped_by_side() {
         let mut m = mgr();
-        let id = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
-        let icn = m.get(id).unwrap().in_icn;
-        assert_eq!(m.by_in_icn[icn.0 as usize], id.0);
-        m.confirm(id).unwrap();
-        m.begin_teardown(id).unwrap();
-        m.complete_teardown(id).unwrap();
-        assert_eq!(m.by_in_icn[icn.0 as usize], NO_CONGRAM);
+        let station = Requester::Fddi(FddiAddr::station(3));
+        let host = setup(&mut m, CongramKind::UCon, 9);
+        let dst = FddiAddr::station(3);
+        let ring = m
+            .begin_setup(
+                CongramKind::UCon,
+                FlowSpec::cbr(1),
+                station,
+                CongramId(9),
+                dst,
+                SimTime::ZERO,
+            )
+            .unwrap();
+        // Any ATM VC names the host's congram; the station names its own.
+        assert_eq!(m.by_peer(Requester::Atm(Vci(77)), CongramId(9)), Some(host));
+        assert_eq!(m.by_peer(station, CongramId(9)), Some(ring));
+        assert_eq!(m.by_peer(Requester::Fddi(FddiAddr::station(4)), CongramId(9)), None);
+        // A live id cannot be taken twice; a closed one is free again.
+        let again = m.begin_setup(
+            CongramKind::UCon,
+            FlowSpec::cbr(1),
+            HOST,
+            CongramId(9),
+            dst,
+            SimTime::ZERO,
+        );
+        assert_eq!(again, Err(CongramError::PeerIdInUse));
+        m.reject(host).unwrap();
+        assert_eq!(m.by_peer(HOST, CongramId(9)), None);
+        assert_eq!(m.by_peer(station, CongramId(9)), Some(ring));
+        assert!(m
+            .begin_setup(
+                CongramKind::UCon,
+                FlowSpec::cbr(1),
+                HOST,
+                CongramId(9),
+                dst,
+                SimTime::ZERO
+            )
+            .is_ok());
     }
 
     #[test]
     fn reconfiguration_swaps_out_icn() {
         let mut m = mgr();
-        let id = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
-        m.confirm(id).unwrap();
-        let old_out = m.get(id).unwrap().out_icn;
+        let id = setup(&mut m, CongramKind::UCon, 1);
+        m.confirm(id, Vci(40)).unwrap();
+        let before = *m.get(id).unwrap();
         m.begin_reconfigure(id).unwrap();
         assert_eq!(m.get(id).unwrap().state, CongramState::Reconfiguring);
-        let (ev, new_out) = m.complete_reconfigure(id).unwrap();
+        assert_eq!(m.on_vc(Vci(40)).count(), 0, "the dead VC is unbound");
+        let (ev, icn) = m.complete_reconfigure(id, Vci(41)).unwrap();
         assert_eq!(ev, CongramEvent::Reconfigured(id));
-        assert_ne!(new_out, old_out);
-        assert_eq!(m.get(id).unwrap().state, CongramState::Established);
+        let after = *m.get(id).unwrap();
+        // The path moved on the ATM side: a fresh ATM-side ICN, the
+        // same FDDI-side one.
+        assert_eq!(after.atm_icn, icn);
+        assert_ne!(after.atm_icn, before.atm_icn);
+        assert_eq!(after.fddi_icn, before.fddi_icn);
+        assert_eq!((after.state, after.vci), (CongramState::Established, Some(Vci(41))));
+        assert_eq!(m.on_vc(Vci(41)).collect::<Vec<_>>(), [id]);
     }
 
     #[test]
     fn picon_keepalive_expiry() {
         let mut m = mgr();
-        let p = m
-            .begin_setup(CongramKind::PICon, FlowSpec::cbr(1_000_000), true, SimTime::ZERO)
-            .unwrap();
-        m.confirm(p).unwrap();
-        let u = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
-        m.confirm(u).unwrap();
+        let p = setup(&mut m, CongramKind::PICon, 1);
+        m.confirm(p, Vci(40)).unwrap();
+        let u = setup(&mut m, CongramKind::UCon, 2);
+        m.confirm(u, Vci(40)).unwrap();
         // Keepalive at 1s keeps it alive through 3.9s.
         m.keepalive(p, SimTime::from_secs(1)).unwrap();
         assert!(m.scan_keepalives(SimTime::from_ms(3900)).is_empty());
@@ -471,12 +562,12 @@ mod tests {
     #[test]
     fn open_count_tracks_live_congrams() {
         let mut m = mgr();
-        let a = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
-        let b = m.begin_setup(CongramKind::UCon, FlowSpec::cbr(1), false, SimTime::ZERO).unwrap();
+        let a = setup(&mut m, CongramKind::UCon, 1);
+        let b = setup(&mut m, CongramKind::UCon, 2);
         assert_eq!(m.open_count(), 2);
         m.reject(b).unwrap();
         assert_eq!(m.open_count(), 1);
-        m.confirm(a).unwrap();
+        m.confirm(a, Vci(40)).unwrap();
         m.begin_teardown(a).unwrap();
         m.complete_teardown(a).unwrap();
         assert_eq!(m.open_count(), 0);

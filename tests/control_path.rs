@@ -57,6 +57,64 @@ fn ucon_setup_data_teardown_from_atm() {
     assert!(tb.fddi_rx(2).is_empty(), "data after teardown must not forward");
 }
 
+/// Congram ids are the requester's: an ATM host and an FDDI station
+/// that both number a congram 4 each tear down only their own.
+#[test]
+fn same_congram_id_from_each_side_stays_apart() {
+    let mut tb = Testbed::build(TestbedConfig::default());
+    tb.gw.npe_mut().add_host([7; 8], FddiAddr::station(2));
+    let host_vci = tb.send_control_from_atm_host(&setup_payload(4, 5, [7; 8]));
+    tb.run_until(SimTime::from_ms(10));
+    tb.send_control_from_fddi(3, &setup_payload(4, 5, [9; 8]));
+    tb.run_until(SimTime::from_ms(40));
+    let station_icn = tb
+        .fddi_control_rx(3)
+        .iter()
+        .find_map(|c| match c {
+            ControlPayload::SetupConfirm { congram: CongramId(4), assigned_icn } => {
+                Some(*assigned_icn)
+            }
+            _ => None,
+        })
+        .expect("station 3's setup confirms");
+    let host_icn = tb
+        .atm_host_control_rx
+        .iter()
+        .find_map(|c| match c {
+            ControlPayload::SetupConfirm { congram: CongramId(4), assigned_icn } => {
+                Some(*assigned_icn)
+            }
+            _ => None,
+        })
+        .expect("the host's setup confirms");
+
+    // The host tears its congram 4 down: the ack is the host's, and its
+    // data stops forwarding.
+    tb.send_control_from_atm_host(&ControlPayload::Teardown { congram: CongramId(4) });
+    tb.run_until(SimTime::from_ms(70));
+    assert!(tb
+        .atm_host_control_rx
+        .iter()
+        .any(|c| matches!(c, ControlPayload::TeardownAck { congram: CongramId(4) })));
+    assert!(tb.fddi_control_rx(3).is_empty(), "nothing for station 3");
+    let host = CongramHandle { vci: host_vci, atm_icn: host_icn, fddi_icn: Icn(0), station: 2 };
+    tb.send_from_atm_host(host, vec![1; 64]);
+
+    // Station 3's congram 4 still carries data to the ATM host.
+    let station = CongramHandle {
+        vci: atm_fddi_gateway::wire::atm::Vci(0),
+        atm_icn: Icn(0),
+        fddi_icn: station_icn,
+        station: 3,
+    };
+    for i in 0..3u8 {
+        tb.send_from_fddi_station(3, station, vec![i; 100]);
+    }
+    tb.run_until(SimTime::from_ms(100));
+    assert!(tb.fddi_rx(2).is_empty(), "the host's congram is gone");
+    assert_eq!(tb.atm_host_rx.len(), 3, "station 3's congram is up");
+}
+
 #[test]
 fn setup_rejected_when_destination_unknown() {
     let mut tb = Testbed::build(TestbedConfig::default());

@@ -142,6 +142,7 @@ fn link_flap_quarantines_and_reestablishes_congram() {
     use atm_fddi_gateway::mchip::congram::{CongramId, CongramKind, FlowSpec};
     use atm_fddi_gateway::mchip::messages::ControlPayload;
     use atm_fddi_gateway::wire::atm::Vci;
+    use atm_fddi_gateway::wire::fddi::FddiAddr;
     use atm_fddi_gateway::wire::mchip::Icn;
 
     let mut cfg = TestbedConfig::default();
@@ -223,6 +224,43 @@ fn link_flap_quarantines_and_reestablishes_congram() {
         assert_eq!(f.len(), 300, "no torn frames");
     }
 
+    // The ATM host now sets up a congram of its own through the control
+    // path, and frames on both congrams reach their own far ends.
+    tb.gw.npe_mut().add_host([3; 8], FddiAddr::station(3));
+    let host_vci = tb.send_control_from_atm_host(&ControlPayload::SetupRequest {
+        congram: CongramId(5),
+        kind: CongramKind::UCon,
+        flow: FlowSpec::cbr(1_000_000),
+        dest: [3; 8],
+    });
+    tb.run_until(SimTime::from_ms(52));
+    let assigned_icn = tb
+        .atm_host_control_rx
+        .iter()
+        .find_map(|c| match c {
+            ControlPayload::SetupConfirm { congram, assigned_icn } if *congram == CongramId(5) => {
+                Some(*assigned_icn)
+            }
+            _ => None,
+        })
+        .expect("the host's setup must confirm");
+    let c_host =
+        CongramHandle { vci: host_vci, atm_icn: assigned_icn, fddi_icn: Icn(0), station: 3 };
+    for ms in [52u64, 54, 56] {
+        tb.run_until(SimTime::from_ms(ms));
+        tb.send_from_fddi_station(2, c_data, vec![ms as u8; 300]);
+        sent_to_atm += 1;
+        // Single-cell frames: the burst channel still eats some.
+        tb.send_from_atm_host(c_host, vec![ms as u8; 20]);
+        tb.send_from_atm_host(c_host, vec![ms as u8 + 1; 20]);
+    }
+    tb.run_until(SimTime::from_ms(60));
+    assert_eq!(tb.atm_host_rx.len(), sent_to_atm, "the station's frames reach the ATM host");
+    let to_station = tb.fddi_rx(3);
+    assert!(!to_station.is_empty(), "the host's frames reach station 3");
+    assert!(to_station.iter().all(|f| f.len() == 20));
+    assert!(tb.fddi_rx(2).is_empty(), "nothing strays to the station's end");
+
     // Burst loss really happened on the ATM→FDDI path, and every frame
     // that did get through is intact.
     let reasm = tb.gw.spp().reassembly_stats();
@@ -237,6 +275,91 @@ fn link_flap_quarantines_and_reestablishes_congram() {
     // No reassembly leaks: everything pending was either delivered,
     // discarded, or freed by quarantine.
     assert_eq!(tb.gw.spp().occupancy_cells(), 0, "reassembly occupancy back to baseline");
+}
+
+/// A congram re-established on a fresh VC gets a new ATM-side ICN. A
+/// congram the ATM host sets up afterwards must still land in ICXT
+/// slots of its own, so tearing it down leaves the first one carrying
+/// data.
+#[test]
+fn reestablished_congram_and_a_later_host_congram_keep_their_own_icns() {
+    use atm_fddi_gateway::mchip::congram::{CongramId, CongramKind, FlowSpec};
+    use atm_fddi_gateway::mchip::messages::ControlPayload;
+    use atm_fddi_gateway::wire::atm::Vci;
+    use atm_fddi_gateway::wire::fddi::FddiAddr;
+    use atm_fddi_gateway::wire::mchip::Icn;
+
+    let setup = |congram: u32, dest: [u8; 8]| ControlPayload::SetupRequest {
+        congram: CongramId(congram),
+        kind: CongramKind::UCon,
+        flow: FlowSpec::cbr(1_000_000),
+        dest,
+    };
+    let mut cfg = TestbedConfig::default();
+    cfg.gateway.vc_liveness_timeout = Some(SimTime::from_ms(8));
+    let mut tb = Testbed::build(cfg);
+    tb.gw.npe_mut().add_host([3; 8], FddiAddr::station(3));
+
+    // Station 2's congram toward the ATM host idles past the liveness
+    // timeout and comes back once, on a fresh VC.
+    tb.send_control_from_fddi(2, &setup(9, [5; 8]));
+    tb.run_until(SimTime::from_ms(2));
+    let fddi_icn = tb
+        .fddi_control_rx(2)
+        .iter()
+        .find_map(|c| match c {
+            ControlPayload::SetupConfirm { assigned_icn, .. } => Some(*assigned_icn),
+            _ => None,
+        })
+        .expect("the station's setup confirms");
+    let c_station = CongramHandle { vci: Vci(0), atm_icn: Icn(0), fddi_icn, station: 2 };
+    let mut t = SimTime::from_ms(2);
+    while tb.gw.npe().stats().reestablishments == 0 {
+        assert!(t < SimTime::from_ms(20), "the idle VC must be quarantined and replaced");
+        t += SimTime::from_us(250);
+        tb.run_until(t);
+    }
+
+    // From here station 2 sends every 2 ms, keeping its new VC alive.
+    // The ATM host sets up a congram to station 3 through the control
+    // path, sends on it, and tears it down.
+    let host_vci = tb.send_control_from_atm_host(&setup(5, [3; 8]));
+    let mut sent = 0;
+    let mut c_host = None;
+    for step in 0..10u64 {
+        tb.run_until(t + SimTime::from_ms(2 * step));
+        tb.send_from_fddi_station(2, c_station, vec![step as u8; 300]);
+        sent += 1;
+        c_host = c_host.or_else(|| {
+            tb.atm_host_control_rx.iter().find_map(|c| match c {
+                ControlPayload::SetupConfirm { congram: CongramId(5), assigned_icn } => {
+                    Some(CongramHandle {
+                        vci: host_vci,
+                        atm_icn: *assigned_icn,
+                        fddi_icn: Icn(0),
+                        station: 3,
+                    })
+                }
+                _ => None,
+            })
+        });
+        match step {
+            1 | 2 => tb.send_from_atm_host(c_host.expect("confirmed"), vec![step as u8; 200]),
+            3 => {
+                tb.send_control_from_atm_host(&ControlPayload::Teardown { congram: CongramId(5) });
+            }
+            _ => {}
+        }
+    }
+    tb.run_until(t + SimTime::from_ms(24));
+    assert!(tb
+        .atm_host_control_rx
+        .iter()
+        .any(|c| matches!(c, ControlPayload::TeardownAck { congram: CongramId(5) })));
+    assert_eq!(tb.fddi_rx(3).len(), 2, "the host's frames reach station 3");
+    assert!(tb.fddi_rx(2).is_empty(), "nothing strays to station 2");
+    assert_eq!(tb.atm_host_rx.len(), sent, "station 2's frames reach the host throughout");
+    assert_eq!(tb.gw.npe().stats().reestablishments, 1);
 }
 
 /// A VC that times out mid-frame during a link flap must neither leak
