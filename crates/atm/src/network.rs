@@ -1089,7 +1089,8 @@ mod tests {
         let e0 = net.attach_endpoint(s0, 3);
         let e1 = net.attach_endpoint(s1, 3);
         net.fail_link(SwitchId(0), 0); // cut the direct path
-        let conn = net.connect(e0, &[e1], crate::signaling::TrafficContract::cbr(1_000_000));
+        let conn =
+            net.connect(net.now(), e0, &[e1], crate::signaling::TrafficContract::cbr(1_000_000));
         net.run_until(SimTime::from_ms(50));
         assert_eq!(
             net.conn_state(conn),

@@ -193,11 +193,15 @@ impl SignalingState {
 }
 
 impl AtmNetwork {
-    /// Request a (possibly multipoint) connection from `from` to every
-    /// endpoint in `to`. The outcome arrives later as a
-    /// [`SignalIndication`] on each party's event stream.
+    /// Request, at time `at`, a (possibly multipoint) connection from
+    /// `from` to every endpoint in `to`. The outcome arrives one
+    /// signaling delay after the later of `at` and the network's clock,
+    /// as a [`SignalIndication`] on each party's event stream. An idle
+    /// network's clock stays at its last event, so the caller's time is
+    /// what dates the request.
     pub fn connect(
         &mut self,
+        at: SimTime,
         from: EndpointId,
         to: &[EndpointId],
         contract: TrafficContract,
@@ -225,7 +229,7 @@ impl AtmNetwork {
             conn.pending_reject = Some(reason);
         }
         self.signaling.conns.insert(id, conn);
-        self.schedule_signaling(self.now() + delay, SignalingEvent::CompleteSetup(id));
+        self.schedule_signaling(at.max(self.now()) + delay, SignalingEvent::CompleteSetup(id));
         id
     }
 
@@ -461,7 +465,7 @@ mod tests {
     #[test]
     fn point_to_point_setup_and_data() {
         let (mut net, e0, e1, _) = mesh();
-        let conn = net.connect(e0, &[e1], TrafficContract::cbr(10_000_000));
+        let conn = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(10_000_000));
         net.run_until(SimTime::from_ms(50));
         let up = drain_signals(&mut net, e0);
         let SignalIndication::ConnectionUp { tx_vci, .. } = up[0] else {
@@ -486,7 +490,7 @@ mod tests {
     #[test]
     fn setup_latency_reflects_software_path() {
         let (mut net, e0, e1, _) = mesh();
-        net.connect(e0, &[e1], TrafficContract::cbr(1_000_000));
+        net.connect(net.now(), e0, &[e1], TrafficContract::cbr(1_000_000));
         net.run_until(SimTime::from_us(100));
         assert!(drain_signals(&mut net, e0).is_empty(), "setup must not be instantaneous");
         net.run_until(SimTime::from_ms(50));
@@ -498,8 +502,8 @@ mod tests {
         let (mut net, e0, e1, _) = mesh();
         // Each link is 155 Mb/s with 95% reservable: ~147 Mb/s. Two
         // 100 Mb/s peak connections cannot share the access link.
-        let c1 = net.connect(e0, &[e1], TrafficContract::cbr(100_000_000));
-        let c2 = net.connect(e0, &[e1], TrafficContract::cbr(100_000_000));
+        let c1 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(100_000_000));
+        let c2 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(100_000_000));
         net.run_until(SimTime::from_ms(100));
         assert_eq!(net.conn_state(c1), Some(ConnState::Established));
         assert_eq!(net.conn_state(c2), Some(ConnState::Rejected));
@@ -517,7 +521,7 @@ mod tests {
             SignalingConfig { policy: CacPolicy::Mean, ..SignalingConfig::default() };
         // Peak 100M but mean 10M: under mean policy a dozen fit.
         let contract = TrafficContract { peak_bps: 100_000_000, mean_bps: 10_000_000 };
-        let ids: Vec<_> = (0..12).map(|_| net.connect(e0, &[e1], contract)).collect();
+        let ids: Vec<_> = (0..12).map(|_| net.connect(net.now(), e0, &[e1], contract)).collect();
         net.run_until(SimTime::from_ms(200));
         for id in ids {
             assert_eq!(net.conn_state(id), Some(ConnState::Established));
@@ -527,14 +531,14 @@ mod tests {
     #[test]
     fn release_frees_bandwidth() {
         let (mut net, e0, e1, _) = mesh();
-        let c1 = net.connect(e0, &[e1], TrafficContract::cbr(100_000_000));
+        let c1 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(100_000_000));
         net.run_until(SimTime::from_ms(50));
         assert_eq!(net.conn_state(c1), Some(ConnState::Established));
         net.release(c1);
         net.run_until(SimTime::from_ms(100));
         assert_eq!(net.conn_state(c1), Some(ConnState::Released));
         // The same capacity is admittable again.
-        let c2 = net.connect(e0, &[e1], TrafficContract::cbr(100_000_000));
+        let c2 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(100_000_000));
         net.run_until(SimTime::from_ms(200));
         assert_eq!(net.conn_state(c2), Some(ConnState::Established));
     }
@@ -542,7 +546,7 @@ mod tests {
     #[test]
     fn released_connection_stops_data() {
         let (mut net, e0, e1, _) = mesh();
-        let c1 = net.connect(e0, &[e1], TrafficContract::cbr(1_000_000));
+        let c1 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(1_000_000));
         net.run_until(SimTime::from_ms(50));
         let sigs = drain_signals(&mut net, e0);
         let SignalIndication::ConnectionUp { tx_vci, .. } = sigs[0] else { panic!() };
@@ -557,7 +561,7 @@ mod tests {
     #[test]
     fn multipoint_connect_reaches_all_parties() {
         let (mut net, e0, e1, e2) = mesh();
-        let _c = net.connect(e0, &[e1, e2], TrafficContract::cbr(5_000_000));
+        let _c = net.connect(net.now(), e0, &[e1, e2], TrafficContract::cbr(5_000_000));
         net.run_until(SimTime::from_ms(100));
         let up = drain_signals(&mut net, e0);
         let SignalIndication::ConnectionUp { tx_vci, .. } = up[0] else { panic!("{up:?}") };
@@ -577,7 +581,7 @@ mod tests {
         let s1 = net.add_switch(2); // island
         let e0 = net.attach_endpoint(s0, 0);
         let e1 = net.attach_endpoint(s1, 0);
-        let c = net.connect(e0, &[e1], TrafficContract::cbr(1_000));
+        let c = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(1_000));
         net.run_until(SimTime::from_ms(50));
         assert_eq!(net.conn_state(c), Some(ConnState::Rejected));
         let sigs = drain_signals(&mut net, e0);
@@ -590,8 +594,8 @@ mod tests {
     #[test]
     fn rejected_setup_leaves_no_state() {
         let (mut net, e0, e1, _) = mesh();
-        let c1 = net.connect(e0, &[e1], TrafficContract::cbr(140_000_000));
-        let c2 = net.connect(e0, &[e1], TrafficContract::cbr(140_000_000));
+        let c1 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(140_000_000));
+        let c2 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(140_000_000));
         net.run_until(SimTime::from_ms(100));
         assert_eq!(net.conn_state(c2), Some(ConnState::Rejected));
         // Reserved bandwidth equals exactly one connection's worth on the
@@ -604,8 +608,8 @@ mod tests {
     #[test]
     fn distinct_connections_get_distinct_vcis() {
         let (mut net, e0, e1, _) = mesh();
-        net.connect(e0, &[e1], TrafficContract::cbr(1_000_000));
-        net.connect(e0, &[e1], TrafficContract::cbr(1_000_000));
+        net.connect(net.now(), e0, &[e1], TrafficContract::cbr(1_000_000));
+        net.connect(net.now(), e0, &[e1], TrafficContract::cbr(1_000_000));
         net.run_until(SimTime::from_ms(100));
         let ups: Vec<Vci> = drain_signals(&mut net, e0)
             .into_iter()
@@ -617,5 +621,32 @@ mod tests {
         assert_eq!(ups.len(), 2);
         assert_ne!(ups[0], ups[1]);
         assert!(ups.iter().all(|v| v.0 >= 32), "VCIs 0-31 reserved");
+    }
+
+    #[test]
+    fn setup_requested_after_an_idle_spell_answers_a_delay_after_the_request() {
+        let (mut net, e0, e1, _) = mesh();
+        net.connect(net.now(), e0, &[e1], TrafficContract::cbr(1_000_000));
+        net.run_until(SimTime::from_ms(50));
+        net.poll(e0);
+        // The network idles at its last event; the next request comes
+        // well after it.
+        let t0 = net.now();
+        let t = t0 + SimTime::from_ms(10);
+        net.connect(t, e0, &[e1], TrafficContract::cbr(1_000_000));
+        net.run_until(SimTime::from_ms(100));
+        let up: Vec<SimTime> = net
+            .poll(e0)
+            .into_iter()
+            .filter_map(|e| match e {
+                EndpointEvent::Signal { time, signal: SignalIndication::ConnectionUp { .. } } => {
+                    Some(time)
+                }
+                _ => None,
+            })
+            .collect();
+        let delay = net.signaling.config.hop_processing;
+        assert_eq!(up.len(), 1);
+        assert!(up[0] >= t + delay, "answered at {up:?}, requested at {t:?} (idle since {t0:?})");
     }
 }

@@ -131,7 +131,7 @@ fn run(seed: u64) -> (u64, Coverage) {
     net.install_policer(s[2], 2, Vci(700), Gcra::new(drop, PolicingAction::Drop));
 
     // H: a signaled connection e3 -> e2; its VCI arrives by indication.
-    let conn = net.connect(e[3], &[e[2]], TrafficContract::cbr(10_000_000));
+    let conn = net.connect(net.now(), e[3], &[e[2]], TrafficContract::cbr(10_000_000));
     let mut signaled_vci: Option<Vci> = None;
 
     let from_e0 = [Vci(100), Vci(300), Vci(100), Vci(999)];

@@ -149,7 +149,7 @@ proptest! {
     ) {
         let (mut net, e0, e1) = chain(3);
         for mbps in demands {
-            net.connect(e0, &[e1], TrafficContract::cbr(mbps * 1_000_000));
+            net.connect(net.now(), e0, &[e1], TrafficContract::cbr(mbps * 1_000_000));
         }
         net.run_until(SimTime::from_ms(200));
         let reservable = (gw_atm::DEFAULT_LINK_RATE as f64 * 0.95) as u64;
@@ -171,7 +171,7 @@ proptest! {
         let (mut net, e0, e1) = chain(3);
         let conns: Vec<_> = demands
             .iter()
-            .map(|&mbps| net.connect(e0, &[e1], TrafficContract::cbr(mbps * 1_000_000)))
+            .map(|&mbps| net.connect(net.now(), e0, &[e1], TrafficContract::cbr(mbps * 1_000_000)))
             .collect();
         net.run_until(SimTime::from_ms(100));
         for c in conns {

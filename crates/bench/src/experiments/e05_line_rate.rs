@@ -94,7 +94,7 @@ fn atm_to_fddi() -> (f64, u64, u64) {
         }
     }
     let goodput = (frames_out as usize * payload.len() * 8) as f64 / t.as_secs_f64();
-    let drops = gw.stats().tx_overflow_drops
+    let drops = gw.tx_buffer_stats().overflow_drops
         + gw.spp().reassembly_stats().no_buffer_drops
         + gw.spp().reassembly_stats().frames_discarded;
     (goodput, frames_out, drops)

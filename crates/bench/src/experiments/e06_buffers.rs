@@ -143,7 +143,7 @@ fn run_one(
     }
     let _ = delivered;
     let stats = gw.tx_buffer_stats();
-    (offered, gw.stats().tx_overflow_drops, gw.tx_buffer_mean_occupancy(end), stats.peak_octets)
+    (offered, stats.overflow_drops, gw.tx_buffer_mean_occupancy(end), stats.peak_octets)
 }
 
 /// Run E6.

@@ -42,7 +42,7 @@ fn triangle() -> Net {
 }
 
 fn establish(n: &mut Net) -> Vci {
-    let conn = n.net.connect(n.e0, &[n.e1], TrafficContract::cbr(5_000_000));
+    let conn = n.net.connect(n.net.now(), n.e0, &[n.e1], TrafficContract::cbr(5_000_000));
     n.net.run_until(n.net.now() + SimTime::from_ms(20));
     assert_eq!(n.net.conn_state(conn), Some(ConnState::Established));
     n.net
@@ -102,7 +102,8 @@ fn scenario(detection: SimTime) -> (usize, usize, f64) {
             && t >= fail_at + detection
         {
             mchip.begin_reconfigure(congram).unwrap();
-            reconf_pending = Some(n.net.connect(n.e0, &[n.e1], TrafficContract::cbr(5_000_000)));
+            reconf_pending =
+                Some(n.net.connect(n.net.now(), n.e0, &[n.e1], TrafficContract::cbr(5_000_000)));
         }
         n.net.inject_on_vci_at(n.e0, t, vci, &[0x42; 48]);
         sent += 1;

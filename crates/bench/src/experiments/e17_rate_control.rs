@@ -124,7 +124,7 @@ fn run_case(policed: bool) -> Outcome {
         bad_delivered: delivered[1],
         good_offered: offered[0],
         bad_offered: offered[1],
-        tx_drops: gw.stats().tx_overflow_drops,
+        tx_drops: gw.tx_buffer_stats().overflow_drops,
         policed: policed_count,
     }
 }

@@ -30,6 +30,8 @@ pub struct BufferStats {
     pub frames_out: u64,
     /// Frames rejected because the memory was full.
     pub overflow_drops: u64,
+    /// Octets in the frames counted by [`BufferStats::overflow_drops`].
+    pub overflow_octets: u64,
     /// Peak occupancy, octets.
     pub peak_octets: usize,
     /// Frames rejected by the overload-shedding policy (watermark
@@ -115,6 +117,7 @@ impl BufferMemory {
     pub fn store(&mut self, now: SimTime, class: Class, frame: Vec<u8>) -> Result<(), Vec<u8>> {
         if self.used_octets + frame.len() > self.capacity_octets {
             self.stats.overflow_drops += 1;
+            self.stats.overflow_octets += frame.len() as u64;
             return Err(frame);
         }
         self.used_octets += frame.len();
@@ -238,7 +241,7 @@ mod tests {
         let mut m = BufferMemory::new(100);
         m.store(SimTime::ZERO, Class::Sync, vec![0; 60]).unwrap();
         assert!(m.store(SimTime::ZERO, Class::Async, vec![0; 50]).is_err());
-        assert_eq!(m.stats().overflow_drops, 1);
+        assert_eq!((m.stats().overflow_drops, m.stats().overflow_octets), (1, 50));
         m.store(SimTime::ZERO, Class::Async, vec![0; 40]).unwrap();
         assert_eq!(m.used_octets(), 100);
     }

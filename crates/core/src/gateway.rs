@@ -110,19 +110,15 @@ pub struct GatewayStats {
     pub forward_path_ns: Histogram,
     /// FDDI frames that failed the FCS at the gateway.
     pub fddi_fcs_drops: u64,
-    /// Frames lost to a full transmit buffer.
-    pub tx_overflow_drops: u64,
-    /// Frames lost to a full receive buffer.
-    pub rx_overflow_drops: u64,
     /// Partial (timer-flushed) frames discarded at the MPP.
     pub partial_discards: u64,
     /// VCs quarantined by the liveness monitor. (Setup retries,
     /// failed setups and re-establishments are the NPE's own counters:
     /// [`Npe::stats`].)
     pub vcs_quarantined: u64,
-    /// Frames rejected by overload shedding at the SUPERNET buffers.
-    pub frames_shed: u64,
-    /// Cell-equivalents (45-octet payloads) in the shed frames.
+    /// Cell-equivalents (45-octet payloads) in the frames shed at the
+    /// SUPERNET buffers (the frames themselves are the buffers' own
+    /// count: [`Gateway::tx_buffer_stats`]).
     pub cells_shed: u64,
     /// Frames dropped by defensive checks on paths that previously
     /// panicked (malformed internal state; each is also traced).
@@ -240,11 +236,8 @@ impl GatewayStats {
             fddi_to_atm_ns: Histogram::new(40, 4096),
             forward_path_ns: Histogram::new(40, 4096),
             fddi_fcs_drops: 0,
-            tx_overflow_drops: 0,
-            rx_overflow_drops: 0,
             partial_discards: 0,
             vcs_quarantined: 0,
-            frames_shed: 0,
             cells_shed: 0,
             malformed_drops: 0,
         }
@@ -318,8 +311,7 @@ pub struct Gateway {
     pub(crate) npe: Npe,
     pub(crate) tx_buffer: BufferMemory,
     pub(crate) rx_buffer: BufferMemory,
-    pub(crate) npe_fifo_depth_peak: usize,
-    npe_fifo: FrameFifo<Vec<u8>>,
+    pub(crate) npe_fifo: FrameFifo<Vec<u8>>,
     stats: GatewayStats,
     cons: ConservationCounters,
     /// Direct VCI→slot index, grown to the largest VCI touched (no
@@ -345,8 +337,6 @@ pub struct Gateway {
     cell_seq: u64,
     /// Monotone frame id source; meaningful only under management.
     frame_seq: u64,
-    /// NPE reestablishment count already mirrored into the registry.
-    mirrored_reestablishments: u64,
 }
 
 impl Gateway {
@@ -382,7 +372,6 @@ impl Gateway {
             tx_buffer,
             rx_buffer,
             npe_fifo: FrameFifo::new("mpp-npe", NPE_FIFO_FRAMES),
-            npe_fifo_depth_peak: 0,
             stats: GatewayStats::new(),
             cons: ConservationCounters::default(),
             vci_index: SlotIndex::default(),
@@ -394,7 +383,6 @@ impl Gateway {
             mgmt: config.management.map(|_| MgmtPlane::default()),
             cell_seq: 0,
             frame_seq: 0,
-            mirrored_reestablishments: 0,
             npe,
             config,
         };
@@ -698,41 +686,21 @@ impl Gateway {
 
     // ---- management-plane bookkeeping ---------------------------------
     //
-    // Every countable event funnels through exactly one of the helpers
-    // below, so `GatewayStats`, the metrics registry, the causal trace,
-    // and port health can never disagree about what happened.
-
-    /// Per-cell ingress accounting: assigns the cell's causal id and
-    /// bumps the AIC ingress counter.
-    fn note_cell_in(&mut self) -> CellId {
-        self.cell_seq += 1;
-        if let Some(m) = &mut self.mgmt {
-            m.registry.add(m.handles.aic_cells_in, CELL_SIZE);
-        }
-        CellId(self.cell_seq)
-    }
-
-    /// The AIC repaired a cell's header (its copy differs from the
-    /// caller's).
-    fn note_hec_corrected(&mut self) {
-        if let Some(m) = &mut self.mgmt {
-            m.registry.inc(m.handles.aic_hec_corrections);
-        }
-    }
+    // Each event is counted once, where it is decided: in the
+    // component's own stats, `GatewayStats` or the conservation ledger.
+    // The helpers below keep what only the management plane records —
+    // the per-VC rows, the four gateway-wide counters no other book
+    // holds (`GwHandles`), the latency histograms, the causal trace and
+    // port health — and the snapshot renders every other `gw.*` name
+    // from the count it would duplicate.
 
     /// A cell died before reassembly (HEC, policing, CRC-10).
     fn note_cell_drop(&mut self, at: SimTime, cell: CellId, vci: Vci, reason: CellDropReason) {
         if let Some(m) = &mut self.mgmt {
-            let h = m.handles;
-            match reason {
-                CellDropReason::HecError => m.registry.inc(h.aic_hec_discards),
-                CellDropReason::Policed => {
-                    m.registry.inc(h.gcra_policed);
-                    if let Some(row) = m.registry.vc(vci.0) {
-                        m.registry.inc(row.policed);
-                    }
+            if reason == CellDropReason::Policed {
+                if let Some(row) = m.registry.vc(vci.0) {
+                    m.registry.inc(row.policed);
                 }
-                CellDropReason::Crc10 => {}
             }
             m.health.note_error(Port::Atm);
             m.trace.emit(GwEvent::CellDropped { at, cell, vci: vci.0, reason });
@@ -742,7 +710,6 @@ impl Gateway {
     /// A frame completed SAR reassembly.
     fn note_frame_reassembled(&mut self, at: SimTime, vci: Vci, origin: Option<FrameOrigin>) {
         if let Some(m) = &mut self.mgmt {
-            m.registry.inc(m.handles.spp_frames_reassembled);
             if let Some(row) = m.registry.vc(vci.0) {
                 m.registry.inc(row.reassembled);
             }
@@ -768,13 +735,8 @@ impl Gateway {
         reason: FrameDropReason,
     ) {
         if let Some(m) = &mut self.mgmt {
-            let h = m.handles;
-            match reason {
-                FrameDropReason::MppDrop | FrameDropReason::Malformed => {
-                    m.registry.inc(h.mpp_drops)
-                }
-                FrameDropReason::ControlFifoFull => m.registry.inc(h.npe_fifo_drops),
-                _ => m.registry.inc(h.spp_frames_discarded),
+            if matches!(reason, FrameDropReason::MppDrop | FrameDropReason::Malformed) {
+                m.registry.inc(m.handles.mpp_drops);
             }
             if let Some(row) = m.registry.vc(vci.0) {
                 m.registry.inc(row.discarded);
@@ -803,9 +765,8 @@ impl Gateway {
         octets: usize,
     ) {
         if let Some(m) = &mut self.mgmt {
-            let h = m.handles;
-            m.registry.add(h.mpp_frames_forwarded, octets);
-            m.registry.observe(h.atm_to_fddi_ns, (done - started).as_ns());
+            m.registry.add(m.handles.mpp_frames_forwarded, octets);
+            m.registry.observe(m.handles.atm_to_fddi_ns, (done - started).as_ns());
             if let Some(row) = m.registry.vc(vci.0) {
                 m.registry.add(row.forwarded, octets);
             }
@@ -832,20 +793,20 @@ impl Gateway {
         octets: usize,
     ) {
         if let Some(m) = &mut self.mgmt {
-            let h = m.handles;
-            m.registry.add(h.spp_frames_down, octets);
-            m.registry.add_bulk(h.spp_cells_out, cells as u64, (cells * CELL_SIZE) as u64);
-            m.registry.observe(h.fddi_to_atm_ns, (done - arrived).as_ns());
+            let cell_octets = (cells * CELL_SIZE) as u64;
+            m.registry.add(m.handles.spp_frames_down, octets);
+            m.registry.add_bulk(m.handles.spp_cells_out, cells as u64, cell_octets);
+            m.registry.observe(m.handles.fddi_to_atm_ns, (done - arrived).as_ns());
             if let Some(row) = m.registry.vc(vci.0) {
-                m.registry.add_bulk(row.cells_out, cells as u64, (cells * CELL_SIZE) as u64);
+                m.registry.add_bulk(row.cells_out, cells as u64, cell_octets);
             }
         }
     }
 
     /// A frame was refused by a SUPERNET buffer memory — watermark shed
-    /// (`overflow == false`) or hard overflow. The single bookkeeping
-    /// site for both buffers and both directions: `GatewayStats`, the
-    /// registry, the trace, and FDDI-port health all move here.
+    /// (`overflow == false`) or hard overflow; the buffer counted it.
+    /// The shed frame's cells, the trace, and FDDI-port health move
+    /// here.
     #[allow(clippy::too_many_arguments)] // internal plumbing; flags mirror buffer outcomes
     fn note_buffer_drop(
         &mut self,
@@ -857,27 +818,10 @@ impl Gateway {
         origin: Option<FrameOrigin>,
         vci: Option<Vci>,
     ) {
-        if overflow {
-            if tx {
-                self.stats.tx_overflow_drops += 1;
-            } else {
-                self.stats.rx_overflow_drops += 1;
-            }
-        } else {
-            self.stats.frames_shed += 1;
+        if !overflow {
             self.stats.cells_shed += octets.div_ceil(45) as u64;
         }
         let Some(m) = &mut self.mgmt else { return };
-        let h = m.handles;
-        let counter = match (tx, overflow, synchronous) {
-            (true, true, _) => h.tx_overflow,
-            (false, true, _) => h.rx_overflow,
-            (true, false, true) => h.tx_shed_sync,
-            (true, false, false) => h.tx_shed_async,
-            (false, false, true) => h.rx_shed_sync,
-            (false, false, false) => h.rx_shed_async,
-        };
-        m.registry.add(counter, octets);
         m.health.note_error(Port::Fddi);
         let reason = match (tx, overflow) {
             (true, true) => FrameDropReason::TxOverflow,
@@ -919,9 +863,6 @@ impl Gateway {
         reason: FrameDropReason,
     ) {
         if let Some(m) = &mut self.mgmt {
-            if reason == FrameDropReason::FcsError {
-                m.registry.inc(m.handles.mac_fcs_drops);
-            }
             m.health.note_error(Port::Fddi);
             m.trace.emit(GwEvent::FddiFrameDropped {
                 at,
@@ -930,13 +871,6 @@ impl Gateway {
                 octets: octets as u32,
                 reason,
             });
-        }
-    }
-
-    /// A control frame was delivered to the NPE.
-    fn note_npe_control(&mut self) {
-        if let Some(m) = &mut self.mgmt {
-            m.registry.inc(m.handles.npe_control_frames);
         }
     }
 
@@ -956,7 +890,6 @@ impl Gateway {
         if let Some(m) = &mut self.mgmt {
             m.registry.retire_vc(vci.0);
             if quarantined {
-                m.registry.inc(m.handles.npe_vcs_quarantined);
                 m.health.note_error(Port::Atm);
             }
             m.trace.emit(GwEvent::VcRetired { at, vci: vci.0, quarantined });
@@ -1124,15 +1057,13 @@ impl Gateway {
         // The AIC corrects at most one header bit, in this copy; the
         // information field is taken from `input`.
         let mut cell = *input;
-        let cell_id = self.note_cell_in();
+        self.cell_seq += 1;
+        let cell_id = CellId(self.cell_seq);
         let Some(aligned) = self.aic.receive(now, &mut cell) else {
             // The header is unreadable, so the VC is unknown (0).
             self.note_cell_drop(now, cell_id, Vci(0), CellDropReason::HecError);
             return;
         };
-        if cell[..HEADER_SIZE] != input[..HEADER_SIZE] {
-            self.note_hec_corrected();
-        }
         // Read the VCI after the AIC so a corrected header binds the
         // cell to the right connection.
         let [b0, b1, b2, b3, ..] = cell;
@@ -1219,10 +1150,7 @@ impl Gateway {
                                 );
                             } else {
                                 self.cons.control_delivered += 1;
-                                self.npe_fifo_depth_peak =
-                                    self.npe_fifo_depth_peak.max(self.npe_fifo.len());
                                 if let Some(queued) = self.npe_fifo.pop() {
-                                    self.note_npe_control();
                                     let actions = self.npe.handle(
                                         ready,
                                         NpeInput::ControlFromAtm {
@@ -1365,7 +1293,6 @@ impl Gateway {
         match fc {
             FrameControl::Smt | FrameControl::MacBeacon | FrameControl::MacClaim => {
                 self.cons.fddi_smt += 1;
-                self.note_npe_control();
                 let _ = self.npe.handle(now, NpeInput::Smt);
                 return;
             }
@@ -1442,7 +1369,6 @@ impl Gateway {
             MppDownOutput::ControlToNpe { ready, frame: cf } => {
                 self.cons.fddi_control_to_npe += 1;
                 self.cons.mpp_staging_consumed += 1;
-                self.note_npe_control();
                 let actions = self.npe.handle(ready, NpeInput::ControlFromFddi { frame: cf, src });
                 self.apply_npe_actions(actions, out);
             }
@@ -1486,9 +1412,6 @@ impl Gateway {
 
     // gw-lint: setup-path — NPE control actions (congram setup/teardown, control frames) are the paper's non-critical path
     fn apply_npe_actions(&mut self, actions: Vec<NpeAction>, out: &mut Vec<Output>) {
-        // The NPE counts a re-establishment only in a call that also
-        // returns an action, so an empty list has nothing to apply or
-        // mirror.
         if actions.is_empty() {
             return;
         }
@@ -1577,23 +1500,6 @@ impl Gateway {
                 }
             }
         }
-        self.sync_npe_stats();
-    }
-
-    /// Mirror the NPE's re-establishment count into the management
-    /// registry (`vcs_quarantined` is counted by the gateway itself —
-    /// directly installed congrams have no NPE record).
-    pub(crate) fn sync_npe_stats(&mut self) {
-        let reestablishments = self.npe.stats().reestablishments;
-        if let Some(m) = &mut self.mgmt {
-            // The NPE counts re-establishments internally; mirror the
-            // delta into the registry so both stay monotone.
-            let delta = reestablishments.saturating_sub(self.mirrored_reestablishments);
-            if delta > 0 {
-                m.registry.add_bulk(m.handles.npe_reestablishments, delta, 0);
-                self.mirrored_reestablishments = reestablishments;
-            }
-        }
     }
 
     /// Run housekeeping up to `now`, appending to a caller-owned buffer:
@@ -1680,9 +1586,9 @@ impl Gateway {
         let actions = self.npe.scan(now);
         self.apply_npe_actions(actions, out);
         if let Some(m) = &mut self.mgmt {
-            let h = m.handles;
-            m.registry.set_gauge(h.tx_occupancy, now, self.tx_buffer.used_octets() as f64);
-            m.registry.set_gauge(h.rx_occupancy, now, self.rx_buffer.used_octets() as f64);
+            let (tx, rx) = (self.tx_buffer.used_octets(), self.rx_buffer.used_octets());
+            m.registry.set_gauge(m.handles.tx_occupancy, now, tx as f64);
+            m.registry.set_gauge(m.handles.rx_occupancy, now, rx as f64);
             for transition in m.health.advance(now).into_iter().flatten() {
                 m.trace.emit(GwEvent::PortHealthChanged {
                     at: now,
@@ -2053,7 +1959,7 @@ mod tests {
             assert_eq!(
                 counted.and_then(gw_sim::json::Json::as_u64),
                 corrections,
-                "registry agrees"
+                "the gw.* view agrees"
             );
             (gw, frames, corrections)
         };
@@ -2249,7 +2155,7 @@ mod tests {
             m.registry.counter_by_name(&format!("gw.mpp.vc.{vci}.forwarded_frames")),
             Some(1)
         );
-        assert_eq!(m.registry.counter_by_name("gw.aic.cells_in"), Some(cells.len() as u64));
+        assert_eq!(m.registry.counter_by_name("gw.mpp.frames_forwarded"), Some(1));
         assert!(m.registry.vc_active(vci));
         let health = gw.health().unwrap();
         assert_eq!(health.atm.state, gw_mgmt::PortState::Up);
@@ -2269,7 +2175,7 @@ mod tests {
             let cells = data_cells(&[i as u8; 60]);
             gw.deliver_cells(SimTime::from_us(i as u64 * 100), &cells, &mut Vec::new());
         }
-        assert_eq!(gw.stats().tx_overflow_drops, 1);
+        assert_eq!(gw.tx_buffer_stats().overflow_drops, 1);
         assert_eq!(gw.fddi_tx_pending(), 1);
     }
 
@@ -2335,10 +2241,10 @@ mod tests {
         for i in 0..6u64 {
             gw.deliver_cells(SimTime::from_us(i * 100), &data_cells(&[i as u8; 60]), &mut out);
         }
-        let s = gw.stats();
-        assert!(s.frames_shed >= 1, "watermark must trip: {s:?}");
-        assert!(s.cells_shed >= s.frames_shed);
-        assert_eq!(s.tx_overflow_drops, 0, "shedding kicks in before hard overflow");
+        let (s, tx) = (gw.stats(), gw.tx_buffer_stats());
+        assert!(tx.frames_shed >= 1, "watermark must trip: {tx:?}");
+        assert!(s.cells_shed >= tx.frames_shed);
+        assert_eq!(tx.overflow_drops, 0, "shedding kicks in before hard overflow");
     }
 
     #[test]
@@ -2367,13 +2273,13 @@ mod tests {
         for i in 0..2u64 {
             gw.deliver_cells(SimTime::from_us(i * 100), &data_cells(&[1u8; 60]), &mut out);
         }
-        assert_eq!(gw.stats().frames_shed, 0);
+        assert_eq!(gw.tx_buffer_stats().frames_shed, 0);
         // A CLP-tagged frame is now shed while an untagged one still fits.
         gw.deliver_cells(SimTime::from_us(300), &clp_cells(&[2u8; 60]), &mut out);
-        assert_eq!(gw.stats().frames_shed, 1, "discard-eligible frame shed first");
+        assert_eq!(gw.tx_buffer_stats().frames_shed, 1, "discard-eligible frame shed first");
         gw.deliver_cells(SimTime::from_us(400), &data_cells(&[3u8; 60]), &mut out);
-        assert_eq!(gw.stats().frames_shed, 1, "untagged frame still delivered");
-        assert_eq!(gw.stats().tx_overflow_drops, 0);
+        assert_eq!(gw.tx_buffer_stats().frames_shed, 1, "untagged frame still delivered");
+        assert_eq!(gw.tx_buffer_stats().overflow_drops, 0);
     }
 
     #[test]

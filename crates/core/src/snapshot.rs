@@ -9,18 +9,19 @@
 
 use crate::buffers::BufferMemory;
 use crate::gateway::Gateway;
-use gw_mgmt::Port;
+use gw_mgmt::{MgmtPlane, Port};
 use gw_sim::json::Json;
-use gw_sim::{Counter, Histogram, SimTime, TimeWeighted};
+use gw_sim::{Histogram, SimTime, TimeWeighted};
+use gw_wire::atm::CELL_SIZE;
 
 /// Format tag carried in every snapshot (`"format"` key); bump on any
 /// incompatible shape change.
 pub const SNAPSHOT_FORMAT: &str = "gw-snapshot/1";
 
-fn counter_json(c: &Counter) -> Json {
+fn counter_json(count: u64, octets: u64) -> Json {
     let mut o = Json::obj();
-    o.set("count", Json::U64(c.count()));
-    o.set("octets", Json::U64(c.octets()));
+    o.set("count", Json::U64(count));
+    o.set("octets", Json::U64(octets));
     o
 }
 
@@ -80,11 +81,9 @@ impl Gateway {
     /// time `now`.
     ///
     /// `&mut self` because taking the snapshot performs the same
-    /// housekeeping a management query through the NPE would: NPE
-    /// counters are mirrored into the registry and elapsed health
-    /// windows are closed. The data path is not touched.
+    /// housekeeping a management query through the NPE would: elapsed
+    /// health windows are closed. The data path is not touched.
     pub fn snapshot(&mut self, now: SimTime) -> Json {
-        self.sync_npe_stats();
         if let Some(m) = &mut self.mgmt {
             for transition in m.health.advance(now).into_iter().flatten() {
                 m.trace.emit(gw_mgmt::GwEvent::PortHealthChanged {
@@ -114,15 +113,21 @@ impl Gateway {
             },
         );
 
-        // The registry, verbatim: every counter/gauge/histogram by its
-        // hierarchical name.
+        // Every counter/gauge/histogram by its hierarchical name. The
+        // gateway-wide counters come first; the four no other book holds
+        // are the registry's, the rest are views of the count each
+        // event already has. The per-VC rows follow, as registered.
         doc.set(
             "metrics",
             match &self.mgmt {
                 Some(m) => {
                     let mut counters = Json::obj();
-                    for (name, c) in m.registry.counters() {
-                        counters.set(name, counter_json(c));
+                    for (name, (count, octets)) in self.global_counters(m) {
+                        counters.set(name, counter_json(count, octets));
+                    }
+                    for (name, c) in m.registry.counters().filter(|(name, _)| name.contains(".vc."))
+                    {
+                        counters.set(name, counter_json(c.count(), c.octets()));
                     }
                     let mut gauges = Json::obj();
                     for (name, g) in m.registry.gauges() {
@@ -262,25 +267,27 @@ impl Gateway {
         npe.set("vcs_quarantined", Json::U64(n.vcs_quarantined));
         npe.set("reestablishments", Json::U64(n.reestablishments));
         npe.set("watchdog_fires", Json::U64(sup.watchdog_fires));
-        npe.set("fifo_depth_peak", Json::U64(self.npe_fifo_depth_peak as u64));
+        npe.set("fifo_depth_peak", Json::U64(self.npe_fifo.peak() as u64));
         components.set("npe", npe);
         doc.set("components", components);
 
-        // Gateway-level totals (the study's GatewayStats).
+        // Gateway-level totals (the study's GatewayStats, and the
+        // buffers' drop counts).
         let g = self.stats();
+        let (tx, rx) = (self.tx_buffer.stats(), self.rx_buffer.stats());
         let mut totals = Json::obj();
         totals.set("atm_to_fddi_ns", histogram_json(&g.atm_to_fddi_ns));
         totals.set("fddi_to_atm_ns", histogram_json(&g.fddi_to_atm_ns));
         totals.set("forward_path_ns", histogram_json(&g.forward_path_ns));
         totals.set("fddi_fcs_drops", Json::U64(g.fddi_fcs_drops));
-        totals.set("tx_overflow_drops", Json::U64(g.tx_overflow_drops));
-        totals.set("rx_overflow_drops", Json::U64(g.rx_overflow_drops));
+        totals.set("tx_overflow_drops", Json::U64(tx.overflow_drops));
+        totals.set("rx_overflow_drops", Json::U64(rx.overflow_drops));
         totals.set("partial_discards", Json::U64(g.partial_discards));
         totals.set("setup_retries", Json::U64(n.setup_retries));
         totals.set("setups_failed", Json::U64(n.setups_failed));
         totals.set("vcs_quarantined", Json::U64(g.vcs_quarantined));
         totals.set("reestablishments", Json::U64(n.reestablishments));
-        totals.set("frames_shed", Json::U64(g.frames_shed));
+        totals.set("frames_shed", Json::U64(tx.frames_shed + rx.frames_shed));
         totals.set("cells_shed", Json::U64(g.cells_shed));
         totals.set("malformed_drops", Json::U64(g.malformed_drops));
 
@@ -334,6 +341,58 @@ impl Gateway {
         );
 
         doc
+    }
+
+    /// The gateway-wide counters of `metrics.counters` in document
+    /// order, as `(name, (count, octets))`. Four are the registry's
+    /// (`GwHandles`); every other one reads the book that counts the
+    /// same event, with the meaning the name has always had:
+    /// `gw.aic.cells_in` counts offered cells, HEC discards included
+    /// (`components.aic.cells_in` counts only the cells that pass);
+    /// `gw.npe.control_frames` counts SMT frames too. Both `shed_sync`
+    /// names are zero: a buffer sheds only asynchronous frames, and the
+    /// receive buffer stores only those.
+    fn global_counters(&self, m: &MgmtPlane) -> [(&'static str, (u64, u64)); 21] {
+        let stored = |id| m.registry.counter_value(id);
+        let a = self.aic.stats();
+        let r = self.sar_reassembly_stats();
+        let n = self.npe.stats();
+        let c = self.conservation();
+        let g = self.stats();
+        let (tx, rx) = (self.tx_buffer.stats(), self.rx_buffer.stats());
+        let offered = a.cells_in + a.hec_discards;
+        let events = |count| (count, 0);
+        [
+            ("gw.aic.cells_in", (offered, offered * CELL_SIZE as u64)),
+            ("gw.aic.hec_discards", events(a.hec_discards)),
+            ("gw.aic.hec_corrections", events(a.hec_corrections)),
+            ("gw.gcra.policed_cells", events(c.policed_cells)),
+            ("gw.spp.frames_reassembled", events(r.frames_complete)),
+            (
+                "gw.spp.frames_discarded",
+                events(
+                    g.partial_discards
+                        + r.frames_discarded
+                        + r.unknown_vc_drops
+                        + r.no_buffer_drops,
+                ),
+            ),
+            ("gw.spp.frames_down", stored(m.handles.spp_frames_down)),
+            ("gw.spp.cells_out", stored(m.handles.spp_cells_out)),
+            ("gw.mpp.frames_forwarded", stored(m.handles.mpp_frames_forwarded)),
+            ("gw.mpp.drops", stored(m.handles.mpp_drops)),
+            ("gw.npe.control_frames", events(n.control_frames + n.smt_frames)),
+            ("gw.npe.fifo_drops", events(self.npe_fifo.drops())),
+            ("gw.npe.vcs_quarantined", events(g.vcs_quarantined)),
+            ("gw.npe.reestablishments", events(n.reestablishments)),
+            ("gw.supernet.tx.shed_sync", events(0)),
+            ("gw.supernet.tx.shed_async", (tx.frames_shed, tx.octets_shed)),
+            ("gw.supernet.tx.overflow_drops", (tx.overflow_drops, tx.overflow_octets)),
+            ("gw.supernet.rx.shed_sync", events(0)),
+            ("gw.supernet.rx.shed_async", (rx.frames_shed, rx.octets_shed)),
+            ("gw.supernet.rx.overflow_drops", (rx.overflow_drops, rx.overflow_octets)),
+            ("gw.mac.fcs_drops", events(g.fddi_fcs_drops)),
+        ]
     }
 
     /// The snapshot rendered as a human-readable report (see

@@ -6,7 +6,7 @@
 //!
 //! * [`registry`] — a typed metrics store with hierarchical MIB-style
 //!   names (`gw.spp.vc.100.reassembled_frames`,
-//!   `gw.supernet.tx.shed_async`). Names resolve once to index handles;
+//!   `gw.mpp.frames_forwarded`). Names resolve once to index handles;
 //!   the per-cell critical path updates by index only. Per-VC rows are
 //!   created and retired with congram lifecycle events.
 //! * [`events`] — structured trace events with causal ids: every cell

@@ -20,51 +20,24 @@ pub struct MgmtConfig;
 /// Pre-resolved handles for the gateway's global (non-VC) metrics.
 ///
 /// Resolved once at gateway construction so the critical path updates
-/// metrics by index, never by name.
+/// metrics by index, never by name. Only the counters whose values no
+/// other book holds live here; the snapshot renders every other
+/// `gw.*` counter name from the component, gateway or conservation
+/// count of the same event.
 #[derive(Debug, Clone, Copy)]
 pub struct GwHandles {
-    /// `gw.aic.cells_in`
-    pub aic_cells_in: CounterId,
-    /// `gw.aic.hec_discards`
-    pub aic_hec_discards: CounterId,
-    /// `gw.aic.hec_corrections`
-    pub aic_hec_corrections: CounterId,
-    /// `gw.gcra.policed_cells` (all VCs)
-    pub gcra_policed: CounterId,
-    /// `gw.spp.frames_reassembled`
-    pub spp_frames_reassembled: CounterId,
-    /// `gw.spp.frames_discarded`
-    pub spp_frames_discarded: CounterId,
-    /// `gw.spp.frames_down` (FDDI→ATM segmentations)
+    /// `gw.spp.frames_down`: FDDI→ATM segmentations, with the MCHIP
+    /// frame octets.
     pub spp_frames_down: CounterId,
-    /// `gw.spp.cells_out`
+    /// `gw.spp.cells_out`: data cells segmented FDDI→ATM (control
+    /// cells the NPE sends are not counted).
     pub spp_cells_out: CounterId,
-    /// `gw.mpp.frames_forwarded`
+    /// `gw.mpp.frames_forwarded`: data frames stored into the transmit
+    /// buffer, with their octets.
     pub mpp_frames_forwarded: CounterId,
-    /// `gw.mpp.drops`
+    /// `gw.mpp.drops`: ATM-side frames the MPP refused or the gateway
+    /// found malformed, and NPE control frames the segmenter refused.
     pub mpp_drops: CounterId,
-    /// `gw.npe.control_frames`
-    pub npe_control_frames: CounterId,
-    /// `gw.npe.fifo_drops`
-    pub npe_fifo_drops: CounterId,
-    /// `gw.npe.vcs_quarantined`
-    pub npe_vcs_quarantined: CounterId,
-    /// `gw.npe.reestablishments`
-    pub npe_reestablishments: CounterId,
-    /// `gw.supernet.tx.shed_sync`
-    pub tx_shed_sync: CounterId,
-    /// `gw.supernet.tx.shed_async`
-    pub tx_shed_async: CounterId,
-    /// `gw.supernet.tx.overflow_drops`
-    pub tx_overflow: CounterId,
-    /// `gw.supernet.rx.shed_sync`
-    pub rx_shed_sync: CounterId,
-    /// `gw.supernet.rx.shed_async`
-    pub rx_shed_async: CounterId,
-    /// `gw.supernet.rx.overflow_drops`
-    pub rx_overflow: CounterId,
-    /// `gw.mac.fcs_drops`
-    pub mac_fcs_drops: CounterId,
     /// `gw.supernet.tx.occupancy_octets` (time-weighted)
     pub tx_occupancy: GaugeId,
     /// `gw.supernet.rx.occupancy_octets` (time-weighted)
@@ -80,27 +53,10 @@ impl GwHandles {
     /// handles. Latency histograms use 40 ns bins (one 25 MHz cycle).
     fn resolve(registry: &mut MetricsRegistry) -> GwHandles {
         GwHandles {
-            aic_cells_in: registry.counter("gw.aic.cells_in"),
-            aic_hec_discards: registry.counter("gw.aic.hec_discards"),
-            aic_hec_corrections: registry.counter("gw.aic.hec_corrections"),
-            gcra_policed: registry.counter("gw.gcra.policed_cells"),
-            spp_frames_reassembled: registry.counter("gw.spp.frames_reassembled"),
-            spp_frames_discarded: registry.counter("gw.spp.frames_discarded"),
             spp_frames_down: registry.counter("gw.spp.frames_down"),
             spp_cells_out: registry.counter("gw.spp.cells_out"),
             mpp_frames_forwarded: registry.counter("gw.mpp.frames_forwarded"),
             mpp_drops: registry.counter("gw.mpp.drops"),
-            npe_control_frames: registry.counter("gw.npe.control_frames"),
-            npe_fifo_drops: registry.counter("gw.npe.fifo_drops"),
-            npe_vcs_quarantined: registry.counter("gw.npe.vcs_quarantined"),
-            npe_reestablishments: registry.counter("gw.npe.reestablishments"),
-            tx_shed_sync: registry.counter("gw.supernet.tx.shed_sync"),
-            tx_shed_async: registry.counter("gw.supernet.tx.shed_async"),
-            tx_overflow: registry.counter("gw.supernet.tx.overflow_drops"),
-            rx_shed_sync: registry.counter("gw.supernet.rx.shed_sync"),
-            rx_shed_async: registry.counter("gw.supernet.rx.shed_async"),
-            rx_overflow: registry.counter("gw.supernet.rx.overflow_drops"),
-            mac_fcs_drops: registry.counter("gw.mac.fcs_drops"),
             tx_occupancy: registry.gauge("gw.supernet.tx.occupancy_octets"),
             rx_occupancy: registry.gauge("gw.supernet.rx.occupancy_octets"),
             atm_to_fddi_ns: registry.histogram("gw.forward.atm_to_fddi_ns", 40, 4096),
@@ -140,8 +96,9 @@ mod tests {
     #[test]
     fn plane_builds_with_global_names_registered() {
         let plane = MgmtPlane::default();
-        assert!(plane.registry.counter_by_name("gw.supernet.tx.shed_async").is_some());
-        assert!(plane.registry.counter_by_name("gw.aic.cells_in").is_some());
+        assert!(plane.registry.counter_by_name("gw.mpp.frames_forwarded").is_some());
+        assert_eq!(plane.registry.counter_by_name("gw.aic.cells_in"), None, "a snapshot view");
+        assert_eq!(plane.registry.counters().count(), 4);
         assert_eq!(plane.registry.sample_every(), 8);
     }
 
@@ -149,9 +106,9 @@ mod tests {
     fn handles_hit_the_named_counters() {
         let mut plane = MgmtPlane::default();
         let h = plane.handles;
-        plane.registry.inc(h.tx_shed_async);
-        plane.registry.add(h.aic_cells_in, 53);
-        assert_eq!(plane.registry.counter_by_name("gw.supernet.tx.shed_async"), Some(1));
-        assert_eq!(plane.registry.counter_value(h.aic_cells_in), (1, 53));
+        plane.registry.inc(h.mpp_drops);
+        plane.registry.add(h.mpp_frames_forwarded, 53);
+        assert_eq!(plane.registry.counter_by_name("gw.mpp.drops"), Some(1));
+        assert_eq!(plane.registry.counter_value(h.mpp_frames_forwarded), (1, 53));
     }
 }

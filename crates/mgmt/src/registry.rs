@@ -3,7 +3,7 @@
 //! The paper assigns "network management" to the NPE's non-critical
 //! software path (§6); this registry is that role's data model. Metrics
 //! are created by name once — `gw.spp.vc.100.reassembled_frames`,
-//! `gw.supernet.tx.shed_async` — and thereafter updated through
+//! `gw.mpp.frames_forwarded` — and thereafter updated through
 //! pre-resolved index handles ([`CounterId`], [`GaugeId`],
 //! [`HistogramId`]), so the per-cell critical path never hashes a
 //! string or allocates.
@@ -95,7 +95,7 @@ impl MetricsRegistry {
     }
 
     /// Register (or re-resolve) a counter by hierarchical name.
-    pub fn counter(&mut self, name: &str) -> CounterId {
+    pub(crate) fn counter(&mut self, name: &str) -> CounterId {
         if let Some(&idx) = self.names.get(name) {
             return CounterId(idx);
         }

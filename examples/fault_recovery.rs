@@ -36,7 +36,7 @@ fn atm_reroute_demo() {
     let e0 = net.attach_endpoint(s0, 3);
     let e1 = net.attach_endpoint(s1, 3);
 
-    let conn = net.connect(e0, &[e1], TrafficContract::cbr(2_000_000));
+    let conn = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(2_000_000));
     net.run_until(SimTime::from_ms(10));
     assert_eq!(net.conn_state(conn), Some(ConnState::Established));
     let vci = net
@@ -66,7 +66,7 @@ fn atm_reroute_demo() {
     );
 
     // Reconfigure: new VC over s0-s2-s1.
-    let conn2 = net.connect(e0, &[e1], TrafficContract::cbr(2_000_000));
+    let conn2 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(2_000_000));
     net.run_until(SimTime::from_ms(25));
     assert_eq!(net.conn_state(conn2), Some(ConnState::Established));
     let vci2 = net

@@ -650,6 +650,7 @@ impl Testbed {
                         continue;
                     }
                     let conn = self.atm.connect(
+                        at,
                         self.gw_ep,
                         &[self.atm_host],
                         TrafficContract { peak_bps, mean_bps },

@@ -81,9 +81,19 @@ fn snapshot_json_cross_checks_against_gateway_stats() {
     let mpp = tb.gw.mpp().stats();
     assert_eq!(u(&doc, &["components", "mpp", "data_up"]), mpp.data_up);
 
-    // Registry counters agree with the component registers they mirror.
-    assert_eq!(u(&doc, &["metrics", "counters", "gw.aic.cells_in", "count"]), aic.cells_in);
-    assert_eq!(u(&doc, &["metrics", "counters", "gw.mpp.frames_forwarded", "count"]), mpp.data_up);
+    // Gateway-wide counters agree with the books that count the same
+    // events: `gw.aic.cells_in` counts every offered cell, HEC discards
+    // included, and `gw.mpp.frames_forwarded` the data frames stored
+    // into the transmit buffer (the MPP's `data_up` also counts frames
+    // the buffer then sheds or overflows).
+    assert_eq!(
+        u(&doc, &["metrics", "counters", "gw.aic.cells_in", "count"]),
+        aic.cells_in + aic.hec_discards
+    );
+    assert_eq!(
+        u(&doc, &["metrics", "counters", "gw.mpp.frames_forwarded", "count"]),
+        tb.gw.conservation().atm_frames_forwarded
+    );
     assert_eq!(u(&doc, &["metrics", "counters", "gw.gcra.policed_cells", "count"]), nonconf);
     let registry = &tb.gw.mgmt().expect("management enabled").registry;
     let reassembled = |vci: u16| {
@@ -91,16 +101,17 @@ fn snapshot_json_cross_checks_against_gateway_stats() {
     };
     assert_eq!(reassembled(c1.vci.0) + reassembled(c2.vci.0), spp.frames_up);
 
-    // Buffer occupancy and drop/shed totals line up with GatewayStats.
+    // Buffer occupancy and drop/shed totals line up with the buffers'
+    // own counts and with GatewayStats.
     let gs = tb.gw.stats();
-    assert_eq!(u(&doc, &["totals", "frames_shed"]), gs.frames_shed);
-    assert_eq!(u(&doc, &["totals", "tx_overflow_drops"]), gs.tx_overflow_drops);
-    assert_eq!(u(&doc, &["totals", "rx_overflow_drops"]), gs.rx_overflow_drops);
-    assert_eq!(u(&doc, &["totals", "atm_to_fddi_ns", "count"]), gs.atm_to_fddi_ns.count());
     let tx = tb.gw.tx_buffer_stats();
+    let rx = tb.gw.rx_buffer_stats();
+    assert_eq!(u(&doc, &["totals", "frames_shed"]), tx.frames_shed + rx.frames_shed);
+    assert_eq!(u(&doc, &["totals", "tx_overflow_drops"]), tx.overflow_drops);
+    assert_eq!(u(&doc, &["totals", "rx_overflow_drops"]), rx.overflow_drops);
+    assert_eq!(u(&doc, &["totals", "atm_to_fddi_ns", "count"]), gs.atm_to_fddi_ns.count());
     assert_eq!(u(&doc, &["buffers", "tx", "frames_in"]), tx.frames_in);
     assert_eq!(u(&doc, &["buffers", "tx", "peak_octets"]), tx.peak_octets as u64);
-    let rx = tb.gw.rx_buffer_stats();
     assert_eq!(u(&doc, &["buffers", "rx", "frames_in"]), rx.frames_in);
 
     // Per-port health exports with a stable state name.
@@ -185,4 +196,246 @@ fn causal_trace_attributes_discards_to_cell_and_vc_under_faults() {
     // recorded the lifecycle.
     let mgmt = tb.gw.mgmt().expect("management enabled");
     assert!(mgmt.registry.vcs_retired() >= 1, "liveness quarantine retires the row");
+}
+
+/// The gateway-wide counters of `gw-snapshot/1`, in document order.
+const GLOBAL_COUNTERS: [&str; 21] = [
+    "gw.aic.cells_in",
+    "gw.aic.hec_discards",
+    "gw.aic.hec_corrections",
+    "gw.gcra.policed_cells",
+    "gw.spp.frames_reassembled",
+    "gw.spp.frames_discarded",
+    "gw.spp.frames_down",
+    "gw.spp.cells_out",
+    "gw.mpp.frames_forwarded",
+    "gw.mpp.drops",
+    "gw.npe.control_frames",
+    "gw.npe.fifo_drops",
+    "gw.npe.vcs_quarantined",
+    "gw.npe.reestablishments",
+    "gw.supernet.tx.shed_sync",
+    "gw.supernet.tx.shed_async",
+    "gw.supernet.tx.overflow_drops",
+    "gw.supernet.rx.shed_sync",
+    "gw.supernet.rx.shed_async",
+    "gw.supernet.rx.overflow_drops",
+    "gw.mac.fcs_drops",
+];
+
+/// `(name, count)` of every gateway-wide counter in a snapshot, in
+/// document order (per-VC rows left out).
+fn global_counts(doc: &Json) -> Vec<(String, u64)> {
+    let Some(Json::Obj(members)) = doc.get_path(&["metrics", "counters"]) else {
+        panic!("metrics.counters is an object");
+    };
+    members
+        .iter()
+        .filter(|(name, _)| !name.contains(".vc."))
+        .map(|(name, c)| (name.clone(), u(c, &["count"])))
+        .collect()
+}
+
+/// `(octets, FNV-1a 64)` of the two snapshots of
+/// `every_counter_that_can_move_moves_and_the_snapshots_stay_pinned`,
+/// recorded with every `gw.*` counter still kept in the registry.
+const PINNED: [(usize, u64); 2] = [(7471, 0xde82_f376_3583_0084), (4335, 0xab0b_2607_9aad_b612)];
+
+/// `(octets, FNV-1a 64)` of a rendered snapshot.
+fn digest(rendered: &str) -> (usize, u64) {
+    let fnv = rendered.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (rendered.len(), fnv)
+}
+
+/// One managed run that moves every gateway-wide counter that can move
+/// alongside traffic in both directions, then a second run for the one
+/// that cannot. Three names never move: the two `shed_sync` counters
+/// (a buffer sheds only asynchronous frames, and the receive buffer
+/// stores only those) and `gw.npe.fifo_drops` (the gateway pops the
+/// MPP–NPE FIFO right after each push). `gw.supernet.rx.shed_async`
+/// moves only when the receive buffer's high watermark rounds down to
+/// zero octets: the buffer is drained in the call that stores a frame,
+/// so it is empty at every store, and then it sheds every LLC frame —
+/// no FDDI→ATM traffic, no receive overflow. The second run is that
+/// buffer. Both snapshots are pinned by `(octets, FNV-1a 64)`.
+#[test]
+fn every_counter_that_can_move_moves_and_the_snapshots_stay_pinned() {
+    use atm_fddi_gateway::mchip::congram::{CongramId, CongramKind, FlowSpec};
+    use atm_fddi_gateway::mchip::messages::ControlPayload;
+    use atm_fddi_gateway::scene_run;
+    use atm_fddi_gateway::testbed::CongramHandle;
+    use atm_fddi_gateway::wire::atm::{AtmHeader, Vci, CELL_SIZE};
+    use atm_fddi_gateway::wire::fddi::{FddiAddr, FrameControl, FrameRepr};
+    use atm_fddi_gateway::wire::mchip::Icn;
+
+    let mut cfg = managed_config();
+    cfg.gateway.hec_correction = true;
+    cfg.gateway.vc_liveness_timeout = Some(SimTime::from_ms(8));
+    cfg.gateway.overload_shedding = Some(Default::default());
+    cfg.gateway.tx_buffer_octets = 2048;
+    cfg.gateway.rx_buffer_octets = 1024;
+    // A link flap that idles the signaled congram into quarantine.
+    cfg.atm_faults =
+        FaultConfig::builder().link_flap(SimTime::from_ms(20), SimTime::from_ms(32)).build();
+    let mut tb = Testbed::build(cfg);
+    let waves: Vec<CongramHandle> = (1..=3).map(|s| tb.install_data_congram(s)).collect();
+    let c1 = waves[0];
+    let policed = tb.install_data_congram(3);
+    tb.gw.install_rate_control(
+        policed.vci,
+        Gcra::new(
+            GcraParams::for_sar_payload_bps(2_000_000, SimTime::from_us(20)),
+            PolicingAction::Drop,
+        ),
+    );
+
+    // Data first, while the harness congrams are live (the liveness
+    // monitor retires them at 8 ms): a burst past the policer's
+    // contract, a frame on an ICN the MPP has no ICXT-F entry for, and
+    // from the ring frames both within and beyond the 1 024-octet
+    // receive buffer.
+    for _ in 0..6 {
+        tb.send_from_atm_host(policed, vec![0xc3; 1800]);
+    }
+    tb.send_from_atm_host(CongramHandle { atm_icn: Icn(700), ..c1 }, vec![0x77; 200]);
+    for k in 0..4u8 {
+        tb.send_from_fddi_station(1, c1, vec![k; 300]);
+    }
+    tb.send_from_fddi_station(1, c1, vec![0x4a; 1800]);
+    // Waves of maximum-size frames on three congrams at once, CLP-tagged
+    // frames among them, into the 2 048-octet transmit buffer: the
+    // watermark sheds and hard overflow both fire.
+    let wave = "# gw-scene/1\n\
+                scene waves\n\
+                congram a station 1 class async\n\
+                congram b station 2 class async\n\
+                congram c station 3 class async\n\
+                burst from_us 1000 to_us 7000 every_us 700 vc a dir atm len 400 fill 0x21\n\
+                send at_us 1200 vc c dir atm len 2100 fill 0xb4\n\
+                send at_us 2700 vc b dir atm len 2100 fill 0xb4\n\
+                send at_us 4200 vc c dir atm len 2100 fill 0xb4\n\
+                send at_us 2000 vc a dir atm len 1800 fill 0xb5\n\
+                send at_us 2000 vc b dir atm len 1800 fill 0xb5 clp\n\
+                send at_us 2000 vc c dir atm len 1800 fill 0xb5\n\
+                send at_us 3500 vc a dir atm len 1800 fill 0xb6 clp\n\
+                send at_us 3500 vc b dir atm len 1800 fill 0xb6\n\
+                send at_us 3500 vc c dir atm len 1800 fill 0xb6 clp\n\
+                send at_us 5000 vc a dir atm len 1800 fill 0xb7\n\
+                send at_us 5000 vc b dir atm len 1800 fill 0xb7 clp\n\
+                send at_us 5000 vc c dir atm len 1800 fill 0xb7\n\
+                send at_us 6500 vc a dir atm len 1800 fill 0xb8 clp\n\
+                send at_us 6500 vc b dir atm len 1800 fill 0xb8\n\
+                send at_us 6500 vc c dir atm len 1800 fill 0xb8 clp\n\
+                expect conservation\n";
+    let (scene, diags) = atm_fddi_gateway::scene::parse(wave);
+    assert!(diags.is_empty(), "{diags:?}");
+    scene_run::play_schedule(&mut tb, &waves, &scene.expect("the wave scene parses"));
+    tb.run_until(SimTime::from_ms(9));
+
+    // Control from the ring: station 2 asks for a congram into the ATM
+    // network, which the NPE signals for.
+    tb.send_control_from_fddi(
+        2,
+        &ControlPayload::SetupRequest {
+            congram: CongramId(9),
+            kind: CongramKind::UCon,
+            flow: FlowSpec::cbr(1_000_000),
+            dest: [5; 8],
+        },
+    );
+    // Control from the ATM host.
+    tb.gw.npe_mut().add_host([3; 8], FddiAddr::station(3));
+    tb.send_control_from_atm_host(&ControlPayload::SetupRequest {
+        congram: CongramId(5),
+        kind: CongramKind::UCon,
+        flow: FlowSpec::cbr(1_000_000),
+        dest: [3; 8],
+    });
+    // An SMT frame and a frame whose FCS no longer matches, both on
+    // the ring toward the gateway.
+    let to_gateway = |fc, info: Vec<u8>| {
+        FrameRepr { fc, dst: FddiAddr::station(0), src: FddiAddr::station(1), info }
+            .emit()
+            .expect("fits FDDI")
+    };
+    let _ = tb.ring.push_async(1, to_gateway(FrameControl::Smt, vec![0x5a; 32]));
+    let mut corrupt = to_gateway(FrameControl::LlcAsync { priority: 0 }, vec![0xa5; 64]);
+    corrupt[20] ^= 0x10;
+    let _ = tb.ring.push_async(1, corrupt);
+    // Two cells with header errors: one bit, which the AIC corrects,
+    // then two, which it cannot.
+    let mut cell = [0u8; CELL_SIZE];
+    AtmHeader::data(Default::default(), Vci(1000)).emit(&mut cell[..5]).expect("header fits");
+    let (mut one, mut two) = (cell, cell);
+    one[2] ^= 0x04;
+    two[1] ^= 0x03;
+    let mut out = Vec::new();
+    tb.gw.deliver_cells(tb.now(), &[one, two], &mut out);
+    assert!(out.is_empty());
+
+    tb.run_until(SimTime::from_ms(11));
+    let fddi_icn = tb
+        .fddi_control_rx(2)
+        .iter()
+        .find_map(|c| match c {
+            ControlPayload::SetupConfirm { congram, assigned_icn } if *congram == CongramId(9) => {
+                Some(*assigned_icn)
+            }
+            _ => None,
+        })
+        .expect("the station's setup confirms");
+    let signaled = CongramHandle { vci: Vci(0), atm_icn: Icn(0), fddi_icn, station: 2 };
+    for ms in (12..=18u64).step_by(2) {
+        tb.run_until(SimTime::from_ms(ms));
+        tb.send_from_fddi_station(2, signaled, vec![ms as u8; 300]);
+    }
+    // Through the flap: the idle signaled congram is quarantined, and
+    // re-established once the link is back.
+    tb.run_until(SimTime::from_ms(45));
+
+    let rendered = tb.gw.snapshot(tb.now()).render();
+    let doc = Json::parse(&rendered).expect("snapshot parses");
+    let counts = global_counts(&doc);
+    let names: Vec<&str> = counts.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, GLOBAL_COUNTERS, "the gateway-wide names, in document order");
+    let never = [
+        "gw.supernet.tx.shed_sync",
+        "gw.supernet.rx.shed_sync",
+        "gw.npe.fifo_drops",
+        "gw.supernet.rx.shed_async",
+    ];
+    for (name, count) in &counts {
+        if never.contains(&name.as_str()) {
+            assert_eq!(*count, 0, "{name}");
+        } else {
+            assert!(*count > 0, "{name} did not move: {counts:?}");
+        }
+    }
+    assert!(tb.gw.check_conservation().is_empty());
+
+    // The receive buffer whose high watermark is zero octets.
+    let mut cfg = managed_config();
+    cfg.gateway.overload_shedding = Some(Default::default());
+    cfg.gateway.rx_buffer_octets = 1;
+    let mut shed = Testbed::build(cfg);
+    let c = shed.install_data_congram(1);
+    for _ in 0..3 {
+        shed.send_from_fddi_station(1, c, vec![0x3c; 300]);
+    }
+    shed.run_until(SimTime::from_ms(5));
+    let shed_rendered = shed.gw.snapshot(shed.now()).render();
+    let shed_doc = Json::parse(&shed_rendered).expect("snapshot parses");
+    let count = |name: &str| u(&shed_doc, &["metrics", "counters", name, "count"]);
+    assert_eq!(count("gw.supernet.rx.shed_async"), 3);
+    assert_eq!(count("gw.supernet.rx.overflow_drops"), 0);
+    assert_eq!(count("gw.spp.frames_down"), 0);
+
+    let pinned = [digest(&rendered), digest(&shed_rendered)];
+    assert!(
+        pinned == PINNED,
+        "the snapshots moved; re-record only when changing the simulation is the point: \
+         {pinned:#x?}"
+    );
 }

@@ -202,7 +202,7 @@ fn per_cell_hot_loop_is_allocation_free_with_and_without_management() {
 
     // Sanity: the instrumentation did observe the traffic.
     let m = managed.mgmt().expect("management enabled");
-    let counted = m.registry.counter_by_name("gw.aic.cells_in").unwrap();
+    let counted = m.registry.counter_by_name(&format!("gw.spp.vc.{}.cells_in", VCI.0)).unwrap();
     assert_eq!(counted as usize, cells.len() * 35, "every cell of every frame counted");
 }
 
