@@ -15,7 +15,7 @@ use gw_sim::time::SimTime;
 use gw_wire::atm::Vci;
 use gw_wire::fddi::FddiAddr;
 use gw_wire::mchip::Icn;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// End-to-end congram identity (unique per originating MCHIP entity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -162,13 +162,20 @@ impl CongramRecord {
 struct IcnAllocator {
     next: u16,
     free: Vec<u16>,
+    /// ICNs a congram installed outside the manager holds: never
+    /// handed out, and not pooled when a record that shared one closes.
+    reserved: BTreeSet<u16>,
 }
 
 impl IcnAllocator {
-    /// Allocate the most recently released ICN, else the next unused.
+    /// Allocate the most recently released ICN, else the next unused
+    /// one that is not reserved.
     fn alloc(&mut self) -> Result<Icn, CongramError> {
         if let Some(v) = self.free.pop() {
             return Ok(Icn(v));
+        }
+        while self.next != u16::MAX && self.reserved.contains(&self.next) {
+            self.next += 1;
         }
         if self.next == u16::MAX {
             return Err(CongramError::IcnExhausted);
@@ -180,7 +187,16 @@ impl IcnAllocator {
 
     /// Return an ICN to the pool.
     fn release(&mut self, icn: Icn) {
-        self.free.push(icn.0);
+        if !self.reserved.contains(&icn.0) {
+            self.free.push(icn.0);
+        }
+    }
+
+    /// Keep `icn` out of the pool for good.
+    fn reserve(&mut self, icn: Icn) {
+        if self.reserved.insert(icn.0) {
+            self.free.retain(|&v| v != icn.0);
+        }
     }
 }
 
@@ -411,6 +427,14 @@ impl CongramManager {
     pub fn open_count(&self) -> usize {
         self.open
     }
+
+    /// A congram was installed on this gateway without a record here,
+    /// holding `atm_icn` and `fddi_icn`: no congram set up afterwards
+    /// is given either.
+    pub fn reserve_icns(&mut self, atm_icn: Icn, fddi_icn: Icn) {
+        self.atm_icns.reserve(atm_icn);
+        self.fddi_icns.reserve(fddi_icn);
+    }
 }
 
 #[cfg(test)]
@@ -575,10 +599,34 @@ mod tests {
 
     #[test]
     fn allocator_exhaustion_reported() {
-        let mut a = IcnAllocator { next: u16::MAX - 1, free: vec![] };
+        let mut a = IcnAllocator { next: u16::MAX - 1, ..Default::default() };
         assert!(a.alloc().is_ok());
         assert_eq!(a.alloc(), Err(CongramError::IcnExhausted));
         a.release(Icn(5));
         assert_eq!(a.alloc(), Ok(Icn(5)));
+    }
+
+    #[test]
+    fn reserved_icns_are_never_allocated() {
+        let mut m = CongramManager::default();
+        m.reserve_icns(Icn(0), Icn(1));
+        m.reserve_icns(Icn(2), Icn(3));
+        let a = setup(&mut m, CongramKind::UCon, 1);
+        let b = setup(&mut m, CongramKind::UCon, 2);
+        let icns = |m: &CongramManager, id| {
+            let r = m.get(id).unwrap();
+            (r.atm_icn, r.fddi_icn)
+        };
+        assert_eq!(icns(&m, a), (Icn(1), Icn(0)));
+        assert_eq!(icns(&m, b), (Icn(3), Icn(2)));
+        // Reserving an ICN that sits in the pool takes it out; one that
+        // a live congram holds is not pooled when that congram closes.
+        m.reject(a).unwrap();
+        m.reserve_icns(Icn(1), Icn(2));
+        m.reject(b).unwrap();
+        let c = setup(&mut m, CongramKind::UCon, 3);
+        assert_eq!(icns(&m, c), (Icn(3), Icn(0)));
+        let d = setup(&mut m, CongramKind::UCon, 4);
+        assert_eq!(icns(&m, d), (Icn(4), Icn(4)));
     }
 }

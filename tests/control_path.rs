@@ -240,3 +240,69 @@ fn control_and_data_path_latency_separation() {
         "hardware path ({data_latency_ns} ns) must be far below the software path ({setup_latency})"
     );
 }
+
+/// Congrams installed by hand (as scenes, `gwd` and the benchmarks
+/// install them) and congrams the NPE sets up share the gateway's two
+/// ICXTs: the NPE hands out no ICN a hand-installed congram holds, and
+/// every congram keeps carrying its own frames.
+#[test]
+fn npe_setups_keep_clear_of_hand_installed_congrams() {
+    let mut tb = Testbed::build(TestbedConfig { fddi_stations: 5, ..Default::default() });
+    let hand = [tb.install_data_congram(1), tb.install_data_congram(2)];
+    tb.gw.npe_mut().add_host([7; 8], FddiAddr::station(3));
+
+    // One setup from each side: the ATM host's into the ring, then
+    // station 4's into the ATM network.
+    let host_vci = tb.send_control_from_atm_host(&setup_payload(11, 1, [7; 8]));
+    tb.run_until(SimTime::from_ms(10));
+    tb.send_control_from_fddi(4, &setup_payload(21, 1, [9; 8]));
+    tb.run_until(SimTime::from_ms(40));
+    let host_icn = tb
+        .atm_host_control_rx
+        .iter()
+        .find_map(|c| match c {
+            ControlPayload::SetupConfirm { congram: CongramId(11), assigned_icn } => {
+                Some(*assigned_icn)
+            }
+            _ => None,
+        })
+        .expect("the host's setup confirms");
+    let station_icn = tb
+        .fddi_control_rx(4)
+        .iter()
+        .find_map(|c| match c {
+            ControlPayload::SetupConfirm { congram: CongramId(21), assigned_icn } => {
+                Some(*assigned_icn)
+            }
+            _ => None,
+        })
+        .expect("station 4's setup confirms");
+    for h in &hand {
+        assert_ne!(host_icn, h.atm_icn, "ICXT-F slot shared with {h:?}");
+        assert_ne!(station_icn, h.fddi_icn, "ICXT-A slot shared with {h:?}");
+    }
+
+    // Frames both ways on each hand-installed congram, and one way on
+    // each NPE congram, each congram with its own fill.
+    let host = CongramHandle { vci: host_vci, atm_icn: host_icn, fddi_icn: Icn(0), station: 3 };
+    let station = CongramHandle {
+        vci: atm_fddi_gateway::wire::atm::Vci(0),
+        atm_icn: Icn(0),
+        fddi_icn: station_icn,
+        station: 4,
+    };
+    for (h, fill) in hand.iter().zip([0x11u8, 0x22]) {
+        tb.send_from_atm_host(*h, vec![fill; 200]);
+        tb.send_from_fddi_station(h.station, *h, vec![fill + 1; 200]);
+    }
+    tb.send_from_atm_host(host, vec![0x33; 200]);
+    tb.send_from_fddi_station(4, station, vec![0x44; 200]);
+    tb.run_until(SimTime::from_ms(70));
+    for (st, fill) in [(1usize, 0x11u8), (2, 0x22), (3, 0x33)] {
+        assert_eq!(tb.fddi_rx(st), [vec![fill; 200]], "station {st}");
+    }
+    assert_eq!(tb.fddi_rx(4), Vec::<Vec<u8>>::new(), "station 4 sent, and got nothing");
+    let mut at_host: Vec<u8> = tb.atm_host_rx.iter().map(|p| p[0]).collect();
+    at_host.sort();
+    assert_eq!(at_host, [0x12, 0x23, 0x44], "every congram reaches the ATM host");
+}

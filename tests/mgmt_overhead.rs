@@ -536,3 +536,55 @@ fn vc_churn_leaves_no_resident_buffers() {
     assert_eq!(r.pool_stats().outstanding(), 0, "the pool census balances");
     assert_eq!(r.stats().frames_complete, 666);
 }
+
+/// A histogram holds its bins up to the highest one recorded into.
+/// Once a bin is held, recording into it — or into any lower bin, or
+/// past the top into the overflow count — allocates nothing.
+#[test]
+fn histogram_records_into_held_bins_without_allocating() {
+    use atm_fddi_gateway::sim::Histogram;
+
+    let mut h = Histogram::new(40, 4096);
+    let (allocs, ()) = allocations_during(|| h.record(1_000_000));
+    assert_eq!(allocs, 0, "an overflow sample holds no bins");
+    h.record(40 * 2_000);
+    let (allocs, ()) = allocations_during(|| {
+        for v in (0..=40 * 2_000).step_by(7) {
+            h.record(v);
+        }
+        h.record(40 * 4096);
+    });
+    assert_eq!(allocs, 0, "samples into held bins and past the top");
+    assert_eq!(h.count(), 2 + 11_429 + 1);
+}
+
+/// What each model holds at construction: no histogram bin is held
+/// until a sample lands in it. A 65 536-bin rotation histogram held up
+/// front is 512 KiB per ring, and the gateway's five 4 096-bin latency
+/// histograms 160 KiB.
+#[test]
+fn models_hold_no_histogram_bins_at_construction() {
+    use atm_fddi_gateway::fddi::ring::Ring;
+    use atm_fddi_gateway::testbed::{ring_config, Testbed};
+
+    let (ring_bytes, ring) = live_bytes_after(|| Ring::new(ring_config(5)));
+    assert!(ring_bytes <= 8 * 1024, "Ring::new, 5 stations, holds {ring_bytes} bytes");
+    drop(ring);
+
+    let config =
+        GatewayConfig { management: Some(gw_mgmt::MgmtConfig), ..GatewayConfig::default() };
+    let (gateway_bytes, gw) =
+        live_bytes_after(|| Gateway::new(config, FddiAddr::station(0), 80_000_000));
+    assert!(gateway_bytes <= 128 * 1024, "managed Gateway::new holds {gateway_bytes} bytes");
+    drop(gw);
+
+    let (scene, diags) = atm_fddi_gateway::scene::parse(
+        "# gw-scene/1\nscene one\nstations 5\ncongram a station 1 class async\n\
+         send at_us 100 vc a dir atm len 200 fill 0x11\nexpect conservation\n",
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+    let scene = scene.expect("the scene parses");
+    let (testbed_bytes, tb) = live_bytes_after(|| Testbed::from_scene(&scene, Default::default()));
+    assert!(testbed_bytes <= 192 * 1024, "Testbed::from_scene holds {testbed_bytes} bytes");
+    drop(tb);
+}
