@@ -99,8 +99,9 @@ pub struct Supervision {
 /// What the supervisor wants done, from [`ConnectionSupervisor::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SupervisorEvent {
-    /// Backoff elapsed: re-issue the signaling request.
-    Retry(CongramId),
+    /// Backoff elapsed: re-issue the signaling request, as the numbered
+    /// attempt.
+    Retry(CongramId, u32),
     /// Retry budget exhausted: fail the setup toward the requester.
     GiveUp(CongramId),
 }
@@ -113,6 +114,9 @@ pub enum FailVerdict {
     Backoff(SimTime),
     /// Budget exhausted (or the congram was never supervised): fail it.
     GiveUp,
+    /// The rejection answers an attempt a later one has replaced:
+    /// ignore it.
+    Stale,
 }
 
 /// Supervisor counters.
@@ -170,11 +174,16 @@ impl ConnectionSupervisor {
         );
     }
 
-    /// Signaling succeeded. Returns false when the congram was not
-    /// under supervision — a stale or duplicate indication the caller
-    /// must ignore.
-    pub(crate) fn confirmed(&mut self, congram: CongramId) -> bool {
-        self.entries.remove(&congram).is_some()
+    /// Signaling succeeded for the numbered attempt. Returns false when
+    /// the congram was not under supervision or is on another attempt —
+    /// a stale or duplicate indication the caller must ignore.
+    pub(crate) fn confirmed(&mut self, congram: CongramId, attempt: u32) -> bool {
+        if self.entries.get(&congram).is_some_and(|e| e.attempt == attempt) {
+            self.entries.remove(&congram);
+            true
+        } else {
+            false
+        }
     }
 
     /// Stop supervising without judgement (congram torn down).
@@ -182,12 +191,15 @@ impl ConnectionSupervisor {
         self.entries.remove(&congram);
     }
 
-    /// An explicit signaling rejection arrived for the congram's
-    /// current attempt.
-    pub fn fail(&mut self, now: SimTime, congram: CongramId) -> FailVerdict {
-        let Some(attempt) = self.entries.get(&congram).map(|e| e.attempt) else {
+    /// An explicit signaling rejection arrived for the numbered attempt.
+    /// Only the congram's current attempt counts.
+    pub fn fail(&mut self, now: SimTime, congram: CongramId, attempt: u32) -> FailVerdict {
+        let Some(current) = self.entries.get(&congram).map(|e| e.attempt) else {
             return FailVerdict::GiveUp;
         };
+        if attempt != current {
+            return FailVerdict::Stale;
+        }
         if attempt > self.config.retry_budget {
             self.entries.remove(&congram);
             self.stats.failures += 1;
@@ -242,7 +254,7 @@ impl ConnectionSupervisor {
                             deadline: until + self.config.setup_watchdog,
                         };
                         self.stats.retries += 1;
-                        events.push(SupervisorEvent::Retry(id));
+                        events.push(SupervisorEvent::Retry(id, entry.attempt));
                         break;
                     }
                     _ => break,
@@ -314,8 +326,9 @@ mod tests {
     fn confirm_removes_entry_and_flags_stale_duplicates() {
         let mut s = sup(3);
         s.begin(SimTime::ZERO, C);
-        assert!(s.confirmed(C));
-        assert!(!s.confirmed(C), "second indication is stale");
+        assert!(!s.confirmed(C, 2), "no attempt 2 was issued");
+        assert!(s.confirmed(C, 1));
+        assert!(!s.confirmed(C, 1), "second indication is stale");
         assert!(s.poll(SimTime::from_secs(10)).is_empty());
     }
 
@@ -323,7 +336,7 @@ mod tests {
     fn zero_budget_reproduces_immediate_failure() {
         let mut s = sup(0);
         s.begin(SimTime::ZERO, C);
-        assert_eq!(s.fail(SimTime::from_ms(1), C), FailVerdict::GiveUp);
+        assert_eq!(s.fail(SimTime::from_ms(1), C, 1), FailVerdict::GiveUp);
         assert_eq!(s.stats().failures, 1);
         assert!(!s.entries.contains_key(&C));
     }
@@ -342,9 +355,10 @@ mod tests {
             t += SimTime::from_ms(1);
             for ev in s.poll(t) {
                 match ev {
-                    SupervisorEvent::Retry(id) => {
+                    SupervisorEvent::Retry(id, attempt) => {
                         assert_eq!(id, C);
                         retries += 1;
+                        assert_eq!(attempt, retries + 1);
                     }
                     SupervisorEvent::GiveUp(id) => {
                         assert_eq!(id, C);
@@ -379,17 +393,20 @@ mod tests {
     fn explicit_rejection_schedules_backoff() {
         let mut s = sup(1);
         s.begin(SimTime::ZERO, C);
-        let FailVerdict::Backoff(until) = s.fail(SimTime::from_ms(1), C) else {
+        let FailVerdict::Backoff(until) = s.fail(SimTime::from_ms(1), C, 1) else {
             panic!("first failure must back off");
         };
         assert!(until >= SimTime::from_ms(3));
         // The retry fires once the backoff elapses.
         let evs = s.poll(until);
-        assert_eq!(evs, vec![SupervisorEvent::Retry(C)]);
+        assert_eq!(evs, vec![SupervisorEvent::Retry(C, 2)]);
         assert!(matches!(s.entries[&C].phase, SetupPhase::Establishing { .. }));
         assert!(s.entries[&C].degraded);
+        // The first attempt's rejection again, late: stale.
+        assert_eq!(s.fail(until, C, 1), FailVerdict::Stale);
+        assert!(matches!(s.entries[&C].phase, SetupPhase::Establishing { .. }));
         // Second explicit failure exhausts the budget of 1.
-        assert_eq!(s.fail(until + SimTime::from_ms(1), C), FailVerdict::GiveUp);
+        assert_eq!(s.fail(until + SimTime::from_ms(1), C, 2), FailVerdict::GiveUp);
     }
 
     #[test]

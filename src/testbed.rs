@@ -165,7 +165,7 @@ pub struct Testbed {
     /// Control payloads delivered per FDDI station.
     fddi_control_rx: Vec<Vec<ControlPayload>>,
     /// ATM connections the gateway requested, keyed by signaling conn.
-    pending_atm_conns: HashMap<gw_atm::signaling::ConnId, CongramId>,
+    pending_atm_conns: HashMap<gw_atm::signaling::ConnId, (CongramId, u32)>,
     /// Octets of data frames delivered to the FDDI stations.
     pub fddi_rx_octets: u64,
     /// Octets delivered to the ATM host.
@@ -642,7 +642,7 @@ impl Testbed {
                 Output::FddiFrameQueued { .. } => {
                     // Drained from the tx buffer in the slice loop.
                 }
-                Output::AtmConnectionRequest { at, congram, peak_bps, mean_bps } => {
+                Output::AtmConnectionRequest { at, congram, attempt, peak_bps, mean_bps } => {
                     // A signaling request issued into a downed link is
                     // lost like any other traffic — the NPE's setup
                     // watchdog discovers and retries it.
@@ -655,7 +655,7 @@ impl Testbed {
                         &[self.atm_host],
                         TrafficContract { peak_bps, mean_bps },
                     );
-                    self.pending_atm_conns.insert(conn, congram);
+                    self.pending_atm_conns.insert(conn, (congram, attempt));
                 }
                 Output::AtmConnectionRelease { vci, .. } => {
                     // The VC is gone network-wide: the host drops its
@@ -764,17 +764,18 @@ impl Testbed {
                     }
                     EndpointEvent::Signal { time, signal } => match signal {
                         SignalIndication::ConnectionUp { conn, tx_vci } => {
-                            if let Some(congram) = self.pending_atm_conns.remove(&conn) {
+                            if let Some((congram, attempt)) = self.pending_atm_conns.remove(&conn) {
                                 self.flush_cell_seam(time);
-                                let outputs = self.gw.atm_connection_ready(time, congram, tx_vci);
+                                let outputs =
+                                    self.gw.atm_connection_ready(time, congram, attempt, tx_vci);
                                 self.handle_gateway_outputs(outputs);
                                 self.flush_cell_seam(time);
                             }
                         }
                         SignalIndication::Rejected { conn, .. } => {
-                            if let Some(congram) = self.pending_atm_conns.remove(&conn) {
+                            if let Some((congram, attempt)) = self.pending_atm_conns.remove(&conn) {
                                 self.flush_cell_seam(time);
-                                let outputs = self.gw.atm_connection_failed(time, congram);
+                                let outputs = self.gw.atm_connection_failed(time, congram, attempt);
                                 self.handle_gateway_outputs(outputs);
                                 self.flush_cell_seam(time);
                             }
