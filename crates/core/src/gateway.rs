@@ -702,8 +702,8 @@ impl Gateway {
     fn note_cell_drop(&mut self, at: SimTime, cell: CellId, vci: Vci, reason: CellDropReason) {
         if let Some(m) = &mut self.mgmt {
             if reason == CellDropReason::Policed {
-                if let Some(row) = m.registry.vc(vci.0) {
-                    m.registry.inc(row.policed);
+                if let Some(row) = m.registry.vc_mut(vci.0) {
+                    row.policed_cells.tick();
                 }
             }
             m.health.note_error(Port::Atm);
@@ -714,8 +714,8 @@ impl Gateway {
     /// A frame completed SAR reassembly.
     fn note_frame_reassembled(&mut self, at: SimTime, vci: Vci, origin: Option<FrameOrigin>) {
         if let Some(m) = &mut self.mgmt {
-            if let Some(row) = m.registry.vc(vci.0) {
-                m.registry.inc(row.reassembled);
+            if let Some(row) = m.registry.vc_mut(vci.0) {
+                row.reassembled_frames.tick();
             }
             if let Some(o) = origin {
                 m.trace.emit(GwEvent::FrameReassembled {
@@ -742,8 +742,8 @@ impl Gateway {
             if matches!(reason, FrameDropReason::MppDrop | FrameDropReason::Malformed) {
                 m.registry.inc(m.handles.mpp_drops);
             }
-            if let Some(row) = m.registry.vc(vci.0) {
-                m.registry.inc(row.discarded);
+            if let Some(row) = m.registry.vc_mut(vci.0) {
+                row.discarded_frames.tick();
             }
             m.health.note_error(Port::Atm);
             if let Some(o) = origin {
@@ -771,8 +771,8 @@ impl Gateway {
         if let Some(m) = &mut self.mgmt {
             m.registry.add(m.handles.mpp_frames_forwarded, octets);
             m.registry.observe(m.handles.atm_to_fddi_ns, (done - started).as_ns());
-            if let Some(row) = m.registry.vc(vci.0) {
-                m.registry.add(row.forwarded, octets);
+            if let Some(row) = m.registry.vc_mut(vci.0) {
+                row.forwarded_frames.record(octets);
             }
             if let Some(o) = origin {
                 m.trace.emit(GwEvent::FrameForwarded {
@@ -801,8 +801,8 @@ impl Gateway {
             m.registry.add(m.handles.spp_frames_down, octets);
             m.registry.add_bulk(m.handles.spp_cells_out, cells as u64, cell_octets);
             m.registry.observe(m.handles.fddi_to_atm_ns, (done - arrived).as_ns());
-            if let Some(row) = m.registry.vc(vci.0) {
-                m.registry.add_bulk(row.cells_out, cells as u64, cell_octets);
+            if let Some(row) = m.registry.vc_mut(vci.0) {
+                row.cells_out.add(cells as u64, cell_octets);
             }
         }
     }
@@ -835,8 +835,8 @@ impl Gateway {
         };
         match (origin, vci) {
             (Some(o), Some(vci)) => {
-                if let Some(row) = m.registry.vc(vci.0) {
-                    m.registry.inc(row.discarded);
+                if let Some(row) = m.registry.vc_mut(vci.0) {
+                    row.discarded_frames.tick();
                 }
                 m.trace.emit(GwEvent::FrameDiscarded {
                     at,
@@ -1115,8 +1115,8 @@ impl Gateway {
                     Some(origin)
                 }
             };
-            if let Some(row) = m.registry.vc(vci.0) {
-                m.registry.add(row.cells_in, CELL_SIZE);
+            if let Some(row) = m.registry.vc_mut(vci.0) {
+                row.cells_in.record(CELL_SIZE);
             }
             if let Some(o) = started_frame {
                 m.trace.emit(GwEvent::FrameStarted {
@@ -2159,21 +2159,12 @@ mod tests {
         let cells = data_cells(b"count me");
         gw.deliver_cells(SimTime::ZERO, &cells, &mut Vec::new());
         let m = gw.mgmt().unwrap();
-        let vci = ATM_VCI.0;
-        assert_eq!(
-            m.registry.counter_by_name(&format!("gw.spp.vc.{vci}.cells_in")),
-            Some(cells.len() as u64)
-        );
-        assert_eq!(
-            m.registry.counter_by_name(&format!("gw.spp.vc.{vci}.reassembled_frames")),
-            Some(1)
-        );
-        assert_eq!(
-            m.registry.counter_by_name(&format!("gw.mpp.vc.{vci}.forwarded_frames")),
-            Some(1)
-        );
+        let row = m.registry.vc(ATM_VCI.0).expect("the congram's row");
+        assert_eq!(row.cells_in.count(), cells.len() as u64);
+        assert_eq!(row.reassembled_frames.count(), 1);
+        assert_eq!(row.forwarded_frames.count(), 1);
         assert_eq!(m.registry.counter_by_name("gw.mpp.frames_forwarded"), Some(1));
-        assert!(m.registry.vc_active(vci));
+        assert!(row.active());
         let health = gw.health().unwrap();
         assert_eq!(health.atm.state, gw_mgmt::PortState::Up);
         assert_eq!(health.fddi.state, gw_mgmt::PortState::Up);

@@ -9,10 +9,11 @@
 
 use crate::buffers::BufferMemory;
 use crate::gateway::Gateway;
-use gw_mgmt::{MgmtPlane, Port};
+use gw_mgmt::{MgmtPlane, Port, VC_FIELDS};
 use gw_sim::json::Json;
 use gw_sim::{Histogram, SimTime, TimeWeighted};
 use gw_wire::atm::CELL_SIZE;
+use std::fmt::Write as _;
 
 /// Format tag carried in every snapshot (`"format"` key); bump on any
 /// incompatible shape change.
@@ -116,7 +117,9 @@ impl Gateway {
         // Every counter/gauge/histogram by its hierarchical name. The
         // gateway-wide counters come first; the four no other book holds
         // are the registry's, the rest are views of the count each
-        // event already has. The per-VC rows follow, as registered.
+        // event already has. The per-VC rows follow in creation order,
+        // six counts each, named `gw.<plane>.vc.<vci>.<field>` here: the
+        // registry keeps no per-VC name.
         doc.set(
             "metrics",
             match &self.mgmt {
@@ -125,9 +128,13 @@ impl Gateway {
                     for (name, (count, octets)) in self.global_counters(m) {
                         counters.set(name, counter_json(count, octets));
                     }
-                    for (name, c) in m.registry.counters().filter(|(name, _)| name.contains(".vc."))
-                    {
-                        counters.set(name, counter_json(c.count(), c.octets()));
+                    let mut name = String::new();
+                    for row in m.registry.vc_rows() {
+                        for ((plane, field), c) in VC_FIELDS.iter().zip(row.counts()) {
+                            name.clear();
+                            let _ = write!(name, "gw.{plane}.vc.{}.{field}", row.vci());
+                            counters.set(&name, counter_json(c.count(), c.octets()));
+                        }
                     }
                     let mut gauges = Json::obj();
                     for (name, g) in m.registry.gauges() {
@@ -155,7 +162,7 @@ impl Gateway {
         let mut vcis: Vec<u16> =
             self.vc_slots.iter().filter(|s| s.policer.is_some()).map(|s| s.vci.0).collect();
         if let Some(m) = &self.mgmt {
-            vcis.extend(m.registry.vc_rows().iter().map(|&(vci, _, _)| vci));
+            vcis.extend(m.registry.vc_rows().iter().map(|row| row.vci()));
         }
         vcis.sort_unstable();
         vcis.dedup();
@@ -163,29 +170,17 @@ impl Gateway {
         for vci in vcis {
             let mut row = Json::obj();
             row.set("vci", Json::U64(vci as u64));
-            let vc = self.mgmt.as_ref().and_then(|m| m.registry.vc(vci).map(|v| (m, v)));
-            match vc {
-                Some((m, v)) => {
-                    let count = |id| Json::U64(m.registry.counter_value(id).0);
-                    row.set("active", Json::Bool(m.registry.vc_active(vci)));
-                    row.set("cells_in", count(v.cells_in));
-                    row.set("reassembled_frames", count(v.reassembled));
-                    row.set("discarded_frames", count(v.discarded));
-                    row.set("forwarded_frames", count(v.forwarded));
-                    row.set("cells_out", count(v.cells_out));
-                    row.set("policed_cells", count(v.policed));
+            match self.mgmt.as_ref().and_then(|m| m.registry.vc(vci)) {
+                Some(v) => {
+                    row.set("active", Json::Bool(v.active()));
+                    for ((_, field), c) in VC_FIELDS.iter().zip(v.counts()) {
+                        row.set(field, Json::U64(c.count()));
+                    }
                 }
                 None => {
-                    for key in [
-                        "active",
-                        "cells_in",
-                        "reassembled_frames",
-                        "discarded_frames",
-                        "forwarded_frames",
-                        "cells_out",
-                        "policed_cells",
-                    ] {
-                        row.set(key, Json::Null);
+                    row.set("active", Json::Null);
+                    for (_, field) in VC_FIELDS {
+                        row.set(field, Json::Null);
                     }
                 }
             }
@@ -598,6 +593,62 @@ mod tests {
         assert!(doc.get_path(&["components", "aic", "cells_in"]).is_some());
         let text = render_text(&doc);
         assert!(text.contains("management plane disabled"));
+    }
+
+    /// The per-VC keys of `metrics.counters` follow row creation, six
+    /// per row: a row retired and created again keeps its place and
+    /// appears once, and a VC with only a policer has no row.
+    #[test]
+    fn per_vc_counter_keys_follow_row_creation() {
+        use gw_atm::policing::{Gcra, GcraParams, PolicingAction};
+        use gw_wire::atm::Vci;
+        use gw_wire::mchip::Icn;
+
+        let mut gw = managed_gateway();
+        for (i, vci) in [300u16, 100, 200].into_iter().enumerate() {
+            let i = i as u16;
+            gw.install_congram(Vci(vci), Icn(10 + i), Icn(40 + i), FddiAddr::station(7), false);
+        }
+        gw.mgmt.as_mut().unwrap().registry.retire_vc(100);
+        gw.install_congram(Vci(100), Icn(11), Icn(41), FddiAddr::station(7), false);
+        let policer =
+            Gcra::new(GcraParams::peak_rate(40_000, SimTime::from_us(5)), PolicingAction::Drop);
+        gw.install_rate_control(Vci(400), policer);
+
+        let doc = gw.snapshot(SimTime::from_us(10));
+        let Some(Json::Obj(counters)) = doc.get_path(&["metrics", "counters"]) else {
+            panic!("metrics.counters is an object");
+        };
+        let keys: Vec<&str> =
+            counters.iter().map(|(k, _)| k.as_str()).filter(|k| k.contains(".vc.")).collect();
+        assert_eq!(
+            keys,
+            [
+                "gw.spp.vc.300.cells_in",
+                "gw.spp.vc.300.reassembled_frames",
+                "gw.spp.vc.300.discarded_frames",
+                "gw.mpp.vc.300.forwarded_frames",
+                "gw.spp.vc.300.cells_out",
+                "gw.npe.vc.300.policed_cells",
+                "gw.spp.vc.100.cells_in",
+                "gw.spp.vc.100.reassembled_frames",
+                "gw.spp.vc.100.discarded_frames",
+                "gw.mpp.vc.100.forwarded_frames",
+                "gw.spp.vc.100.cells_out",
+                "gw.npe.vc.100.policed_cells",
+                "gw.spp.vc.200.cells_in",
+                "gw.spp.vc.200.reassembled_frames",
+                "gw.spp.vc.200.discarded_frames",
+                "gw.mpp.vc.200.forwarded_frames",
+                "gw.spp.vc.200.cells_out",
+                "gw.npe.vc.200.policed_cells",
+            ]
+        );
+        // The VC table still lists the policer-only VC, sorted by VCI.
+        let Some(Json::Arr(vcs)) = doc.get("vcs") else { panic!("vcs is an array") };
+        let vcis: Vec<u64> = vcs.iter().filter_map(|v| v.get("vci")?.as_u64()).collect();
+        assert_eq!(vcis, [100, 200, 300, 400]);
+        assert_eq!(vcs[3].get("cells_in"), Some(&Json::Null));
     }
 
     #[test]

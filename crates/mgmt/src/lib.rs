@@ -39,4 +39,4 @@ pub use gw_sim::json;
 pub use events::{CausalTrace, CellDropReason, CellId, FrameDropReason, FrameId, GwEvent};
 pub use health::{GatewayHealth, HealthReporter, HealthTransition, Port, PortHealth, PortState};
 pub use plane::{GwHandles, MgmtConfig, MgmtPlane};
-pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, VcMetrics};
+pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, VcRow, VC_FIELDS};

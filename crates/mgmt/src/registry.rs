@@ -1,20 +1,21 @@
 //! Typed metrics registry with hierarchical MIB-style names.
 //!
 //! The paper assigns "network management" to the NPE's non-critical
-//! software path (§6); this registry is that role's data model. Metrics
-//! are created by name once — `gw.spp.vc.100.reassembled_frames`,
+//! software path (§6); this registry is that role's data model. The
+//! gateway-wide metrics are created by name once —
 //! `gw.mpp.frames_forwarded` — and thereafter updated through
 //! pre-resolved index handles ([`CounterId`], [`GaugeId`],
 //! [`HistogramId`]), so the per-cell critical path never hashes a
 //! string or allocates.
 //!
-//! Per-VC tables ([`VcMetrics`]) are created and retired with congram
-//! lifecycle events from the supervisor; retired rows keep their final
-//! values so a snapshot taken after teardown still accounts for every
-//! cell.
+//! Per-VC rows ([`VcRow`]) are created and retired with congram
+//! lifecycle events from the supervisor. A row holds its six counts
+//! itself and no name: the snapshot renders `gw.<plane>.vc.<vci>.<field>`
+//! from [`VC_FIELDS`], so installing a congram formats, copies and
+//! hashes nothing. Retired rows keep their final values so a snapshot
+//! taken after teardown still accounts for every cell.
 
 use gw_sim::{Counter, Histogram, SimTime, SlotIndex, TimeWeighted};
-use std::collections::HashMap;
 
 /// Pre-resolved handle to a registry counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,53 +29,87 @@ pub struct GaugeId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(usize);
 
-/// Per-VC counter handles, one row per active congram.
-///
-/// `Copy` by design: the gateway keeps these inline in its VC maps and
-/// passes them around without borrow gymnastics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VcMetrics {
-    /// `gw.spp.vc.<vci>.cells_in` — cells accepted for reassembly.
-    pub cells_in: CounterId,
-    /// `gw.spp.vc.<vci>.reassembled_frames` — frames completing SAR.
-    pub reassembled: CounterId,
-    /// `gw.spp.vc.<vci>.discarded_frames` — partial/errored discards.
-    pub discarded: CounterId,
-    /// `gw.mpp.vc.<vci>.forwarded_frames` — frames leaving the MPP.
-    pub forwarded: CounterId,
-    /// `gw.spp.vc.<vci>.cells_out` — cells segmented FDDI→ATM.
-    pub cells_out: CounterId,
-    /// `gw.npe.vc.<vci>.policed_cells` — GCRA non-conforming discards.
-    pub policed: CounterId,
+/// The plane and field of each per-VC count, in the order
+/// [`VcRow::counts`] yields them. The snapshot names a count
+/// `gw.<plane>.vc.<vci>.<field>`.
+pub const VC_FIELDS: [(&str, &str); 6] = [
+    ("spp", "cells_in"),
+    ("spp", "reassembled_frames"),
+    ("spp", "discarded_frames"),
+    ("mpp", "forwarded_frames"),
+    ("spp", "cells_out"),
+    ("npe", "policed_cells"),
+];
+
+/// One congram's management row: its lifecycle state and six counts.
+#[derive(Debug, Clone)]
+pub struct VcRow {
+    vci: u16,
+    active: bool,
+    /// Cells accepted for reassembly.
+    pub cells_in: Counter,
+    /// Frames completing SAR.
+    pub reassembled_frames: Counter,
+    /// Partial/errored discards.
+    pub discarded_frames: Counter,
+    /// Frames leaving the MPP.
+    pub forwarded_frames: Counter,
+    /// Cells segmented FDDI→ATM.
+    pub cells_out: Counter,
+    /// GCRA non-conforming discards.
+    pub policed_cells: Counter,
 }
 
-/// A per-VC row plus its lifecycle state.
-#[derive(Debug, Clone, Copy)]
-struct VcRow {
-    vci: u16,
-    metrics: VcMetrics,
-    active: bool,
+impl VcRow {
+    /// The row's VCI.
+    pub fn vci(&self) -> u16 {
+        self.vci
+    }
+
+    /// Whether the congram is live (not retired).
+    pub fn active(&self) -> bool {
+        self.active
+    }
+
+    /// The six counts, in [`VC_FIELDS`] order.
+    pub fn counts(&self) -> [&Counter; 6] {
+        [
+            &self.cells_in,
+            &self.reassembled_frames,
+            &self.discarded_frames,
+            &self.forwarded_frames,
+            &self.cells_out,
+            &self.policed_cells,
+        ]
+    }
 }
 
 /// The management plane's metric store.
 ///
-/// All mutation goes through index handles; name lookup happens only at
-/// registration time. The registry never forgets a metric — retiring a
-/// VC freezes its row rather than deleting it.
+/// All mutation goes through index handles or a VC's row; name lookup
+/// happens only when a gateway-wide metric is registered. The registry
+/// never forgets a metric — retiring a VC freezes its row rather than
+/// deleting it.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     counters: Vec<(String, Counter)>,
     gauges: Vec<(String, TimeWeighted)>,
     histograms: Vec<(String, Histogram, u32)>,
-    names: HashMap<String, usize>,
     /// Direct-indexed VCI → row-slot map (grown to the largest VCI
-    /// with a row), so the per-cell lineage path resolves a VC's
-    /// handles without hashing.
+    /// with a row), so the per-cell path reaches a VC's row without
+    /// hashing.
     vc_index: SlotIndex,
     vc_rows: Vec<VcRow>,
     sample_every: u32,
     vcs_created: u64,
     vcs_retired: u64,
+}
+
+/// The slot of `name` among `entries`, if registered. The registry
+/// holds a handful of gateway-wide names, registered once, so a scan
+/// is all a lookup needs.
+fn position<T>(entries: &[(String, T)], name: &str) -> Option<usize> {
+    entries.iter().position(|(n, _)| n == name)
 }
 
 impl MetricsRegistry {
@@ -85,7 +120,6 @@ impl MetricsRegistry {
             counters: Vec::new(),
             gauges: Vec::new(),
             histograms: Vec::new(),
-            names: HashMap::new(),
             vc_index: SlotIndex::default(),
             vc_rows: Vec::new(),
             sample_every: sample_every.max(1),
@@ -96,37 +130,27 @@ impl MetricsRegistry {
 
     /// Register (or re-resolve) a counter by hierarchical name.
     pub(crate) fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(&idx) = self.names.get(name) {
-            return CounterId(idx);
-        }
-        let idx = self.counters.len();
-        self.counters.push((name.to_string(), Counter::new()));
-        self.names.insert(name.to_string(), idx);
-        CounterId(idx)
+        CounterId(position(&self.counters, name).unwrap_or_else(|| {
+            self.counters.push((name.to_string(), Counter::new()));
+            self.counters.len() - 1
+        }))
     }
 
     /// Register (or re-resolve) a gauge by hierarchical name.
     pub(crate) fn gauge(&mut self, name: &str) -> GaugeId {
-        let key = format!("g:{name}");
-        if let Some(&idx) = self.names.get(&key) {
-            return GaugeId(idx);
-        }
-        let idx = self.gauges.len();
-        self.gauges.push((name.to_string(), TimeWeighted::new()));
-        self.names.insert(key, idx);
-        GaugeId(idx)
+        GaugeId(position(&self.gauges, name).unwrap_or_else(|| {
+            self.gauges.push((name.to_string(), TimeWeighted::new()));
+            self.gauges.len() - 1
+        }))
     }
 
     /// Register (or re-resolve) a histogram by hierarchical name.
     pub(crate) fn histogram(&mut self, name: &str, bin_width: u64, bins: usize) -> HistogramId {
-        let key = format!("h:{name}");
-        if let Some(&idx) = self.names.get(&key) {
-            return HistogramId(idx);
-        }
-        let idx = self.histograms.len();
-        self.histograms.push((name.to_string(), Histogram::new(bin_width, bins), 0));
-        self.names.insert(key, idx);
-        HistogramId(idx)
+        let found = self.histograms.iter().position(|(n, _, _)| n == name);
+        HistogramId(found.unwrap_or_else(|| {
+            self.histograms.push((name.to_string(), Histogram::new(bin_width, bins), 0));
+            self.histograms.len() - 1
+        }))
     }
 
     /// Bump a counter by one event.
@@ -165,43 +189,37 @@ impl MetricsRegistry {
         }
     }
 
-    fn vc_slot(&self, vci: u16) -> Option<usize> {
-        self.vc_index.get(vci).map(|slot| slot as usize)
-    }
-
-    /// Create (or reactivate) the per-VC metric row for `vci`.
+    /// Create (or reactivate) the per-VC row for `vci`.
     ///
     /// Called on congram install / re-establishment. Idempotent: an
-    /// existing row keeps its counters (a flapping VC accumulates
-    /// across re-establishments, like a MIB row surviving link resets).
-    pub fn create_vc(&mut self, vci: u16) -> VcMetrics {
-        if let Some(slot) = self.vc_slot(vci) {
-            let row = &mut self.vc_rows[slot];
+    /// existing row keeps its counts (a flapping VC accumulates across
+    /// re-establishments, like a MIB row surviving link resets).
+    pub fn create_vc(&mut self, vci: u16) {
+        if let Some(row) = self.vc_mut(vci) {
             if !row.active {
                 row.active = true;
                 self.vcs_created += 1;
             }
-            return row.metrics;
+            return;
         }
-        let metrics = VcMetrics {
-            cells_in: self.counter(&format!("gw.spp.vc.{vci}.cells_in")),
-            reassembled: self.counter(&format!("gw.spp.vc.{vci}.reassembled_frames")),
-            discarded: self.counter(&format!("gw.spp.vc.{vci}.discarded_frames")),
-            forwarded: self.counter(&format!("gw.mpp.vc.{vci}.forwarded_frames")),
-            cells_out: self.counter(&format!("gw.spp.vc.{vci}.cells_out")),
-            policed: self.counter(&format!("gw.npe.vc.{vci}.policed_cells")),
-        };
         self.vc_index.insert(vci, self.vc_rows.len() as u32);
-        self.vc_rows.push(VcRow { vci, metrics, active: true });
+        self.vc_rows.push(VcRow {
+            vci,
+            active: true,
+            cells_in: Counter::new(),
+            reassembled_frames: Counter::new(),
+            discarded_frames: Counter::new(),
+            forwarded_frames: Counter::new(),
+            cells_out: Counter::new(),
+            policed_cells: Counter::new(),
+        });
         self.vcs_created += 1;
-        metrics
     }
 
     /// Retire the row for `vci` (congram release / quarantine). The
     /// row's final values remain readable; only its active flag drops.
     pub fn retire_vc(&mut self, vci: u16) {
-        if let Some(slot) = self.vc_slot(vci) {
-            let row = &mut self.vc_rows[slot];
+        if let Some(row) = self.vc_mut(vci) {
             if row.active {
                 row.active = false;
                 self.vcs_retired += 1;
@@ -209,22 +227,20 @@ impl MetricsRegistry {
         }
     }
 
-    /// The metric row for `vci`, if one was ever created.
-    pub fn vc(&self, vci: u16) -> Option<VcMetrics> {
-        self.vc_slot(vci).map(|slot| self.vc_rows[slot].metrics)
+    /// The row for `vci`, if one was ever created.
+    pub fn vc(&self, vci: u16) -> Option<&VcRow> {
+        self.vc_index.get(vci).map(|slot| &self.vc_rows[slot as usize])
     }
 
-    /// Whether `vci` has an active (non-retired) row.
-    pub fn vc_active(&self, vci: u16) -> bool {
-        self.vc_slot(vci).is_some_and(|slot| self.vc_rows[slot].active)
+    /// The row for `vci`, mutably, if one was ever created.
+    #[inline]
+    pub fn vc_mut(&mut self, vci: u16) -> Option<&mut VcRow> {
+        self.vc_index.get(vci).map(|slot| &mut self.vc_rows[slot as usize])
     }
 
-    /// All VC rows ever created, sorted by VCI: `(vci, metrics, active)`.
-    pub fn vc_rows(&self) -> Vec<(u16, VcMetrics, bool)> {
-        let mut rows: Vec<_> =
-            self.vc_rows.iter().map(|row| (row.vci, row.metrics, row.active)).collect();
-        rows.sort_by_key(|&(vci, _, _)| vci);
-        rows
+    /// All VC rows ever created, in creation order.
+    pub fn vc_rows(&self) -> &[VcRow] {
+        &self.vc_rows
     }
 
     /// Lifetime row retirements.
@@ -238,12 +254,12 @@ impl MetricsRegistry {
         (c.count(), c.octets())
     }
 
-    /// A counter's event count by name, if registered.
+    /// A gateway-wide counter's event count by name, if registered.
     pub fn counter_by_name(&self, name: &str) -> Option<u64> {
-        self.names.get(name).map(|&idx| self.counters[idx].1.count())
+        position(&self.counters, name).map(|idx| self.counters[idx].1.count())
     }
 
-    /// All counters in registration order: `(name, counter)`.
+    /// The gateway-wide counters in registration order: `(name, counter)`.
     pub fn counters(&self) -> impl Iterator<Item = (&str, &Counter)> {
         self.counters.iter().map(|(n, c)| (n.as_str(), c))
     }
@@ -297,17 +313,18 @@ mod tests {
     #[test]
     fn vc_lifecycle_creates_and_retires_rows() {
         let mut r = MetricsRegistry::new(1);
-        let vc = r.create_vc(100);
-        r.inc(vc.cells_in);
-        assert!(r.vc_active(100));
+        r.create_vc(100);
+        r.vc_mut(100).unwrap().cells_in.tick();
+        assert!(r.vc(100).unwrap().active());
         r.retire_vc(100);
-        assert!(!r.vc_active(100));
+        assert!(!r.vc(100).unwrap().active());
         // Retired rows keep their data.
-        assert_eq!(r.counter_by_name("gw.spp.vc.100.cells_in"), Some(1));
+        assert_eq!(r.vc(100).unwrap().cells_in.count(), 1);
         // Re-establishment reactivates the same row.
-        let again = r.create_vc(100);
-        assert_eq!(again, vc);
-        assert!(r.vc_active(100));
+        r.create_vc(100);
+        assert_eq!(r.vc_rows().len(), 1);
+        assert_eq!(r.vc(100).unwrap().cells_in.count(), 1);
+        assert!(r.vc(100).unwrap().active());
         assert_eq!(r.vcs_created, 2);
         assert_eq!(r.vcs_retired(), 1);
     }
@@ -323,12 +340,14 @@ mod tests {
     }
 
     #[test]
-    fn vc_rows_sorted_by_vci() {
+    fn vc_rows_keep_creation_order() {
         let mut r = MetricsRegistry::new(1);
         r.create_vc(300);
         r.create_vc(100);
         r.create_vc(200);
-        let vcis: Vec<u16> = r.vc_rows().iter().map(|&(v, _, _)| v).collect();
-        assert_eq!(vcis, [100, 200, 300]);
+        r.retire_vc(100);
+        r.create_vc(100);
+        let vcis: Vec<u16> = r.vc_rows().iter().map(VcRow::vci).collect();
+        assert_eq!(vcis, [300, 100, 200]);
     }
 }

@@ -31,6 +31,7 @@ use gw_sim::time::SimTime;
 use gw_wire::atm::{Vci, CELL_SIZE};
 use gw_wire::fddi::FddiAddr;
 use gw_wire::mchip::Icn;
+use std::collections::HashSet;
 
 /// One congram the appliance should serve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +48,37 @@ pub struct CongramSpec {
     pub synchronous: bool,
 }
 
+/// The VCIs and ICNs a set of congrams holds, so a clash with any of
+/// them is found in O(1) per congram rather than by rescanning.
+#[derive(Debug, Default)]
+struct Held {
+    vcis: HashSet<u16>,
+    atm_icns: HashSet<u16>,
+    fddi_icns: HashSet<u16>,
+}
+
+impl Held {
+    /// The first of `spec`'s VCI, ATM ICN and FDDI ICN already held.
+    fn clash(&self, spec: &CongramSpec) -> Option<&'static str> {
+        if self.vcis.contains(&spec.vci) {
+            Some("vci")
+        } else if self.atm_icns.contains(&spec.atm_icn) {
+            Some("atm_icn")
+        } else if self.fddi_icns.contains(&spec.fddi_icn) {
+            Some("fddi_icn")
+        } else {
+            None
+        }
+    }
+
+    /// Hold `spec`'s VCI and ICNs.
+    fn hold(&mut self, spec: &CongramSpec) {
+        self.vcis.insert(spec.vci);
+        self.atm_icns.insert(spec.atm_icn);
+        self.fddi_icns.insert(spec.fddi_icn);
+    }
+}
+
 /// Appliance configuration (the reloadable part).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ApplianceConfig {
@@ -60,9 +92,10 @@ impl ApplianceConfig {
     /// with `#` comments and blank lines ignored. Each ICN indexes an
     /// ICXT table of [`MAX_CONGRAMS`] entries (§6.1), so an ICN past
     /// the table, or one an earlier line already holds in the same
-    /// table, is rejected.
+    /// table, is rejected; so is a VCI an earlier line already holds.
     pub fn parse(text: &str) -> Result<ApplianceConfig, String> {
         let mut congrams = Vec::new();
+        let mut held = Held::default();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -102,12 +135,10 @@ impl ApplianceConfig {
                         station: u32::try_from(station).map_err(|_| err("station out of range"))?,
                         synchronous,
                     };
-                    if congrams.iter().any(|c: &CongramSpec| c.atm_icn == spec.atm_icn) {
-                        return Err(err("atm_icn already held by an earlier congram"));
+                    if let Some(key) = held.clash(&spec) {
+                        return Err(err(&format!("{key} already held by an earlier congram")));
                     }
-                    if congrams.iter().any(|c: &CongramSpec| c.fddi_icn == spec.fddi_icn) {
-                        return Err(err("fddi_icn already held by an earlier congram"));
-                    }
+                    held.hold(&spec);
                     congrams.push(spec);
                 }
                 Some(other) => return Err(err(&format!("unknown directive {other:?}"))),
@@ -148,6 +179,7 @@ pub struct Appliance {
     atm_sup: TransportSupervisor,
     fddi_sup: TransportSupervisor,
     installed: Vec<CongramSpec>,
+    held: Held,
     draining: bool,
     cell_buf: Vec<(SimTime, [u8; CELL_SIZE])>,
     cells: Vec<[u8; CELL_SIZE]>,
@@ -178,6 +210,7 @@ impl Appliance {
             atm_sup: TransportSupervisor::new(policy),
             fddi_sup: TransportSupervisor::new(policy),
             installed: Vec::new(),
+            held: Held::default(),
             draining: false,
             cell_buf: Vec::new(),
             cells: Vec::new(),
@@ -222,9 +255,7 @@ impl Appliance {
     pub fn apply_config(&mut self, config: &ApplianceConfig) -> usize {
         let mut added = 0;
         for spec in &config.congrams {
-            if self.installed.iter().any(|s| {
-                s.vci == spec.vci || s.atm_icn == spec.atm_icn || s.fddi_icn == spec.fddi_icn
-            }) {
+            if self.held.clash(spec).is_some() {
                 continue;
             }
             self.gw.install_congram(
@@ -234,6 +265,7 @@ impl Appliance {
                 FddiAddr::station(spec.station),
                 spec.synchronous,
             );
+            self.held.hold(spec);
             self.installed.push(*spec);
             added += 1;
         }

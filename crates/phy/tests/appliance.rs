@@ -135,10 +135,31 @@ fn config_rejects_icns_outside_or_repeated_within_an_icxt_table() {
         ("congram 64 1 1024 1 async", "fddi_icn outside the 1024-entry ICXT"),
         ("congram 64 1 2 1 async\ncongram 80 1 6 3 sync", "atm_icn already held"),
         ("congram 64 1 2 1 async\ncongram 80 5 2 3 sync", "fddi_icn already held"),
+        ("congram 64 1 2 1 async\ncongram 64 5 6 3 sync", "vci already held"),
     ] {
         let err = ApplianceConfig::parse(text).expect_err(text);
         assert!(err.contains(why), "{text:?}: {err}");
     }
+}
+
+#[test]
+fn a_full_icxt_config_parses_applies_and_reapplies_nothing() {
+    let text: String = (0..1024u16)
+        .map(|i| format!("congram {} {i} {} {} async\n", 64 + i, 1023 - i, 1 + i % 8))
+        .collect();
+    let config = ApplianceConfig::parse(&text).unwrap();
+    assert_eq!(config.congrams.len(), 1024);
+    let (cell_gw, _cell_line) = loopback_cell_pair();
+    let (frame_gw, _frame_line) = loopback_frame_pair();
+    let mut app = Appliance::new(
+        GatewayConfig::default(),
+        100_000_000,
+        Box::new(cell_gw),
+        Box::new(frame_gw),
+    );
+    assert_eq!(app.apply_config(&config), 1024);
+    assert_eq!(app.apply_config(&config), 0, "every congram is already live");
+    assert_eq!(app.congrams().len(), 1024);
 }
 
 #[test]

@@ -96,9 +96,7 @@ fn snapshot_json_cross_checks_against_gateway_stats() {
     );
     assert_eq!(u(&doc, &["metrics", "counters", "gw.gcra.policed_cells", "count"]), nonconf);
     let registry = &tb.gw.mgmt().expect("management enabled").registry;
-    let reassembled = |vci: u16| {
-        registry.counter_by_name(&format!("gw.spp.vc.{vci}.reassembled_frames")).expect("VC row")
-    };
+    let reassembled = |vci: u16| registry.vc(vci).expect("VC row").reassembled_frames.count();
     assert_eq!(reassembled(c1.vci.0) + reassembled(c2.vci.0), spp.frames_up);
 
     // Buffer occupancy and drop/shed totals line up with the buffers'

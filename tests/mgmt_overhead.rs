@@ -202,7 +202,7 @@ fn per_cell_hot_loop_is_allocation_free_with_and_without_management() {
 
     // Sanity: the instrumentation did observe the traffic.
     let m = managed.mgmt().expect("management enabled");
-    let counted = m.registry.counter_by_name(&format!("gw.spp.vc.{}.cells_in", VCI.0)).unwrap();
+    let counted = m.registry.vc(VCI.0).unwrap().cells_in.count();
     assert_eq!(counted as usize, cells.len() * 35, "every cell of every frame counted");
 }
 
@@ -473,6 +473,46 @@ fn per_vc_memory_follows_the_vcs_in_use() {
     });
     assert!(reassembler_bytes < BOUND, "1 000 open, idle VCs hold {reassembler_bytes} bytes");
     assert_eq!(r.resident_buffers(), 0);
+}
+
+/// Congram install runs at call rate and on every config load. A VC's
+/// management row holds its counts and no name, so an install formats,
+/// copies and hashes nothing: after a managed `Gateway::new`, 64
+/// installs make at most two allocations per congram, amortised (the
+/// tables they share grow by doubling). Retiring a row and creating it
+/// again reuses the row and allocates nothing.
+#[test]
+fn congram_install_makes_at_most_two_allocations_per_congram() {
+    use gw_mgmt::MetricsRegistry;
+    const CONGRAMS: u16 = 64;
+
+    let config = GatewayConfig { management: Some(gw_mgmt::MgmtConfig), ..Default::default() };
+    let (new_allocs, mut gw) =
+        allocations_during(|| Gateway::new(config, FddiAddr::station(0), 80_000_000));
+    let (install_allocs, ()) = allocations_during(|| {
+        for k in 0..CONGRAMS {
+            let station = FddiAddr::station(1 + u32::from(k % 8));
+            gw.install_congram(Vci(100 + k), Icn(1 + k), Icn(200 + k), station, false);
+        }
+    });
+    assert!(
+        install_allocs <= 2 * u64::from(CONGRAMS),
+        "{CONGRAMS} installs made {install_allocs} allocations (Gateway::new: {new_allocs})"
+    );
+    assert_eq!(gw.mgmt().unwrap().registry.vc_rows().len(), usize::from(CONGRAMS));
+
+    let mut registry = MetricsRegistry::new(1);
+    for vci in 100..100 + CONGRAMS {
+        registry.create_vc(vci);
+    }
+    let (allocs, ()) = allocations_during(|| {
+        for vci in 100..100 + CONGRAMS {
+            registry.retire_vc(vci);
+            registry.create_vc(vci);
+        }
+    });
+    assert_eq!(allocs, 0, "a re-created row reuses its slot");
+    assert_eq!(registry.vcs_retired(), u64::from(CONGRAMS));
 }
 
 /// A lookup of a VCI with no entry reads "no slot" and never grows the
