@@ -19,9 +19,6 @@
 //!
 //! Everything is deterministic and event-driven on [`gw_sim`]'s queue.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod network;
 pub mod policing;
 pub mod signaling;

@@ -5,9 +5,6 @@
 //! experiment; `-- e5` (etc.) runs one. EXPERIMENTS.md records the
 //! output against the paper's numbers.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod experiments;
 pub mod report;
 

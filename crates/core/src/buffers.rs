@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! The transmit and receive buffer memories (§4.3 "Buffer Memories").
 //!
 //! The SUPERNET's RAM buffer controller (RBC) DMAs frames between these
@@ -7,6 +6,23 @@
 //! memory's octet capacity. Occupancy is tracked as a time-weighted
 //! gauge so the buffer-sizing study (E6) can report time-averaged and
 //! peak usage, not just instantaneous depth.
+
+// The critical path's discipline (DESIGN.md §8): none of clippy.toml's
+// allocations, maps or locks, and no panics. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 use gw_sim::stats::TimeWeighted;
 use gw_sim::time::SimTime;
@@ -47,6 +63,10 @@ pub struct BufferStats {
 /// Rejections hand the frame back so the caller can recycle its buffer
 /// instead of dropping it on the floor.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub enum StoreOutcome {
     /// Accepted into its class queue.
     Stored,

@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! The gateway's FIFOs (Figure 4).
 //!
 //! "There are also three sets of FIFOs used in the gateway… Two sets…
@@ -6,6 +5,23 @@
 //! The third… between the MPP and SPP" (§4.3). All are bounded frame
 //! queues; overflow is counted, because an undersized NPE FIFO is one
 //! of the failure modes the buffer-sizing study must expose.
+
+// The critical path's discipline (DESIGN.md §8): none of clippy.toml's
+// allocations, maps or locks, and no panics. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 use std::collections::VecDeque;
 

@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! The assembled two-port ATM-FDDI gateway (Figure 4).
 //!
 //! Data path, ATM→FDDI (§4.2): AIC (HEC check, cell sync) → SPP
@@ -29,6 +28,23 @@
 //!   [`Gateway::next_deadline`]) to run reassembly timers and NPE
 //!   housekeeping.
 
+// The critical path's discipline (DESIGN.md §8): none of clippy.toml's
+// allocations, maps or locks, and no panics. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use crate::aic::Aic;
 use crate::buffers::{BufferMemory, Class};
 use crate::config::{GatewayConfig, MAX_CONGRAMS, NPE_CONTROL_LATENCY, NPE_FIFO_FRAMES};
@@ -55,6 +71,10 @@ use gw_wire::pool::BufPool;
 
 /// Externally visible gateway outputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub enum Output {
     /// A cell ready for the ATM network (HEC stamped).
     AtmCell {
@@ -344,7 +364,10 @@ pub struct Gateway {
 impl Gateway {
     /// Build a gateway with its FDDI station address and the ring
     /// capacity its resource manager guards.
-    // gw-lint: setup-path — power-up construction; sizes the pools once (the VCI index starts empty)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "power-up construction; sizes the pools once (the VCI index starts empty)"
+    )]
     pub fn new(config: GatewayConfig, fddi_addr: FddiAddr, fddi_capacity_bps: u64) -> Gateway {
         let reasm = ReassemblyConfig {
             timeout: config.reassembly_timeout,
@@ -441,7 +464,11 @@ impl Gateway {
     /// dispositions, plus the FDDI-side frame ledger and the egress
     /// cell count. They hold at *any* instant, not only at drain —
     /// in-flight work appears as reassembly occupancy.
-    // gw-lint: setup-path — audit pass over counters; runs per snapshot/soak check, never per cell
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        reason = "audit pass over counters; runs per snapshot/soak check, never per cell"
+    )]
     pub fn check_conservation(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let mut check = |name: &str, lhs: u64, rhs: u64| {
@@ -523,8 +550,8 @@ impl Gateway {
     /// delivered or dropped and all timers have fired. Nonzero fields
     /// after a drain are leaks: a reassembly slot, pool buffer, timer,
     /// or queue entry the gateway is still holding for traffic that no
-    /// longer exists.
-    // gw-lint: setup-path — audit pass; runs per soak check, never per cell
+    /// longer exists. An audit pass: it runs per soak check, never per
+    /// cell.
     pub fn residue(&self) -> Residue {
         let spp_pool = self.spp.pool_stats();
         let mpp_pool = self.mpp.pool_stats();
@@ -553,7 +580,10 @@ impl Gateway {
     /// `fddi_dst` the destination station. Used by benchmarks and tests
     /// that exercise the data path in isolation. The NPE keeps both ICNs
     /// out of the congrams it sets up later.
-    // gw-lint: setup-path — congram programming runs once per connection, not per cell
+    #[expect(
+        clippy::expect_used,
+        reason = "congram programming runs once per connection, not per cell"
+    )]
     pub fn install_congram(
         &mut self,
         atm_vci: Vci,
@@ -811,7 +841,7 @@ impl Gateway {
     /// (`overflow == false`) or hard overflow; the buffer counted it.
     /// The shed frame's cells, the trace, and FDDI-port health move
     /// here.
-    #[allow(clippy::too_many_arguments)] // internal plumbing; flags mirror buffer outcomes
+    #[allow(clippy::too_many_arguments, reason = "internal plumbing; flags mirror buffer outcomes")]
     fn note_buffer_drop(
         &mut self,
         at: SimTime,
@@ -971,7 +1001,7 @@ impl Gateway {
     /// A reassembled (or flushed) frame climbs into the MPP.
     /// `discard_eligible` marks frames whose cells carried the CLP bit —
     /// under overload they are shed first.
-    #[allow(clippy::too_many_arguments)] // internal plumbing; flags mirror SPP outcomes
+    #[allow(clippy::too_many_arguments, reason = "internal plumbing; flags mirror SPP outcomes")]
     fn frame_up(
         &mut self,
         now: SimTime,
@@ -1268,7 +1298,10 @@ impl Gateway {
 
     /// Feed one frame arriving from the FDDI ring. The returned `Vec` is
     /// the frame's one allocation, sized exactly to its cells.
-    // gw-lint: setup-path — thin wrapper that owns the frame's one allocation (the returned Vec); the frame path itself is `frame_in`, which carries no waiver
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "thin wrapper that owns the frame's one allocation (the returned Vec); the frame path itself is `frame_in`, which carries no waiver"
+    )]
     pub fn fddi_frame_in(&mut self, now: SimTime, frame_bytes: &[u8]) -> Vec<Output> {
         let mut out = Vec::new();
         self.frame_in(now, frame_bytes, &mut out);
@@ -1414,7 +1447,8 @@ impl Gateway {
         Ok((done, n))
     }
 
-    // gw-lint: setup-path — NPE control actions (congram setup/teardown, control frames) are the paper's non-critical path
+    /// NPE control actions (congram setup/teardown, control frames):
+    /// the paper's non-critical path.
     fn apply_npe_actions(&mut self, actions: Vec<NpeAction>, out: &mut Vec<Output>) {
         if actions.is_empty() {
             return;
@@ -1660,7 +1694,7 @@ impl Gateway {
 
     /// Complete the numbered attempt of an NPE-requested ATM connection
     /// (the `attempt` of its [`Output::AtmConnectionRequest`]).
-    // gw-lint: setup-path — signaling completion, once per connection
+    #[expect(clippy::disallowed_methods, reason = "signaling completion, once per connection")]
     pub fn atm_connection_ready(
         &mut self,
         now: SimTime,
@@ -1678,7 +1712,7 @@ impl Gateway {
     }
 
     /// Fail the numbered attempt of an NPE-requested ATM connection.
-    // gw-lint: setup-path — signaling failure, once per connection attempt
+    #[expect(clippy::disallowed_methods, reason = "signaling failure, once per connection attempt")]
     pub fn atm_connection_failed(
         &mut self,
         now: SimTime,

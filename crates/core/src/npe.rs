@@ -312,8 +312,8 @@ impl Npe {
                     else {
                         return self.reject(at, from, congram, reject_codes::ADMISSION);
                     };
-                    self.supervisor.begin(now, id);
-                    vec![request_vc(at, id, 1, flow)]
+                    let attempt = self.supervisor.begin(now, id);
+                    vec![request_vc(at, id, attempt, flow)]
                 }
             },
             ControlPayload::Teardown { congram } => self.teardown(at, from, congram),
@@ -436,7 +436,7 @@ impl Npe {
 
     /// ATM signaling failed for the numbered attempt. For the congram's
     /// current attempt, an enabled supervisor schedules a retry
-    /// (exponential backoff with jitter, re-issued from [`Npe::scan`]);
+    /// (exponential backoff with jitter, re-issued from `Npe::scan`);
     /// once the budget is exhausted — or with the supervisor disabled —
     /// the setup is rejected back to the requester. A failure of an
     /// attempt a later one replaced is ignored.
@@ -479,7 +479,7 @@ impl Npe {
 
     /// Periodic scan: PICon keepalive expiry releases resources, and
     /// the connection supervisor's watchdog/backoff timers run.
-    pub fn scan(&mut self, now: SimTime) -> Vec<NpeAction> {
+    pub(crate) fn scan(&mut self, now: SimTime) -> Vec<NpeAction> {
         let at = now + self.latency;
         let mut actions = Vec::new();
         for ev in self.congrams.scan_keepalives(now) {
@@ -503,7 +503,7 @@ impl Npe {
         actions
     }
 
-    /// Earliest time [`Npe::scan`] has supervisor work to do.
+    /// Earliest time `Npe::scan` has supervisor work to do.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.supervisor.next_deadline()
     }
@@ -529,9 +529,9 @@ impl Npe {
                     // transfer pauses but the congram survives
                     // (plesio-reliability, §2.4).
                     let _ = self.congrams.begin_reconfigure(id);
-                    self.supervisor.begin(now, id);
+                    let attempt = self.supervisor.begin(now, id);
                     actions.push(NpeAction::ReleaseAtmConnection { at, vci });
-                    actions.push(request_vc(at, id, 1, r.flow));
+                    actions.push(request_vc(at, id, attempt, r.flow));
                 }
                 Requester::Atm(ctrl_vci) => {
                     // The peer owns the VC: the congram cannot be
@@ -920,16 +920,49 @@ mod tests {
             matches!(actions[1], NpeAction::ReleaseAtmConnection { vci: Vci(77), .. }),
             "{actions:?}"
         );
-        assert!(
-            matches!(actions[2], NpeAction::RequestAtmConnection { congram: c, .. } if c == congram)
-        );
+        let NpeAction::RequestAtmConnection { congram: c, attempt, .. } = actions[2] else {
+            panic!("{actions:?}")
+        };
+        assert_eq!(c, congram);
         assert_eq!(n.stats().vcs_quarantined, 1);
         // Signaling completes on a new VC: reconfiguration, not a new
         // setup.
-        let done = n.atm_connection_ready(SimTime::from_ms(52), congram, 1, Vci(91));
+        let done = n.atm_connection_ready(SimTime::from_ms(52), congram, attempt, Vci(91));
         assert_eq!(done.len(), 3, "chips reprogrammed and confirm resent");
         assert_eq!(n.stats().reestablishments, 1);
         assert_eq!(n.stats().setups_confirmed, 1, "initial setup only");
+    }
+
+    /// A re-establishment continues its congram's attempt numbers, so a
+    /// late answer to the first setup's attempt 1 is not the new
+    /// setup's; the retry budget counts from the re-establishment's
+    /// first attempt.
+    #[test]
+    fn a_reestablishment_continues_the_attempt_numbers() {
+        let mut n = supervised_npe(1);
+        let congram = begin_fddi_setup(&mut n);
+        n.atm_connection_ready(SimTime::from_ms(2), congram, 1, Vci(77));
+        let actions = n.vc_quarantined(SimTime::from_ms(50), Vci(77));
+        let NpeAction::RequestAtmConnection { attempt, .. } = actions[2] else {
+            panic!("{actions:?}")
+        };
+        assert_eq!(attempt, 2);
+        // The first setup's attempt 1, answered again late: neither its
+        // success nor its failure is the re-establishment's.
+        let late = SimTime::from_ms(51);
+        assert!(n.atm_connection_ready(late, congram, 1, Vci(77)).is_empty());
+        assert!(n.atm_connection_failed(late, congram, 1).is_empty());
+        assert_eq!(n.stats().reestablishments, 0);
+        // A budget of 1 from attempt 2: its failure earns attempt 3.
+        assert!(n.atm_connection_failed(late, congram, 2).is_empty());
+        let retry = n.scan(SimTime::from_ms(60));
+        assert!(
+            retry.iter().any(|a| matches!(a, NpeAction::RequestAtmConnection { attempt: 3, .. })),
+            "{retry:?}"
+        );
+        let done = n.atm_connection_ready(SimTime::from_ms(61), congram, 3, Vci(91));
+        assert_eq!(done.len(), 3, "{done:?}");
+        assert_eq!(n.stats().reestablishments, 1);
     }
 
     #[test]
@@ -983,8 +1016,11 @@ mod tests {
     fn reestablished(n: &mut Npe) -> (Option<Icn>, Option<Icn>) {
         let congram = begin_fddi_setup(n);
         n.atm_connection_ready(SimTime::from_ms(2), congram, 1, Vci(77));
-        n.vc_quarantined(SimTime::from_ms(50), Vci(77));
-        slots(&n.atm_connection_ready(SimTime::from_ms(52), congram, 1, Vci(91)))
+        let actions = n.vc_quarantined(SimTime::from_ms(50), Vci(77));
+        let NpeAction::RequestAtmConnection { attempt, .. } = actions[2] else {
+            panic!("{actions:?}")
+        };
+        slots(&n.atm_connection_ready(SimTime::from_ms(52), congram, attempt, Vci(91)))
     }
 
     #[test]

@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! The SAR Protocol Processor (§5), cycle-accurate at 25 MHz.
 //!
 //! Two independent packet-processing pipelines (Figure 6):
@@ -20,6 +19,23 @@
 //! The SPP also receives **initialization frames** carrying reassembly
 //! timeout values from the NPE (§5.4); their payload codec is
 //! `encode_init` / `decode_init`.
+
+// The critical path's discipline (DESIGN.md §8): none of clippy.toml's
+// allocations, maps or locks, and no panics. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 use crate::{SPP_DECODE_CYCLES, SPP_WRITE_CYCLES};
 use gw_sar::reassemble::{ReassembledFrame, Reassembler, ReassemblyConfig, ReassemblyEvent};
@@ -49,6 +65,10 @@ pub struct IngestTiming {
 
 /// Result of offering one cell to the ATM→FDDI pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub struct IngestResult {
     /// Pipeline timing for this cell.
     pub timing: IngestTiming,
@@ -58,6 +78,10 @@ pub struct IngestResult {
 
 /// Result of fragmenting one frame through the FDDI→ATM pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub struct FragmentResult {
     /// Each cell with its emission-complete time toward the AIC.
     pub cells: Vec<(SimTime, OwnedCell)>,
@@ -249,7 +273,10 @@ impl Spp {
 
     /// Fragment a frame into cells, collected; see
     /// `Spp::fragment_cells`.
-    // gw-lint: setup-path — collector over `fragment_cells` for hosts and tests: one exact-capacity Vec per frame; the gateway has the cells written straight into its output
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "collector over `fragment_cells` for hosts and tests: one exact-capacity Vec per frame; the gateway has the cells written straight into its output"
+    )]
     pub fn fragment(
         &mut self,
         now: SimTime,
@@ -305,7 +332,10 @@ impl Spp {
 }
 
 /// Encode SPP initialization entries: `(VCI, reassembly timeout)` pairs.
-// gw-lint: setup-path — Init-frame codec; reassembly-timeout programming runs per connection, not per cell
+#[expect(
+    clippy::disallowed_methods,
+    reason = "Init-frame codec; reassembly-timeout programming runs per connection, not per cell"
+)]
 pub(crate) fn encode_init(entries: &[(Vci, SimTime)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.len() * 10);
     for (vci, timeout) in entries {
@@ -316,7 +346,10 @@ pub(crate) fn encode_init(entries: &[(Vci, SimTime)]) -> Vec<u8> {
 }
 
 /// Decode SPP initialization entries.
-// gw-lint: setup-path — Init-frame codec; reassembly-timeout programming runs per connection, not per cell
+#[expect(
+    clippy::expect_used,
+    reason = "Init-frame codec; reassembly-timeout programming runs per connection, not per cell"
+)]
 pub(crate) fn decode_init(payload: &[u8]) -> Result<Vec<(Vci, SimTime)>> {
     if !payload.len().is_multiple_of(10) {
         return Err(Error::Malformed);

@@ -17,13 +17,17 @@
 //!   exponentially growing, deterministically jittered delays keep
 //!   retries from synchronizing across congrams;
 //! * a bounded **retry budget** caps the attempts; once exhausted the
-//!   congram is failed and the requester receives a `SetupReject`.
+//!   congram is failed and the requester receives a `SetupReject`;
+//! * attempt numbers never restart for a congram: a re-establishment
+//!   (§2.4) continues where its last setup stopped, so a late answer to
+//!   an earlier setup's attempt matches none of the new one's. The
+//!   budget and the backoff count from the re-establishment's first
+//!   attempt.
 //!
 //! The supervisor is a passive table — the NPE drives it from
-//! [`Npe::scan`] and translates its events into actions.
+//! `Npe::scan` and translates its events into actions.
 //!
 //! [`NpeAction::RequestAtmConnection`]: crate::npe::NpeAction::RequestAtmConnection
-//! [`Npe::scan`]: crate::npe::Npe::scan
 
 use gw_mchip::congram::CongramId;
 use gw_sim::rng::SimRng;
@@ -89,8 +93,12 @@ pub enum SetupPhase {
 pub struct Supervision {
     /// Current phase.
     pub phase: SetupPhase,
-    /// 1-based attempt number of the current/most recent attempt.
+    /// Number of the current/most recent attempt: 1 for a congram's
+    /// first setup, continuing across re-establishments.
     pub attempt: u32,
+    /// Number of this setup's first attempt; `attempt - first + 1` is
+    /// the ordinal the budget and the backoff count.
+    pub first: u32,
     /// True once at least one attempt failed — the congram is running
     /// degraded (late, but not yet given up on).
     pub degraded: bool,
@@ -135,6 +143,9 @@ pub struct SupervisorStats {
 pub struct ConnectionSupervisor {
     config: SupervisorConfig,
     entries: HashMap<CongramId, Supervision>,
+    /// The confirmed attempt of each congram whose setup has ended, so
+    /// a re-establishment continues the numbering. Dropped on `cancel`.
+    last_confirmed: HashMap<CongramId, u32>,
     jitter: SimRng,
     stats: SupervisorStats,
 }
@@ -146,6 +157,7 @@ impl ConnectionSupervisor {
             jitter: SimRng::new(config.jitter_seed),
             config,
             entries: HashMap::new(),
+            last_confirmed: HashMap::new(),
             stats: SupervisorStats::default(),
         }
     }
@@ -161,17 +173,22 @@ impl ConnectionSupervisor {
         self.config = config;
     }
 
-    /// Start supervising a congram whose first signaling attempt was
-    /// just issued.
-    pub fn begin(&mut self, now: SimTime, congram: CongramId) {
+    /// Start supervising a congram's setup (or re-establishment), and
+    /// return the number its first signaling attempt carries: one past
+    /// the congram's last attempt, or 1.
+    pub fn begin(&mut self, now: SimTime, congram: CongramId) -> u32 {
+        let last = self.entries.get(&congram).map(|e| e.attempt);
+        let first = last.or(self.last_confirmed.get(&congram).copied()).map_or(1, |n| n + 1);
         self.entries.insert(
             congram,
             Supervision {
                 phase: SetupPhase::Establishing { deadline: now + self.config.setup_watchdog },
-                attempt: 1,
+                attempt: first,
+                first,
                 degraded: false,
             },
         );
+        first
     }
 
     /// Signaling succeeded for the numbered attempt. Returns false when
@@ -180,6 +197,7 @@ impl ConnectionSupervisor {
     pub(crate) fn confirmed(&mut self, congram: CongramId, attempt: u32) -> bool {
         if self.entries.get(&congram).is_some_and(|e| e.attempt == attempt) {
             self.entries.remove(&congram);
+            self.last_confirmed.insert(congram, attempt);
             true
         } else {
             false
@@ -189,23 +207,25 @@ impl ConnectionSupervisor {
     /// Stop supervising without judgement (congram torn down).
     pub fn cancel(&mut self, congram: CongramId) {
         self.entries.remove(&congram);
+        self.last_confirmed.remove(&congram);
     }
 
     /// An explicit signaling rejection arrived for the numbered attempt.
     /// Only the congram's current attempt counts.
     pub fn fail(&mut self, now: SimTime, congram: CongramId, attempt: u32) -> FailVerdict {
-        let Some(current) = self.entries.get(&congram).map(|e| e.attempt) else {
+        let Some(&Supervision { attempt: current, first, .. }) = self.entries.get(&congram) else {
             return FailVerdict::GiveUp;
         };
         if attempt != current {
             return FailVerdict::Stale;
         }
-        if attempt > self.config.retry_budget {
+        let ordinal = attempt - first + 1;
+        if ordinal > self.config.retry_budget {
             self.entries.remove(&congram);
             self.stats.failures += 1;
             return FailVerdict::GiveUp;
         }
-        let until = now + self.backoff_delay(attempt);
+        let until = now + self.backoff_delay(ordinal);
         let entry = self.entries.get_mut(&congram).expect("checked above");
         entry.phase = SetupPhase::Backoff { until };
         entry.degraded = true;
@@ -213,9 +233,9 @@ impl ConnectionSupervisor {
     }
 
     /// Exponential backoff with deterministic additive jitter for the
-    /// retry following failed attempt `attempt`.
-    fn backoff_delay(&mut self, attempt: u32) -> SimTime {
-        backoff_delay(&self.config, attempt, &mut self.jitter)
+    /// retry following the setup's failed attempt `ordinal` (1-based).
+    fn backoff_delay(&mut self, ordinal: u32) -> SimTime {
+        backoff_delay(&self.config, ordinal, &mut self.jitter)
     }
 
     /// Advance watchdog and backoff timers to `now`.
@@ -236,14 +256,14 @@ impl ConnectionSupervisor {
                         // Watchdog: the attempt is presumed lost in the
                         // network; treat exactly like a rejection.
                         self.stats.watchdog_fires += 1;
-                        if entry.attempt > self.config.retry_budget {
+                        let ordinal = entry.attempt - entry.first + 1;
+                        if ordinal > self.config.retry_budget {
                             self.entries.remove(&id);
                             self.stats.failures += 1;
                             events.push(SupervisorEvent::GiveUp(id));
                             break;
                         }
-                        let attempt = entry.attempt;
-                        let until = deadline + self.backoff_delay(attempt);
+                        let until = deadline + self.backoff_delay(ordinal);
                         let entry = self.entries.get_mut(&id).expect("still present");
                         entry.phase = SetupPhase::Backoff { until };
                         entry.degraded = true;

@@ -1,9 +1,5 @@
-//! Fixture ATM crate. Violation on purpose: the root carries
-//! `deny(missing_docs)`, then a later `warn` downgrades it — the later
-//! attribute wins, so an undocumented public item would only warn.
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_docs)]
+//! Fixture ATM crate. Hygienic source: its one finding is its manifest,
+//! which leaves the workspace lint table out.
 
 /// Hygienic otherwise.
 pub fn cell_octets() -> usize {

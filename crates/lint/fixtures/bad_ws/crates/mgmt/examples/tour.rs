@@ -10,10 +10,6 @@ fn main() {
     gw_sar::chunk_len(true);
     gw_scene::canonicalize("");
     gw_wire::fast::double(1);
-    gw_wire::hot_cell_path(None, &Default::default());
     gw_wire::classify(gw_wire::FrameControl::Token);
-    gw_wire::install_tables();
-    gw_wire::serialized(&Default::default());
-    gw_wire::peek(&[0]);
     gw_wire::decoys();
 }

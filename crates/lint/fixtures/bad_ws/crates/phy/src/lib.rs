@@ -1,7 +1,5 @@
 //! Fixture transport crate: hygienic and off the critical path, so it
 //! contributes no findings of its own.
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 
 /// Transports live outside the board and may allocate freely.
 pub fn encapsulate(payload: &[u8]) -> Vec<u8> {

@@ -1,10 +1,21 @@
-// gw-lint: critical-path
-//! Fixture SAR crate: hygienic and correctly marked, so its only
-//! finding is the layering edge its manifest declares onto `gw-phy`.
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+//! Fixture SAR crate: its manifest's layering edge onto `gw-phy` is one
+//! finding; the other is its hot-lint block, which has lost
+//! `clippy::panic`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
-/// Panic-free per-cell logic, as the hot-path rule demands.
+/// Panic-free per-cell logic.
 pub fn chunk_len(first: bool) -> usize {
     if first {
         37

@@ -1,8 +1,6 @@
 //! Fixture simulation crate. Violations on purpose: `pub` items that no
 //! caller outside this crate's own source names. Beside them, one item
 //! per kind of caller that keeps a `pub` item live.
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 
 /// Dead: named only here and in this crate's own unit test.
 pub fn only_self_tested() -> u8 {

@@ -8,6 +8,8 @@
 //! are deliberately ignored because test conveniences do not create
 //! product linkage (e.g. `gw-wire` uses `gw-fddi` builders in its
 //! robustness tests without the wire formats depending on FDDI).
+//! The `[lints]` tables are read too, so the marker rule can hold every
+//! member to the workspace's lint levels.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -23,6 +25,8 @@ pub struct Crate {
     /// Names of `[dependencies]` entries that are themselves workspace
     /// members — the edges of the internal DAG.
     pub internal_deps: Vec<String>,
+    /// The member's `[lints]` table, as [`lint_table`] renders it.
+    pub lints: Vec<String>,
 }
 
 /// The parsed workspace: every member crate plus the root package.
@@ -30,6 +34,9 @@ pub struct Crate {
 pub struct Workspace {
     /// Member crates in discovery order (root package first).
     pub crates: Vec<Crate>,
+    /// The root manifest's `[workspace.lints]` table, as [`lint_table`]
+    /// renders it.
+    pub lints: Vec<String>,
 }
 
 impl Workspace {
@@ -57,27 +64,28 @@ impl Workspace {
 
         // The root package (when the workspace manifest also declares
         // `[package]`) is a member too.
-        let mut parsed: Vec<(String, String, Vec<String>)> = Vec::new();
+        let mut parsed: Vec<(String, String, Vec<String>, Vec<String>)> = Vec::new();
         if root_manifest.lines().any(|l| l.trim() == "[package]") {
             let (name, deps) = parse_manifest(&root_manifest);
-            parsed.push((name, ".".to_string(), deps));
+            parsed.push((name, ".".to_string(), deps, lint_table(&root_manifest, "")));
         }
         for dir in dirs {
             let text = std::fs::read_to_string(root.join(&dir).join("Cargo.toml"))?;
             let (name, deps) = parse_manifest(&text);
-            parsed.push((name, dir, deps));
+            parsed.push((name, dir, deps, lint_table(&text, "")));
         }
 
-        let member_names: Vec<String> = parsed.iter().map(|(n, _, _)| n.clone()).collect();
+        let member_names: Vec<String> = parsed.iter().map(|(n, ..)| n.clone()).collect();
         let crates = parsed
             .into_iter()
-            .map(|(name, dir, deps)| Crate {
+            .map(|(name, dir, deps, lints)| Crate {
                 name,
                 dir,
                 internal_deps: deps.into_iter().filter(|d| member_names.contains(d)).collect(),
+                lints,
             })
             .collect();
-        Ok(Workspace { crates })
+        Ok(Workspace { crates, lints: lint_table(&root_manifest, "workspace.") })
     }
 
     /// Every `.rs` file under each member's `src/`, workspace-relative,
@@ -129,7 +137,8 @@ impl Workspace {
     }
 }
 
-pub(crate) fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Append every `.rs` file under `dir`, recursively, to `out`.
+pub fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -175,6 +184,31 @@ fn members_of(manifest: &str) -> Vec<String> {
         }
     }
     acc.split('"').skip(1).step_by(2).map(str::to_string).collect()
+}
+
+/// The lint table under `[{prefix}lints]` (`prefix` is `workspace.` for
+/// the workspace's own), one entry per line in manifest order:
+/// `tool.lint = "level"` for each level set under
+/// `[{prefix}lints.tool]`, and `workspace = true` for a member that
+/// inherits the workspace table. Spacing and comments do not count.
+pub fn lint_table(manifest: &str, prefix: &str) -> Vec<String> {
+    let head = format!("{prefix}lints");
+    let mut tool: Option<String> = None;
+    let mut entries = Vec::new();
+    for line in manifest.lines() {
+        let t = line.split('#').next().unwrap_or("").trim();
+        if t.starts_with('[') {
+            let section = t.trim_matches(['[', ']']);
+            tool = match section.strip_prefix(head.as_str()) {
+                Some("") => Some(String::new()),
+                Some(rest) => rest.strip_prefix('.').map(|tool| format!("{tool}.")),
+                None => None,
+            };
+        } else if let (Some(tool), Some((key, value))) = (&tool, t.split_once('=')) {
+            entries.push(format!("{tool}{} = {}", key.trim(), value.trim()));
+        }
+    }
+    entries
 }
 
 /// Parse `[package] name` and the `[dependencies]` entry names out of a
@@ -223,6 +257,17 @@ mod tests {
         );
         assert_eq!(name, "gw-x");
         assert_eq!(deps, vec!["gw-a", "gw-b", "gw-c"]);
+    }
+
+    #[test]
+    fn lint_tables_render_one_entry_per_level() {
+        let manifest = "[workspace.lints.rust]\nunsafe_code   = \"forbid\" # why\n\n[workspace.lints.clippy]\npanic = \"deny\"\n[lints]\nworkspace = true\n[dependencies]\ngw-a = \"1\"\n";
+        assert_eq!(
+            lint_table(manifest, "workspace."),
+            vec!["rust.unsafe_code = \"forbid\"", "clippy.panic = \"deny\""]
+        );
+        assert_eq!(lint_table(manifest, ""), vec!["workspace = true"]);
+        assert!(lint_table("[package]\nname = \"x\"\n", "").is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The machine-readable report (`gw-lint-report.json`, format
-//! `gw-lint/2`), written with `gw-sim`'s JSON document model.
+//! `gw-lint/3`), written with `gw-sim`'s JSON document model.
 //!
 //! CI uploads this as an artifact; the schema is stable:
 //! `diagnostics` is empty exactly when the run passed, and the `rules`
@@ -12,9 +12,9 @@ use crate::Outcome;
 use gw_sim::json::Json;
 
 /// Format tag carried in every report (`"format"` key).
-const REPORT_FORMAT: &str = "gw-lint/2";
+const REPORT_FORMAT: &str = "gw-lint/3";
 
-/// Build the `gw-lint/2` JSON document for `outcome`.
+/// Build the `gw-lint/3` JSON document for `outcome`.
 pub fn to_json(outcome: &Outcome) -> Json {
     let mut rules = Json::obj();
     for family in FAMILIES {
@@ -54,14 +54,14 @@ mod tests {
             diagnostics: vec![Diagnostic {
                 file: "a.rs".into(),
                 line: 3,
-                rule: "hot-path",
+                rule: "marker",
                 message: "`.unwrap(` \"quoted\"".into(),
             }],
             files_scanned: 1,
             crates: vec!["gw-wire".into()],
         };
         let text = to_json(&outcome).pretty();
-        assert!(text.contains("\"format\": \"gw-lint/2\""));
+        assert!(text.contains("\"format\": \"gw-lint/3\""));
         assert!(text.contains("\\\"quoted\\\""));
         let doc = Json::parse(&text).expect("the report parses back");
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
@@ -86,7 +86,7 @@ mod tests {
             assert!(doc.get_path(&["rules", family]).is_some(), "{family}");
         }
         assert_eq!(doc.get_path(&["rules", "exhaustive"]).and_then(Json::as_u64), Some(1));
-        assert_eq!(doc.get_path(&["rules", "safety"]).and_then(Json::as_u64), Some(0));
+        assert_eq!(doc.get_path(&["rules", "layering"]).and_then(Json::as_u64), Some(0));
         // Every diagnostic's rule is a listed family — a new rule
         // string must be added to FAMILIES or it vanishes from the
         // breakdown.

@@ -170,8 +170,8 @@ fn is_char_literal(b: &[u8], i: usize) -> bool {
 }
 
 /// Blank every `#[cfg(test)]` item (module, function, or use) in
-/// already-stripped text, so test-only code never trips the hot-path or
-/// exhaustiveness rules. Line structure is preserved.
+/// already-stripped text, so test-only code never trips the
+/// exhaustiveness or dead-pub rules. Line structure is preserved.
 pub(crate) fn blank_cfg_test(stripped: &str) -> String {
     let mut out = stripped.as_bytes().to_vec();
     let needle = b"#[cfg(test)]";

@@ -1,10 +1,15 @@
 //! Self-test: the deliberately-violating fixture workspace under
-//! `fixtures/bad_ws` must light up every rule class, the decoys
-//! (comments, strings, `#[cfg(test)]` code, setup-path exemptions,
-//! callers the dead-pub rule must see) must stay dark — and the real
-//! workspace we ship must be clean.
+//! `fixtures/bad_ws` must light up every gw-lint rule class while its
+//! decoys (comments, strings, `#[cfg(test)]` code, callers the dead-pub
+//! rule must see) stay dark; the one under `fixtures/clippy_ws` must
+//! draw from `cargo clippy` exactly the compiler lints its `//~`
+//! comments name (the rules gw-lint handed to rustc and clippy); and
+//! the real workspace we ship must be clean.
 
+use gw_sim::json::Json;
 use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::OnceLock;
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/bad_ws")
@@ -19,14 +24,6 @@ fn has(outcome: &gw_lint::Outcome, rule: &str, needle: &str) -> bool {
         .diagnostics
         .iter()
         .any(|d| d.rule == rule && (d.message.contains(needle) || d.file.contains(needle)))
-}
-
-#[test]
-fn hot_path_rule_fires_on_each_banned_construct() {
-    let out = fixture_outcome();
-    for needle in ["`.unwrap(`", "`HashMap`", "`Vec::new`", "`.clone(`"] {
-        assert!(has(&out, "hot-path", needle), "missing hot-path finding for {needle}: {out:#?}");
-    }
 }
 
 #[test]
@@ -56,75 +53,6 @@ fn layering_rule_fires_on_scene_leaving_leaf_position() {
     // The crate's source is hygienic — every scene finding is from
     // manifests, none from crates/scene source files.
     assert!(!out.diagnostics.iter().any(|d| d.file.contains("crates/scene/src")), "{out:#?}");
-}
-
-#[test]
-fn hygiene_rule_fires_on_missing_root_attributes() {
-    let out = fixture_outcome();
-    assert!(has(&out, "hygiene", "forbid(unsafe_code)"), "{out:#?}");
-    assert!(has(&out, "hygiene", "deny(missing_docs)"), "{out:#?}");
-    // The hygienic fixture crate contributes no hygiene findings.
-    assert!(
-        !out.diagnostics.iter().any(|d| d.rule == "hygiene" && d.file.contains("mgmt")),
-        "{out:#?}"
-    );
-}
-
-#[test]
-fn hygiene_rule_fires_on_a_root_that_downgrades_its_own_lint() {
-    let out = fixture_outcome();
-    let root = "crates/atm/src/lib.rs";
-    let found: Vec<_> =
-        out.diagnostics.iter().filter(|d| d.rule == "hygiene" && d.file == root).collect();
-    assert_eq!(found.len(), 1, "{out:#?}");
-    assert!(found[0].message.contains("`#![warn(missing_docs)]` lowers `missing_docs`"));
-    let src = std::fs::read_to_string(fixture_root().join(root)).unwrap();
-    assert_eq!(src.lines().nth(found[0].line - 1), Some("#![warn(missing_docs)]"));
-    // A `deny` root that lacks `forbid` is reported once, as missing
-    // `forbid`, not again as a downgrade.
-    let fddi = out.diagnostics.iter().filter(|d| d.file == "crates/fddi/src/lib.rs").count();
-    assert_eq!(fddi, 1, "{out:#?}");
-}
-
-#[test]
-fn hygiene_rule_holds_the_unsafe_exemption_to_one_file() {
-    let out = fixture_outcome();
-    let fires = |file: &str, needle: &str| {
-        out.diagnostics
-            .iter()
-            .any(|d| d.rule == "hygiene" && d.file == file && d.message.contains(needle))
-    };
-    // A second `allow(unsafe_code)` in gw-wire, in a file that is not
-    // the listed kernel file.
-    assert!(
-        fires("crates/wire/src/fast.rs", "`allow(unsafe_code)` in gw-wire outside"),
-        "{out:#?}"
-    );
-    // `unsafe` itself anywhere else in gw-wire, justified or not.
-    assert!(fires("crates/wire/src/lib.rs", "`unsafe` in gw-wire outside"), "{out:#?}");
-    // A `deny` root in a crate the exemption does not list is a root
-    // without `forbid`.
-    assert!(fires("crates/fddi/src/lib.rs", "forbid(unsafe_code)"), "{out:#?}");
-    assert!(!fires("crates/fddi/src/lib.rs", "deny(missing_docs)"), "{out:#?}");
-}
-
-#[test]
-fn no_lock_rule_fires_on_locks_in_critical_code() {
-    let out = fixture_outcome();
-    assert!(has(&out, "no-lock", "`Mutex`"), "{out:#?}");
-    assert!(has(&out, "no-lock", "`.lock(`"), "{out:#?}");
-}
-
-#[test]
-fn safety_rule_fires_on_unjustified_unsafe() {
-    let out = fixture_outcome();
-    // Every unsafe operation must carry its SAFETY argument, `unsafe
-    // impl` included. The comment/string decoys stayed dark: exactly
-    // two un-justified unsafe tokens exist in the fixture (the pointer
-    // read and the `unsafe impl Send`).
-    assert!(has(&out, "safety", "SAFETY:"), "{out:#?}");
-    let safety_findings = out.diagnostics.iter().filter(|d| d.rule == "safety").count();
-    assert_eq!(safety_findings, 2, "{out:#?}");
 }
 
 #[test]
@@ -158,59 +86,267 @@ fn dead_pub_rule_fires_on_items_no_outside_caller_names() {
 #[test]
 fn marker_rule_fires_on_unmarked_critical_file() {
     let out = fixture_outcome();
-    assert!(has(&out, "marker", "critical-path"), "{out:#?}");
+    let marker = |file: &str| -> Vec<&gw_lint::Diagnostic> {
+        out.diagnostics.iter().filter(|d| d.rule == "marker" && d.file == file).collect()
+    };
+    // Missing: the wire root carries no hot-lint block. Altered: the
+    // SAR root's has lost `clippy::panic`. Commented out: the VCI
+    // index's.
+    for file in ["crates/wire/src/lib.rs", "crates/sar/src/lib.rs", "crates/sim/src/index.rs"] {
+        let found = marker(file);
+        assert_eq!(found.len(), 1, "{file}: {out:#?}");
+        assert!(found[0].message.contains("hot-lint block"), "{found:?}");
+    }
+    // A designated file the workspace does not have is reported, not
+    // skipped: a rename would otherwise drop the block unnoticed.
+    assert!(marker("crates/core/src/gateway.rs")[0].message.contains("not found"), "{out:#?}");
+}
+
+#[test]
+fn marker_rule_fires_on_a_module_level_expect_of_a_hot_lint() {
+    let out = fixture_outcome();
+    let found: Vec<_> = out
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "marker" && d.file == "crates/wire/src/fast.rs")
+        .collect();
+    // One: the decoys (a lint sharing a hot one's prefix, an opt-out on
+    // one function) stay dark.
+    assert_eq!(found.len(), 1, "{out:#?}");
+    assert!(found[0].message.contains("`clippy::unwrap_used`"), "{found:?}");
+    let src = std::fs::read_to_string(fixture_root().join(&found[0].file)).unwrap();
+    assert!(src
+        .lines()
+        .nth(found[0].line - 1)
+        .unwrap()
+        .starts_with("#![expect(clippy::unwrap_used"));
+}
+
+#[test]
+fn marker_rule_fires_on_a_member_off_the_workspace_lint_table() {
+    let out = fixture_outcome();
+    let manifests: Vec<_> = out
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "marker" && d.file.ends_with(".toml"))
+        .collect();
+    assert_eq!(manifests.len(), 1, "{out:#?}");
+    assert_eq!(
+        (manifests[0].rule, manifests[0].file.as_str()),
+        ("marker", "crates/atm/Cargo.toml")
+    );
+    assert!(manifests[0].message.contains("`[lints] workspace = true`"));
 }
 
 #[test]
 fn decoys_and_exemptions_stay_dark() {
     let out = fixture_outcome();
-    // Comment/string decoys: nothing points at the `decoys` fn's lines.
+    // Comment/string decoys and test-only code: nothing points at the
+    // lines from the `decoys` fn on.
     let src = std::fs::read_to_string(fixture_root().join("crates/wire/src/lib.rs")).unwrap();
     let decoy_start = src.lines().position(|l| l.contains("fn decoys")).unwrap() + 1;
-    let cfg_test_start = src.lines().position(|l| l.contains("#[cfg(test)]")).unwrap() + 1;
-    for d in &out.diagnostics {
-        if d.file.ends_with("wire/src/lib.rs") {
-            assert!(
-                d.line < decoy_start || (d.line > decoy_start + 5 && d.line < cfg_test_start),
-                "decoy or test-only code produced a finding: {d:?}"
-            );
-        }
+    for d in out.diagnostics.iter().filter(|d| d.file == "crates/wire/src/lib.rs") {
+        assert!(d.line < decoy_start, "decoy or test-only code produced a finding: {d:?}");
     }
-    // The setup-path-exempted allocation produced nothing.
-    assert!(!out.diagnostics.iter().any(|d| d.message.contains("Vec::with_capacity")), "{out:#?}");
-    // Non-critical crates are free to use maps.
-    assert!(
-        !out.diagnostics.iter().any(|d| d.rule == "hot-path" && d.file.contains("mgmt")),
-        "{out:#?}"
-    );
+    // Non-critical crates are free to use maps and allocate, and to
+    // lower a hot lint for a whole module.
+    assert!(!out.diagnostics.iter().any(|d| d.file.contains("mgmt/src")), "{out:#?}");
 }
 
 #[test]
 fn diagnostics_carry_file_and_line() {
     let out = fixture_outcome();
-    let unwrap_diag = out
-        .diagnostics
-        .iter()
-        .find(|d| d.message.contains("`.unwrap(`"))
-        .expect("unwrap finding exists");
-    assert!(unwrap_diag.file.ends_with("crates/wire/src/lib.rs"));
-    assert!(unwrap_diag.line > 0);
-    assert!(unwrap_diag.render().contains(&format!(":{}:", unwrap_diag.line)));
+    let wildcard =
+        out.diagnostics.iter().find(|d| d.rule == "exhaustive").expect("exhaustive finding exists");
+    assert_eq!(wildcard.file, "crates/wire/src/lib.rs");
+    let src = std::fs::read_to_string(fixture_root().join(&wildcard.file)).unwrap();
+    assert_eq!(src.lines().nth(wildcard.line - 1).map(str::trim), Some("_ => 0,"));
+    assert!(wildcard.render().contains(&format!(":{}:", wildcard.line)));
 }
 
 #[test]
 fn json_report_round_trips_the_outcome() {
-    use gw_sim::json::Json;
     let out = fixture_outcome();
     let doc = Json::parse(&gw_lint::report::to_json(&out).pretty()).expect("report parses");
-    assert_eq!(doc.get("format").and_then(Json::as_str), Some("gw-lint/2"));
+    assert_eq!(doc.get("format").and_then(Json::as_str), Some("gw-lint/3"));
     assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
     let listed = doc.get("diagnostics").and_then(Json::as_arr).expect("diagnostics array");
     assert_eq!(listed.len(), out.diagnostics.len());
     // The per-rule breakdown carries live counts.
-    let safety = out.diagnostics.iter().filter(|d| d.rule == "safety").count();
-    assert!(safety >= 2, "{out:#?}");
-    assert_eq!(doc.get_path(&["rules", "safety"]).and_then(Json::as_u64), Some(safety as u64));
+    let marker = out.diagnostics.iter().filter(|d| d.rule == "marker").count();
+    assert!(marker >= 4, "{out:#?}");
+    assert_eq!(doc.get_path(&["rules", "marker"]).and_then(Json::as_u64), Some(marker as u64));
+}
+
+// ---------------------------------------------------------------------
+// The compiler's half. `fixtures/clippy_ws` plants what the retired
+// `hot-path`, `no-lock`, `hygiene` and `safety` rules planted, each
+// violation with the lint expected on its line in a `//~ lint` comment,
+// and `cargo clippy` must report exactly those.
+
+/// A `(file, line, lint)` triple, `file` relative to the fixture root.
+type Fired = (String, usize, String);
+
+/// What the fixture plants and what clippy reports, both sorted.
+struct Clippy {
+    planted: Vec<Fired>,
+    fired: Vec<Fired>,
+}
+
+fn clippy_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/clippy_ws")
+}
+
+/// Run `cargo clippy` over the fixture, once per test binary.
+fn clippy_fixture() -> &'static Clippy {
+    static RUN: OnceLock<Clippy> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let out = Command::new(env!("CARGO"))
+            .current_dir(clippy_root())
+            .args(["clippy", "--offline", "--quiet", "--keep-going", "--message-format=json"])
+            .arg("--target-dir")
+            .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy_ws"))
+            .output()
+            .expect("cargo runs");
+        let mut fired: Vec<Fired> =
+            String::from_utf8_lossy(&out.stdout).lines().filter_map(compiler_message).collect();
+        fired.sort();
+        assert!(
+            !fired.is_empty(),
+            "clippy reported nothing:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let mut planted = Vec::new();
+        for krate in ["hot", "lowered", "roots", "wire"] {
+            let mut files = Vec::new();
+            gw_lint::manifest::walk_rs(&clippy_root().join(krate).join("src"), &mut files).unwrap();
+            for path in files {
+                let rel = path.strip_prefix(clippy_root()).unwrap().to_string_lossy().into_owned();
+                let text = std::fs::read_to_string(&path).unwrap();
+                for (i, line) in text.lines().enumerate() {
+                    let lints = line.split_once("//~ ").map_or("", |(_, lints)| lints);
+                    planted
+                        .extend(lints.split_whitespace().map(|l| (rel.clone(), i + 1, l.into())));
+                }
+            }
+        }
+        planted.sort();
+        Clippy { planted, fired }
+    })
+}
+
+/// The `(file, line, lint)` of one `cargo --message-format=json` line,
+/// when it is a diagnostic with a code and a primary span.
+fn compiler_message(line: &str) -> Option<Fired> {
+    let doc = Json::parse(line).ok()?;
+    let message = doc.get("message")?;
+    let lint = message.get_path(&["code", "code"])?.as_str()?;
+    let spans = message.get("spans")?.as_arr()?;
+    let span = spans.iter().find(|s| s.get("is_primary") == Some(&Json::Bool(true)))?;
+    let file = span.get("file_name")?.as_str()?;
+    Some((file.to_string(), span.get("line_start")?.as_u64()? as usize, lint.to_string()))
+}
+
+/// Under `prefix`, each of `lints` is planted at least once, and fires
+/// at exactly the planted lines.
+fn fires_where_planted(prefix: &str, lints: &[&str]) {
+    let run = clippy_fixture();
+    let share = |all: &[Fired]| -> Vec<Fired> {
+        all.iter()
+            .filter(|(f, _, l)| f.starts_with(prefix) && lints.contains(&l.as_str()))
+            .cloned()
+            .collect()
+    };
+    let planted = share(&run.planted);
+    for lint in lints {
+        assert!(planted.iter().any(|(_, _, l)| l == lint), "{prefix}: nothing plants {lint}");
+    }
+    assert_fires_as_planted(&share(&run.fired), &planted);
+}
+
+/// Every planted lint fired at its line, and nothing else fired.
+fn assert_fires_as_planted(fired: &[Fired], planted: &[Fired]) {
+    let missing: Vec<_> = planted.iter().filter(|p| !fired.contains(p)).collect();
+    let extra: Vec<_> = fired.iter().filter(|f| !planted.contains(f)).collect();
+    assert!(
+        missing.is_empty() && extra.is_empty(),
+        "planted, not fired: {missing:?}\nfired, not planted: {extra:?}"
+    );
+    assert_eq!(fired, planted, "a lint fired more or fewer times on a line than planted");
+}
+
+#[test]
+fn clippy_fixture_fires_exactly_where_planted() {
+    // Everything planted fires, and nothing else does: the decoys (a
+    // cold module, comments and strings, test code, opted-out
+    // functions, a derived `Clone`) stay dark.
+    let run = clippy_fixture();
+    assert_fires_as_planted(&run.fired, &run.planted);
+}
+
+#[test]
+fn clippy_fixture_holds_the_workspace_lint_levels() {
+    let manifest = |dir: &Path| std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let table = gw_lint::manifest::lint_table(&manifest(&root), "workspace.");
+    assert!(table.contains(&"rust.unsafe_code = \"forbid\"".to_string()), "{table:?}");
+    assert_eq!(gw_lint::manifest::lint_table(&manifest(&clippy_root()), "workspace."), table);
+    let hot = std::fs::read_to_string(clippy_root().join("hot/src/hot.rs")).unwrap();
+    assert!(hot.contains(gw_lint::rules::marker::HOT_BLOCK));
+}
+
+#[test]
+fn hot_path_rule_fires_on_each_banned_construct() {
+    let lints = [
+        "clippy::disallowed_methods",
+        "clippy::disallowed_macros",
+        "clippy::disallowed_types",
+        "clippy::unwrap_used",
+        "clippy::expect_used",
+        "clippy::panic",
+        "clippy::todo",
+        "clippy::unimplemented",
+        "clippy::unreachable",
+        // A per-connection opt-out that no longer excuses anything.
+        "unfulfilled_lint_expectations",
+    ];
+    fires_where_planted("hot/src/hot.rs", &lints);
+}
+
+#[test]
+fn no_lock_rule_fires_on_locks_in_critical_code() {
+    fires_where_planted(
+        "hot/src/hot/locks.rs",
+        &["clippy::disallowed_types", "clippy::disallowed_methods"],
+    );
+}
+
+#[test]
+fn hygiene_rule_fires_on_missing_root_attributes() {
+    // A crate with neither crate docs nor item docs, and `unsafe`: the
+    // workspace table forbids both.
+    fires_where_planted("roots/", &["missing_docs", "unsafe_code"]);
+}
+
+#[test]
+fn hygiene_rule_fires_on_a_root_that_downgrades_its_own_lint() {
+    // `warn(missing_docs)` and `allow(unsafe_code)` under the
+    // workspace's `forbid`: E0453, a hard error.
+    fires_where_planted("lowered/", &["E0453"]);
+}
+
+#[test]
+fn hygiene_rule_holds_the_unsafe_exemption_to_one_file() {
+    // In a crate at `deny`, `unsafe` without an opt-in is an error. (Which
+    // files may opt in, and how often, is CI's grep over gw-wire.)
+    fires_where_planted("wire/", &["unsafe_code", "clippy::allow_attributes_without_reason"]);
+}
+
+#[test]
+fn safety_rule_fires_on_unjustified_unsafe() {
+    // An opted-in `unsafe` block and an `unsafe impl`, neither with its
+    // `// SAFETY:` argument; the one that has it stays dark.
+    fires_where_planted("wire/", &["clippy::undocumented_unsafe_blocks"]);
 }
 
 #[test]

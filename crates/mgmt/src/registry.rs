@@ -101,7 +101,6 @@ pub struct MetricsRegistry {
     vc_index: SlotIndex,
     vc_rows: Vec<VcRow>,
     sample_every: u32,
-    vcs_created: u64,
     vcs_retired: u64,
 }
 
@@ -123,7 +122,6 @@ impl MetricsRegistry {
             vc_index: SlotIndex::default(),
             vc_rows: Vec::new(),
             sample_every: sample_every.max(1),
-            vcs_created: 0,
             vcs_retired: 0,
         }
     }
@@ -196,10 +194,7 @@ impl MetricsRegistry {
     /// re-establishments, like a MIB row surviving link resets).
     pub fn create_vc(&mut self, vci: u16) {
         if let Some(row) = self.vc_mut(vci) {
-            if !row.active {
-                row.active = true;
-                self.vcs_created += 1;
-            }
+            row.active = true;
             return;
         }
         self.vc_index.insert(vci, self.vc_rows.len() as u32);
@@ -213,7 +208,6 @@ impl MetricsRegistry {
             cells_out: Counter::new(),
             policed_cells: Counter::new(),
         });
-        self.vcs_created += 1;
     }
 
     /// Retire the row for `vci` (congram release / quarantine). The
@@ -257,11 +251,6 @@ impl MetricsRegistry {
     /// A gateway-wide counter's event count by name, if registered.
     pub fn counter_by_name(&self, name: &str) -> Option<u64> {
         position(&self.counters, name).map(|idx| self.counters[idx].1.count())
-    }
-
-    /// The gateway-wide counters in registration order: `(name, counter)`.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, &Counter)> {
-        self.counters.iter().map(|(n, c)| (n.as_str(), c))
     }
 
     /// All gauges in registration order: `(name, gauge)`.
@@ -325,7 +314,6 @@ mod tests {
         assert_eq!(r.vc_rows().len(), 1);
         assert_eq!(r.vc(100).unwrap().cells_in.count(), 1);
         assert!(r.vc(100).unwrap().active());
-        assert_eq!(r.vcs_created, 2);
         assert_eq!(r.vcs_retired(), 1);
     }
 

@@ -26,9 +26,6 @@
 //! core; nothing below it (wire, sar, core) may depend back on a
 //! transport. `gw-lint` enforces this.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod appliance;
 pub mod clock;
 pub mod encap;

@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! The segmentation-and-reassembly (SAR) protocol of §5, after Escobar
 //! & Partridge's proposal (paper reference \[5\]).
 //!
@@ -23,8 +22,22 @@
 //! the SAR header has no length field; the MCHIP header's own length
 //! field trims the padding (as the paper's layering implies).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// The critical path's discipline (DESIGN.md §8): none of clippy.toml's
+// allocations, maps or locks, and no panics. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod reassemble;
 pub mod segment;

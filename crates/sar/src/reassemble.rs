@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! Reassembly: the algorithm of the SPP's Reassembly Logic (§5.2–§5.3).
 //!
 //! The Reassembly Logic keeps, per open VCI, "the start and end
@@ -61,7 +60,8 @@ pub const BUFFER_CELLS: usize = 91;
 /// initialization frames (§5.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReassemblyConfig {
-    /// Reassembly buffers per connection (the paper's design uses 2).
+    /// Reassembly buffers per connection: the paper's design uses 2
+    /// (§5.3), and 1 is the ablation E8 measures. Nothing else is valid.
     pub buffers_per_vc: usize,
     /// Reassembly timeout measured from a frame's first cell.
     pub timeout: SimTime,
@@ -82,6 +82,10 @@ impl Default for ReassemblyConfig {
 
 /// A frame handed to the MPP.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub struct ReassembledFrame {
     /// Connection it arrived on.
     pub vci: Vci,
@@ -107,6 +111,10 @@ pub struct ReassembledFrame {
 
 /// Outcome of offering one cell to the reassembler.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub enum ReassemblyEvent {
     /// Cell stored; frame still accumulating.
     Stored,
@@ -249,7 +257,8 @@ struct VcSlot {
     generation: u32,
     open: bool,
     timeout: SimTime,
-    buffers: Vec<Buffer>,
+    /// §5.3's two buffers; only the first `buffers_per_vc` are used.
+    buffers: [Buffer; 2],
     /// Index of the buffer currently assembling, if any.
     current: Option<u8>,
 }
@@ -304,9 +313,12 @@ pub struct Reassembler {
 
 impl Reassembler {
     /// Create with the given configuration.
-    // gw-lint: setup-path — builds the empty VCI index and slab and sizes the buffer pool once at construction
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "builds the empty VCI index and slab and sizes the buffer pool once at construction"
+    )]
     pub fn new(config: ReassemblyConfig) -> Reassembler {
-        assert!(config.buffers_per_vc >= 1, "at least one buffer per VC");
+        assert!((1..=2).contains(&config.buffers_per_vc), "one or two buffers per VC (§5.3)");
         let capacity = BUFFER_CELLS * SAR_PAYLOAD_SIZE;
         Reassembler {
             config,
@@ -331,16 +343,18 @@ impl Reassembler {
     /// initializes timers per active connection, §5.3). A no-op when the
     /// connection is already open. The connection's buffers start idle
     /// and hold no memory.
-    // gw-lint: setup-path — runs once per congram, not per cell: builds the slot's idle buffers
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "runs once per congram, not per cell: a new slot's idle buffers hold no memory"
+    )]
     pub fn open_vc_with_timeout(&mut self, vci: Vci, timeout: SimTime) {
         if self.vci_index.get(vci.0).is_some() {
             return;
         }
-        let per_vc = self.config.buffers_per_vc;
         let slot = match self.free_slots.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
-                debug_assert!(!s.open && s.buffers.len() == per_vc);
+                debug_assert!(!s.open);
                 s.vci = vci;
                 s.open = true;
                 s.timeout = timeout;
@@ -349,7 +363,7 @@ impl Reassembler {
             }
             None => {
                 let slot = self.slots.len() as u32;
-                let buffers = (0..per_vc).map(|_| Buffer::new(Vec::new())).collect();
+                let buffers = [Buffer::new(Vec::new()), Buffer::new(Vec::new())];
                 self.slots.push(VcSlot {
                     vci,
                     generation: 0,
@@ -434,7 +448,10 @@ impl Reassembler {
         // idle buffer, and memory from the pool, for a new one.
         let idx = match vc.current {
             Some(i) => i,
-            None => match vc.buffers.iter().position(|b| b.state == BufState::Idle) {
+            None => match vc.buffers[..self.config.buffers_per_vc]
+                .iter()
+                .position(|b| b.state == BufState::Idle)
+            {
                 Some(i) => {
                     let deadline = now + vc.timeout;
                     let b = &mut vc.buffers[i];
@@ -574,7 +591,10 @@ impl Reassembler {
     /// Fire expired reassembly timers (§5.3): frames whose deadline
     /// passed without a final cell are flushed, partial, to the MPP.
     /// Cost is O(expired), not O(open connections).
-    // gw-lint: setup-path — timeout flush is the paper's exception path (§5.3), O(expired) housekeeping off the per-cell path
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "timeout flush is the paper's exception path (§5.3), O(expired) housekeeping off the per-cell path"
+    )]
     pub fn check_timeouts(&mut self, now: SimTime) -> Vec<ReassembledFrame> {
         let mut expired = std::mem::take(&mut self.expired);
         expired.clear();
@@ -952,6 +972,12 @@ mod tests {
         r.release(VC);
         let ev = push_all(&mut r, &[2u8; 45], false);
         assert!(matches!(ev.last().unwrap(), ReassemblyEvent::Complete(_)));
+    }
+
+    #[test]
+    #[should_panic(expected = "one or two buffers per VC")]
+    fn three_buffers_per_vc_are_rejected() {
+        Reassembler::new(ReassemblyConfig { buffers_per_vc: 3, ..Default::default() });
     }
 
     #[test]

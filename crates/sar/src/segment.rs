@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! Segmentation: the algorithm of the SPP's Fragmentation Logic (§5.4).
 //!
 //! The Fragmentation Logic reads the 5-octet ATM header the MPP
@@ -81,7 +80,10 @@ impl ExactSizeIterator for SarFields<'_> {}
 
 /// Segment a frame into SAR information fields (48 octets each),
 /// collected; see [`sar_fields`] for the rules.
-// gw-lint: setup-path — collector over `sar_fields` for hosts and tests: one exact-capacity Vec per frame; the gateway drives the walk itself
+#[expect(
+    clippy::disallowed_methods,
+    reason = "collector over `sar_fields` for hosts and tests: one exact-capacity Vec per frame; the gateway drives the walk itself"
+)]
 pub fn segment(frame: &[u8], control: bool) -> Result<Vec<OwnedSarCell>> {
     let fields = sar_fields(frame, control)?;
     let mut cells = Vec::with_capacity(fields.len());
@@ -94,7 +96,10 @@ pub fn segment(frame: &[u8], control: bool) -> Result<Vec<OwnedSarCell>> {
 /// header is range-checked and its five octets (HEC included) emitted
 /// once for the whole frame; each information field is then written
 /// into its cell in place.
-// gw-lint: setup-path — collector over `sar_fields` for hosts and tests: one exact-capacity Vec per frame; the gateway drives the walk itself
+#[expect(
+    clippy::disallowed_macros,
+    reason = "collector over `sar_fields` for hosts and tests: one exact-capacity Vec per frame; the gateway drives the walk itself"
+)]
 pub fn segment_cells(header: &AtmHeader, frame: &[u8], control: bool) -> Result<Vec<OwnedCell>> {
     let fields = sar_fields(frame, control)?;
     let mut blank = [0u8; CELL_SIZE];

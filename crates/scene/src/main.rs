@@ -10,9 +10,6 @@
 //! each file in place to canonical form; with `--check` it rewrites
 //! nothing and exits nonzero if any file is not already canonical.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use gw_scene::{format_scene, parse, Severity};
 use std::process::ExitCode;
 

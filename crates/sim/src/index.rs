@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! A direct-indexed key → slot table that grows to the largest key
 //! inserted.
 //!
@@ -10,6 +9,23 @@
 //! inserted, so a gateway serving VCIs 100–107 pays for 108 entries.
 //! A lookup past the end reads "no slot" and never grows the table;
 //! only [`SlotIndex::insert`] does.
+
+// The critical path's discipline (DESIGN.md §8): none of clippy.toml's
+// allocations, maps or locks, and no panics. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 /// Sentinel for a key with no slot.
 const NO_SLOT: u32 = u32::MAX;
@@ -28,6 +44,10 @@ const NO_SLOT: u32 = u32::MAX;
 /// assert_eq!(index.get(7), None);
 /// ```
 #[derive(Debug, Clone, Default)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub struct SlotIndex {
     /// Slot per key, [`NO_SLOT`] when the key has none; as long as the
     /// largest key inserted, plus one.
@@ -44,8 +64,8 @@ impl SlotIndex {
         }
     }
 
-    /// Point `key` at `slot`, growing the table to cover `key`.
-    // gw-lint: setup-path — grows once per new key (at most 64 Ki entries), never on a lookup
+    /// Point `key` at `slot`, growing the table to cover `key`: once per
+    /// new key (at most 64 Ki entries), never on a lookup.
     pub fn insert(&mut self, key: u16, slot: u32) {
         assert_ne!(slot, NO_SLOT, "slot {NO_SLOT} is the empty sentinel");
         let i = usize::from(key);

@@ -34,9 +34,6 @@
 //! No wall-clock time, no global state, no threads: simulations are pure
 //! functions of their configuration and seed.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod event;
 pub mod fault;
 pub mod index;

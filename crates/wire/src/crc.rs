@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! Checksum generators and validators used by the gateway hardware.
 //!
 //! The critical path of the gateway computes three different CRCs:

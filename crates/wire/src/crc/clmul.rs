@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! The checksum stages on the CPU's own polynomial multiplier.
 //!
 //! `PCLMULQDQ` multiplies two 64-bit polynomials over GF(2) in one
@@ -28,10 +27,10 @@
 //! safe inside them, loads go through `from_le_bytes`/`_mm_set_epi64x`,
 //! every slice access is bounds-checked. *Calling* one from code built
 //! without the feature is the only unsafe operation, so this file —
-//! the one file in `gw-wire` allowed it, which `gw-lint` enforces —
-//! holds exactly two `unsafe` blocks, each a bare call directly under
-//! the runtime test that makes it sound.
-#![allow(unsafe_code)]
+//! the one file in `gw-wire` allowed it, which CI enforces — holds
+//! exactly two `unsafe` blocks, each a bare call directly under the
+//! runtime test that makes it sound and each opting in to
+//! `unsafe_code` on its own statement.
 
 use super::{CRC10_POLY, CRC32_POLY, CRC32_TABLE};
 use core::arch::x86_64::{
@@ -133,6 +132,7 @@ pub(super) fn crc32(data: &[u8]) -> Option<u32> {
     if !is_x86_feature_detected!("pclmulqdq") {
         return None;
     }
+    #[expect(unsafe_code, reason = "calls a `#[target_feature]` kernel")]
     // SAFETY: `crc32_fold` is a safe function whose only requirement is
     // the `pclmulqdq` target feature, which the line above just found
     // on the running CPU.
@@ -150,10 +150,12 @@ pub(super) fn crc10_field(w: [u64; 6]) -> Option<u16> {
     if !is_x86_feature_detected!("pclmulqdq") {
         return None;
     }
+    #[expect(unsafe_code, reason = "calls a `#[target_feature]` kernel")]
     // SAFETY: `crc10_words` is a safe function whose only requirement
     // is the `pclmulqdq` target feature, which the line above just
     // found on the running CPU.
-    Some(unsafe { crc10_words(w[0], w[1], w[2], w[3], w[4], w[5]) })
+    let crc = unsafe { crc10_words(w[0], w[1], w[2], w[3], w[4], w[5]) };
+    Some(crc)
 }
 
 #[inline]

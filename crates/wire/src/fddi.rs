@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! FDDI MAC frames and the token (§3, Figure 2).
 //!
 //! FDDI frames are variable-size, 64 to 4500 octets (paper Figure 2).
@@ -133,6 +132,10 @@ impl FrameControl {
 
 /// A typed view over an FDDI MAC frame buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub struct Frame<T: AsRef<[u8]>> {
     buffer: T,
 }
@@ -221,6 +224,10 @@ impl<T: AsRef<[u8]>> Frame<T> {
 
 /// Parsed, owned representation of an FDDI frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub struct FrameRepr {
     /// Frame control.
     pub fc: FrameControl,
@@ -234,7 +241,10 @@ pub struct FrameRepr {
 
 impl FrameRepr {
     /// Parse from a checked frame view.
-    // gw-lint: setup-path — owned-repr convenience for control code; the cell path reads Frame views in place
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "owned-repr convenience for control code; the cell path reads Frame views in place"
+    )]
     pub fn parse<T: AsRef<[u8]>>(frame: &Frame<T>) -> Result<FrameRepr> {
         Ok(FrameRepr {
             fc: frame.frame_control()?,
@@ -246,7 +256,10 @@ impl FrameRepr {
 
     /// Emit a complete frame, computing the FCS and padding to the
     /// 64-octet minimum (paper Figure 2).
-    // gw-lint: setup-path — owned-repr convenience; the cell path emits into recycled buffers via emit_frame_into
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "owned-repr convenience; the cell path emits into recycled buffers via emit_frame_into"
+    )]
     pub fn emit(&self) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         emit_frame_into(self.fc, self.dst, self.src, &[&self.info], &mut out)?;

@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! ITU-T I.432 HEC error handling: single-bit correction.
 //!
 //! The paper's AIC "performs an error check on the 5-byte ATM header"

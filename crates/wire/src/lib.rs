@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! Wire formats for the ATM-FDDI gateway reproduction.
 //!
 //! This crate implements every on-the-wire data format the gateway design
@@ -29,11 +28,22 @@
 //!   holding the parsed high-level representation with `parse` / `emit`;
 //! * explicit [`Error`] values — malformed input never panics.
 
-// `deny`, not `forbid`: `crc/clmul.rs` alone re-allows it, for the two
-// calls into its `#[target_feature]` kernels (DESIGN.md §15). gw-lint
-// holds the exemption to that one file.
-#![deny(unsafe_code)]
-#![deny(missing_docs)]
+// The critical path's discipline (DESIGN.md §8): none of clippy.toml's
+// allocations, maps or locks, and no panics. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod atm;
 pub mod crc;

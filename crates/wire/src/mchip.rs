@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! MCHIP frames — the internet-protocol frames the gateway forwards
 //! (§2.4, §6).
 //!
@@ -176,7 +175,10 @@ impl MchipHeader {
 }
 
 /// Build a complete MCHIP frame (header + payload) as owned bytes.
-// gw-lint: setup-path — owned convenience for congram control frames; the frame path uses build_frame_into with recycled buffers
+#[expect(
+    clippy::disallowed_methods,
+    reason = "owned convenience for congram control frames; the frame path uses build_frame_into with recycled buffers"
+)]
 pub fn build_frame(header: &MchipHeader, payload: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(MCHIP_HEADER_SIZE + payload.len());
     build_frame_into(header, payload, &mut out)?;

@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! Recyclable byte-buffer pool for the fixed-memory fast path.
 //!
 //! The paper's SPP owns two dedicated 91-cell reassembly buffers per VC
@@ -58,7 +57,7 @@ pub struct BufPool {
 impl BufPool {
     /// A pool retaining at most `max_retained` buffers, allocating
     /// `default_capacity`-byte buffers on a miss.
-    // gw-lint: setup-path — sizes the free list once at pool construction
+    #[expect(clippy::disallowed_methods, reason = "sizes the free list once at pool construction")]
     pub fn new(max_retained: usize, default_capacity: usize) -> BufPool {
         BufPool {
             free: Vec::with_capacity(max_retained.min(4096)),
@@ -69,7 +68,10 @@ impl BufPool {
     }
 
     /// An empty buffer, recycled when one is available.
-    // gw-lint: setup-path — the miss arm grows the pool toward steady state; a warm pool recycles and never allocates
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the miss arm grows the pool toward steady state; a warm pool recycles and never allocates"
+    )]
     pub fn get(&mut self) -> Vec<u8> {
         match self.free.pop() {
             Some(buf) => {

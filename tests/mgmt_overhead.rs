@@ -46,6 +46,7 @@ fn count_live(delta: i64) {
 // SAFETY: pure pass-through to the `System` allocator — every method
 // forwards its arguments unchanged, so `System`'s own contract is what
 // the caller gets; the counter touches no allocator state.
+#[expect(unsafe_code, reason = "a global allocator is an `unsafe impl`")]
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: delegates to `System::alloc` with the caller's layout.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -477,12 +478,13 @@ fn per_vc_memory_follows_the_vcs_in_use() {
 
 /// Congram install runs at call rate and on every config load. A VC's
 /// management row holds its counts and no name, so an install formats,
-/// copies and hashes nothing: after a managed `Gateway::new`, 64
-/// installs make at most two allocations per congram, amortised (the
-/// tables they share grow by doubling). Retiring a row and creating it
-/// again reuses the row and allocates nothing.
+/// copies and hashes nothing, and a reassembly slot holds its two
+/// buffer records inline: after a managed `Gateway::new`, 64 installs
+/// make at most one allocation per congram, amortised (the tables they
+/// share grow by doubling). Retiring a row and creating it again reuses
+/// the row and allocates nothing.
 #[test]
-fn congram_install_makes_at_most_two_allocations_per_congram() {
+fn congram_install_makes_at_most_one_allocation_per_congram() {
     use gw_mgmt::MetricsRegistry;
     const CONGRAMS: u16 = 64;
 
@@ -496,7 +498,7 @@ fn congram_install_makes_at_most_two_allocations_per_congram() {
         }
     });
     assert!(
-        install_allocs <= 2 * u64::from(CONGRAMS),
+        install_allocs <= u64::from(CONGRAMS),
         "{CONGRAMS} installs made {install_allocs} allocations (Gateway::new: {new_allocs})"
     );
     assert_eq!(gw.mgmt().unwrap().registry.vc_rows().len(), usize::from(CONGRAMS));
