@@ -311,6 +311,12 @@ impl VcSlot {
             quarantined: false,
         }
     }
+
+    /// End the VC's in-progress frame: take its first-cell time, its
+    /// CLP mark and its lineage.
+    fn end_frame(&mut self) -> (Option<SimTime>, bool, Option<FrameOrigin>) {
+        (self.first_cell.take(), std::mem::take(&mut self.clp), self.origin.take())
+    }
 }
 
 /// Causal lineage of one in-progress reassembly: the frame id, the cell
@@ -1160,10 +1166,8 @@ impl Gateway {
         match event {
             ReassemblyEvent::Complete(frame) => {
                 let ReassembledFrame { data, control, .. } = frame;
-                let slot = &mut self.vc_slots[idx];
-                let started = slot.first_cell.take().unwrap_or(timing.start);
-                let discard_eligible = std::mem::take(&mut slot.clp);
-                let origin = slot.origin.take();
+                let (first_cell, discard_eligible, origin) = self.vc_slots[idx].end_frame();
+                let started = first_cell.unwrap_or(timing.start);
                 self.spp.release(vci);
                 self.note_frame_reassembled(timing.write_done, vci, origin);
                 if control {
@@ -1237,10 +1241,7 @@ impl Gateway {
                 self.spp.recycle(data);
             }
             ReassemblyEvent::DiscardedErrored { cells: _, misinserted } => {
-                let slot = &mut self.vc_slots[idx];
-                slot.first_cell = None;
-                slot.clp = false;
-                let origin = slot.origin.take();
+                let (_, _, origin) = self.vc_slots[idx].end_frame();
                 // A backward sequence jump is a foreign (misinserted) or
                 // replayed cell, not plain loss — keep the distinction
                 // all the way to the drop reason (§5.2's misinsertion
@@ -1263,9 +1264,7 @@ impl Gateway {
                 // liveness monitor attributes the loss to the
                 // quarantine, not to a never-programmed VC.
                 let slot = &mut self.vc_slots[idx];
-                slot.first_cell = None;
-                slot.clp = false;
-                let origin = slot.origin.take();
+                let (_, _, origin) = slot.end_frame();
                 let reason = if slot.quarantined {
                     FrameDropReason::VcQuarantined
                 } else {
@@ -1276,10 +1275,7 @@ impl Gateway {
             ReassemblyEvent::NoBuffer => {
                 // Both reassembly buffers busy: the frame this cell
                 // begins is lost (§5.3's dual-buffer limit).
-                let slot = &mut self.vc_slots[idx];
-                slot.first_cell = None;
-                slot.clp = false;
-                let origin = slot.origin.take();
+                let (_, _, origin) = self.vc_slots[idx].end_frame();
                 self.note_frame_discarded(
                     timing.decode_done,
                     vci,
@@ -1534,9 +1530,7 @@ impl Gateway {
                     // reassembly state it still holds.
                     self.unmonitor_vc(vci);
                     if let Some(slot) = self.vc_slot_mut(vci) {
-                        slot.first_cell = None;
-                        slot.clp = false;
-                        slot.origin = None;
+                        slot.end_frame();
                     }
                     self.spp.close_vc(vci);
                     self.note_vc_retired(at, vci, false);
@@ -1567,10 +1561,7 @@ impl Gateway {
             // A timer-flushed partial: clear the VC's lineage and hand
             // the fragment to the MPP (which discards it).
             let idx = self.slot_index(frame.vci);
-            let slot = &mut self.vc_slots[idx];
-            slot.first_cell = None;
-            let de = std::mem::take(&mut slot.clp);
-            let origin = slot.origin.take();
+            let (_, de, origin) = self.vc_slots[idx].end_frame();
             self.frame_up(
                 now,
                 frame.started_at,
@@ -1615,9 +1606,7 @@ impl Gateway {
                 self.spp.close_vc(vci);
                 let idx = self.slot_index(vci);
                 let slot = &mut self.vc_slots[idx];
-                slot.first_cell = None;
-                slot.clp = false;
-                slot.origin = None;
+                slot.end_frame();
                 slot.quarantined = true;
                 let actions = self.npe.vc_quarantined(now, vci);
                 self.apply_npe_actions(actions, out);
@@ -1693,36 +1682,34 @@ impl Gateway {
     }
 
     /// Complete the numbered attempt of an NPE-requested ATM connection
-    /// (the `attempt` of its [`Output::AtmConnectionRequest`]).
-    #[expect(clippy::disallowed_methods, reason = "signaling completion, once per connection")]
+    /// (the `attempt` of its [`Output::AtmConnectionRequest`]),
+    /// appending outputs to `out`.
     pub fn atm_connection_ready(
         &mut self,
         now: SimTime,
         congram: CongramId,
         attempt: u32,
         vci: Vci,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
         self.spp.open_vc(vci, self.config.reassembly_timeout);
         self.register_vc_liveness(now, vci);
         self.note_vc_installed(now, vci);
         let actions = self.npe.atm_connection_ready(now, congram, attempt, vci);
-        let mut out = Vec::new();
-        self.apply_npe_actions(actions, &mut out);
-        out
+        self.apply_npe_actions(actions, out);
     }
 
-    /// Fail the numbered attempt of an NPE-requested ATM connection.
-    #[expect(clippy::disallowed_methods, reason = "signaling failure, once per connection attempt")]
+    /// Fail the numbered attempt of an NPE-requested ATM connection,
+    /// appending outputs to `out`.
     pub fn atm_connection_failed(
         &mut self,
         now: SimTime,
         congram: CongramId,
         attempt: u32,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
         let actions = self.npe.atm_connection_failed(now, congram, attempt);
-        let mut out = Vec::new();
-        self.apply_npe_actions(actions, &mut out);
-        out
+        self.apply_npe_actions(actions, out);
     }
 }
 

@@ -276,14 +276,14 @@ fn main_run(managed: bool) -> (Vec<Output>, Vec<Vec<u8>>, String) {
         };
         run.t += SimTime::from_us(300);
         let vci = Vci(200);
-        let answered = if comes_up {
-            run.gw.atm_connection_ready(run.t, congram, attempt, vci)
+        let mut out = Vec::new();
+        if comes_up {
+            run.gw.atm_connection_ready(run.t, congram, attempt, vci, &mut out);
         } else {
-            let mut out = Vec::new();
             // Until the supervisor gives up and rejects to the requester.
             // Each rejection answers the latest attempt requested.
             for _ in 0..64 {
-                out.extend(run.gw.atm_connection_failed(run.t, congram, attempt));
+                run.gw.atm_connection_failed(run.t, congram, attempt, &mut out);
                 run.t += SimTime::from_ms(50);
                 run.gw.advance_into(run.t, &mut out);
                 if out.iter().any(|o| matches!(o, Output::FddiFrameQueued { .. })) {
@@ -296,13 +296,12 @@ fn main_run(managed: bool) -> (Vec<Output>, Vec<Vec<u8>>, String) {
                     attempt = latest;
                 }
             }
-            out
-        };
+        }
         assert!(
-            answered.iter().any(|o| matches!(o, Output::FddiFrameQueued { .. })),
-            "setup {peer} answered toward the ring: {answered:?}"
+            out.iter().any(|o| matches!(o, Output::FddiFrameQueued { .. })),
+            "setup {peer} answered toward the ring: {out:?}"
         );
-        run.outputs.extend(answered);
+        run.outputs.extend(out);
         run.t += SimTime::from_us(300);
         run.settle();
         if !comes_up {

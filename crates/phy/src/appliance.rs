@@ -3,11 +3,10 @@
 //! This is the engine behind `gwd`, factored out of the binary so the
 //! e2e tests can drive it with loopback or UDP phys and no signals:
 //!
-//! * [`Appliance::step`] is one tick — pump both transports (entering
-//!   backoff/reconnect through the [`TransportSupervisor`]s on I/O
-//!   errors), admit arrived traffic, run the gateway's timers, drain
-//!   the transmit buffer toward the frame port, and flush the cell
-//!   port so everything the tick emitted has left when it returns;
+//! * [`Appliance::step`] is one tick of the [`PortDriver`] — pump both
+//!   transports, admit arrived traffic, run the gateway's timers, drain
+//!   the transmit buffer toward the frame port, and flush the cell port
+//!   so everything the tick emitted has left when it returns;
 //! * [`Appliance::apply_config`] installs congrams *additively* — a
 //!   live reload never tears down an existing congram, so in-flight
 //!   frames (partial reassemblies, staged transmissions) survive;
@@ -15,20 +14,15 @@
 //!   keep timers and transports moving until
 //!   [`gw_gateway::gateway::Residue`] is clean and nothing is left on
 //!   the wire, then report the conservation audit (C1–C7).
-//!
-//! Transport state feeds the mgmt port-health machine: an I/O error
-//! moves the port to `Reconnecting`, every backoff attempt bumps its
-//! retry counter, and recovery re-enters through `Degraded` — all
-//! visible in `gw-snapshot/1`.
 
-use crate::supervisor::{TransportEvent, TransportSupervisor};
+use crate::driver::PortDriver;
 use crate::{CellPhy, FramePhy, PhyStats};
 use gw_gateway::config::MAX_CONGRAMS;
-use gw_gateway::gateway::{Output, Residue};
-use gw_gateway::{Gateway, GatewayConfig, SupervisorConfig};
+use gw_gateway::gateway::Residue;
+use gw_gateway::{Gateway, GatewayConfig};
 use gw_mgmt::Port;
 use gw_sim::time::SimTime;
-use gw_wire::atm::{Vci, CELL_SIZE};
+use gw_wire::atm::Vci;
 use gw_wire::fddi::FddiAddr;
 use gw_wire::mchip::Icn;
 use std::collections::HashSet;
@@ -171,27 +165,19 @@ impl DrainReport {
     }
 }
 
-/// The gateway plus its two supervised ports.
+/// The gateway plus the driver of its two supervised ports.
 pub struct Appliance {
     gw: Gateway,
-    cell: Box<dyn CellPhy>,
-    frame: Box<dyn FramePhy>,
-    atm_sup: TransportSupervisor,
-    fddi_sup: TransportSupervisor,
+    port: PortDriver,
     installed: Vec<CongramSpec>,
     held: Held,
     draining: bool,
-    cell_buf: Vec<(SimTime, [u8; CELL_SIZE])>,
-    cells: Vec<[u8; CELL_SIZE]>,
-    frame_buf: Vec<(SimTime, Vec<u8>, bool)>,
-    out: Vec<Output>,
 }
 
 impl Appliance {
     /// Assemble the appliance. The management plane is forced on —
     /// appliance mode without port health and counters would be
-    /// unobservable — and both port supervisors use the gateway's
-    /// setup backoff policy, [`SupervisorConfig::default`].
+    /// unobservable.
     pub fn new(
         mut config: GatewayConfig,
         fddi_capacity_bps: u64,
@@ -201,21 +187,12 @@ impl Appliance {
         if config.management.is_none() {
             config.management = Some(gw_mgmt::MgmtConfig);
         }
-        let policy = SupervisorConfig::default();
-        let gw = Gateway::new(config, FddiAddr::station(0), fddi_capacity_bps);
         Appliance {
-            gw,
-            cell,
-            frame,
-            atm_sup: TransportSupervisor::new(policy),
-            fddi_sup: TransportSupervisor::new(policy),
+            gw: Gateway::new(config, FddiAddr::station(0), fddi_capacity_bps),
+            port: PortDriver::new(cell, frame),
             installed: Vec::new(),
             held: Held::default(),
             draining: false,
-            cell_buf: Vec::new(),
-            cells: Vec::new(),
-            frame_buf: Vec::new(),
-            out: Vec::new(),
         }
     }
 
@@ -241,9 +218,7 @@ impl Appliance {
 
     /// Transport counters summed over both ports.
     pub fn transport_stats(&self) -> PhyStats {
-        let mut s = self.cell.stats();
-        s.merge(&self.frame.stats());
-        s
+        self.port.stats()
     }
 
     /// Install every congram in `config` that is not already live.
@@ -272,136 +247,23 @@ impl Appliance {
         added
     }
 
-    fn pump_port(&mut self, now: SimTime, port: Port) {
-        let up = match port {
-            Port::Atm => self.atm_sup.is_up(),
-            Port::Fddi => self.fddi_sup.is_up(),
-        };
-        if up {
-            let res = match port {
-                Port::Atm => self.cell.pump(now),
-                Port::Fddi => self.frame.pump(now),
-            };
-            if res.is_err() {
-                match port {
-                    Port::Atm => self.atm_sup.error(now),
-                    Port::Fddi => self.fddi_sup.error(now),
-                };
-                self.gw.note_transport_down(now, port);
-            }
-            return;
-        }
-        let due = match port {
-            Port::Atm => self.atm_sup.poll(now),
-            Port::Fddi => self.fddi_sup.poll(now),
-        };
-        if let Some(TransportEvent::Retry { .. }) = due {
-            self.gw.note_transport_retry(now, port);
-            let res = match port {
-                Port::Atm => self.cell.reconnect().and_then(|()| self.cell.pump(now)),
-                Port::Fddi => self.frame.reconnect().and_then(|()| self.frame.pump(now)),
-            };
-            if res.is_ok() {
-                match port {
-                    Port::Atm => self.atm_sup.recovered(),
-                    Port::Fddi => self.fddi_sup.recovered(),
-                }
-                self.gw.note_transport_up(now, port);
-            }
-        }
-    }
-
-    fn route_outputs(&mut self, now: SimTime) {
-        let mut out = std::mem::take(&mut self.out);
-        for o in out.drain(..) {
-            match o {
-                Output::AtmCell { at, cell } => {
-                    // A cell emitted into a downed port is lost exactly
-                    // like traffic into a severed link — the ARQ only
-                    // protects what reaches the transport.
-                    if self.atm_sup.is_up() && self.cell.send_cell(at, &cell).is_err() {
-                        self.atm_sup.error(now);
-                        self.gw.note_transport_down(now, Port::Atm);
-                    }
-                }
-                Output::FddiFrameQueued { .. } => {
-                    // Drained from the tx buffer below.
-                }
-                // The appliance has no signaling fabric to issue
-                // connection requests into; congrams are installed via
-                // config. Dynamic setups would need a control peer.
-                Output::AtmConnectionRequest { .. } | Output::AtmConnectionRelease { .. } => {}
-            }
-        }
-        self.out = out;
-    }
-
     /// One appliance tick at gateway time `now`.
     pub fn step(&mut self, now: SimTime) {
-        self.pump_port(now, Port::Atm);
-        self.pump_port(now, Port::Fddi);
-
-        // Admit arrived traffic — unless draining (shutdown stops
-        // admitting; peers see backpressure through unacked datagrams).
+        // `gwd` has no signalling fabric to issue connection requests
+        // into; its congrams come from config.
+        let back = &mut |_: &mut PortDriver, _: &mut Gateway, _| {};
+        let (gw, port) = (&mut self.gw, &mut self.port);
+        port.pump(gw, now, Port::Atm);
+        port.pump(gw, now, Port::Fddi);
+        // Shutdown stops admitting; peers see backpressure through
+        // unacked datagrams.
         if !self.draining {
-            if self.atm_sup.is_up() {
-                self.cell_buf.clear();
-                if self.cell.poll_cells(&mut self.cell_buf).is_err() {
-                    self.atm_sup.error(now);
-                    self.gw.note_transport_down(now, Port::Atm);
-                }
-                // Whatever line time they were stamped with, they all
-                // enter the gateway at this tick: one batch.
-                self.cells.clear();
-                self.cells.extend(self.cell_buf.iter().map(|(_, cell)| *cell));
-                self.gw.deliver_cells(now, &self.cells, &mut self.out);
-                self.route_outputs(now);
-            }
-            if self.fddi_sup.is_up() {
-                self.frame_buf.clear();
-                if self.frame.poll_frames(&mut self.frame_buf).is_err() {
-                    self.fddi_sup.error(now);
-                    self.gw.note_transport_down(now, Port::Fddi);
-                }
-                let frames = std::mem::take(&mut self.frame_buf);
-                for (_, frame, _) in &frames {
-                    self.out = self.gw.fddi_frame_in(now, frame);
-                    self.route_outputs(now);
-                }
-                self.frame_buf = frames;
-            }
+            port.admit_cells(gw, now, back);
+            port.admit_frames(gw, now, back);
         }
-
-        // Timers: reassembly deadlines, NPE scans, liveness, health.
-        let mut out = std::mem::take(&mut self.out);
-        out.clear();
-        self.gw.advance_into(now, &mut out);
-        self.out = out;
-        self.route_outputs(now);
-
-        // Drain staged transmissions toward the frame port. A downed
-        // port leaves frames staged; the tx buffer's own shedding and
-        // overflow accounting applies, as it would against a stalled
-        // ring.
-        while self.fddi_sup.is_up() {
-            let Some((frame, sync)) = self.gw.pop_fddi_tx(now) else { break };
-            match self.frame.send_frame(now, frame, sync) {
-                Ok(Some(buf)) => self.gw.recycle_frame(buf),
-                Ok(None) => {}
-                Err(_) => {
-                    self.fddi_sup.error(now);
-                    self.gw.note_transport_down(now, Port::Fddi);
-                    break;
-                }
-            }
-        }
-
-        // What this tick emitted toward the ATM port leaves with it, not
-        // with the next tick's pump.
-        if self.atm_sup.is_up() && self.cell.flush().is_err() {
-            self.atm_sup.error(now);
-            self.gw.note_transport_down(now, Port::Atm);
-        }
+        port.advance(gw, now, back);
+        while port.send_frame(gw, now) {}
+        port.flush(gw, now);
     }
 
     /// Stop admitting new traffic; subsequent [`Appliance::step`]s only
@@ -415,8 +277,8 @@ impl Appliance {
     pub fn is_quiescent(&self) -> bool {
         self.gw.residue().is_clean()
             && self.gw.fddi_tx_pending() == 0
-            && self.cell.in_flight() == 0
-            && self.frame.in_flight() == 0
+            && self.port.in_flight(Port::Atm) == 0
+            && self.port.in_flight(Port::Fddi) == 0
     }
 
     /// Graceful drain: stop admitting, then step timers forward from
@@ -445,7 +307,7 @@ impl Appliance {
             end: t,
             residue: self.gw.residue(),
             violations: self.gw.check_conservation(),
-            in_flight: self.cell.in_flight() + self.frame.in_flight(),
+            in_flight: self.port.in_flight(Port::Atm) + self.port.in_flight(Port::Fddi),
         }
     }
 }

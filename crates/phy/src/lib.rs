@@ -18,9 +18,11 @@
 //! On top sit the appliance pieces: a [`clock::WallClock`] mapping real
 //! time onto the 40 ns cycle clock, a per-port
 //! [`supervisor::TransportSupervisor`] reusing the congram-setup
-//! backoff policy for socket errors and link flaps, and the
-//! [`appliance::Appliance`] driver with graceful drain and live
-//! config reload — the engine behind the `gwd` daemon.
+//! backoff policy for socket errors and link flaps, the
+//! [`driver::PortDriver`] — the one loop between a gateway and its two
+//! ports, which the testbed runs too — and the [`appliance::Appliance`]
+//! with graceful drain and live config reload, the engine behind the
+//! `gwd` daemon.
 //!
 //! Layering: `gw-phy` may depend on the wire formats and the gateway
 //! core; nothing below it (wire, sar, core) may depend back on a
@@ -28,6 +30,7 @@
 
 pub mod appliance;
 pub mod clock;
+pub mod driver;
 pub mod encap;
 pub mod loopback;
 pub mod supervisor;
@@ -35,6 +38,7 @@ pub mod udp;
 
 pub use appliance::{Appliance, ApplianceConfig, CongramSpec, DrainReport};
 pub use clock::WallClock;
+pub use driver::{HandBack, PortDriver};
 pub use loopback::{loopback_cell_pair, loopback_frame_pair, LoopbackCellPhy, LoopbackFramePhy};
 pub use supervisor::{TransportEvent, TransportSupervisor};
 pub use udp::{udp_cell_pair, udp_frame_pair, TransportFaultConfig, UdpCellPhy, UdpFramePhy};

@@ -1,14 +1,18 @@
 //! End-to-end appliance tests: the `gwd` engine driven without
 //! signals — graceful drain with work in flight, live config reload
 //! (the SIGHUP path), and a transport flap with supervised reconnect
-//! whose backoff schedule is observable in the mgmt port health.
+//! whose backoff schedule is observable in the mgmt port health — and
+//! the port driver's admission rule and hand-back.
 
-use gw_gateway::GatewayConfig;
-use gw_mgmt::PortState;
+use gw_gateway::gateway::Output;
+use gw_gateway::{Gateway, GatewayConfig};
+use gw_mchip::congram::{CongramId, CongramKind, FlowSpec};
+use gw_mchip::messages::ControlPayload;
+use gw_mgmt::{GwEvent, PortState};
 use gw_phy::encap::{self, KIND_ACK, KIND_FRAME};
 use gw_phy::{
     loopback_cell_pair, loopback_frame_pair, udp_cell_pair, Appliance, ApplianceConfig, CellPhy,
-    CongramSpec, FramePhy, TransportFaultConfig, UdpFramePhy,
+    CongramSpec, FramePhy, PortDriver, TransportFaultConfig, UdpFramePhy,
 };
 use gw_sar::segment::{cells_for_len, segment_cells};
 use gw_sim::time::SimTime;
@@ -260,6 +264,148 @@ fn live_reload_adds_congrams_without_disturbing_in_flight_frames() {
 
     let report = app.drain(now, SimTime::from_ms(200));
     assert!(report.clean(), "reload left the books balanced: {report:?}");
+}
+
+/// Each cell enters the gateway at its line stamp, clamped into [the
+/// cell port's last admission, `now`] and raised to the previous
+/// tick's `now`: a stamp behind the last admission, or repeating it,
+/// enters at it, one past `now` at `now`, and one behind the time the
+/// gateway's timers have already run to at that time. Every cell here
+/// is a frame of its own, so the trace's `FrameStarted` times are the
+/// admission times.
+#[test]
+fn cells_enter_at_their_line_stamps_clamped_to_the_port_clock() {
+    let (cell_gw, mut cell_line) = loopback_cell_pair();
+    let (frame_gw, _frame_line) = loopback_frame_pair();
+    let mut app = Appliance::new(
+        GatewayConfig::default(),
+        100_000_000,
+        Box::new(cell_gw),
+        Box::new(frame_gw),
+    );
+    assert_eq!(app.apply_config(&ApplianceConfig::parse("congram 64 1 2 1 async").unwrap()), 1);
+    let us = SimTime::from_us;
+    let ticks = [
+        (us(1_000), vec![us(900), us(800), us(900), SimTime::from_secs(5)]),
+        (us(2_000), vec![us(500), us(1_500)]),
+        (us(3_000), vec![us(1_800), us(2_500)]),
+    ];
+    for (now, stamps) in ticks {
+        for at in stamps {
+            let [cell] = cells_for(64, 1, &[7; 4])[..] else { panic!("one cell per frame") };
+            cell_line.send_cell(at, &cell).unwrap();
+        }
+        app.step(now);
+    }
+    let started: Vec<SimTime> = app
+        .gateway()
+        .trace()
+        .expect("the appliance runs the management plane")
+        .events()
+        .filter_map(|e| match e {
+            GwEvent::FrameStarted { at, .. } => Some(*at),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        started,
+        [us(900), us(900), us(900), us(1_000), us(1_000), us(1_500), us(2_000), us(2_500)]
+    );
+}
+
+/// A peer whose clock lags the gateway's by far more than the
+/// reassembly timeout (GWP1 stamps are the sender's clock, and each
+/// process starts its own at zero) still has its frames forwarded: a
+/// frame whose cells span two ticks starts at the previous tick's
+/// `now`, not at its stamp, so this tick's timers do not flush it as
+/// partial.
+#[test]
+fn a_frame_from_a_lagging_peer_spans_two_ticks_intact() {
+    let (cell_gw, mut cell_line) = loopback_cell_pair();
+    let (frame_gw, mut frame_line) = loopback_frame_pair();
+    let mut app = Appliance::new(
+        GatewayConfig::default(),
+        100_000_000,
+        Box::new(cell_gw),
+        Box::new(frame_gw),
+    );
+    assert_eq!(app.apply_config(&ApplianceConfig::parse("congram 64 1 2 1 async").unwrap()), 1);
+    let payload = vec![0x3C; 700];
+    let cells = cells_for(64, 1, &payload);
+    let (first, rest) = cells.split_at(cells.len() / 2);
+    let ms = SimTime::from_ms;
+    app.step(ms(99));
+    for (tick, half, stamp) in [(ms(100), first, ms(1)), (ms(101), rest, SimTime::from_us(1_500))] {
+        for cell in half {
+            cell_line.send_cell(stamp, cell).unwrap();
+        }
+        app.step(tick);
+    }
+    let mut delivered = Vec::new();
+    collect_line_frames(&mut app, &mut frame_line, &mut delivered);
+    let got: Vec<_> = delivered.iter().filter_map(|(bytes, _)| mchip_payload(bytes)).collect();
+    assert_eq!(got, [payload], "the frame is forwarded whole");
+}
+
+/// What neither port carries comes back to the driver's caller, in
+/// emission order, with the signalling attempt it answers: a ring
+/// station's setup asks for an ATM connection, and when the liveness
+/// monitor gives the idle VC up, its release comes back before the
+/// request for the next one.
+#[test]
+fn the_driver_hands_back_connection_requests_and_releases_in_emission_order() {
+    let (cell_gw, _cell_line) = loopback_cell_pair();
+    let (frame_gw, mut frame_line) = loopback_frame_pair();
+    let mut driver = PortDriver::new(Box::new(cell_gw), Box::new(frame_gw));
+    let config =
+        GatewayConfig { vc_liveness_timeout: Some(SimTime::from_ms(8)), ..Default::default() };
+    let mut gw = Gateway::new(config, FddiAddr::station(0), 100_000_000);
+    let mut back = Vec::new();
+
+    let setup = ControlPayload::SetupRequest {
+        congram: CongramId(9),
+        kind: CongramKind::UCon,
+        flow: FlowSpec::cbr(1_000_000),
+        dest: [5; 8],
+    };
+    let mut info = fddi::llc_snap_header().to_vec();
+    info.extend_from_slice(&setup.to_frame(Icn(0)));
+    let frame = FrameRepr {
+        fc: FrameControl::LlcAsync { priority: 0 },
+        dst: FddiAddr::station(0),
+        src: FddiAddr::station(2),
+        info,
+    }
+    .emit()
+    .unwrap();
+    let t = SimTime::from_us(100);
+    frame_line.send_frame(t, frame, false).unwrap();
+    assert!(driver.admit_frames(&mut gw, t, &mut |_, _, o| back.push(o)));
+    let [Output::AtmConnectionRequest { congram, attempt: 1, .. }] = back[..] else {
+        panic!("one request, attempt 1: {back:?}")
+    };
+
+    back.clear();
+    let t = SimTime::from_ms(1);
+    driver.call(
+        &mut gw,
+        t,
+        |gw, out| gw.atm_connection_ready(t, congram, 1, Vci(77), out),
+        &mut |_, _, o| back.push(o),
+    );
+    assert!(back.is_empty(), "{back:?}");
+    let t = SimTime::from_ms(20);
+    assert!(driver.advance(&mut gw, t, &mut |_, _, o| back.push(o)));
+    assert!(
+        matches!(
+            back[..],
+            [
+                Output::AtmConnectionRelease { vci: Vci(77), .. },
+                Output::AtmConnectionRequest { congram: c, attempt: 2, .. },
+            ] if c == congram
+        ),
+        "the release, then the next attempt's request: {back:?}"
+    );
 }
 
 #[test]

@@ -3,13 +3,14 @@
 //! The three simulations (the BPN cell network, the gateway's
 //! cycle-accurate hardware, and the timed-token ring) each keep their
 //! own event queue; the testbed advances them in lockstep over small
-//! time slices and ferries traffic across the seams:
+//! time slices and ferries traffic across the seams. The gateway side
+//! of both seams is the port driver `gwd` runs ([`PortDriver`]):
 //!
 //! * cells delivered to the gateway's ATM endpoint enter the AIC;
 //! * cells the gateway emits are injected into the ATM network at the
 //!   next slice boundary;
 //! * frames the MPP DMAs into the transmit buffer drain into the
-//!   gateway's ring station queue;
+//!   gateway's ring station queue while it has room;
 //! * frames the ring delivers to the gateway station enter the receive
 //!   buffer path.
 //!
@@ -20,14 +21,15 @@
 //!
 //! Within a slice the cell seam is flushed once per batch: every cell
 //! that reached the gateway's endpoint is sent across first, then one
-//! flush hands them to the AIC in arrival order, one `deliver_cells`
-//! call each, and injects what the gateway emitted. A signal is handled
-//! only after a flush, so the gateway sees it after every cell that
-//! arrived before it; a call that asks for an ATM connection has the
-//! earlier calls' cells injected first. The ATM network therefore sees
-//! the same pushes in the same order as with a flush after every cell,
-//! but for one corner no scene or seed reaches, a reordered cell's
-//! release (DESIGN.md §14, "One seam flush per batch of arrivals").
+//! flush has the driver admit them in arrival order, each at its
+//! arrival time, and injects what the gateway emitted. A signal is
+//! handled only after a flush, so the gateway sees it after every cell
+//! that arrived before it; a connection request reaches the network
+//! after the cells earlier calls emitted (`Testbed::drive`). The
+//! network therefore sees the same pushes in the same order as with a
+//! flush after every cell, but for one corner no scene or seed reaches,
+//! a reordered cell's release (DESIGN.md §14, "One seam flush per batch
+//! of arrivals").
 //!
 //! The default topology:
 //!
@@ -38,19 +40,20 @@
 //! ```
 
 use gw_atm::network::{AtmNetwork, EndpointEvent, EndpointId, LinkParams};
-use gw_atm::signaling::{SignalIndication, TrafficContract};
+use gw_atm::signaling::{ConnId, SignalIndication, TrafficContract};
 use gw_fddi::ring::{Ring, RingConfig};
 use gw_gateway::gateway::{Gateway, Output};
 use gw_gateway::GatewayConfig;
 use gw_mchip::congram::CongramId;
 use gw_mchip::messages::ControlPayload;
+use gw_mgmt::Port;
 use gw_phy::{
     loopback_cell_pair, loopback_frame_pair, udp_cell_pair, udp_frame_pair, CellPhy, FramePhy,
-    PhyMode, PhyStats,
+    HandBack, PhyMode, PhyStats, PortDriver,
 };
 use gw_sar::reassemble::{Reassembler, ReassemblyConfig, ReassemblyEvent};
 use gw_sar::segment::segment_cells;
-use gw_sim::fault::{FaultConfig, FaultInjector};
+use gw_sim::fault::{FaultConfig, FaultInjector, FaultOutcome};
 use gw_sim::rng::SimRng;
 use gw_sim::time::SimTime;
 use gw_wire::atm::{AtmHeader, Cell, Vci, CELL_SIZE};
@@ -134,24 +137,16 @@ pub struct Testbed {
     pub gw: Gateway,
     /// The host endpoint on the ATM side.
     pub atm_host: EndpointId,
-    gw_ep: EndpointId,
+    /// The gateway side of both ports.
+    port: PortDriver,
+    /// The network side of the cell port.
+    line: CellLine,
     now: SimTime,
-    fault: FaultInjector,
     next_vci: u16,
     next_icn: u16,
     /// Cells awaiting injection into the ATM network (scheduled host
     /// sends), time-tagged.
     atm_outbox: std::collections::VecDeque<(SimTime, EndpointId, [u8; CELL_SIZE])>,
-    /// A cell the fault injector reordered, held back until the next
-    /// cell that reaches the seam — or the next reordered one, which
-    /// releases it first — and sent right behind it. Nothing else
-    /// releases it: a hold still pending when the traffic stops never
-    /// reaches the gateway.
-    reorder_hold: Option<(SimTime, [u8; CELL_SIZE])>,
-    /// Data VCs installed across the testbed, in installation order.
-    /// The misinsertion fault rewrites a cell's VCI onto the next live
-    /// foreign VC in this list (deterministic target selection).
-    data_vcis: Vec<Vci>,
     /// True when `atm_outbox` needs re-sorting before draining.
     outbox_dirty: bool,
     /// Host-side reassembly of cells arriving at the ATM host.
@@ -164,8 +159,6 @@ pub struct Testbed {
     fddi_rx: Vec<Vec<Vec<u8>>>,
     /// Control payloads delivered per FDDI station.
     fddi_control_rx: Vec<Vec<ControlPayload>>,
-    /// ATM connections the gateway requested, keyed by signaling conn.
-    pending_atm_conns: HashMap<gw_atm::signaling::ConnId, (CongramId, u32)>,
     /// Octets of data frames delivered to the FDDI stations.
     pub fddi_rx_octets: u64,
     /// Octets delivered to the ATM host.
@@ -174,16 +167,6 @@ pub struct Testbed {
     /// are serialized; congrams contend at the switch like independent
     /// hosts would).
     host_tx_free: HashMap<Vci, SimTime>,
-    /// Reused gateway-output scratch: the per-slice cell feed and
-    /// housekeeping calls write into this instead of allocating a
-    /// fresh `Vec<Output>` per cell.
-    gw_out: Vec<Output>,
-    /// Gateway side of the ATM (cell) port seam.
-    cell_gw: Box<dyn CellPhy>,
-    /// Network side of the ATM (cell) port seam.
-    cell_line: Box<dyn CellPhy>,
-    /// Gateway side of the SUPERNET (frame) port seam.
-    frame_gw: Box<dyn FramePhy>,
     /// Ring side of the SUPERNET (frame) port seam.
     frame_line: Box<dyn FramePhy>,
     /// True when the line-side frame transport passes the gateway's
@@ -192,10 +175,131 @@ pub struct Testbed {
     /// transport (UDP) recycles at the send seam instead, and ring
     /// deliveries are foreign buffers that must NOT enter the pool.
     line_frames_pooled: bool,
-    /// Scratch for draining cell phys without per-flush allocation.
-    cell_scratch: Vec<(SimTime, [u8; CELL_SIZE])>,
-    /// Scratch for draining frame phys without per-flush allocation.
+    /// Scratch for draining the frame line without per-flush allocation.
     frame_scratch: Vec<(SimTime, Vec<u8>, bool)>,
+}
+
+/// The network side of the cell port: its phy, the fault seam between
+/// it and the ATM network, the gateway's endpoint there, and the
+/// connections the gateway signalled for.
+struct CellLine {
+    phy: Box<dyn CellPhy>,
+    fault: FaultInjector,
+    gw_ep: EndpointId,
+    /// A cell the fault injector reordered, held back until the next
+    /// cell that reaches the seam — or the next reordered one, which
+    /// releases it first — and sent right behind it. Nothing else
+    /// releases it: a hold still pending when the traffic stops never
+    /// reaches the gateway.
+    reorder_hold: Option<(SimTime, [u8; CELL_SIZE])>,
+    /// Data VCs installed across the testbed, in installation order.
+    /// The misinsertion fault rewrites a cell's VCI onto the next live
+    /// foreign VC in this list (deterministic target selection).
+    data_vcis: Vec<Vci>,
+    /// ATM connections the gateway requested, keyed by signaling conn.
+    pending_conns: HashMap<ConnId, (CongramId, u32)>,
+    /// The connection under each VC the gateway signalled for, released
+    /// when the gateway gives the VC up.
+    conns: HashMap<Vci, ConnId>,
+    /// Scratch for draining the phy without per-flush allocation.
+    scratch: Vec<(SimTime, [u8; CELL_SIZE])>,
+}
+
+impl CellLine {
+    /// Pass a cell that reached the gateway's endpoint through the
+    /// fault seam toward the AIC.
+    fn arrive(&mut self, time: SimTime, mut cell: [u8; CELL_SIZE]) {
+        match self.fault.apply(time, &mut cell) {
+            FaultOutcome::Dropped => {}
+            FaultOutcome::Duplicated { copies, .. } => {
+                // All copies arrive back to back.
+                for _ in 0..copies {
+                    self.send(time, cell);
+                }
+            }
+            FaultOutcome::Reordered { .. } => {
+                // Hold the cell back; it is released right behind its
+                // successor. A second reorder before the first resolves
+                // releases the older hold first, so at most one cell is
+                // ever in flight here.
+                if let Some((_, held)) = self.reorder_hold.take() {
+                    self.send(time, held);
+                }
+                self.reorder_hold = Some((time, cell));
+            }
+            FaultOutcome::Misinserted { .. } => {
+                self.misinsert(&mut cell);
+                self.send(time, cell);
+            }
+            _ => self.send(time, cell),
+        }
+    }
+
+    /// Rewrite a cell's VCI onto the next live foreign data VC in
+    /// installation order, restamping the HEC — modeling the header
+    /// bit-flip pattern the HEC cannot catch (a misinserted cell,
+    /// ITU-T I.356 sense). With no foreign VC to land on the cell
+    /// passes through unchanged.
+    fn misinsert(&mut self, cell: &mut [u8; CELL_SIZE]) {
+        let Ok(view) = Cell::new_checked(&cell[..]) else { return };
+        let mut header = view.header();
+        let Some(&first) = self.data_vcis.first() else { return };
+        let target = match self.data_vcis.iter().position(|v| *v == header.vci) {
+            Some(_) if self.data_vcis.len() < 2 => return,
+            Some(i) => self.data_vcis[(i + 1) % self.data_vcis.len()],
+            None => first,
+        };
+        header.vci = target;
+        let mut view = Cell::new_unchecked(&mut cell[..]);
+        let _ = view.set_header(&header);
+    }
+
+    /// Send one line-side cell toward the gateway's AIC, then release
+    /// any cell the fault injector held back for reordering — the held
+    /// cell lands directly behind its successor, which is exactly the
+    /// adjacent-swap reordering the SAR sequence check must catch.
+    /// Only sends: the slice loop flushes the seam once, after the
+    /// slice's last arrival or before a signal.
+    fn send(&mut self, time: SimTime, cell: [u8; CELL_SIZE]) {
+        self.phy.send_cell(time, &cell).expect("cell seam send");
+        if let Some((_, held)) = self.reorder_hold.take() {
+            self.phy.send_cell(time, &held).expect("cell seam send");
+        }
+    }
+
+    /// Inject every cell waiting on the line into the ATM network
+    /// (unless the link-flap window eats it, exactly as it would any
+    /// other traffic on the severed link); true if there was any.
+    fn inject(&mut self, atm: &mut AtmNetwork) -> bool {
+        let mut buf = std::mem::take(&mut self.scratch);
+        self.phy.poll_cells(&mut buf).expect("cell seam poll");
+        let any = !buf.is_empty();
+        for (at, cell) in buf.drain(..) {
+            // The link flap severs both directions: cells the
+            // gateway emits while the link is down are lost.
+            if !self.fault.link_down(at) {
+                // The event queue accepts future times directly.
+                atm.inject_at(self.gw_ep, at, cell);
+            }
+        }
+        self.scratch = buf;
+        any
+    }
+
+    /// Pump the cell seam until everything the gateway sent has reached
+    /// the line and been injected. The gateway side is pumped but not
+    /// polled: cells still on their way to the AIC wait, in order, for
+    /// the flush that called this.
+    fn drain(&mut self, port: &mut PortDriver, gw: &mut Gateway, atm: &mut AtmNetwork, t: SimTime) {
+        for _ in 0..256 {
+            port.pump(gw, t, Port::Atm);
+            self.phy.pump(t).expect("cell seam pump");
+            if !self.inject(atm) && port.in_flight(Port::Atm) == 0 {
+                return;
+            }
+        }
+        panic!("cell seam failed to drain in 256 rounds");
+    }
 }
 
 /// The five-way transport selection: gateway-side and line-side cell
@@ -241,31 +345,32 @@ impl Testbed {
             ring,
             gw,
             atm_host,
-            gw_ep,
+            port: PortDriver::new(cell_gw, frame_gw),
+            line: CellLine {
+                phy: cell_line,
+                fault,
+                gw_ep,
+                reorder_hold: None,
+                data_vcis: Vec::new(),
+                pending_conns: HashMap::new(),
+                conns: HashMap::new(),
+                scratch: Vec::new(),
+            },
             now: SimTime::ZERO,
-            fault,
             next_vci: 64,
             next_icn: 1,
             atm_outbox: std::collections::VecDeque::new(),
-            reorder_hold: None,
-            data_vcis: Vec::new(),
             outbox_dirty: false,
             host_reasm,
             atm_host_rx: Vec::new(),
             atm_host_control_rx: Vec::new(),
             fddi_rx: vec![Vec::new(); config.fddi_stations],
             fddi_control_rx: vec![Vec::new(); config.fddi_stations],
-            pending_atm_conns: HashMap::new(),
             fddi_rx_octets: 0,
             atm_rx_octets: 0,
             host_tx_free: HashMap::new(),
-            gw_out: Vec::new(),
-            cell_gw,
-            cell_line,
-            frame_gw,
             frame_line,
             line_frames_pooled,
-            cell_scratch: Vec::new(),
             frame_scratch: Vec::new(),
         }
     }
@@ -274,9 +379,8 @@ impl Testbed {
     /// mode counts hand-offs; UDP mode additionally counts retransmits
     /// and injected/absorbed transport faults).
     pub fn transport_stats(&self) -> PhyStats {
-        let mut s = self.cell_gw.stats();
-        s.merge(&self.cell_line.stats());
-        s.merge(&self.frame_gw.stats());
+        let mut s = self.port.stats();
+        s.merge(&self.line.phy.stats());
         s.merge(&self.frame_line.stats());
         s
     }
@@ -351,26 +455,31 @@ impl Testbed {
         station: usize,
         synchronous: bool,
     ) -> CongramHandle {
-        let vci = Vci(self.next_vci);
-        self.next_vci += 1;
+        let vci = self.open_atm_vc();
         let atm_icn = Icn(self.next_icn);
         let fddi_icn = Icn(self.next_icn + 1);
         self.next_icn += 2;
-        // ATM data plane: host -> gateway and back, same VCI end to end.
+        self.gw.install_congram(vci, atm_icn, fddi_icn, dst, synchronous);
+        self.line.data_vcis.push(vci);
+        CongramHandle { vci, atm_icn, fddi_icn, station }
+    }
+
+    /// Open the next VC between the ATM host and the gateway, both ways
+    /// and the same VCI end to end, with host reassembly for the return
+    /// direction.
+    fn open_atm_vc(&mut self) -> Vci {
+        let vci = Vci(self.next_vci);
+        self.next_vci += 1;
         let (hs, hp) = self.atm.endpoint_attachment(self.atm_host);
-        let (gs, gp) = self.atm.endpoint_attachment(self.gw_ep);
+        let (gs, gp) = self.atm.endpoint_attachment(self.line.gw_ep);
         // Host to gateway.
         self.atm.install_vc(hs, hp, vci, vec![(0, vci)]);
         self.atm.install_vc(gs, 0, vci, vec![(gp, vci)]);
         // Gateway to host.
         self.atm.install_vc(gs, gp, vci, vec![(0, vci)]);
         self.atm.install_vc(hs, 0, vci, vec![(hp, vci)]);
-        // Gateway tables.
-        self.gw.install_congram(vci, atm_icn, fddi_icn, dst, synchronous);
-        // Host reassembly for the return direction.
         self.host_reasm.open_vc(vci);
-        self.data_vcis.push(vci);
-        CongramHandle { vci, atm_icn, fddi_icn, station }
+        vci
     }
 
     /// Queue a data frame from the ATM host onto a congram (segmented
@@ -422,32 +531,14 @@ impl Testbed {
         payload: Vec<u8>,
     ) {
         let mchip = build_data_frame(congram.fddi_icn, &payload).expect("payload fits");
-        let mut info = fddi::llc_snap_header().to_vec();
-        info.extend_from_slice(&mchip);
-        let frame = FrameRepr {
-            fc: FrameControl::LlcAsync { priority: 0 },
-            dst: FddiAddr::station(0), // the gateway
-            src: FddiAddr::station(station as u32),
-            info,
-        }
-        .emit()
-        .expect("fits FDDI");
-        let _ = self.ring.push_async(station, frame);
+        self.send_to_gateway(station, &mchip);
     }
 
     /// Open a control channel from the ATM host to the gateway and send
     /// an MCHIP control frame on it (C-bit cells). Returns the VCI.
     pub fn send_control_from_atm_host(&mut self, payload: &ControlPayload) -> Vci {
-        let vci = Vci(self.next_vci);
-        self.next_vci += 1;
-        let (hs, hp) = self.atm.endpoint_attachment(self.atm_host);
-        let (gs, gp) = self.atm.endpoint_attachment(self.gw_ep);
-        self.atm.install_vc(hs, hp, vci, vec![(0, vci)]);
-        self.atm.install_vc(gs, 0, vci, vec![(gp, vci)]);
-        self.atm.install_vc(gs, gp, vci, vec![(0, vci)]);
-        self.atm.install_vc(hs, 0, vci, vec![(hp, vci)]);
+        let vci = self.open_atm_vc();
         self.gw.open_control_vc(vci);
-        self.host_reasm.open_vc(vci);
         let frame = payload.to_frame(Icn(0));
         let header = AtmHeader::data(Default::default(), vci);
         for cell in segment_cells(&header, &frame, true).expect("control frame fits") {
@@ -459,9 +550,13 @@ impl Testbed {
 
     /// Send an MCHIP control frame from an FDDI station to the gateway.
     pub fn send_control_from_fddi(&mut self, station: usize, payload: &ControlPayload) {
-        let frame_bytes = payload.to_frame(Icn(0));
+        self.send_to_gateway(station, &payload.to_frame(Icn(0)));
+    }
+
+    /// Queue an MCHIP frame on the ring from `station` to the gateway.
+    fn send_to_gateway(&mut self, station: usize, mchip: &[u8]) {
         let mut info = fddi::llc_snap_header().to_vec();
-        info.extend_from_slice(&frame_bytes);
+        info.extend_from_slice(mchip);
         let frame = FrameRepr {
             fc: FrameControl::LlcAsync { priority: 0 },
             dst: FddiAddr::station(0),
@@ -469,7 +564,7 @@ impl Testbed {
             info,
         }
         .emit()
-        .expect("fits");
+        .expect("fits FDDI");
         let _ = self.ring.push_async(station, frame);
     }
 
@@ -483,191 +578,82 @@ impl Testbed {
         std::mem::take(&mut self.fddi_control_rx[station])
     }
 
-    /// Send one line-side cell toward the gateway's AIC, then release
-    /// any cell the fault injector held back for reordering — the held
-    /// cell lands directly behind its successor, which is exactly the
-    /// adjacent-swap reordering the SAR sequence check must catch.
-    /// Only sends: the slice loop flushes the seam once, after the
-    /// slice's last arrival or before a signal.
-    fn line_send_cell(&mut self, time: SimTime, cell: [u8; CELL_SIZE]) {
-        self.cell_line.send_cell(time, &cell).expect("cell seam send");
-        if let Some((_, held)) = self.reorder_hold.take() {
-            self.cell_line.send_cell(time, &held).expect("cell seam send");
-        }
+    /// Run one driver call with the testbed's [`HandBack`]. A
+    /// connection request or release goes into `gw-atm` signalling once
+    /// the line has taken every cell earlier calls emitted, so the
+    /// network sees, call by call, earlier cells, then the signal, then
+    /// this call's cells. A release also frees the VC's host state.
+    fn drive<R>(
+        &mut self,
+        now: SimTime,
+        op: impl FnOnce(&mut PortDriver, &mut Gateway, &mut HandBack<'_>) -> R,
+    ) -> R {
+        let Testbed { port, gw, atm, line, atm_host, host_reasm, host_tx_free, .. } = self;
+        op(port, gw, &mut |port, gw, o| {
+            line.drain(port, gw, atm, now);
+            match o {
+                // A signaling request issued into a downed link is lost
+                // like any other traffic — the NPE's setup watchdog
+                // discovers and retries it.
+                Output::AtmConnectionRequest { at, congram, attempt, peak_bps, mean_bps }
+                    if !line.fault.link_down(at) =>
+                {
+                    let contract = TrafficContract { peak_bps, mean_bps };
+                    let conn = atm.connect(at, line.gw_ep, &[*atm_host], contract);
+                    line.pending_conns.insert(conn, (congram, attempt));
+                }
+                Output::AtmConnectionRelease { vci, .. } => {
+                    if let Some(conn) = line.conns.remove(&vci) {
+                        atm.release(conn);
+                    }
+                    host_reasm.close_vc(vci);
+                    host_tx_free.remove(&vci);
+                }
+                _ => {}
+            }
+        })
     }
 
-    /// Pump the cell seam until both endpoints are quiescent: cells
-    /// arriving gateway-side enter the AIC at their embedded line
-    /// timestamps, one `deliver_cells` call each; cells arriving
-    /// line-side are injected into the ATM network.
-    ///
-    /// A call that asks for an ATM connection first has what earlier
-    /// calls emitted injected, so the network sees, call by call,
-    /// earlier cells, then the request, then this call's cells — the
-    /// order a flush after every cell gave.
+    /// Pump the cell seam until both ends are quiescent: the driver
+    /// admits what reaches the gateway side, and what reaches the line
+    /// side is injected into the ATM network.
     fn flush_cell_seam(&mut self, now: SimTime) {
         for _ in 0..256 {
-            self.cell_gw.pump(now).expect("cell seam pump");
-            self.cell_line.pump(now).expect("cell seam pump");
-            let mut progress = false;
-
-            let mut buf = std::mem::take(&mut self.cell_scratch);
-            self.cell_gw.poll_cells(&mut buf).expect("cell seam poll");
-            for (t, cell) in buf.drain(..) {
-                progress = true;
-                let mut out = std::mem::take(&mut self.gw_out);
-                self.gw.deliver_cells(t, std::slice::from_ref(&cell), &mut out);
-                if out.iter().any(|o| matches!(o, Output::AtmConnectionRequest { .. })) {
-                    self.drain_line_side(now);
-                }
-                self.handle_gateway_outputs(out);
-            }
-            self.cell_scratch = buf;
-
-            progress |= self.inject_line_cells();
-            if !progress && self.cell_gw.in_flight() == 0 && self.cell_line.in_flight() == 0 {
+            self.port.pump(&mut self.gw, now, Port::Atm);
+            self.line.phy.pump(now).expect("cell seam pump");
+            let admitted = self.drive(now, |port, gw, back| port.admit_cells(gw, now, back));
+            let injected = self.line.inject(&mut self.atm);
+            let in_flight = self.port.in_flight(Port::Atm) + self.line.phy.in_flight();
+            if !admitted && !injected && in_flight == 0 {
                 return;
             }
         }
         panic!("cell seam failed to quiesce in 256 rounds");
     }
 
-    /// Pump the cell seam until everything the gateway sent has reached
-    /// the line side and been injected. The gateway side is pumped but
-    /// not polled: cells still on their way to the AIC wait, in order,
-    /// for the flush that called this.
-    fn drain_line_side(&mut self, now: SimTime) {
-        for _ in 0..256 {
-            self.cell_gw.pump(now).expect("cell seam pump");
-            self.cell_line.pump(now).expect("cell seam pump");
-            if !self.inject_line_cells() && self.cell_gw.in_flight() == 0 {
-                return;
-            }
-        }
-        panic!("cell seam failed to drain in 256 rounds");
-    }
-
-    /// Inject every cell waiting on the line side into the ATM network
-    /// (unless the link-flap window eats it, exactly as it would any
-    /// other traffic on the severed link); true if there was any.
-    fn inject_line_cells(&mut self) -> bool {
-        let mut buf = std::mem::take(&mut self.cell_scratch);
-        self.cell_line.poll_cells(&mut buf).expect("cell seam poll");
-        let any = !buf.is_empty();
-        for (at, cell) in buf.drain(..) {
-            // The link flap severs both directions: cells the
-            // gateway emits while the link is down are lost.
-            if self.fault.link_down(at) {
-                continue;
-            }
-            // The event queue accepts future times directly.
-            self.atm.inject_at(self.gw_ep, at, cell);
-        }
-        self.cell_scratch = buf;
-        any
-    }
-
-    /// Pump the frame seam until both endpoints are quiescent: frames
-    /// arriving line-side enter the gateway's ring station queues;
-    /// frames arriving gateway-side enter the MPP receive path. Ends
-    /// with a cell-seam flush because received frames emit ATM cells.
+    /// Pump the frame seam until both ends are quiescent: frames
+    /// arriving line-side enter the gateway's ring station queues, and
+    /// the driver admits frames arriving gateway-side. Ends with a
+    /// cell-seam flush because received frames emit ATM cells.
     fn flush_frame_seam(&mut self, now: SimTime) {
-        let mut quiesced = false;
         for _ in 0..256 {
-            self.frame_gw.pump(now).expect("frame seam pump");
+            self.port.pump(&mut self.gw, now, Port::Fddi);
             self.frame_line.pump(now).expect("frame seam pump");
-            let mut progress = false;
-
             let mut buf = std::mem::take(&mut self.frame_scratch);
             self.frame_line.poll_frames(&mut buf).expect("frame seam poll");
+            let mut progress = !buf.is_empty();
             for (_, frame, sync) in buf.drain(..) {
-                progress = true;
                 // The slice loop's depth check guarantees room.
-                let _ = if sync {
-                    self.ring.push_sync(0, frame)
-                } else {
-                    self.ring.push_async(0, frame)
-                };
-            }
-
-            self.frame_gw.poll_frames(&mut buf).expect("frame seam poll");
-            for (t, frame, _) in buf.drain(..) {
-                progress = true;
-                let outputs = self.gw.fddi_frame_in(t, &frame);
-                self.handle_gateway_outputs(outputs);
+                let push = if sync { Ring::push_sync } else { Ring::push_async };
+                let _ = push(&mut self.ring, 0, frame);
             }
             self.frame_scratch = buf;
-
-            if !progress && self.frame_gw.in_flight() == 0 && self.frame_line.in_flight() == 0 {
-                quiesced = true;
-                break;
+            progress |= self.drive(now, |port, gw, back| port.admit_frames(gw, now, back));
+            if !progress && self.port.in_flight(Port::Fddi) + self.frame_line.in_flight() == 0 {
+                return self.flush_cell_seam(now);
             }
         }
-        if !quiesced {
-            panic!("frame seam failed to quiesce in 256 rounds");
-        }
-        self.flush_cell_seam(now);
-    }
-
-    /// Rewrite a cell's VCI onto the next live foreign data VC in
-    /// installation order, restamping the HEC — modeling the header
-    /// bit-flip pattern the HEC cannot catch (a misinserted cell,
-    /// ITU-T I.356 sense). With no foreign VC to land on the cell
-    /// passes through unchanged.
-    fn misinsert(&mut self, cell: &mut [u8; CELL_SIZE]) {
-        let Ok(view) = Cell::new_checked(&cell[..]) else { return };
-        let mut header = view.header();
-        let target = match self.data_vcis.iter().position(|v| *v == header.vci) {
-            Some(_) if self.data_vcis.len() < 2 => return,
-            Some(i) => self.data_vcis[(i + 1) % self.data_vcis.len()],
-            None => match self.data_vcis.first() {
-                Some(v) => *v,
-                None => return,
-            },
-        };
-        header.vci = target;
-        let mut view = Cell::new_unchecked(&mut cell[..]);
-        let _ = view.set_header(&header);
-    }
-
-    fn handle_gateway_outputs(&mut self, mut outputs: Vec<Output>) {
-        for o in outputs.drain(..) {
-            match o {
-                Output::AtmCell { at, cell } => {
-                    // Toward the line through the cell phy; the seam
-                    // flush injects it into the ATM network (or the
-                    // link-flap window eats it there).
-                    self.cell_gw.send_cell(at, &cell).expect("cell seam send");
-                }
-                Output::FddiFrameQueued { .. } => {
-                    // Drained from the tx buffer in the slice loop.
-                }
-                Output::AtmConnectionRequest { at, congram, attempt, peak_bps, mean_bps } => {
-                    // A signaling request issued into a downed link is
-                    // lost like any other traffic — the NPE's setup
-                    // watchdog discovers and retries it.
-                    if self.fault.link_down(at) {
-                        continue;
-                    }
-                    let conn = self.atm.connect(
-                        at,
-                        self.gw_ep,
-                        &[self.atm_host],
-                        TrafficContract { peak_bps, mean_bps },
-                    );
-                    self.pending_atm_conns.insert(conn, (congram, attempt));
-                }
-                Output::AtmConnectionRelease { vci, .. } => {
-                    // The VC is gone network-wide: the host drops its
-                    // reassembly state and shaping horizon for it.
-                    self.host_reasm.close_vc(vci);
-                    self.host_tx_free.remove(&vci);
-                }
-            }
-        }
-        // Hand the (now empty) scratch back for the next batch.
-        outputs.clear();
-        self.gw_out = outputs;
+        panic!("frame seam failed to quiesce in 256 rounds");
     }
 
     fn deliver_to_fddi_host(&mut self, station: usize, frame_bytes: &[u8]) {
@@ -730,58 +716,32 @@ impl Testbed {
             //    signal, which the gateway must see after every cell
             //    that reached it first.
             let mut arrivals = false;
-            while let Some(ev) = self.atm.next_event(self.gw_ep) {
+            while let Some(ev) = self.atm.next_event(self.line.gw_ep) {
                 match ev {
-                    EndpointEvent::CellRx { time, mut cell } => {
+                    EndpointEvent::CellRx { time, cell } => {
                         arrivals = true;
-                        match self.fault.apply(time, &mut cell) {
-                            gw_sim::fault::FaultOutcome::Dropped => continue,
-                            gw_sim::fault::FaultOutcome::Duplicated { copies, .. } => {
-                                // All copies arrive back to back.
-                                for _ in 0..copies {
-                                    self.line_send_cell(time, cell);
-                                }
-                            }
-                            gw_sim::fault::FaultOutcome::Reordered { .. } => {
-                                // Hold the cell back; it is released
-                                // right behind its successor. A second
-                                // reorder before the first resolves
-                                // releases the older hold first, so at
-                                // most one cell is ever in flight here.
-                                if let Some((_, held)) = self.reorder_hold.take() {
-                                    self.line_send_cell(time, held);
-                                }
-                                self.reorder_hold = Some((time, cell));
-                            }
-                            gw_sim::fault::FaultOutcome::Misinserted { .. } => {
-                                self.misinsert(&mut cell);
-                                self.line_send_cell(time, cell);
-                            }
-                            _ => {
-                                self.line_send_cell(time, cell);
-                            }
-                        }
+                        self.line.arrive(time, cell);
                     }
-                    EndpointEvent::Signal { time, signal } => match signal {
-                        SignalIndication::ConnectionUp { conn, tx_vci } => {
-                            if let Some((congram, attempt)) = self.pending_atm_conns.remove(&conn) {
-                                self.flush_cell_seam(time);
-                                let outputs =
-                                    self.gw.atm_connection_ready(time, congram, attempt, tx_vci);
-                                self.handle_gateway_outputs(outputs);
-                                self.flush_cell_seam(time);
-                            }
+                    EndpointEvent::Signal { time, signal } => {
+                        let (conn, up) = match signal {
+                            SignalIndication::ConnectionUp { conn, tx_vci } => (conn, Some(tx_vci)),
+                            SignalIndication::Rejected { conn, .. } => (conn, None),
+                            _ => continue,
+                        };
+                        let Some((congram, attempt)) = self.line.pending_conns.remove(&conn) else {
+                            continue;
+                        };
+                        let answer = |gw: &mut Gateway, out: &mut Vec<Output>| match up {
+                            Some(vci) => gw.atm_connection_ready(time, congram, attempt, vci, out),
+                            None => gw.atm_connection_failed(time, congram, attempt, out),
+                        };
+                        if let Some(vci) = up {
+                            self.line.conns.insert(vci, conn);
                         }
-                        SignalIndication::Rejected { conn, .. } => {
-                            if let Some((congram, attempt)) = self.pending_atm_conns.remove(&conn) {
-                                self.flush_cell_seam(time);
-                                let outputs = self.gw.atm_connection_failed(time, congram, attempt);
-                                self.handle_gateway_outputs(outputs);
-                                self.flush_cell_seam(time);
-                            }
-                        }
-                        _ => {}
-                    },
+                        self.flush_cell_seam(time);
+                        self.drive(time, |port, gw, back| port.call(gw, time, answer, back));
+                        self.flush_cell_seam(time);
+                    }
                 }
             }
             if arrivals {
@@ -798,11 +758,8 @@ impl Testbed {
             // 5. Gateway housekeeping (reassembly timers, NPE scans).
             //    Most slices emit nothing, and with nothing in flight
             //    either there is nothing to flush.
-            let mut out = std::mem::take(&mut self.gw_out);
-            self.gw.advance_into(next, &mut out);
-            let emitted = !out.is_empty();
-            self.handle_gateway_outputs(out);
-            if emitted || self.cell_gw.in_flight() != 0 || self.cell_line.in_flight() != 0 {
+            let emitted = self.drive(next, |port, gw, back| port.advance(gw, next, back));
+            if emitted || self.port.in_flight(Port::Atm) != 0 || self.line.phy.in_flight() != 0 {
                 self.flush_cell_seam(next);
             }
 
@@ -810,22 +767,14 @@ impl Testbed {
             //    phy into its ring station queue (the SUPERNET
             //    hand-off). One frame at a time, seam flushed after
             //    each, so the depth check below always sees the ring
-            //    queue the frame will actually meet.
-            // Backpressure per class: stop draining as soon as either
-            // ring queue is near capacity, so a popped frame can never
-            // meet a full queue and be lost at the seam.
+            //    queue the frame will actually meet. Backpressure per
+            //    class: stop as soon as either ring queue is near
+            //    capacity, so a sent frame can never meet a full queue
+            //    and be lost at the seam.
             loop {
                 let (sync_q, async_q) = self.ring.queue_depths(0);
-                if sync_q >= 60 || async_q >= 4000 {
+                if sync_q >= 60 || async_q >= 4000 || !self.port.send_frame(&mut self.gw, next) {
                     break;
-                }
-                let Some((frame, sync)) = self.gw.pop_fddi_tx(next) else { break };
-                // A copying transport hands the pool buffer back at the
-                // send seam; a pass-through transport surfaces it at
-                // the far end.
-                if let Some(buf) = self.frame_gw.send_frame(next, frame, sync).expect("frame seam")
-                {
-                    self.gw.recycle_frame(buf);
                 }
                 self.flush_frame_seam(next);
             }
@@ -837,11 +786,8 @@ impl Testbed {
                     if station == 0 {
                         // Ring traffic addressed to the gateway crosses
                         // the frame seam into the MPP receive path.
-                        let sent = self
-                            .frame_line
-                            .send_frame(delivery.time, delivery.frame, false)
-                            .expect("frame seam send");
-                        drop(sent);
+                        let line = &mut self.frame_line;
+                        line.send_frame(delivery.time, delivery.frame, false).expect("frame seam");
                         self.flush_frame_seam(next);
                     } else {
                         self.deliver_to_fddi_host(station, &delivery.frame);
@@ -962,7 +908,7 @@ mod tests {
         tb.send_from_atm_host(c, vec![7; 200]); // 5 cells
         tb.run_until(SimTime::from_ms(10));
         assert_eq!(cells_in(&tb), 4, "the last cell is still held");
-        assert!(tb.reorder_hold.is_some());
+        assert!(tb.line.reorder_hold.is_some());
         tb.run_until(SimTime::from_secs(1));
         assert_eq!(cells_in(&tb), 4, "time alone releases nothing");
         assert!(tb.fddi_rx(2).is_empty());
@@ -970,7 +916,7 @@ mod tests {
         tb.send_from_atm_host(c, vec![8; 200]);
         tb.run_until(SimTime::from_ms(1_010));
         assert_eq!(cells_in(&tb), 9, "the next cell released it; the new last cell is held");
-        assert!(tb.reorder_hold.is_some());
+        assert!(tb.line.reorder_hold.is_some());
     }
 
     #[test]

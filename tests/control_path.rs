@@ -306,3 +306,71 @@ fn npe_setups_keep_clear_of_hand_installed_congrams() {
     at_host.sort();
     assert_eq!(at_host, [0x12, 0x23, 0x44], "every congram reaches the ATM host");
 }
+
+/// Each time the liveness monitor replaces an idle VC the gateway
+/// signalled for, the gateway releases the dead VC's connection: the
+/// bandwidth the network holds for the congram stays that of one
+/// connection however often it is re-established.
+#[test]
+fn reestablishing_an_idle_congram_releases_its_old_connection() {
+    use atm_fddi_gateway::atm::network::SwitchId;
+    let mut cfg = TestbedConfig::default();
+    cfg.gateway.vc_liveness_timeout = Some(SimTime::from_ms(8));
+    let mut tb = Testbed::build(cfg);
+    let reserved = |tb: &Testbed| -> u64 {
+        (0..2)
+            .flat_map(|sw| (0..4).map(move |port| (sw, port)))
+            .map(|(sw, port)| tb.atm.reserved_bps(SwitchId(sw), port))
+            .sum()
+    };
+
+    tb.send_control_from_fddi(2, &setup_payload(9, 1, [5; 8]));
+    tb.run_until(SimTime::from_ms(2));
+    assert_eq!(tb.gw.npe().stats().setups_confirmed, 1);
+    let one_connection = reserved(&tb);
+    assert!(one_connection > 0, "the congram's connection holds bandwidth");
+
+    tb.run_until(SimTime::from_ms(160));
+    assert!(tb.gw.npe().stats().reestablishments >= 10, "{:?}", tb.gw.npe().stats());
+    assert_eq!(reserved(&tb), one_connection, "dead connections keep their reservations");
+}
+
+/// A congram that carries frames and then idles: the frames reach the
+/// ATM host before the liveness monitor gives the VC up, and each
+/// re-establishment still releases the connection before it.
+#[test]
+fn a_congram_that_carried_frames_releases_its_connection_once_idle() {
+    use atm_fddi_gateway::atm::network::SwitchId;
+    use atm_fddi_gateway::wire::atm::Vci;
+    let mut cfg = TestbedConfig::default();
+    cfg.gateway.vc_liveness_timeout = Some(SimTime::from_ms(8));
+    let mut tb = Testbed::build(cfg);
+    let reserved = |tb: &Testbed| -> u64 {
+        (0..2)
+            .flat_map(|sw| (0..4).map(move |port| (sw, port)))
+            .map(|(sw, port)| tb.atm.reserved_bps(SwitchId(sw), port))
+            .sum()
+    };
+
+    tb.send_control_from_fddi(2, &setup_payload(9, 1, [5; 8]));
+    tb.run_until(SimTime::from_ms(2));
+    let one_connection = reserved(&tb);
+    let fddi_icn = tb
+        .fddi_control_rx(2)
+        .iter()
+        .find_map(|c| match c {
+            ControlPayload::SetupConfirm { assigned_icn, .. } => Some(*assigned_icn),
+            _ => None,
+        })
+        .expect("station 2's setup confirms");
+    let station = CongramHandle { vci: Vci(0), atm_icn: Icn(0), fddi_icn, station: 2 };
+    for fill in 0..5u8 {
+        tb.send_from_fddi_station(2, station, vec![fill; 4000]);
+    }
+
+    tb.run_until(SimTime::from_ms(40));
+    let fills: Vec<(u8, usize)> = tb.atm_host_rx.iter().map(|p| (p[0], p.len())).collect();
+    assert_eq!(fills, (0..5u8).map(|f| (f, 4000)).collect::<Vec<_>>());
+    assert!(tb.gw.npe().stats().reestablishments >= 3, "{:?}", tb.gw.npe().stats());
+    assert_eq!(reserved(&tb), one_connection, "dead connections keep their reservations");
+}
