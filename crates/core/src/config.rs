@@ -6,8 +6,8 @@
 //! `N × 8` octets ([`MAX_CONGRAMS`], §6.1), the MPP→NPE FIFO, the
 //! NPE's per-message latency, and 91-cell reassembly buffers
 //! ([`gw_sar::reassemble::BUFFER_CELLS`], §5.3), two per VC. Signaled
-//! setups are always supervised by
-//! [`SupervisorConfig::default`](crate::supervisor::SupervisorConfig).
+//! setups are always supervised by the one policy in
+//! [`crate::supervisor`].
 //!
 //! "The exact size of these buffers will be determined based on results
 //! of an on-going simulation study" (§4.3): the SUPERNET buffer sizes
@@ -191,8 +191,7 @@ mod tests {
         assert!(c.vc_liveness_timeout.is_none(), "liveness is opt-in");
         assert!(c.overload_shedding.is_none(), "shedding is opt-in");
         assert!(c.management.is_none(), "management plane is opt-in");
-        let retries = crate::supervisor::SupervisorConfig::default().retry_budget;
-        assert!(retries > 0, "signaled setups retry");
+        const { assert!(crate::supervisor::RETRY_BUDGET > 0, "signaled setups retry") };
         let s = ShedConfig::default();
         assert!(s.low_fraction < s.high_fraction);
     }

@@ -52,7 +52,6 @@ use crate::fifo::FrameFifo;
 use crate::mpp::{Mpp, MppDownOutput, MppUpOutput};
 use crate::npe::{Npe, NpeAction, NpeInput};
 use crate::spp::{IngestResult, Spp};
-use crate::supervisor::SupervisorConfig;
 use gw_atm::policing::Gcra;
 use gw_mchip::congram::CongramId;
 use gw_mgmt::{
@@ -380,8 +379,7 @@ impl Gateway {
             forward_errored_frames: config.forward_errored_frames,
             ..ReassemblyConfig::default()
         };
-        let mut npe = Npe::new(fddi_addr, fddi_capacity_bps, NPE_CONTROL_LATENCY);
-        npe.set_supervisor_config(SupervisorConfig::default());
+        let npe = Npe::new(fddi_addr, fddi_capacity_bps, NPE_CONTROL_LATENCY);
         let aic = if config.hec_correction { Aic::with_correction() } else { Aic::new() };
         let mut tx_buffer = BufferMemory::new(config.tx_buffer_octets);
         let mut rx_buffer = BufferMemory::new(config.rx_buffer_octets);
@@ -1634,7 +1632,8 @@ impl Gateway {
     }
 
     /// The earliest time `advance_into` has work to do: reassembly timers,
-    /// supervisor watchdogs/backoffs, and VC liveness deadlines.
+    /// setup watchdogs/backoffs, PICon keepalive expiries, and VC
+    /// liveness deadlines.
     pub fn next_deadline(&self) -> Option<SimTime> {
         let mut next = self.spp.next_deadline();
         let mut merge = |candidate: Option<SimTime>| {
@@ -2206,6 +2205,42 @@ mod tests {
         }
         assert_eq!(gw.tx_buffer_stats().overflow_drops, 1);
         assert_eq!(gw.fddi_tx_pending(), 1);
+    }
+
+    /// `next_deadline` covers a PICon's keepalive expiry, so a loop that
+    /// sleeps until it does not oversleep the PICon's death.
+    #[test]
+    fn next_deadline_includes_a_picons_keepalive_expiry() {
+        use gw_mchip::congram::{CongramId, CongramKind, FlowSpec};
+        use gw_mchip::messages::ControlPayload;
+        let mut gw = Gateway::new(GatewayConfig::default(), FddiAddr::station(0), 80_000_000);
+        let (control, dest) = (Vci(33), [9; 8]);
+        gw.npe_mut().add_host(dest, FddiAddr::station(4));
+        gw.open_control_vc(control);
+        let setup = ControlPayload::SetupRequest {
+            congram: CongramId(1),
+            kind: CongramKind::PICon,
+            flow: FlowSpec::cbr(1_000_000),
+            dest,
+        }
+        .to_frame(Icn(0));
+        let cells: Vec<[u8; CELL_SIZE]> =
+            segment_cells(&AtmHeader::data(Default::default(), control), &setup, true)
+                .unwrap()
+                .into_iter()
+                .map(|c| c.into_inner())
+                .collect();
+        let mut out = Vec::new();
+        gw.deliver_cells(SimTime::from_us(10), &cells, &mut out);
+        assert_eq!(gw.mpp().installed(), (1, 1), "the PICon's ICXT entries");
+        let deadline = gw.next_deadline().expect("the keepalive expiry");
+        let expiry = SimTime::from_secs(3);
+        assert!(deadline > expiry && deadline < expiry + SimTime::from_ms(1), "{deadline:?}");
+        gw.advance_into(deadline - SimTime::from_ns(1), &mut out);
+        assert_eq!(gw.mpp().installed(), (1, 1), "alive until the deadline");
+        gw.advance_into(deadline, &mut out);
+        assert_eq!(gw.mpp().installed(), (0, 0), "the dead PICon's entries cleared");
+        assert_eq!(gw.next_deadline(), None);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub use gateway::{Gateway, GatewayStats, Output};
 pub use mpp::{IcxtAEntry, IcxtFEntry, Mpp};
 pub use npe::Npe;
 pub use spp::Spp;
-pub use supervisor::{backoff_delay, ConnectionSupervisor, SupervisorConfig};
 
 /// One cycle of the 25 MHz gateway clock (§5.5, §6.3): 40 ns.
 pub const CYCLE_NS: u64 = 40;

@@ -23,15 +23,32 @@
 //! emits [`NpeAction::RequestAtmConnection`] and completes the congram
 //! when the harness reports the VC with
 //! [`Npe::atm_connection_ready`] / [`Npe::atm_connection_failed`].
+//!
+//! The NPE supervises those setups by the policy in
+//! [`crate::supervisor`]. Their state lives in each congram's record:
+//!
+//! ```text
+//! Idle ──request──▶ Establishing ──confirm──▶ Idle (congram up)
+//!                    │  ▲
+//!   watchdog / reject│  │backoff elapsed: next attempt
+//!                    ▼  │
+//!                   Backoff
+//! budget spent ──▶ Idle (record closed; SetupReject toward the requester)
+//! ```
+//!
+//! `Npe::scan` runs PICon keepalive expiries and then the setup timers,
+//! each in congram-id order; with no PICon and no setup in flight it
+//! touches no record.
 
 use crate::mpp::{self, FixedHeader, IcxtAEntry, IcxtFEntry, MppInitOp};
 use crate::spp;
-use crate::supervisor::{ConnectionSupervisor, FailVerdict, SupervisorConfig, SupervisorEvent};
+use crate::supervisor::{backoff_delay, JITTER_SEED, RETRY_BUDGET, SETUP_WATCHDOG};
 use gw_mchip::congram::{
-    CongramEvent, CongramId, CongramManager, CongramRecord, CongramState, FlowSpec, Requester,
+    CongramId, CongramManager, CongramRecord, FlowSpec, Requester, SetupPhase,
 };
 use gw_mchip::messages::ControlPayload;
 use gw_mchip::resman::{AdmitDecision, ResourceManager};
+use gw_sim::rng::SimRng;
 use gw_sim::time::SimTime;
 use gw_wire::atm::{AtmHeader, Vci, Vpi};
 use gw_wire::fddi::{FddiAddr, FrameControl};
@@ -148,6 +165,8 @@ pub struct NpeStats {
     pub vcs_quarantined: u64,
     /// Quarantined congrams for which re-establishment was started.
     pub reestablishments: u64,
+    /// Setup watchdogs that fired (attempt presumed lost).
+    pub watchdog_fires: u64,
 }
 
 /// Reject reason codes carried in `SetupReject` (implementation
@@ -171,7 +190,8 @@ pub struct Npe {
     latency: SimTime,
     gateway_fddi_addr: FddiAddr,
     stats: NpeStats,
-    supervisor: ConnectionSupervisor,
+    /// The setup backoff's jitter stream.
+    jitter: SimRng,
 }
 
 /// A control frame toward `to`.
@@ -215,20 +235,8 @@ impl Npe {
             latency,
             gateway_fddi_addr,
             stats: NpeStats::default(),
-            supervisor: ConnectionSupervisor::new(SupervisorConfig::disabled()),
+            jitter: SimRng::new(JITTER_SEED),
         }
-    }
-
-    /// Install a connection-supervision policy (watchdog + retries for
-    /// ATM-signaled setups). The default is [`SupervisorConfig::disabled`]:
-    /// the first signaling failure rejects the setup.
-    pub(crate) fn set_supervisor_config(&mut self, config: SupervisorConfig) {
-        self.supervisor.set_config(config);
-    }
-
-    /// The connection supervisor (inspection).
-    pub fn supervisor(&self) -> &ConnectionSupervisor {
-        &self.supervisor
     }
 
     /// Register an internet destination address as reachable at an FDDI
@@ -297,10 +305,11 @@ impl Npe {
                     else {
                         return self.reject(at, from, congram, reject_codes::ADMISSION);
                     };
-                    if self.resman.admit(id, &flow) != AdmitDecision::Admitted {
+                    if self.resman.admit(&flow) != AdmitDecision::Admitted {
                         let _ = self.congrams.reject(id);
                         return self.reject(at, from, congram, reject_codes::ADMISSION);
                     }
+                    self.congrams.reserve(id, flow.peak_bps);
                     let _ = self.congrams.confirm(id, vci);
                     self.stats.setups_confirmed += 1;
                     self.install(at, id)
@@ -312,7 +321,7 @@ impl Npe {
                     else {
                         return self.reject(at, from, congram, reject_codes::ADMISSION);
                     };
-                    let attempt = self.supervisor.begin(now, id);
+                    let attempt = self.begin_attempts(now, id);
                     vec![request_vc(at, id, attempt, flow)]
                 }
             },
@@ -395,15 +404,41 @@ impl Npe {
     }
 
     /// Release what a congram holds here: its record (a setup still
-    /// pending is rejected, a live congram torn down), its ring
-    /// reservation and its supervision.
+    /// pending is rejected, a live congram torn down, either ending its
+    /// supervision) and its ring reservation.
     fn release(&mut self, id: CongramId) {
-        self.supervisor.cancel(id);
-        self.resman.release(id);
         if self.congrams.reject(id).is_err() {
             let _ = self.congrams.begin_teardown(id);
             let _ = self.congrams.complete_teardown(id);
         }
+        if let Some(bps) = self.congrams.take_reservation(id) {
+            self.resman.release(bps);
+        }
+    }
+
+    /// Start supervising a signaled setup (or re-establishment) of `id`;
+    /// returns the number its first attempt carries.
+    fn begin_attempts(&mut self, now: SimTime, id: CongramId) -> u32 {
+        self.congrams.set_setup(id, SetupPhase::Establishing(now + SETUP_WATCHDOG))
+    }
+
+    /// True when `attempt` is `id`'s attempt in flight: an answer to
+    /// any other is stale.
+    fn awaits(&self, id: CongramId, attempt: u32) -> bool {
+        self.congrams.get(id).is_some_and(|r| r.setup != SetupPhase::Idle && r.attempt == attempt)
+    }
+
+    /// The attempt of `id`'s setup in flight failed at `at`: back off
+    /// toward the next one, or — budget spent — return false.
+    fn back_off(&mut self, at: SimTime, id: CongramId) -> bool {
+        let Some(r) = self.congrams.get(id) else { return false };
+        let ordinal = r.attempt - r.first_attempt + 1;
+        if ordinal > RETRY_BUDGET {
+            return false;
+        }
+        let until = at + backoff_delay(ordinal, &mut self.jitter);
+        self.congrams.set_setup(id, SetupPhase::Backoff(until));
+        true
     }
 
     /// ATM signaling succeeded for the numbered attempt of a congram
@@ -416,7 +451,7 @@ impl Npe {
         attempt: u32,
         vci: Vci,
     ) -> Vec<NpeAction> {
-        if !self.supervisor.confirmed(congram, attempt) {
+        if !self.awaits(congram, attempt) {
             // A stale or duplicate indication — the answer to an attempt
             // a later one replaced, or one arriving after the congram
             // already completed (or was given up on). Acting on it would
@@ -425,7 +460,7 @@ impl Npe {
         }
         // A quarantined congram completes its reconfiguration (§2.4
         // survivability — the new path gets a fresh ATM-side ICN); a
-        // fresh setup confirms.
+        // fresh setup confirms. Either ends the setup.
         if self.congrams.complete_reconfigure(congram, vci).is_ok() {
             self.stats.reestablishments += 1;
         } else if self.congrams.confirm(congram, vci).is_ok() {
@@ -435,21 +470,20 @@ impl Npe {
     }
 
     /// ATM signaling failed for the numbered attempt. For the congram's
-    /// current attempt, an enabled supervisor schedules a retry
-    /// (exponential backoff with jitter, re-issued from `Npe::scan`);
-    /// once the budget is exhausted — or with the supervisor disabled —
-    /// the setup is rejected back to the requester. A failure of an
-    /// attempt a later one replaced is ignored.
+    /// attempt in flight, a retry is scheduled (exponential backoff with
+    /// jitter, re-issued from `Npe::scan`); once the budget is spent the
+    /// setup is rejected back to the requester. A failure of any other
+    /// attempt is ignored.
     pub fn atm_connection_failed(
         &mut self,
         now: SimTime,
         congram: CongramId,
         attempt: u32,
     ) -> Vec<NpeAction> {
-        match self.supervisor.fail(now, congram, attempt) {
-            FailVerdict::Backoff(_) | FailVerdict::Stale => Vec::new(),
-            FailVerdict::GiveUp => self.final_setup_failure(now, congram),
+        if !self.awaits(congram, attempt) || self.back_off(now, congram) {
+            return Vec::new();
         }
+        self.final_setup_failure(now, congram)
     }
 
     /// The setup is dead: release its state and reject to the requester.
@@ -458,11 +492,6 @@ impl Npe {
     /// already cleared by [`Npe::vc_quarantined`]).
     fn final_setup_failure(&mut self, now: SimTime, congram: CongramId) -> Vec<NpeAction> {
         let Some(&r) = self.congrams.get(congram) else { return Vec::new() };
-        // A superseded attempt's failure arriving after the congram came
-        // up (or closed) is stale.
-        if !matches!(r.state, CongramState::SetupPending | CongramState::Reconfiguring) {
-            return Vec::new();
-        }
         self.release(congram);
         self.stats.setups_failed += 1;
         self.reject(now + self.latency, r.requester, r.peer_id, reject_codes::ATM_SIGNALING)
@@ -477,35 +506,47 @@ impl Npe {
         vec![clear(at, &r), send(at, r.requester, ack)]
     }
 
-    /// Periodic scan: PICon keepalive expiry releases resources, and
-    /// the connection supervisor's watchdog/backoff timers run.
+    /// Periodic scan: PICon keepalive expiry releases resources, then
+    /// the setup watchdog and backoff timers run.
     pub(crate) fn scan(&mut self, now: SimTime) -> Vec<NpeAction> {
         let at = now + self.latency;
         let mut actions = Vec::new();
-        for ev in self.congrams.scan_keepalives(now) {
-            let CongramEvent::KeepaliveExpired(id) = ev else { continue };
+        for id in self.congrams.scan_keepalives(now) {
             let Some(&r) = self.congrams.get(id) else { continue };
             self.release(id);
             actions.push(clear(at, &r));
         }
-        for ev in self.supervisor.poll(now) {
-            match ev {
-                SupervisorEvent::Retry(id, attempt) => {
-                    let Some(r) = self.congrams.get(id) else { continue };
+        let due: Vec<CongramId> = self.congrams.setups_due(now).collect();
+        for id in due {
+            let Some(&r) = self.congrams.get(id) else { continue };
+            // The watchdog presumes the attempt lost: exactly like a
+            // rejection at its deadline.
+            if let SetupPhase::Establishing(deadline) = r.setup {
+                self.stats.watchdog_fires += 1;
+                if !self.back_off(deadline, id) {
+                    actions.extend(self.final_setup_failure(now, id));
+                    continue;
+                }
+            }
+            // A backoff that has elapsed — perhaps the one just entered —
+            // issues the next attempt.
+            match self.congrams.get(id).map(|r| r.setup) {
+                Some(SetupPhase::Backoff(until)) if until <= now => {
+                    let next = SetupPhase::Establishing(until + SETUP_WATCHDOG);
+                    let attempt = self.congrams.set_setup(id, next);
                     self.stats.setup_retries += 1;
                     actions.push(request_vc(at, id, attempt, r.flow));
                 }
-                SupervisorEvent::GiveUp(id) => {
-                    actions.extend(self.final_setup_failure(now, id));
-                }
+                _ => {}
             }
         }
         actions
     }
 
-    /// Earliest time `Npe::scan` has supervisor work to do.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.supervisor.next_deadline()
+    /// Earliest time `Npe::scan` has work to do: a setup timer or a
+    /// PICon's keepalive expiry.
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
+        self.congrams.next_deadline()
     }
 
     /// The liveness monitor quarantined `vci`. Every congram bound to
@@ -529,7 +570,7 @@ impl Npe {
                     // transfer pauses but the congram survives
                     // (plesio-reliability, §2.4).
                     let _ = self.congrams.begin_reconfigure(id);
-                    let attempt = self.supervisor.begin(now, id);
+                    let attempt = self.begin_attempts(now, id);
                     actions.push(NpeAction::ReleaseAtmConnection { at, vci });
                     actions.push(request_vc(at, id, attempt, r.flow));
                 }
@@ -730,7 +771,8 @@ mod tests {
             NpeInput::ControlFromFddi { frame: setup_frame(4, 5), src: FddiAddr::station(8) },
         );
         let NpeAction::RequestAtmConnection { congram, .. } = actions[0] else { panic!() };
-        let failed = n.atm_connection_failed(SimTime::from_ms(1), congram, 1);
+        // Every attempt the budget allows is refused.
+        let failed = refuse_every_attempt(&mut n, congram);
         let NpeAction::SendControlToFddi { frame, .. } = &failed[0] else { panic!() };
         let (h, p) = gw_wire::mchip::parse_frame(frame).unwrap();
         assert!(matches!(
@@ -772,22 +814,36 @@ mod tests {
         .to_frame(Icn(0));
         n.handle(SimTime::ZERO, NpeInput::ControlFromAtm { frame: setup, arrival_vci: Vci(2) });
         assert_eq!(n.resource_manager().active(), 1);
+        assert_eq!(n.next_deadline(), Some(SimTime::from_secs(3)), "the keepalive expiry");
         // No keepalives for > 3 seconds.
         let actions = n.scan(SimTime::from_secs(4));
         assert_eq!(actions.len(), 1, "dead PICon cleared from the MPP");
         assert_eq!(n.resource_manager().active(), 0);
     }
 
-    fn supervised_npe(budget: u32) -> Npe {
-        let mut n = npe();
-        n.set_supervisor_config(crate::supervisor::SupervisorConfig {
-            setup_watchdog: SimTime::from_ms(5),
-            retry_budget: budget,
-            backoff_base: SimTime::from_ms(2),
-            backoff_max: SimTime::from_ms(16),
-            jitter_seed: 3,
-        });
-        n
+    /// The attempts a scan at `t` re-issues.
+    fn retries(n: &mut Npe, t: SimTime) -> Vec<u32> {
+        let actions = n.scan(t);
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                NpeAction::RequestAtmConnection { attempt, .. } => Some(*attempt),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Refuse each attempt of `congram`'s setup as it is issued, at
+    /// 100 ms intervals, until the budget is spent; returns what the
+    /// last refusal emits.
+    fn refuse_every_attempt(n: &mut Npe, congram: CongramId) -> Vec<NpeAction> {
+        for attempt in 1..=RETRY_BUDGET {
+            let t = SimTime::from_ms(100 * attempt as u64);
+            assert!(n.atm_connection_failed(t, congram, attempt).is_empty());
+            assert_eq!(retries(n, t + SimTime::from_ms(60)), [attempt + 1]);
+        }
+        let last = SimTime::from_ms(100 * (RETRY_BUDGET as u64 + 1));
+        n.atm_connection_failed(last, congram, RETRY_BUDGET + 1)
     }
 
     fn begin_fddi_setup(n: &mut Npe) -> CongramId {
@@ -803,7 +859,7 @@ mod tests {
 
     #[test]
     fn supervised_failure_backs_off_then_retries() {
-        let mut n = supervised_npe(2);
+        let mut n = npe();
         let congram = begin_fddi_setup(&mut n);
         // Explicit rejection: no reject to the requester yet.
         assert!(n.atm_connection_failed(SimTime::from_ms(1), congram, 1).is_empty());
@@ -825,7 +881,7 @@ mod tests {
 
     #[test]
     fn watchdog_recovers_a_lost_signaling_request() {
-        let mut n = supervised_npe(2);
+        let mut n = npe();
         let congram = begin_fddi_setup(&mut n);
         // No answer at all: the watchdog fires, backoff runs, and the
         // request is re-issued without any external failure indication.
@@ -841,18 +897,15 @@ mod tests {
             }
         }
         assert!(retried, "watchdog must re-issue the lost request");
-        assert_eq!(n.supervisor().stats().watchdog_fires, 1);
+        assert_eq!(n.stats().watchdog_fires, 1);
     }
 
     #[test]
     fn budget_exhaustion_rejects_with_atm_signaling_reason() {
-        let mut n = supervised_npe(1);
+        let mut n = npe();
         let congram = begin_fddi_setup(&mut n);
-        assert!(n.atm_connection_failed(SimTime::from_ms(1), congram, 1).is_empty());
-        let retry = n.scan(SimTime::from_ms(10));
-        assert!(matches!(retry[0], NpeAction::RequestAtmConnection { .. }));
-        // Second failure exhausts the budget of 1.
-        let failed = n.atm_connection_failed(SimTime::from_ms(11), congram, 2);
+        // The failure of the last attempt the budget allows rejects.
+        let failed = refuse_every_attempt(&mut n, congram);
         let NpeAction::SendControlToFddi { frame, .. } = &failed[0] else { panic!("{failed:?}") };
         let (h, p) = gw_wire::mchip::parse_frame(frame).unwrap();
         assert!(matches!(
@@ -860,42 +913,41 @@ mod tests {
             ControlPayload::SetupReject { reason: reject_codes::ATM_SIGNALING, .. }
         ));
         assert_eq!(n.stats().setups_failed, 1);
-        assert_eq!(n.stats().setup_retries, 1);
+        assert_eq!(n.stats().setup_retries, u64::from(RETRY_BUDGET));
+        assert_eq!(n.next_deadline(), None, "nothing left in flight");
         // Stale answers for the dead congram are ignored.
-        assert!(n.atm_connection_ready(SimTime::from_ms(20), congram, 2, Vci(70)).is_empty());
+        let late = SimTime::from_secs(1);
+        assert!(n.atm_connection_ready(late, congram, RETRY_BUDGET + 1, Vci(70)).is_empty());
     }
 
-    /// The watchdog replaced attempt 1 with attempt 2, the last the
-    /// budget allows. Attempt 1's answers, arriving late, are not
-    /// attempt 2's: its rejection does not fail the setup, and its
-    /// success does not complete it.
+    /// The watchdog replaced each attempt with the next, up to the last
+    /// the budget allows. The earlier attempts' answers, arriving late,
+    /// are not the last one's: a rejection does not fail the setup, and
+    /// a success does not complete it.
     #[test]
     fn a_superseded_attempts_answers_are_ignored() {
-        let mut n = supervised_npe(1);
+        let mut n = npe();
         let congram = begin_fddi_setup(&mut n);
-        let (t, attempt) = (1..40)
-            .find_map(|ms| {
-                let t = SimTime::from_ms(ms);
-                n.scan(t).into_iter().find_map(|a| match a {
-                    NpeAction::RequestAtmConnection { attempt, .. } => Some((t, attempt)),
-                    _ => None,
-                })
-            })
+        let last = RETRY_BUDGET + 1;
+        let t = (1..400)
+            .map(SimTime::from_ms)
+            .find(|&t| retries(&mut n, t) == [last])
             .expect("the watchdog re-issues the request");
-        assert_eq!(attempt, 2);
         let late = t + SimTime::from_ms(1);
-        assert!(n.atm_connection_failed(late, congram, 1).is_empty());
-        assert_eq!((n.stats().setups_failed, n.stats().setups_rejected), (0, 0));
-        assert!(n.atm_connection_ready(late, congram, 1, Vci(70)).is_empty());
-        assert_eq!(n.stats().setups_confirmed, 0);
-        let done = n.atm_connection_ready(late, congram, 2, Vci(71));
-        assert_eq!(done.len(), 3, "attempt 2 completes the setup: {done:?}");
+        for stale in [1, last - 1] {
+            assert!(n.atm_connection_failed(late, congram, stale).is_empty());
+            assert_eq!((n.stats().setups_failed, n.stats().setups_rejected), (0, 0));
+            assert!(n.atm_connection_ready(late, congram, stale, Vci(70)).is_empty());
+            assert_eq!(n.stats().setups_confirmed, 0);
+        }
+        let done = n.atm_connection_ready(late, congram, last, Vci(71));
+        assert_eq!(done.len(), 3, "the last attempt completes the setup: {done:?}");
         assert_eq!(n.stats().setups_confirmed, 1);
     }
 
     #[test]
     fn stale_signaling_failure_leaves_an_established_congram_up() {
-        let mut n = supervised_npe(3);
+        let mut n = npe();
         let congram = begin_fddi_setup(&mut n);
         n.atm_connection_ready(SimTime::from_ms(2), congram, 1, Vci(77));
         // An earlier attempt's rejection, arriving late.
@@ -910,7 +962,7 @@ mod tests {
 
     #[test]
     fn quarantined_congram_reestablishes_on_a_fresh_vc() {
-        let mut n = supervised_npe(3);
+        let mut n = npe();
         let congram = begin_fddi_setup(&mut n);
         n.atm_connection_ready(SimTime::from_ms(2), congram, 1, Vci(77));
         // The liveness monitor declares VC 77 dead.
@@ -939,7 +991,7 @@ mod tests {
     /// first attempt.
     #[test]
     fn a_reestablishment_continues_the_attempt_numbers() {
-        let mut n = supervised_npe(1);
+        let mut n = npe();
         let congram = begin_fddi_setup(&mut n);
         n.atm_connection_ready(SimTime::from_ms(2), congram, 1, Vci(77));
         let actions = n.vc_quarantined(SimTime::from_ms(50), Vci(77));
@@ -953,14 +1005,15 @@ mod tests {
         assert!(n.atm_connection_ready(late, congram, 1, Vci(77)).is_empty());
         assert!(n.atm_connection_failed(late, congram, 1).is_empty());
         assert_eq!(n.stats().reestablishments, 0);
-        // A budget of 1 from attempt 2: its failure earns attempt 3.
-        assert!(n.atm_connection_failed(late, congram, 2).is_empty());
-        let retry = n.scan(SimTime::from_ms(60));
-        assert!(
-            retry.iter().any(|a| matches!(a, NpeAction::RequestAtmConnection { attempt: 3, .. })),
-            "{retry:?}"
-        );
-        let done = n.atm_connection_ready(SimTime::from_ms(61), congram, 3, Vci(91));
+        // The budget counts from attempt 2: each of its attempts' failures
+        // earns another.
+        let last = 2 + RETRY_BUDGET;
+        for attempt in 2..last {
+            let t = SimTime::from_ms(100 * attempt as u64);
+            assert!(n.atm_connection_failed(t, congram, attempt).is_empty());
+            assert_eq!(retries(&mut n, t + SimTime::from_ms(60)), [attempt + 1]);
+        }
+        let done = n.atm_connection_ready(SimTime::from_secs(1), congram, last, Vci(91));
         assert_eq!(done.len(), 3, "{done:?}");
         assert_eq!(n.stats().reestablishments, 1);
     }
@@ -1025,7 +1078,7 @@ mod tests {
 
     #[test]
     fn reestablished_congram_keeps_its_icxt_slots_from_a_later_setup() {
-        let mut n = supervised_npe(3);
+        let mut n = npe();
         let (xf, xa) = reestablished(&mut n);
         let y = n.handle(
             SimTime::from_ms(60),
@@ -1039,7 +1092,7 @@ mod tests {
 
     #[test]
     fn dead_picon_clears_only_its_own_icxt_entries() {
-        let mut n = supervised_npe(3);
+        let mut n = npe();
         let x = reestablished(&mut n);
         let setup = ControlPayload::SetupRequest {
             congram: CongramId(4),
@@ -1064,7 +1117,7 @@ mod tests {
 
     #[test]
     fn same_congram_id_from_each_side_tears_down_independently() {
-        let mut n = supervised_npe(3);
+        let mut n = npe();
         let host = n.handle(
             SimTime::ZERO,
             NpeInput::ControlFromAtm { frame: setup_frame(9, 1), arrival_vci: Vci(42) },

@@ -250,7 +250,6 @@ impl Gateway {
         mpp.set("init_ops", Json::U64(m.init_ops));
         components.set("mpp", mpp);
         let n = self.npe.stats();
-        let sup = self.npe.supervisor().stats();
         let mut npe = Json::obj();
         npe.set("control_frames", Json::U64(n.control_frames));
         npe.set("setups_confirmed", Json::U64(n.setups_confirmed));
@@ -261,7 +260,7 @@ impl Gateway {
         npe.set("setups_failed", Json::U64(n.setups_failed));
         npe.set("vcs_quarantined", Json::U64(n.vcs_quarantined));
         npe.set("reestablishments", Json::U64(n.reestablishments));
-        npe.set("watchdog_fires", Json::U64(sup.watchdog_fires));
+        npe.set("watchdog_fires", Json::U64(n.watchdog_fires));
         npe.set("fifo_depth_peak", Json::U64(self.npe_fifo.peak() as u64));
         components.set("npe", npe);
         doc.set("components", components);

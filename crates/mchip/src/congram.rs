@@ -10,6 +10,15 @@
 //! interface and drawn from that interface's own allocator. The
 //! [`CongramManager`] is the per-gateway software entity that holds one
 //! record per congram, allocates its ICNs and drives its state machine.
+//!
+//! The record is the only per-congram state on the gateway: beside its
+//! lifecycle and ICNs it holds the ring bandwidth reserved for it
+//! (§2.3) and, for a congram whose ATM VC this gateway signals, where
+//! that setup stands ([`SetupPhase`]) and the number of its last
+//! attempt. The NPE's supervisor drives the phase; the manager numbers
+//! the attempts, ends the phase when the congram comes up or closes,
+//! and counts the setups in flight, so a housekeeping scan with no
+//! setup in flight and no PICon touches no record.
 
 use gw_sim::time::SimTime;
 use gw_wire::atm::Vci;
@@ -68,19 +77,17 @@ pub enum CongramState {
     Closed,
 }
 
-/// Events the manager reports to its caller (the NPE).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CongramEvent {
-    /// The congram reached the data-transfer phase.
-    Established(CongramId),
-    /// Setup failed.
-    Rejected(CongramId),
-    /// The congram terminated.
-    Closed(CongramId),
-    /// Reconfiguration completed; translation updated.
-    Reconfigured(CongramId),
-    /// A PICon missed enough keepalives to be declared dead.
-    KeepaliveExpired(CongramId),
+/// Where the ATM setup this gateway signals for a congram stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SetupPhase {
+    /// No attempt in flight.
+    Idle,
+    /// An attempt is in flight; the watchdog presumes it lost at the
+    /// contained time.
+    Establishing(SimTime),
+    /// Waiting out the backoff; the next attempt is due at the
+    /// contained time.
+    Backoff(SimTime),
 }
 
 /// Errors from manager operations.
@@ -144,6 +151,18 @@ pub struct CongramRecord {
     pub fddi_dst: FddiAddr,
     /// Last keepalive seen (PICons only).
     pub last_keepalive: SimTime,
+    /// Ring bandwidth the resource manager reserved for the congram
+    /// (§2.3), until it is released.
+    pub reserved_bps: Option<u64>,
+    /// Where the setup this gateway signals stands.
+    pub setup: SetupPhase,
+    /// The number of the last signaling attempt issued (0: none). It
+    /// never restarts, so a late answer to an earlier setup's attempt
+    /// matches none of a re-establishment's.
+    pub attempt: u32,
+    /// The number of the current setup's first attempt: the retry
+    /// budget and the backoff count from it.
+    pub first_attempt: u32,
 }
 
 impl CongramRecord {
@@ -154,6 +173,20 @@ impl CongramRecord {
             Requester::Atm(_) => self.atm_icn,
             Requester::Fddi(_) => self.fddi_icn,
         }
+    }
+
+    /// When the congram next needs housekeeping: its setup timer, or
+    /// an established PICon's keepalive expiry.
+    fn deadline(&self) -> Option<SimTime> {
+        match self.setup {
+            SetupPhase::Establishing(t) | SetupPhase::Backoff(t) => Some(t),
+            SetupPhase::Idle if self.live_picon() => Some(self.last_keepalive + KEEPALIVE_DEADLINE),
+            SetupPhase::Idle => None,
+        }
+    }
+
+    fn live_picon(&self) -> bool {
+        self.kind == CongramKind::PICon && self.state == CongramState::Established
     }
 }
 
@@ -200,10 +233,10 @@ impl IcnAllocator {
     }
 }
 
-/// PICon keepalive interval; a PICon is declared dead after missing
-/// three intervals (a conventional choice; the MCHIP companion spec
-/// would pin this).
-const KEEPALIVE_INTERVAL: SimTime = SimTime::from_secs(1);
+/// A PICon is declared dead after missing three keepalive intervals
+/// of 1 s (a conventional choice; the MCHIP companion spec would pin
+/// this).
+const KEEPALIVE_DEADLINE: SimTime = SimTime::from_secs(3);
 
 /// The per-gateway congram manager (runs on the NPE).
 ///
@@ -217,11 +250,12 @@ pub struct CongramManager {
     fddi_icns: IcnAllocator,
     /// Live congrams by their requester's name for them.
     by_peer: HashMap<PeerKey, CongramId>,
-    /// Congrams in any live (non-`Closed`) state, maintained inline.
-    open: usize,
     /// Live PICons, so the keepalive scan can skip entirely when none
     /// exist (the common case on a pure data-path gateway).
     picons: usize,
+    /// Records whose setup is not `Idle`, so the supervisor's scan can
+    /// skip likewise.
+    setups: usize,
 }
 
 impl CongramManager {
@@ -229,16 +263,16 @@ impl CongramManager {
         self.records.get_mut(id.0 as usize)
     }
 
-    /// A congram left the live set: release its ICNs and its peer id,
-    /// and drop it from the running counters.
+    /// A congram left the live set: end its setup, release its ICNs
+    /// and its peer id, and drop it from the running counters.
     fn close_record(&mut self, id: CongramId) {
+        self.set_setup(id, SetupPhase::Idle);
         let r = self.rec_mut(id).expect("caller checked");
         r.state = CongramState::Closed;
         let r = *r;
         self.atm_icns.release(r.atm_icn);
         self.fddi_icns.release(r.fddi_icn);
         self.by_peer.remove(&r.requester.key(r.peer_id));
-        self.open -= 1;
         if r.kind == CongramKind::PICon {
             self.picons -= 1;
         }
@@ -281,9 +315,12 @@ impl CongramManager {
             vci: None,
             fddi_dst,
             last_keepalive: now,
+            reserved_bps: None,
+            setup: SetupPhase::Idle,
+            attempt: 0,
+            first_attempt: 0,
         });
         self.by_peer.insert(key, id);
-        self.open += 1;
         if kind == CongramKind::PICon {
             self.picons += 1;
         }
@@ -291,25 +328,26 @@ impl CongramManager {
     }
 
     /// Setup confirmed end to end on ATM VC `vci`: data transfer may
-    /// begin.
-    pub fn confirm(&mut self, id: CongramId, vci: Vci) -> Result<CongramEvent, CongramError> {
+    /// begin, and the setup ends.
+    pub fn confirm(&mut self, id: CongramId, vci: Vci) -> Result<(), CongramError> {
         let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
         if r.state != CongramState::SetupPending {
             return Err(CongramError::BadState);
         }
         r.state = CongramState::Established;
         r.vci = Some(vci);
-        Ok(CongramEvent::Established(id))
+        self.set_setup(id, SetupPhase::Idle);
+        Ok(())
     }
 
     /// Setup rejected: release ICNs.
-    pub fn reject(&mut self, id: CongramId) -> Result<CongramEvent, CongramError> {
+    pub fn reject(&mut self, id: CongramId) -> Result<(), CongramError> {
         let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
         if r.state != CongramState::SetupPending {
             return Err(CongramError::BadState);
         }
         self.close_record(id);
-        Ok(CongramEvent::Rejected(id))
+        Ok(())
     }
 
     /// Begin teardown.
@@ -325,13 +363,13 @@ impl CongramManager {
     }
 
     /// Teardown acknowledged: release ICNs.
-    pub fn complete_teardown(&mut self, id: CongramId) -> Result<CongramEvent, CongramError> {
+    pub fn complete_teardown(&mut self, id: CongramId) -> Result<(), CongramError> {
         let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
         if r.state != CongramState::Closing {
             return Err(CongramError::BadState);
         }
         self.close_record(id);
-        Ok(CongramEvent::Closed(id))
+        Ok(())
     }
 
     /// Begin a path reconfiguration (survivability, §2.4): the old VC
@@ -348,14 +386,10 @@ impl CongramManager {
         Ok(())
     }
 
-    /// Complete a reconfiguration onto ATM VC `vci`. The path moved on
-    /// the ATM side, so the congram gets a fresh ATM-side ICN, which is
-    /// returned.
-    pub fn complete_reconfigure(
-        &mut self,
-        id: CongramId,
-        vci: Vci,
-    ) -> Result<(CongramEvent, Icn), CongramError> {
+    /// Complete a reconfiguration onto ATM VC `vci`, ending its setup.
+    /// The path moved on the ATM side, so the congram gets a fresh
+    /// ATM-side ICN, which is returned.
+    pub fn complete_reconfigure(&mut self, id: CongramId, vci: Vci) -> Result<Icn, CongramError> {
         let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
         if r.state != CongramState::Reconfiguring {
             return Err(CongramError::BadState);
@@ -367,7 +401,59 @@ impl CongramManager {
         r.atm_icn = icn;
         r.vci = Some(vci);
         r.state = CongramState::Established;
-        Ok((CongramEvent::Reconfigured(id), icn))
+        self.set_setup(id, SetupPhase::Idle);
+        Ok(icn)
+    }
+
+    /// Move congram `id`'s signaled setup to `phase` and return the
+    /// number of its current attempt. Entering `Establishing` issues the
+    /// congram's next attempt number; from `Idle` that attempt is the
+    /// first of a new setup (or re-establishment).
+    pub fn set_setup(&mut self, id: CongramId, phase: SetupPhase) -> u32 {
+        let Some(r) = self.records.get_mut(id.0 as usize) else { return 0 };
+        if let SetupPhase::Establishing(_) = phase {
+            r.attempt += 1;
+            if r.setup == SetupPhase::Idle {
+                r.first_attempt = r.attempt;
+            }
+        }
+        self.setups += usize::from(phase != SetupPhase::Idle);
+        self.setups -= usize::from(r.setup != SetupPhase::Idle);
+        r.setup = phase;
+        r.attempt
+    }
+
+    /// The congrams whose setup timer is due at `now`, in id order.
+    /// With no setup in flight this is a counter check.
+    pub fn setups_due(&self, now: SimTime) -> impl Iterator<Item = CongramId> + '_ {
+        let records = if self.setups == 0 { &[][..] } else { &self.records[..] };
+        records
+            .iter()
+            .filter(move |r| {
+                matches!(r.setup, SetupPhase::Establishing(t) | SetupPhase::Backoff(t) if t <= now)
+            })
+            .map(|r| r.id)
+    }
+
+    /// The earliest setup timer or PICon keepalive expiry.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        if self.setups + self.picons == 0 {
+            return None;
+        }
+        self.records.iter().filter_map(CongramRecord::deadline).min()
+    }
+
+    /// Record the ring reservation the resource manager granted.
+    pub fn reserve(&mut self, id: CongramId, bps: u64) {
+        if let Some(r) = self.rec_mut(id) {
+            r.reserved_bps = Some(bps);
+        }
+    }
+
+    /// Take the congram's ring reservation, to give back to the
+    /// resource manager; `None` once taken.
+    pub fn take_reservation(&mut self, id: CongramId) -> Option<u64> {
+        self.rec_mut(id).and_then(|r| r.reserved_bps.take())
     }
 
     /// Record a keepalive on a PICon.
@@ -377,32 +463,27 @@ impl CongramManager {
         Ok(())
     }
 
-    /// Scan PICons for missed keepalives (3 intervals). With no live
-    /// PICons this is a counter check — data-path-only gateways pay
-    /// nothing per housekeeping tick.
-    pub fn scan_keepalives(&mut self, now: SimTime) -> Vec<CongramEvent> {
+    /// Close the PICons that missed their keepalives (3 intervals) and
+    /// return them in id order. With no live PICons this is a counter
+    /// check — data-path-only gateways pay nothing per housekeeping
+    /// tick.
+    pub fn scan_keepalives(&mut self, now: SimTime) -> Vec<CongramId> {
         if self.picons == 0 {
             return Vec::new();
         }
-        let deadline = SimTime::from_ns(KEEPALIVE_INTERVAL.as_ns() * 3);
         let expired: Vec<CongramId> = self
             .records
             .iter()
             .filter(|r| {
-                r.kind == CongramKind::PICon
-                    && r.state == CongramState::Established
-                    && now.saturating_sub(r.last_keepalive) >= deadline
+                r.live_picon() && now.saturating_sub(r.last_keepalive) >= KEEPALIVE_DEADLINE
             })
             .map(|r| r.id)
             .collect();
         // A dead PICon closes immediately (there is no peer to ack).
+        for &id in &expired {
+            self.close_record(id);
+        }
         expired
-            .into_iter()
-            .map(|id| {
-                self.close_record(id);
-                CongramEvent::KeepaliveExpired(id)
-            })
-            .collect()
     }
 
     /// Look up a congram record.
@@ -421,11 +502,6 @@ impl CongramManager {
             .iter()
             .filter(move |r| r.vci == Some(vci) && r.state != CongramState::Closed)
             .map(|r| r.id)
-    }
-
-    /// Congrams in any live state — a running counter, not a scan.
-    pub fn open_count(&self) -> usize {
-        self.open
     }
 
     /// A congram was installed on this gateway without a record here,
@@ -458,11 +534,11 @@ mod tests {
         let mut m = mgr();
         let id = setup(&mut m, CongramKind::UCon, 1);
         assert_eq!(m.get(id).unwrap().state, CongramState::SetupPending);
-        assert_eq!(m.confirm(id, Vci(40)).unwrap(), CongramEvent::Established(id));
+        m.confirm(id, Vci(40)).unwrap();
         assert_eq!(m.get(id).unwrap().state, CongramState::Established);
         assert_eq!(m.get(id).unwrap().vci, Some(Vci(40)));
         m.begin_teardown(id).unwrap();
-        assert_eq!(m.complete_teardown(id).unwrap(), CongramEvent::Closed(id));
+        m.complete_teardown(id).unwrap();
         assert_eq!(m.get(id).unwrap().state, CongramState::Closed);
     }
 
@@ -553,8 +629,7 @@ mod tests {
         m.begin_reconfigure(id).unwrap();
         assert_eq!(m.get(id).unwrap().state, CongramState::Reconfiguring);
         assert_eq!(m.on_vc(Vci(40)).count(), 0, "the dead VC is unbound");
-        let (ev, icn) = m.complete_reconfigure(id, Vci(41)).unwrap();
-        assert_eq!(ev, CongramEvent::Reconfigured(id));
+        let icn = m.complete_reconfigure(id, Vci(41)).unwrap();
         let after = *m.get(id).unwrap();
         // The path moved on the ATM side: a fresh ATM-side ICN, the
         // same FDDI-side one.
@@ -576,25 +651,53 @@ mod tests {
         m.keepalive(p, SimTime::from_secs(1)).unwrap();
         assert!(m.scan_keepalives(SimTime::from_ms(3900)).is_empty());
         // At 4s, three intervals have passed since the last keepalive.
-        let evs = m.scan_keepalives(SimTime::from_secs(4));
-        assert_eq!(evs, vec![CongramEvent::KeepaliveExpired(p)]);
+        assert_eq!(m.next_deadline(), Some(SimTime::from_secs(4)));
+        assert_eq!(m.scan_keepalives(SimTime::from_secs(4)), [p]);
         assert_eq!(m.get(p).unwrap().state, CongramState::Closed);
         // UCons are unaffected by keepalive scanning.
         assert_eq!(m.get(u).unwrap().state, CongramState::Established);
     }
 
     #[test]
-    fn open_count_tracks_live_congrams() {
+    fn setup_attempts_continue_across_setups_and_end_with_the_phase() {
         let mut m = mgr();
-        let a = setup(&mut m, CongramKind::UCon, 1);
-        let b = setup(&mut m, CongramKind::UCon, 2);
-        assert_eq!(m.open_count(), 2);
-        m.reject(b).unwrap();
-        assert_eq!(m.open_count(), 1);
-        m.confirm(a, Vci(40)).unwrap();
-        m.begin_teardown(a).unwrap();
-        m.complete_teardown(a).unwrap();
-        assert_eq!(m.open_count(), 0);
+        let id = setup(&mut m, CongramKind::UCon, 1);
+        let at = |ms| SimTime::from_ms(ms);
+        assert_eq!(m.set_setup(id, SetupPhase::Establishing(at(5))), 1);
+        assert_eq!(m.next_deadline(), Some(at(5)));
+        assert_eq!(m.setups_due(at(4)).count(), 0);
+        assert_eq!(m.set_setup(id, SetupPhase::Backoff(at(7))), 1);
+        assert_eq!(m.setups_due(at(7)).collect::<Vec<_>>(), [id]);
+        // A retry continues the setup; confirming ends it.
+        assert_eq!(m.set_setup(id, SetupPhase::Establishing(at(12))), 2);
+        assert_eq!(m.get(id).unwrap().first_attempt, 1);
+        m.confirm(id, Vci(40)).unwrap();
+        assert_eq!((m.get(id).unwrap().setup, m.next_deadline()), (SetupPhase::Idle, None));
+        // A re-establishment starts a setup at the next number.
+        m.begin_reconfigure(id).unwrap();
+        assert_eq!(m.set_setup(id, SetupPhase::Establishing(at(60))), 3);
+        assert_eq!(m.get(id).unwrap().first_attempt, 3);
+        // Closing a congram ends its setup too.
+        let other = setup(&mut m, CongramKind::UCon, 2);
+        m.set_setup(other, SetupPhase::Establishing(at(70)));
+        m.reject(other).unwrap();
+        assert_eq!(m.next_deadline(), Some(at(60)));
+        m.begin_teardown(id).unwrap();
+        m.complete_teardown(id).unwrap();
+        assert_eq!(m.next_deadline(), None);
+        assert_eq!(m.setups_due(at(100)).count(), 0);
+    }
+
+    #[test]
+    fn a_reservation_is_taken_back_once() {
+        let mut m = mgr();
+        let id = setup(&mut m, CongramKind::UCon, 1);
+        assert_eq!(m.take_reservation(id), None);
+        m.reserve(id, 5_000);
+        m.confirm(id, Vci(40)).unwrap();
+        assert_eq!(m.get(id).unwrap().reserved_bps, Some(5_000));
+        assert_eq!(m.take_reservation(id), Some(5_000));
+        assert_eq!(m.take_reservation(id), None);
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub mod picon;
 pub mod resman;
 pub mod route;
 
-pub use congram::{
-    CongramError, CongramEvent, CongramId, CongramKind, CongramManager, CongramState, FlowSpec,
-};
+pub use congram::{CongramError, CongramId, CongramKind, CongramManager, CongramState, FlowSpec};
 pub use messages::ControlPayload;
 pub use picon::{CutOver, PiconMux, UconPath};
 pub use resman::{AdmitDecision, ResourceManager};

@@ -12,8 +12,7 @@
 //! Experiment E11 compares admission-controlled operation against a
 //! manager that admits everything.
 
-use crate::congram::{CongramId, FlowSpec};
-use std::collections::HashMap;
+use crate::congram::FlowSpec;
 
 /// The outcome of an admission request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,12 +26,14 @@ pub enum AdmitDecision {
     },
 }
 
-/// Tracks resource commitments of active congrams on one network.
+/// Tracks resource commitments of active congrams on one network. Each
+/// congram's own reservation is held in its record
+/// (`CongramRecord::reserved_bps`).
 #[derive(Debug)]
 pub struct ResourceManager {
     capacity_bps: u64,
     committed_bps: u64,
-    reservations: HashMap<CongramId, u64>,
+    active: usize,
     /// When true, every request is admitted regardless of capacity —
     /// the no-resource-management baseline for E11.
     pub bypass: bool,
@@ -41,12 +42,7 @@ pub struct ResourceManager {
 impl ResourceManager {
     /// A manager over `capacity_bps` of schedulable network capacity.
     pub fn new(capacity_bps: u64) -> ResourceManager {
-        ResourceManager {
-            capacity_bps,
-            committed_bps: 0,
-            reservations: HashMap::new(),
-            bypass: false,
-        }
+        ResourceManager { capacity_bps, committed_bps: 0, active: 0, bypass: false }
     }
 
     /// The network capacity this manager guards.
@@ -78,27 +74,27 @@ impl ResourceManager {
         self.bypass || self.committed_bps + flow.peak_bps <= self.capacity_bps
     }
 
-    /// Request admission for a congram.
-    pub fn admit(&mut self, id: CongramId, flow: &FlowSpec) -> AdmitDecision {
+    /// Request admission for a flow; an admitted one reserves its peak
+    /// rate.
+    pub fn admit(&mut self, flow: &FlowSpec) -> AdmitDecision {
         if !self.would_admit(flow) {
             return AdmitDecision::Refused { available_bps: self.available_bps() };
         }
         self.committed_bps += flow.peak_bps;
-        self.reservations.insert(id, flow.peak_bps);
+        self.active += 1;
         AdmitDecision::Admitted
     }
 
-    /// Release a congram's reservation (teardown, rejection upstream,
+    /// Release a reservation of `bps` (teardown, rejection upstream,
     /// keepalive expiry).
-    pub fn release(&mut self, id: CongramId) {
-        if let Some(bps) = self.reservations.remove(&id) {
-            self.committed_bps = self.committed_bps.saturating_sub(bps);
-        }
+    pub fn release(&mut self, bps: u64) {
+        self.committed_bps = self.committed_bps.saturating_sub(bps);
+        self.active = self.active.saturating_sub(1);
     }
 
     /// Number of active reservations.
     pub fn active(&self) -> usize {
-        self.reservations.len()
+        self.active
     }
 }
 
@@ -113,10 +109,10 @@ mod tests {
     #[test]
     fn admits_until_capacity() {
         let mut rm = ResourceManager::new(100_000_000);
-        for i in 0..10 {
-            assert_eq!(rm.admit(CongramId(i), &flow(10)), AdmitDecision::Admitted);
+        for _ in 0..10 {
+            assert_eq!(rm.admit(&flow(10)), AdmitDecision::Admitted);
         }
-        assert_eq!(rm.admit(CongramId(10), &flow(10)), AdmitDecision::Refused { available_bps: 0 });
+        assert_eq!(rm.admit(&flow(10)), AdmitDecision::Refused { available_bps: 0 });
         assert_eq!(rm.active(), 10);
         assert!((rm.utilization() - 1.0).abs() < 1e-9);
     }
@@ -124,25 +120,26 @@ mod tests {
     #[test]
     fn release_restores_capacity() {
         let mut rm = ResourceManager::new(50_000_000);
-        rm.admit(CongramId(1), &flow(50));
+        rm.admit(&flow(50));
         assert!(!rm.would_admit(&flow(1)));
-        rm.release(CongramId(1));
-        assert_eq!(rm.available_bps(), 50_000_000);
-        assert_eq!(rm.admit(CongramId(2), &flow(50)), AdmitDecision::Admitted);
+        rm.release(50_000_000);
+        assert_eq!((rm.available_bps(), rm.active()), (50_000_000, 0));
+        assert_eq!(rm.admit(&flow(50)), AdmitDecision::Admitted);
     }
 
     #[test]
     fn release_unknown_is_noop() {
+        // A release with no reservation active changes nothing.
         let mut rm = ResourceManager::new(10);
-        rm.release(CongramId(99));
-        assert_eq!(rm.committed_bps(), 0);
+        rm.release(10);
+        assert_eq!((rm.committed_bps(), rm.active()), (0, 0));
     }
 
     #[test]
     fn refusal_reports_remaining() {
         let mut rm = ResourceManager::new(100_000_000);
-        rm.admit(CongramId(1), &flow(70));
-        match rm.admit(CongramId(2), &flow(40)) {
+        rm.admit(&flow(70));
+        match rm.admit(&flow(40)) {
             AdmitDecision::Refused { available_bps } => assert_eq!(available_bps, 30_000_000),
             other => panic!("{other:?}"),
         }
@@ -151,7 +148,7 @@ mod tests {
     #[test]
     fn exact_fit_admitted() {
         let mut rm = ResourceManager::new(100);
-        assert_eq!(rm.admit(CongramId(1), &FlowSpec::cbr(100)), AdmitDecision::Admitted);
+        assert_eq!(rm.admit(&FlowSpec::cbr(100)), AdmitDecision::Admitted);
         assert_eq!(rm.available_bps(), 0);
     }
 
@@ -159,8 +156,8 @@ mod tests {
     fn bypass_overcommits() {
         let mut rm = ResourceManager::new(100_000_000);
         rm.bypass = true;
-        for i in 0..20 {
-            assert_eq!(rm.admit(CongramId(i), &flow(10)), AdmitDecision::Admitted);
+        for _ in 0..20 {
+            assert_eq!(rm.admit(&flow(10)), AdmitDecision::Admitted);
         }
         assert!(rm.utilization() > 1.9, "bypass mode admits past capacity");
     }
@@ -168,9 +165,9 @@ mod tests {
     #[test]
     fn zero_capacity_refuses_everything_nonzero() {
         let mut rm = ResourceManager::new(0);
-        assert!(matches!(rm.admit(CongramId(1), &flow(1)), AdmitDecision::Refused { .. }));
+        assert!(matches!(rm.admit(&flow(1)), AdmitDecision::Refused { .. }));
         assert_eq!(rm.utilization(), 0.0);
         // A zero-rate flow trivially fits.
-        assert_eq!(rm.admit(CongramId(2), &FlowSpec::cbr(0)), AdmitDecision::Admitted);
+        assert_eq!(rm.admit(&FlowSpec::cbr(0)), AdmitDecision::Admitted);
     }
 }

@@ -14,10 +14,10 @@
 //! through `Degraded`, all in `gw-snapshot/1`); what the gateway emits
 //! toward a downed port is lost, like traffic into a severed link.
 
-use crate::supervisor::{TransportEvent, TransportSupervisor};
+use crate::supervisor::TransportSupervisor;
 use crate::{CellPhy, FramePhy, PhyStats};
 use gw_gateway::gateway::Output;
-use gw_gateway::{Gateway, SupervisorConfig};
+use gw_gateway::Gateway;
 use gw_mgmt::Port;
 use gw_sim::time::SimTime;
 use gw_wire::atm::CELL_SIZE;
@@ -48,15 +48,14 @@ pub struct PortDriver {
 }
 
 impl PortDriver {
-    /// Drive `cell` and `frame`. Both supervisors use the gateway's
-    /// setup backoff policy, [`SupervisorConfig::default`].
+    /// Drive `cell` and `frame`. Both supervisors pace reconnects by
+    /// the gateway's setup backoff schedule.
     pub fn new(cell: Box<dyn CellPhy>, frame: Box<dyn FramePhy>) -> PortDriver {
-        let policy = SupervisorConfig::default();
         PortDriver {
             cell,
             frame,
-            atm_sup: TransportSupervisor::new(policy),
-            fddi_sup: TransportSupervisor::new(policy),
+            atm_sup: TransportSupervisor::default(),
+            fddi_sup: TransportSupervisor::default(),
             cell_floor: SimTime::ZERO,
             frame_floor: SimTime::ZERO,
             advanced: SimTime::ZERO,
@@ -100,7 +99,7 @@ impl PortDriver {
             if res.is_err() {
                 self.fail(gw, now, port);
             }
-        } else if let Some(TransportEvent::Retry { .. }) = self.sup(port).poll(now) {
+        } else if self.sup(port).poll(now) {
             gw.note_transport_retry(now, port);
             let res = match port {
                 Port::Atm => self.cell.reconnect().and_then(|()| self.cell.pump(now)),

@@ -40,7 +40,7 @@ pub use appliance::{Appliance, ApplianceConfig, CongramSpec, DrainReport};
 pub use clock::WallClock;
 pub use driver::{HandBack, PortDriver};
 pub use loopback::{loopback_cell_pair, loopback_frame_pair, LoopbackCellPhy, LoopbackFramePhy};
-pub use supervisor::{TransportEvent, TransportSupervisor};
+pub use supervisor::TransportSupervisor;
 pub use udp::{udp_cell_pair, udp_frame_pair, TransportFaultConfig, UdpCellPhy, UdpFramePhy};
 
 use gw_sim::time::SimTime;

@@ -65,8 +65,7 @@ fn main() {
                 mean_bps: source.mean_bps(),
                 burst_octets: 0,
             };
-            let decision =
-                resman.admit(atm_fddi_gateway::mchip::congram::CongramId(i as u32), &flow);
+            let decision = resman.admit(&flow);
             println!("admission {name:<28} peak {:>9} b/s -> {decision:?}", flow.peak_bps);
             assert_eq!(decision, AdmitDecision::Admitted);
         }

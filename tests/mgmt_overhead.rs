@@ -326,6 +326,57 @@ fn idle_advance_is_allocation_free() {
 }
 
 #[test]
+fn advance_with_a_setup_in_flight_is_allocation_free() {
+    // A setup the NPE signals for from the FDDI side waits out its
+    // watchdog, then its backoff. No event is due on these advances, so
+    // they must not allocate (was: the supervisor's keys collected into
+    // a fresh Vec and sorted on every advance while a setup was pending).
+    use atm_fddi_gateway::gateway::Output;
+    use atm_fddi_gateway::mchip::congram::{CongramId, CongramKind, FlowSpec};
+    use atm_fddi_gateway::mchip::messages::ControlPayload;
+    use atm_fddi_gateway::wire::fddi::{llc_snap_header, FrameControl, FrameRepr};
+    let mut gw = gateway(true);
+    let setup = ControlPayload::SetupRequest {
+        congram: CongramId(5),
+        kind: CongramKind::UCon,
+        flow: FlowSpec::cbr(1_000_000),
+        dest: [7; 8],
+    }
+    .to_frame(Icn(0));
+    let mut info = llc_snap_header().to_vec();
+    info.extend_from_slice(&setup);
+    let fc = FrameControl::LlcAsync { priority: 0 };
+    let (dst, src) = (FddiAddr::station(0), FddiAddr::station(3));
+    let frame = FrameRepr { fc, dst, src, info }.emit().unwrap();
+    let mut t = SimTime::from_us(10);
+    let mut out = gw.fddi_frame_in(t, &frame);
+    gw.advance_into(t, &mut out);
+    let (congram, attempt) = out
+        .iter()
+        .find_map(|o| match o {
+            Output::AtmConnectionRequest { congram, attempt, .. } => Some((*congram, *attempt)),
+            _ => None,
+        })
+        .expect("the NPE requests a VC");
+    // 1 000 advances of 1 µs each, inside the 5 ms watchdog, and then
+    // inside the 2 ms backoff after a rejection.
+    let mut quiet_advances = |gw: &mut Gateway, t: &mut SimTime| {
+        allocations_during(|| {
+            for _ in 0..1_000 {
+                *t += SimTime::from_ns(1_000);
+                out.clear();
+                gw.advance_into(*t, &mut out);
+                assert!(out.is_empty(), "{out:?}");
+            }
+        })
+        .0
+    };
+    assert_eq!(quiet_advances(&mut gw, &mut t), 0, "waiting out the watchdog");
+    gw.atm_connection_failed(t, congram, attempt, &mut Vec::new());
+    assert_eq!(quiet_advances(&mut gw, &mut t), 0, "waiting out the backoff");
+}
+
+#[test]
 fn udp_cell_port_steady_state_is_allocation_free() {
     use atm_fddi_gateway::phy::{udp_cell_pair, CellPhy, TransportFaultConfig};
 
