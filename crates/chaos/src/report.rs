@@ -96,11 +96,13 @@ impl TransportCoverage {
     pub fn summary(&self) -> String {
         let s = &self.0;
         format!(
-            "transport: tx {} rx {} retx {} dup_drop {} decode_drop {} injected drop {} dup {} \
-             trunc {}",
+            "transport: tx {} rx {} retx {} acks_tx {} acks_carried {} dup_drop {} decode_drop {} \
+             injected drop {} dup {} trunc {}",
             s.datagrams_tx,
             s.datagrams_rx,
             s.retransmits,
+            s.acks_tx,
+            s.acks_carried,
             s.dup_drops,
             s.decode_drops,
             s.faults_dropped,

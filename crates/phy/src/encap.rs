@@ -2,14 +2,15 @@
 //!
 //! One gateway payload (a run of 53-octet cells, an FDDI frame, or a
 //! bare acknowledgement) per UDP datagram, behind a fixed 24-octet
-//! header:
+//! header, and — on a data datagram with [`FLAG_ACK`] set — an 8-octet
+//! acknowledgement trailer after the payload:
 //!
 //! ```text
-//!  0      4     5      6      8              16             24
-//!  +------+-----+------+------+--------------+--------------+----------+
-//!  | "GWP1" magic| kind |flags | len (u16 LE) | seq (u64 LE) | at_ns .. |
-//!  +------+-----+------+------+--------------+--------------+----------+
-//!  magic[4] kind[1] flags[1] len[2] seq[8] at_ns[8] payload[len]
+//!  0      4     5      6      8              16             24         24+len
+//!  +------+-----+------+------+--------------+--------------+----------+-----------+
+//!  | "GWP1" magic| kind |flags | len (u16 LE) | seq (u64 LE) | at_ns .. | payload ..| ack (u64 LE)
+//!  +------+-----+------+------+--------------+--------------+----------+-----------+
+//!  magic[4] kind[1] flags[1] len[2] seq[8] at_ns[8] payload[len] [ack[8] iff FLAG_ACK]
 //! ```
 //!
 //! `seq` numbers each data datagram per direction (acks echo the
@@ -17,8 +18,17 @@
 //! `SimTime` stamp so the receiving core sees the same timestamps the
 //! emitting core produced — the property that makes snapshots
 //! byte-identical across transports. `len` is the payload length; a
-//! datagram whose wire size disagrees with `len` was truncated in
-//! flight and is discarded (the ARQ retransmits it).
+//! datagram whose wire size disagrees with `len` (plus the trailer its
+//! flags announce) was truncated in flight and is discarded (the ARQ
+//! retransmits it).
+//!
+//! The trailer is the sender's cumulative acknowledgement for the
+//! reverse direction, riding on data instead of a datagram of its own
+//! ([`append_ack`]). It sits outside `len`, so the length check stays
+//! exact: cutting the trailer off is a truncation like any other. On a
+//! [`KIND_ACK`] the flag carries no trailer; it only tells the peer that
+//! the sender reads trailers. A parent-format sender never sets the bit,
+//! and a parent-format receiver ignores flags on acks.
 //!
 //! A cell datagram carries one cell or more. The first travels as the
 //! bare payload, stamped by the header's `at_ns`; every further cell is
@@ -34,9 +44,9 @@
 //! ```
 //!
 //! The datagram of one cell is the case k = 0. A sender stops at
-//! [`MAX_CELLS`] so the datagram fits one Ethernet frame; a receiver
-//! takes any whole number of records `len` can describe
-//! ([`cells`]).
+//! [`MAX_CELLS`] so the datagram fits one Ethernet frame, trailer
+//! included; a receiver takes any whole number of records `len` can
+//! describe ([`cells`]).
 
 use crate::PhyError;
 use gw_sim::time::SimTime;
@@ -54,6 +64,11 @@ pub const KIND_FRAME: u8 = 1;
 pub const KIND_ACK: u8 = 2;
 /// `flags` bit 0: the frame travels in the synchronous ring class.
 pub const FLAG_SYNC: u8 = 0x01;
+/// `flags` bit 1: on a data datagram, an acknowledgement trailer
+/// follows the payload; on a [`KIND_ACK`], the sender reads trailers.
+pub const FLAG_ACK: u8 = 0x02;
+/// Length of the acknowledgement trailer (a u64 LE sequence number).
+pub const ACK_TRAILER_LEN: usize = 8;
 /// Largest payload the encapsulation carries. An FDDI frame is at most
 /// 4500 octets ([`gw_wire::fddi::MAX_FRAME_SIZE`]); the limit leaves
 /// headroom without approaching the 64 KiB UDP ceiling.
@@ -61,10 +76,12 @@ pub const MAX_PAYLOAD: usize = 8192;
 /// One cell after a datagram's first: `at_ns` (u64 LE), then the cell.
 pub const CELL_RECORD_LEN: usize = 8 + CELL_SIZE;
 /// Cells a sender packs into one datagram: 24 + 53 + 22 × 61 = 1 419
-/// octets, which with the IP and UDP headers (28) stays inside a
-/// 1 500-octet MTU — no fragment to lose, one syscall for 23 cells.
+/// octets, 1 427 with an acknowledgement trailer, which with the IP and
+/// UDP headers (28) stays inside a 1 500-octet MTU — no fragment to
+/// lose, one syscall for 23 cells.
 pub const MAX_CELLS: usize = 23;
-/// Wire length of a cell datagram carrying [`MAX_CELLS`].
+/// Wire length of a cell datagram carrying [`MAX_CELLS`], trailer not
+/// counted.
 pub(crate) const FULL_CELL_DATAGRAM_LEN: usize =
     HEADER_LEN + CELL_SIZE + (MAX_CELLS - 1) * CELL_RECORD_LEN;
 
@@ -73,14 +90,16 @@ pub(crate) const FULL_CELL_DATAGRAM_LEN: usize =
 pub struct Datagram<'a> {
     /// [`KIND_CELL`], [`KIND_FRAME`], or [`KIND_ACK`].
     pub kind: u8,
-    /// Flag bits ([`FLAG_SYNC`]).
+    /// Flag bits ([`FLAG_SYNC`], [`FLAG_ACK`]).
     pub flags: u8,
     /// Per-direction sequence number (cumulative ack for `KIND_ACK`).
     pub seq: u64,
     /// The sender-side timestamp of the payload.
     pub at: SimTime,
-    /// The payload octets.
+    /// The payload octets (the trailer excluded).
     pub payload: &'a [u8],
+    /// The acknowledgement trailer of a data datagram, if it has one.
+    pub ack: Option<u64>,
 }
 
 /// Why a received datagram was rejected.
@@ -136,6 +155,14 @@ pub fn append_cell(
     Ok(())
 }
 
+/// Close a data datagram [`encode`] (and [`append_cell`]) built with the
+/// sender's cumulative acknowledgement for the reverse direction: set
+/// [`FLAG_ACK`] and append the trailer. Nothing may be appended after it.
+pub fn append_ack(datagram: &mut Vec<u8>, ack: u64) {
+    datagram[5] |= FLAG_ACK;
+    datagram.extend_from_slice(&ack.to_le_bytes());
+}
+
 /// The cells of a decoded datagram, each with its own stamp, in send
 /// order. `None` when this is not a cell datagram or its payload is not
 /// one cell plus a whole number of records — a malformed sender, since
@@ -166,12 +193,15 @@ pub fn decode(buf: &[u8]) -> Result<Datagram<'_>, DecodeError> {
     }
     let flags = buf[5];
     let len = u16::from_le_bytes([buf[6], buf[7]]) as usize;
-    if buf.len() != HEADER_LEN + len {
+    let trailer = flags & FLAG_ACK != 0 && kind != KIND_ACK;
+    if buf.len() != HEADER_LEN + len + if trailer { ACK_TRAILER_LEN } else { 0 } {
         return Err(DecodeError::Truncated);
     }
     let seq = u64::from_le_bytes(buf[8..16].try_into().expect("8 octets"));
     let at_ns = u64::from_le_bytes(buf[16..24].try_into().expect("8 octets"));
-    Ok(Datagram { kind, flags, seq, at: SimTime::from_ns(at_ns), payload: &buf[HEADER_LEN..] })
+    let (payload, ack) = buf[HEADER_LEN..].split_at(len);
+    let ack = trailer.then(|| u64::from_le_bytes(ack.try_into().expect("8 octets")));
+    Ok(Datagram { kind, flags, seq, at: SimTime::from_ns(at_ns), payload, ack })
 }
 
 #[cfg(test)]

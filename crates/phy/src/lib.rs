@@ -77,7 +77,8 @@ impl From<std::io::Error> for PhyError {
 /// with nothing to count (loopback).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhyStats {
-    /// Datagrams put on the wire (first transmissions, not retries).
+    /// Data datagrams put on the wire (first transmissions, not
+    /// retries; acks not counted).
     pub datagrams_tx: u64,
     /// In-sequence datagrams accepted off the wire.
     pub datagrams_rx: u64,
@@ -89,9 +90,15 @@ pub struct PhyStats {
     /// mismatch from truncation), and in-sequence ones whose payload the
     /// port cannot use (wrong kind, a ragged run of cell records).
     pub decode_drops: u64,
-    /// Datagrams discarded for a sequence number too far ahead of the
-    /// next expected one to be held for reordering.
+    /// Sequence numbers outside the link's window: datagrams discarded
+    /// for one too far ahead of the next expected one to be held for
+    /// reordering, and acks ignored for one beyond the newest datagram
+    /// the link has sent.
     pub window_drops: u64,
+    /// Bare acknowledgements sent (datagrams of their own).
+    pub acks_tx: u64,
+    /// Acknowledgements carried in the trailer of a data datagram.
+    pub acks_carried: u64,
     /// Fault injector: transmissions dropped at the seam.
     pub faults_dropped: u64,
     /// Fault injector: transmissions duplicated at the seam.
@@ -110,6 +117,8 @@ impl PhyStats {
         self.dup_drops += other.dup_drops;
         self.decode_drops += other.decode_drops;
         self.window_drops += other.window_drops;
+        self.acks_tx += other.acks_tx;
+        self.acks_carried += other.acks_carried;
         self.faults_dropped += other.faults_dropped;
         self.faults_duplicated += other.faults_duplicated;
         self.faults_truncated += other.faults_truncated;

@@ -8,12 +8,12 @@
 //! sequence number, the receiver holds out-of-order arrivals and
 //! releases them in sequence, duplicates are discarded, truncated
 //! datagrams fail the length check and are dropped, and the sender
-//! retransmits everything unacknowledged (every `pump` in
-//! lockstep mode; on a retransmit timer in wall-clock mode). With that
-//! in place, injected datagram drop/duplication/truncation at the seam
-//! — see [`TransportFaultConfig`] — is invisible above the phy, which
-//! is exactly what the chaos phy-soak proves by byte-comparing
-//! snapshots against the loopback run.
+//! retransmits everything unacknowledged when its retransmission
+//! timer runs out. With that in place, injected datagram
+//! drop/duplication/truncation at the seam — see
+//! [`TransportFaultConfig`] — is invisible above the phy, which is
+//! exactly what the chaos phy-soak proves by byte-comparing snapshots
+//! against the loopback run.
 //!
 //! A syscall per 53-octet cell would cost fifteen times what the
 //! gateway core spends on the cell, so the cell port pays per datagram
@@ -24,6 +24,49 @@
 //! cycle from the acknowledged queue back to the next send, so a warm
 //! link allocates nothing.
 //!
+//! # When acknowledgements leave
+//!
+//! A bare acknowledgement is a datagram and a syscall of its own, so a
+//! link that owes one lets it ride on data where it can. The debt
+//! opens at the pump that receives a data datagram. Every data
+//! datagram that leaves while it is open carries the cumulative ack in
+//! its trailer and closes it. If none has left by the second pump after
+//! the one that opened it (`ACK_WAIT`), that pump sends one bare ack.
+//! Two pumps, not one, because the appliance pumps before it admits:
+//! the frame or cells that answer a datagram leave after the pump that
+//! follows its arrival.
+//!
+//! The link waits only toward a peer that has shown [`FLAG_ACK`] (on a
+//! bare ack or a trailer), and only once it has shown its own: every
+//! ack it sends sets the flag, and the peer gives a link whose flag it
+//! has seen the longer retransmission timer below. Toward a
+//! parent-format peer, which never shows the flag, the link acks at
+//! the pump that receives the data and sends no trailer.
+//!
+//! # When data is retransmitted
+//!
+//! The retransmission timer starts at the first pump after the
+//! unacknowledged tail's head went on the wire — after its first
+//! transmission, or at the pump whose ack made it the head — and again
+//! at each pump that retransmits. In wall-clock mode the tail
+//! retransmits once `rto` has run from there. In lockstep mode the
+//! clock is the link's own pump count: toward a peer that has shown
+//! the flag the tail retransmits `LOCKSTEP_RETX_WAIT` (3) pumps after
+//! the timer started; toward a parent-format peer, at that first pump
+//! itself and every pump after, as GWP1 always did.
+//!
+//! Why two ends pumped alternately never retransmit on a loss-free
+//! wire: say the timer starts at this end's pump *a*. The head went on
+//! the wire before pump *a* began (or, retransmitted, during it). The
+//! peer pumps once between each two of ours, so its pump after our *a*
+//! has received the head at the latest and opened a debt. It closes
+//! the debt by its second pump after that one, which comes before our
+//! pump *a* + 3; and our pump *a* + 3 reads the ack before it looks at
+//! the timer. And whenever the peer is waiting with an ack, this link
+//! is on the longer timer: the peer waits only after it has sent an
+//! ack, which this link reads at its next pump, before that pump looks
+//! at the timer.
+//!
 //! Socket errors (e.g. ICMP port-unreachable surfacing as
 //! `ConnectionRefused` on a connected UDP socket) are *not* masked:
 //! they bubble out of [`CellPhy::pump`]/[`FramePhy::pump`] so the port
@@ -32,8 +75,8 @@
 //! once the transport is back — a flap loses no traffic, only time.
 
 use crate::encap::{
-    self, Datagram, DecodeError, FLAG_SYNC, FULL_CELL_DATAGRAM_LEN, HEADER_LEN, KIND_ACK,
-    KIND_CELL, KIND_FRAME, MAX_PAYLOAD,
+    self, Datagram, DecodeError, ACK_TRAILER_LEN, FLAG_ACK, FLAG_SYNC, FULL_CELL_DATAGRAM_LEN,
+    HEADER_LEN, KIND_ACK, KIND_CELL, KIND_FRAME, MAX_PAYLOAD,
 };
 use crate::{CellPhy, FramePhy, PhyError, PhyStats};
 use gw_sim::rng::SimRng;
@@ -109,6 +152,15 @@ impl FaultHook {
 /// needs.
 const MAX_HOLD: u64 = 4096;
 
+/// Pumps after the one that opened an ack debt by which the debt must be
+/// settled: the second one sends a bare ack if no data has carried it.
+const ACK_WAIT: u64 = 2;
+
+/// Pumps the lockstep retransmission timer runs toward a peer that
+/// delays its acks by [`ACK_WAIT`]: one for the datagram to reach the
+/// peer's next pump, [`ACK_WAIT`] for its ack to leave.
+const LOCKSTEP_RETX_WAIT: u64 = 1 + ACK_WAIT;
+
 /// Buffers of acknowledged datagrams kept for the next sends. A frame's
 /// worth of cell datagrams is four; the bound keeps a burst from
 /// becoming resident.
@@ -138,17 +190,26 @@ struct UdpLink {
     /// Whole datagrams that arrived ahead of `rx_next`, by sequence
     /// number; each decoded cleanly before it was parked.
     rx_hold: BTreeMap<u64, Vec<u8>>,
-    ack_due: bool,
+    /// The pump that opened the current ack debt, if one is open.
+    ack_due: Option<u64>,
     ack_buf: Vec<u8>,
+    /// The peer has shown [`FLAG_ACK`]: it reads ack trailers, and it
+    /// may let its own acks wait for data once this link has shown the
+    /// flag too.
+    peer_piggybacks: bool,
+    /// This link has sent the peer an ack, so shown it [`FLAG_ACK`].
+    flag_shown: bool,
     faults: Option<FaultHook>,
-    /// Lockstep (co-sim) mode retransmits every pump; wall-clock mode
-    /// waits out `rto` between retransmission rounds.
+    /// Lockstep (co-sim) mode counts the retransmission timer in pumps;
+    /// wall-clock mode waits out `rto`.
     lockstep: bool,
     rto: SimTime,
-    /// When the next retransmission round is due. `None` from the moment
-    /// data goes out on an idle link until the first `pump` after it,
-    /// which knows the time and starts the timer.
-    next_retx: Option<SimTime>,
+    /// Pumps run, this one included.
+    pumps: u64,
+    /// Where the retransmission timer started, on [`UdpLink::tick`]'s
+    /// clock. `None` from the moment the unacknowledged tail gets a new
+    /// head until the next `pump`, which starts the timer.
+    retx_from: Option<u64>,
     stats: PhyStats,
     recv_buf: Box<[u8]>,
 }
@@ -210,12 +271,15 @@ impl UdpLink {
             free: Vec::with_capacity(MAX_FREE),
             rx_next: 0,
             rx_hold: BTreeMap::new(),
-            ack_due: false,
+            ack_due: None,
             ack_buf: Vec::with_capacity(HEADER_LEN),
+            peer_piggybacks: false,
+            flag_shown: false,
             faults,
             lockstep,
             rto,
-            next_retx: None,
+            pumps: 0,
+            retx_from: None,
             stats: PhyStats::default(),
             recv_buf: vec![0u8; HEADER_LEN + MAX_PAYLOAD + 64].into_boxed_slice(),
         })
@@ -272,12 +336,19 @@ impl UdpLink {
         Ok(bytes)
     }
 
-    /// A datagram's first transmission.
-    fn launch(&mut self, bytes: Vec<u8>) -> Result<(), PhyError> {
+    /// A datagram's first transmission, carrying the ack this link owes
+    /// if the peer reads trailers.
+    fn launch(&mut self, mut bytes: Vec<u8>) -> Result<(), PhyError> {
         self.stats.datagrams_tx += 1;
+        if self.peer_piggybacks && self.ack_due.is_some() && self.rx_next > 0 {
+            encap::append_ack(&mut bytes, self.rx_next - 1);
+            self.ack_due = None;
+            self.stats.acks_carried += 1;
+            self.flag_shown = true;
+        }
         let res = self.transmit(&bytes);
         if self.unacked.is_empty() {
-            self.next_retx = None;
+            self.retx_from = None;
         }
         // Queued even when the transmission failed: it retransmits once
         // the supervisor brings the transport back.
@@ -294,9 +365,10 @@ impl UdpLink {
     fn stage_cell(&mut self, at: SimTime, cell: &[u8; CELL_SIZE]) -> Result<(), PhyError> {
         if self.staged.is_empty() {
             self.staged = self.begin(KIND_CELL, 0, at, cell)?;
-            // Room for a full one at once: a recycled buffer never grows
-            // again, whichever fill it carried last.
-            self.staged.reserve(FULL_CELL_DATAGRAM_LEN - self.staged.len());
+            // Room for a full one and its ack trailer at once: a
+            // recycled buffer never grows again, whichever fill it
+            // carried last.
+            self.staged.reserve(FULL_CELL_DATAGRAM_LEN + ACK_TRAILER_LEN - self.staged.len());
         } else {
             encap::append_cell(&mut self.staged, at, cell)?;
         }
@@ -316,10 +388,9 @@ impl UdpLink {
         self.launch(bytes)
     }
 
-    fn handle_datagram(&mut self, len: usize, accept: &mut impl FnMut(&Datagram<'_>) -> bool) {
-        // `d` borrows the receive buffer, so only fields are touched
-        // below while it lives.
-        let d = match encap::decode(&self.recv_buf[..len]) {
+    /// Take one received datagram: its ack first, then its data.
+    fn handle_datagram(&mut self, wire: &[u8], accept: &mut impl FnMut(&Datagram<'_>) -> bool) {
+        let d = match encap::decode(wire) {
             Ok(d) => d,
             Err(
                 DecodeError::Runt
@@ -331,16 +402,19 @@ impl UdpLink {
                 return;
             }
         };
+        if d.flags & FLAG_ACK != 0 {
+            self.peer_piggybacks = true;
+        }
+        let ack = if d.kind == KIND_ACK { Some(d.seq) } else { d.ack };
+        if let Some(ack) = ack {
+            self.take_ack(ack);
+        }
         if d.kind == KIND_ACK {
-            while self.unacked.front().is_some_and(|b| seq_of(b) <= d.seq) {
-                let bytes = self.unacked.pop_front().expect("front checked above");
-                recycle(&mut self.free, bytes);
-            }
             return;
         }
         // Every data datagram is answered: a duplicate so the peer stops
         // retransmitting it, anything ahead so the peer learns the gap.
-        self.ack_due = true;
+        self.ack_due.get_or_insert(self.pumps);
         if d.seq < self.rx_next {
             self.stats.dup_drops += 1;
         } else if d.seq == self.rx_next {
@@ -359,8 +433,49 @@ impl UdpLink {
         } else {
             // Out of order: park it until the gap fills.
             let mut held = self.free.pop().unwrap_or_default();
-            held.extend_from_slice(&self.recv_buf[..len]);
+            held.extend_from_slice(wire);
             self.rx_hold.insert(d.seq, held);
+        }
+    }
+
+    /// Release what a cumulative ack covers. An ack beyond the newest
+    /// datagram this link has put on the wire is forged or garbled: it
+    /// is ignored (and counted), so it cannot empty the queue of what
+    /// the peer never received.
+    fn take_ack(&mut self, ack: u64) {
+        let launched = self.next_seq - u64::from(!self.staged.is_empty());
+        if ack >= launched {
+            self.stats.window_drops += 1;
+            return;
+        }
+        let before = self.unacked.len();
+        while self.unacked.front().is_some_and(|b| seq_of(b) <= ack) {
+            let bytes = self.unacked.pop_front().expect("front checked above");
+            recycle(&mut self.free, bytes);
+        }
+        if self.unacked.len() < before {
+            // A new head: its timer starts at this pump.
+            self.retx_from = None;
+        }
+    }
+
+    /// The retransmission timer's clock: pumps in lockstep mode,
+    /// nanoseconds otherwise.
+    fn tick(&self, now: SimTime) -> u64 {
+        if self.lockstep {
+            self.pumps
+        } else {
+            now.as_ns()
+        }
+    }
+
+    /// How long the unacknowledged tail waits on [`UdpLink::tick`]'s
+    /// clock before it retransmits.
+    fn retx_wait(&self) -> u64 {
+        match (self.lockstep, self.peer_piggybacks) {
+            (false, _) => self.rto.as_ns(),
+            (true, true) => LOCKSTEP_RETX_WAIT,
+            (true, false) => 0,
         }
     }
 
@@ -369,23 +484,35 @@ impl UdpLink {
         now: SimTime,
         accept: &mut impl FnMut(&Datagram<'_>) -> bool,
     ) -> Result<(), PhyError> {
+        self.pumps += 1;
         // Drain every pending datagram off the socket.
         loop {
             let sock = self.sock.as_ref().ok_or(PhyError::Io(io::ErrorKind::NotConnected))?;
             match sock.recv(&mut self.recv_buf) {
-                Ok(n) => self.handle_datagram(n, accept),
+                Ok(n) => {
+                    // Out of the link while it is read, so handling it
+                    // can touch the rest of the link.
+                    let buf = std::mem::take(&mut self.recv_buf);
+                    self.handle_datagram(&buf[..n], accept);
+                    self.recv_buf = buf;
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e.into()),
             }
         }
-        // Acknowledge progress (cumulative, only once something has
-        // arrived in sequence).
-        if self.ack_due {
-            self.ack_due = false;
+        // A bare ack for a debt no data has settled in time
+        // (cumulative, only once something has arrived in sequence).
+        let may_wait = self.peer_piggybacks && self.flag_shown;
+        let bare_due =
+            self.ack_due.is_some_and(|since| !may_wait || self.pumps >= since + ACK_WAIT);
+        if bare_due {
+            self.ack_due = None;
             if self.rx_next > 0 {
                 let mut ack = std::mem::take(&mut self.ack_buf);
                 ack.clear();
-                encap::encode(KIND_ACK, 0, self.rx_next - 1, now, &[], &mut ack)?;
+                encap::encode(KIND_ACK, FLAG_ACK, self.rx_next - 1, now, &[], &mut ack)?;
+                self.stats.acks_tx += 1;
+                self.flag_shown = true;
                 let res = self.transmit(&ack);
                 self.ack_buf = ack;
                 res?;
@@ -393,9 +520,10 @@ impl UdpLink {
         }
         // Retransmit the unacknowledged tail, then send what is staged —
         // in that order, so no datagram goes out twice in one pump.
-        let retransmit = !self.unacked.is_empty()
-            && (self.lockstep || self.next_retx.is_some_and(|due| now >= due));
-        if retransmit {
+        let tick = self.tick(now);
+        let from = *self.retx_from.get_or_insert(tick);
+        if !self.unacked.is_empty() && tick >= from + self.retx_wait() {
+            self.retx_from = Some(tick);
             for i in 0..self.unacked.len() {
                 let bytes = std::mem::take(&mut self.unacked[i]);
                 self.stats.retransmits += 1;
@@ -404,11 +532,7 @@ impl UdpLink {
                 res?;
             }
         }
-        let res = self.flush();
-        if retransmit || self.next_retx.is_none() {
-            self.next_retx = Some(now + self.rto);
-        }
-        res
+        self.flush()
     }
 
     fn reconnect(&mut self) -> Result<(), PhyError> {
@@ -432,9 +556,9 @@ pub struct UdpCellPhy {
 }
 
 impl UdpCellPhy {
-    /// Bind `local`, connect to `peer`. `lockstep` retransmits on every
-    /// pump (co-sim flush); otherwise `rto` paces retransmissions
-    /// (wall-clock daemon mode).
+    /// Bind `local`, connect to `peer`. `lockstep` counts the
+    /// retransmission timer in pumps (co-sim flush); otherwise `rto`
+    /// paces retransmissions (wall-clock daemon mode).
     pub fn bind(
         local: SocketAddr,
         peer: SocketAddr,
@@ -837,6 +961,38 @@ mod tests {
         let n = raw.recv(&mut buf).unwrap();
         let ack = encap::decode(&buf[..n]).unwrap();
         assert_eq!((ack.kind, ack.seq, ack.payload.len()), (KIND_ACK, 4, 0));
+
+        // Traffic both ways, the link owing an ack whenever its cells
+        // leave: a peer that never showed the flag gets no trailer, an
+        // ack at every pump that brought data, and a retransmission of
+        // whatever it left unacknowledged at every pump.
+        let mut wire = vec![0u8; HEADER_LEN + MAX_PAYLOAD];
+        for round in 0..4u64 {
+            raw_send(&raw, 5 + round, stamp(0), &cell(0));
+            for i in 0..MAX_CELLS + 2 {
+                phy.send_cell(stamp(i), &cell(i)).unwrap();
+            }
+            phy.pump(SimTime::ZERO).unwrap();
+            let (mut acks, mut data) = (Vec::new(), 0);
+            while let Ok(n) = raw.recv(&mut wire) {
+                let wire = &wire[..n];
+                // The parent's rule: exactly the header and `len`, and
+                // no flag it does not know on data.
+                let len = usize::from(u16::from_le_bytes([wire[6], wire[7]]));
+                assert_eq!(n, HEADER_LEN + len, "round {round}: the parent's exact length");
+                if wire[4] == KIND_ACK {
+                    acks.push(seq_of(wire));
+                } else {
+                    assert_eq!(wire[5] & FLAG_ACK, 0, "round {round}: no trailer flag on data");
+                    data += 1;
+                }
+            }
+            assert_eq!(acks, vec![5 + round], "round {round}: acked at the pump that received");
+            // The full datagram as it filled; at the pump, it and both
+            // of every earlier round's again; then the staged one.
+            assert_eq!(data, 1 + (2 * round + 1) + 1, "round {round}: retransmitted every pump");
+        }
+        assert_eq!(phy.stats().acks_carried, 0);
     }
 
     #[test]
@@ -888,5 +1044,211 @@ mod tests {
         let want: Vec<_> = (0..3).map(|i| (stamp(i), cell(i))).collect();
         assert_eq!(polled(&mut phy), want);
         assert_eq!(phy.link.rx_hold.len(), 1, "the far edge waits for its turn");
+    }
+
+    #[test]
+    fn a_forged_far_future_ack_cannot_empty_the_retransmit_queue() {
+        let (mut phy, raw) = raw_peer();
+        for i in 0..3 {
+            phy.send_cell(stamp(i), &cell(i)).unwrap();
+        }
+        phy.flush().unwrap();
+        // The datagram is lost: the peer reads it and throws it away.
+        let mut wire = vec![0u8; HEADER_LEN + MAX_PAYLOAD];
+        assert!(raw.recv(&mut wire).is_ok());
+        // Then acks nobody sent: bare, and in a data datagram's trailer.
+        let mut forged = Vec::new();
+        encap::encode(KIND_ACK, FLAG_ACK, u64::MAX, SimTime::ZERO, &[], &mut forged).unwrap();
+        raw.send(&forged).unwrap();
+        forged.clear();
+        encap::encode(KIND_CELL, 0, 0, stamp(9), &cell(9), &mut forged).unwrap();
+        encap::append_ack(&mut forged, 1);
+        raw.send(&forged).unwrap();
+        phy.pump(SimTime::ZERO).unwrap();
+        assert_eq!(phy.in_flight(), 1, "the lost datagram is still owed");
+        assert_eq!(phy.stats().window_drops, 2, "both forgeries counted");
+        assert_eq!(polled(&mut phy), vec![(stamp(9), cell(9))], "the data behind one is good");
+        // So it goes out again, and arrives.
+        for _ in 0..LOCKSTEP_RETX_WAIT {
+            phy.pump(SimTime::ZERO).unwrap();
+        }
+        let mut again = None;
+        while let Ok(n) = raw.recv(&mut wire) {
+            let d = encap::decode(&wire[..n]).unwrap();
+            if d.kind == KIND_CELL {
+                again = Some(encap::cells(&d).unwrap().map(|(at, c)| (at, *c)).collect::<Vec<_>>());
+            }
+        }
+        assert_eq!(again, Some((0..3).map(|i| (stamp(i), cell(i))).collect()));
+        assert_eq!(phy.stats().retransmits, 1);
+    }
+
+    /// One lockstep round of a two-way cell exchange: each end sends
+    /// `n` cells, then the ends pump in turn.
+    fn cell_round(a: &mut UdpCellPhy, b: &mut UdpCellPhy, next: &mut [usize; 2], n: [usize; 2]) {
+        for (phy, (next, n)) in [&mut *a, &mut *b].into_iter().zip(next.iter_mut().zip(n)) {
+            for _ in 0..n {
+                phy.send_cell(stamp(*next), &cell(*next)).unwrap();
+                *next += 1;
+            }
+        }
+        a.pump(SimTime::ZERO).unwrap();
+        b.pump(SimTime::ZERO).unwrap();
+    }
+
+    #[test]
+    fn a_warm_two_way_cell_exchange_sends_no_bare_ack_and_no_retransmission() {
+        let (mut a, mut b) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
+        let mut next = [0, 0];
+        for round in 0..3 {
+            cell_round(&mut a, &mut b, &mut next, [30 + round, 7]);
+        }
+        let (a0, b0) = (a.stats(), b.stats());
+        for round in 0..64 {
+            // Fills from a part of one datagram to several.
+            cell_round(&mut a, &mut b, &mut next, [1 + round % 50, 1 + round * 7 % 60]);
+        }
+        for (end, (s, s0)) in [(a.stats(), a0), (b.stats(), b0)].into_iter().enumerate() {
+            assert_eq!(s.acks_tx, s0.acks_tx, "end {end}: every ack rode on data");
+            assert_eq!(s.acks_carried - s0.acks_carried, 64, "end {end}: one trailer a round");
+            assert_eq!(s.retransmits, s0.retransmits, "end {end}: no retransmission");
+        }
+        // Quiet, the debts go out bare; everything arrived exactly once.
+        flush(&mut a, &mut b, SimTime::ZERO);
+        assert_eq!(polled(&mut a), (0..next[1]).map(|i| (stamp(i), cell(i))).collect::<Vec<_>>());
+        assert_eq!(polled(&mut b), (0..next[0]).map(|i| (stamp(i), cell(i))).collect::<Vec<_>>());
+    }
+
+    /// One lockstep round of a two-way frame exchange: each end sends
+    /// `n` frames, then the ends pump in turn.
+    fn frame_round(a: &mut UdpFramePhy, b: &mut UdpFramePhy, next: &mut [usize; 2], n: usize) {
+        for (phy, next) in [&mut *a, &mut *b].into_iter().zip(next.iter_mut()) {
+            for _ in 0..n {
+                phy.send_frame(stamp(*next), frame(*next), *next % 3 == 0).unwrap();
+                *next += 1;
+            }
+        }
+        a.pump(SimTime::ZERO).unwrap();
+        b.pump(SimTime::ZERO).unwrap();
+    }
+
+    fn frame(i: usize) -> Vec<u8> {
+        vec![i as u8; 40 + i % 200]
+    }
+
+    fn frames_polled(phy: &mut UdpFramePhy) -> Vec<(SimTime, Vec<u8>, bool)> {
+        let mut got = Vec::new();
+        phy.poll_frames(&mut got).unwrap();
+        got
+    }
+
+    fn frames_sent(n: usize) -> Vec<(SimTime, Vec<u8>, bool)> {
+        (0..n).map(|i| (stamp(i), frame(i), i % 3 == 0)).collect()
+    }
+
+    #[test]
+    fn a_warm_two_way_frame_exchange_sends_no_bare_ack_and_no_retransmission() {
+        let (mut a, mut b) = udp_frame_pair(&TransportFaultConfig::none()).unwrap();
+        let mut next = [0, 0];
+        for _ in 0..3 {
+            frame_round(&mut a, &mut b, &mut next, 1);
+        }
+        let (a0, b0) = (a.stats(), b.stats());
+        for round in 0..64 {
+            frame_round(&mut a, &mut b, &mut next, 1 + round % 3);
+        }
+        for (end, (s, s0)) in [(a.stats(), a0), (b.stats(), b0)].into_iter().enumerate() {
+            assert_eq!(s.acks_tx, s0.acks_tx, "end {end}: every ack rode on data");
+            assert_eq!(s.acks_carried - s0.acks_carried, 64, "end {end}: one trailer a round");
+            assert_eq!(s.retransmits, s0.retransmits, "end {end}: no retransmission");
+        }
+        for _ in 0..256 {
+            a.pump(SimTime::ZERO).unwrap();
+            b.pump(SimTime::ZERO).unwrap();
+            if a.in_flight() + b.in_flight() == 0 {
+                break;
+            }
+        }
+        assert_eq!(frames_polled(&mut a), frames_sent(next[1]));
+        assert_eq!(frames_polled(&mut b), frames_sent(next[0]));
+    }
+
+    #[test]
+    fn heavy_faults_are_invisible_above_a_two_way_exchange() {
+        let faults = TransportFaultConfig { drop: 0.3, duplicate: 0.3, truncate: 0.2, seed: 0x2A7 };
+        let (mut ca, mut cb) = udp_cell_pair(&faults).unwrap();
+        let (mut fa, mut fb) = udp_frame_pair(&faults).unwrap();
+        let (mut cells, mut frames) = ([0, 0], [0, 0]);
+        for round in 0..200 {
+            cell_round(&mut ca, &mut cb, &mut cells, [round % 30, round * 7 % 50]);
+            frame_round(&mut fa, &mut fb, &mut frames, round % 2);
+        }
+        for _ in 0..4096 {
+            cell_round(&mut ca, &mut cb, &mut cells, [0, 0]);
+            frame_round(&mut fa, &mut fb, &mut frames, 0);
+            if ca.in_flight() + cb.in_flight() + fa.in_flight() + fb.in_flight() == 0 {
+                break;
+            }
+        }
+        let cells_sent = |n: usize| (0..n).map(|i| (stamp(i), cell(i))).collect::<Vec<_>>();
+        assert_eq!(polled(&mut ca), cells_sent(cells[1]), "exactly once, in order");
+        assert_eq!(polled(&mut cb), cells_sent(cells[0]), "exactly once, in order");
+        assert_eq!(frames_polled(&mut fa), frames_sent(frames[1]), "exactly once, in order");
+        assert_eq!(frames_polled(&mut fb), frames_sent(frames[0]), "exactly once, in order");
+        let mut s = ca.stats();
+        for other in [cb.stats(), fa.stats(), fb.stats()] {
+            s.merge(&other);
+        }
+        assert!(s.faults_dropped > 0 && s.faults_duplicated > 0 && s.faults_truncated > 0);
+        assert!(s.retransmits > 0 && s.acks_carried > 0 && s.window_drops == 0, "{s:?}");
+    }
+
+    #[test]
+    fn a_one_way_flow_between_warm_ends_is_acknowledged_at_the_fourth_pump() {
+        let (mut a, mut b) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
+        let mut next = [0, 0];
+        for _ in 0..3 {
+            cell_round(&mut a, &mut b, &mut next, [5, 5]);
+        }
+        flush(&mut a, &mut b, SimTime::ZERO);
+        let acks = b.stats().acks_tx;
+        for n in [1, MAX_CELLS, 3 * MAX_CELLS + 1] {
+            // Only `a` sends; `b` has nothing to carry its ack, so it
+            // sends it bare at its second pump after the one that
+            // received the data, and `a` reads it at its next.
+            cell_round(&mut a, &mut b, &mut next, [n, 0]);
+            for _ in 0..2 {
+                cell_round(&mut a, &mut b, &mut next, [0, 0]);
+                assert!(a.in_flight() > 0, "{n} cells: the ack waits for data");
+            }
+            a.pump(SimTime::ZERO).unwrap();
+            assert_eq!(a.in_flight(), 0, "{n} cells: acknowledged at a's fourth pump");
+            b.pump(SimTime::ZERO).unwrap();
+        }
+        assert_eq!(b.stats().acks_tx - acks, 3);
+        assert_eq!(a.stats().retransmits + b.stats().retransmits, 0);
+        assert_eq!(polled(&mut b).len(), next[0]);
+    }
+
+    #[test]
+    fn wall_clock_mode_never_retransmits_a_flowing_link_before_rto() {
+        let rto = SimTime::from_ms(20);
+        let (a, b) = link_pair(&TransportFaultConfig::none(), 0, false, rto).unwrap();
+        let (mut a, mut b) = (UdpCellPhy::over(a), UdpCellPhy::over(b));
+        // Each millisecond both ends pump, then a full datagram leaves
+        // and one more cell is staged: the queue never runs empty, but
+        // every pump's ack makes progress on it.
+        let mut sent = 0;
+        for ms in 0..200 {
+            a.pump(SimTime::from_ms(ms)).unwrap();
+            b.pump(SimTime::from_ms(ms)).unwrap();
+            assert!(ms == 0 || a.in_flight() > 0);
+            for _ in 0..=MAX_CELLS {
+                a.send_cell(SimTime::from_ms(ms), &cell(sent)).unwrap();
+                sent += 1;
+            }
+        }
+        assert_eq!(a.stats().retransmits, 0, "progress restarts the timer");
+        assert_eq!(polled(&mut b).len(), sent - MAX_CELLS - 1);
     }
 }

@@ -9,8 +9,8 @@
 //! transports apart.
 
 use gw_phy::encap::{
-    self, DecodeError, CELL_RECORD_LEN, FLAG_SYNC, HEADER_LEN, KIND_ACK, KIND_CELL, KIND_FRAME,
-    MAX_CELLS, MAX_PAYLOAD,
+    self, DecodeError, ACK_TRAILER_LEN, CELL_RECORD_LEN, FLAG_ACK, FLAG_SYNC, HEADER_LEN, KIND_ACK,
+    KIND_CELL, KIND_FRAME, MAX_CELLS, MAX_PAYLOAD,
 };
 use gw_phy::{
     loopback_cell_pair, loopback_frame_pair, udp_cell_pair, udp_frame_pair, CellPhy, FramePhy,
@@ -84,7 +84,9 @@ fn assert_frames_cross_exact(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every header field and payload octet survives encode/decode.
+    /// Every header field, payload octet and ack trailer survives
+    /// encode/decode. On a data datagram [`FLAG_ACK`] is the trailer's
+    /// own bit, set by `append_ack` alone; on a bare ack any flags go.
     #[test]
     fn gwp1_encode_decode_round_trips(
         kind in 0u8..3,
@@ -92,16 +94,53 @@ proptest! {
         seq: u64,
         at_ns: u64,
         payload in proptest::collection::vec(any::<u8>(), 0..512),
+        with_ack: bool,
+        ack: u64,
     ) {
+        let (flags, ack) = if kind == KIND_ACK {
+            (flags, None)
+        } else {
+            (flags & !FLAG_ACK, with_ack.then_some(ack))
+        };
         let mut wire = Vec::new();
         encap::encode(kind, flags, seq, SimTime::from_ns(at_ns), &payload, &mut wire).unwrap();
-        prop_assert_eq!(wire.len(), HEADER_LEN + payload.len());
+        if let Some(ack) = ack {
+            encap::append_ack(&mut wire, ack);
+        }
+        let trailer = if ack.is_some() { ACK_TRAILER_LEN } else { 0 };
+        prop_assert_eq!(wire.len(), HEADER_LEN + payload.len() + trailer);
         let d = encap::decode(&wire).unwrap();
         prop_assert_eq!(d.kind, kind);
-        prop_assert_eq!(d.flags, flags);
+        prop_assert_eq!(d.flags, if ack.is_some() { flags | FLAG_ACK } else { flags });
         prop_assert_eq!(d.seq, seq);
         prop_assert_eq!(d.at, SimTime::from_ns(at_ns));
         prop_assert_eq!(d.payload, &payload[..]);
+        prop_assert_eq!(d.ack, ack);
+    }
+
+    /// No strict prefix of a datagram that carries an ack trailer
+    /// decodes, the one that ends where the trailer begins included —
+    /// and neither does the datagram with octets added past the trailer.
+    #[test]
+    fn every_truncation_of_a_datagram_with_a_trailer_is_rejected(
+        kind in 0u8..2,
+        payload in proptest::collection::vec(any::<u8>(), 0..96),
+        seq: u64,
+        ack: u64,
+    ) {
+        let mut wire = Vec::new();
+        encap::encode(kind, FLAG_SYNC, seq, SimTime::from_ns(7), &payload, &mut wire).unwrap();
+        encap::append_ack(&mut wire, ack);
+        for keep in 0..wire.len() {
+            let err = encap::decode(&wire[..keep]).unwrap_err();
+            prop_assert!(
+                matches!(err, DecodeError::Runt | DecodeError::Truncated),
+                "prefix of {} octets gave {:?}", keep, err
+            );
+        }
+        prop_assert_eq!(encap::decode(&wire).unwrap().ack, Some(ack));
+        wire.push(0);
+        prop_assert_eq!(encap::decode(&wire).unwrap_err(), DecodeError::Truncated);
     }
 
     /// No strict prefix of a valid datagram decodes — in-flight

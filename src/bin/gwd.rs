@@ -463,10 +463,13 @@ fn smoke(args: &[String]) -> i32 {
     for f in &failures {
         eprintln!("gwd smoke: FAIL: {f}");
     }
-    let t = app.transport_stats();
+    // Both ends of both links: the line side's data and acks too.
+    let mut t = app.transport_stats();
+    t.merge(&cell_line.stats());
+    t.merge(&frame_line.stats());
     eprintln!(
         "gwd smoke: scene `{}`: {}/{} frames delivered, drain {}, transport tx {} rx {} retx {} \
-         (injected drop {} dup {} trunc {})",
+         acks_tx {} acks_carried {} (injected drop {} dup {} trunc {})",
         scene.name,
         to_fddi.len() + to_atm.len(),
         plan.len(),
@@ -474,6 +477,8 @@ fn smoke(args: &[String]) -> i32 {
         t.datagrams_tx,
         t.datagrams_rx,
         t.retransmits,
+        t.acks_tx,
+        t.acks_carried,
         t.faults_dropped,
         t.faults_duplicated,
         t.faults_truncated

@@ -42,9 +42,13 @@ fn builtin_scene_text(n: usize) -> String {
     s
 }
 
-/// `(length, FNV-1a 64)` of the snapshot `gwd smoke --frames 12` wrote
-/// at b85e223, when plain smoke was its own 215-line runner.
-const FRAMES_12_AT_B85E223: (usize, u64) = (7932, 0x038c_615b_db3b_0fcc);
+/// `(length, FNV-1a 64)` of the snapshot `gwd smoke --frames 12`
+/// writes. It was recorded at b85e223, when plain smoke was its own
+/// 215-line runner, and moved once since: when acks began to ride on
+/// data, the fault stream (one draw per transmission) fell on other
+/// datagrams, so different ones were lost and retransmitted. Only
+/// `time_ns` and the forwarding-latency statistics changed.
+const FRAMES_12: (usize, u64) = (7934, 0x507e_687f_13bf_65bb);
 
 #[test]
 fn plain_smoke_is_the_builtin_scene_and_renders_the_recorded_snapshot() {
@@ -53,7 +57,7 @@ fn plain_smoke_is_the_builtin_scene_and_renders_the_recorded_snapshot() {
     let fnv = plain.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!((plain.len(), fnv), FRAMES_12_AT_B85E223, "smoke --frames 12 snapshot changed");
+    assert_eq!((plain.len(), fnv), FRAMES_12, "smoke --frames 12 snapshot changed");
 
     // The run prints the scene it ran; the same text through --scene
     // is the same run.
