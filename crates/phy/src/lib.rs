@@ -92,12 +92,12 @@ pub struct PhyStats {
     pub decode_drops: u64,
     /// Sequence numbers outside the link's window: datagrams discarded
     /// for one too far ahead of the next expected one to be held for
-    /// reordering, and acks ignored for one beyond the newest datagram
-    /// the link has sent.
+    /// reordering, and acks ignored for one past the number of
+    /// datagrams the link has sent.
     pub window_drops: u64,
     /// Bare acknowledgements sent (datagrams of their own).
     pub acks_tx: u64,
-    /// Acknowledgements carried in the trailer of a data datagram.
+    /// Acknowledgements owed that a data datagram carried instead.
     pub acks_carried: u64,
     /// Fault injector: transmissions dropped at the seam.
     pub faults_dropped: u64,

@@ -26,22 +26,17 @@
 //!
 //! # When acknowledgements leave
 //!
-//! A bare acknowledgement is a datagram and a syscall of its own, so a
-//! link that owes one lets it ride on data where it can. The debt
-//! opens at the pump that receives a data datagram. Every data
-//! datagram that leaves while it is open carries the cumulative ack in
-//! its trailer and closes it. If none has left by the second pump after
-//! the one that opened it (`ACK_WAIT`), that pump sends one bare ack.
-//! Two pumps, not one, because the appliance pumps before it admits:
-//! the frame or cells that answer a datagram leave after the pump that
-//! follows its arrival.
-//!
-//! The link waits only toward a peer that has shown [`FLAG_ACK`] (on a
-//! bare ack or a trailer), and only once it has shown its own: every
-//! ack it sends sets the flag, and the peer gives a link whose flag it
-//! has seen the longer retransmission timer below. Toward a
-//! parent-format peer, which never shows the flag, the link acks at
-//! the pump that receives the data and sends no trailer.
+//! Every datagram carries the link's cumulative ack in its header —
+//! the next sequence number it expects from the peer — so a bare ack,
+//! a datagram and a syscall of its own, is needed only where no data
+//! leaves. An ack debt opens at the pump that receives a data datagram.
+//! Every transmission of a data datagram, first or repeated, writes the
+//! current ack and settles the debt. If none has by the second pump
+//! after the one that opened it (`ACK_WAIT`), that pump sends one bare
+//! ack. Two pumps, not one, because the appliance pumps before it
+//! admits: the frame or cells that answer a datagram leave after the
+//! pump that follows its arrival. A one-way flow is therefore
+//! acknowledged at most once per `ACK_WAIT` pumps.
 //!
 //! # When data is retransmitted
 //!
@@ -49,23 +44,19 @@
 //! unacknowledged tail's head went on the wire — after its first
 //! transmission, or at the pump whose ack made it the head — and again
 //! at each pump that retransmits. In wall-clock mode the tail
-//! retransmits once `rto` has run from there. In lockstep mode the
-//! clock is the link's own pump count: toward a peer that has shown
-//! the flag the tail retransmits `LOCKSTEP_RETX_WAIT` (3) pumps after
-//! the timer started; toward a parent-format peer, at that first pump
-//! itself and every pump after, as GWP1 always did.
+//! retransmits once `RTO` has run from there. In lockstep mode the
+//! clock is the link's own pump count, and the tail retransmits
+//! `LOCKSTEP_RETX_WAIT` (3) pumps after the timer started.
 //!
 //! Why two ends pumped alternately never retransmit on a loss-free
 //! wire: say the timer starts at this end's pump *a*. The head went on
 //! the wire before pump *a* began (or, retransmitted, during it). The
 //! peer pumps once between each two of ours, so its pump after our *a*
-//! has received the head at the latest and opened a debt. It closes
-//! the debt by its second pump after that one, which comes before our
+//! has received the head at the latest, and a debt covering it is open
+//! from that pump or an earlier one. The peer settles the debt by its
+//! second pump after the one that opened it, which comes before our
 //! pump *a* + 3; and our pump *a* + 3 reads the ack before it looks at
-//! the timer. And whenever the peer is waiting with an ack, this link
-//! is on the longer timer: the peer waits only after it has sent an
-//! ack, which this link reads at its next pump, before that pump looks
-//! at the timer.
+//! the timer.
 //!
 //! Socket errors (e.g. ICMP port-unreachable surfacing as
 //! `ConnectionRefused` on a connected UDP socket) are *not* masked:
@@ -75,8 +66,8 @@
 //! once the transport is back — a flap loses no traffic, only time.
 
 use crate::encap::{
-    self, Datagram, DecodeError, ACK_TRAILER_LEN, FLAG_ACK, FLAG_SYNC, FULL_CELL_DATAGRAM_LEN,
-    HEADER_LEN, KIND_ACK, KIND_CELL, KIND_FRAME, MAX_PAYLOAD,
+    self, Datagram, FLAG_SYNC, FULL_CELL_DATAGRAM_LEN, HEADER_LEN, KIND_ACK, KIND_CELL, KIND_FRAME,
+    MAX_PAYLOAD,
 };
 use crate::{CellPhy, FramePhy, PhyError, PhyStats};
 use gw_sim::rng::SimRng;
@@ -109,12 +100,6 @@ impl TransportFaultConfig {
     /// True when any fault class has nonzero probability.
     pub fn is_active(&self) -> bool {
         self.drop > 0.0 || self.duplicate > 0.0 || self.truncate > 0.0
-    }
-}
-
-impl Default for TransportFaultConfig {
-    fn default() -> TransportFaultConfig {
-        TransportFaultConfig::none()
     }
 }
 
@@ -156,10 +141,13 @@ const MAX_HOLD: u64 = 4096;
 /// settled: the second one sends a bare ack if no data has carried it.
 const ACK_WAIT: u64 = 2;
 
-/// Pumps the lockstep retransmission timer runs toward a peer that
-/// delays its acks by [`ACK_WAIT`]: one for the datagram to reach the
-/// peer's next pump, [`ACK_WAIT`] for its ack to leave.
+/// Pumps the lockstep retransmission timer runs: one for the datagram
+/// to reach the peer's next pump, [`ACK_WAIT`] for its ack to leave.
 const LOCKSTEP_RETX_WAIT: u64 = 1 + ACK_WAIT;
+
+/// How long the wall-clock retransmission timer runs: a real peer
+/// answers in real time.
+const RTO: SimTime = SimTime::from_ms(50);
 
 /// Buffers of acknowledged datagrams kept for the next sends. A frame's
 /// worth of cell datagrams is four; the bound keeps a burst from
@@ -192,23 +180,18 @@ struct UdpLink {
     rx_hold: BTreeMap<u64, Vec<u8>>,
     /// The pump that opened the current ack debt, if one is open.
     ack_due: Option<u64>,
+    /// An encoded bare ack, rewritten with the current ack at each send.
     ack_buf: Vec<u8>,
-    /// The peer has shown [`FLAG_ACK`]: it reads ack trailers, and it
-    /// may let its own acks wait for data once this link has shown the
-    /// flag too.
-    peer_piggybacks: bool,
-    /// This link has sent the peer an ack, so shown it [`FLAG_ACK`].
-    flag_shown: bool,
     faults: Option<FaultHook>,
     /// Lockstep (co-sim) mode counts the retransmission timer in pumps;
-    /// wall-clock mode waits out `rto`.
+    /// wall-clock mode waits out [`RTO`].
     lockstep: bool,
-    rto: SimTime,
     /// Pumps run, this one included.
     pumps: u64,
-    /// Where the retransmission timer started, on [`UdpLink::tick`]'s
-    /// clock. `None` from the moment the unacknowledged tail gets a new
-    /// head until the next `pump`, which starts the timer.
+    /// Where the retransmission timer started, on
+    /// [`UdpLink::retx_clock`]. `None` from the moment the
+    /// unacknowledged tail gets a new head until the next `pump`, which
+    /// starts the timer.
     retx_from: Option<u64>,
     stats: PhyStats,
     recv_buf: Box<[u8]>,
@@ -241,14 +224,14 @@ fn deliver(stats: &mut PhyStats, accept: &mut impl FnMut(&Datagram<'_>) -> bool,
 }
 
 impl UdpLink {
-    fn open(
-        local: SocketAddr,
-        peer: SocketAddr,
-        faults: TransportFaultConfig,
-        lockstep: bool,
-        rto: SimTime,
-    ) -> io::Result<UdpLink> {
-        UdpLink::from_socket(bind_nonblocking(local, peer)?, peer, faults, lockstep, rto)
+    /// A wall-clock link with no fault hook, as a daemon port runs.
+    fn open(local: SocketAddr, peer: SocketAddr) -> io::Result<UdpLink> {
+        UdpLink::from_socket(
+            bind_nonblocking(local, peer)?,
+            peer,
+            TransportFaultConfig::none(),
+            false,
+        )
     }
 
     fn from_socket(
@@ -256,11 +239,13 @@ impl UdpLink {
         peer: SocketAddr,
         faults: TransportFaultConfig,
         lockstep: bool,
-        rto: SimTime,
     ) -> io::Result<UdpLink> {
         let local = sock.local_addr()?;
         let faults =
             faults.is_active().then(|| FaultHook { rng: SimRng::new(faults.seed), config: faults });
+        let mut ack_buf = Vec::with_capacity(HEADER_LEN);
+        encap::encode(KIND_ACK, 0, 0, SimTime::ZERO, &[], &mut ack_buf)
+            .expect("an empty payload fits");
         Ok(UdpLink {
             sock: Some(sock),
             local,
@@ -272,12 +257,9 @@ impl UdpLink {
             rx_next: 0,
             rx_hold: BTreeMap::new(),
             ack_due: None,
-            ack_buf: Vec::with_capacity(HEADER_LEN),
-            peer_piggybacks: false,
-            flag_shown: false,
+            ack_buf,
             faults,
             lockstep,
-            rto,
             pumps: 0,
             retx_from: None,
             stats: PhyStats::default(),
@@ -336,17 +318,20 @@ impl UdpLink {
         Ok(bytes)
     }
 
-    /// A datagram's first transmission, carrying the ack this link owes
-    /// if the peer reads trailers.
+    /// Put a data datagram on the wire, first time or again, carrying
+    /// the current cumulative ack, which settles any debt.
+    fn transmit_data(&mut self, bytes: &mut [u8]) -> Result<(), PhyError> {
+        encap::set_ack(bytes, self.rx_next);
+        if self.ack_due.take().is_some() {
+            self.stats.acks_carried += 1;
+        }
+        self.transmit(bytes)
+    }
+
+    /// A datagram's first transmission.
     fn launch(&mut self, mut bytes: Vec<u8>) -> Result<(), PhyError> {
         self.stats.datagrams_tx += 1;
-        if self.peer_piggybacks && self.ack_due.is_some() && self.rx_next > 0 {
-            encap::append_ack(&mut bytes, self.rx_next - 1);
-            self.ack_due = None;
-            self.stats.acks_carried += 1;
-            self.flag_shown = true;
-        }
-        let res = self.transmit(&bytes);
+        let res = self.transmit_data(&mut bytes);
         if self.unacked.is_empty() {
             self.retx_from = None;
         }
@@ -365,10 +350,9 @@ impl UdpLink {
     fn stage_cell(&mut self, at: SimTime, cell: &[u8; CELL_SIZE]) -> Result<(), PhyError> {
         if self.staged.is_empty() {
             self.staged = self.begin(KIND_CELL, 0, at, cell)?;
-            // Room for a full one and its ack trailer at once: a
-            // recycled buffer never grows again, whichever fill it
-            // carried last.
-            self.staged.reserve(FULL_CELL_DATAGRAM_LEN + ACK_TRAILER_LEN - self.staged.len());
+            // Room for a full one at once: a recycled buffer never
+            // grows again, whichever fill it carried last.
+            self.staged.reserve(FULL_CELL_DATAGRAM_LEN - self.staged.len());
         } else {
             encap::append_cell(&mut self.staged, at, cell)?;
         }
@@ -390,25 +374,11 @@ impl UdpLink {
 
     /// Take one received datagram: its ack first, then its data.
     fn handle_datagram(&mut self, wire: &[u8], accept: &mut impl FnMut(&Datagram<'_>) -> bool) {
-        let d = match encap::decode(wire) {
-            Ok(d) => d,
-            Err(
-                DecodeError::Runt
-                | DecodeError::Truncated
-                | DecodeError::BadMagic
-                | DecodeError::BadKind,
-            ) => {
-                self.stats.decode_drops += 1;
-                return;
-            }
+        let Ok(d) = encap::decode(wire) else {
+            self.stats.decode_drops += 1;
+            return;
         };
-        if d.flags & FLAG_ACK != 0 {
-            self.peer_piggybacks = true;
-        }
-        let ack = if d.kind == KIND_ACK { Some(d.seq) } else { d.ack };
-        if let Some(ack) = ack {
-            self.take_ack(ack);
-        }
+        self.take_ack(d.ack);
         if d.kind == KIND_ACK {
             return;
         }
@@ -438,18 +408,19 @@ impl UdpLink {
         }
     }
 
-    /// Release what a cumulative ack covers. An ack beyond the newest
-    /// datagram this link has put on the wire is forged or garbled: it
+    /// Release what a cumulative ack covers: every datagram below the
+    /// next sequence number the peer expects. An ack past the number of
+    /// datagrams this link has put on the wire is forged or garbled: it
     /// is ignored (and counted), so it cannot empty the queue of what
     /// the peer never received.
     fn take_ack(&mut self, ack: u64) {
         let launched = self.next_seq - u64::from(!self.staged.is_empty());
-        if ack >= launched {
+        if ack > launched {
             self.stats.window_drops += 1;
             return;
         }
         let before = self.unacked.len();
-        while self.unacked.front().is_some_and(|b| seq_of(b) <= ack) {
+        while self.unacked.front().is_some_and(|b| seq_of(b) < ack) {
             let bytes = self.unacked.pop_front().expect("front checked above");
             recycle(&mut self.free, bytes);
         }
@@ -459,23 +430,14 @@ impl UdpLink {
         }
     }
 
-    /// The retransmission timer's clock: pumps in lockstep mode,
+    /// The retransmission timer's clock, and how long the
+    /// unacknowledged tail waits on it: pumps in lockstep mode,
     /// nanoseconds otherwise.
-    fn tick(&self, now: SimTime) -> u64 {
+    fn retx_clock(&self, now: SimTime) -> (u64, u64) {
         if self.lockstep {
-            self.pumps
+            (self.pumps, LOCKSTEP_RETX_WAIT)
         } else {
-            now.as_ns()
-        }
-    }
-
-    /// How long the unacknowledged tail waits on [`UdpLink::tick`]'s
-    /// clock before it retransmits.
-    fn retx_wait(&self) -> u64 {
-        match (self.lockstep, self.peer_piggybacks) {
-            (false, _) => self.rto.as_ns(),
-            (true, true) => LOCKSTEP_RETX_WAIT,
-            (true, false) => 0,
+            (now.as_ns(), RTO.as_ns())
         }
     }
 
@@ -500,34 +462,26 @@ impl UdpLink {
                 Err(e) => return Err(e.into()),
             }
         }
-        // A bare ack for a debt no data has settled in time
-        // (cumulative, only once something has arrived in sequence).
-        let may_wait = self.peer_piggybacks && self.flag_shown;
-        let bare_due =
-            self.ack_due.is_some_and(|since| !may_wait || self.pumps >= since + ACK_WAIT);
-        if bare_due {
+        // A bare ack for a debt no data has settled in time.
+        if self.ack_due.is_some_and(|since| self.pumps >= since + ACK_WAIT) {
             self.ack_due = None;
-            if self.rx_next > 0 {
-                let mut ack = std::mem::take(&mut self.ack_buf);
-                ack.clear();
-                encap::encode(KIND_ACK, FLAG_ACK, self.rx_next - 1, now, &[], &mut ack)?;
-                self.stats.acks_tx += 1;
-                self.flag_shown = true;
-                let res = self.transmit(&ack);
-                self.ack_buf = ack;
-                res?;
-            }
+            let mut ack = std::mem::take(&mut self.ack_buf);
+            encap::set_ack(&mut ack, self.rx_next);
+            self.stats.acks_tx += 1;
+            let res = self.transmit(&ack);
+            self.ack_buf = ack;
+            res?;
         }
         // Retransmit the unacknowledged tail, then send what is staged —
         // in that order, so no datagram goes out twice in one pump.
-        let tick = self.tick(now);
+        let (tick, wait) = self.retx_clock(now);
         let from = *self.retx_from.get_or_insert(tick);
-        if !self.unacked.is_empty() && tick >= from + self.retx_wait() {
+        if !self.unacked.is_empty() && tick >= from + wait {
             self.retx_from = Some(tick);
             for i in 0..self.unacked.len() {
-                let bytes = std::mem::take(&mut self.unacked[i]);
+                let mut bytes = std::mem::take(&mut self.unacked[i]);
                 self.stats.retransmits += 1;
-                let res = self.transmit(&bytes);
+                let res = self.transmit_data(&mut bytes);
                 self.unacked[i] = bytes;
                 res?;
             }
@@ -556,17 +510,11 @@ pub struct UdpCellPhy {
 }
 
 impl UdpCellPhy {
-    /// Bind `local`, connect to `peer`. `lockstep` counts the
-    /// retransmission timer in pumps (co-sim flush); otherwise `rto`
-    /// paces retransmissions (wall-clock daemon mode).
-    pub fn bind(
-        local: SocketAddr,
-        peer: SocketAddr,
-        faults: TransportFaultConfig,
-        lockstep: bool,
-        rto: SimTime,
-    ) -> io::Result<UdpCellPhy> {
-        Ok(UdpCellPhy::over(UdpLink::open(local, peer, faults, lockstep, rto)?))
+    /// Bind `local`, connect to `peer`: a wall-clock port, whose
+    /// unacknowledged tail retransmits every 50 ms (`RTO`) of the
+    /// `now` its pumps are given.
+    pub fn bind(local: SocketAddr, peer: SocketAddr) -> io::Result<UdpCellPhy> {
+        Ok(UdpCellPhy::over(UdpLink::open(local, peer)?))
     }
 
     fn over(link: UdpLink) -> UdpCellPhy {
@@ -626,14 +574,8 @@ pub struct UdpFramePhy {
 
 impl UdpFramePhy {
     /// Bind `local`, connect to `peer` (see [`UdpCellPhy::bind`]).
-    pub fn bind(
-        local: SocketAddr,
-        peer: SocketAddr,
-        faults: TransportFaultConfig,
-        lockstep: bool,
-        rto: SimTime,
-    ) -> io::Result<UdpFramePhy> {
-        Ok(UdpFramePhy::over(UdpLink::open(local, peer, faults, lockstep, rto)?))
+    pub fn bind(local: SocketAddr, peer: SocketAddr) -> io::Result<UdpFramePhy> {
+        Ok(UdpFramePhy::over(UdpLink::open(local, peer)?))
     }
 
     fn over(link: UdpLink) -> UdpFramePhy {
@@ -698,7 +640,6 @@ fn link_pair(
     faults: &TransportFaultConfig,
     fork: u64,
     lockstep: bool,
-    rto: SimTime,
 ) -> io::Result<(UdpLink, UdpLink)> {
     let a = UdpSocket::bind(any_local())?;
     let b = UdpSocket::bind(any_local())?;
@@ -709,8 +650,8 @@ fn link_pair(
     b.connect(aa)?;
     let fa = TransportFaultConfig { seed: faults.seed.wrapping_add(fork + 1), ..*faults };
     let fb = TransportFaultConfig { seed: faults.seed.wrapping_add(fork + 2), ..*faults };
-    let a = UdpLink::from_socket(a, ba, fa, lockstep, rto)?;
-    let b = UdpLink::from_socket(b, aa, fb, lockstep, rto)?;
+    let a = UdpLink::from_socket(a, ba, fa, lockstep)?;
+    let b = UdpLink::from_socket(b, aa, fb, lockstep)?;
     Ok((a, b))
 }
 
@@ -718,7 +659,7 @@ fn link_pair(
 /// localhost, in lockstep mode, each direction with its own forked
 /// fault stream.
 pub fn udp_cell_pair(faults: &TransportFaultConfig) -> io::Result<(UdpCellPhy, UdpCellPhy)> {
-    let (a, b) = link_pair(faults, 0x0C11_0000, true, SimTime::ZERO)?;
+    let (a, b) = link_pair(faults, 0x0C11_0000, true)?;
     Ok((UdpCellPhy::over(a), UdpCellPhy::over(b)))
 }
 
@@ -726,7 +667,7 @@ pub fn udp_cell_pair(faults: &TransportFaultConfig) -> io::Result<(UdpCellPhy, U
 /// localhost, in lockstep mode, each direction with its own forked
 /// fault stream.
 pub fn udp_frame_pair(faults: &TransportFaultConfig) -> io::Result<(UdpFramePhy, UdpFramePhy)> {
-    let (a, b) = link_pair(faults, 0x0F1A_0000, true, SimTime::ZERO)?;
+    let (a, b) = link_pair(faults, 0x0F1A_0000, true)?;
     Ok((UdpFramePhy::over(a), UdpFramePhy::over(b)))
 }
 
@@ -764,18 +705,16 @@ mod tests {
         got
     }
 
-    /// A bare socket speaking GWP1 to a gateway-side cell port.
+    /// A bare socket speaking GWP1 to a gateway-side cell port in
+    /// lockstep mode.
     fn raw_peer() -> (UdpCellPhy, UdpSocket) {
         let raw = UdpSocket::bind(any_local()).unwrap();
         raw.set_nonblocking(true).unwrap();
-        let phy = UdpCellPhy::bind(
-            any_local(),
-            raw.local_addr().unwrap(),
-            TransportFaultConfig::none(),
-            true,
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let peer = raw.local_addr().unwrap();
+        let sock = bind_nonblocking(any_local(), peer).unwrap();
+        let phy = UdpCellPhy::over(
+            UdpLink::from_socket(sock, peer, TransportFaultConfig::none(), true).unwrap(),
+        );
         raw.connect(phy.local_addr()).unwrap();
         (phy, raw)
     }
@@ -800,9 +739,11 @@ mod tests {
                 "{n} cells: only full datagrams leave before the pump"
             );
             assert_eq!(a.in_flight(), n.div_ceil(MAX_CELLS), "a staged datagram is in flight");
-            // The receiver first, so every full datagram is acknowledged
-            // by the time the sender pumps: two rounds see it all across.
-            for _ in 0..2 {
+            // The receiver first. The staged datagram leaves at the
+            // sender's first pump and the receiver's bare ack `ACK_WAIT`
+            // pumps after the one that took it: four rounds see it all
+            // across.
+            for _ in 0..4 {
                 b.pump(SimTime::from_us(1)).unwrap();
                 a.pump(SimTime::from_us(1)).unwrap();
             }
@@ -911,28 +852,31 @@ mod tests {
 
     #[test]
     fn wall_clock_mode_waits_out_rto_before_the_first_retransmission() {
-        let rto = SimTime::from_ms(20);
-        let (a, b) = link_pair(&TransportFaultConfig::none(), 0, false, rto).unwrap();
+        let (a, b) = link_pair(&TransportFaultConfig::none(), 0, false).unwrap();
         let (mut a, mut b) = (UdpCellPhy::over(a), UdpCellPhy::over(b));
         let ms = SimTime::from_ms;
-        // An idle link, pumped now and then, long past `rto`.
+        // An idle link, pumped now and then, long past `RTO`.
         a.pump(ms(0)).unwrap();
-        a.pump(ms(50)).unwrap();
+        a.pump(RTO).unwrap();
         // A full datagram goes out from `send_cell` itself, a short one
-        // from the pump: neither may be repeated before `rto` has run.
+        // from the pump: neither may be repeated before `RTO` has run.
         for i in 0..MAX_CELLS + 1 {
             a.send_cell(ms(100), &cell(i)).unwrap();
         }
         a.pump(ms(101)).unwrap();
         assert_eq!(a.stats().datagrams_tx, 2);
-        a.pump(ms(120)).unwrap();
-        assert_eq!(a.stats().retransmits, 0, "rto has not run since the data went out");
-        a.pump(ms(121)).unwrap();
-        assert_eq!(a.stats().retransmits, 2, "rto ran out unacknowledged");
-        a.pump(ms(140)).unwrap();
-        assert_eq!(a.stats().retransmits, 2, "one round per rto");
-        b.pump(ms(140)).unwrap();
-        a.pump(ms(141)).unwrap();
+        a.pump(ms(100) + RTO).unwrap();
+        assert_eq!(a.stats().retransmits, 0, "RTO has not run since the data went out");
+        a.pump(ms(101) + RTO).unwrap();
+        assert_eq!(a.stats().retransmits, 2, "RTO ran out unacknowledged");
+        a.pump(ms(100) + RTO + RTO).unwrap();
+        assert_eq!(a.stats().retransmits, 2, "one round per RTO");
+        // The receiver's bare ack leaves `ACK_WAIT` pumps after the one
+        // that took the data.
+        for _ in 0..=ACK_WAIT {
+            b.pump(ms(300)).unwrap();
+        }
+        a.pump(ms(301)).unwrap();
         assert_eq!(a.in_flight(), 0);
         assert_eq!(b.stats().dup_drops, 2, "exactly the one retransmission round");
         assert_eq!(polled(&mut b).len(), MAX_CELLS + 1);
@@ -940,59 +884,50 @@ mod tests {
         a.pump(ms(500)).unwrap();
         a.send_cell(ms(600), &cell(0)).unwrap();
         a.pump(ms(601)).unwrap();
-        a.pump(ms(620)).unwrap();
+        a.pump(ms(600) + RTO).unwrap();
         assert_eq!(a.stats().retransmits, 2);
     }
 
+    /// A datagram in the layout whose header had no `ack` field: 24
+    /// octets, then the payload, then — when `trailer` is set — the
+    /// acknowledgement trailer that layout announced with flag bit 1.
+    fn old_layout(kind: u8, seq: u64, payload: &[u8], trailer: Option<u64>) -> Vec<u8> {
+        let mut wire = b"GWP1".to_vec();
+        wire.push(kind);
+        wire.push(if trailer.is_some() { 0x02 } else { 0 });
+        wire.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+        wire.extend_from_slice(&seq.to_le_bytes());
+        wire.extend_from_slice(&stamp(seq as usize).as_ns().to_le_bytes());
+        wire.extend_from_slice(payload);
+        wire.extend(trailer.iter().flat_map(|ack| ack.to_le_bytes()));
+        wire
+    }
+
     #[test]
-    fn parent_format_single_cell_datagrams_are_served_unchanged() {
+    fn datagrams_of_the_24_octet_header_layout_are_counted_and_deliver_nothing() {
         let (mut phy, raw) = raw_peer();
-        // What a sender that knows nothing of records puts on the wire:
-        // one 53-octet payload per datagram, stamp in the header.
-        for i in 0..5 {
-            raw_send(&raw, i as u64, stamp(i), &cell(i));
+        phy.send_cell(stamp(0), &cell(0)).unwrap();
+        phy.flush().unwrap();
+        assert_eq!(phy.in_flight(), 1);
+        // A cell, a frame, a bare ack of the datagram just sent, and a
+        // cell with an ack trailer, whose length matches this layout's.
+        for wire in [
+            old_layout(KIND_CELL, 0, &cell(0), None),
+            old_layout(KIND_FRAME, 0, &[0xEE; 100], None),
+            old_layout(KIND_ACK, 0, &[], None),
+            old_layout(KIND_CELL, 0, &cell(0), Some(0)),
+        ] {
+            raw.send(&wire).unwrap();
         }
         phy.pump(SimTime::ZERO).unwrap();
-        let want: Vec<_> = (0..5).map(|i| (stamp(i), cell(i))).collect();
-        assert_eq!(polled(&mut phy), want);
-        assert_eq!(phy.stats().datagrams_rx, 5);
-        // And the acknowledgement is the bare cumulative header it expects.
-        let mut buf = [0u8; 64];
-        let n = raw.recv(&mut buf).unwrap();
-        let ack = encap::decode(&buf[..n]).unwrap();
-        assert_eq!((ack.kind, ack.seq, ack.payload.len()), (KIND_ACK, 4, 0));
-
-        // Traffic both ways, the link owing an ack whenever its cells
-        // leave: a peer that never showed the flag gets no trailer, an
-        // ack at every pump that brought data, and a retransmission of
-        // whatever it left unacknowledged at every pump.
-        let mut wire = vec![0u8; HEADER_LEN + MAX_PAYLOAD];
-        for round in 0..4u64 {
-            raw_send(&raw, 5 + round, stamp(0), &cell(0));
-            for i in 0..MAX_CELLS + 2 {
-                phy.send_cell(stamp(i), &cell(i)).unwrap();
-            }
-            phy.pump(SimTime::ZERO).unwrap();
-            let (mut acks, mut data) = (Vec::new(), 0);
-            while let Ok(n) = raw.recv(&mut wire) {
-                let wire = &wire[..n];
-                // The parent's rule: exactly the header and `len`, and
-                // no flag it does not know on data.
-                let len = usize::from(u16::from_le_bytes([wire[6], wire[7]]));
-                assert_eq!(n, HEADER_LEN + len, "round {round}: the parent's exact length");
-                if wire[4] == KIND_ACK {
-                    acks.push(seq_of(wire));
-                } else {
-                    assert_eq!(wire[5] & FLAG_ACK, 0, "round {round}: no trailer flag on data");
-                    data += 1;
-                }
-            }
-            assert_eq!(acks, vec![5 + round], "round {round}: acked at the pump that received");
-            // The full datagram as it filled; at the pump, it and both
-            // of every earlier round's again; then the staged one.
-            assert_eq!(data, 1 + (2 * round + 1) + 1, "round {round}: retransmitted every pump");
-        }
-        assert_eq!(phy.stats().acks_carried, 0);
+        let s = phy.stats();
+        assert_eq!((s.decode_drops, s.datagrams_rx), (4, 0), "each rejected, none delivered");
+        assert!(polled(&mut phy).is_empty());
+        assert_eq!(phy.in_flight(), 1, "nothing acknowledged");
+        // None took sequence number 0.
+        raw_send(&raw, 0, stamp(1), &cell(1));
+        phy.pump(SimTime::ZERO).unwrap();
+        assert_eq!(polled(&mut phy), vec![(stamp(1), cell(1))]);
     }
 
     #[test]
@@ -1056,31 +991,42 @@ mod tests {
         // The datagram is lost: the peer reads it and throws it away.
         let mut wire = vec![0u8; HEADER_LEN + MAX_PAYLOAD];
         assert!(raw.recv(&mut wire).is_ok());
-        // Then acks nobody sent: bare, and in a data datagram's trailer.
+        // Then acks nobody sent: bare, and on a data datagram, the
+        // second one past the one datagram launched.
         let mut forged = Vec::new();
-        encap::encode(KIND_ACK, FLAG_ACK, u64::MAX, SimTime::ZERO, &[], &mut forged).unwrap();
+        encap::encode(KIND_ACK, 0, 0, SimTime::ZERO, &[], &mut forged).unwrap();
+        encap::set_ack(&mut forged, u64::MAX);
         raw.send(&forged).unwrap();
         forged.clear();
         encap::encode(KIND_CELL, 0, 0, stamp(9), &cell(9), &mut forged).unwrap();
-        encap::append_ack(&mut forged, 1);
+        encap::set_ack(&mut forged, 2);
         raw.send(&forged).unwrap();
         phy.pump(SimTime::ZERO).unwrap();
         assert_eq!(phy.in_flight(), 1, "the lost datagram is still owed");
         assert_eq!(phy.stats().window_drops, 2, "both forgeries counted");
         assert_eq!(polled(&mut phy), vec![(stamp(9), cell(9))], "the data behind one is good");
-        // So it goes out again, and arrives.
+        // So it goes out again, and arrives, acknowledging what it can.
         for _ in 0..LOCKSTEP_RETX_WAIT {
             phy.pump(SimTime::ZERO).unwrap();
         }
         let mut again = None;
         while let Ok(n) = raw.recv(&mut wire) {
             let d = encap::decode(&wire[..n]).unwrap();
+            assert_eq!(d.ack, 1, "every datagram acknowledges the cell received");
             if d.kind == KIND_CELL {
                 again = Some(encap::cells(&d).unwrap().map(|(at, c)| (at, *c)).collect::<Vec<_>>());
             }
         }
         assert_eq!(again, Some((0..3).map(|i| (stamp(i), cell(i))).collect()));
         assert_eq!(phy.stats().retransmits, 1);
+        // An ack of exactly what was launched is genuine.
+        forged.clear();
+        encap::encode(KIND_ACK, 0, 0, SimTime::ZERO, &[], &mut forged).unwrap();
+        encap::set_ack(&mut forged, 1);
+        raw.send(&forged).unwrap();
+        phy.pump(SimTime::ZERO).unwrap();
+        assert_eq!(phy.in_flight(), 0, "ack == launched empties the queue");
+        assert_eq!(phy.stats().window_drops, 2);
     }
 
     /// One lockstep round of a two-way cell exchange: each end sends
@@ -1110,7 +1056,7 @@ mod tests {
         }
         for (end, (s, s0)) in [(a.stats(), a0), (b.stats(), b0)].into_iter().enumerate() {
             assert_eq!(s.acks_tx, s0.acks_tx, "end {end}: every ack rode on data");
-            assert_eq!(s.acks_carried - s0.acks_carried, 64, "end {end}: one trailer a round");
+            assert_eq!(s.acks_carried - s0.acks_carried, 64, "end {end}: one carried a round");
             assert_eq!(s.retransmits, s0.retransmits, "end {end}: no retransmission");
         }
         // Quiet, the debts go out bare; everything arrived exactly once.
@@ -1159,7 +1105,7 @@ mod tests {
         }
         for (end, (s, s0)) in [(a.stats(), a0), (b.stats(), b0)].into_iter().enumerate() {
             assert_eq!(s.acks_tx, s0.acks_tx, "end {end}: every ack rode on data");
-            assert_eq!(s.acks_carried - s0.acks_carried, 64, "end {end}: one trailer a round");
+            assert_eq!(s.acks_carried - s0.acks_carried, 64, "end {end}: one carried a round");
             assert_eq!(s.retransmits, s0.retransmits, "end {end}: no retransmission");
         }
         for _ in 0..256 {
@@ -1204,14 +1150,9 @@ mod tests {
     }
 
     #[test]
-    fn a_one_way_flow_between_warm_ends_is_acknowledged_at_the_fourth_pump() {
+    fn a_one_way_flow_from_a_cold_start_is_acknowledged_at_the_fourth_pump() {
         let (mut a, mut b) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
         let mut next = [0, 0];
-        for _ in 0..3 {
-            cell_round(&mut a, &mut b, &mut next, [5, 5]);
-        }
-        flush(&mut a, &mut b, SimTime::ZERO);
-        let acks = b.stats().acks_tx;
         for n in [1, MAX_CELLS, 3 * MAX_CELLS + 1] {
             // Only `a` sends; `b` has nothing to carry its ack, so it
             // sends it bare at its second pump after the one that
@@ -1225,15 +1166,37 @@ mod tests {
             assert_eq!(a.in_flight(), 0, "{n} cells: acknowledged at a's fourth pump");
             b.pump(SimTime::ZERO).unwrap();
         }
-        assert_eq!(b.stats().acks_tx - acks, 3);
+        assert_eq!(b.stats().acks_tx, 3);
         assert_eq!(a.stats().retransmits + b.stats().retransmits, 0);
         assert_eq!(polled(&mut b).len(), next[0]);
     }
 
     #[test]
+    fn a_cold_one_way_cell_flow_sends_at_most_one_bare_ack_per_ack_wait_pumps() {
+        let (mut a, mut b) = udp_cell_pair(&TransportFaultConfig::none()).unwrap();
+        let mut next = [0, 0];
+        // The pump of `b` at which each bare ack left.
+        let mut acked_at = Vec::new();
+        for round in 0..300 {
+            // From nothing to several datagrams a round, and quiet at the end.
+            let n = if round < 200 { round * 7 % 50 } else { 0 };
+            let acks = b.stats().acks_tx;
+            cell_round(&mut a, &mut b, &mut next, [n, 0]);
+            if b.stats().acks_tx > acks {
+                acked_at.push(b.link.pumps);
+            }
+        }
+        assert_eq!(a.in_flight(), 0);
+        assert!(acked_at.windows(2).all(|w| w[1] - w[0] >= ACK_WAIT), "{acked_at:?}");
+        assert_eq!(b.stats().acks_tx as usize, acked_at.len(), "one bare ack a pump at most");
+        assert_eq!(a.stats().retransmits, 0);
+        let sent: Vec<_> = (0..next[0]).map(|i| (stamp(i), cell(i))).collect();
+        assert_eq!(polled(&mut b), sent, "exactly once, in order");
+    }
+
+    #[test]
     fn wall_clock_mode_never_retransmits_a_flowing_link_before_rto() {
-        let rto = SimTime::from_ms(20);
-        let (a, b) = link_pair(&TransportFaultConfig::none(), 0, false, rto).unwrap();
+        let (a, b) = link_pair(&TransportFaultConfig::none(), 0, false).unwrap();
         let (mut a, mut b) = (UdpCellPhy::over(a), UdpCellPhy::over(b));
         // Each millisecond both ends pump, then a full datagram leaves
         // and one more cell is staged: the queue never runs empty, but
@@ -1249,6 +1212,7 @@ mod tests {
             }
         }
         assert_eq!(a.stats().retransmits, 0, "progress restarts the timer");
+        assert!(b.stats().acks_tx > 0, "acknowledged well inside RTO");
         assert_eq!(polled(&mut b).len(), sent - MAX_CELLS - 1);
     }
 }

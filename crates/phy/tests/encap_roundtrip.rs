@@ -9,8 +9,8 @@
 //! transports apart.
 
 use gw_phy::encap::{
-    self, DecodeError, ACK_TRAILER_LEN, CELL_RECORD_LEN, FLAG_ACK, FLAG_SYNC, HEADER_LEN, KIND_ACK,
-    KIND_CELL, KIND_FRAME, MAX_CELLS, MAX_PAYLOAD,
+    self, DecodeError, CELL_RECORD_LEN, FLAG_SYNC, HEADER_LEN, KIND_ACK, KIND_CELL, MAX_CELLS,
+    MAX_PAYLOAD,
 };
 use gw_phy::{
     loopback_cell_pair, loopback_frame_pair, udp_cell_pair, udp_frame_pair, CellPhy, FramePhy,
@@ -84,53 +84,44 @@ fn assert_frames_cross_exact(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every header field, payload octet and ack trailer survives
-    /// encode/decode. On a data datagram [`FLAG_ACK`] is the trailer's
-    /// own bit, set by `append_ack` alone; on a bare ack any flags go.
+    /// Every header field and payload octet survives encode/decode.
     #[test]
     fn gwp1_encode_decode_round_trips(
         kind in 0u8..3,
-        flags: u8,
+        sync: bool,
         seq: u64,
         at_ns: u64,
         payload in proptest::collection::vec(any::<u8>(), 0..512),
-        with_ack: bool,
         ack: u64,
     ) {
-        let (flags, ack) = if kind == KIND_ACK {
-            (flags, None)
-        } else {
-            (flags & !FLAG_ACK, with_ack.then_some(ack))
-        };
+        let flags = if sync { FLAG_SYNC } else { 0 };
         let mut wire = Vec::new();
         encap::encode(kind, flags, seq, SimTime::from_ns(at_ns), &payload, &mut wire).unwrap();
-        if let Some(ack) = ack {
-            encap::append_ack(&mut wire, ack);
-        }
-        let trailer = if ack.is_some() { ACK_TRAILER_LEN } else { 0 };
-        prop_assert_eq!(wire.len(), HEADER_LEN + payload.len() + trailer);
+        encap::set_ack(&mut wire, ack);
+        prop_assert_eq!(wire.len(), HEADER_LEN + payload.len());
         let d = encap::decode(&wire).unwrap();
         prop_assert_eq!(d.kind, kind);
-        prop_assert_eq!(d.flags, if ack.is_some() { flags | FLAG_ACK } else { flags });
+        prop_assert_eq!(d.flags, flags);
         prop_assert_eq!(d.seq, seq);
         prop_assert_eq!(d.at, SimTime::from_ns(at_ns));
         prop_assert_eq!(d.payload, &payload[..]);
         prop_assert_eq!(d.ack, ack);
     }
 
-    /// No strict prefix of a datagram that carries an ack trailer
-    /// decodes, the one that ends where the trailer begins included —
-    /// and neither does the datagram with octets added past the trailer.
+    /// No strict prefix of a valid datagram decodes — in-flight
+    /// truncation is always caught by the length check, so a truncated
+    /// payload can never masquerade as a shorter valid one — and
+    /// neither does the datagram with an octet added.
     #[test]
-    fn every_truncation_of_a_datagram_with_a_trailer_is_rejected(
-        kind in 0u8..2,
+    fn every_truncation_of_a_datagram_is_rejected(
+        kind in 0u8..3,
         payload in proptest::collection::vec(any::<u8>(), 0..96),
         seq: u64,
         ack: u64,
     ) {
         let mut wire = Vec::new();
         encap::encode(kind, FLAG_SYNC, seq, SimTime::from_ns(7), &payload, &mut wire).unwrap();
-        encap::append_ack(&mut wire, ack);
+        encap::set_ack(&mut wire, ack);
         for keep in 0..wire.len() {
             let err = encap::decode(&wire[..keep]).unwrap_err();
             prop_assert!(
@@ -138,30 +129,42 @@ proptest! {
                 "prefix of {} octets gave {:?}", keep, err
             );
         }
-        prop_assert_eq!(encap::decode(&wire).unwrap().ack, Some(ack));
+        prop_assert_eq!(encap::decode(&wire).unwrap().ack, ack);
         wire.push(0);
         prop_assert_eq!(encap::decode(&wire).unwrap_err(), DecodeError::Truncated);
     }
 
-    /// No strict prefix of a valid datagram decodes — in-flight
-    /// truncation is always caught by the length check, so a truncated
-    /// payload can never masquerade as a shorter valid one.
+    /// A datagram in the retired layout that carried its ack in a
+    /// trailer — a 24-octet header with flag bit 1 set, the payload,
+    /// then the 8-octet ack — is exactly as long as a current datagram
+    /// of the same `len`, so the length check alone cannot refuse it.
+    /// It decodes at no length: not whole, not as any strict prefix,
+    /// and not with an octet added.
     #[test]
-    fn every_truncation_of_a_datagram_is_rejected(
+    fn every_truncation_of_a_datagram_with_a_trailer_is_rejected(
+        kind in 0u8..2,
+        sync: bool,
         payload in proptest::collection::vec(any::<u8>(), 0..96),
         seq: u64,
+        ack: u64,
     ) {
-        let mut wire = Vec::new();
-        encap::encode(KIND_FRAME, FLAG_SYNC, seq, SimTime::from_ns(7), &payload, &mut wire)
-            .unwrap();
-        for keep in 0..wire.len() {
+        let mut wire = b"GWP1".to_vec();
+        wire.push(kind);
+        wire.push(0x02 | if sync { FLAG_SYNC } else { 0 });
+        wire.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+        wire.extend_from_slice(&seq.to_le_bytes());
+        wire.extend_from_slice(&7u64.to_le_bytes());
+        wire.extend_from_slice(&payload);
+        wire.extend_from_slice(&ack.to_le_bytes());
+        prop_assert_eq!(wire.len(), HEADER_LEN + payload.len());
+        wire.push(0);
+        for keep in 0..=wire.len() {
             let err = encap::decode(&wire[..keep]).unwrap_err();
             prop_assert!(
-                matches!(err, DecodeError::Runt | DecodeError::Truncated),
-                "prefix of {} octets gave {:?}", keep, err
+                matches!(err, DecodeError::Runt | DecodeError::BadFlags),
+                "{} of {} octets gave {:?}", keep, wire.len() - 1, err
             );
         }
-        prop_assert!(encap::decode(&wire).is_ok());
     }
 
     /// A cell datagram of every fill a sender produces round-trips with
@@ -300,10 +303,11 @@ fn max_size_and_zero_payload_edges_cross_both_transports() {
 #[test]
 fn ack_and_payload_ceiling_edges() {
     let mut wire = Vec::new();
-    encap::encode(KIND_ACK, 0, u64::MAX, SimTime::ZERO, &[], &mut wire).unwrap();
+    encap::encode(KIND_ACK, 0, 0, SimTime::ZERO, &[], &mut wire).unwrap();
+    encap::set_ack(&mut wire, u64::MAX);
     assert_eq!(wire.len(), HEADER_LEN);
     let d = encap::decode(&wire).unwrap();
-    assert_eq!((d.kind, d.seq, d.payload.len()), (KIND_ACK, u64::MAX, 0));
+    assert_eq!((d.kind, d.ack, d.payload.len()), (KIND_ACK, u64::MAX, 0));
 
     let mut wire = Vec::new();
     encap::encode(KIND_CELL, 0, 0, SimTime::ZERO, &[0xAA; MAX_PAYLOAD], &mut wire).unwrap();

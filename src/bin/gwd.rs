@@ -162,25 +162,20 @@ fn run_daemon(args: &[String]) -> i32 {
     let snapshot_path = arg_value(args, "--snapshot");
     let duration_ms: u64 = parse_flag(args, "--duration-ms", 0);
 
-    // Wall-clock transports: retransmit on a timer instead of every
-    // pump, because a real peer answers in real time.
-    let rto = SimTime::from_ms(50);
-    let cell = match UdpCellPhy::bind(atm_bind, atm_peer, TransportFaultConfig::none(), false, rto)
-    {
+    let cell = match UdpCellPhy::bind(atm_bind, atm_peer) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("gwd: ATM port bind {atm_bind} failed: {e}");
             return 2;
         }
     };
-    let frame =
-        match UdpFramePhy::bind(fddi_bind, fddi_peer, TransportFaultConfig::none(), false, rto) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("gwd: FDDI port bind {fddi_bind} failed: {e}");
-                return 2;
-            }
-        };
+    let frame = match UdpFramePhy::bind(fddi_bind, fddi_peer) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("gwd: FDDI port bind {fddi_bind} failed: {e}");
+            return 2;
+        }
+    };
 
     let mut app =
         Appliance::new(GatewayConfig::default(), 100_000_000, Box::new(cell), Box::new(frame));

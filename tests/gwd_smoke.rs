@@ -44,11 +44,14 @@ fn builtin_scene_text(n: usize) -> String {
 
 /// `(length, FNV-1a 64)` of the snapshot `gwd smoke --frames 12`
 /// writes. It was recorded at b85e223, when plain smoke was its own
-/// 215-line runner, and moved once since: when acks began to ride on
-/// data, the fault stream (one draw per transmission) fell on other
-/// datagrams, so different ones were lost and retransmitted. Only
-/// `time_ns` and the forwarding-latency statistics changed.
-const FRAMES_12: (usize, u64) = (7934, 0x507e_687f_13bf_65bb);
+/// 215-line runner, and moved twice since, each time because the fault
+/// stream (one draw per transmission) fell on other datagrams, so
+/// different ones were lost and retransmitted at other pumps: when
+/// acks began to ride on data, and when the ack became a header field
+/// (datagrams eight octets longer, bare acks spaced on every link, and
+/// one retransmission timer for every peer). Each time only `time_ns`
+/// and the forwarding-latency statistics changed.
+const FRAMES_12: (usize, u64) = (7924, 0x5b45_258c_75f3_d944);
 
 #[test]
 fn plain_smoke_is_the_builtin_scene_and_renders_the_recorded_snapshot() {
