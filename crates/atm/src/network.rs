@@ -422,7 +422,9 @@ impl AtmNetwork {
     /// Install (or extend) a VC table entry on a switch: cells arriving
     /// on `(in_port, in_vci)` are replicated to each `(out_port,
     /// out_vci)`. Normally done by the signaling layer; exposed for
-    /// hand-built configurations and tests.
+    /// hand-built configurations and tests. An entry with no outputs
+    /// yet adopts `outputs` as its fan-out, so a new VC costs no
+    /// allocation beyond the caller's `Vec`.
     ///
     /// # Panics
     /// Panics if the switch has no port `in_port`.
@@ -434,7 +436,10 @@ impl AtmNetwork {
         outputs: Vec<(usize, Vci)>,
     ) {
         let entry = self.switches[switch.0].table.entry(in_port, in_vci);
-        entry.outputs.get_or_insert_with(Vec::new).extend(outputs);
+        match &mut entry.outputs {
+            Some(fan_out) if !fan_out.is_empty() => fan_out.extend(outputs),
+            empty => *empty = Some(outputs),
+        }
     }
 
     /// Remove a VC table entry (and the policer installed on it).

@@ -1,6 +1,6 @@
 //! The `.scene` parser: line-oriented, byte-exact, cascade-free.
 //!
-//! Scanner discipline follows `gw-lint`: the source is tokenized into
+//! Diagnostics follow `gw-lint`: the source is tokenized into
 //! whitespace-separated tokens that each remember their byte offset,
 //! line, and column; every diagnostic points at the exact token (or
 //! the exact gap) that caused it. A line that fails stops parsing *at
@@ -8,6 +8,18 @@
 //! next line parses independently, so one typo yields one diagnostic.
 //! When any error is present, warnings are withheld entirely: fix the
 //! errors first, then the lint pass speaks.
+//!
+//! Scanner discipline: one byte loop reads each line's code, up to its
+//! `\n` or its `#`, and splits it into tokens, into one buffer that
+//! every line of the parse refills. Its separators are exactly
+//! `char::is_whitespace`: the ASCII bytes 0x09–0x0D and 0x20 stand for
+//! themselves (VT too, which `u8::is_ascii_whitespace` leaves out), and
+//! a byte of 0x80 or more starts one `char` that is decoded and tested,
+//! so Unicode White_Space such as U+00A0 separates tokens and no token
+//! ends inside a UTF-8 sequence. A diagnostic's message is built only
+//! when the diagnostic is emitted — `keyword` checks the token before
+//! it formats anything — so a scene that parses formats nothing, and
+//! allocates for what it holds, not per line or token.
 //!
 //! Grammar (one directive per line, `#` starts a comment):
 //!
@@ -73,7 +85,7 @@ struct Tok<'a> {
 /// and return `None`, so directive parsers read linearly; the line's
 /// diagnostics are merged into the parser afterwards.
 struct Cursor<'a> {
-    toks: Vec<Tok<'a>>,
+    toks: &'a [Tok<'a>],
     i: usize,
     diags: Vec<Diag>,
 }
@@ -117,21 +129,26 @@ impl<'a> Cursor<'a> {
         });
     }
 
+    /// The next token, if the line has one.
+    fn take(&mut self) -> Option<Tok<'a>> {
+        let t = *self.toks.get(self.i)?;
+        self.i += 1;
+        Some(t)
+    }
+
     fn next(&mut self, what: &str) -> Option<Tok<'a>> {
-        match self.toks.get(self.i) {
-            Some(&t) => {
-                self.i += 1;
-                Some(t)
-            }
-            None => {
-                self.err_after_last(diag::E_MISSING_ARG, format!("missing {what}"));
-                None
-            }
+        let t = self.take();
+        if t.is_none() {
+            self.err_after_last(diag::E_MISSING_ARG, format!("missing {what}"));
         }
+        t
     }
 
     fn keyword(&mut self, kw: &str) -> Option<()> {
-        let t = self.next(&format!("keyword `{kw}`"))?;
+        let Some(t) = self.take() else {
+            self.err_after_last(diag::E_MISSING_ARG, format!("missing keyword `{kw}`"));
+            return None;
+        };
         if t.text == kw {
             Some(())
         } else {
@@ -228,7 +245,7 @@ struct Parser {
     /// Single-occurrence directives already seen, by keyword.
     seen_once: Vec<&'static str>,
     /// Fault kinds already armed, by keyword.
-    seen_faults: Vec<String>,
+    seen_faults: Vec<&'static str>,
     /// Frames the traffic directives accepted so far expand to.
     frames: u64,
     /// Congrams actually referenced by traffic, by index.
@@ -256,14 +273,27 @@ pub fn parse(src: &str) -> (Option<Scene>, Vec<Diag>) {
         congram_spans: Vec::new(),
     };
 
-    let mut offset = 0usize;
-    for (lineno, raw) in src.split('\n').enumerate() {
-        let line_no = (lineno + 1) as u32;
-        parse_line(&mut p, raw, offset, line_no);
-        offset += raw.len() + 1;
+    // One token buffer for the whole parse: each line refills it.
+    let mut toks = Vec::new();
+    let mut line_start = 0usize;
+    let mut line_no = 0u32;
+    loop {
+        line_no += 1;
+        let rest = &src[line_start..];
+        let code_end = scan(rest, line_start, line_no, &mut toks);
+        // A comment runs to the end of its line.
+        let line_end = match rest.as_bytes().get(code_end) {
+            Some(b'#') => rest[code_end..].find('\n').map_or(rest.len(), |n| code_end + n),
+            _ => code_end,
+        };
+        parse_line(&mut p, &toks, &rest[..line_end], code_end, line_start, line_no);
+        if line_end == rest.len() {
+            break;
+        }
+        line_start += line_end + 1;
     }
 
-    finish(&mut p, src);
+    finish(&mut p, src.len(), line_no);
     let has_error = p.diags.iter().any(|d| d.severity == Severity::Error);
     if has_error {
         p.diags.retain(|d| d.severity == Severity::Error);
@@ -275,8 +305,9 @@ pub fn parse(src: &str) -> (Option<Scene>, Vec<Diag>) {
 /// Post-parse checks that need the whole file: every congram's station
 /// is on the ring (`stations` may come before or after the congram),
 /// then the lints — unused congrams, empty schedules, missing
-/// expectations.
-fn finish(p: &mut Parser, src: &str) {
+/// expectations. End-of-file warnings anchor at `eof_offset`, on line
+/// `eof_line` (the last line the main loop read).
+fn finish(p: &mut Parser, eof_offset: usize, eof_line: u32) {
     let stations = p.scene.stations_or_default();
     for (i, used) in p.used_congrams.iter().enumerate() {
         let (offset, len, line, col) = p.congram_spans[i];
@@ -298,11 +329,10 @@ fn finish(p: &mut Parser, src: &str) {
         }
     }
     if p.saw_header {
-        let eof_line = src.split('\n').count() as u32;
         let eof = |code: &'static str, message: String| Diag {
             code,
             severity: Severity::Warning,
-            offset: src.len(),
+            offset: eof_offset,
             len: 0,
             line: eof_line,
             col: 1,
@@ -320,10 +350,58 @@ fn finish(p: &mut Parser, src: &str) {
     }
 }
 
-fn parse_line(p: &mut Parser, raw: &str, line_start: usize, line_no: u32) {
+/// Tokenize the code at the head of `rest` into `toks`, up to the first
+/// `\n` or `#` (or the end), and return where it stopped. One byte at a
+/// time: an ASCII byte is classified by itself, a byte of 0x80 or more
+/// starts a `char` that is decoded once and tested. The separators are
+/// exactly `char::is_whitespace`, and every token starts and ends on a
+/// `char` boundary.
+fn scan<'a>(rest: &'a str, line_start: usize, line_no: u32, toks: &mut Vec<Tok<'a>>) -> usize {
+    toks.clear();
+    let mut token_start = None;
+    let mut i = 0;
+    loop {
+        // (separates, width); the end of the code separates too.
+        let (space, width) = match rest.as_bytes().get(i) {
+            None | Some(b'\n' | b'#') => (true, 0),
+            Some(b'\t'..=b'\r' | b' ') => (true, 1),
+            Some(0..=0x7f) => (false, 1),
+            Some(_) => {
+                rest[i..].chars().next().map_or((true, 0), |ch| (ch.is_whitespace(), ch.len_utf8()))
+            }
+        };
+        match (space, token_start) {
+            (true, Some(start)) => {
+                toks.push(Tok {
+                    text: &rest[start..i],
+                    offset: line_start + start,
+                    line: line_no,
+                    col: start as u32 + 1,
+                });
+                token_start = None;
+            }
+            (false, None) => token_start = Some(i),
+            _ => {}
+        }
+        if width == 0 {
+            return i;
+        }
+        i += width;
+    }
+}
+
+/// Parse one line, `raw`, whose code `scan` read into `toks` up to
+/// `code_end`.
+fn parse_line(
+    p: &mut Parser,
+    toks: &[Tok<'_>],
+    raw: &str,
+    code_end: usize,
+    line_start: usize,
+    line_no: u32,
+) {
     // Comments run to end of line — except the version header, which
     // is validated wherever a `# gw-scene/N` comment appears.
-    let code_end = raw.find('#').unwrap_or(raw.len());
     if let Some(rest) = raw[code_end..].strip_prefix("# gw-scene/") {
         let version: &str = rest.split_whitespace().next().unwrap_or("");
         if version != "1" {
@@ -340,29 +418,7 @@ fn parse_line(p: &mut Parser, raw: &str, line_start: usize, line_no: u32) {
             });
         }
     }
-    let code = &raw[..code_end];
-    if code.trim().is_empty() {
-        return;
-    }
-
-    // Tokenize with byte-exact anchors.
-    let mut toks = Vec::new();
-    let mut rest = code;
-    let mut consumed = 0usize;
-    while let Some(start) = rest.find(|c: char| !c.is_whitespace()) {
-        let after = &rest[start..];
-        let end = after.find(char::is_whitespace).unwrap_or(after.len());
-        let abs = consumed + start;
-        toks.push(Tok {
-            text: &after[..end],
-            offset: line_start + abs,
-            line: line_no,
-            col: abs as u32 + 1,
-        });
-        consumed += start + end;
-        rest = &rest[start + end..];
-    }
-    let head = toks[0];
+    let Some(&head) = toks.first() else { return };
     let mut c = Cursor { toks, i: 1, diags: Vec::new() };
 
     // Everything before the `scene` header is an error (one per line).
@@ -704,23 +760,39 @@ fn parse_burst(p: &mut Parser, c: &mut Cursor<'_>) {
     }));
 }
 
+/// Every `fault` kind, by keyword.
+const FAULT_KINDS: [&str; 8] = [
+    "drops",
+    "corruption",
+    "reordering",
+    "misinsertion",
+    "duplication",
+    "delay_skew",
+    "burst",
+    "flap",
+];
+
 fn parse_fault(p: &mut Parser, c: &mut Cursor<'_>) {
     let Some(kind) = c.next("fault kind") else { return };
-    if p.seen_faults.iter().any(|k| k == kind.text) {
-        c.err_at(diag::E_DUPLICATE_FAULT, kind, format!("fault `{}` is already armed", kind.text));
+    let Some(kw) = FAULT_KINDS.into_iter().find(|&k| k == kind.text) else {
+        c.err_at(diag::E_UNKNOWN_FAULT, kind, format!("unknown fault kind `{}`", kind.text));
+        return;
+    };
+    if p.seen_faults.contains(&kw) {
+        c.err_at(diag::E_DUPLICATE_FAULT, kind, format!("fault `{kw}` is already armed"));
         return;
     }
     let mut zero_warn: Option<Tok<'_>> = None;
-    match kind.text {
+    match kw {
         "drops" | "corruption" | "reordering" | "misinsertion" => {
-            let Some((prob, pt)) = c.probability(kind.text) else { return };
+            let Some((prob, pt)) = c.probability(kw) else { return };
             if c.finish().is_none() {
                 return;
             }
             if prob == 0.0 {
                 zero_warn = Some(pt);
             }
-            match kind.text {
+            match kw {
                 "drops" => p.scene.faults.drops = Some(prob),
                 "corruption" => p.scene.faults.corruption = Some(prob),
                 "reordering" => p.scene.faults.reordering = Some(prob),
@@ -774,7 +846,8 @@ fn parse_fault(p: &mut Parser, c: &mut Cursor<'_>) {
             }
             p.scene.faults.burst_loss = Some((p_gb, p_bg));
         }
-        "flap" => {
+        _ => {
+            // `flap`, the last of `FAULT_KINDS`.
             let Some(()) = c.keyword("down_us") else { return };
             let Some((down, _)) = c.time_us("down_us") else { return };
             let Some(()) = c.keyword("up_us") else { return };
@@ -792,19 +865,15 @@ fn parse_fault(p: &mut Parser, c: &mut Cursor<'_>) {
             }
             p.scene.faults.flap = Some((down, up));
         }
-        other => {
-            c.err_at(diag::E_UNKNOWN_FAULT, kind, format!("unknown fault kind `{other}`"));
-            return;
-        }
     }
     if let Some(t) = zero_warn {
         c.warn_at(
             diag::W_ZERO_PROBABILITY,
             t,
-            format!("fault `{}` armed with probability 0 is a no-op", kind.text),
+            format!("fault `{kw}` armed with probability 0 is a no-op"),
         );
     }
-    p.seen_faults.push(kind.text.to_string());
+    p.seen_faults.push(kw);
 }
 
 fn parse_expect(p: &mut Parser, c: &mut Cursor<'_>) {
@@ -830,4 +899,70 @@ fn parse_expect(p: &mut Parser, c: &mut Cursor<'_>) {
         return;
     }
     p.scene.expects.push(expect);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{scan, Tok};
+    use proptest::prelude::*;
+
+    /// The scanner this one replaced, kept verbatim as the oracle: a
+    /// `char::is_whitespace` search per token edge.
+    fn char_search_tokens(code: &str, line_start: usize, line_no: u32) -> Vec<Tok<'_>> {
+        let mut toks = Vec::new();
+        let mut rest = code;
+        let mut consumed = 0usize;
+        while let Some(start) = rest.find(|c: char| !c.is_whitespace()) {
+            let after = &rest[start..];
+            let end = after.find(char::is_whitespace).unwrap_or(after.len());
+            let abs = consumed + start;
+            toks.push(Tok {
+                text: &after[..end],
+                offset: line_start + abs,
+                line: line_no,
+                col: abs as u32 + 1,
+            });
+            consumed += start + end;
+            rest = &rest[start + end..];
+        }
+        toks
+    }
+
+    /// ASCII letters and digits, `#`, the six ASCII White_Space bytes
+    /// (VT among them, which `u8::is_ascii_whitespace` leaves out, and
+    /// `\n`, which ends the line), six non-ASCII White_Space chars of
+    /// two and three octets, and multibyte chars that are not space.
+    const ALPHABET: &[char] = &[
+        'a', 'z', 'K', '0', '7', '#', '\t', '\n', '\u{0B}', '\u{0C}', '\r', ' ', '\u{85}',
+        '\u{A0}', '\u{1680}', '\u{2000}', '\u{2028}', '\u{3000}', 'é', '漢', '🙂',
+    ];
+
+    fn anchors<'a>(toks: &[Tok<'a>]) -> Vec<(&'a str, usize, u32, u32)> {
+        toks.iter().map(|t| (t.text, t.offset, t.line, t.col)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn byte_scanner_matches_the_char_search(
+            picks in proptest::collection::vec(0..ALPHABET.len(), 0..40),
+            line_start in 0usize..10_000,
+            line_no in 1u32..1_000,
+        ) {
+            let rest: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            // What the parser read before: the first line, up to its comment.
+            let line = rest.split('\n').next().unwrap_or("");
+            let code = &line[..line.find('#').unwrap_or(line.len())];
+            let mut toks = vec![Tok { text: "stale", offset: 0, line: 0, col: 0 }];
+            let code_end = scan(&rest, line_start, line_no, &mut toks);
+            prop_assert_eq!(code_end, code.len(), "where {:?} ends", rest);
+            prop_assert_eq!(
+                anchors(&toks),
+                anchors(&char_search_tokens(code, line_start, line_no)),
+                "rest {:?}",
+                rest
+            );
+        }
+    }
 }

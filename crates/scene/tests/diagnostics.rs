@@ -368,3 +368,14 @@ fn render_shape_is_stable() {
     assert!(line.starts_with("2:6: error[gw-scene/E003]:"), "{line}");
     assert!(line.ends_with("(byte 13)"), "{line}");
 }
+
+#[test]
+fn no_break_space_separates_tokens_and_anchors_what_follows() {
+    // U+00A0 is White_Space: `seed\u{A0}9` reads as `seed 9`.
+    let (scene, diags) = parse(&format!("{OK}seed\u{A0}9\n"));
+    assert!(diags.is_empty(), "{diags:?}");
+    assert_eq!(scene.expect("parses").seed, Some(9));
+    // An error on the token after it anchors at that token's first
+    // octet, past both octets of the separator.
+    one_diag(&format!("{OK}seed\u{A0}nine\n"), diag::E_BAD_INT, "nine");
+}

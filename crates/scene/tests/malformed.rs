@@ -153,3 +153,52 @@ fn offsets_are_always_in_bounds() {
         }
     }
 }
+
+/// Every separator `char::is_whitespace` accepts besides the space and
+/// the newline: the ASCII controls VT, FF and CR, and every non-ASCII
+/// White_Space char (two and three octets in UTF-8).
+const SEPARATORS: &[char] = &[
+    '\u{0B}', '\u{0C}', '\r', '\u{85}', '\u{A0}', '\u{1680}', '\u{2000}', '\u{2001}', '\u{2002}',
+    '\u{2003}', '\u{2004}', '\u{2005}', '\u{2006}', '\u{2007}', '\u{2008}', '\u{2009}', '\u{200A}',
+    '\u{2028}', '\u{2029}', '\u{202F}', '\u{205F}', '\u{3000}',
+];
+
+/// A scene whose tokens are separated — and each line led and trailed —
+/// by one of [`SEPARATORS`] parses to the space-separated scene. Every
+/// prefix of it, cut at each char boundary (so also just before each
+/// multibyte separator), parses without panicking, and every diagnostic
+/// span lies inside the source on char boundaries.
+#[test]
+fn white_space_separators_parse_and_cut_safely() {
+    let base = "# gw-scene/1\nscene t\ncongram a station 1 class async\n\
+                send at_us 0 vc a dir atm len 64 fill 0x2a\nexpect conservation\n";
+    let (want, diags) = parse(base);
+    assert!(diags.is_empty(), "{diags:?}");
+    for &sep in SEPARATORS {
+        let sep = sep.to_string();
+        let src: String = base
+            .lines()
+            .map(|line| {
+                if line.starts_with('#') {
+                    format!("{line}\n")
+                } else {
+                    format!("{sep}{}{sep}\n", line.replace(' ', &sep))
+                }
+            })
+            .collect();
+        let (scene, diags) = exercise(&src);
+        assert!(diags.is_empty(), "separator {sep:?}: {diags:?}");
+        assert_eq!(scene, want, "separator {sep:?}");
+        for end in (0..=src.len()).filter(|&end| src.is_char_boundary(end)) {
+            let cut = &src[..end];
+            for d in exercise(cut).1 {
+                let span = d.offset..d.offset + d.len;
+                assert!(span.end <= cut.len(), "{d:?} escapes {cut:?}");
+                assert!(
+                    cut.is_char_boundary(span.start) && cut.is_char_boundary(span.end),
+                    "{d:?} splits a char of {cut:?}"
+                );
+            }
+        }
+    }
+}

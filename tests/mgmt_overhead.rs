@@ -681,3 +681,105 @@ fn models_hold_no_histogram_bins_at_construction() {
     assert!(testbed_bytes <= 192 * 1024, "Testbed::from_scene holds {testbed_bytes} bytes");
     drop(tb);
 }
+
+/// A scene of `testbed_mix`'s shape: 33 lines, about 1 700 octets —
+/// eight congrams over four stations, sixteen bursts both ways, two
+/// seam faults and two expectations.
+const TESTBED_MIX_SCENE: &str = "\
+# gw-scene/1
+# the shape of gw-benchmark's testbed_mix scene, with fixed phases
+scene testbed-mix
+seed 1991
+stations 5
+congram c0 station 1 class sync
+congram c1 station 2 class sync
+congram c2 station 3 class async
+congram c3 station 4 class async
+congram c4 station 1 class async
+congram c5 station 2 class async
+congram c6 station 3 class async
+congram c7 station 4 class async
+burst from_us 17 to_us 100000 every_us 1250 vc c0 dir atm len 180 fill 0x20
+burst from_us 1003 to_us 100000 every_us 1250 vc c0 dir fddi len 180 fill 0x21
+burst from_us 411 to_us 100000 every_us 1250 vc c1 dir atm len 180 fill 0x22
+burst from_us 862 to_us 100000 every_us 1250 vc c1 dir fddi len 180 fill 0x23
+burst from_us 530 to_us 100000 every_us 900 vc c2 dir atm len 900 fill 0x24
+burst from_us 2209 to_us 100000 every_us 6400 vc c2 dir fddi len 4000 fill 0x25
+burst from_us 77 to_us 100000 every_us 1400 vc c3 dir atm len 1400 fill 0x26
+burst from_us 4120 to_us 100000 every_us 4800 vc c3 dir fddi len 3000 fill 0x27
+burst from_us 1290 to_us 100000 every_us 1800 vc c4 dir atm len 1800 fill 0x28
+burst from_us 305 to_us 100000 every_us 3200 vc c4 dir fddi len 2000 fill 0x29
+burst from_us 1768 to_us 100000 every_us 2400 vc c5 dir atm len 2400 fill 0x2a
+burst from_us 943 to_us 100000 every_us 2400 vc c5 dir fddi len 1500 fill 0x2b
+burst from_us 2650 to_us 100000 every_us 3200 vc c6 dir atm len 3200 fill 0x2c
+burst from_us 1111 to_us 100000 every_us 1600 vc c6 dir fddi len 1000 fill 0x2d
+burst from_us 3999 to_us 100000 every_us 4000 vc c7 dir atm len 4000 fill 0x2e
+burst from_us 58 to_us 100000 every_us 737 vc c7 dir fddi len 461 fill 0x2f
+fault drops 0.005
+fault corruption 0.002
+expect conservation
+expect residue_clean
+";
+
+/// The testbed_mix-shaped scene, parsed clean.
+fn testbed_mix_scene() -> atm_fddi_gateway::scene::Scene {
+    let (scene, diags) = atm_fddi_gateway::scene::parse(TESTBED_MIX_SCENE);
+    assert!(diags.is_empty(), "{diags:?}");
+    let scene = scene.expect("the scene parses");
+    assert_eq!((scene.congrams.len(), scene.traffic.len()), (8, 16));
+    scene
+}
+
+/// Scene-to-testbed set-up is part of the budget (`setup_s`). The
+/// parser builds a diagnostic's message only when it emits one and
+/// tokenizes every line into one buffer, so a clean parse allocates
+/// for what the scene holds — names and tables — and not per token or
+/// per keyword (221 allocations when it did both).
+#[test]
+fn scene_parse_stays_within_its_allocation_budget() {
+    let (allocs, scene) = allocations_during(testbed_mix_scene);
+    assert!(allocs <= 25, "parsing the scene made {allocs} allocations");
+    drop(scene);
+}
+
+/// `Testbed::from_scene` installs four switch entries per congram, each
+/// adopting the caller's output list (137 allocations when each install
+/// copied it into a list of its own).
+#[test]
+fn testbed_from_scene_stays_within_its_allocation_budget() {
+    use atm_fddi_gateway::testbed::Testbed;
+
+    let scene = testbed_mix_scene();
+    let (allocs, (tb, handles)) =
+        allocations_during(|| Testbed::from_scene(&scene, Default::default()));
+    assert!(allocs <= 105, "Testbed::from_scene made {allocs} allocations");
+    assert_eq!(handles.len(), 8);
+    drop(tb);
+}
+
+/// A new switch entry adopts the caller's output list: once the port's
+/// VCI index covers the VCI and the entry table has room, a one-output
+/// install makes one allocation, the caller's `vec!` (two when the
+/// entry copied it into a list of its own).
+#[test]
+fn vc_install_allocates_only_the_callers_output_list() {
+    use atm_fddi_gateway::atm::{AtmNetwork, EndpointEvent, LinkParams};
+
+    let mut net = AtmNetwork::new();
+    let (s0, s1) = (net.add_switch(4), net.add_switch(4));
+    net.link(s0, 0, s1, 0, LinkParams::default());
+    let host = net.attach_endpoint(s0, 1);
+    let gw = net.attach_endpoint(s1, 1);
+    net.install_vc(s1, 0, VCI, vec![(1, VCI)]);
+    for vci in [Vci(VCI.0 + 1), Vci(VCI.0 + 2)] {
+        net.install_vc(s0, 1, vci, vec![(0, vci)]);
+    }
+    // Port 1's index already covers `VCI`, and the entry table has room.
+    let (allocs, ()) = allocations_during(|| net.install_vc(s0, 1, VCI, vec![(0, VCI)]));
+    assert_eq!(allocs, 1, "the caller's Vec and nothing else");
+
+    // The adopted list routes: a cell from the host reaches the gateway.
+    net.inject_at(host, SimTime::ZERO, frame_cells(40)[0]);
+    net.run_to_idle();
+    assert!(matches!(net.next_event(gw), Some(EndpointEvent::CellRx { .. })));
+}
