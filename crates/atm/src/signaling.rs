@@ -15,6 +15,10 @@
 //!   setup's propagation-plus-processing latency.
 //! * **RELEASE** — frees reserved bandwidth and tears the entries down.
 //!
+//! The table holds live connections only, `SetupPending` or
+//! `Established`: a REJECT or a completed RELEASE removes the entry, so
+//! a release that overtakes its setup leaves that setup nothing to do.
+//!
 //! Admission decisions are made atomically when the request enters the
 //! network, then the outcome is delivered after the modeled signaling
 //! latency — a documented simplification of per-hop handshaking that
@@ -98,10 +102,6 @@ pub enum ConnState {
     SetupPending,
     /// Established; cells flow.
     Established,
-    /// REJECT delivered.
-    Rejected,
-    /// RELEASE completed.
-    Released,
 }
 
 /// Why a setup was refused.
@@ -239,7 +239,8 @@ impl AtmNetwork {
         self.schedule_signaling(self.now() + delay, SignalingEvent::CompleteRelease(conn_id));
     }
 
-    /// The state of a connection, if known.
+    /// The state of a live connection; `None` once it was rejected or
+    /// released.
     pub fn conn_state(&self, conn: ConnId) -> Option<ConnState> {
         self.signaling.conns.get(&conn).map(|c| c.state)
     }
@@ -387,7 +388,6 @@ impl AtmNetwork {
         for (sw, port, vci) in conn.entries.drain(..) {
             self.remove_vc(SwitchId(sw), port, vci);
         }
-        conn.tree_in_vci.clear();
         conn.rx_vcis.clear();
     }
 }
@@ -398,37 +398,32 @@ pub(crate) fn handle_event(net: &mut AtmNetwork, now: SimTime, ev: SignalingEven
         SignalingEvent::CompleteSetup(id) => {
             let Some(mut conn) = net.signaling.conns.remove(&id) else { return };
             if let Some(reason) = conn.pending_reject {
-                conn.state = ConnState::Rejected;
                 net.deliver_signal(conn.src, now, SignalIndication::Rejected { conn: id, reason });
-            } else {
-                conn.state = ConnState::Established;
+                return;
+            }
+            conn.state = ConnState::Established;
+            net.deliver_signal(
+                conn.src,
+                now,
+                SignalIndication::ConnectionUp { conn: id, tx_vci: conn.tx_vci },
+            );
+            for &(ep, rx_vci) in &conn.rx_vcis {
                 net.deliver_signal(
-                    conn.src,
+                    ep,
                     now,
-                    SignalIndication::ConnectionUp { conn: id, tx_vci: conn.tx_vci },
+                    SignalIndication::IncomingConnection { conn: id, rx_vci, from: conn.src },
                 );
-                for &(ep, rx_vci) in &conn.rx_vcis {
-                    net.deliver_signal(
-                        ep,
-                        now,
-                        SignalIndication::IncomingConnection { conn: id, rx_vci, from: conn.src },
-                    );
-                }
             }
             net.signaling.conns.insert(id, conn);
         }
         SignalingEvent::CompleteRelease(id) => {
             let Some(mut conn) = net.signaling.conns.remove(&id) else { return };
-            if conn.state == ConnState::Established || conn.state == ConnState::SetupPending {
-                let parties: Vec<EndpointId> = conn.rx_vcis.iter().map(|&(ep, _)| ep).collect();
-                net.rollback(&mut conn);
-                conn.state = ConnState::Released;
-                net.deliver_signal(conn.src, now, SignalIndication::Released { conn: id });
-                for ep in parties {
-                    net.deliver_signal(ep, now, SignalIndication::Released { conn: id });
-                }
+            let parties: Vec<EndpointId> = conn.rx_vcis.iter().map(|&(ep, _)| ep).collect();
+            net.rollback(&mut conn);
+            net.deliver_signal(conn.src, now, SignalIndication::Released { conn: id });
+            for ep in parties {
+                net.deliver_signal(ep, now, SignalIndication::Released { conn: id });
             }
-            net.signaling.conns.insert(id, conn);
         }
     }
 }
@@ -506,7 +501,7 @@ mod tests {
         let c2 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(100_000_000));
         net.run_until(SimTime::from_ms(100));
         assert_eq!(net.conn_state(c1), Some(ConnState::Established));
-        assert_eq!(net.conn_state(c2), Some(ConnState::Rejected));
+        assert_eq!(net.conn_state(c2), None, "a rejected connection leaves the table");
         let sigs = drain_signals(&mut net, e0);
         assert!(sigs.iter().any(|s| matches!(
             s,
@@ -536,7 +531,7 @@ mod tests {
         assert_eq!(net.conn_state(c1), Some(ConnState::Established));
         net.release(c1);
         net.run_until(SimTime::from_ms(100));
-        assert_eq!(net.conn_state(c1), Some(ConnState::Released));
+        assert_eq!(net.conn_state(c1), None, "a released connection leaves the table");
         // The same capacity is admittable again.
         let c2 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(100_000_000));
         net.run_until(SimTime::from_ms(200));
@@ -583,7 +578,7 @@ mod tests {
         let e1 = net.attach_endpoint(s1, 0);
         let c = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(1_000));
         net.run_until(SimTime::from_ms(50));
-        assert_eq!(net.conn_state(c), Some(ConnState::Rejected));
+        assert_eq!(net.conn_state(c), None);
         let sigs = drain_signals(&mut net, e0);
         assert!(sigs.iter().any(|s| matches!(
             s,
@@ -597,12 +592,24 @@ mod tests {
         let c1 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(140_000_000));
         let c2 = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(140_000_000));
         net.run_until(SimTime::from_ms(100));
-        assert_eq!(net.conn_state(c2), Some(ConnState::Rejected));
+        assert_eq!(net.conn_state(c2), None);
         // Reserved bandwidth equals exactly one connection's worth on the
         // access link.
         let (sw, port) = net.endpoint_attachment(e0);
         assert_eq!(net.reserved_bps(sw, port), 140_000_000);
         let _ = c1;
+    }
+
+    #[test]
+    fn a_release_that_overtakes_its_setup_ends_the_connection() {
+        let (mut net, e0, e1, _) = mesh();
+        let c = net.connect(net.now(), e0, &[e1], TrafficContract::cbr(10_000_000));
+        net.release(c);
+        net.run_until(SimTime::from_ms(100));
+        assert_eq!(drain_signals(&mut net, e0), [SignalIndication::Released { conn: c }]);
+        assert_eq!(net.conn_state(c), None);
+        let mut links = (0..4).flat_map(|sw| (0..6).map(move |port| (SwitchId(sw), port)));
+        assert!(links.all(|(sw, port)| net.reserved_bps(sw, port) == 0));
     }
 
     #[test]

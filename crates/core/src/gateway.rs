@@ -106,8 +106,8 @@ pub enum Output {
         /// Mean rate.
         mean_bps: u64,
     },
-    /// The NPE releases an ATM VC it previously signaled for (the
-    /// congram was quarantined or torn down); the harness should drop
+    /// The NPE releases an ATM VC it signaled for (its congram was
+    /// quarantined, or no congram awaited it); the harness should drop
     /// any network state for the VC.
     AtmConnectionRelease {
         /// When the release left the NPE.
@@ -379,7 +379,8 @@ impl Gateway {
             forward_errored_frames: config.forward_errored_frames,
             ..ReassemblyConfig::default()
         };
-        let npe = Npe::new(fddi_addr, fddi_capacity_bps, NPE_CONTROL_LATENCY);
+        let mut npe = Npe::new(fddi_addr, fddi_capacity_bps, NPE_CONTROL_LATENCY);
+        npe.reassembly_timeout = config.reassembly_timeout;
         let aic = if config.hec_correction { Aic::with_correction() } else { Aic::new() };
         let mut tx_buffer = BufferMemory::new(config.tx_buffer_octets);
         let mut rx_buffer = BufferMemory::new(config.rx_buffer_octets);
@@ -912,7 +913,7 @@ impl Gateway {
         }
     }
 
-    /// A congram/VC came up (install, setup confirm, SPP programming).
+    /// A congram/VC came up (install, or SPP programming for a setup).
     fn note_vc_installed(&mut self, at: SimTime, vci: Vci) {
         if let Some(m) = &mut self.mgmt {
             m.registry.create_vc(vci.0);
@@ -1682,7 +1683,8 @@ impl Gateway {
 
     /// Complete the numbered attempt of an NPE-requested ATM connection
     /// (the `attempt` of its [`Output::AtmConnectionRequest`]),
-    /// appending outputs to `out`.
+    /// appending outputs to `out`. An answer the NPE does not await
+    /// opens nothing and becomes one [`Output::AtmConnectionRelease`].
     pub fn atm_connection_ready(
         &mut self,
         now: SimTime,
@@ -1691,10 +1693,11 @@ impl Gateway {
         vci: Vci,
         out: &mut Vec<Output>,
     ) {
-        self.spp.open_vc(vci, self.config.reassembly_timeout);
-        self.register_vc_liveness(now, vci);
-        self.note_vc_installed(now, vci);
         let actions = self.npe.atm_connection_ready(now, congram, attempt, vci);
+        if let [NpeAction::ReleaseAtmConnection { at, vci }] = actions[..] {
+            out.push(Output::AtmConnectionRelease { at, vci });
+            return;
+        }
         self.apply_npe_actions(actions, out);
     }
 

@@ -39,6 +39,11 @@
 //! `Npe::scan` runs PICon keepalive expiries and then the setup timers,
 //! each in congram-id order; with no PICon and no setup in flight it
 //! touches no record.
+//!
+//! A congram's record lives in one of three states (`SetupPending`,
+//! `Established`, `Reconfiguring`). Closing it is one call that takes
+//! the record out of the congram manager and hands it back, so its
+//! ring reservation and ICXT entries go from what it held.
 
 use crate::mpp::{self, FixedHeader, IcxtAEntry, IcxtFEntry, MppInitOp};
 use crate::spp;
@@ -54,10 +59,6 @@ use gw_wire::atm::{AtmHeader, Vci, Vpi};
 use gw_wire::fddi::{FddiAddr, FrameControl};
 use gw_wire::mchip::Icn;
 use std::collections::HashMap;
-
-/// Reassembly timeout the NPE programs for the VCs of the congrams it
-/// sets up (§5.3).
-const REASSEMBLY_TIMEOUT: SimTime = SimTime::from_ms(10);
 
 /// Inputs the NPE processes.
 #[derive(Debug, Clone)]
@@ -132,8 +133,8 @@ pub enum NpeAction {
         /// Mean rate.
         mean_bps: u64,
     },
-    /// Release an ATM VC this gateway previously signaled for (the
-    /// congram was quarantined or torn down).
+    /// Release an ATM VC this gateway signaled for (its congram was
+    /// quarantined, or no congram awaited it).
     ReleaseAtmConnection {
         /// When the release leaves the NPE.
         at: SimTime,
@@ -192,6 +193,10 @@ pub struct Npe {
     stats: NpeStats,
     /// The setup backoff's jitter stream.
     jitter: SimRng,
+    /// The reassembly timeout it programs for the VC of a congram it
+    /// sets up (§5.3): 10 ms, unless its gateway configures another
+    /// (this programming is all that opens a signalled VC).
+    pub(crate) reassembly_timeout: SimTime,
 }
 
 /// A control frame toward `to`.
@@ -236,6 +241,7 @@ impl Npe {
             gateway_fddi_addr,
             stats: NpeStats::default(),
             jitter: SimRng::new(JITTER_SEED),
+            reassembly_timeout: SimTime::from_ms(10),
         }
     }
 
@@ -306,7 +312,7 @@ impl Npe {
                         return self.reject(at, from, congram, reject_codes::ADMISSION);
                     };
                     if self.resman.admit(&flow) != AdmitDecision::Admitted {
-                        let _ = self.congrams.reject(id);
+                        self.congrams.close(id);
                         return self.reject(at, from, congram, reject_codes::ADMISSION);
                     }
                     self.congrams.reserve(id, flow.peak_bps);
@@ -376,8 +382,9 @@ impl Npe {
         let Some(&r) = self.congrams.get(id) else { return Vec::new() };
         let Some(vci) = r.vci else { return Vec::new() };
         let icn = r.requester_icn();
+        let reassembly = [(vci, self.reassembly_timeout)];
         vec![
-            NpeAction::ProgramSpp { at, payload: spp::encode_init(&[(vci, REASSEMBLY_TIMEOUT)]) },
+            NpeAction::ProgramSpp { at, payload: spp::encode_init(&reassembly) },
             NpeAction::ProgramMpp {
                 at,
                 payload: mpp::encode_mpp_init(&[
@@ -403,17 +410,13 @@ impl Npe {
         ]
     }
 
-    /// Release what a congram holds here: its record (a setup still
-    /// pending is rejected, a live congram torn down, either ending its
-    /// supervision) and its ring reservation.
-    fn release(&mut self, id: CongramId) {
-        if self.congrams.reject(id).is_err() {
-            let _ = self.congrams.begin_teardown(id);
-            let _ = self.congrams.complete_teardown(id);
-        }
-        if let Some(bps) = self.congrams.take_reservation(id) {
+    /// Close congram `id`, giving its ring reservation back.
+    fn close(&mut self, id: CongramId) -> Option<CongramRecord> {
+        let r = self.congrams.close(id)?;
+        if let Some(bps) = r.reserved_bps {
             self.resman.release(bps);
         }
+        Some(r)
     }
 
     /// Start supervising a signaled setup (or re-establishment) of `id`;
@@ -443,7 +446,7 @@ impl Npe {
 
     /// ATM signaling succeeded for the numbered attempt of a congram
     /// requested from the FDDI side: program the chips and confirm to
-    /// the requester.
+    /// the requester. An answer no congram awaits releases its VC.
     pub fn atm_connection_ready(
         &mut self,
         now: SimTime,
@@ -452,11 +455,12 @@ impl Npe {
         vci: Vci,
     ) -> Vec<NpeAction> {
         if !self.awaits(congram, attempt) {
-            // A stale or duplicate indication — the answer to an attempt
-            // a later one replaced, or one arriving after the congram
-            // already completed (or was given up on). Acting on it would
-            // double-program the chips.
-            return Vec::new();
+            // A stale answer: its VC goes back, unless a live congram is
+            // bound to it (a duplicate of the answer that completed it).
+            if self.congrams.on_vc(vci).next().is_some() {
+                return Vec::new();
+            }
+            return vec![NpeAction::ReleaseAtmConnection { at: now + self.latency, vci }];
         }
         // A quarantined congram completes its reconfiguration (§2.4
         // survivability — the new path gets a fresh ATM-side ICN); a
@@ -491,16 +495,14 @@ impl Npe {
     /// its data path programmed (a quarantined congram's entries were
     /// already cleared by [`Npe::vc_quarantined`]).
     fn final_setup_failure(&mut self, now: SimTime, congram: CongramId) -> Vec<NpeAction> {
-        let Some(&r) = self.congrams.get(congram) else { return Vec::new() };
-        self.release(congram);
+        let Some(r) = self.close(congram) else { return Vec::new() };
         self.stats.setups_failed += 1;
         self.reject(now + self.latency, r.requester, r.peer_id, reject_codes::ATM_SIGNALING)
     }
 
     fn teardown(&mut self, at: SimTime, from: Requester, peer: CongramId) -> Vec<NpeAction> {
         let Some(id) = self.named(from, peer) else { return Vec::new() };
-        let Some(&r) = self.congrams.get(id) else { return Vec::new() };
-        self.release(id);
+        let Some(r) = self.close(id) else { return Vec::new() };
         self.stats.teardowns += 1;
         let ack = ControlPayload::TeardownAck { congram: peer }.to_frame(r.requester_icn());
         vec![clear(at, &r), send(at, r.requester, ack)]
@@ -511,9 +513,10 @@ impl Npe {
     pub(crate) fn scan(&mut self, now: SimTime) -> Vec<NpeAction> {
         let at = now + self.latency;
         let mut actions = Vec::new();
-        for id in self.congrams.scan_keepalives(now) {
-            let Some(&r) = self.congrams.get(id) else { continue };
-            self.release(id);
+        for r in self.congrams.scan_keepalives(now) {
+            if let Some(bps) = r.reserved_bps {
+                self.resman.release(bps);
+            }
             actions.push(clear(at, &r));
         }
         let due: Vec<CongramId> = self.congrams.setups_due(now).collect();
@@ -557,10 +560,9 @@ impl Npe {
     /// VC was the peer's).
     pub(crate) fn vc_quarantined(&mut self, now: SimTime, vci: Vci) -> Vec<NpeAction> {
         let at = now + self.latency;
-        let bound: Vec<CongramId> = self.congrams.on_vc(vci).collect();
+        let bound: Vec<CongramRecord> = self.congrams.on_vc(vci).copied().collect();
         let mut actions = Vec::new();
-        for id in bound {
-            let Some(&r) = self.congrams.get(id) else { continue };
+        for r in bound {
             self.stats.vcs_quarantined += 1;
             actions.push(clear(at, &r));
             match r.requester {
@@ -569,16 +571,16 @@ impl Npe {
                     // re-establish the congram on a fresh one. Data
                     // transfer pauses but the congram survives
                     // (plesio-reliability, §2.4).
-                    let _ = self.congrams.begin_reconfigure(id);
-                    let attempt = self.begin_attempts(now, id);
+                    let _ = self.congrams.begin_reconfigure(r.id);
+                    let attempt = self.begin_attempts(now, r.id);
                     actions.push(NpeAction::ReleaseAtmConnection { at, vci });
-                    actions.push(request_vc(at, id, attempt, r.flow));
+                    actions.push(request_vc(at, r.id, attempt, r.flow));
                 }
                 Requester::Atm(ctrl_vci) => {
                     // The peer owns the VC: the congram cannot be
                     // rebuilt from this side. Tear it down and tell the
                     // peer.
-                    self.release(id);
+                    self.close(r.id);
                     self.stats.teardowns += 1;
                     let frame = ControlPayload::Teardown { congram: r.peer_id }.to_frame(r.atm_icn);
                     actions.push(NpeAction::SendControlToAtm { at, vci: ctrl_vci, frame });
@@ -915,15 +917,17 @@ mod tests {
         assert_eq!(n.stats().setups_failed, 1);
         assert_eq!(n.stats().setup_retries, u64::from(RETRY_BUDGET));
         assert_eq!(n.next_deadline(), None, "nothing left in flight");
-        // Stale answers for the dead congram are ignored.
+        // A late answer for the dead congram confirms nothing: its VC goes back.
         let late = SimTime::from_secs(1);
-        assert!(n.atm_connection_ready(late, congram, RETRY_BUDGET + 1, Vci(70)).is_empty());
+        let answer = n.atm_connection_ready(late, congram, RETRY_BUDGET + 1, Vci(70));
+        assert!(matches!(answer[..], [NpeAction::ReleaseAtmConnection { vci: Vci(70), .. }]));
+        assert_eq!(n.stats().setups_confirmed, 0);
     }
 
     /// The watchdog replaced each attempt with the next, up to the last
     /// the budget allows. The earlier attempts' answers, arriving late,
     /// are not the last one's: a rejection does not fail the setup, and
-    /// a success does not complete it.
+    /// a success does not complete it but hands its VC back.
     #[test]
     fn a_superseded_attempts_answers_are_ignored() {
         let mut n = npe();
@@ -937,7 +941,8 @@ mod tests {
         for stale in [1, last - 1] {
             assert!(n.atm_connection_failed(late, congram, stale).is_empty());
             assert_eq!((n.stats().setups_failed, n.stats().setups_rejected), (0, 0));
-            assert!(n.atm_connection_ready(late, congram, stale, Vci(70)).is_empty());
+            let answer = n.atm_connection_ready(late, congram, stale, Vci(70));
+            assert!(matches!(answer[..], [NpeAction::ReleaseAtmConnection { vci: Vci(70), .. }]));
             assert_eq!(n.stats().setups_confirmed, 0);
         }
         let done = n.atm_connection_ready(late, congram, last, Vci(71));
@@ -1000,9 +1005,10 @@ mod tests {
         };
         assert_eq!(attempt, 2);
         // The first setup's attempt 1, answered again late: neither its
-        // success nor its failure is the re-establishment's.
+        // success nor its failure is the re-establishment's; its VC goes back.
         let late = SimTime::from_ms(51);
-        assert!(n.atm_connection_ready(late, congram, 1, Vci(77)).is_empty());
+        let answer = n.atm_connection_ready(late, congram, 1, Vci(77));
+        assert!(matches!(answer[..], [NpeAction::ReleaseAtmConnection { vci: Vci(77), .. }]));
         assert!(n.atm_connection_failed(late, congram, 1).is_empty());
         assert_eq!(n.stats().reestablishments, 0);
         // The budget counts from attempt 2: each of its attempts' failures

@@ -107,7 +107,8 @@ mod tests {
     #[test]
     fn confirm_removes_entry_and_flags_stale_duplicates() {
         let mut n = pending(SimTime::ZERO);
-        assert!(n.atm_connection_ready(SimTime::ZERO, C, 2, Vci(70)).is_empty(), "no attempt 2");
+        let stale = n.atm_connection_ready(SimTime::ZERO, C, 2, Vci(70));
+        assert!(matches!(stale[..], [NpeAction::ReleaseAtmConnection { .. }]), "no attempt 2");
         assert_eq!(n.atm_connection_ready(SimTime::ZERO, C, 1, Vci(70)).len(), 3);
         let again = n.atm_connection_ready(SimTime::ZERO, C, 1, Vci(70));
         assert!(again.is_empty(), "second indication is stale");

@@ -19,6 +19,10 @@
 //! the attempts, ends the phase when the congram comes up or closes,
 //! and counts the setups in flight, so a housekeeping scan with no
 //! setup in flight and no PICon touches no record.
+//!
+//! A record lives while its congram does, in one of three
+//! [`CongramState`]s; [`CongramManager::close`] takes it out and hands
+//! it back. An id is never reused while its congram lives.
 
 use gw_sim::time::SimTime;
 use gw_wire::atm::Vci;
@@ -71,10 +75,6 @@ pub enum CongramState {
     /// Path reconfiguration in progress (data may continue on the old
     /// path — plesio-reliability, §2.4).
     Reconfiguring,
-    /// Teardown requested, awaiting acknowledgment.
-    Closing,
-    /// Terminated (or rejected).
-    Closed,
 }
 
 /// Where the ATM setup this gateway signals for a congram stands.
@@ -152,7 +152,7 @@ pub struct CongramRecord {
     /// Last keepalive seen (PICons only).
     pub last_keepalive: SimTime,
     /// Ring bandwidth the resource manager reserved for the congram
-    /// (§2.3), until it is released.
+    /// (§2.3).
     pub reserved_bps: Option<u64>,
     /// Where the setup this gateway signals stands.
     pub setup: SetupPhase,
@@ -240,12 +240,14 @@ const KEEPALIVE_DEADLINE: SimTime = SimTime::from_secs(3);
 
 /// The per-gateway congram manager (runs on the NPE).
 ///
-/// Ids are allocated sequentially, so records live in a dense
-/// id-indexed table; the requester's id for a congram maps to the
-/// record through one hash lookup.
+/// The live records sit in one `Vec` sorted by id and binary-searched;
+/// a wrapped id counter skips the ids still live. The requester's id
+/// for a congram maps to the record through one hash lookup.
 #[derive(Debug, Default)]
 pub struct CongramManager {
     records: Vec<CongramRecord>,
+    /// The id the next setup tries first.
+    next_id: u32,
     atm_icns: IcnAllocator,
     fddi_icns: IcnAllocator,
     /// Live congrams by their requester's name for them.
@@ -259,23 +261,13 @@ pub struct CongramManager {
 }
 
 impl CongramManager {
-    fn rec_mut(&mut self, id: CongramId) -> Option<&mut CongramRecord> {
-        self.records.get_mut(id.0 as usize)
+    /// Where congram `id`'s record sits, or where it would go.
+    fn find(&self, id: CongramId) -> Result<usize, usize> {
+        self.records.binary_search_by_key(&id, |r| r.id)
     }
 
-    /// A congram left the live set: end its setup, release its ICNs
-    /// and its peer id, and drop it from the running counters.
-    fn close_record(&mut self, id: CongramId) {
-        self.set_setup(id, SetupPhase::Idle);
-        let r = self.rec_mut(id).expect("caller checked");
-        r.state = CongramState::Closed;
-        let r = *r;
-        self.atm_icns.release(r.atm_icn);
-        self.fddi_icns.release(r.fddi_icn);
-        self.by_peer.remove(&r.requester.key(r.peer_id));
-        if r.kind == CongramKind::PICon {
-            self.picons -= 1;
-        }
+    fn rec_mut(&mut self, id: CongramId) -> Option<&mut CongramRecord> {
+        self.find(id).ok().map(|i| &mut self.records[i])
     }
 
     /// Begin setting up a congram through this gateway for `requester`,
@@ -302,28 +294,37 @@ impl CongramManager {
                 return Err(e);
             }
         };
-        let id = CongramId(self.records.len() as u32);
-        self.records.push(CongramRecord {
-            id,
-            kind,
-            flow,
-            state: CongramState::SetupPending,
-            atm_icn,
-            fddi_icn,
-            requester,
-            peer_id,
-            vci: None,
-            fddi_dst,
-            last_keepalive: now,
-            reserved_bps: None,
-            setup: SetupPhase::Idle,
-            attempt: 0,
-            first_attempt: 0,
-        });
+        // The manager holds fewer live congrams than either ICN space,
+        // so a free id turns up.
+        let (id, at) = loop {
+            let id = CongramId(self.next_id);
+            self.next_id = self.next_id.wrapping_add(1);
+            if let Err(at) = self.find(id) {
+                break (id, at);
+            }
+        };
+        self.records.insert(
+            at,
+            CongramRecord {
+                id,
+                kind,
+                flow,
+                state: CongramState::SetupPending,
+                atm_icn,
+                fddi_icn,
+                requester,
+                peer_id,
+                vci: None,
+                fddi_dst,
+                last_keepalive: now,
+                reserved_bps: None,
+                setup: SetupPhase::Idle,
+                attempt: 0,
+                first_attempt: 0,
+            },
+        );
         self.by_peer.insert(key, id);
-        if kind == CongramKind::PICon {
-            self.picons += 1;
-        }
+        self.picons += usize::from(kind == CongramKind::PICon);
         Ok(id)
     }
 
@@ -340,36 +341,18 @@ impl CongramManager {
         Ok(())
     }
 
-    /// Setup rejected: release ICNs.
-    pub fn reject(&mut self, id: CongramId) -> Result<(), CongramError> {
-        let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
-        if r.state != CongramState::SetupPending {
-            return Err(CongramError::BadState);
-        }
-        self.close_record(id);
-        Ok(())
-    }
-
-    /// Begin teardown.
-    pub fn begin_teardown(&mut self, id: CongramId) -> Result<(), CongramError> {
-        let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
-        match r.state {
-            CongramState::Established | CongramState::Reconfiguring => {
-                r.state = CongramState::Closing;
-                Ok(())
-            }
-            _ => Err(CongramError::BadState),
-        }
-    }
-
-    /// Teardown acknowledged: release ICNs.
-    pub fn complete_teardown(&mut self, id: CongramId) -> Result<(), CongramError> {
-        let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
-        if r.state != CongramState::Closing {
-            return Err(CongramError::BadState);
-        }
-        self.close_record(id);
-        Ok(())
+    /// Close congram `id` in whatever state it is: end its setup,
+    /// release its ICNs and its peer id, and hand back its record —
+    /// with the ring reservation to give back. `None` when no such
+    /// congram lives.
+    pub fn close(&mut self, id: CongramId) -> Option<CongramRecord> {
+        let r = self.records.remove(self.find(id).ok()?);
+        self.setups -= usize::from(r.setup != SetupPhase::Idle);
+        self.picons -= usize::from(r.kind == CongramKind::PICon);
+        self.atm_icns.release(r.atm_icn);
+        self.fddi_icns.release(r.fddi_icn);
+        self.by_peer.remove(&r.requester.key(r.peer_id));
+        Some(r)
     }
 
     /// Begin a path reconfiguration (survivability, §2.4): the old VC
@@ -410,7 +393,8 @@ impl CongramManager {
     /// congram's next attempt number; from `Idle` that attempt is the
     /// first of a new setup (or re-establishment).
     pub fn set_setup(&mut self, id: CongramId, phase: SetupPhase) -> u32 {
-        let Some(r) = self.records.get_mut(id.0 as usize) else { return 0 };
+        let Ok(i) = self.find(id) else { return 0 };
+        let r = &mut self.records[i];
         if let SetupPhase::Establishing(_) = phase {
             r.attempt += 1;
             if r.setup == SetupPhase::Idle {
@@ -450,12 +434,6 @@ impl CongramManager {
         }
     }
 
-    /// Take the congram's ring reservation, to give back to the
-    /// resource manager; `None` once taken.
-    pub fn take_reservation(&mut self, id: CongramId) -> Option<u64> {
-        self.rec_mut(id).and_then(|r| r.reserved_bps.take())
-    }
-
     /// Record a keepalive on a PICon.
     pub fn keepalive(&mut self, id: CongramId, now: SimTime) -> Result<(), CongramError> {
         let r = self.rec_mut(id).ok_or(CongramError::Unknown)?;
@@ -464,10 +442,10 @@ impl CongramManager {
     }
 
     /// Close the PICons that missed their keepalives (3 intervals) and
-    /// return them in id order. With no live PICons this is a counter
-    /// check — data-path-only gateways pay nothing per housekeeping
-    /// tick.
-    pub fn scan_keepalives(&mut self, now: SimTime) -> Vec<CongramId> {
+    /// return their records in id order. With no live PICons this is a
+    /// counter check — data-path-only gateways pay nothing per
+    /// housekeeping tick.
+    pub fn scan_keepalives(&mut self, now: SimTime) -> Vec<CongramRecord> {
         if self.picons == 0 {
             return Vec::new();
         }
@@ -480,15 +458,12 @@ impl CongramManager {
             .map(|r| r.id)
             .collect();
         // A dead PICon closes immediately (there is no peer to ack).
-        for &id in &expired {
-            self.close_record(id);
-        }
-        expired
+        expired.into_iter().filter_map(|id| self.close(id)).collect()
     }
 
     /// Look up a congram record.
     pub fn get(&self, id: CongramId) -> Option<&CongramRecord> {
-        self.records.get(id.0 as usize)
+        self.find(id).ok().map(|i| &self.records[i])
     }
 
     /// The live congram `requester` calls `peer_id`.
@@ -497,11 +472,8 @@ impl CongramManager {
     }
 
     /// The live congrams bound to ATM VC `vci`, in id order.
-    pub fn on_vc(&self, vci: Vci) -> impl Iterator<Item = CongramId> + '_ {
-        self.records
-            .iter()
-            .filter(move |r| r.vci == Some(vci) && r.state != CongramState::Closed)
-            .map(|r| r.id)
+    pub fn on_vc(&self, vci: Vci) -> impl Iterator<Item = &CongramRecord> + '_ {
+        self.records.iter().filter(move |r| r.vci == Some(vci))
     }
 
     /// A congram was installed on this gateway without a record here,
@@ -537,9 +509,8 @@ mod tests {
         m.confirm(id, Vci(40)).unwrap();
         assert_eq!(m.get(id).unwrap().state, CongramState::Established);
         assert_eq!(m.get(id).unwrap().vci, Some(Vci(40)));
-        m.begin_teardown(id).unwrap();
-        m.complete_teardown(id).unwrap();
-        assert_eq!(m.get(id).unwrap().state, CongramState::Closed);
+        assert_eq!(m.close(id).map(|r| r.state), Some(CongramState::Established));
+        assert!(m.get(id).is_none(), "a closed congram leaves the manager");
     }
 
     #[test]
@@ -547,7 +518,7 @@ mod tests {
         let mut m = mgr();
         let a = setup(&mut m, CongramKind::UCon, 1);
         let a_icns = (m.get(a).unwrap().atm_icn, m.get(a).unwrap().fddi_icn);
-        m.reject(a).unwrap();
+        m.close(a).unwrap();
         let b = setup(&mut m, CongramKind::UCon, 2);
         // Freed ICNs are reused.
         assert_eq!((m.get(b).unwrap().atm_icn, m.get(b).unwrap().fddi_icn), a_icns);
@@ -557,12 +528,12 @@ mod tests {
     fn bad_state_transitions_rejected() {
         let mut m = mgr();
         let id = setup(&mut m, CongramKind::UCon, 1);
-        assert_eq!(m.begin_teardown(id), Err(CongramError::BadState));
+        assert_eq!(m.begin_reconfigure(id), Err(CongramError::BadState));
         m.confirm(id, Vci(40)).unwrap();
         assert_eq!(m.confirm(id, Vci(40)), Err(CongramError::BadState));
-        assert_eq!(m.reject(id), Err(CongramError::BadState));
-        assert_eq!(m.complete_teardown(id), Err(CongramError::BadState));
-        assert_eq!(m.confirm(CongramId(999), Vci(40)), Err(CongramError::Unknown));
+        assert_eq!(m.complete_reconfigure(id, Vci(41)), Err(CongramError::BadState));
+        m.close(id).unwrap();
+        assert_eq!(m.confirm(id, Vci(40)), Err(CongramError::Unknown), "a closed congram is gone");
     }
 
     #[test]
@@ -605,7 +576,7 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(again, Err(CongramError::PeerIdInUse));
-        m.reject(host).unwrap();
+        m.close(host).unwrap();
         assert_eq!(m.by_peer(HOST, CongramId(9)), None);
         assert_eq!(m.by_peer(station, CongramId(9)), Some(ring));
         assert!(m
@@ -637,7 +608,7 @@ mod tests {
         assert_ne!(after.atm_icn, before.atm_icn);
         assert_eq!(after.fddi_icn, before.fddi_icn);
         assert_eq!((after.state, after.vci), (CongramState::Established, Some(Vci(41))));
-        assert_eq!(m.on_vc(Vci(41)).collect::<Vec<_>>(), [id]);
+        assert_eq!(m.on_vc(Vci(41)).map(|r| r.id).collect::<Vec<_>>(), [id]);
     }
 
     #[test]
@@ -652,8 +623,9 @@ mod tests {
         assert!(m.scan_keepalives(SimTime::from_ms(3900)).is_empty());
         // At 4s, three intervals have passed since the last keepalive.
         assert_eq!(m.next_deadline(), Some(SimTime::from_secs(4)));
-        assert_eq!(m.scan_keepalives(SimTime::from_secs(4)), [p]);
-        assert_eq!(m.get(p).unwrap().state, CongramState::Closed);
+        let expired = m.scan_keepalives(SimTime::from_secs(4));
+        assert_eq!(expired.iter().map(|r| r.id).collect::<Vec<_>>(), [p]);
+        assert!(m.get(p).is_none(), "the dead PICon leaves the manager");
         // UCons are unaffected by keepalive scanning.
         assert_eq!(m.get(u).unwrap().state, CongramState::Established);
     }
@@ -680,24 +652,34 @@ mod tests {
         // Closing a congram ends its setup too.
         let other = setup(&mut m, CongramKind::UCon, 2);
         m.set_setup(other, SetupPhase::Establishing(at(70)));
-        m.reject(other).unwrap();
+        assert_eq!(m.close(other).unwrap().setup, SetupPhase::Establishing(at(70)));
         assert_eq!(m.next_deadline(), Some(at(60)));
-        m.begin_teardown(id).unwrap();
-        m.complete_teardown(id).unwrap();
+        m.close(id).unwrap();
         assert_eq!(m.next_deadline(), None);
         assert_eq!(m.setups_due(at(100)).count(), 0);
     }
 
     #[test]
-    fn a_reservation_is_taken_back_once() {
+    fn close_hands_the_reservation_back_once() {
         let mut m = mgr();
         let id = setup(&mut m, CongramKind::UCon, 1);
-        assert_eq!(m.take_reservation(id), None);
         m.reserve(id, 5_000);
         m.confirm(id, Vci(40)).unwrap();
         assert_eq!(m.get(id).unwrap().reserved_bps, Some(5_000));
-        assert_eq!(m.take_reservation(id), Some(5_000));
-        assert_eq!(m.take_reservation(id), None);
+        assert_eq!(m.close(id).unwrap().reserved_bps, Some(5_000));
+        assert!(m.close(id).is_none());
+    }
+
+    #[test]
+    fn a_wrapped_id_counter_skips_live_ids() {
+        let mut m = mgr();
+        assert_eq!(setup(&mut m, CongramKind::PICon, 1), CongramId(0));
+        m.next_id = u32::MAX;
+        assert_eq!(setup(&mut m, CongramKind::UCon, 2), CongramId(u32::MAX));
+        // The counter wraps to 0, which the PICon still holds.
+        assert_eq!(setup(&mut m, CongramKind::UCon, 3), CongramId(1));
+        let by_id: Vec<u32> = m.records.iter().map(|r| r.peer_id.0).collect();
+        assert_eq!(by_id, [1, 3, 2], "the records stay sorted by id");
     }
 
     #[test]
@@ -724,9 +706,9 @@ mod tests {
         assert_eq!(icns(&m, b), (Icn(3), Icn(2)));
         // Reserving an ICN that sits in the pool takes it out; one that
         // a live congram holds is not pooled when that congram closes.
-        m.reject(a).unwrap();
+        m.close(a).unwrap();
         m.reserve_icns(Icn(1), Icn(2));
-        m.reject(b).unwrap();
+        m.close(b).unwrap();
         let c = setup(&mut m, CongramKind::UCon, 3);
         assert_eq!(icns(&m, c), (Icn(3), Icn(0)));
         let d = setup(&mut m, CongramKind::UCon, 4);

@@ -374,3 +374,79 @@ fn a_congram_that_carried_frames_releases_its_connection_once_idle() {
     assert!(tb.gw.npe().stats().reestablishments >= 3, "{:?}", tb.gw.npe().stats());
     assert_eq!(reserved(&tb), one_connection, "dead connections keep their reservations");
 }
+
+/// The watchdog gave attempt 1 of a station's setup up and issued
+/// attempt 2; attempt 1's answer then arrives late. The gateway opened
+/// nothing for it, so its connection goes straight back to the network,
+/// and the VC that attempt 2 brings up is installed once, with the
+/// gateway's reassembly timeout.
+#[test]
+fn a_superseded_attempts_vc_goes_back_without_being_opened() {
+    use atm_fddi_gateway::gateway::{Gateway, GatewayConfig, Output};
+    use atm_fddi_gateway::mgmt::{GwEvent, MgmtConfig};
+    use atm_fddi_gateway::sar::segment::segment_cells;
+    use atm_fddi_gateway::wire::atm::{AtmHeader, Vci};
+    use atm_fddi_gateway::wire::fddi::{llc_snap_header, FrameControl, FrameRepr};
+    use atm_fddi_gateway::wire::mchip::build_data_frame;
+    let config = GatewayConfig {
+        management: Some(MgmtConfig),
+        vc_liveness_timeout: Some(SimTime::from_ms(8)),
+        reassembly_timeout: SimTime::from_ms(3),
+        ..GatewayConfig::default()
+    };
+    let mut gw = Gateway::new(config, FddiAddr::station(0), 100_000_000);
+    let mut info = llc_snap_header().to_vec();
+    info.extend_from_slice(&setup_payload(9, 1, [5; 8]).to_frame(Icn(0)));
+    let fc = FrameControl::LlcAsync { priority: 0 };
+    let (dst, src) = (FddiAddr::station(0), FddiAddr::station(2));
+    let frame = FrameRepr { fc, dst, src, info }.emit().unwrap();
+    let mut t = SimTime::from_us(10);
+    let mut out = gw.fddi_frame_in(t, &frame);
+    let mut requests = Vec::new();
+    while requests.len() < 2 {
+        gw.advance_into(t, &mut out);
+        requests.extend(out.drain(..).filter_map(|o| match o {
+            Output::AtmConnectionRequest { congram, attempt, .. } => Some((congram, attempt)),
+            _ => None,
+        }));
+        t += SimTime::from_us(100);
+    }
+    let [(congram, 1), (again, 2)] = requests[..] else { panic!("{requests:?}") };
+    assert_eq!(congram, again);
+
+    gw.atm_connection_ready(t, congram, 1, Vci(70), &mut out);
+    assert!(
+        matches!(out[..], [Output::AtmConnectionRelease { vci: Vci(70), .. }]),
+        "the late answer's VC goes back: {out:?}"
+    );
+    out.clear();
+    gw.atm_connection_ready(t, congram, 2, Vci(71), &mut out);
+    assert_eq!(gw.npe().stats().setups_confirmed, 1);
+    // The first cell of a frame on VC 71 starts its 3 ms reassembly timer.
+    let mchip = build_data_frame(Icn(1), &[0; 200]).unwrap();
+    let cells = segment_cells(&AtmHeader::data(Default::default(), Vci(71)), &mchip, false);
+    let first = cells.unwrap().swap_remove(0).into_inner();
+    gw.deliver_cells(t, &[first], &mut out);
+    let deadline = gw.next_deadline().expect("the reassembly timer runs");
+    assert!(
+        deadline >= t + SimTime::from_ms(3) && deadline < t + SimTime::from_ms(4),
+        "{deadline:?}"
+    );
+    let end = t + SimTime::from_ms(40);
+    while t < end {
+        t += SimTime::from_us(500);
+        gw.advance_into(t, &mut out);
+    }
+    let vc_events = |vci: u16| -> Vec<&GwEvent> {
+        let trace = gw.trace().expect("management is on");
+        trace
+            .events()
+            .filter(|e| matches!(e, GwEvent::VcInstalled { .. } | GwEvent::VcRetired { .. }))
+            .filter(|e| e.vci() == Some(vci))
+            .collect()
+    };
+    assert_eq!(vc_events(70), Vec::<&GwEvent>::new(), "nothing was opened for VC 70");
+    let installs = vc_events(71).into_iter().filter(|e| matches!(e, GwEvent::VcInstalled { .. }));
+    assert_eq!(installs.count(), 1, "VC 71 is installed once: {:?}", vc_events(71));
+    assert_eq!(gw.stats().vcs_quarantined, 1, "only VC 71 idles out");
+}

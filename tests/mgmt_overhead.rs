@@ -527,6 +527,42 @@ fn per_vc_memory_follows_the_vcs_in_use() {
     assert_eq!(r.resident_buffers(), 0);
 }
 
+/// Control-plane memory follows the live congrams, not every setup
+/// ever made: with one live PICon holding 90 of the ring's 100 Mb/s,
+/// each 50 Mb/s setup from the ATM side is refused by admission, and
+/// once warm the gateway holds no more bytes after 99 000 more
+/// refusals than before them (a record kept per refused setup holds
+/// over 10 MB).
+#[test]
+fn refused_setups_leave_no_memory_behind() {
+    use atm_fddi_gateway::gateway::npe::NpeInput;
+    use atm_fddi_gateway::mchip::congram::{CongramId, CongramKind, FlowSpec};
+    use atm_fddi_gateway::mchip::messages::ControlPayload;
+    const DEST: [u8; 8] = [7; 8];
+    let mut gw = Gateway::new(GatewayConfig::default(), FddiAddr::station(0), 100_000_000);
+    gw.npe_mut().add_host(DEST, FddiAddr::station(3));
+    let setup = |peer: u32, kind, mbps: u64| {
+        let flow = FlowSpec::cbr(mbps * 1_000_000);
+        let frame =
+            ControlPayload::SetupRequest { congram: CongramId(peer), kind, flow, dest: DEST }
+                .to_frame(Icn(0));
+        NpeInput::ControlFromAtm { frame, arrival_vci: Vci(40) }
+    };
+    let t = SimTime::from_us(10);
+    gw.npe_mut().handle(t, setup(0, CongramKind::PICon, 90));
+    assert_eq!(gw.npe().resource_manager().active(), 1, "the PICon is admitted");
+    let refuse = |gw: &mut Gateway, peers: std::ops::Range<u32>| {
+        for peer in peers {
+            gw.npe_mut().handle(t, setup(peer, CongramKind::UCon, 50));
+        }
+    };
+    refuse(&mut gw, 1..1_001);
+    let (held, ()) = live_bytes_after(|| refuse(&mut gw, 1_001..100_001));
+    assert_eq!(gw.npe().stats().setups_rejected, 100_000);
+    assert_eq!(gw.npe().resource_manager().active(), 1);
+    assert!(held < 1024, "99 000 refused setups left {held} bytes behind");
+}
+
 /// Congram install runs at call rate and on every config load. A VC's
 /// management row holds its counts and no name, so an install formats,
 /// copies and hashes nothing, and a reassembly slot holds its two
