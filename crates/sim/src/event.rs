@@ -35,6 +35,16 @@
 //! reloads that structure's word and rescans the `LANES + 1` words for
 //! the smallest. An empty structure's word is `u128::MAX`, later than
 //! every real key.
+//!
+//! # Keys taken without a push
+//!
+//! A model may keep some of its entries outside the queue, in a FIFO of
+//! its own that it releases in order, and still order them exactly
+//! against the queue's: [`EventQueue::take_seq`] hands out the next
+//! sequence number as a push would, without queueing anything, and
+//! [`EventQueue::now_seq`] reads the sequence number of the entry popped
+//! last. An outside entry keyed `(time, take_seq(time))` then sorts
+//! against every queued entry where the same push would have.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -106,6 +116,8 @@ pub struct EventQueue<E> {
     min: usize,
     next_seq: u64,
     now: SimTime,
+    /// The sequence number of the entry popped last.
+    now_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -124,6 +136,7 @@ impl<E> EventQueue<E> {
             min: 0,
             next_seq: 0,
             now: SimTime::ZERO,
+            now_seq: 0,
         }
     }
 
@@ -134,6 +147,17 @@ impl<E> EventQueue<E> {
     /// is immutable in a causal simulation, and silently reordering
     /// would corrupt results.
     fn entry(&mut self, time: SimTime, event: E) -> Entry<E> {
+        let seq = self.take_seq(time);
+        Entry { time, seq, event }
+    }
+
+    /// Take the sequence number a push at `time` would take, and queue
+    /// nothing: the caller keeps the entry, keyed `(time, sequence
+    /// number)`, outside the queue.
+    ///
+    /// # Panics
+    /// Panics if `time` is before the current simulation time.
+    pub fn take_seq(&mut self, time: SimTime) -> u64 {
         assert!(
             time >= self.now,
             "event scheduled in the past: {} < now {}",
@@ -142,7 +166,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        Entry { time, seq, event }
+        seq
     }
 
     /// Record `key` as the new head of structure `at`.
@@ -221,6 +245,7 @@ impl<E> EventQueue<E> {
         self.min = min;
         debug_assert!(e.time >= self.now);
         self.now = e.time;
+        self.now_seq = e.seq;
         Some((e.time, e.event))
     }
 
@@ -233,6 +258,12 @@ impl<E> EventQueue<E> {
     /// The current simulation time (timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The sequence number of the last popped event: with
+    /// [`EventQueue::now`], its key.
+    pub fn now_seq(&self) -> u64 {
+        self.now_seq
     }
 
     /// Number of pending events.

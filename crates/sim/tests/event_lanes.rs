@@ -1,7 +1,8 @@
 //! The event queue against a reference: random interleavings of heap
-//! pushes, lane pushes and pops must give exactly the `(time, event)`
-//! sequence, `peek_time`, `len` and clock of one list kept sorted by
-//! `(time, push order)` — the order a single heap gives.
+//! pushes, lane pushes, sequence numbers taken without a push and pops
+//! must give exactly the `(time, event)` sequence, `peek_time`, `len`,
+//! clock and popped sequence number of one list kept sorted by `(time,
+//! push order)` — the order a single heap gives.
 
 use gw_sim::event::{EventQueue, LANES};
 use gw_sim::time::SimTime;
@@ -23,6 +24,14 @@ impl Reference {
         let id = self.pushed;
         self.pushed += 1;
         self.pending.push((time, id));
+        id
+    }
+
+    /// A sequence number taken without a push: it counts, but nothing
+    /// is pending under it.
+    fn take(&mut self) -> u64 {
+        let id = self.pushed;
+        self.pushed += 1;
         id
     }
 
@@ -52,9 +61,11 @@ struct Coverage {
     empty_lane_push_ahead_of_heap_top: u64,
     pop_empties_head_structure: u64,
     ties_across_structures: u64,
+    taken_without_push: u64,
 }
 
-/// One op: `kind` 0–1 heap push, 2–4 lane push, 5–7 pop; `scale` picks
+/// One op: `kind` 0–1 heap push, 2–4 lane push, 5–7 pop, 8 a sequence
+/// number taken without a push; `scale` picks
 /// the delay — 0 a tie at `now`, 1 a few ns, 2 a few µs, 3 far ahead.
 type Op = (u8, usize, u64, u8);
 
@@ -144,13 +155,18 @@ fn run(ops: &[Op], cov: &mut Coverage) {
                     q.push_lane(lane, time, id);
                 }
             }
-            _ => {
+            5..=7 => {
                 let got = q.pop();
                 assert_eq!(got, r.pop());
                 if let Some((t, id)) = got {
                     assert_eq!(q.now(), t, "the clock is the last popped time");
+                    assert_eq!(q.now_seq(), id, "the popped key's sequence number");
                     placed.pop((t, id), cov);
                 }
+            }
+            _ => {
+                cov.taken_without_push += 1;
+                assert_eq!(q.take_seq(time), r.take(), "the number a push would have taken");
             }
         }
         assert_eq!(q.peek_time(), r.peek_time());
@@ -159,6 +175,7 @@ fn run(ops: &[Op], cov: &mut Coverage) {
     }
     while let Some(expected) = r.pop() {
         assert_eq!(q.pop(), Some(expected));
+        assert_eq!(q.now_seq(), expected.1);
         assert_eq!(q.peek_time(), r.peek_time());
         assert_eq!(q.len(), r.pending.len());
     }
@@ -171,7 +188,7 @@ proptest! {
 
     #[test]
     fn lanes_pop_exactly_what_one_sorted_list_gives(
-        ops in proptest::collection::vec((0u8..8, 0usize..LANES, 0u64..8, 0u8..4), 1..160),
+        ops in proptest::collection::vec((0u8..9, 0usize..LANES, 0u64..8, 0u8..4), 1..160),
     ) {
         run(&ops, &mut Coverage::default());
     }
@@ -179,7 +196,8 @@ proptest! {
 
 /// The same property over many short seeded runs, asserting that they
 /// really reach ties, backwards lane pushes, far-future times, lanes
-/// that drain and refill, and each case a stale head key would get
+/// that drain and refill, sequence numbers taken without a push, and
+/// each case a stale head key would get
 /// wrong: a heap push ahead of a lane head, a push into an empty lane
 /// ahead of the heap top, a pop that empties the structure holding the
 /// head, and a tie across structures that the sequence number decides —
@@ -194,7 +212,7 @@ fn the_reference_check_reaches_every_case() {
         (state >> 33) % n
     };
     let ops: Vec<Op> = (0..20_000)
-        .map(|_| (next(8) as u8, next(LANES as u64) as usize, next(8), next(4) as u8))
+        .map(|_| (next(9) as u8, next(LANES as u64) as usize, next(8), next(4) as u8))
         .collect();
     let mut cov = Coverage::default();
     for run_ops in ops.chunks(100) {
@@ -204,6 +222,7 @@ fn the_reference_check_reaches_every_case() {
     assert!(cov.backwards_lane_pushes > 100, "backwards {}", cov.backwards_lane_pushes);
     assert!(cov.far_future > 100, "far future {}", cov.far_future);
     assert!(cov.refills > 100, "refills {}", cov.refills);
+    assert!(cov.taken_without_push > 100, "taken {}", cov.taken_without_push);
     let stale_head_cases = [
         ("heap push ahead of a lane head", cov.heap_push_ahead_of_lane_head),
         ("empty-lane push ahead of the heap top", cov.empty_lane_push_ahead_of_heap_top),
