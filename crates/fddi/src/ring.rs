@@ -12,6 +12,13 @@
 //! The ring exposes SUPERNET-style statistics registers per station
 //! ("it provides various registers to keep track of ring statistics",
 //! §4.3) and a token-rotation histogram for experiment E12.
+//!
+//! An idle pass costs O(1). Each station counts the asynchronous frames
+//! queued across its eight priorities, and the ring counts the
+//! receptions no one has taken yet: a token visit to a station with
+//! nothing queued skips the priority scan, the depth a push checks is
+//! one read, and a caller can tell from [`Ring::rx_pending`] that there
+//! is nothing to take.
 
 use crate::claim::{claim_process, ClaimOutcome};
 use crate::mac::MacTimers;
@@ -135,6 +142,8 @@ struct Station {
     sync_q: VecDeque<Vec<u8>>,
     /// Asynchronous queues, one per priority (7 = highest).
     async_q: [VecDeque<Vec<u8>>; 8],
+    /// Frames in `async_q`, all priorities.
+    async_len: usize,
     rx: VecDeque<Delivery>,
     stats: StationStats,
     /// True when the station's optical bypass relay is engaged: the
@@ -181,6 +190,8 @@ enum RingEvent {
 #[derive(Debug)]
 pub struct Ring {
     stations: Vec<Station>,
+    /// Deliveries in the stations' `rx` queues.
+    rx_len: usize,
     hop_latency: SimTime,
     events: EventQueue<RingEvent>,
     stats: RingStats,
@@ -224,6 +235,7 @@ impl Ring {
                 config: sc,
                 sync_q: VecDeque::new(),
                 async_q: Default::default(),
+                async_len: 0,
                 rx: VecDeque::new(),
                 stats: StationStats::default(),
                 bypassed: false,
@@ -238,6 +250,7 @@ impl Ring {
 
         Ring {
             stations,
+            rx_len: 0,
             hop_latency,
             events,
             stats: RingStats {
@@ -291,8 +304,7 @@ impl Ring {
     /// priority comes from the frame's FC field (0 when absent).
     pub fn push_async(&mut self, station: usize, frame: Vec<u8>) -> Result<(), Vec<u8>> {
         let s = &mut self.stations[station];
-        let depth: usize = s.async_q.iter().map(|q| q.len()).sum();
-        if depth >= s.config.async_queue_frames {
+        if s.async_len >= s.config.async_queue_frames {
             s.stats.queue_drops += 1;
             return Err(frame);
         }
@@ -311,13 +323,14 @@ impl Ring {
             | Err(_) => 0,
         };
         s.async_q[prio].push_back(frame);
+        s.async_len += 1;
         Ok(())
     }
 
     /// Occupancy of a station's transmit queues `(sync, async)` in frames.
     pub fn queue_depths(&self, station: usize) -> (usize, usize) {
         let s = &self.stations[station];
-        (s.sync_q.len(), s.async_q.iter().map(|q| q.len()).sum())
+        (s.sync_q.len(), s.async_len)
     }
 
     /// Drain frames received at `station`.
@@ -326,7 +339,13 @@ impl Ring {
         if rx.is_empty() {
             return Vec::new();
         }
+        self.rx_len -= rx.len();
         rx.drain(..).collect()
+    }
+
+    /// Frames received at any station and not yet taken.
+    pub fn rx_pending(&self) -> usize {
+        self.rx_len
     }
 
     /// Statistics registers of one station.
@@ -385,12 +404,12 @@ impl Ring {
         );
         let s = &mut self.stations[station];
         s.bypassed = true;
-        let depth: usize = s.async_q.iter().map(|q| q.len()).sum();
-        s.stats.queue_drops += (s.sync_q.len() + depth) as u64;
+        s.stats.queue_drops += (s.sync_q.len() + s.async_len) as u64;
         s.sync_q.clear();
         for q in &mut s.async_q {
             q.clear();
         }
+        s.async_len = 0;
         self.reclaim();
     }
 
@@ -481,6 +500,7 @@ impl Ring {
                 s.stats.frames_rx += 1;
                 s.stats.octets_rx += frame.len() as u64;
                 s.rx.push_back(Delivery { time: now, to, from, frame });
+                self.rx_len += 1;
             }
             RingEvent::Token(i) => {
                 if self.stations[i].bypassed {
@@ -518,9 +538,10 @@ impl Ring {
                 // frame may *start* while budget remains and then runs to
                 // completion (X3.139 THT semantics). Priorities serve
                 // highest-first, and a priority-p frame may only start
-                // while the remaining THT exceeds T_Pri[p].
+                // while the remaining THT exceeds T_Pri[p]. A station
+                // with nothing queued has nothing to scan.
                 let mut async_used = SimTime::ZERO;
-                'tht: while async_used < disposition.tht_budget {
+                'tht: while self.stations[i].async_len > 0 && async_used < disposition.tht_budget {
                     let remaining = disposition.tht_budget - async_used;
                     let mut sent_one = false;
                     for prio in (0..8usize).rev() {
@@ -528,6 +549,7 @@ impl Ring {
                             continue; // threshold bars this priority now
                         }
                         if let Some(frame) = self.stations[i].async_q[prio].pop_front() {
+                            self.stations[i].async_len -= 1;
                             let dur = self.transmit(i, t, frame);
                             t += dur;
                             async_used += dur;
@@ -981,5 +1003,75 @@ mod tests {
         let rx_octets = ring.station_stats(1).octets_rx;
         let goodput = rx_octets as f64 * 8.0 / horizon.as_secs_f64();
         assert!(goodput > 90.0e6, "goodput {:.1} Mb/s too far below line rate", goodput / 1e6);
+    }
+
+    /// The counters an idle pass reads against the sums they replace.
+    fn check_counters(ring: &Ring) {
+        for (i, s) in ring.stations.iter().enumerate() {
+            let queued: usize = s.async_q.iter().map(VecDeque::len).sum();
+            assert_eq!(s.async_len, queued, "station {i}");
+            assert_eq!(ring.queue_depths(i), (s.sync_q.len(), queued));
+        }
+        let received: usize = ring.stations.iter().map(|s| s.rx.len()).sum();
+        assert_eq!((ring.rx_len, ring.rx_pending()), (received, received));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Through any mix of pushes, runs, takes, bypasses and
+        /// reinsertions the queued-frame and undelivered-reception
+        /// counters equal the sums they stand for: shallow queues
+        /// overflow, broadcasts deliver to many, a bypass drops queues
+        /// and receptions addressed to the station.
+        #[test]
+        fn the_idle_pass_counters_equal_the_sums_they_replace(
+            ops in proptest::collection::vec(
+                (0u8..7, 0usize..5, 0u8..8, 64usize..1500, 1u64..400),
+                1..120,
+            ),
+        ) {
+            let mut cfg = RingConfig::uniform(5, 10);
+            cfg.stations[0].sync_alloc = SimTime::from_us(200);
+            for s in &mut cfg.stations {
+                s.sync_queue_frames = 3;
+                s.async_queue_frames = 4;
+            }
+            let mut ring = Ring::new(cfg);
+            for (kind, station, prio, len, us) in ops {
+                let dst = if prio == 7 {
+                    FddiAddr::BROADCAST
+                } else {
+                    FddiAddr::station(((station + 1 + prio as usize) % 5) as u32)
+                };
+                let fc = match kind {
+                    0 => FrameControl::LlcSync,
+                    _ => FrameControl::LlcAsync { priority: prio },
+                };
+                let frame = FrameRepr {
+                    fc,
+                    dst,
+                    src: FddiAddr::station(station as u32),
+                    info: vec![0xAB; len],
+                }
+                .emit()
+                .unwrap();
+                match kind {
+                    0 => drop(ring.push_sync(station, frame)),
+                    1 | 2 => drop(ring.push_async(station, frame)),
+                    3 => ring.run_until(ring.now() + SimTime::from_us(us)),
+                    4 => drop(ring.take_rx(station)),
+                    5 if ring.is_active(station)
+                        && (0..5).filter(|&i| i != station && ring.is_active(i)).count() >= 2 =>
+                    {
+                        ring.bypass_station(station)
+                    }
+                    _ => ring.reinsert_station(station),
+                }
+                check_counters(&ring);
+            }
+            ring.run_until(ring.now() + SimTime::from_ms(20));
+            check_counters(&ring);
+        }
     }
 }
