@@ -101,18 +101,21 @@ pub(crate) fn fault_config(faults: &Faults) -> FaultConfig {
 /// the port its `dir` names. Returns the number of frames injected.
 pub fn play_schedule(tb: &mut Testbed, handles: &[CongramHandle], scene: &Scene) -> usize {
     let plan = scene.schedule();
+    let mut payload = std::mem::take(&mut tb.payload_scratch);
     for s in &plan {
         let at = SimTime::from_ns(s.at_ns);
         if at > tb.now() {
             tb.run_until(at);
         }
         let handle = handles[s.congram];
-        let payload = vec![s.fill; s.len as usize];
+        payload.clear();
+        payload.resize(s.len as usize, s.fill);
         match s.dir {
-            Dir::Atm => tb.send_from_atm_host_clp_at(at, handle, payload, s.clp),
-            Dir::Fddi => tb.send_from_fddi_station(handle.station, handle, payload),
+            Dir::Atm => tb.send_from_atm_host_clp_at(at, handle, &payload, s.clp),
+            Dir::Fddi => tb.send_data_to_gateway(handle.station, handle, &payload),
         }
     }
+    tb.payload_scratch = payload;
     plan.len()
 }
 
