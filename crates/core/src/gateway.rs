@@ -1526,13 +1526,18 @@ impl Gateway {
                 }
                 NpeAction::ReleaseAtmConnection { at, vci } => {
                     // The VC is gone: stop monitoring it and free any
-                    // reassembly state it still holds.
+                    // reassembly state it still holds. A VC the liveness
+                    // monitor quarantined was retired then, once.
                     self.unmonitor_vc(vci);
+                    let mut quarantined = false;
                     if let Some(slot) = self.vc_slot_mut(vci) {
                         slot.end_frame();
+                        quarantined = slot.quarantined;
                     }
                     self.spp.close_vc(vci);
-                    self.note_vc_retired(at, vci, false);
+                    if !quarantined {
+                        self.note_vc_retired(at, vci, false);
+                    }
                     out.push(Output::AtmConnectionRelease { at, vci });
                 }
             }

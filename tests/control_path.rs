@@ -335,6 +335,36 @@ fn reestablishing_an_idle_congram_releases_its_old_connection() {
     assert_eq!(reserved(&tb), one_connection, "dead connections keep their reservations");
 }
 
+/// A VC the gateway signalled for and the liveness monitor gave up is
+/// retired once, as quarantined: the release of its connection that
+/// follows retires nothing more.
+#[test]
+fn a_quarantined_signalled_vc_is_retired_once() {
+    use atm_fddi_gateway::mgmt::{GwEvent, MgmtConfig};
+    let mut cfg = TestbedConfig::default();
+    cfg.gateway.management = Some(MgmtConfig);
+    cfg.gateway.vc_liveness_timeout = Some(SimTime::from_ms(8));
+    let mut tb = Testbed::build(cfg);
+    tb.send_control_from_fddi(2, &setup_payload(9, 1, [5; 8]));
+    tb.run_until(SimTime::from_ms(40));
+    assert!(tb.gw.npe().stats().reestablishments >= 2, "{:?}", tb.gw.npe().stats());
+
+    let trace = tb.gw.trace().expect("management is on");
+    let retired: Vec<(u16, bool)> = trace
+        .events()
+        .filter_map(|e| match *e {
+            GwEvent::VcRetired { vci, quarantined, .. } => Some((vci, quarantined)),
+            _ => None,
+        })
+        .collect();
+    assert!(retired.len() >= 2, "{retired:?}");
+    let mut vcis: Vec<u16> = retired.iter().map(|&(vci, _)| vci).collect();
+    vcis.dedup();
+    assert_eq!(vcis.len(), retired.len(), "one VcRetired per VC: {retired:?}");
+    assert!(retired.iter().all(|&(_, quarantined)| quarantined), "{retired:?}");
+    assert_eq!(tb.gw.stats().vcs_quarantined, retired.len() as u64);
+}
+
 /// A congram that carries frames and then idles: the frames reach the
 /// ATM host before the liveness monitor gives the VC up, and each
 /// re-establishment still releases the connection before it.

@@ -236,8 +236,10 @@ fn global_counts(doc: &Json) -> Vec<(String, u64)> {
 
 /// `(octets, FNV-1a 64)` of the two snapshots of
 /// `every_counter_that_can_move_moves_and_the_snapshots_stay_pinned`,
-/// recorded with the NPE's two setups issued before the harness data.
-const PINNED: [(usize, u64); 2] = [(7952, 0x3521_768b_af13_2130), (4335, 0xab0b_2607_9aad_b612)];
+/// recorded with the NPE's two setups issued before the harness data,
+/// and with a quarantined signalled VC retired once (`trace.events_retained`
+/// 345, three fewer than when its release retired it again).
+const PINNED: [(usize, u64); 2] = [(7952, 0x5010_0161_850a_1f5d), (4335, 0xab0b_2607_9aad_b612)];
 
 /// `(octets, FNV-1a 64)` of a rendered snapshot.
 fn digest(rendered: &str) -> (usize, u64) {
