@@ -688,7 +688,7 @@ mod tests {
         net.run_until(t - one_ns);
         assert_eq!(net.next_event(e1), None);
         net.run_until(t);
-        assert_eq!(stamps(std::iter::from_fn(|| net.next_event(e1))), [(t, false), (t, true)]);
+        assert_eq!(stamps(net.drained(e1)), [(t, false), (t, true)]);
 
         // Cell pushed first: its arrival is keyed when s1 sends it, one
         // hop out; a release requested then answers one hop later.

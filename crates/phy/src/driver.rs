@@ -123,11 +123,15 @@ impl PortDriver {
             self.fail(gw, now, Port::Atm);
         }
         let any = !cells.is_empty();
-        for (stamp, cell) in cells.drain(..) {
+        // By reference: each cell reaches the AIC from where the port
+        // put it (DESIGN.md §15).
+        for &(stamp, ref cell) in &cells {
             let at = self.admission(stamp, now, self.cell_floor);
             self.cell_floor = at;
-            self.call(gw, now, |gw, out| gw.deliver_cells(at, &[cell], out), back);
+            let cell = std::slice::from_ref(cell);
+            self.call(gw, now, |gw, out| gw.deliver_cells(at, cell, out), back);
         }
+        cells.clear();
         self.cells = cells;
         any
     }
@@ -177,13 +181,14 @@ impl PortDriver {
                 back(self, gw, o.clone());
             }
         }
-        for o in out.drain(..) {
-            if let Output::AtmCell { at, cell } = o {
-                if self.atm_sup.is_up() && self.cell.send_cell(at, &cell).is_err() {
+        for o in &out {
+            if let &Output::AtmCell { at, ref cell } = o {
+                if self.atm_sup.is_up() && self.cell.send_cell(at, cell).is_err() {
                     self.fail(gw, now, Port::Atm);
                 }
             }
         }
+        out.clear();
         self.out = out;
         emitted
     }
