@@ -49,9 +49,12 @@ fn builtin_scene_text(n: usize) -> String {
 /// different ones were lost and retransmitted at other pumps: when
 /// acks began to ride on data, and when the ack became a header field
 /// (datagrams eight octets longer, bare acks spaced on every link, and
-/// one retransmission timer for every peer). Each time only `time_ns`
-/// and the forwarding-latency statistics changed.
-const FRAMES_12: (usize, u64) = (7924, 0x5b45_258c_75f3_d944);
+/// one retransmission timer for every peer). It moved a third time when
+/// a timer began to resend only the head of the unacknowledged tail
+/// (retransmissions 130 → 42, so the fault stream fell on other
+/// datagrams again). Each time only `time_ns` and the forwarding-latency
+/// statistics changed.
+const FRAMES_12: (usize, u64) = (7922, 0xa4ee_56fe_bf6c_8995);
 
 #[test]
 fn plain_smoke_is_the_builtin_scene_and_renders_the_recorded_snapshot() {
