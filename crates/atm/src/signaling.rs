@@ -111,6 +111,8 @@ pub enum RejectReason {
     InsufficientBandwidth,
     /// No path exists to a destination.
     NoRoute,
+    /// A port on the tree has every VCI in use.
+    NoVci,
 }
 
 /// Indications delivered to endpoints.
@@ -171,6 +173,8 @@ struct Connection {
     rx_vcis: Vec<(EndpointId, Vci)>,
     /// Per-switch in-VCI of the tree (for grafting parties).
     tree_in_vci: HashMap<usize, (usize, Vci)>,
+    /// Every VCI taken for the connection, `(switch, port, vci)`.
+    vcis: Vec<(usize, usize, Vci)>,
 }
 
 /// Signaling-layer state embedded in [`AtmNetwork`].
@@ -179,16 +183,49 @@ pub struct SignalingState {
     config: SignalingConfig,
     conns: HashMap<ConnId, Connection>,
     committed: HashMap<(usize, usize), u64>,
-    next_vci: HashMap<(usize, usize), u16>,
+    vcis: HashMap<(usize, usize), VciPool>,
     next_conn: u32,
 }
 
+/// The VCIs of one switch port: counted up from 32 (0–31 are
+/// reserved), then, once the count reaches the end of the 16-bit space,
+/// taken back from the ones connections gave up.
+#[derive(Debug)]
+struct VciPool {
+    next: Option<u16>,
+    free: Vec<u16>,
+}
+
+impl Default for VciPool {
+    fn default() -> Self {
+        VciPool { next: Some(32), free: Vec::new() }
+    }
+}
+
+impl VciPool {
+    /// A VCI no live connection holds on the port, if one is left.
+    fn take(&mut self) -> Option<Vci> {
+        match self.next {
+            Some(vci) => {
+                self.next = vci.checked_add(1);
+                Some(Vci(vci))
+            }
+            None => self.free.pop().map(Vci),
+        }
+    }
+}
+
 impl SignalingState {
-    fn alloc_vci(&mut self, sw: usize, port: usize) -> Vci {
-        let next = self.next_vci.entry((sw, port)).or_insert(32);
-        let v = *next;
-        *next += 1;
-        Vci(v)
+    /// Take a VCI on `(sw, port)` for `conn`.
+    fn alloc_vci(
+        &mut self,
+        conn: &mut Connection,
+        sw: usize,
+        port: usize,
+    ) -> Result<Vci, RejectReason> {
+        let vci = self.vcis.entry((sw, port)).or_default().take().ok_or(RejectReason::NoVci)?;
+        conn.vcis.push((sw, port, vci));
+        Ok(vci)
     }
 }
 
@@ -219,6 +256,7 @@ impl AtmNetwork {
             tx_vci: Vci(0),
             rx_vcis: Vec::new(),
             tree_in_vci: HashMap::new(),
+            vcis: Vec::new(),
         };
 
         let outcome = self.try_build_tree(&mut conn, to);
@@ -309,7 +347,7 @@ impl AtmNetwork {
     ) -> Result<(), RejectReason> {
         let (src_sw, src_port) = self.endpoint_attachment(conn.src);
         // Caller's access VCI; the ingress switch keys its table on it.
-        conn.tx_vci = self.signaling.alloc_vci(src_sw.0, src_port);
+        conn.tx_vci = self.signaling.alloc_vci(conn, src_sw.0, src_port)?;
         conn.tree_in_vci.insert(src_sw.0, (src_port, conn.tx_vci));
         // Reserve the access link (endpoint -> switch direction shares
         // the port's rate).
@@ -355,7 +393,7 @@ impl AtmNetwork {
                     .find(|&(p, n, _)| p == out_port && n == next_sw)
                     .map(|(_, _, np)| np)
                     .expect("edge came from neighbors");
-                let vci = self.signaling.alloc_vci(next_sw, nport);
+                let vci = self.signaling.alloc_vci(conn, next_sw, nport)?;
                 (nport, vci)
             };
             // Extend the parent's fan-out toward next_sw.
@@ -369,7 +407,7 @@ impl AtmNetwork {
 
         // Egress to the destination endpoint.
         self.reserve(conn, dst_sw.0, dst_port)?;
-        let rx_vci = self.signaling.alloc_vci(dst_sw.0, dst_port);
+        let rx_vci = self.signaling.alloc_vci(conn, dst_sw.0, dst_port)?;
         let (din_port, din_vci) = conn.tree_in_vci[&dst_sw.0];
         self.install_vc(dst_sw, din_port, din_vci, vec![(dst_port, rx_vci)]);
         if !conn.entries.contains(&(dst_sw.0, din_port, din_vci)) {
@@ -387,6 +425,11 @@ impl AtmNetwork {
         }
         for (sw, port, vci) in conn.entries.drain(..) {
             self.remove_vc(SwitchId(sw), port, vci);
+        }
+        for (sw, port, vci) in conn.vcis.drain(..) {
+            if let Some(pool) = self.signaling.vcis.get_mut(&(sw, port)) {
+                pool.free.push(vci.0);
+            }
         }
         conn.rx_vcis.clear();
     }
@@ -720,6 +763,42 @@ mod tests {
         assert_eq!(ups.len(), 2);
         assert_ne!(ups[0], ups[1]);
         assert!(ups.iter().all(|v| v.0 >= 32), "VCIs 0-31 reserved");
+    }
+
+    /// A port's VCIs are reused once the count has reached the end of
+    /// the 16-bit space, and a port with every VCI in use refuses a
+    /// setup instead of overflowing.
+    #[test]
+    fn a_port_reuses_the_vcis_released_and_rejects_a_setup_when_all_are_in_use() {
+        let mut net = AtmNetwork::new();
+        let s0 = net.add_switch(2);
+        let e0 = net.attach_endpoint(s0, 0);
+        let e1 = net.attach_endpoint(s0, 1);
+        let free = TrafficContract::cbr(0);
+        for _ in 0..100_000 {
+            let c = net.connect(net.now(), e0, &[e1], free);
+            net.run_until(net.now() + SimTime::from_ms(2));
+            let sigs = drain_signals(&mut net, e0);
+            let [SignalIndication::ConnectionUp { tx_vci, .. }] = sigs[..] else {
+                panic!("{sigs:?}")
+            };
+            assert!(tx_vci.0 >= 32, "VCIs 0-31 reserved");
+            drain_signals(&mut net, e1);
+            net.release(c);
+            net.run_until(net.now() + SimTime::from_ms(2));
+            net.poll(e0);
+            net.poll(e1);
+        }
+
+        // Every VCI of the port held at once: the next setup is refused.
+        let held: Vec<_> =
+            (32..=u16::MAX).map(|_| net.connect(net.now(), e0, &[e1], free)).collect();
+        let refused = net.connect(net.now(), e0, &[e1], free);
+        net.run_until(net.now() + SimTime::from_ms(2));
+        assert!(held.iter().all(|&c| net.conn_state(c) == Some(ConnState::Established)));
+        assert_eq!(net.conn_state(refused), None);
+        let rejected = SignalIndication::Rejected { conn: refused, reason: RejectReason::NoVci };
+        assert!(drain_signals(&mut net, e0).contains(&rejected));
     }
 
     #[test]

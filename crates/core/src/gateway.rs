@@ -1620,8 +1620,11 @@ impl Gateway {
             self.liveness_scratch = fired;
             self.quarantine_scratch = expired;
         }
-        let actions = self.npe.scan(now);
-        self.apply_npe_actions(actions, out);
+        // A scan short of the NPE's next deadline has nothing to do.
+        if self.npe.next_deadline().is_some_and(|due| due <= now) {
+            let actions = self.npe.scan(now);
+            self.apply_npe_actions(actions, out);
+        }
         if let Some(m) = &mut self.mgmt {
             let (tx, rx) = (self.tx_buffer.used_octets(), self.rx_buffer.used_octets());
             m.registry.set_gauge(m.handles.tx_occupancy, now, tx as f64);

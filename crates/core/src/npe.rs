@@ -803,6 +803,90 @@ mod tests {
         ));
     }
 
+    /// The setup attempts `actions` request.
+    fn requests(actions: &[NpeAction]) -> Vec<(CongramId, u32)> {
+        actions
+            .iter()
+            .filter_map(|a| match *a {
+                NpeAction::RequestAtmConnection { congram, attempt, .. } => {
+                    Some((congram, attempt))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A scan before the NPE's next deadline has nothing to do: over
+        /// random set-ups from either side, refusals that back off,
+        /// confirmations and PICons, a scan at any time short of
+        /// `next_deadline()` returns no action and leaves the whole NPE
+        /// — records, stats, resource manager, jitter stream — as it
+        /// was. That is what lets the gateway skip it.
+        #[test]
+        fn a_scan_before_the_next_deadline_does_nothing(
+            ops in proptest::collection::vec((0u8..6, 0u64..3_000_000, 0usize..8), 1..40),
+        ) {
+            let mut n = npe();
+            let mut t = SimTime::ZERO;
+            let mut pending: Vec<(CongramId, u32)> = Vec::new();
+            let mut peer = 0;
+            for (kind, dt_us, pick) in ops {
+                t += SimTime::from_us(dt_us);
+                peer += 1;
+                let kinds = [CongramKind::UCon, CongramKind::PICon];
+                let setup = ControlPayload::SetupRequest {
+                    congram: CongramId(peer),
+                    kind: kinds[pick % 2],
+                    flow: FlowSpec::cbr(1_000_000),
+                    dest: DEST,
+                }
+                .to_frame(Icn(0));
+                match kind {
+                    0 => {
+                        let src = FddiAddr::station(6);
+                        let actions = n.handle(t, NpeInput::ControlFromFddi { frame: setup, src });
+                        pending.extend(requests(&actions));
+                    }
+                    1 => {
+                        let arrival_vci = Vci(64 + peer as u16);
+                        n.handle(t, NpeInput::ControlFromAtm { frame: setup, arrival_vci });
+                    }
+                    2 if !pending.is_empty() => {
+                        let (congram, attempt) = pending.remove(pick % pending.len());
+                        n.atm_connection_failed(t, congram, attempt);
+                    }
+                    3 if !pending.is_empty() => {
+                        let (congram, attempt) = pending.remove(pick % pending.len());
+                        n.atm_connection_ready(t, congram, attempt, Vci(200 + peer as u16));
+                    }
+                    _ => {
+                        if n.next_deadline().is_some_and(|d| d <= t) {
+                            let actions = n.scan(t);
+                            pending.extend(requests(&actions));
+                        }
+                    }
+                }
+                let short: Vec<SimTime> = match n.next_deadline() {
+                    None => vec![t, t + SimTime::from_secs(60)],
+                    Some(d) if d > t => {
+                        let before = SimTime::from_ns(d.as_ns() - 1);
+                        vec![t, SimTime::from_ns((t.as_ns() + d.as_ns()) / 2), before]
+                    }
+                    Some(_) => vec![],
+                };
+                for now in short {
+                    let before = format!("{n:?}");
+                    let actions = n.scan(now);
+                    proptest::prop_assert!(actions.is_empty(), "at {:?}: {:?}", now, actions);
+                    proptest::prop_assert_eq!(format!("{n:?}"), before);
+                }
+            }
+        }
+    }
+
     #[test]
     fn keepalive_scan_releases_dead_picons() {
         let mut n = npe();

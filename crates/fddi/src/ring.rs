@@ -159,6 +159,15 @@ impl Station {
     }
 }
 
+/// Event-queue lane of the token: one token circulates, each pass
+/// later than the one before, so its pushes come in time order.
+const TOKEN: usize = 0;
+/// Event-queue lane of frame deliveries: each frame's receptions come
+/// later down the ring, and frames follow the token. A delivery that
+/// would go backwards (a far reception of one frame after a near one of
+/// the next) falls to the heap; the pop order is the heap's either way.
+const DELIVERIES: usize = 1;
+
 #[derive(Debug)]
 enum RingEvent {
     /// The token arrives at a station.
@@ -246,7 +255,7 @@ impl Ring {
         // The claim winner issues the token; it first arrives at the
         // winner's downstream neighbour after one hop.
         let first = (claim.winner + 1) % n;
-        events.push(hop_latency, RingEvent::Token(first));
+        events.push_lane(TOKEN, hop_latency, RingEvent::Token(first));
 
         Ring {
             stations,
@@ -474,12 +483,16 @@ impl Ring {
                 let arrival = start + SimTime::from_ns(self.hop_latency.as_ns() * hop as u64) + dur;
                 if let Some((at, to)) = pending.replace((arrival, idx)) {
                     let frame = frame.clone();
-                    self.events.push(at, RingEvent::Deliver { to, from: src, frame });
+                    self.events.push_lane(
+                        DELIVERIES,
+                        at,
+                        RingEvent::Deliver { to, from: src, frame },
+                    );
                 }
             }
         }
         if let Some((at, to)) = pending {
-            self.events.push(at, RingEvent::Deliver { to, from: src, frame });
+            self.events.push_lane(DELIVERIES, at, RingEvent::Deliver { to, from: src, frame });
         }
         let s = &mut self.stations[src];
         s.stats.octets_tx += len as u64;
@@ -507,7 +520,7 @@ impl Ring {
                     // The bypass relay repeats the token downstream.
                     let next = (i + 1) % self.stations.len();
                     let arrival = now + self.hop_latency;
-                    self.events.push(arrival, RingEvent::Token(next));
+                    self.events.push_lane(TOKEN, arrival, RingEvent::Token(next));
                     return Some(now);
                 }
                 if i == 0 {
@@ -565,7 +578,7 @@ impl Ring {
                 // Release the token downstream.
                 let next = (i + 1) % self.stations.len();
                 let arrival = t + Self::token_time() + self.hop_latency;
-                self.events.push(arrival, RingEvent::Token(next));
+                self.events.push_lane(TOKEN, arrival, RingEvent::Token(next));
             }
         }
         Some(now)

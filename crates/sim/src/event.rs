@@ -44,7 +44,9 @@
 //! sequence number as a push would, without queueing anything, and
 //! [`EventQueue::now_seq`] reads the sequence number of the entry popped
 //! last. An outside entry keyed `(time, take_seq(time))` then sorts
-//! against every queued entry where the same push would have.
+//! against every queued entry where the same push would have, and
+//! [`EventQueue::push_keyed`] queues it under that key if the model
+//! hands it back.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -238,6 +240,18 @@ impl<E> EventQueue<E> {
                 self.push_heap(entry);
             }
         }
+    }
+
+    /// Queue `event` under a key the caller took with
+    /// [`EventQueue::take_seq`] and has kept outside the queue since: it
+    /// pops where the push made when the key was taken would have.
+    ///
+    /// # Panics
+    /// Panics if `time` is before the current simulation time, or if
+    /// `seq` was never handed out.
+    pub fn push_keyed(&mut self, time: SimTime, seq: u64, event: E) {
+        assert!(time >= self.now && seq < self.next_seq, "a key taken earlier is pushed");
+        self.push_heap(Entry { time, seq, event });
     }
 
     /// Remove and return the earliest event, advancing the clock to it.

@@ -172,7 +172,8 @@ pub struct Testbed {
     /// Cells awaiting injection into the ATM network (scheduled host
     /// sends), time-tagged.
     atm_outbox: std::collections::VecDeque<(SimTime, EndpointId, [u8; CELL_SIZE])>,
-    /// True when `atm_outbox` needs re-sorting before draining.
+    /// True when a send landed behind `atm_outbox`'s tail, which then
+    /// needs re-sorting before draining.
     outbox_dirty: bool,
     /// Host-side reassembly of cells arriving at the ATM host.
     host_reasm: Reassembler,
@@ -581,7 +582,8 @@ impl Testbed {
 
     /// Cut `frame` into cells under `header` straight into the ATM
     /// host's outbox, the first at `t` and each next `spacing` later;
-    /// returns the time after the last.
+    /// returns the time after the last. The cells go in time order, so
+    /// the outbox stays sorted unless the first goes behind its tail.
     fn queue_host_cells(
         &mut self,
         mut t: SimTime,
@@ -592,14 +594,23 @@ impl Testbed {
     ) -> SimTime {
         let mut blank = [0u8; CELL_SIZE];
         header.emit(&mut blank).expect("valid header");
+        self.outbox_dirty |= self.atm_outbox.back().is_some_and(|&(last, _, _)| t < last);
         for field in sar_fields(frame, control).expect("frame fits sequence space") {
             let mut cell = blank;
             cell[HEADER_SIZE..].copy_from_slice(field.as_bytes());
             self.atm_outbox.push_back((t, self.atm_host, cell));
             t += spacing;
         }
-        self.outbox_dirty = true;
         t
+    }
+
+    /// Put the outbox in time order, if a send left it out of it. The
+    /// sort is stable: cells of one timestamp keep their send order
+    /// (sequenced delivery, §5.2).
+    fn sort_outbox(&mut self) {
+        if std::mem::take(&mut self.outbox_dirty) {
+            self.atm_outbox.make_contiguous().sort_by_key(|&(t, _, _)| t);
+        }
     }
 
     /// Queue a data frame from an FDDI station toward the ATM host on a
@@ -781,13 +792,9 @@ impl Testbed {
             let next = SimTime::from_ns((self.now + SLICE).as_ns().min(until.as_ns()));
 
             // 1. Inject due scheduled cells into the ATM network. The
-            //    outbox stays sorted; only new sends force a re-sort.
-            if self.outbox_dirty {
-                // Stable sort preserves per-frame cell order among
-                // same-timestamp cells (sequenced delivery, §5.2).
-                self.atm_outbox.make_contiguous().sort_by_key(|&(t, _, _)| t);
-                self.outbox_dirty = false;
-            }
+            //    outbox stays sorted; only a send behind its tail forces
+            //    a re-sort.
+            self.sort_outbox();
             while let Some(&(t, ep, ref cell)) = self.atm_outbox.front() {
                 if t > next {
                     break;
@@ -911,6 +918,63 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Host sends interleaved across VCs, at times before, at and
+        /// after the outbox's tail, with slices draining it between
+        /// them, inject in the order a full stable sort of everything
+        /// sent gives: skipping the sort while the sends stay in order
+        /// changes nothing.
+        #[test]
+        fn host_sends_inject_in_the_order_a_full_stable_sort_gives(
+            sends in proptest::collection::vec((0usize..4, 0u64..400, 1usize..300, 0u8..4), 1..40),
+        ) {
+            let mut tb = Testbed::build(TestbedConfig::default());
+            let congrams: Vec<_> = (0..4).map(|s| tb.install_data_congram(1 + s % 3)).collect();
+            let horizons = (1..).map(|k| SimTime::from_us(50 * k));
+            // What each send queued, and whether a slice drained after it.
+            let mut sent = Vec::new();
+            let mut injected = Vec::new();
+            let mut slices = horizons.clone();
+            for (i, &(vc, at_us, len, drain)) in sends.iter().enumerate() {
+                let before = tb.atm_outbox.len();
+                let at = SimTime::from_us(at_us);
+                tb.send_from_atm_host_clp_at(at, congrams[vc], &vec![i as u8; len], false);
+                let cells: Vec<_> = tb.atm_outbox.range(before..).map(|&(t, _, c)| (t, c)).collect();
+                sent.push((cells, drain == 0));
+                if drain == 0 {
+                    // A slice: sort if needed, inject what is due.
+                    let horizon = slices.next().unwrap();
+                    tb.sort_outbox();
+                    while tb.atm_outbox.front().is_some_and(|&(t, ..)| t <= horizon) {
+                        let (t, _, cell) = tb.atm_outbox.pop_front().unwrap();
+                        injected.push((t, cell));
+                    }
+                }
+            }
+            tb.sort_outbox();
+            injected.extend(tb.atm_outbox.drain(..).map(|(t, _, cell)| (t, cell)));
+            // The reference: the same slices drain a list of everything
+            // sent, stable-sorted in full every time.
+            let mut reference = Vec::new();
+            let mut pending = Vec::new();
+            let mut slices = horizons;
+            for (cells, drained) in sent {
+                pending.extend(cells);
+                if drained {
+                    let horizon = slices.next().unwrap();
+                    pending.sort_by_key(|&(t, _)| t);
+                    let due = pending.partition_point(|&(t, _)| t <= horizon);
+                    reference.extend(pending.drain(..due));
+                }
+            }
+            pending.sort_by_key(|&(t, _)| t);
+            reference.extend(pending);
+            proptest::prop_assert_eq!(injected, reference);
+        }
+    }
 
     #[test]
     fn atm_to_fddi_delivery() {
